@@ -65,7 +65,7 @@ func TestDatabaseUpdateAtomicity(t *testing.T) {
 	for _, o := range ops {
 		t.Run(o.name, func(t *testing.T) {
 			armed = true
-			baseRows := func() []ojv.Row { return db.Catalog().Table(o.table).Rows() }
+			baseRows := func() []ojv.Row { return db.TableSnapshot(o.table).Rows() }
 			preBase := snapshotRows(baseRows())
 			preV1, preV2 := snapshotRows(v1.Rows()), snapshotRows(v2.Rows())
 			preStats1, preStats2 := v1.LastStats, v2.LastStats

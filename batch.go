@@ -2,13 +2,10 @@ package ojv
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"ojv/internal/pipeline"
-	"ojv/internal/view"
 )
 
 // ReadPolicy selects what a batch's owner sees through the Database's view
@@ -40,31 +37,18 @@ type BatchOptions struct {
 	FlushInterval time.Duration
 	// ReadPolicy selects the Rows read semantics (see ReadPolicy).
 	ReadPolicy ReadPolicy
-	// MaintWorkers enables concurrent maintenance of independent flush
-	// components. At 0 or 1 a flush is monolithic: one plan, every view,
-	// one atomic commit — a failed flush restores the entire pre-flush
-	// state. At N ≥ 2 the flush partitions its delta tables into
-	// independent components (conflict.go) and maintains up to N of them
-	// concurrently; each component commits — or rolls back — atomically on
-	// its own, publishing its tables' and views' epochs at its own commit
-	// boundary. Results are bit-identical to the monolithic flush at any
-	// worker count. On a component failure the committed components stay
-	// committed: only the failed components' statements remain pending (see
-	// Flush).
+	// MaintWorkers sizes the pool that maintains a flush's independent
+	// components (conflict.go) concurrently: min(MaintWorkers, components)
+	// workers, inline on the flushing goroutine when that is at most one. It
+	// selects no code path — results are bit-identical and the failure
+	// contract (see Flush) is the same at every value.
 	MaintWorkers int
 	// Tracer, when set, records a view.flush span root per flush (children:
-	// plan, one flush.step per single-table statement, commit).
+	// plan, one flush.component per independent component — each with one
+	// flush.step per single-table statement and a commit).
 	Tracer *Tracer
 	// Metrics, when set, collects the view.flush.* counters and histograms.
 	Metrics *Metrics
-	// DisableSharedPlans turns off multi-view common-subexpression sharing:
-	// every view evaluates its full ΔV^D tree in isolation, as before PR 10.
-	// Sharing is on by default — for each flush step the views touched by
-	// the step are scanned for structurally identical maintenance subtrees,
-	// and each shared subtree is evaluated once and fanned out (DESIGN.md
-	// §15). Results are bit-identical either way; the switch exists for
-	// benchmarking and as an escape hatch.
-	DisableSharedPlans bool
 }
 
 // WriteBatch is the group-commit write pipeline: it stages Insert, Delete
@@ -80,17 +64,20 @@ type BatchOptions struct {
 //     the queue. Inbound RESTRICT checks happen at flush.
 //   - Get merges the pending overlay (read-your-writes point reads); view
 //     reads follow the configured ReadPolicy.
-//   - A flush drains the net per-table deltas through the same atomic path
-//     as single statements: one undo-logged changeset per view, committed
-//     together or rolled back together with the base-table delta. A failed
-//     flush restores the pre-flush state exactly, preserves the pending
-//     queue, records itself in Err, and suspends auto-flushing until Flush
-//     succeeds or Discard drops the batch.
+//   - A flush drains the net per-table deltas through the same write path
+//     as single statements (write.go): the delta tables partition into
+//     independent components, and each component — its base deltas plus one
+//     undo-logged changeset per affected view, with ΔV^D subtrees common to
+//     several views evaluated once — commits or rolls back atomically. A
+//     failed component restores its pre-flush state exactly and keeps its
+//     statements pending; the flush records itself in Err and suspends
+//     auto-flushing until Flush succeeds or Discard drops the batch (see
+//     Flush for what happens to the other components).
 //   - Auto flushes (FlushRows threshold and FlushInterval tick) run on one
 //     dedicated maintenance goroutine, never inline in a writer's
 //     statement. View readers are isolated from the flush by epochs: they
 //     keep reading the last committed snapshot and switch to the new one
-//     only when the flush commits.
+//     only when its component commits.
 //   - Deletes across tables flush children-first and inserts parents-first,
 //     so cross-table batches respect foreign keys; a batch that both grows
 //     and shrinks the same FK chain in conflicting ways may still fail at
@@ -286,9 +273,16 @@ func (b *WriteBatch) Discard() {
 	b.flushErr = nil
 }
 
-// Flush drains the pending statements through one atomic maintenance pass
-// and returns only when the flush has completed. On error the database is
-// unchanged and the statements remain pending. A concurrent maintenance-
+// Flush drains the pending statements and returns only when the flush has
+// completed. Each independent component of the flush commits or rolls back
+// atomically on its own, publishing its tables' and views' epochs at its
+// own commit boundary. On error every failed component is restored exactly
+// and its statements remain pending behind Err; components that committed
+// stay committed and their statements leave the queue, so a retried Flush
+// re-plans only what failed — through the re-validating path, since the
+// commits moved the catalog version. A flush whose delta tables form one
+// component (any flush over tables that one view joins, or that foreign
+// keys connect) is therefore all-or-nothing. A concurrent maintenance-
 // goroutine flush serializes before this one: Flush observes its outcome
 // (possibly an empty queue, or its sticky error) rather than racing it.
 func (b *WriteBatch) Flush() error {
@@ -331,13 +325,11 @@ func (b *WriteBatch) Close() error {
 }
 
 // flushLocked is the group commit. Caller holds b.mu; trigger names what
-// initiated the flush (explicit, rows, interval or close) for the trace.
-// The plan's steps apply strictly in sequence — base delta, then one
-// maintenance pass per view — so the flush is equivalent to running the net
-// statements synchronously, which is the contract the maintenance layer is
-// proven against; batching never reorders maintenance relative to its base
-// delta. Readers are isolated for the whole duration: view and base-table
-// epochs republish only after every step has committed.
+// initiated the flush (explicit, rows, interval or close) for the trace. It
+// partitions the queue's delta tables, plans each component, hands the
+// components to the database's one write path (Database.commit) and
+// reconciles the queue with the outcome. Readers are isolated throughout:
+// a component's view and table epochs republish only when it commits.
 func (b *WriteBatch) flushLocked(trigger string) error {
 	if b.q.Statements() == 0 {
 		return nil
@@ -368,26 +360,36 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 		SetInt("rows_coalesced", int64(coalesced))
 	defer root.End()
 
-	var err error
-	if b.opts.MaintWorkers > 1 {
-		err = b.flushComponentsLocked(root, fast)
-	} else {
-		planSpan := root.Child("plan")
-		steps := b.q.Plan()
-		planSpan.SetInt("steps", int64(len(steps))).End()
-		if len(steps) > 0 {
-			err = b.applySteps(root, b.allViews(), steps, fast)
-			if err == nil {
-				// Views published their epochs at changeset commit; now that
-				// the whole flush has committed, publish the base tables'.
-				b.db.cat.PublishEpochs()
-			}
+	// Planning reads the queue's shared entry maps, so it stays on this
+	// goroutine; only the independent apply/commit work fans out.
+	planSpan := root.Child("plan")
+	comps := b.db.partition(b.q.DeltaTables())
+	steps := 0
+	for i := range comps {
+		comps[i].steps = b.q.PlanFor(comps[i].tables)
+		steps += len(comps[i].steps)
+	}
+	planSpan.SetInt("steps", int64(steps)).
+		SetInt("components", int64(len(comps))).End()
+	b.opts.Metrics.Observe("view.flush.components", int64(len(comps)))
+
+	var firstErr error
+	var committed []string
+	for i, err := range b.db.commit(comps, fast, b.opts.MaintWorkers, root, b.opts.Metrics) {
+		if err == nil {
+			committed = append(committed, comps[i].tables...)
+		} else if firstErr == nil {
+			firstErr = err
 		}
 	}
-	if err != nil {
-		b.flushErr = err
+	if firstErr != nil {
+		if len(committed) > 0 {
+			// Those entries are applied; replaying them would double-apply.
+			b.q.DropTables(committed)
+		}
+		b.flushErr = fmt.Errorf("ojv: flush failed: %w", firstErr)
 		b.opts.Metrics.Add("view.flush.errors", 1)
-		return err
+		return b.flushErr
 	}
 
 	b.q.Reset()
@@ -402,334 +404,5 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 	b.opts.Metrics.Add("view.flush.rows.coalesced", int64(coalesced))
 	b.opts.Metrics.Observe("view.flush.size", int64(netRows))
 	b.opts.Metrics.Observe("view.flush.latency.us", time.Since(start).Microseconds())
-	return nil
-}
-
-// allViews returns every registered view in registration order. Caller
-// holds db.mu, which excludes registration (register takes db.mu before
-// viewMu), so the registry is stable without viewMu.
-func (b *WriteBatch) allViews() []*View {
-	views := make([]*View, 0, len(b.db.order))
-	for _, name := range b.db.order {
-		views = append(views, b.db.views[name])
-	}
-	return views
-}
-
-// flushComponentsLocked is the concurrent flush (MaintWorkers ≥ 2): it
-// partitions the delta tables into independent components, plans each
-// component single-threaded, then dispatches the components to a bounded
-// worker pool. Each component applies, commits and publishes on its own
-// (flushComponent); the coordinator joins the workers and reconciles the
-// queue. On a partial failure the committed components' entries drop from
-// the queue (they are applied; replaying them would double-apply), the
-// failed components' statements stay pending, and the first error becomes
-// the batch's sticky error — a retried Flush re-plans only the remaining
-// tables, through the re-validating path (the committed components moved
-// the catalog version, so the prevalidated proof no longer holds).
-func (b *WriteBatch) flushComponentsLocked(root *Span, fast bool) error {
-	comps := b.db.flushComponents(b.q)
-	if len(comps) == 0 {
-		return nil
-	}
-
-	// Planning reads the queue's shared entry maps, so it stays on the
-	// coordinator; only the independent apply/commit work fans out.
-	planSpan := root.Child("plan")
-	plans := make([][]pipeline.Step, len(comps))
-	totalSteps := 0
-	lockTables := make([]string, 0, len(comps))
-	for i, c := range comps {
-		plans[i] = b.q.PlanFor(c.tables)
-		totalSteps += len(plans[i])
-		lockTables = append(lockTables, c.tables...)
-	}
-	b.db.locks.Ensure(lockTables)
-	planSpan.SetInt("steps", int64(totalSteps)).
-		SetInt("components", int64(len(comps))).End()
-	b.opts.Metrics.Observe("view.flush.components", int64(len(comps)))
-
-	workers := b.opts.MaintWorkers
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-	errs := make([]error, len(comps))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = b.flushComponent(root, comps[i], plans[i], fast)
-			}
-		}()
-	}
-	for _, i := range dispatchOrder(plans) {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	var firstErr error
-	var committed []string
-	for i, c := range comps {
-		if errs[i] != nil {
-			if firstErr == nil {
-				firstErr = errs[i]
-			}
-		} else {
-			committed = append(committed, c.tables...)
-		}
-	}
-	if firstErr != nil {
-		if len(committed) > 0 {
-			b.q.DropTables(committed)
-		}
-		return firstErr
-	}
-	return nil
-}
-
-// dispatchOrder returns the component indices largest-delta-first: with
-// fewer workers than components, starting the largest component earliest
-// minimizes the tail — a big component dispatched last runs alone after
-// the small ones drain. Sizes are known at plan time (net delta rows per
-// step); the sort is stable, so equal-sized components keep plan order.
-// Results are unaffected either way: components are independent by
-// construction.
-func dispatchOrder(plans [][]pipeline.Step) []int {
-	order := make([]int, len(plans))
-	sizes := make([]int, len(plans))
-	for i, ps := range plans {
-		order[i] = i
-		for _, st := range ps {
-			sizes[i] += st.Len()
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
-	return order
-}
-
-// flushComponent applies and commits one independent component: acquire
-// its tables' shard locks (sorted order — see rel.TableLocks), apply the
-// component plan into its views' changesets, and on success publish the
-// component's table epochs at its own commit boundary (the views published
-// theirs at changeset commit). On failure applySteps has already restored
-// the component's pre-flush state; no other component is disturbed either
-// way. The shard locks are defense in depth: components are disjoint by
-// construction, so a blocked Acquire means a conflict-analysis bug
-// degraded to serialization instead of a race.
-func (b *WriteBatch) flushComponent(root *Span, c flushComponent, steps []pipeline.Step, fast bool) error {
-	if len(steps) == 0 {
-		return nil
-	}
-	b.db.locks.Acquire(c.tables)
-	defer b.db.locks.Release(c.tables)
-	span := root.Child("flush.component").
-		SetStr("tables", strings.Join(c.tables, ",")).
-		SetInt("views", int64(len(c.views))).
-		SetInt("steps", int64(len(steps)))
-	defer span.End()
-	if err := b.applySteps(span, c.views, steps, fast); err != nil {
-		return err
-	}
-	b.db.cat.PublishTableEpochs(c.tables)
-	return nil
-}
-
-// stagedView pairs a view with its one changeset for the whole flush.
-type stagedView struct {
-	v     *View
-	cs    *view.Changeset
-	stats *MaintStats
-}
-
-// applySteps applies one plan under db.mu: each step mutates the base
-// table, then stages maintenance for that single-table delta into each
-// given view's changeset. On any failure everything unwinds — staged
-// changesets in reverse view order, applied base deltas in reverse step
-// order — so the database returns to the pre-apply state of the touched
-// tables and views. Caller still holds the pending queue, which survives
-// for a retry. The monolithic flush passes every registered view; the
-// concurrent flush calls it once per component, with the component's plan
-// and views, from concurrent workers — safe because components share no
-// table and no view, and the catalog's shared counters are atomic.
-func (b *WriteBatch) applySteps(root *Span, views []*View, steps []pipeline.Step, fast bool) error {
-	staged := make([]stagedView, 0, len(views))
-	for _, v := range views {
-		staged = append(staged, stagedView{v: v, cs: v.m.Begin()})
-	}
-	// modRows tracks per-step progress of a partially applied modify so the
-	// unwind can revert exactly the rows that changed.
-	modRows := make([]int, len(steps))
-
-	fail := func(stepIdx int, cause error) error {
-		var rbErr error
-		for i := len(staged) - 1; i >= 0; i-- {
-			if e := staged[i].v.m.RollbackStaged(staged[i].cs); e != nil && rbErr == nil {
-				rbErr = e
-			}
-		}
-		for i := stepIdx; i >= 0; i-- {
-			if e := b.undoStep(steps[i], modRows[i]); e != nil && rbErr == nil {
-				rbErr = e
-			}
-		}
-		if rbErr != nil {
-			return fmt.Errorf("ojv: flush failed: %v (rollback also failed: %v)", cause, rbErr)
-		}
-		return fmt.Errorf("ojv: flush failed: %w", cause)
-	}
-
-	// Multi-view sharing: with two or more views in the flush, each step
-	// builds the shared-subexpression DAG across them and evaluates every
-	// shared subtree once; the per-view maintenance below consumes through
-	// tee handles instead of re-evaluating. The base state a step's shared
-	// producers read is constant across the step's views (applyBase runs
-	// first; view maintenance mutates only view state), so lazy producer
-	// evaluation interleaved with per-view pulls is sound.
-	shareViews := !b.opts.DisableSharedPlans && len(views) > 1
-	var maints []*view.Maintainer
-	if shareViews {
-		maints = make([]*view.Maintainer, len(views))
-		for j, v := range views {
-			maints[j] = v.m
-		}
-	}
-
-	for i, st := range steps {
-		span := root.Child("flush.step").
-			SetStr("table", st.Table).
-			SetStr("op", st.Op.String()).
-			SetInt("rows", int64(st.Len()))
-		applied, err := b.applyBase(st, fast, &modRows[i])
-		if err != nil {
-			span.End()
-			if applied {
-				return fail(i, err)
-			}
-			return fail(i-1, err)
-		}
-		// A modify decomposes into a delete pass and an insert pass, each
-		// with its own plan — so up to two shared runs per step.
-		var runDel, runIns *view.SharedRun
-		if shareViews {
-			switch st.Op {
-			case pipeline.OpInsert:
-				runIns, err = view.PlanShared(maints, st.Table, true, true, st.Rows, span, b.opts.Metrics)
-			case pipeline.OpDelete:
-				runDel, err = view.PlanShared(maints, st.Table, false, true, st.OldRows, span, b.opts.Metrics)
-			case pipeline.OpModify:
-				runDel, err = view.PlanShared(maints, st.Table, false, false, st.OldRows, span, b.opts.Metrics)
-				if err == nil {
-					runIns, err = view.PlanShared(maints, st.Table, true, false, st.NewRows, span, b.opts.Metrics)
-				}
-			}
-			if err != nil {
-				runDel.Close()
-				runIns.Close()
-				span.End()
-				return fail(i, err)
-			}
-		}
-		for j := range staged {
-			s := &staged[j]
-			var stats *MaintStats
-			switch st.Op {
-			case pipeline.OpInsert:
-				stats, err = s.v.m.ApplyInsertShared(s.cs, st.Table, st.Rows, runIns.Bound(s.v.m))
-			case pipeline.OpDelete:
-				stats, err = s.v.m.ApplyDeleteShared(s.cs, st.Table, st.OldRows, runDel.Bound(s.v.m))
-			case pipeline.OpModify:
-				stats, err = s.v.m.ApplyModifyShared(s.cs, st.Table, st.OldRows, st.NewRows,
-					runDel.Bound(s.v.m), runIns.Bound(s.v.m))
-			}
-			if err != nil {
-				runDel.Close()
-				runIns.Close()
-				span.End()
-				return fail(i, err)
-			}
-			s.stats = view.AccumulateStats(s.stats, stats)
-		}
-		// Close force-releases any handle a view never drained, closes each
-		// producer exactly once, and publishes the step's sharing metrics.
-		err = runDel.Close()
-		if e := runIns.Close(); err == nil {
-			err = e
-		}
-		span.End()
-		if err != nil {
-			return fail(i, err)
-		}
-	}
-
-	commit := root.Child("commit")
-	for _, s := range staged {
-		s.v.m.CommitStaged(s.cs, s.stats)
-		s.v.LastStats = s.stats
-	}
-	commit.End()
-	return nil
-}
-
-// applyBase applies one step's base-table delta, through the prevalidated
-// appliers when fast is set (the queue's version guard held) and through
-// the catalog's re-validating mutation path otherwise. The applied result
-// reports whether the step made any change that undoStep must revert (for
-// modifies, *modApplied records how many rows were updated before the
-// error).
-func (b *WriteBatch) applyBase(st pipeline.Step, fast bool, modApplied *int) (applied bool, err error) {
-	switch st.Op {
-	case pipeline.OpInsert:
-		if fast {
-			err = b.db.cat.InsertPrevalidated(st.Table, st.Rows, st.EncKeys)
-		} else {
-			err = b.db.cat.Insert(st.Table, st.Rows)
-		}
-		if err != nil {
-			return false, err
-		}
-	case pipeline.OpDelete:
-		if fast {
-			_, err = b.db.cat.DeletePrevalidated(st.Table, st.Keys, st.EncKeys)
-		} else {
-			_, err = b.db.cat.Delete(st.Table, st.Keys)
-		}
-		if err != nil {
-			return false, err
-		}
-	case pipeline.OpModify:
-		for i := range st.Keys {
-			if fast {
-				_, err = b.db.cat.UpdatePrevalidated(st.Table, st.EncKeys[i], st.NewRows[i])
-			} else {
-				_, err = b.db.cat.Update(st.Table, st.Keys[i], st.NewRows[i])
-			}
-			if err != nil {
-				return *modApplied > 0, err
-			}
-			*modApplied++
-		}
-	}
-	return true, nil
-}
-
-// undoStep reverts one applied step's base delta (modApplied rows for a
-// partially applied modify).
-func (b *WriteBatch) undoStep(st pipeline.Step, modApplied int) error {
-	switch st.Op {
-	case pipeline.OpInsert:
-		return b.db.cat.RollbackInsert(st.Table, st.Rows)
-	case pipeline.OpDelete:
-		return b.db.cat.RollbackDelete(st.Table, st.OldRows)
-	case pipeline.OpModify:
-		for i := modApplied - 1; i >= 0; i-- {
-			if err := b.db.cat.RollbackUpdate(st.Table, st.Keys[i], st.OldRows[i]); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }

@@ -142,14 +142,14 @@ func TestDispatchOrder(t *testing.T) {
 		}
 		return s
 	}
-	plans := [][]pipeline.Step{
-		{step(1)},          // 1 row
-		{step(4), step(2)}, // 6 rows
-		{step(3)},          // 3 rows
-		{step(3)},          // 3 rows (ties keep plan order)
-		{},                 // empty component
+	comps := []flushComponent{
+		{steps: []pipeline.Step{step(1)}},          // 1 row
+		{steps: []pipeline.Step{step(4), step(2)}}, // 6 rows
+		{steps: []pipeline.Step{step(3)}},          // 3 rows
+		{steps: []pipeline.Step{step(3)}},          // 3 rows (ties keep plan order)
+		{},                                         // empty component
 	}
-	got := dispatchOrder(plans)
+	got := dispatchOrder(comps)
 	want := []int{1, 2, 3, 0, 4}
 	for i := range want {
 		if got[i] != want[i] {

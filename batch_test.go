@@ -579,7 +579,7 @@ func TestBatchStaleFKFailsAtFlush(t *testing.T) {
 	if got := viewFingerprint(v); got != before {
 		t.Error("failed flush changed the view")
 	}
-	if db.Catalog().Table("orders").Len() != 2 {
+	if db.TableSnapshot("orders").Len() != 2 {
 		t.Error("failed flush changed the orders table")
 	}
 	if wb.PendingStatements() != 2 {

@@ -111,8 +111,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// The multi-view experiment measures the shared ΔV^D plan layer against
-	// its per-view twin; it only runs by name.
+	// The multi-view experiment measures the shared ΔV^D plan layer; it only
+	// runs by name.
 	if *experiment == "multi-view" {
 		if err := multiView(*seed, *mvViews, *mvRounds); err != nil {
 			fmt.Fprintf(os.Stderr, "ojbench: multi-view: %v\n", err)
@@ -374,10 +374,10 @@ func serving(sf float64, seed int64, statements, flushRows, readers int) error {
 	return nil
 }
 
-// concurrentMaintenance measures flush throughput of the sharded component
-// flush path: groups disjoint parent/child view groups stage identical
-// statement streams, flushed serialized (MaintWorkers 1) and then through
-// worker pools up to maintWorkers. Final view states are verified
+// concurrentMaintenance measures flush throughput against the component
+// worker pool: groups disjoint parent/child view groups stage identical
+// statement streams, flushed serialized (MaintWorkers 1: the same pipeline,
+// a pool of one) and then through worker pools up to maintWorkers. Final view states are verified
 // bit-identical to the serialized reference inside the bench (the
 // interleaving-correctness version of the claim is proved by
 // internal/oracle RunConcurrentMaintSeed under -race).
@@ -408,10 +408,10 @@ func concurrentMaintenance(seed int64, groups, maintWorkers int) error {
 	return nil
 }
 
-// multiView measures shared vs per-view maintenance for N views over
-// three base tables, per shape (shared-prefix and disjoint). Every point's
-// final view states are verified bit-identical across modes inside
-// bench.RunMultiView, along with the producer/consumer row identity.
+// multiView measures shared-plan maintenance for N views over three base
+// tables, per shape (shared-prefix and disjoint). Every point's final view
+// states are verified against recomputation inside bench.RunMultiView,
+// along with the producer/consumer row identity.
 func multiView(seed int64, viewCounts string, rounds int) error {
 	var counts []int
 	for _, s := range strings.Split(viewCounts, ",") {
@@ -425,20 +425,20 @@ func multiView(seed int64, viewCounts string, rounds int) error {
 		perRound = 60
 		baseRows = 300
 	)
-	fmt.Printf("== Multi-view: shared ΔV^D plans vs per-view maintenance, %d flushes of %d inserts per table ==\n",
+	fmt.Printf("== Multi-view: shared ΔV^D plans, %d flushes of %d inserts per table ==\n",
 		rounds, perRound)
 	results, err := bench.RunMultiView(seed, counts, rounds, perRound, baseRows, benchReps)
 	if err != nil {
 		return err
 	}
 	emitBench("multi-view", results)
-	fmt.Printf("%-14s %6s %-9s %14s %14s %9s %10s %12s\n",
-		"shape", "views", "mode", "flush-total", "per-view", "speedup", "subtrees", "rows-saved")
+	fmt.Printf("%-14s %6s %14s %14s %10s %12s\n",
+		"shape", "views", "flush-total", "per-view", "subtrees", "rows-saved")
 	for _, r := range results {
-		fmt.Printf("%-14s %6d %-9s %14s %14s %8.2fx %10d %12d\n",
-			r.Shape, r.Views, r.Mode,
+		fmt.Printf("%-14s %6d %14s %14s %10d %12d\n",
+			r.Shape, r.Views,
 			r.FlushElapsed.Round(10*time.Microsecond), r.PerViewFlush.Round(time.Microsecond),
-			r.Speedup, r.SharedSubtrees, r.RowsSaved)
+			r.SharedSubtrees, r.RowsSaved)
 	}
 	fmt.Println()
 	return nil

@@ -1,15 +1,17 @@
 package ojv
 
 import (
+	"sort"
+
 	"ojv/internal/pipeline"
 )
 
-// Conflict analysis for the concurrent flush path (DESIGN.md §14).
+// Conflict analysis for the write path (DESIGN.md §14).
 //
-// A flush's net deltas touch a set of base tables; a maintenance run of a
+// A write's net deltas touch a set of base tables; a maintenance run of a
 // view reads its whole footprint (its base tables plus FK-referenced
 // tables its plans probe, Maintainer.Footprint). Two delta tables conflict
-// — must flush in one atomic component — when
+// — must commit in one atomic component — when
 //
 //   - some registered view's footprint contains both (the view's one
 //     changeset covers both tables' maintenance, and its reads of either
@@ -24,100 +26,95 @@ import (
 // forces its whole overlap into one), and views with an empty overlap have
 // nothing to maintain: their plans no-op on unrelated tables, so skipping
 // them leaves reader-visible state bit-identical. Components share no
-// written table and no view, so any interleaving of their flushes is
-// equivalent to the serialized monolithic flush.
+// written table and no view, so any interleaving of their commits is
+// equivalent to applying them one after another.
 
-// flushComponent is one independently flushable unit of a flush: the delta
-// tables it writes (sorted) and the registered views it maintains (in
-// registration order, matching the monolithic staging order).
+// flushComponent is one independently committable unit of a write: the
+// delta tables it writes (sorted), the registered views it maintains (in
+// registration order) and the plan over those tables — one step for a
+// synchronous statement, Queue.PlanFor(tables) for a flush.
 type flushComponent struct {
 	tables []string
 	views  []*View
+	steps  []pipeline.Step
 }
 
-// flushComponents partitions the queue's delta tables into independent
-// components and assigns each affected view to its component. Caller holds
-// db.mu (which also excludes view registration). Component order follows
-// the sorted delta-table order of each component's first table, so the
-// partition is deterministic for a given queue state.
-func (db *Database) flushComponents(q *pipeline.Queue) []flushComponent {
-	delta := q.DeltaTables()
-	if len(delta) == 0 {
-		return nil
+// partition splits the sorted, duplicate-free delta tables into independent
+// components and assigns each affected view to its component; the caller
+// fills in the plans. Caller holds db.mu (which also excludes view
+// registration). Component order follows each component's first table, so
+// the partition is deterministic for a given delta.
+func (db *Database) partition(delta []string) []flushComponent {
+	// Union-find over positions in delta; index resolves a table name to
+	// its position, or -1 when the table has no delta.
+	parent := make([]int, len(delta))
+	for i := range parent {
+		parent[i] = i
 	}
-	parent := make(map[string]string, len(delta))
-	for _, t := range delta {
-		parent[t] = t
+	index := func(t string) int {
+		if i := sort.SearchStrings(delta, t); i < len(delta) && delta[i] == t {
+			return i
+		}
+		return -1
 	}
-	var find func(string) string
-	find = func(x string) string {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+	union := func(a, b int) { parent[find(a)] = find(b) }
 
 	// Rule 1: a view footprint's delta tables conflict pairwise. Remember
 	// each affected view's anchor table to place it in its component later.
 	type viewOverlap struct {
 		v      *View
-		anchor string
+		anchor int
 	}
 	var overlaps []viewOverlap
 	for _, name := range db.order {
 		v := db.views[name]
-		anchor := ""
-		for _, t := range v.m.Footprint() {
-			if _, ok := parent[t]; !ok {
-				continue
-			}
-			if anchor == "" {
-				anchor = t
-			} else {
-				union(anchor, t)
+		anchor := -1
+		for _, t := range v.footprint {
+			i := index(t)
+			switch {
+			case i < 0:
+			case anchor < 0:
+				anchor = i
+			default:
+				union(anchor, i)
 			}
 		}
-		if anchor != "" {
+		if anchor >= 0 {
 			overlaps = append(overlaps, viewOverlap{v: v, anchor: anchor})
 		}
 	}
 
-	// Rule 2: FK-adjacent delta tables conflict, in both directions. The
-	// inbound pass alone would suffice (adjacency is symmetric), but the
-	// outbound pass is cheap and keeps the rule locally obvious.
-	for _, t := range delta {
-		for _, r := range q.InboundDeltaTables(t) {
-			union(t, r)
-		}
-		for _, r := range q.OutboundTables(t) {
-			if _, ok := parent[r]; ok {
-				union(t, r)
+	// Rule 2: FK-adjacent delta tables conflict. Adjacency is symmetric, so
+	// walking each delta table's outbound keys finds every adjacent pair.
+	for i, t := range delta {
+		for _, fk := range db.cat.ForeignKeys(t) {
+			if r := index(fk.RefTable); r >= 0 {
+				union(i, r)
 			}
 		}
 	}
 
-	compIdx := make(map[string]int)
+	compOf := make([]int, len(delta)) // root position → component index + 1
 	var comps []flushComponent
-	for _, t := range delta {
-		root := find(t)
-		i, ok := compIdx[root]
-		if !ok {
-			i = len(comps)
-			compIdx[root] = i
+	for i, t := range delta {
+		root := find(i)
+		if compOf[root] == 0 {
 			comps = append(comps, flushComponent{})
+			compOf[root] = len(comps)
 		}
-		comps[i].tables = append(comps[i].tables, t)
+		c := &comps[compOf[root]-1]
+		c.tables = append(c.tables, t)
 	}
 	for _, o := range overlaps {
-		i := compIdx[find(o.anchor)]
-		comps[i].views = append(comps[i].views, o.v)
+		c := &comps[compOf[find(o.anchor)]-1]
+		c.views = append(c.views, o.v)
 	}
 	return comps
 }

@@ -120,3 +120,101 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoadCatalogUnderOpenBatch is the regression test for LoadCatalog
+// swapping the tables under an open WriteBatch: whatever the batch stages
+// or already holds must be judged by the loaded tables' constraints — a
+// child row whose parent the snapshot does not contain is rejected at
+// enqueue or at flush, never committed. A concurrent TableSnapshot reader
+// runs throughout (go test -race: LoadCatalog must not race it).
+func TestLoadCatalogUnderOpenBatch(t *testing.T) {
+	for _, stagedBeforeLoad := range []bool{false, true} {
+		name := "staged after the load"
+		if stagedBeforeLoad {
+			name = "staged before the load"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := ojv.NewDatabase()
+			db.MustCreateTable("p", ojv.Cols(ojv.IntCol("pk"), ojv.StrCol("name")), "pk")
+			db.MustCreateTable("c", ojv.Cols(ojv.IntCol("ck"), ojv.NotNull(ojv.IntCol("cpk"))), "ck")
+			if err := db.AddForeignKey("c", []string{"cpk"}, "p", []string{"pk"}); err != nil {
+				t.Fatal(err)
+			}
+			var emptyP bytes.Buffer // a snapshot in which p has no rows
+			if err := db.Save(&emptyP); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Insert("p", []ojv.Row{{ojv.Int(1), ojv.Str("parent")}}); err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						if s := db.TableSnapshot("p"); s != nil {
+							_ = s.Len()
+						}
+					}
+				}
+			}()
+			defer func() {
+				close(stop)
+				wg.Wait()
+			}()
+
+			wb := db.NewWriteBatch()
+			child := []ojv.Row{{ojv.Int(10), ojv.Int(1)}}
+			var insertErr error
+			if stagedBeforeLoad {
+				if err := wb.Insert("c", child); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.LoadCatalog(&emptyP); err != nil {
+				t.Fatal(err)
+			}
+			if !stagedBeforeLoad {
+				insertErr = wb.Insert("c", child)
+			}
+			flushErr := wb.Flush()
+			if insertErr == nil && flushErr == nil {
+				t.Error("a child row whose parent the loaded catalog lacks was staged and flushed without error")
+			}
+			if n := db.TableSnapshot("c").Len(); n != 0 {
+				t.Fatalf("c holds %d row(s) referencing a parent that does not exist", n)
+			}
+			if stagedBeforeLoad {
+				if wb.Err() == nil {
+					t.Error("failed flush did not stick in Err")
+				}
+				// The stale table takes no more statements until the batch
+				// lets go of what it staged against it.
+				if err := wb.Insert("c", []ojv.Row{{ojv.Int(11), ojv.Int(1)}}); err == nil {
+					t.Error("statement staged against a table the load replaced")
+				}
+				wb.Discard()
+			}
+
+			// The batch keeps working, against the loaded tables.
+			if err := wb.Insert("p", []ojv.Row{{ojv.Int(2), ojv.Str("loaded")}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := wb.Insert("c", []ojv.Row{{ojv.Int(12), ojv.Int(2)}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := wb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if p, c := db.TableSnapshot("p").Len(), db.TableSnapshot("c").Len(); p != 1 || c != 1 {
+				t.Fatalf("after the load: p has %d rows, c has %d, want 1 and 1", p, c)
+			}
+		})
+	}
+}

@@ -11,19 +11,20 @@ import (
 	"ojv/internal/rel"
 )
 
-// The concurrent-maintenance experiment measures flush throughput of the
-// component flush path (BatchOptions.MaintWorkers): G disjoint view groups
-// — parent/child table pairs joined by one left-outer view each — stage
-// the same statement stream into a shared WriteBatch, and every flush is
-// partitioned by the conflict analysis into G independent components. The
-// serialized point (MaintWorkers 1) flushes the identical stream through
-// the monolithic path; each concurrent point must be bit-identical to it,
-// so the experiment doubles as an end-to-end determinism check on top of
-// the interleaving oracle (internal/oracle RunConcurrentMaintSeed).
+// The concurrent-maintenance experiment measures flush throughput against
+// the component worker pool (BatchOptions.MaintWorkers): G disjoint view
+// groups — parent/child table pairs joined by one left-outer view each —
+// stage the same statement stream into a shared WriteBatch, and every flush
+// is partitioned by the conflict analysis into G independent components.
+// The serialized point (MaintWorkers 1) runs the same pipeline with a pool
+// of one, the components inline one after another; each concurrent point
+// must be bit-identical to it, so the experiment doubles as an end-to-end
+// determinism check on top of the interleaving oracle (internal/oracle
+// RunConcurrentMaintSeed).
 
 // ConcurrentResult is one point of the concurrent-maintenance experiment.
 type ConcurrentResult struct {
-	Mode    string // "serialized" (monolithic flush) or "concurrent"
+	Mode    string // "serialized" (pool of one) or "concurrent"
 	Workers int
 	Groups  int
 	// Rounds flushes were timed; each staged RowsPerGroup child inserts
@@ -36,9 +37,9 @@ type ConcurrentResult struct {
 	FlushesPerSec float64
 	// Speedup is FlushesPerSec over the serialized point's.
 	Speedup float64
-	// Components is the total number of independent components dispatched
-	// (groups × rounds when the conflict analysis splits perfectly; 0 for
-	// the serialized point, which never partitions).
+	// Components is the total number of independent components committed
+	// (groups × rounds when the conflict analysis splits perfectly), at
+	// every worker count.
 	Components int64
 	// FinalViewRows sums the group views' cardinalities, identical across
 	// modes by construction (and verified by fingerprint).

@@ -23,10 +23,8 @@ func TestRunConcurrentMaintenanceTiny(t *testing.T) {
 		if r.FlushesPerSec <= 0 {
 			t.Fatalf("no throughput measured: %+v", r)
 		}
-	}
-	// Every concurrent point partitioned every flush into one component
-	// per disjoint group.
-	for _, r := range results[1:] {
+		// Every point — the pool of one included — partitions every flush
+		// into one component per disjoint group.
 		if want := int64(r.Groups * r.Rounds); r.Components != want {
 			t.Fatalf("components = %d, want %d (groups × rounds): %+v", r.Components, want, r)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"ojv"
@@ -13,21 +12,20 @@ import (
 )
 
 // The multi-view experiment measures the shared ΔV^D plan layer: N views
-// over the same three base tables flushed through one WriteBatch, with
-// sharing enabled against a DisableSharedPlans twin replaying the
-// identical stream. Shape "shared-prefix" gives every view a private
-// selection on table a only, so for updates to b and c the Δ subtrees
-// below the differing node are structurally identical across all N views
-// — one evaluation fans out N ways. Shape "disjoint" puts a distinct
-// selection on every leaf, so no subtree is shared and the measurement is
-// the sharing layer's overhead when it has nothing to share. Every point
-// is verified bit-identical across modes in-bench.
+// over the same three base tables flushed through one WriteBatch. Shape
+// "shared-prefix" gives every view a private selection on table a only, so
+// for updates to b and c the Δ subtrees below the differing node are
+// structurally identical across all N views — one evaluation fans out N
+// ways. Shape "disjoint" puts a distinct selection on every leaf, so no
+// subtree is shared and the measurement is the sharing layer's overhead
+// when it has nothing to share. Every point's final view states are
+// verified against recomputation from the base tables (View.Check) along
+// with the producer/consumer row identity.
 
-// MultiViewResult is one (shape, views, mode) point.
+// MultiViewResult is one (shape, views) point.
 type MultiViewResult struct {
 	Shape string // "shared-prefix" or "disjoint"
 	Views int
-	Mode  string // "shared" or "per-view" (DisableSharedPlans)
 	// Rounds flushes were timed; each staged PerRound inserts into each of
 	// the three base tables.
 	Rounds   int
@@ -37,12 +35,8 @@ type MultiViewResult struct {
 	// PerViewFlush is FlushElapsed normalized per view per flush — the
 	// marginal cost of keeping one more view fresh.
 	PerViewFlush time.Duration
-	// Speedup is the per-view mode's FlushElapsed over this mode's (1.0 for
-	// the per-view points themselves).
-	Speedup float64
-	// SharedSubtrees and RowsSaved come from the shared mode's metrics
-	// (zero for per-view mode): DAG nodes built and Σ producer rows that
-	// extra consumers did not re-evaluate.
+	// SharedSubtrees and RowsSaved come from the flush metrics: DAG nodes
+	// built and Σ producer rows that extra consumers did not re-evaluate.
 	SharedSubtrees int64
 	RowsSaved      int64
 }
@@ -122,110 +116,83 @@ func stageMultiViewRound(wb *ojv.WriteBatch, seed int64, r, perRound, baseRows i
 	return nil
 }
 
-// RunMultiView measures both modes for every (shape, view count) point,
-// reps times each (median by flush elapsed), verifying bit-identical final
-// view states across modes at every point.
+// RunMultiView measures every (shape, view count) point, reps times each
+// (median by flush elapsed), checking every view of every run against
+// recomputation from the base tables.
 func RunMultiView(seed int64, viewCounts []int, rounds, perRound, baseRows, reps int) ([]MultiViewResult, error) {
 	if reps < 1 {
 		reps = 1
 	}
 
-	oneRun := func(shape string, nViews int, sharedMode bool) (MultiViewResult, string, error) {
+	oneRun := func(shape string, nViews int) (MultiViewResult, error) {
 		db, views, err := newMultiViewBenchDB(seed, nViews, shape, baseRows)
 		if err != nil {
-			return MultiViewResult{}, "", err
+			return MultiViewResult{}, err
 		}
 		m := ojv.NewMetrics()
-		opts := ojv.BatchOptions{Metrics: m, DisableSharedPlans: !sharedMode}
-		wb := db.NewWriteBatch(opts)
+		wb := db.NewWriteBatch(ojv.BatchOptions{Metrics: m})
 		var flushTime time.Duration
 		for r := 0; r < rounds; r++ {
 			if err := stageMultiViewRound(wb, seed, r, perRound, baseRows); err != nil {
-				return MultiViewResult{}, "", err
+				return MultiViewResult{}, err
 			}
 			t0 := time.Now()
 			if err := wb.Flush(); err != nil {
-				return MultiViewResult{}, "", err
+				return MultiViewResult{}, err
 			}
 			flushTime += time.Since(t0)
 		}
 		if err := wb.Close(); err != nil {
-			return MultiViewResult{}, "", err
+			return MultiViewResult{}, err
 		}
-		fps := make([]string, len(views))
-		for i, v := range views {
-			fps[i] = viewFingerprint(v)
+		for _, v := range views {
+			if err := v.Check(); err != nil {
+				return MultiViewResult{}, fmt.Errorf("bench: %s/%d views: %w", shape, nViews, err)
+			}
 		}
 		snap := m.Snapshot()
 		if produced, saved := snap["view.shared.rows.producer"], snap["view.shared.rows.saved"]; snap["view.shared.rows.consumer"] != produced+saved {
-			return MultiViewResult{}, "", fmt.Errorf("bench: shared row identity broken (consumer %d != producer %d + saved %d)",
+			return MultiViewResult{}, fmt.Errorf("bench: shared row identity broken (consumer %d != producer %d + saved %d)",
 				snap["view.shared.rows.consumer"], produced, saved)
-		}
-		mode := "per-view"
-		if sharedMode {
-			mode = "shared"
 		}
 		return MultiViewResult{
 			Shape:          shape,
 			Views:          nViews,
-			Mode:           mode,
 			Rounds:         rounds,
 			PerRound:       perRound,
 			FlushElapsed:   flushTime,
 			PerViewFlush:   flushTime / time.Duration(nViews*rounds),
 			SharedSubtrees: snap["view.shared.subtrees"],
 			RowsSaved:      snap["view.shared.rows.saved"],
-		}, strings.Join(fps, "\n====\n"), nil
-	}
-
-	medianRun := func(shape string, nViews int, sharedMode bool) (MultiViewResult, string, error) {
-		rs := make([]MultiViewResult, reps)
-		fps := make([]string, reps)
-		for i := range rs {
-			r, fp, err := oneRun(shape, nViews, sharedMode)
-			if err != nil {
-				return MultiViewResult{}, "", err
-			}
-			rs[i], fps[i] = r, fp
-		}
-		idx := make([]int, reps)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool { return rs[idx[i]].FlushElapsed < rs[idx[j]].FlushElapsed })
-		mid := idx[len(idx)/2]
-		return rs[mid], fps[mid], nil
+		}, nil
 	}
 
 	// Warmup: one untimed pass so the first measured point doesn't pay the
 	// process's heap growth.
-	if _, _, err := oneRun("shared-prefix", 2, true); err != nil {
+	if _, err := oneRun("shared-prefix", 2); err != nil {
 		return nil, err
 	}
 
 	var results []MultiViewResult
 	for _, shape := range []string{"shared-prefix", "disjoint"} {
 		for _, n := range viewCounts {
-			plain, wantFP, err := medianRun(shape, n, false)
-			if err != nil {
-				return nil, err
+			rs := make([]MultiViewResult, reps)
+			for i := range rs {
+				r, err := oneRun(shape, n)
+				if err != nil {
+					return nil, err
+				}
+				rs[i] = r
 			}
-			plain.Speedup = 1
-			shared, fp, err := medianRun(shape, n, true)
-			if err != nil {
-				return nil, err
+			sort.Slice(rs, func(i, j int) bool { return rs[i].FlushElapsed < rs[j].FlushElapsed })
+			r := rs[len(rs)/2]
+			if shape == "shared-prefix" && n > 1 && r.SharedSubtrees == 0 {
+				return nil, fmt.Errorf("bench: %s/%d views: no shared subtrees were built", shape, n)
 			}
-			if fp != wantFP {
-				return nil, fmt.Errorf("bench: %s/%d views: shared final state differs from per-view twin", shape, n)
+			if shape == "disjoint" && r.RowsSaved != 0 {
+				return nil, fmt.Errorf("bench: %s/%d views: disjoint shapes saved %d rows", shape, n, r.RowsSaved)
 			}
-			shared.Speedup = plain.FlushElapsed.Seconds() / shared.FlushElapsed.Seconds()
-			if shape == "shared-prefix" && n > 1 && shared.SharedSubtrees == 0 {
-				return nil, fmt.Errorf("bench: %s/%d views: shared mode built no shared subtrees", shape, n)
-			}
-			if shape == "disjoint" && shared.RowsSaved != 0 {
-				return nil, fmt.Errorf("bench: %s/%d views: disjoint shapes saved %d rows", shape, n, shared.RowsSaved)
-			}
-			results = append(results, plain, shared)
+			results = append(results, r)
 		}
 	}
 	return results, nil

@@ -92,7 +92,6 @@ func RunBatchSeed(seed int64, strategy view.Strategy, steps, rows int) error {
 // overlay by construction, so the two sides must agree on acceptance and,
 // for deletes, on the removed rows.
 func mirroredStep(dbRef *ojv.Database, wb *ojv.WriteBatch, rng *rand.Rand, table string, nextKey *int64) (string, error) {
-	catRef := dbRef.Catalog()
 	switch rng.Intn(3) {
 	case 0: // insert fresh-keyed rows
 		var rows []rel.Row
@@ -108,7 +107,7 @@ func mirroredStep(dbRef *ojv.Database, wb *ojv.WriteBatch, rng *rand.Rand, table
 		}
 		return fmt.Sprintf("insert %d rows into %s", len(rows), table), nil
 	case 1: // delete keys sampled from the (mirrored) current state
-		keys := pickKeys(catRef, rng, table, 1+rng.Intn(3))
+		keys := pickKeys(dbRef.TableSnapshot(table).Rows(), rng, 1+rng.Intn(3))
 		if len(keys) == 0 {
 			return "delete (empty table)", nil
 		}
@@ -130,7 +129,7 @@ func mirroredStep(dbRef *ojv.Database, wb *ojv.WriteBatch, rng *rand.Rand, table
 		}
 		return fmt.Sprintf("delete %d rows from %s", len(gotRef), table), nil
 	default: // update: same key, fresh attribute values
-		keys := pickKeys(catRef, rng, table, 1)
+		keys := pickKeys(dbRef.TableSnapshot(table).Rows(), rng, 1)
 		if len(keys) == 0 {
 			return "update (empty table)", nil
 		}
@@ -324,7 +323,7 @@ func mirroredFaultStep(db *ojv.Database, wb *ojv.WriteBatch, rng *rand.Rand, tab
 		*nextKey++
 		return "insert", wb.Insert(table, []rel.Row{row})
 	case 1:
-		keys := pickKeys(db.Catalog(), rng, table, 1)
+		keys := pickKeys(db.TableSnapshot(table).Rows(), rng, 1)
 		if len(keys) == 0 {
 			return "delete (empty)", nil
 		}
@@ -335,7 +334,7 @@ func mirroredFaultStep(db *ojv.Database, wb *ojv.WriteBatch, rng *rand.Rand, tab
 		}
 		return "delete", nil
 	default:
-		keys := pickKeys(db.Catalog(), rng, table, 1)
+		keys := pickKeys(db.TableSnapshot(table).Rows(), rng, 1)
 		if len(keys) == 0 {
 			return "update (empty)", nil
 		}
@@ -352,7 +351,7 @@ func mirroredFaultStep(db *ojv.Database, wb *ojv.WriteBatch, rng *rand.Rand, tab
 func dbFingerprint(db *ojv.Database, tables []string) string {
 	var sb strings.Builder
 	for _, t := range tables {
-		rows := db.Catalog().Table(t).Rows()
+		rows := db.TableSnapshot(t).Rows()
 		rel.SortRows(rows)
 		sb.WriteString(t)
 		sb.WriteString(":\n")

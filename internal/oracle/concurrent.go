@@ -10,11 +10,11 @@ import (
 	"ojv/internal/rel"
 )
 
-// The concurrent-maintenance oracle proves the component flush path
-// (BatchOptions.MaintWorkers ≥ 2, conflict.go): writers over disjoint
-// table groups stage into one shared WriteBatch, every flush partitions
-// the deltas into independent components and maintains them concurrently,
-// and readers fingerprint view and table snapshots the whole time. The
+// The concurrent-maintenance oracle proves the component worker pool
+// (BatchOptions.MaintWorkers, conflict.go): writers over disjoint table
+// groups stage into one shared WriteBatch, every flush partitions the
+// deltas into independent components and maintains them concurrently, and
+// readers fingerprint view and table snapshots the whole time. The
 // invariants quantify over every interleaving the scheduler produces:
 //
 //   - every reader observation equals a committed epoch of its container
@@ -23,8 +23,8 @@ import (
 //     applying, but never torn or rolled-back state);
 //   - epochs are monotonic per reader per container;
 //   - the final state is bit-identical to a serialized twin that replays
-//     the same per-group scripts through a monolithic (MaintWorkers 0)
-//     batch.
+//     the same per-group scripts through the same pipeline with no pool
+//     (MaintWorkers 0: the components commit inline, one after another).
 //
 // Run under -race in CI's race-concurrent job, the harness also proves the
 // component workers are free of data races against each other and against
@@ -206,7 +206,7 @@ func genGroupScript(seed int64, g, rounds, perRound, rows int) [][]concOp {
 // WriteBatch (MaintWorkers=workers) round by round, the coordinator
 // flushes after each round, and readers fingerprint every group's view and
 // parent-table snapshots throughout. It then replays the same scripts
-// serially through a monolithic batch and requires the final state of
+// through a batch without a worker pool and requires the final state of
 // every group to match bit-identically.
 func RunConcurrentMaintSeed(seed int64, groups, workers, rounds, perRound, rows, readers int) error {
 	db, views, err := buildConcurrentDB(seed, groups, rows, nil)
@@ -351,7 +351,7 @@ func RunConcurrentMaintSeed(seed int64, groups, workers, rounds, perRound, rows,
 		return fmt.Errorf("concurrent run finished with zero reader observations")
 	}
 
-	// Serialized twin: same scripts, group order, monolithic flushes.
+	// Serialized twin: same scripts, group order, no worker pool.
 	twin, twinViews, err := buildConcurrentDB(seed, groups, rows, nil)
 	if err != nil {
 		return err
@@ -388,15 +388,16 @@ func RunConcurrentMaintSeed(seed int64, groups, workers, rounds, perRound, rows,
 }
 
 // RunConcurrentFaultMatrix sweeps the interleaving stress matrix: two
-// disjoint groups flush concurrently, group 0's view is forced to fail at
-// every failpoint site it visits (one site per scenario), and group 1 has
-// no failpoints. Every armed flush must commit group 1 durably (its state
-// equals the fault-free run's) while restoring group 0 exactly to its
-// pre-flush state with its statements still pending; the disarmed retry
-// must converge every scenario to the fault-free final state. It returns
-// the number of sites swept.
-func RunConcurrentFaultMatrix(seed int64) (int, error) {
-	want, sitesTotal, err := runConcurrentFaultScenario(seed, 0, "")
+// disjoint groups flush as two components on a pool of workers (0 and 1
+// run them inline, one after the other), group 0's view is forced to fail
+// at every failpoint site it visits (one site per scenario), and group 1
+// has no failpoints. Every armed flush must commit group 1 durably (its
+// state equals the fault-free run's) while restoring group 0 exactly to
+// its pre-flush state with its statements still pending; the disarmed
+// retry must converge every scenario to the fault-free final state. It
+// returns the number of sites swept.
+func RunConcurrentFaultMatrix(seed int64, workers int) (int, error) {
+	want, sitesTotal, err := runConcurrentFaultScenario(seed, workers, 0, "")
 	if err != nil {
 		return 0, fmt.Errorf("fault-free pass: %w", err)
 	}
@@ -405,7 +406,7 @@ func RunConcurrentFaultMatrix(seed int64) (int, error) {
 		n = faultSweepCap
 	}
 	for k := 1; k <= n; k++ {
-		final, _, err := runConcurrentFaultScenario(seed, k, want)
+		final, _, err := runConcurrentFaultScenario(seed, workers, k, want)
 		if err != nil {
 			return k, fmt.Errorf("failAt=%d: %w", k, err)
 		}
@@ -423,14 +424,15 @@ func concFingerprint(db *ojv.Database, v *ojv.View, g int) string {
 }
 
 // runConcurrentFaultScenario builds the two-group scenario, stages one
-// fixed round of statements for both groups, and flushes with MaintWorkers
-// 2 and the failAt-th site of group 0's view armed (0 = no fault). On the
+// fixed round of statements for both groups, and flushes on the given
+// worker pool with the failAt-th site of group 0's view armed (0 = no
+// fault). On the
 // injected failure it verifies per-component atomicity — group 1 committed
 // durably (wantFinal carries the fault-free run's group-1 fingerprint
 // via its full final state), group 0 restored, group 0's statements still
 // pending — then disarms and retries. It returns the combined final
 // fingerprint and the number of sites group 0's flush visited.
-func runConcurrentFaultScenario(seed int64, failAt int, wantFinal string) (string, int, error) {
+func runConcurrentFaultScenario(seed int64, workers, failAt int, wantFinal string) (string, int, error) {
 	const rows = 12
 	arm := &faultArm{}
 	db, views, err := buildConcurrentDB(seed, 2, rows, map[int]func(string) error{0: arm.hit})
@@ -441,7 +443,7 @@ func runConcurrentFaultScenario(seed int64, failAt int, wantFinal string) (strin
 		genGroupScript(seed, 0, 1, 10, rows),
 		genGroupScript(seed, 1, 1, 10, rows),
 	}
-	wb := db.NewWriteBatch(ojv.BatchOptions{MaintWorkers: 2})
+	wb := db.NewWriteBatch(ojv.BatchOptions{MaintWorkers: workers})
 	for g, s := range scripts {
 		for _, op := range s[0] {
 			if err := applyConcOp(wb, op); err != nil {

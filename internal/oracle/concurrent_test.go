@@ -42,21 +42,23 @@ func TestConcurrentMaintWorkerCounts(t *testing.T) {
 
 // TestConcurrentFaultMatrix sweeps the failpoint interleaving matrix: for
 // every site group 0's component visits mid-flush, a scenario forces that
-// site to fail while group 1's component commits concurrently, asserting
-// exact restore of group 0, durability of group 1, and convergence of the
-// disarmed retry.
+// site to fail while group 1's component commits — concurrently on a pool
+// of two, inline after it with no pool — asserting exact restore of group
+// 0, durability of group 1, and convergence of the disarmed retry.
 func TestConcurrentFaultMatrix(t *testing.T) {
 	for seed := int64(7300); seed < 7302; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			n, err := RunConcurrentFaultMatrix(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				t.Fatal("fault matrix swept zero sites — the armed component's flush visited no failpoints")
-			}
-		})
+		for _, workers := range []int{0, 2} {
+			seed, workers := seed, workers
+			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
+				t.Parallel()
+				n, err := RunConcurrentFaultMatrix(seed, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					t.Fatal("fault matrix swept zero sites — the armed component's flush visited no failpoints")
+				}
+			})
+		}
 	}
 }

@@ -201,7 +201,7 @@ func randomStep(cat *rel.Catalog, m *view.Maintainer, rng *rand.Rand, table stri
 		stats, err := m.OnInsert(table, rows)
 		return stats, fmt.Sprintf("insert %d rows into %s", len(rows), table), err
 	case 1: // delete existing keys
-		keys := pickKeys(cat, rng, table, 1+rng.Intn(3))
+		keys := pickKeys(cat.Table(table).Rows(), rng, 1+rng.Intn(3))
 		if len(keys) == 0 {
 			return nil, "delete (empty table)", nil
 		}
@@ -212,7 +212,7 @@ func randomStep(cat *rel.Catalog, m *view.Maintainer, rng *rand.Rand, table stri
 		stats, err := m.OnDelete(table, deleted)
 		return stats, fmt.Sprintf("delete %d rows from %s", len(deleted), table), err
 	default: // modify: same keys, fresh attribute values
-		keys := pickKeys(cat, rng, table, 1+rng.Intn(2))
+		keys := pickKeys(cat.Table(table).Rows(), rng, 1+rng.Intn(2))
 		if len(keys) == 0 {
 			return nil, "modify (empty table)", nil
 		}
@@ -237,18 +237,17 @@ func randomStep(cat *rel.Catalog, m *view.Maintainer, rng *rand.Rand, table stri
 }
 
 // pickKeys samples up to n distinct primary keys from a table's current
-// contents, deterministically for a given rng state.
-func pickKeys(cat *rel.Catalog, rng *rand.Rand, table string, n int) [][]rel.Value {
-	tab := cat.Table(table)
-	if tab.Len() == 0 {
+// rows (every RandCatalog table keys on its first column),
+// deterministically for a given rng state.
+func pickKeys(all []rel.Row, rng *rand.Rand, n int) [][]rel.Value {
+	if len(all) == 0 {
 		return nil
 	}
-	all := tab.Rows()
 	rel.SortRows(all)
 	seen := make(map[string]bool)
 	var keys [][]rel.Value
 	for i := 0; i < n && i < len(all); i++ {
-		k := all[rng.Intn(len(all))].Project(tab.KeyCols())
+		k := []rel.Value(all[rng.Intn(len(all))][:1:1])
 		e := rel.EncodeValues(k...)
 		if !seen[e] {
 			seen[e] = true

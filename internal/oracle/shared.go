@@ -10,81 +10,58 @@ import (
 	"ojv/internal/view"
 )
 
-// The shared-plan oracle pins the multi-view refactor: many random views
-// over few base tables force overlapping ΔV^D trees, so every flush
-// exercises the shared-subexpression DAG and the tee fan-out. Two
-// identically seeded databases replay the same statement stream through
-// write batches — one with sharing (the default), one with
-// DisableSharedPlans — and every flush boundary requires bit-identical
-// base tables and view contents, plus the producer/consumer row identity
-// on the sharing side. Views 0 and 1 are forced to the same shape, so at
-// least one shared subtree exists regardless of what the generator draws
-// for the rest.
+// The shared-plan oracle pins multi-view maintenance to ground truth: many
+// random views over few base tables force overlapping ΔV^D trees, so every
+// flush exercises the shared-subexpression DAG and the tee fan-out. At
+// every flush boundary every view must equal its recomputation from the
+// base tables (View.Check: two independent oracles), and the
+// producer/consumer row identity must hold. Views 0 and 1 are forced to
+// the same shape, so at least one shared subtree exists regardless of what
+// the generator draws for the rest.
 
 // sharedPool is the base-table pool: three tables, so many views over it
 // overlap heavily (the many-views-over-few-tables setting).
 const sharedPool = "ABC"
 
-// RunSharedSeed executes one deterministic differential run: nViews
-// random views over the three-table pool, rounds rounds of mixed
-// statements, flushed and compared per round (flushing each round keeps
-// pickKeys sampling the committed state both twins agree on).
+// RunSharedSeed executes one deterministic run: nViews random views over
+// the three-table pool, rounds rounds of mixed statements, flushed and
+// checked per round (flushing each round keeps pickKeys sampling the
+// committed state).
 func RunSharedSeed(seed int64, strategy view.Strategy, nViews, rounds, rows int) error {
 	if nViews < 2 {
 		nViews = 2
 	}
-	// Each view's shape comes from its own sub-seed, so both twins build
-	// structurally identical registries. Views 0 and 1 reuse one sub-seed:
-	// guaranteed duplicate shapes, hence guaranteed sharing.
+	// Each view's shape comes from its own sub-seed. Views 0 and 1 reuse
+	// one sub-seed: guaranteed duplicate shapes, hence guaranteed sharing.
 	shapeSeed := func(i int) int64 {
 		if i == 1 {
 			i = 0
 		}
 		return seed ^ (int64(i+1) << 32)
 	}
-	build := func(r *rand.Rand) (*ojv.Database, []*ojv.View, error) {
-		cat, err := fixture.RandCatalog(r, rows)
+	cat, err := fixture.RandCatalog(rand.New(rand.NewSource(seed)), rows)
+	if err != nil {
+		return err
+	}
+	db := ojv.WrapCatalog(cat)
+	views := make([]*ojv.View, nViews)
+	for i := range views {
+		expr := fixture.RandSPOJFrom(rand.New(rand.NewSource(shapeSeed(i))), sharedPool)
+		views[i], err = db.CreateView(fmt.Sprintf("sv%d", i), ojv.ExprRel(expr),
+			fixture.RandOutput(cat, expr),
+			ojv.Options{Strategy: strategy, Parallelism: 1})
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		db := ojv.WrapCatalog(cat)
-		views := make([]*ojv.View, nViews)
-		for i := 0; i < nViews; i++ {
-			expr := fixture.RandSPOJFrom(rand.New(rand.NewSource(shapeSeed(i))), sharedPool)
-			views[i], err = db.CreateView(fmt.Sprintf("sv%d", i), ojv.ExprRel(expr),
-				fixture.RandOutput(cat, expr),
-				ojv.Options{Strategy: strategy, Parallelism: 1})
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return db, views, nil
-	}
-	dbShared, vShared, err := build(rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
-	}
-	dbPlain, vPlain, err := build(rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return err
 	}
 
 	metrics := ojv.NewMetrics()
-	wbShared := dbShared.NewWriteBatch(ojv.BatchOptions{Metrics: metrics})
-	wbPlain := dbPlain.NewWriteBatch(ojv.BatchOptions{DisableSharedPlans: true})
+	wb := db.NewWriteBatch(ojv.BatchOptions{Metrics: metrics})
 
-	tables := make([]string, 0, len(sharedPool))
-	for _, c := range sharedPool {
-		tables = append(tables, string(c))
-	}
-
-	compare := func(when string) error {
-		if got, want := dbFingerprint(dbShared, tables), dbFingerprint(dbPlain, tables); got != want {
-			return fmt.Errorf("%s: base tables diverge between shared and per-view flushes", when)
-		}
-		for i := range vShared {
-			if got, want := viewRowsFingerprint(vShared[i]), viewRowsFingerprint(vPlain[i]); got != want {
-				return fmt.Errorf("%s: view sv%d diverges between shared and per-view flushes", when, i)
+	check := func(when string) error {
+		for i, v := range views {
+			if err := v.Check(); err != nil {
+				return fmt.Errorf("%s: view sv%d diverges from recomputation: %w", when, i, err)
 			}
 		}
 		snap := metrics.Snapshot()
@@ -101,33 +78,28 @@ func RunSharedSeed(seed int64, strategy view.Strategy, nViews, rounds, rows int)
 	script := rand.New(rand.NewSource(seed ^ 0x5ea1edda9))
 	nextKey := int64(rows) + 1000
 	for round := 0; round < rounds; round++ {
-		for _, table := range tables {
+		for _, c := range sharedPool {
+			table := string(c)
 			switch script.Intn(3) {
-			case 0: // insert fresh-keyed rows into both twins
+			case 0: // insert fresh-keyed rows
 				var batch []rel.Row
 				for i := 0; i < 1+script.Intn(3); i++ {
 					batch = append(batch, fixture.RandRow(script, nextKey))
 					nextKey++
 				}
-				if err := wbShared.Insert(table, batch); err != nil {
-					return fmt.Errorf("round %d: shared insert: %w", round, err)
-				}
-				if err := wbPlain.Insert(table, batch); err != nil {
-					return fmt.Errorf("round %d: plain insert: %w", round, err)
+				if err := wb.Insert(table, batch); err != nil {
+					return fmt.Errorf("round %d: insert: %w", round, err)
 				}
 			case 1: // delete committed keys (the prior round flushed, so no stale overlay)
-				keys := pickKeys(dbShared.Catalog(), script, table, 1+script.Intn(3))
+				keys := pickKeys(db.TableSnapshot(table).Rows(), script, 1+script.Intn(3))
 				if len(keys) == 0 {
 					continue
 				}
-				if _, err := wbShared.Delete(table, keys); err != nil {
-					return fmt.Errorf("round %d: shared delete: %w", round, err)
-				}
-				if _, err := wbPlain.Delete(table, keys); err != nil {
-					return fmt.Errorf("round %d: plain delete: %w", round, err)
+				if _, err := wb.Delete(table, keys); err != nil {
+					return fmt.Errorf("round %d: delete: %w", round, err)
 				}
 			default: // keyed update of a committed row
-				keys := pickKeys(dbShared.Catalog(), script, table, 1)
+				keys := pickKeys(db.TableSnapshot(table).Rows(), script, 1)
 				if len(keys) == 0 {
 					continue
 				}
@@ -136,37 +108,23 @@ func RunSharedSeed(seed int64, strategy view.Strategy, nViews, rounds, rows int)
 					j = rel.Null
 				}
 				newRow := rel.Row{keys[0][0], j, rel.Int(script.Int63n(100))}
-				if err := wbShared.Update(table, keys[0], newRow); err != nil {
-					return fmt.Errorf("round %d: shared update: %w", round, err)
-				}
-				if err := wbPlain.Update(table, keys[0], newRow); err != nil {
-					return fmt.Errorf("round %d: plain update: %w", round, err)
+				if err := wb.Update(table, keys[0], newRow); err != nil {
+					return fmt.Errorf("round %d: update: %w", round, err)
 				}
 			}
 		}
-		if err := wbShared.Flush(); err != nil {
-			return fmt.Errorf("round %d: shared flush: %w", round, err)
+		if err := wb.Flush(); err != nil {
+			return fmt.Errorf("round %d: flush: %w", round, err)
 		}
-		if err := wbPlain.Flush(); err != nil {
-			return fmt.Errorf("round %d: plain flush: %w", round, err)
-		}
-		if err := compare(fmt.Sprintf("round %d", round)); err != nil {
+		if err := check(fmt.Sprintf("round %d", round)); err != nil {
 			return err
 		}
 	}
-	if err := wbShared.Close(); err != nil {
-		return err
-	}
-	if err := wbPlain.Close(); err != nil {
+	if err := wb.Close(); err != nil {
 		return err
 	}
 	if metrics.Snapshot()["view.shared.subtrees"] == 0 {
 		return fmt.Errorf("no shared subtrees across %d views with forced duplicate shapes", nViews)
 	}
-	for i := range vShared {
-		if err := vShared[i].Check(); err != nil {
-			return fmt.Errorf("final check sv%d: %w", i, err)
-		}
-	}
-	return compare("final")
+	return check("final")
 }

@@ -8,11 +8,11 @@ import (
 	"ojv/internal/view"
 )
 
-// TestSharedOracleShort is the always-on differential corpus for shared
-// maintenance plans: many views over three base tables (views 0 and 1
-// forced to identical shapes), shared-plan flushes compared bit-for-bit
-// against a DisableSharedPlans twin at every round, with the
-// producer/consumer row identity checked alongside. CI also runs it under
+// TestSharedOracleShort is the always-on corpus for shared maintenance
+// plans: many views over three base tables (views 0 and 1 forced to
+// identical shapes), every view checked against recomputation from the
+// base tables at every flush, with the producer/consumer row identity
+// checked alongside. CI also runs it under
 // -race, where a tee handing the same batch to two pipelines unsafely
 // would trip the detector.
 func TestSharedOracleShort(t *testing.T) {

@@ -213,10 +213,16 @@ func (q *Queue) markVersion() {
 }
 
 func (q *Queue) tableDelta(table string) (*tableDelta, error) {
+	t := q.cat.Table(table)
 	if td, ok := q.tables[table]; ok {
+		if td.t != t {
+			// Catalog.Restore swapped the table under this queue: the pending
+			// entries still flush (through the re-validating path — the
+			// version moved), but nothing more stages against the stale table.
+			return nil, fmt.Errorf("pipeline: table %s was replaced under pending statements; flush or discard them first", table)
+		}
 		return td, nil
 	}
-	t := q.cat.Table(table)
 	if t == nil {
 		return nil, fmt.Errorf("pipeline: unknown table %s", table)
 	}
@@ -514,10 +520,10 @@ func (q *Queue) Plan() []Step {
 
 // PlanFor builds the flush plan restricted to the given tables: the same
 // three phases in the same relative order as Plan, over only those tables'
-// entries. The concurrent flush path calls it once per independent
-// component; because the conflict analysis keeps FK-adjacent delta tables
-// in one component, concatenating the component plans in any interleaving
-// is equivalent to the monolithic Plan.
+// entries. A flush calls it once per independent component; because the
+// conflict analysis keeps FK-adjacent delta tables in one component,
+// concatenating the component plans in any interleaving is equivalent to
+// Plan.
 func (q *Queue) PlanFor(tables []string) []Step {
 	include := make(map[string]bool, len(tables))
 	for _, t := range tables {
@@ -549,8 +555,7 @@ func (q *Queue) planOver(topo []string) []Step {
 }
 
 // DeltaTables returns the names of the tables with net pending entries, in
-// sorted order. It is the input to the flush coordinator's conflict
-// analysis.
+// sorted order. It is the input to the flush's conflict analysis.
 func (q *Queue) DeltaTables() []string {
 	var out []string
 	for name, td := range q.tables {
@@ -562,46 +567,13 @@ func (q *Queue) DeltaTables() []string {
 	return out
 }
 
-// InboundDeltaTables returns the tables referencing the given table that
-// themselves have pending entries. The conflict analysis uses it to keep
-// FK-adjacent deltas in one component (a delete's RESTRICT check reads the
-// referencing table; an insert's FK check reads the referenced one).
-func (q *Queue) InboundDeltaTables(table string) []string {
-	td, ok := q.tables[table]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, ref := range td.inboundTables {
-		if td2, ok := q.tables[ref]; ok && len(td2.entries) > 0 {
-			out = append(out, ref)
-		}
-	}
-	return out
-}
-
-// OutboundTables returns the FK-referenced tables of the given table (the
-// tables its staged rows' outbound foreign keys probe), whether or not they
-// have pending entries.
-func (q *Queue) OutboundTables(table string) []string {
-	td, ok := q.tables[table]
-	if !ok {
-		return nil
-	}
-	var out []string
-	for _, fk := range td.fks {
-		out = append(out, fk.refTable)
-	}
-	return out
-}
-
 // DropTables discards the pending entries of the given tables, leaving the
-// rest of the queue intact. The concurrent flush path calls it after a
-// partial failure, for the components that committed: their entries are
-// applied and must not replay, while the failed component's statements stay
-// pending for a retried flush. Accounting is rebuilt from the surviving
-// entries — each counts as one staged row of its own statement, with no
-// coalescing credit — preserving the StagedRows() == Len() + CoalescedRows()
+// rest of the queue intact. A flush calls it after a partial failure, for
+// the components that committed: their entries are applied and must not
+// replay, while the failed component's statements stay pending for a
+// retried flush. Accounting is rebuilt from the surviving entries — each
+// counts as one staged row of its own statement, with no coalescing
+// credit — preserving the StagedRows() == Len() + CoalescedRows()
 // invariant and keeping Statements() > 0 while work remains. The version
 // witness is untouched: the committed components bumped the catalog
 // version, so Prevalidated() reports false and the retry takes the

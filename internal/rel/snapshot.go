@@ -120,3 +120,20 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 	}
 	return c, nil
 }
+
+// Restore replaces the catalog's tables, constraints and indexes, in place,
+// with a snapshot written by Save (re-validated like LoadCatalog). The
+// catalog keeps its identity, so everything holding it — open write
+// queues, lock-free snapshot readers — observes the loaded tables, and its
+// version moves, so no validation made against the replaced tables
+// survives. Callers publish epochs afterwards. On error the catalog is
+// unchanged.
+func (c *Catalog) Restore(r io.Reader) error {
+	loaded, err := LoadCatalog(r)
+	if err != nil {
+		return err
+	}
+	c.tables, c.names, c.inbound = loaded.tables, loaded.names, loaded.inbound
+	c.version.Add(1)
+	return nil
+}

@@ -120,3 +120,46 @@ func TestLoadCatalogRejectsGarbage(t *testing.T) {
 		t.Error("garbage must be rejected")
 	}
 }
+
+// TestRestoreInPlace pins Catalog.Restore: same catalog, loaded contents,
+// a moved version (no validation made against the old tables survives) and
+// a published directory that resolves to the loaded tables; a snapshot
+// that does not decode leaves everything as it was.
+func TestRestoreInPlace(t *testing.T) {
+	c := snapshotFixture(t)
+	c.PublishEpochs()
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Delete("e", [][]Value{{Int(10)}}); err != nil {
+		t.Fatal(err)
+	}
+	c.PublishEpochs()
+	stale, before := c.Table("e"), c.Version()
+
+	if err := c.Restore(bytes.NewReader([]byte("junk"))); err == nil {
+		t.Fatal("junk snapshot restored")
+	}
+	if c.Table("e") != stale || c.Version() != before {
+		t.Fatal("failed Restore changed the catalog")
+	}
+
+	if err := c.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c.PublishEpochs()
+	if c.Table("e") == stale || c.Version() == before {
+		t.Fatal("Restore kept the old table or the old version")
+	}
+	if got := c.Table("e").Len(); got != 2 {
+		t.Fatalf("restored e has %d rows, want 2", got)
+	}
+	if got := c.Snapshot("e").Len(); got != 2 {
+		t.Fatalf("published epoch of e has %d rows, want 2", got)
+	}
+	// The restored constraints are live.
+	if err := c.Insert("e", []Row{{Int(12), Int(99), Null, Bool(false)}}); err == nil {
+		t.Fatal("restored catalog accepted a dangling foreign key")
+	}
+}

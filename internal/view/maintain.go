@@ -424,7 +424,7 @@ func buildJoinTree(leaves []algebra.Expr, conjuncts []algebra.Pred) algebra.Expr
 // is atomic: on error the view rolls back to its pre-call state.
 func (m *Maintainer) OnInsert(table string, delta []rel.Row) (*MaintStats, error) {
 	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyInsert(cs, table, delta)
+		return m.ApplyInsert(cs, table, delta, nil)
 	})
 }
 
@@ -432,7 +432,7 @@ func (m *Maintainer) OnInsert(table string, delta []rel.Row) (*MaintStats, error
 // is atomic: on error the view rolls back to its pre-call state.
 func (m *Maintainer) OnDelete(table string, delta []rel.Row) (*MaintStats, error) {
 	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyDelete(cs, table, delta)
+		return m.ApplyDelete(cs, table, delta, nil)
 	})
 }
 
@@ -442,7 +442,7 @@ func (m *Maintainer) OnDelete(table string, delta []rel.Row) (*MaintStats, error
 // within them rolls the whole modify back.
 func (m *Maintainer) OnModify(table string, deleted, inserted []rel.Row) (*MaintStats, error) {
 	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyModify(cs, table, deleted, inserted)
+		return m.ApplyModify(cs, table, deleted, inserted, nil, nil)
 	})
 }
 
@@ -514,44 +514,27 @@ func (m *Maintainer) RollbackStaged(cs *Changeset) error {
 
 // ApplyInsert stages the maintenance for an insert batch into cs without
 // committing; the caller owns Commit/Rollback. The Database uses this to
-// make one base-table update atomic across every registered view.
-func (m *Maintainer) ApplyInsert(cs *Changeset, table string, delta []rel.Row) (*MaintStats, error) {
-	return m.ApplyInsertShared(cs, table, delta, nil)
-}
-
-// ApplyInsertShared is ApplyInsert with shared-subtree bindings: bound maps
+// make one base-table update atomic across every affected view. bound maps
 // cut nodes of this view's plan to tee handles over a multi-view producer
-// (see PlanShared). nil bound is the plain per-view path.
-func (m *Maintainer) ApplyInsertShared(cs *Changeset, table string, delta []rel.Row, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
+// (see PlanShared); nil evaluates the whole plan per view.
+func (m *Maintainer) ApplyInsert(cs *Changeset, table string, delta []rel.Row, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
 	root := m.startMaintSpan("insert", table)
 	defer root.End()
 	return m.apply(cs, root, table, delta, true, true, bound)
 }
 
 // ApplyDelete stages the maintenance for a delete batch into cs without
-// committing.
-func (m *Maintainer) ApplyDelete(cs *Changeset, table string, delta []rel.Row) (*MaintStats, error) {
-	return m.ApplyDeleteShared(cs, table, delta, nil)
-}
-
-// ApplyDeleteShared is ApplyDelete with shared-subtree bindings (see
-// ApplyInsertShared).
-func (m *Maintainer) ApplyDeleteShared(cs *Changeset, table string, delta []rel.Row, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
+// committing (see ApplyInsert).
+func (m *Maintainer) ApplyDelete(cs *Changeset, table string, delta []rel.Row, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
 	root := m.startMaintSpan("delete", table)
 	defer root.End()
 	return m.apply(cs, root, table, delta, false, true, bound)
 }
 
 // ApplyModify stages both passes of a decomposed modify into cs without
-// committing, merging the two passes' statistics.
-func (m *Maintainer) ApplyModify(cs *Changeset, table string, deleted, inserted []rel.Row) (*MaintStats, error) {
-	return m.ApplyModifyShared(cs, table, deleted, inserted, nil, nil)
-}
-
-// ApplyModifyShared is ApplyModify with shared-subtree bindings, one map
-// per pass: a modify decomposes into a delete pass then an insert pass, and
-// each pass evaluates its own plan, so each needs its own handles.
-func (m *Maintainer) ApplyModifyShared(cs *Changeset, table string, deleted, inserted []rel.Row, boundDel, boundIns map[algebra.Expr]exec.Source) (*MaintStats, error) {
+// committing, merging the two passes' statistics. Each pass evaluates its
+// own plan, so each takes its own bound map.
+func (m *Maintainer) ApplyModify(cs *Changeset, table string, deleted, inserted []rel.Row, boundDel, boundIns map[algebra.Expr]exec.Source) (*MaintStats, error) {
 	root := m.startMaintSpan("modify", table)
 	defer root.End()
 	del := root.Child("pass.delete")

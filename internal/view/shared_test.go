@@ -165,7 +165,7 @@ func TestPlanSharedMaintainsIdentically(t *testing.T) {
 	}
 	for _, m := range []*Maintainer{a, b} {
 		cs := m.Begin()
-		stats, err := m.ApplyInsertShared(cs, "R", delta, run.Bound(m))
+		stats, err := m.ApplyInsert(cs, "R", delta, run.Bound(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestPlanSharedMaintainsIdentically(t *testing.T) {
 	}
 
 	csRef := ref.Begin()
-	stats, err := ref.ApplyInsert(csRef, "R", delta)
+	stats, err := ref.ApplyInsert(csRef, "R", delta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@ import (
 	"ojv/internal/algebra"
 	"ojv/internal/exec"
 	"ojv/internal/obs"
+	"ojv/internal/pipeline"
 	"ojv/internal/rel"
 	"ojv/internal/view"
 )
@@ -219,8 +220,9 @@ func Sum(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggSu
 func Avg(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggAvg, Col: c, Name: name} }
 
 // Database owns a catalog of base tables and the materialized views
-// registered over them. Every Insert/Delete maintains all registered views
-// incrementally, in the same call — the role the paper's triggers play.
+// registered over them. Every Insert/Delete/Update maintains the views it
+// affects incrementally, in the same call — the role the paper's triggers
+// play.
 //
 // A Database is safe for concurrent use: updates (Insert, Delete, Update,
 // CreateView, DDL) serialize behind a write lock, while view reads pin the
@@ -232,13 +234,21 @@ func Avg(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggAv
 // be consistent with the base tables as a whole (Query answered from base
 // tables, View.Check, Save) still take the shared read lock.
 //
-// Updates are atomic across the base table and every registered view:
-// maintenance stages each view's mutations in an undo-logged changeset, and
-// on any failure all staged changesets and the base-table delta roll back,
-// so an error from Insert/Delete/Update means "nothing happened" rather
-// than a half-maintained database.
+// There is one write path (write.go). A write is a set of independent
+// components — delta tables that share no view footprint and no foreign
+// key — each with a plan of single-table steps; a statement is one
+// component with one step, a WriteBatch flush is whatever its queue
+// partitions into. Each component is atomic across its base tables and
+// every view they affect: a step applies its base delta, then stages each
+// view's maintenance in that view's undo-logged changeset (ΔV^D subtrees
+// common to several views evaluate once), and the component either
+// commits all of it and publishes its epochs, or rolls back every staged
+// changeset and base delta. So an error from Insert/Delete/Update means
+// "nothing happened" rather than a half-maintained database.
 type Database struct {
-	mu  sync.RWMutex
+	mu sync.RWMutex
+	// cat is never reassigned: LoadCatalog restores into it, so lock-free
+	// readers (TableSnapshot) and open WriteBatch queues may hold it.
 	cat *rel.Catalog
 	// viewMu guards only the view registry (views, order). It is never held
 	// across maintenance, so view lookups and the Query view-matching scan
@@ -247,9 +257,9 @@ type Database struct {
 	viewMu sync.RWMutex
 	views  map[string]*View
 	order  []string
-	// locks shards the flush write path by base table: independent flush
-	// components acquire only their own tables' shards, so maintenance of
-	// views with disjoint footprints proceeds concurrently inside a flush
+	// locks shards the write path by base table: independent components
+	// acquire only their own tables' shards, so maintenance of views with
+	// disjoint footprints proceeds concurrently inside a flush
 	// (conflict.go). Lock order: mu before any shard, shards in sorted name
 	// order (rel.TableLocks).
 	locks *rel.TableLocks
@@ -262,17 +272,9 @@ func NewDatabase() *Database {
 	return db
 }
 
-// Catalog exposes the underlying catalog (for tools within this module).
-//
-// The returned catalog is NOT synchronized with the database's locks:
-// mutating it, or calling Catalog.Save on it, while statements, flushes or
-// DDL run concurrently is a data race. Use the Database methods (Insert,
-// Save, TableSnapshot, ...) for anything concurrent; reach for the raw
-// catalog only in single-goroutine setup code such as fixtures.
-func (db *Database) Catalog() *rel.Catalog { return db.cat }
-
 // WrapCatalog adopts an existing catalog (e.g. a generated TPC-H database).
-// The caller must not touch the catalog directly afterwards; see Catalog.
+// The caller must not touch the catalog directly afterwards: it is not
+// synchronized with the database's locks.
 func WrapCatalog(cat *rel.Catalog) *Database {
 	db := &Database{cat: cat, views: make(map[string]*View), locks: rel.NewTableLocks()}
 	db.cat.PublishEpochs()
@@ -317,6 +319,9 @@ func (db *Database) AddForeignKey(table string, cols []string, refTable string, 
 	err := db.cat.AddForeignKey(table, cols, refTable, refCols)
 	if err == nil {
 		db.cat.PublishEpochs()
+		for _, v := range db.views {
+			v.footprint = v.m.Footprint()
+		}
 	}
 	return err
 }
@@ -342,6 +347,10 @@ type View struct {
 	name string
 	db   *Database
 	m    *view.Maintainer
+	// footprint caches m.Footprint() for the write path's conflict analysis,
+	// which runs per statement; AddForeignKey — the one DDL that changes a
+	// footprint — refreshes it.
+	footprint []string
 	// LastStats records the most recent maintenance run.
 	LastStats *MaintStats
 }
@@ -383,7 +392,7 @@ func (db *Database) register(name string, def *view.Definition, opts []Options) 
 		return nil, err
 	}
 	m.EnableSnapshots()
-	v := &View{name: name, db: db, m: m}
+	v := &View{name: name, db: db, m: m, footprint: m.Footprint()}
 	db.viewMu.Lock()
 	db.views[name] = v
 	db.order = append(db.order, name)
@@ -465,7 +474,7 @@ func (db *Database) Query(r Rel, output []ColRef) ([]Row, string, error) {
 		if !usable {
 			continue // the view matches but lacks a requested column
 		}
-		rows := viewRows(v)
+		rows := v.Rows()
 		out := make([]Row, len(rows))
 		for i, row := range rows {
 			out[i] = row.Project(cols)
@@ -499,7 +508,11 @@ func (db *Database) Save(w io.Writer) error {
 // by Save (or Catalog.Save). All constraints are re-validated during the
 // load. It refuses to run while views are registered: views hold plans and
 // contents derived from the old tables and cannot be retargeted in place —
-// load first, then create views. On error the database is unchanged.
+// load first, then create views. The tables are restored into the
+// database's one catalog, so an open WriteBatch keeps working: statements
+// it staged before the load flush against the loaded tables through the
+// re-validating path (and fail there if the loaded constraints reject
+// them). On error the database is unchanged.
 func (db *Database) LoadCatalog(r io.Reader) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -509,11 +522,9 @@ func (db *Database) LoadCatalog(r io.Reader) error {
 	if registered > 0 {
 		return fmt.Errorf("ojv: LoadCatalog with %d registered view(s); load before creating views", registered)
 	}
-	cat, err := rel.LoadCatalog(r)
-	if err != nil {
+	if err := db.cat.Restore(r); err != nil {
 		return err
 	}
-	db.cat = cat
 	db.cat.PublishEpochs()
 	return nil
 }
@@ -529,37 +540,23 @@ func OpenSnapshot(r io.Reader) (*Database, error) {
 }
 
 // Insert inserts rows into a base table and incrementally maintains every
-// registered view. The call is atomic: on error neither the base table nor
+// view it affects. The call is atomic: on error neither the base table nor
 // any view has changed.
 func (db *Database) Insert(table string, rows []Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.cat.Insert(table, rows); err != nil {
-		return err
-	}
-	return db.maintainAll(func(v *View, cs *view.Changeset) (*MaintStats, error) {
-		return v.m.ApplyInsert(cs, table, rows)
-	}, func() error { return db.cat.RollbackInsert(table, rows) })
+	_, err := db.execute(pipeline.Step{Table: table, Op: pipeline.OpInsert, Rows: rows})
+	return err
 }
 
 // Delete removes the rows with the given keys from a base table and
-// incrementally maintains every registered view. It returns the deleted
+// incrementally maintains every view it affects. It returns the deleted
 // rows. The call is atomic: on error neither the base table nor any view
 // has changed.
 func (db *Database) Delete(table string, keys [][]Value) ([]Row, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	deleted, err := db.cat.Delete(table, keys)
+	st, err := db.execute(pipeline.Step{Table: table, Op: pipeline.OpDelete, Keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	err = db.maintainAll(func(v *View, cs *view.Changeset) (*MaintStats, error) {
-		return v.m.ApplyDelete(cs, table, deleted)
-	}, func() error { return db.cat.RollbackDelete(table, deleted) })
-	if err != nil {
-		return nil, err
-	}
-	return deleted, nil
+	return st.OldRows, nil
 }
 
 // Update replaces a row in place (the key must not change). For view
@@ -568,56 +565,9 @@ func (db *Database) Delete(table string, keys [][]Value) ([]Row, error) {
 // in Section 6. The call is atomic: on error neither the base table nor
 // any view has changed.
 func (db *Database) Update(table string, key []Value, newRow Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	old, err := db.cat.Update(table, key, newRow)
-	if err != nil {
-		return err
-	}
-	return db.maintainAll(func(v *View, cs *view.Changeset) (*MaintStats, error) {
-		return v.m.ApplyModify(cs, table, []Row{old}, []Row{newRow})
-	}, func() error { return db.cat.RollbackUpdate(table, key, old) })
-}
-
-// maintainAll stages one maintenance pass per registered view and commits
-// all of them together. On any failure every staged changeset rolls back in
-// reverse registration order and undoBase reverts the base-table delta, so
-// the database returns to its pre-call state. LastStats is only published
-// for committed runs.
-func (db *Database) maintainAll(apply func(v *View, cs *view.Changeset) (*MaintStats, error), undoBase func() error) error {
-	type stagedRun struct {
-		v     *View
-		cs    *view.Changeset
-		stats *MaintStats
-	}
-	var staged []stagedRun
-	for _, name := range db.order {
-		v := db.views[name]
-		cs := v.m.Begin()
-		stats, err := apply(v, cs)
-		if err != nil {
-			rbErr := v.m.RollbackStaged(cs)
-			for i := len(staged) - 1; i >= 0; i-- {
-				if e := staged[i].v.m.RollbackStaged(staged[i].cs); e != nil && rbErr == nil {
-					rbErr = e
-				}
-			}
-			if e := undoBase(); e != nil && rbErr == nil {
-				rbErr = e
-			}
-			if rbErr != nil {
-				return fmt.Errorf("ojv: maintaining view %s: %v (rollback also failed: %v)", name, err, rbErr)
-			}
-			return fmt.Errorf("ojv: maintaining view %s: %w", name, err)
-		}
-		staged = append(staged, stagedRun{v: v, cs: cs, stats: stats})
-	}
-	for _, s := range staged {
-		s.v.m.CommitStaged(s.cs, s.stats)
-		s.v.LastStats = s.stats
-	}
-	db.cat.PublishEpochs()
-	return nil
+	_, err := db.execute(pipeline.Step{Table: table, Op: pipeline.OpModify,
+		Keys: [][]Value{key}, OldRows: make([]Row, 1), NewRows: []Row{newRow}})
+	return err
 }
 
 // Name returns the view's name.
@@ -634,41 +584,16 @@ type ViewSnapshot = view.Snapshot
 // directly, which pin an epoch per call.
 func (v *View) Snapshot() *ViewSnapshot { return v.m.Snapshot() }
 
-// viewRows reads a view's rows from its current committed epoch, falling
-// back to the stored view under the read lock when snapshots are off
-// (views not registered through a Database).
-func viewRows(v *View) []Row {
-	if s := v.m.Snapshot(); s != nil {
-		return s.Rows()
-	}
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	if a := v.m.Aggregated(); a != nil {
-		return a.Rows()
-	}
-	return v.m.Materialized().Rows()
-}
-
 // Rows returns the current view contents. For aggregation views these are
 // the group rows with SQL aggregate semantics. The rows come from the
 // view's current committed epoch: the call never blocks on, or observes
 // partial state from, an in-flight maintenance run or WriteBatch flush.
 // Returned rows must be treated as read-only.
-func (v *View) Rows() []Row { return viewRows(v) }
+func (v *View) Rows() []Row { return v.m.Snapshot().Rows() }
 
 // Len returns the number of rows (or groups) in the view as of its current
 // committed epoch.
-func (v *View) Len() int {
-	if s := v.m.Snapshot(); s != nil {
-		return s.Len()
-	}
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	if a := v.m.Aggregated(); a != nil {
-		return a.Len()
-	}
-	return v.m.Materialized().Len()
-}
+func (v *View) Len() int { return v.m.Snapshot().Len() }
 
 // Schema returns the view's output schema (immutable after creation).
 func (v *View) Schema() Schema {
@@ -683,15 +608,7 @@ func (v *View) Schema() Schema {
 // as of the view's current committed epoch. It returns 0 for aggregation
 // views.
 func (v *View) TermCardinality(tables ...string) int {
-	if s := v.m.Snapshot(); s != nil {
-		return s.TermCardinality(tables)
-	}
-	v.db.mu.RLock()
-	defer v.db.mu.RUnlock()
-	if v.m.Materialized() == nil {
-		return 0
-	}
-	return v.m.Materialized().TermCardinality(tables)
+	return v.m.Snapshot().TermCardinality(tables)
 }
 
 // Check verifies the view against full recomputation (two independent
@@ -737,7 +654,7 @@ func (v *View) Select(p Pred) ([]Row, error) {
 		return nil, err
 	}
 	var out []Row
-	for _, r := range viewRows(v) {
+	for _, r := range v.Rows() {
 		if f(r) == algebra.True {
 			out = append(out, r)
 		}

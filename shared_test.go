@@ -37,60 +37,75 @@ func registerShopViews(t testing.TB, db *ojv.Database, n int, shape string) []*o
 	return out
 }
 
-// sharedWorkload drives one mixed statement sequence through a batch.
-func sharedWorkload(t testing.TB, wb *ojv.WriteBatch) {
+// stmtWriter is the statement surface *ojv.Database (synchronous) and
+// *ojv.WriteBatch (staged) share.
+type stmtWriter interface {
+	Insert(table string, rows []ojv.Row) error
+	Delete(table string, keys [][]ojv.Value) ([]ojv.Row, error)
+	Update(table string, key []ojv.Value, newRow ojv.Row) error
+}
+
+// sharedWorkload drives one mixed statement sequence through a writer,
+// flushing at the end when the writer is a batch.
+func sharedWorkload(t testing.TB, w stmtWriter) {
 	t.Helper()
-	if err := wb.Insert("orders", []ojv.Row{
+	if err := w.Insert("orders", []ojv.Row{
 		{ojv.Int(20), ojv.Int(1), ojv.Float(10), ojv.MustDate("2007-05-01")},
 		{ojv.Int(21), ojv.Int(2), ojv.Float(20), ojv.MustDate("2007-05-02")},
 		{ojv.Int(22), ojv.Int(3), ojv.Float(30), ojv.MustDate("2007-05-03")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wb.Insert("lineitem", []ojv.Row{
+	if err := w.Insert("lineitem", []ojv.Row{
 		{ojv.Int(20), ojv.Int(1), ojv.Int(5)},
 		{ojv.Int(21), ojv.Int(1), ojv.Int(6)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wb.Update("orders", []ojv.Value{ojv.Int(21)},
+	if err := w.Update("orders", []ojv.Value{ojv.Int(21)},
 		ojv.Row{ojv.Int(21), ojv.Int(2), ojv.Float(99), ojv.MustDate("2007-05-04")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wb.Delete("lineitem", [][]ojv.Value{{ojv.Int(20), ojv.Int(1)}}); err != nil {
+	if _, err := w.Delete("lineitem", [][]ojv.Value{{ojv.Int(20), ojv.Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
+	if wb, ok := w.(*ojv.WriteBatch); ok {
+		if err := wb.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestSharedFlushIdentity is the tentpole acceptance: K views sharing
+// TestSharedFlushIdentity is the shared-plan acceptance: K views sharing
 // their maintenance trees are flushed through one shared evaluation per
-// subtree, the final state is bit-identical to the per-view path, and the
-// producer/consumer row accounting balances (Σ consumer = producer +
-// saved, with saved > 0 for K > 1).
+// subtree, every view equals its recomputation from the base tables
+// (View.Check), and the producer/consumer row accounting balances
+// (Σ consumer = producer + saved, with saved > 0 for K > 1). The same
+// statements run synchronously — the same write path, one step at a time,
+// sharing included — must land on the same state.
 func TestSharedFlushIdentity(t *testing.T) {
 	for _, shape := range []string{"identical", "filtered"} {
 		t.Run(shape, func(t *testing.T) {
 			const K = 4
-			dbShared := newShopDB(t)
-			vShared := registerShopViews(t, dbShared, K, shape)
-			dbPlain := newShopDB(t)
-			vPlain := registerShopViews(t, dbPlain, K, shape)
+			db := newShopDB(t)
+			views := registerShopViews(t, db, K, shape)
+			dbSync := newShopDB(t)
+			viewsSync := registerShopViews(t, dbSync, K, shape)
 
 			metrics := ojv.NewMetrics()
-			wbShared := dbShared.NewWriteBatch(ojv.BatchOptions{Metrics: metrics})
-			wbPlain := dbPlain.NewWriteBatch(ojv.BatchOptions{DisableSharedPlans: true})
-			sharedWorkload(t, wbShared)
-			sharedWorkload(t, wbPlain)
+			wb := db.NewWriteBatch(ojv.BatchOptions{Metrics: metrics})
+			sharedWorkload(t, wb)
+			sharedWorkload(t, dbSync)
 
-			for i := range vShared {
-				if got, want := viewFingerprint(vShared[i]), viewFingerprint(vPlain[i]); got != want {
-					t.Errorf("view %d: shared flush state differs from per-view flush", i)
+			for i := range views {
+				if err := views[i].Check(); err != nil {
+					t.Fatalf("view %d after the shared flush: %v", i, err)
 				}
-				if err := vShared[i].Check(); err != nil {
-					t.Fatal(err)
+				if err := viewsSync[i].Check(); err != nil {
+					t.Fatalf("view %d after synchronous statements: %v", i, err)
+				}
+				if got, want := viewFingerprint(views[i]), viewFingerprint(viewsSync[i]); got != want {
+					t.Errorf("view %d: flushed state differs from synchronous state", i)
 				}
 			}
 
@@ -108,10 +123,7 @@ func TestSharedFlushIdentity(t *testing.T) {
 			if produced > 0 && saved == 0 {
 				t.Fatalf("no rows saved across %d views (produced=%d)", K, produced)
 			}
-			if err := wbShared.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := wbPlain.Close(); err != nil {
+			if err := wb.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})

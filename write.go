@@ -1,0 +1,289 @@
+package ojv
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+
+	"ojv/internal/pipeline"
+	"ojv/internal/view"
+)
+
+// The write path (DESIGN.md §14, "The write path"). Every base-table
+// mutation — a synchronous statement, a WriteBatch flush at any worker
+// count — reaches the tables and the views through commit: the caller
+// partitions its delta tables into independent components (conflict.go),
+// gives each component its plan, and commit applies each one atomically.
+// A statement is the degenerate input: one component, one step.
+
+// execute runs one synchronous statement as a one-step plan over the one
+// component its table belongs to, through the catalog's validating
+// appliers. It returns the step as applied: a delete's OldRows carry the
+// rows the catalog removed.
+func (db *Database) execute(st pipeline.Step) (pipeline.Step, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.cat.Table(st.Table) == nil {
+		return st, fmt.Errorf("ojv: unknown table %s", st.Table)
+	}
+	comps := db.partition([]string{st.Table})
+	comps[0].steps = []pipeline.Step{st}
+	err := db.commit(comps, false, 1, nil, nil)[0]
+	return comps[0].steps[0], err
+}
+
+// commit applies independent components on up to workers goroutines —
+// inline on the calling goroutine when that is one — and returns each
+// component's outcome, indexed like comps. Every component is attempted: a
+// failed one has rolled back alone and disturbs no other. fast selects the
+// prevalidated base appliers (the caller's version guard held); root and
+// metrics are the caller's flush span and registry, nil for statements.
+// Caller holds db.mu.
+func (db *Database) commit(comps []flushComponent, fast bool, workers int, root *Span, metrics *Metrics) []error {
+	errs := make([]error, len(comps))
+	for _, c := range comps {
+		db.locks.Ensure(c.tables)
+	}
+	if workers > len(comps) {
+		workers = len(comps)
+	}
+	if workers <= 1 {
+		for i, c := range comps {
+			errs[i] = db.commitComponent(c, fast, root, metrics)
+		}
+		return errs
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = db.commitComponent(comps[i], fast, root, metrics)
+			}
+		}()
+	}
+	for _, i := range dispatchOrder(comps) {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return errs
+}
+
+// dispatchOrder returns the component indices largest-delta-first: with
+// fewer workers than components, starting the largest component earliest
+// minimizes the tail — a big component dispatched last runs alone after
+// the small ones drain. Sizes are known at plan time (net delta rows per
+// step); the sort is stable, so equal-sized components keep plan order.
+// Results are unaffected either way: components are independent by
+// construction.
+func dispatchOrder(comps []flushComponent) []int {
+	order := make([]int, len(comps))
+	sizes := make([]int, len(comps))
+	for i, c := range comps {
+		order[i] = i
+		for _, st := range c.steps {
+			sizes[i] += st.Len()
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	return order
+}
+
+// stagedView pairs a view with its one changeset for the whole component.
+type stagedView struct {
+	v     *View
+	cs    *view.Changeset
+	stats *MaintStats
+}
+
+// commitComponent applies and commits one component under its tables'
+// shard locks (sorted order — see rel.TableLocks): each step mutates its
+// base table, then stages maintenance for that single-table delta into
+// every component view's changeset — base delta first, then the views, the
+// sequence of single-table updates the maintenance layer is proven against.
+// On success the changesets commit together (each view publishes its epoch
+// there) and the component's table epochs publish. On any failure
+// everything unwinds — staged changesets in reverse view order, applied
+// base deltas in reverse step order — so the component's tables and views
+// return to their pre-call state. The shard locks are defense in depth:
+// components are disjoint by construction, so a blocked Acquire means a
+// conflict-analysis bug degraded to serialization instead of a race.
+func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, metrics *Metrics) error {
+	if len(c.steps) == 0 {
+		return nil
+	}
+	db.locks.Acquire(c.tables)
+	defer db.locks.Release(c.tables)
+	span := root.Child("flush.component").
+		SetStr("tables", strings.Join(c.tables, ",")).
+		SetInt("views", int64(len(c.views))).
+		SetInt("steps", int64(len(c.steps)))
+	defer span.End()
+
+	staged := make([]stagedView, len(c.views))
+	maints := make([]*view.Maintainer, len(c.views))
+	for j, v := range c.views {
+		staged[j] = stagedView{v: v, cs: v.m.Begin()}
+		maints[j] = v.m
+	}
+	// applied[i] counts the base mutations of step i the unwind must revert:
+	// 1 for an applied insert or delete batch, the rows updated so far for
+	// a modify.
+	applied := make([]int, len(c.steps))
+	var cause error
+	for i := range c.steps {
+		st := &c.steps[i]
+		stepSpan := span.Child("flush.step").
+			SetStr("table", st.Table).
+			SetStr("op", st.Op.String()).
+			SetInt("rows", int64(st.Len()))
+		applied[i], cause = db.applyBase(st, fast)
+		if cause == nil {
+			cause = stageStep(st, staged, maints, stepSpan, metrics)
+		}
+		stepSpan.End()
+		if cause != nil {
+			break
+		}
+	}
+	if cause == nil {
+		commit := span.Child("commit")
+		for _, s := range staged {
+			s.v.m.CommitStaged(s.cs, s.stats)
+			s.v.LastStats = s.stats
+		}
+		commit.End()
+		db.cat.PublishTableEpochs(c.tables)
+		return nil
+	}
+
+	var rbErr error
+	undo := func(err error) {
+		if err != nil && rbErr == nil {
+			rbErr = err
+		}
+	}
+	for j := len(staged) - 1; j >= 0; j-- {
+		undo(staged[j].v.m.RollbackStaged(staged[j].cs))
+	}
+	for i := len(c.steps) - 1; i >= 0; i-- {
+		st := c.steps[i]
+		switch {
+		case applied[i] == 0:
+		case st.Op == pipeline.OpInsert:
+			undo(db.cat.RollbackInsert(st.Table, st.Rows))
+		case st.Op == pipeline.OpDelete:
+			undo(db.cat.RollbackDelete(st.Table, st.OldRows))
+		default:
+			for r := applied[i] - 1; r >= 0; r-- {
+				undo(db.cat.RollbackUpdate(st.Table, st.Keys[r], st.OldRows[r]))
+			}
+		}
+	}
+	if rbErr != nil {
+		return fmt.Errorf("%w (rollback also failed: %v)", cause, rbErr)
+	}
+	return cause
+}
+
+// applyBase applies one step's base-table delta, through the prevalidated
+// appliers when fast is set (the queue's version guard held) and through
+// the catalog's re-validating mutation path otherwise. The validating path
+// records the rows the catalog removed or replaced into the step, so
+// maintenance and the unwind see what was actually there (a synchronous
+// delete learns its rows this way). It returns how many base mutations
+// commitComponent must revert should the component fail.
+func (db *Database) applyBase(st *pipeline.Step, fast bool) (applied int, err error) {
+	switch st.Op {
+	case pipeline.OpInsert:
+		if fast {
+			err = db.cat.InsertPrevalidated(st.Table, st.Rows, st.EncKeys)
+		} else {
+			err = db.cat.Insert(st.Table, st.Rows)
+		}
+	case pipeline.OpDelete:
+		if fast {
+			_, err = db.cat.DeletePrevalidated(st.Table, st.Keys, st.EncKeys)
+		} else {
+			st.OldRows, err = db.cat.Delete(st.Table, st.Keys)
+		}
+	case pipeline.OpModify:
+		for i := range st.Keys {
+			if fast {
+				_, err = db.cat.UpdatePrevalidated(st.Table, st.EncKeys[i], st.NewRows[i])
+			} else {
+				st.OldRows[i], err = db.cat.Update(st.Table, st.Keys[i], st.NewRows[i])
+			}
+			if err != nil {
+				return i, err
+			}
+		}
+		return len(st.Keys), nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// stageStep stages one applied step's maintenance into each view's
+// changeset. With two or more views it first builds the step's shared-
+// subexpression DAG across them, so every shared ΔV^D subtree evaluates
+// once and the per-view maintenance consumes it through tee handles; with
+// fewer (or nothing in common) PlanShared returns a nil run, whose Bound
+// maps are nil and whose Close is a no-op. The base state a step's shared
+// producers read is constant across the step's views (the base delta is
+// already applied; view maintenance mutates only view state), so lazy
+// producer evaluation interleaved with per-view pulls is sound.
+func stageStep(st *pipeline.Step, staged []stagedView, maints []*view.Maintainer, span *Span, metrics *Metrics) (err error) {
+	// A modify decomposes into a delete pass and an insert pass, each with
+	// its own plan — so up to two shared runs per step.
+	var runDel, runIns *view.SharedRun
+	defer func() {
+		// Close force-releases any handle a view never drained, closes each
+		// producer exactly once, and publishes the step's sharing metrics.
+		eDel, eIns := runDel.Close(), runIns.Close()
+		if err == nil {
+			err = eDel
+		}
+		if err == nil {
+			err = eIns
+		}
+	}()
+	switch st.Op {
+	case pipeline.OpInsert:
+		runIns, err = view.PlanShared(maints, st.Table, true, true, st.Rows, span, metrics)
+	case pipeline.OpDelete:
+		runDel, err = view.PlanShared(maints, st.Table, false, true, st.OldRows, span, metrics)
+	case pipeline.OpModify:
+		runDel, err = view.PlanShared(maints, st.Table, false, false, st.OldRows, span, metrics)
+		if err == nil {
+			runIns, err = view.PlanShared(maints, st.Table, true, false, st.NewRows, span, metrics)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for j := range staged {
+		s := &staged[j]
+		var stats *MaintStats
+		switch st.Op {
+		case pipeline.OpInsert:
+			stats, err = s.v.m.ApplyInsert(s.cs, st.Table, st.Rows, runIns.Bound(s.v.m))
+		case pipeline.OpDelete:
+			stats, err = s.v.m.ApplyDelete(s.cs, st.Table, st.OldRows, runDel.Bound(s.v.m))
+		case pipeline.OpModify:
+			stats, err = s.v.m.ApplyModify(s.cs, st.Table, st.OldRows, st.NewRows,
+				runDel.Bound(s.v.m), runIns.Bound(s.v.m))
+		}
+		if err != nil {
+			return fmt.Errorf("maintaining view %s: %w", s.v.name, err)
+		}
+		s.stats = view.AccumulateStats(s.stats, stats)
+	}
+	return nil
+}
