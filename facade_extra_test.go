@@ -218,3 +218,83 @@ func TestLoadCatalogUnderOpenBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestCreateIndexDuplicateName pins that an index name is unique per table:
+// a second index under a used name is rejected (whatever its columns) and
+// leaves the table as it was, while the name stays free on other tables.
+func TestCreateIndexDuplicateName(t *testing.T) {
+	db := newShopDB(t)
+	if err := db.CreateIndex("orders", "ix", "total"); err != nil {
+		t.Fatal(err)
+	}
+	err := db.CreateIndex("orders", "ix", "day")
+	if err == nil || !strings.Contains(err.Error(), "index ix already exists") {
+		t.Fatalf("second index named ix on orders: err = %v, want an already-exists error", err)
+	}
+	if err := db.CreateIndex("customer", "ix", "name"); err != nil {
+		t.Fatalf("the same name on another table: %v", err)
+	}
+	if err := db.Insert("orders", []ojv.Row{{ojv.Int(12), ojv.Int(3), ojv.Float(7), ojv.MustDate("2007-04-17")}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.TableSnapshot("orders").Len(); got != 3 {
+		t.Fatalf("orders snapshot has %d rows after the rejected index, want 3", got)
+	}
+}
+
+// TestTwoIndexTablePublishes runs 50 statements — inserts, updates that move
+// rows between the buckets of both indexes, deletes — against a table with
+// two secondary indexes, and after each one compares the published
+// snapshot, by Rows and by Get, with what the statements should have left.
+func TestTwoIndexTablePublishes(t *testing.T) {
+	db := ojv.NewDatabase()
+	db.MustCreateTable("t", ojv.Cols(ojv.IntCol("id"), ojv.IntCol("a"), ojv.IntCol("b")), "id")
+	if err := db.CreateIndex("t", "ix_a", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("t", "ix_b", "b"); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][2]int64)
+	lastEpoch := db.TableSnapshot("t").Epoch()
+	for i := int64(0); i < 50; i++ {
+		switch {
+		case i%5 == 3: // move the previous row to other buckets of both indexes
+			id := i - 1
+			want[id] = [2]int64{id%3 + 10, 20}
+			if err := db.Update("t", []ojv.Value{ojv.Int(id)}, ojv.Row{ojv.Int(id), ojv.Int(id%3 + 10), ojv.Int(20)}); err != nil {
+				t.Fatal(err)
+			}
+		case i%5 == 4: // delete a row from a shared bucket
+			id := i - 4
+			delete(want, id)
+			if _, err := db.Delete("t", [][]ojv.Value{{ojv.Int(id)}}); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			want[i] = [2]int64{i % 3, i % 2}
+			if err := db.Insert("t", []ojv.Row{{ojv.Int(i), ojv.Int(i % 3), ojv.Int(i % 2)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := db.TableSnapshot("t")
+		if snap.Epoch() <= lastEpoch {
+			t.Fatalf("statement %d: epoch %d after %d", i, snap.Epoch(), lastEpoch)
+		}
+		lastEpoch = snap.Epoch()
+		rows := snap.Rows()
+		if len(rows) != len(want) || snap.Len() != len(want) {
+			t.Fatalf("statement %d: %d rows, Len %d, want %d", i, len(rows), snap.Len(), len(want))
+		}
+		for _, r := range rows {
+			if w, ok := want[r[0].AsInt()]; !ok || w != [2]int64{r[1].AsInt(), r[2].AsInt()} {
+				t.Fatalf("statement %d: snapshot row %v, want %v (%v)", i, r, w, ok)
+			}
+		}
+		for id, w := range want {
+			if r, ok := snap.Get(ojv.Int(id)); !ok || w != [2]int64{r[1].AsInt(), r[2].AsInt()} {
+				t.Fatalf("statement %d: Get(%d) = %v,%v want %v", i, id, r, ok, w)
+			}
+		}
+	}
+}

@@ -108,15 +108,6 @@ type entry struct {
 	new rel.Row
 }
 
-// fkCheck is one outbound foreign key with its column mapping resolved:
-// srcOffsets[i] is the column of the owning table holding the value of the
-// referenced table's i-th key column.
-type fkCheck struct {
-	refTable   string
-	cols       []string
-	srcOffsets []int
-}
-
 // tableDelta stages the pending entries of one table.
 type tableDelta struct {
 	t       *rel.Table
@@ -124,7 +115,6 @@ type tableDelta struct {
 	// order records each key at first staging, for deterministic plans;
 	// annihilated keys leave stale slots that the plan skips.
 	order []string
-	fks   []fkCheck
 	// inboundTables names the tables referencing this one, deduplicated;
 	// deletes consult it to decide fast-flush eligibility.
 	inboundTables []string
@@ -157,8 +147,6 @@ type Queue struct {
 	fkRevalidate bool
 	// keyBuf is enqueue-time scratch for encoding foreign-key probes.
 	keyBuf []byte
-	// valBuf is enqueue-time scratch for reordering foreign-key values.
-	valBuf []rel.Value
 	// encScratch carries encoded keys from a statement's validation pass to
 	// its staging pass, so each row's key encodes once.
 	encScratch []string
@@ -227,20 +215,6 @@ func (q *Queue) tableDelta(table string) (*tableDelta, error) {
 		return nil, fmt.Errorf("pipeline: unknown table %s", table)
 	}
 	td := &tableDelta{t: t, entries: make(map[string]entry)}
-	for _, fk := range t.ForeignKeys() {
-		rt := q.cat.Table(fk.RefTable)
-		src := make([]int, len(rt.KeyCols()))
-		for i, kc := range rt.KeyCols() {
-			src[i] = -1
-			for j, rc := range fk.RefCols {
-				if rt.Schema().IndexOf(fk.RefTable, rc) == kc {
-					src[i] = t.Schema().IndexOf(table, fk.Cols[j])
-					break
-				}
-			}
-		}
-		td.fks = append(td.fks, fkCheck{refTable: fk.RefTable, cols: fk.Cols, srcOffsets: src})
-	}
 	for _, ref := range q.cat.ReferencingKeys(table) {
 		dup := false
 		for _, n := range td.inboundTables {
@@ -285,20 +259,11 @@ func (q *Queue) visibleBytes(table string, key []byte) bool {
 // the overlaid state, so a reference to a row pending deletion in the same
 // batch fails at enqueue rather than at flush.
 func (q *Queue) checkOutboundFKs(td *tableDelta, row rel.Row) error {
-	for _, fk := range td.fks {
-		vals := q.valBuf[:0]
-		for _, off := range fk.srcOffsets {
-			if off < 0 {
-				return fmt.Errorf("pipeline: foreign key %s(%v)->%s does not cover the referenced key",
-					td.t.Name(), fk.cols, fk.refTable)
-			}
-			vals = append(vals, row[off])
-		}
-		q.valBuf = vals
-		q.keyBuf = rel.AppendEncoded(q.keyBuf[:0], vals...)
-		if !q.visibleBytes(fk.refTable, q.keyBuf) {
+	for _, fk := range td.t.ForeignKeys() {
+		q.keyBuf = rel.AppendRowCols(q.keyBuf[:0], row, fk.KeySource())
+		if !q.visibleBytes(fk.RefTable, q.keyBuf) {
 			return fmt.Errorf("pipeline: foreign key %s(%v)->%s violated by staged row %s",
-				td.t.Name(), fk.cols, fk.refTable, row)
+				td.t.Name(), fk.Cols, fk.RefTable, row)
 		}
 	}
 	return nil

@@ -1,8 +1,9 @@
 package rel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -23,9 +24,22 @@ type Catalog struct {
 	epochs catalogEpochs
 }
 
+// inboundFK is one constraint seen from the referenced side, with what the
+// RESTRICT check needs resolved once: the referencing table's index over
+// the constraint's columns, and for each index column the position of its
+// value in a referenced key.
 type inboundFK struct {
 	fromTable string
 	fk        ForeignKey
+	ix        *Index
+	keyPos    []int
+}
+
+// referenced reports whether any row of the referencing table points at
+// the key kv (in the referenced table's key column order).
+func (in *inboundFK) referenced(kv []Value) bool {
+	var buf [64]byte
+	return len(in.ix.LookupBytes(AppendRowCols(buf[:0], kv, in.keyPos))) > 0
 }
 
 // NewCatalog returns an empty catalog.
@@ -129,20 +143,33 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 		}
 		offsets[i] = p
 	}
-	// Validate existing rows.
+	fk := ForeignKey{
+		Cols:     append([]string(nil), cols...),
+		RefTable: refTable,
+		RefCols:  append([]string(nil), refCols...),
+		keySrc:   make([]int, len(rt.keyCols)),
+	}
+	for i, kc := range rt.keyCols {
+		fk.keySrc[i] = offsets[slices.Index(refOffsets, kc)]
+	}
 	for _, row := range t.rows {
-		if !c.fkSatisfied(rt, refOffsets, row, offsets) {
+		if !c.fkSatisfied(fk, row) {
 			return fmt.Errorf("rel: foreign key %s->%s violated by existing row %s", table, refTable, row)
 		}
 	}
-	fk := ForeignKey{Cols: append([]string(nil), cols...), RefTable: refTable, RefCols: append([]string(nil), refCols...)}
-	t.fks = append(t.fks, fk)
-	c.inbound[refTable] = append(c.inbound[refTable], inboundFK{fromTable: table, fk: fk})
-	if t.IndexOnSet(offsets) == nil {
-		if _, err := t.createIndex(fmt.Sprintf("fk_%s_%s", table, refTable), cols...); err != nil {
+	ix := t.IndexOnSet(offsets)
+	if ix == nil {
+		var err error
+		if ix, err = t.createIndex(fmt.Sprintf("fk_%s_%s", table, refTable), cols...); err != nil {
 			return err
 		}
 	}
+	keyPos := make([]int, len(ix.cols))
+	for i, ic := range ix.cols {
+		keyPos[i] = slices.Index(fk.keySrc, ic)
+	}
+	t.fks = append(t.fks, fk)
+	c.inbound[refTable] = append(c.inbound[refTable], inboundFK{fromTable: table, fk: fk, ix: ix, keyPos: keyPos})
 	c.version.Add(1)
 	return nil
 }
@@ -156,6 +183,11 @@ func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error
 	if !ok {
 		return nil, fmt.Errorf("rel: unknown table %s", table)
 	}
+	for _, ix := range t.indexes {
+		if ix.name == name {
+			return nil, fmt.Errorf("rel: table %s: index %s already exists", table, name)
+		}
+	}
 	ix, err := t.createIndex(name, cols...)
 	if err != nil {
 		return nil, err
@@ -164,26 +196,11 @@ func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error
 	return ix, nil
 }
 
-// fkSatisfied reports whether row's FK columns (at offsets) match a key of rt
-// whose key column order corresponds to refOffsets.
-func (c *Catalog) fkSatisfied(rt *Table, refOffsets []int, row Row, offsets []int) bool {
-	// Reorder FK values into the referenced table's key column order.
-	vals := make([]Value, len(rt.keyCols))
-	for i, kc := range rt.keyCols {
-		found := false
-		for j, ro := range refOffsets {
-			if ro == kc {
-				vals[i] = row[offsets[j]]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	_, ok := rt.Get(vals...)
-	return ok
+// fkSatisfied reports whether the row referenced by row's fk columns
+// exists.
+func (c *Catalog) fkSatisfied(fk ForeignKey, row Row) bool {
+	var buf [64]byte
+	return c.tables[fk.RefTable].ContainsKeyBytes(AppendRowCols(buf[:0], row, fk.keySrc))
 }
 
 // ForeignKeys returns the outbound foreign keys of the named table. It
@@ -233,10 +250,8 @@ func (c *Catalog) Insert(table string, rows []Row) error {
 			return fmt.Errorf("rel: table %s: duplicate key %v", table, row.Project(t.keyCols))
 		}
 		seen[k] = true
-		for _, fk := range t.fks {
-			if err := c.checkOutboundFK(t, fk, row); err != nil {
-				return err
-			}
+		if err := c.checkOutboundFKs(t, row); err != nil {
+			return err
 		}
 	}
 	for _, row := range rows {
@@ -248,16 +263,11 @@ func (c *Catalog) Insert(table string, rows []Row) error {
 	return nil
 }
 
-func (c *Catalog) checkOutboundFK(t *Table, fk ForeignKey, row Row) error {
-	rt := c.tables[fk.RefTable]
-	offsets := make([]int, len(fk.Cols))
-	refOffsets := make([]int, len(fk.RefCols))
-	for i := range fk.Cols {
-		offsets[i] = t.schema.MustIndexOf(t.name, fk.Cols[i])
-		refOffsets[i] = rt.schema.MustIndexOf(rt.name, fk.RefCols[i])
-	}
-	if !c.fkSatisfied(rt, refOffsets, row, offsets) {
-		return fmt.Errorf("rel: foreign key %s(%v)->%s violated by row %s", t.name, fk.Cols, fk.RefTable, row)
+func (c *Catalog) checkOutboundFKs(t *Table, row Row) error {
+	for _, fk := range t.fks {
+		if !c.fkSatisfied(fk, row) {
+			return fmt.Errorf("rel: foreign key %s(%v)->%s violated by row %s", t.name, fk.Cols, fk.RefTable, row)
+		}
 	}
 	return nil
 }
@@ -282,11 +292,9 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 		}
 	}
 	// RESTRICT check: no inbound references to any deleted row.
-	for i, kv := range keys {
-		for _, in := range c.inbound[table] {
-			if c.referenced(table, kv, in) {
-				return nil, fmt.Errorf("rel: cannot delete %s key %v: referenced by %s", table, keys[i], in.fromTable)
-			}
+	for _, kv := range keys {
+		if err := c.checkRestrict(table, kv); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Row, 0, len(keys))
@@ -301,52 +309,16 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 	return out, nil
 }
 
-// referenced reports whether any row of in.fromTable references the row of
-// table with key kv (kv in the referenced table's key column order).
-func (c *Catalog) referenced(table string, kv []Value, in inboundFK) bool {
-	ft := c.tables[in.fromTable]
-	offsets := make([]int, len(in.fk.Cols))
-	for i, fc := range in.fk.Cols {
-		offsets[i] = ft.schema.MustIndexOf(ft.name, fc)
-	}
-	ix := ft.IndexOnSet(offsets)
-	// Reorder key values from the referenced key order into the FK's
-	// declared refCols order, then into the index column order.
-	rt := c.tables[table]
-	valueOfKeyCol := make(map[int]Value, len(kv))
-	for i, kc := range rt.keyCols {
-		valueOfKeyCol[kc] = kv[i]
-	}
-	want := make([]Value, len(offsets))
-	for i, rc := range in.fk.RefCols {
-		want[i] = valueOfKeyCol[rt.schema.MustIndexOf(table, rc)]
-	}
-	if ix != nil {
-		// Map FK-declared order to index column order.
-		ordered := make([]Value, len(ix.cols))
-		for i, ic := range ix.cols {
-			for j, fo := range offsets {
-				if fo == ic {
-					ordered[i] = want[j]
-					break
-				}
-			}
-		}
-		return len(ix.Lookup(EncodeValues(ordered...))) > 0
-	}
-	for _, row := range ft.rows {
-		match := true
-		for i, o := range offsets {
-			if !row[o].Equal(want[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
+// checkRestrict fails when a row of another table still references the
+// row of table with key kv.
+func (c *Catalog) checkRestrict(table string, kv []Value) error {
+	in := c.inbound[table]
+	for i := range in {
+		if in[i].referenced(kv) {
+			return fmt.Errorf("rel: cannot delete %s key %v: referenced by %s", table, kv, in[i].fromTable)
 		}
 	}
-	return false
+	return nil
 }
 
 // Update replaces the row with the given key by newRow, which must have
@@ -366,19 +338,13 @@ func (c *Catalog) Update(table string, key []Value, newRow Row) (Row, error) {
 	if t.KeyOf(newRow) != enc {
 		return nil, fmt.Errorf("rel: table %s: update must not change the key", table)
 	}
-	old, ok := t.rows[enc]
-	if !ok {
+	if !t.ContainsKey(enc) {
 		return nil, fmt.Errorf("rel: table %s: no row with key %v", table, key)
 	}
-	for _, fk := range t.fks {
-		if err := c.checkOutboundFK(t, fk, newRow); err != nil {
-			return nil, err
-		}
+	if err := c.checkOutboundFKs(t, newRow); err != nil {
+		return nil, err
 	}
-	t.deleteByKey(enc)
-	if err := t.insert(newRow); err != nil {
-		return nil, err // unreachable: key was just freed
-	}
+	old := t.replaceByKey(enc, newRow)
 	c.version.Add(1)
 	return old, nil
 }
@@ -438,9 +404,18 @@ func (c *Catalog) RollbackUpdate(table string, key []Value, oldRow Row) error {
 }
 
 // SortRows sorts rows by their full encoded value, for deterministic output
-// in tools and tests.
+// in tools and tests. Each row is encoded once.
 func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		return EncodeValues(rows[i]...) < EncodeValues(rows[j]...)
-	})
+	type keyed struct {
+		key string
+		row Row
+	}
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{EncodeValues(r...), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	for i := range ks {
+		rows[i] = ks[i].row
+	}
 }

@@ -1,163 +1,118 @@
 package rel
 
-import "sync/atomic"
+import (
+	"hash/maphash"
+	"sync/atomic"
+)
 
 // Epoch-based copy-on-write snapshots.
 //
-// A mutable container (table row map, index bucket map, view row map, ...)
+// A mutable container (table row map, view row map, aggregation groups)
 // publishes an immutable EpochMap at every commit boundary. Readers load
 // the current epoch through one atomic pointer and then read it without
 // any lock: nothing in a published epoch is ever mutated again, so a
 // reader pinned to an epoch can never observe torn state from an
 // in-flight flush, no matter how long it holds on to the snapshot.
 //
-// Publishing is O(changed keys), not O(container): the writer tracks the
-// set of dirty keys since the last publish, and the new epoch is the
-// previous epoch plus one small overlay map resolving exactly those keys
-// against the live container. Dirty keys whose mutation was rolled back
-// before the publish resolve to their unchanged live value and become
-// harmless no-op overlay entries, which is what lets commit-time
-// publication coexist with the undo-logged changeset protocol: only
-// committed state is ever resolved.
-//
-// Overlay chains are bounded: when a chain grows past maxOverlays maps or
-// its entries rival the base in size, the publish compacts the epoch into
-// a single fresh base map (O(container), amortized across the publishes
-// that built the chain).
+// An epoch is the root of a persistent hash trie (trie.go). The writer
+// keeps its live Go map and the set of keys dirtied since the last
+// publish; publishing resolves exactly those keys against the live map
+// and path-copies them into the previous root, O(dirty · log₃₂ n) whatever
+// the container's size. Everything off those paths is shared with the
+// previous epoch, so a pinned reader retains only the nodes its epoch no
+// longer shares with the current one. Dirty keys whose mutation was
+// rolled back before the publish resolve to their unchanged live value,
+// which is what lets commit-time publication coexist with the undo-logged
+// changeset protocol: only committed state is ever resolved.
 
-// maxOverlays bounds the overlay chain length; past it a publish compacts.
-const maxOverlays = 8
-
-// epochEntry is one overlay slot: the resolved value, or a tombstone
-// (ok=false) for a key deleted since the base epoch.
-type epochEntry[V any] struct {
-	val V
-	ok  bool
-}
-
-// EpochMap is an immutable snapshot of a map[K]V: a shared base map plus a
-// chain of small overlay maps, newest first. All methods are read-only and
-// safe for unsynchronized concurrent use.
-type EpochMap[K comparable, V any] struct {
+// EpochMap is an immutable snapshot of a map[string]V. All methods are
+// read-only and safe for unsynchronized concurrent use.
+type EpochMap[V any] struct {
 	seq   uint64
 	count int
-	// entries is the total size of the overlay chain, used to decide when
-	// the next publish should compact.
-	entries  int
-	base     map[K]V
-	overlays []map[K]epochEntry[V]
+	root  *trieNode[V]
+	hash  func(string) uint64
 }
 
 // Seq returns the epoch sequence number the snapshot was published at.
-func (e *EpochMap[K, V]) Seq() uint64 { return e.seq }
+func (e *EpochMap[V]) Seq() uint64 { return e.seq }
 
 // Len returns the number of live keys in the snapshot.
-func (e *EpochMap[K, V]) Len() int { return e.count }
+func (e *EpochMap[V]) Len() int { return e.count }
 
 // Get returns the value of k as of this epoch.
-func (e *EpochMap[K, V]) Get(k K) (V, bool) {
-	for _, ov := range e.overlays {
-		if ent, hit := ov[k]; hit {
-			return ent.val, ent.ok
-		}
-	}
-	v, ok := e.base[k]
-	return v, ok
-}
+func (e *EpochMap[V]) Get(k string) (V, bool) { return e.root.get(e.hash(k), k) }
 
 // Range calls f for every live key/value pair until f returns false.
 // Iteration order is unspecified, like a map's.
-func (e *EpochMap[K, V]) Range(f func(K, V) bool) {
-	var seen map[K]struct{}
-	if len(e.overlays) > 0 {
-		seen = make(map[K]struct{}, e.entries)
-	}
-	for _, ov := range e.overlays {
-		for k, ent := range ov {
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			if ent.ok && !f(k, ent.val) {
-				return
-			}
-		}
-	}
-	for k, v := range e.base {
-		if _, shadowed := seen[k]; shadowed {
-			continue
-		}
-		if !f(k, v) {
-			return
-		}
-	}
+func (e *EpochMap[V]) Range(f func(string, V) bool) { e.root.walk(f) }
+
+// Values returns every live value in a fresh slice, in unspecified order.
+// It reads the values straight out of the nodes, with no call per entry.
+func (e *EpochMap[V]) Values() []V { return e.root.appendValues(make([]V, 0, e.count)) }
+
+// NewFullEpoch builds an epoch from the whole live map. clone, when
+// non-nil, guards values the live side mutates in place (aggregation
+// groups); nil shares the values, which is correct for values that are
+// replaced rather than mutated (rows).
+func NewFullEpoch[V any](seq uint64, live map[string]V, clone func(V) V) *EpochMap[V] {
+	seed := maphash.MakeSeed()
+	return newFullEpochHashed(seq, live, clone, func(k string) uint64 { return maphash.String(seed, k) })
 }
 
-// NewFullEpoch builds an epoch by copying the live map outright. clone,
-// when non-nil, guards values the live side mutates in place (index
-// buckets, aggregation groups); nil shares the values, which is correct
-// for values that are replaced rather than mutated (rows).
-func NewFullEpoch[K comparable, V any](seq uint64, live map[K]V, clone func(V) V) *EpochMap[K, V] {
-	base := make(map[K]V, len(live))
+// newFullEpochHashed is NewFullEpoch with the key hash given, so tests can
+// force fragment and full-hash collisions. Epochs derived from the result
+// keep its hash.
+func newFullEpochHashed[V any](seq uint64, live map[string]V, clone func(V) V, hash func(string) uint64) *EpochMap[V] {
+	n := len(live)
+	buf := make([]trieItem[V], 2*n) // the items, then buildTrie's scratch
+	items := buf[:0]
 	for k, v := range live {
 		if clone != nil {
 			v = clone(v)
 		}
-		base[k] = v
+		items = append(items, trieItem[V]{hash(k), trieEntry[V]{k, v}})
 	}
-	return &EpochMap[K, V]{seq: seq, count: len(base), base: base}
+	return &EpochMap[V]{seq: seq, count: n, root: buildTrie(items, buf[n:], 0), hash: hash}
 }
 
 // PublishEpoch derives the next epoch from prev by resolving every dirty
 // key against the live container via lookup. The previous epoch is shared
-// structurally; only the dirty keys occupy new memory, unless the overlay
-// chain has grown large enough that the publish compacts into a fresh
-// base. It reports whether a compaction happened.
-func PublishEpoch[K comparable, V any](prev *EpochMap[K, V], seq uint64, dirty map[K]struct{}, lookup func(K) (V, bool), clone func(V) V) (*EpochMap[K, V], bool) {
-	overlay := make(map[K]epochEntry[V], len(dirty))
-	count := prev.count
+// structurally; only the paths to the dirty keys occupy new memory.
+func PublishEpoch[V any](prev *EpochMap[V], seq uint64, dirty map[string]struct{}, lookup func(string) (V, bool), clone func(V) V) *EpochMap[V] {
+	tx := prev.edit()
 	for k := range dirty {
 		v, ok := lookup(k)
-		if ok && clone != nil {
+		if !ok {
+			tx.delete(k)
+			continue
+		}
+		if clone != nil {
 			v = clone(v)
 		}
-		overlay[k] = epochEntry[V]{val: v, ok: ok}
-		_, had := prev.Get(k)
-		if ok && !had {
-			count++
-		} else if !ok && had {
-			count--
-		}
+		tx.set(k, v)
 	}
-	next := &EpochMap[K, V]{
-		seq:      seq,
-		count:    count,
-		entries:  prev.entries + len(overlay),
-		base:     prev.base,
-		overlays: append([]map[K]epochEntry[V]{overlay}, prev.overlays...),
-	}
-	if len(next.overlays) <= maxOverlays && next.entries <= len(next.base)/2+64 {
-		return next, false
-	}
-	// Compact: fold the chain into one base map. Values were cloned when
-	// they entered an overlay (and base values are immutable by the epoch
-	// contract), so sharing them here is safe.
-	base := make(map[K]V, next.count)
-	next.Range(func(k K, v V) bool {
-		base[k] = v
-		return true
-	})
-	return &EpochMap[K, V]{seq: seq, count: len(base), base: base}, true
+	return tx.publish(seq)
 }
 
-// TableSnapshot is the published epoch of one base table: rows plus every
-// secondary index, all immutable and readable without locks.
+// edit opens a transaction over e's root; e itself never changes.
+func (e *EpochMap[V]) edit() *trieTx[V] {
+	return &trieTx[V]{owner: new(trieOwner), hash: e.hash, root: e.root, count: e.count}
+}
+
+// publish ends the transaction: its root becomes the epoch seq, and with
+// the owner token dropped no node under it is ever written again.
+func (t *trieTx[V]) publish(seq uint64) *EpochMap[V] {
+	return &EpochMap[V]{seq: seq, count: t.count, root: t.root, hash: t.hash}
+}
+
+// TableSnapshot is the published epoch of one base table's rows, immutable
+// and readable without locks. Secondary indexes are not published: they
+// serve the writer's joins and constraint checks only.
 type TableSnapshot struct {
-	name    string
-	schema  Schema
-	keyCols []int
-	rows    *EpochMap[string, Row]
-	indexes []*IndexSnapshot
+	name   string
+	schema Schema
+	rows   *EpochMap[Row]
 }
 
 // Name returns the table name.
@@ -176,12 +131,7 @@ func (s *TableSnapshot) Len() int { return s.rows.count }
 // is fresh (callers may sort it in place); the rows are shared and must
 // not be modified.
 func (s *TableSnapshot) Rows() []Row {
-	out := make([]Row, 0, s.rows.count)
-	s.rows.Range(func(_ string, r Row) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
+	return s.rows.Values()
 }
 
 // Get returns the row with the given key values as of the epoch.
@@ -193,39 +143,6 @@ func (s *TableSnapshot) Get(keyVals ...Value) (Row, bool) {
 // epoch.
 func (s *TableSnapshot) GetEncoded(encodedKey string) (Row, bool) {
 	return s.rows.Get(encodedKey)
-}
-
-// IndexOnSet returns the snapshot of an index whose column set equals cols
-// as a set, or nil.
-func (s *TableSnapshot) IndexOnSet(cols []int) *IndexSnapshot {
-	for _, ix := range s.indexes {
-		if sameIntSet(ix.cols, cols) {
-			return ix
-		}
-	}
-	return nil
-}
-
-// IndexSnapshot is the published epoch of one secondary index. Buckets
-// are copied at publish time, so they never alias the live buckets the
-// writer compacts in place.
-type IndexSnapshot struct {
-	name string
-	cols []int
-	m    *EpochMap[string, []Row]
-}
-
-// Name returns the index name.
-func (ix *IndexSnapshot) Name() string { return ix.name }
-
-// Cols returns the indexed column offsets.
-func (ix *IndexSnapshot) Cols() []int { return ix.cols }
-
-// Lookup returns the rows whose indexed columns encode to the given key,
-// as of the epoch. The returned slice must not be modified.
-func (ix *IndexSnapshot) Lookup(key string) []Row {
-	b, _ := ix.m.Get(key)
-	return b
 }
 
 // markDirty records a mutated row key for the next publish; a no-op until
@@ -243,74 +160,27 @@ func (t *Table) Snapshot() *TableSnapshot {
 	return t.epoch.Load()
 }
 
-// cloneBucket copies an index bucket at publish time; live buckets are
-// compacted in place by Index.remove and must not leak into an epoch.
-func cloneBucket(b []Row) []Row { return append([]Row(nil), b...) }
-
-// publishEpoch publishes the table's (and its indexes') state at seq. The
-// first call switches dirty tracking on and copies the table outright;
-// later calls are O(keys touched since the previous publish). Callers
-// must hold whatever lock serializes table writers.
+// publishEpoch publishes the table's rows at seq. The first call switches
+// dirty tracking on and builds the trie from the whole table; later calls
+// are O(keys touched since the previous publish). Callers must hold
+// whatever lock serializes table writers.
 func (t *Table) publishEpoch(seq uint64) {
 	prev := t.epoch.Load()
-	if prev == nil {
+	var rows *EpochMap[Row]
+	switch {
+	case prev == nil:
 		t.dirty = make(map[string]struct{})
-		snap := &TableSnapshot{
-			name:    t.name,
-			schema:  t.schema,
-			keyCols: t.keyCols,
-			rows:    NewFullEpoch(seq, t.rows, nil),
-		}
-		for _, ix := range t.indexes {
-			ix.dirty = make(map[string]struct{})
-			snap.indexes = append(snap.indexes, &IndexSnapshot{
-				name: ix.name, cols: ix.cols, m: NewFullEpoch(seq, ix.m, cloneBucket),
-			})
-		}
-		t.epoch.Store(snap)
-		return
-	}
-	dirtyIndexes := false
-	for _, ix := range t.indexes {
-		if ix.dirty == nil || len(ix.dirty) > 0 {
-			dirtyIndexes = true
-			break
-		}
-	}
-	if len(t.dirty) == 0 && !dirtyIndexes && len(t.indexes) == len(prev.indexes) {
+		rows = NewFullEpoch(seq, t.rows, nil)
+	case len(t.dirty) == 0:
 		return // nothing changed since the previous publish
+	default:
+		rows = PublishEpoch(prev.rows, seq, t.dirty, func(k string) (Row, bool) {
+			r, ok := t.rows[k]
+			return r, ok
+		}, nil)
+		clear(t.dirty)
 	}
-	rows, _ := PublishEpoch(prev.rows, seq, t.dirty, func(k string) (Row, bool) {
-		r, ok := t.rows[k]
-		return r, ok
-	}, nil)
-	clear(t.dirty)
-	snap := &TableSnapshot{name: t.name, schema: t.schema, keyCols: t.keyCols, rows: rows}
-	for _, ix := range t.indexes {
-		var prevIx *IndexSnapshot
-		for _, p := range prev.indexes {
-			if p.name == ix.name {
-				prevIx = p
-				break
-			}
-		}
-		if prevIx == nil || ix.dirty == nil {
-			// Index created after the previous publish: copy it outright and
-			// start tracking.
-			ix.dirty = make(map[string]struct{})
-			snap.indexes = append(snap.indexes, &IndexSnapshot{
-				name: ix.name, cols: ix.cols, m: NewFullEpoch(seq, ix.m, cloneBucket),
-			})
-			continue
-		}
-		m, _ := PublishEpoch(prevIx.m, seq, ix.dirty, func(k string) ([]Row, bool) {
-			b := ix.m[k]
-			return b, len(b) > 0
-		}, cloneBucket)
-		clear(ix.dirty)
-		snap.indexes = append(snap.indexes, &IndexSnapshot{name: ix.name, cols: ix.cols, m: m})
-	}
-	t.epoch.Store(snap)
+	t.epoch.Store(&TableSnapshot{name: t.name, schema: t.schema, rows: rows})
 }
 
 // epochSeq is the catalog's publish counter; tableDir is the lock-free
@@ -325,7 +195,7 @@ type catalogEpochs struct {
 	dir atomic.Pointer[map[string]*Table]
 }
 
-// PublishEpochs publishes a new epoch of every table (rows and indexes).
+// PublishEpochs publishes a new epoch of every table.
 // The Database facade calls it under its write lock at every commit
 // boundary — after a successful statement, flush, or DDL change — and
 // never mid-flush, so published epochs only ever contain committed state.

@@ -2,6 +2,10 @@ package rel
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -84,98 +88,40 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestEpochIndexSnapshot verifies index buckets are copied at publish and
-// track mutations across epochs.
-func TestEpochIndexSnapshot(t *testing.T) {
-	c := epochFixture(t)
-	if err := c.Insert("t", []Row{{Int(1), Str("x")}, {Int(2), Str("x")}, {Int(3), Str("y")}}); err != nil {
-		t.Fatal(err)
-	}
-	c.PublishEpochs()
-	tab := c.Table("t")
-	snap := c.Snapshot("t")
-	ix := snap.IndexOnSet(tab.IndexOn([]int{1}).Cols())
-	if ix == nil {
-		t.Fatal("index snapshot missing")
-	}
-	key := EncodeValues(Str("x"))
-	bucket := ix.Lookup(key)
-	if len(bucket) != 2 {
-		t.Fatalf("bucket len = %d, want 2", len(bucket))
-	}
-
-	// Deleting a row compacts the live bucket in place; the snapshot bucket
-	// must be unaffected, and the next epoch must see the shrink.
-	if _, err := c.Delete("t", [][]Value{{Int(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	c.PublishEpochs()
-	if len(ix.Lookup(key)) != 2 {
-		t.Fatal("pinned index bucket changed after delete")
-	}
-	for _, r := range bucket {
-		if r[0].IsNull() {
-			t.Fatal("pinned bucket row torn")
-		}
-	}
-	ix2 := c.Snapshot("t").IndexOnSet(tab.IndexOn([]int{1}).Cols())
-	if got := len(ix2.Lookup(key)); got != 1 {
-		t.Fatalf("new epoch bucket len = %d, want 1", got)
-	}
-}
-
-// TestEpochIndexCreatedAfterPublish verifies an index created between
-// publishes appears fully populated in the next snapshot.
-func TestEpochIndexCreatedAfterPublish(t *testing.T) {
-	c := NewCatalog()
-	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("g")}, "id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert("t", []Row{{Int(1), Int(7)}, {Int(2), Int(7)}}); err != nil {
-		t.Fatal(err)
-	}
-	c.PublishEpochs()
-	if _, err := c.CreateIndex("t", "ix_g", "g"); err != nil {
-		t.Fatal(err)
-	}
-	c.PublishEpochs()
-	ix := c.Snapshot("t").IndexOnSet([]int{1})
-	if ix == nil {
-		t.Fatal("new index missing from snapshot")
-	}
-	if got := len(ix.Lookup(EncodeValues(Int(7)))); got != 2 {
-		t.Fatalf("bucket len = %d, want 2", got)
-	}
-}
-
-// TestEpochCompaction drives enough publishes to force overlay compaction
-// and checks the compacted epoch still agrees with the live table.
+// TestEpochCompaction drives 200 publishes of inserts and deletes, with an
+// update of an indexed column thrown in, and checks every epoch against
+// the live table. (The name predates the trie: there is no chain to
+// compact any more, and no publish may cost more than its dirty keys.)
 func TestEpochCompaction(t *testing.T) {
 	c := epochFixture(t)
 	c.PublishEpochs()
+	tab := c.Table("t")
 	for i := int64(0); i < 200; i++ {
 		if err := c.Insert("t", []Row{{Int(i), Str("v")}}); err != nil {
 			t.Fatal(err)
 		}
-		if i%2 == 0 {
+		switch {
+		case i%2 == 0:
 			if _, err := c.Delete("t", [][]Value{{Int(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		case i%5 == 0:
+			if _, err := c.Update("t", []Value{Int(i)}, Row{Int(i), Str("w")}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c.PublishEpochs()
-	}
-	snap := c.Snapshot("t")
-	if snap.Len() != c.Table("t").Len() {
-		t.Fatalf("snapshot len %d != live len %d", snap.Len(), c.Table("t").Len())
-	}
-	if len(snap.rows.overlays) > maxOverlays {
-		t.Fatalf("overlay chain grew unbounded: %d", len(snap.rows.overlays))
-	}
-	for _, r := range snap.Rows() {
-		if _, ok := c.Table("t").Get(r[0]); !ok {
-			t.Fatalf("snapshot row %v missing live", r)
+		snap := c.Snapshot("t")
+		if snap.Len() != tab.Len() || len(snap.Rows()) != tab.Len() {
+			t.Fatalf("publish %d: snapshot len %d, %d rows, live len %d", i, snap.Len(), len(snap.Rows()), tab.Len())
+		}
+		for _, r := range snap.Rows() {
+			if live, ok := tab.Get(r[0]); !ok || !live.Equal(r) {
+				t.Fatalf("publish %d: snapshot row %v, live %v (%v)", i, r, live, ok)
+			}
 		}
 	}
+	checkTrie(t, c.Snapshot("t").rows)
 }
 
 // TestEpochRollbackNeutral verifies that a mutation rolled back before the
@@ -202,5 +148,156 @@ func TestEpochRollbackNeutral(t *testing.T) {
 	}
 	if c.Snapshot("t").Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Snapshot("t").Len())
+	}
+}
+
+// TestEpochPublishHammer publishes 10 000 epochs of one table through the
+// catalog while two readers pin snapshots. Row 0 carries the sum of every
+// other row's value, rewritten in the same publish as each change, so a
+// reader that saw part of a publish — or a node the writer edited in place
+// after publishing it — reads a sum that does not match. Run under -race.
+func TestEpochPublishHammer(t *testing.T) {
+	const epochs = 10_000
+	c := NewCatalog()
+	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("v")}, "id"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("t", "ix_v", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("t", []Row{{Int(0), Int(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	c.PublishEpochs()
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for !done.Load() {
+				snap := c.Snapshot("t")
+				if snap.Epoch() < last {
+					t.Errorf("epoch went back: %d then %d", last, snap.Epoch())
+					return
+				}
+				last = snap.Epoch()
+				rows := snap.Rows()
+				if len(rows) != snap.Len() {
+					t.Errorf("epoch %d: %d rows, Len %d", last, len(rows), snap.Len())
+					return
+				}
+				var sum, check int64
+				for _, row := range rows {
+					if row[0].AsInt() == 0 {
+						check = row[1].AsInt()
+					} else {
+						sum += row[1].AsInt()
+					}
+				}
+				if sum != check {
+					t.Errorf("epoch %d: rows sum to %d, checksum row says %d", last, sum, check)
+					return
+				}
+				if row, ok := snap.Get(Int(0)); !ok || row[1].AsInt() != check {
+					t.Errorf("epoch %d: Get(0) = %v,%v, Rows saw checksum %d", last, row, ok, check)
+					return
+				}
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	present := make(map[int64]int64)
+	var sum int64
+	for e := 0; e < epochs && !t.Failed(); e++ {
+		id := int64(1 + rng.Intn(300))
+		v := int64(rng.Intn(1000))
+		var err error
+		if old, ok := present[id]; !ok {
+			err = c.Insert("t", []Row{{Int(id), Int(v)}})
+			present[id], sum = v, sum+v
+		} else if rng.Intn(2) == 0 {
+			_, err = c.Update("t", []Value{Int(id)}, Row{Int(id), Int(v)})
+			present[id], sum = v, sum-old+v
+		} else {
+			_, err = c.Delete("t", [][]Value{{Int(id)}})
+			delete(present, id)
+			sum -= old
+		}
+		if err == nil {
+			_, err = c.Update("t", []Value{Int(0)}, Row{Int(0), Int(sum)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.PublishTableEpochs([]string{"t"})
+	}
+	done.Store(true)
+	wg.Wait()
+	if got := c.Snapshot("t").Len(); got != len(present)+1 {
+		t.Fatalf("final snapshot has %d rows, want %d", got, len(present)+1)
+	}
+}
+
+// publishBytesPerRound returns the bytes allocated by one 1-row insert plus
+// PublishTableEpochs on a table of n rows with a secondary index, averaged
+// over 32 rounds (each round's delete and publish are not counted).
+func publishBytesPerRound(t *testing.T, n int) float64 {
+	c := NewCatalog()
+	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("g"), StrColumn("s")}, "id"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("t", "ix_g", "g"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Int(int64(i / 4)), Str("payload")}
+	}
+	if err := c.Insert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	c.PublishEpochs()
+	names := []string{"t"}
+	const rounds = 32
+	var total uint64
+	var before, after runtime.MemStats
+	for r := 0; r < rounds; r++ {
+		row := []Row{{Int(int64(n + r)), Int(7), Str("payload")}}
+		runtime.ReadMemStats(&before)
+		if err := c.Insert("t", row); err != nil {
+			t.Fatal(err)
+		}
+		c.PublishTableEpochs(names)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+		if _, err := c.Delete("t", [][]Value{{row[0][0]}}); err != nil {
+			t.Fatal(err)
+		}
+		c.PublishTableEpochs(names)
+	}
+	if got := c.Snapshot("t").Len(); got != n {
+		t.Fatalf("snapshot has %d rows after the rounds, want %d", got, n)
+	}
+	return float64(total) / rounds
+}
+
+// TestPublishAllocBudget is the allocation guard for epoch publishing, in
+// the mould of exec's TestAllocBudget and run beside it in CI: a 1-row
+// statement and its publish must cost the same whatever the table's size.
+// Any O(container) work on the publish path — a compaction, a copied map,
+// a rebuilt index — fails both bounds at 200 k rows.
+func TestPublishAllocBudget(t *testing.T) {
+	small := publishBytesPerRound(t, 2_000)
+	large := publishBytesPerRound(t, 200_000)
+	t.Logf("insert + publish: %.0f B at 2 k rows, %.0f B at 200 k rows", small, large)
+	if large >= 4096 {
+		t.Errorf("1-row insert + publish on 200 k rows allocates %.0f B, budget 4096", large)
+	}
+	if large > 2*small {
+		t.Errorf("1-row insert + publish allocates %.0f B on 200 k rows against %.0f B on 2 k rows: more than 2×", large, small)
 	}
 }

@@ -67,12 +67,10 @@ func (c *Catalog) UpdatePrevalidated(table string, encKey string, newRow Row) (R
 	if t == nil {
 		return nil, fmt.Errorf("rel: unknown table %s", table)
 	}
-	old, ok := t.rows[encKey]
-	if !ok {
+	if !t.ContainsKey(encKey) {
 		return nil, fmt.Errorf("rel: table %s: update of missing row (stale prevalidation)", table)
 	}
-	t.deleteByKey(encKey)
-	t.insertPrevalidated(newRow, encKey)
+	old := t.replaceByKey(encKey, newRow)
 	c.version.Add(1)
 	return old, nil
 }
@@ -94,10 +92,8 @@ func (c *Catalog) DeletePrevalidated(table string, keys [][]Value, encKeys []str
 		if !t.ContainsKey(encKeys[i]) {
 			return nil, fmt.Errorf("rel: table %s: delete of missing row %v (stale prevalidation)", table, kv)
 		}
-		for _, in := range c.inbound[table] {
-			if c.referenced(table, kv, in) {
-				return nil, fmt.Errorf("rel: cannot delete %s key %v: referenced by %s", table, kv, in.fromTable)
-			}
+		if err := c.checkRestrict(table, kv); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Row, 0, len(encKeys))

@@ -2,6 +2,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -13,16 +14,21 @@ type ForeignKey struct {
 	Cols     []string
 	RefTable string
 	RefCols  []string
+	// keySrc is resolved once by AddForeignKey; see KeySource.
+	keySrc []int
 }
+
+// KeySource returns, for each key column of RefTable in key order, the
+// offset in the owning table of the column referencing it: projecting a
+// row onto KeySource yields the referenced row's key. Callers must not
+// modify it.
+func (fk ForeignKey) KeySource() []int { return fk.keySrc }
 
 // Index is a secondary hash index over a column set of one table.
 type Index struct {
 	name string
 	cols []int
 	m    map[string][]Row
-	// dirty tracks bucket keys touched since the last epoch publish; nil
-	// until the owning catalog first publishes (see epoch.go).
-	dirty map[string]struct{}
 }
 
 // Name returns the index name.
@@ -43,29 +49,50 @@ func (ix *Index) Cols() []int { return ix.cols }
 func (ix *Index) add(row Row) {
 	k := EncodeRowCols(row, ix.cols)
 	ix.m[k] = append(ix.m[k], row)
-	if ix.dirty != nil {
-		ix.dirty[k] = struct{}{}
+}
+
+// slot returns the bucket holding row and row's position in it. A bucket
+// holds the very slices stored in Table.rows, so the match is by identity
+// and reads no row memory.
+func (ix *Index) slot(row Row) (key string, bucket []Row, pos int) {
+	key = EncodeRowCols(row, ix.cols)
+	bucket = ix.m[key]
+	for i, r := range bucket {
+		if &r[0] == &row[0] {
+			return key, bucket, i
+		}
+	}
+	return key, bucket, -1
+}
+
+func (ix *Index) remove(row Row) {
+	k, bucket, i := ix.slot(row)
+	if i < 0 {
+		return
+	}
+	last := len(bucket) - 1
+	bucket[i] = bucket[last]
+	bucket[last] = nil
+	if last == 0 {
+		delete(ix.m, k)
+	} else {
+		ix.m[k] = bucket[:last]
 	}
 }
 
-func (ix *Index) remove(row Row, pkCols []int) {
-	k := EncodeRowCols(row, ix.cols)
-	bucket := ix.m[k]
-	pk := EncodeRowCols(row, pkCols)
-	for i, r := range bucket {
-		if EncodeRowCols(r, pkCols) == pk {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
+// replace swaps old for row. When the indexed columns are unchanged
+// (identical values, a stricter test than equal encodings) the row takes
+// old's slot in its bucket.
+func (ix *Index) replace(old, row Row) {
+	for _, c := range ix.cols {
+		if old[c] != row[c] {
+			ix.remove(old)
+			ix.add(row)
+			return
 		}
 	}
-	if len(bucket) == 0 {
-		delete(ix.m, k)
-	} else {
-		ix.m[k] = bucket
-	}
-	if ix.dirty != nil {
-		ix.dirty[k] = struct{}{}
+	if _, bucket, i := ix.slot(old); i >= 0 {
+		bucket[i] = row
 	}
 }
 
@@ -253,9 +280,22 @@ func (t *Table) deleteByKey(k string) (Row, bool) {
 	delete(t.rows, k)
 	t.markDirty(k)
 	for _, ix := range t.indexes {
-		ix.remove(row, t.keyCols)
+		ix.remove(row)
 	}
 	return row, true
+}
+
+// replaceByKey stores a private copy of row under k, which must hold a row
+// with the same key, and returns the row it replaced.
+func (t *Table) replaceByKey(k string, row Row) Row {
+	old := t.rows[k]
+	row = row.Clone()
+	t.rows[k] = row
+	t.markDirty(k)
+	for _, ix := range t.indexes {
+		ix.replace(old, row)
+	}
+	return old
 }
 
 func equalInts(a, b []int) bool {
@@ -271,15 +311,12 @@ func equalInts(a, b []int) bool {
 }
 
 func sameIntSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[int]bool, len(a))
+	return len(a) == len(b) && subsetInts(a, b) && subsetInts(b, a)
+}
+
+func subsetInts(a, b []int) bool {
 	for _, x := range a {
-		seen[x] = true
-	}
-	for _, x := range b {
-		if !seen[x] {
+		if !slices.Contains(b, x) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -311,5 +312,82 @@ func TestSchemaUnionAndTables(t *testing.T) {
 	}
 	if cols := u.TableColumns("u"); len(cols) != 1 || cols[0] != 1 {
 		t.Errorf("TableColumns(u) = %v", cols)
+	}
+}
+
+// TestIndexFollowsRows drives random inserts, updates (in both appliers,
+// with and without a change to the indexed columns), deletes and update
+// rollbacks against a table with two secondary indexes, and after every
+// operation checks that each bucket holds exactly the stored slices of the
+// rows with that key: Index.remove and Index.replace match by slice
+// identity, so a bucket entry that is equal to the stored row but not the
+// same slice would go stale on the next operation.
+func TestIndexFollowsRows(t *testing.T) {
+	c := NewCatalog()
+	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("g"), StrColumn("s")}, "id"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("t", "ix_g", "g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("t", "ix_gs", "s", "g"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("t", "ix_g", "s"); err == nil || !strings.Contains(err.Error(), "index ix_g already exists") {
+		t.Fatalf("duplicate index name: err = %v", err)
+	}
+	tab := c.Table("t")
+	check := func(op int) {
+		t.Helper()
+		for _, ix := range tab.indexes {
+			n := 0
+			for key, bucket := range ix.m {
+				if len(bucket) == 0 {
+					t.Fatalf("op %d: index %s keeps an empty bucket", op, ix.name)
+				}
+				for _, r := range bucket {
+					stored, ok := tab.rows[tab.KeyOf(r)]
+					if !ok || &stored[0] != &r[0] {
+						t.Fatalf("op %d: index %s bucket holds %v, which is not the stored row (%v, %v)", op, ix.name, r, stored, ok)
+					}
+					if EncodeRowCols(r, ix.cols) != key {
+						t.Fatalf("op %d: index %s files %v under the wrong key", op, ix.name, r)
+					}
+				}
+				n += len(bucket)
+			}
+			if n != len(tab.rows) {
+				t.Fatalf("op %d: index %s holds %d rows, table %d", op, ix.name, n, len(tab.rows))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	words := []string{"x", "y"}
+	for op := 0; op < 3000; op++ {
+		id := Int(int64(rng.Intn(40)))
+		key := []Value{id}
+		old, exists := tab.Get(id)
+		row := Row{id, Int(int64(rng.Intn(4))), Str(words[rng.Intn(2)])}
+		if exists && rng.Intn(2) == 0 {
+			row[1], row[2] = old[1], old[2] // an update that moves nothing
+		}
+		var err error
+		switch {
+		case !exists:
+			err = c.Insert("t", []Row{row})
+		case op%4 == 0:
+			_, err = c.Delete("t", [][]Value{key})
+		case op%4 == 1:
+			_, err = c.UpdatePrevalidated("t", EncodeValues(key...), row)
+		default:
+			if _, err = c.Update("t", key, row); err == nil && op%4 == 3 {
+				check(op)
+				err = c.RollbackUpdate("t", key, old)
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		check(op)
 	}
 }

@@ -2,7 +2,6 @@ package view
 
 import (
 	"fmt"
-	"sort"
 
 	"ojv/internal/algebra"
 	"ojv/internal/exec"
@@ -27,7 +26,7 @@ func RecomputeDirect(def *Definition) ([]rel.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sortRows(rows)
+	rel.SortRows(rows)
 	return rows, nil
 }
 
@@ -94,7 +93,7 @@ func RecomputeNormalForm(def *Definition) ([]rel.Row, error) {
 			out = append(out, pr)
 		}
 	}
-	sortRows(out)
+	rel.SortRows(out)
 	return out, nil
 }
 
@@ -111,7 +110,7 @@ func RecomputeAggregate(def *Definition) ([]rel.Row, error) {
 		return nil, err
 	}
 	rows := append([]rel.Row(nil), res.Rows...)
-	sortRows(rows)
+	rel.SortRows(rows)
 	return rows, nil
 }
 
@@ -143,12 +142,6 @@ func Check(m *Maintainer) error {
 		return err
 	}
 	return diffRows(m.def.Name+" vs normal-form recompute", got, viaNF)
-}
-
-func sortRows(rows []rel.Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		return rel.EncodeValues(rows[i]...) < rel.EncodeValues(rows[j]...)
-	})
 }
 
 func diffRows(label string, got, want []rel.Row) error {

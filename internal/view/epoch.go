@@ -1,7 +1,7 @@
 package view
 
 import (
-	"sort"
+	"maps"
 
 	"ojv/internal/rel"
 )
@@ -14,8 +14,8 @@ import (
 // pointer still names the last committed epoch, so concurrent readers
 // never observe torn or mid-flush state; CommitStaged resolves the keys
 // the run touched against the now-committed stored view and publishes the
-// next epoch in O(delta) (see rel/epoch.go for the overlay-chain
-// representation and its compaction policy).
+// next epoch in O(delta) (see rel/epoch.go and rel/trie.go for the
+// persistent trie behind an epoch).
 //
 // Epochs are per view. A reader pinning snapshots of two views (or a view
 // and a base table) between two commits may see one side's new epoch and
@@ -23,17 +23,19 @@ import (
 // committed epoch, and per-view sequence numbers are monotonic.
 
 // mvEpoch is one committed epoch of a non-aggregated view: the keyed rows
-// plus the per-term pattern counters that back TermCardinality.
+// plus the per-term pattern counters that back TermCardinality. The
+// counters are one entry per normal-form term, so each epoch carries its
+// own copy of the map.
 type mvEpoch struct {
-	rows     *rel.EpochMap[string, rel.Row]
-	patterns *rel.EpochMap[uint32, int]
+	rows     *rel.EpochMap[rel.Row]
+	patterns map[uint32]int
 }
 
 // aggEpoch is one committed epoch of an aggregation view. Groups are
 // cloned at publish time: the live fold mutates group accumulators in
 // place, and a published epoch must never alias them.
 type aggEpoch struct {
-	groups *rel.EpochMap[string, *aggGroup]
+	groups *rel.EpochMap[*aggGroup]
 }
 
 // Snapshot is a pinned, immutable view state. All methods are safe for
@@ -79,21 +81,14 @@ func (s *Snapshot) Rows() []rel.Row {
 	if s.age != nil {
 		return s.agg.rowsFrom(s.age.groups.Len(), s.age.groups.Range)
 	}
-	out := make([]rel.Row, 0, s.mve.rows.Len())
-	s.mve.rows.Range(func(_ string, r rel.Row) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
+	return s.mve.rows.Values()
 }
 
 // SortedRows returns Rows sorted by encoded value, for deterministic
 // fingerprinting in tests and tools.
 func (s *Snapshot) SortedRows() []rel.Row {
 	rows := s.Rows()
-	sort.Slice(rows, func(i, j int) bool {
-		return rel.EncodeValues(rows[i]...) < rel.EncodeValues(rows[j]...)
-	})
+	rel.SortRows(rows)
 	return rows
 }
 
@@ -103,8 +98,7 @@ func (s *Snapshot) TermCardinality(tables []string) int {
 	if s.mve == nil {
 		return 0
 	}
-	n, _ := s.mve.patterns.Get(s.mv.patternOf(tables))
-	return n
+	return s.mve.patterns[s.mv.patternOf(tables)]
 }
 
 // Snapshot returns the current committed epoch, or nil when snapshots
@@ -148,20 +142,19 @@ func (m *Maintainer) publishFull() {
 	} else {
 		mv := m.mv
 		mv.dirtyKeys = make(map[string]struct{})
-		mv.dirtyPatterns = make(map[uint32]struct{})
 		m.mvEp.Store(&mvEpoch{
 			rows:     rel.NewFullEpoch(m.epochSeq, mv.rows, nil),
-			patterns: rel.NewFullEpoch(m.epochSeq, mv.patternCount, nil),
+			patterns: maps.Clone(mv.patternCount),
 		})
 	}
-	m.countPublish(false)
+	m.countPublish()
 }
 
 // publishEpoch publishes the epoch after a committed changeset: every key
 // the run touched (including keys whose mutation was undone — they
 // resolve to their unchanged committed value) is resolved against the
-// stored view into one overlay. No-op until EnableSnapshots. Callers must
-// hold whatever lock serializes maintenance.
+// stored view and path-copied into the previous epoch's trie. No-op until
+// EnableSnapshots. Callers must hold whatever lock serializes maintenance.
 func (m *Maintainer) publishEpoch() {
 	if m.agg != nil {
 		prev := m.aggEp.Load()
@@ -173,13 +166,13 @@ func (m *Maintainer) publishEpoch() {
 			return
 		}
 		m.epochSeq++
-		groups, compacted := rel.PublishEpoch(prev.groups, m.epochSeq, a.dirtyGroups, func(k string) (*aggGroup, bool) {
+		groups := rel.PublishEpoch(prev.groups, m.epochSeq, a.dirtyGroups, func(k string) (*aggGroup, bool) {
 			g, ok := a.groups[k]
 			return g, ok
 		}, (*aggGroup).clone)
 		clear(a.dirtyGroups)
 		m.aggEp.Store(&aggEpoch{groups: groups})
-		m.countPublish(compacted)
+		m.countPublish()
 		return
 	}
 	prev := m.mvEp.Load()
@@ -187,22 +180,17 @@ func (m *Maintainer) publishEpoch() {
 		return
 	}
 	mv := m.mv
-	if len(mv.dirtyKeys) == 0 && len(mv.dirtyPatterns) == 0 {
+	if len(mv.dirtyKeys) == 0 {
 		return
 	}
 	m.epochSeq++
-	rows, compacted := rel.PublishEpoch(prev.rows, m.epochSeq, mv.dirtyKeys, func(k string) (rel.Row, bool) {
+	rows := rel.PublishEpoch(prev.rows, m.epochSeq, mv.dirtyKeys, func(k string) (rel.Row, bool) {
 		r, ok := mv.rows[k]
 		return r, ok
 	}, nil)
-	patterns, pCompacted := rel.PublishEpoch(prev.patterns, m.epochSeq, mv.dirtyPatterns, func(p uint32) (int, bool) {
-		n, ok := mv.patternCount[p]
-		return n, ok
-	}, nil)
 	clear(mv.dirtyKeys)
-	clear(mv.dirtyPatterns)
-	m.mvEp.Store(&mvEpoch{rows: rows, patterns: patterns})
-	m.countPublish(compacted || pCompacted)
+	m.mvEp.Store(&mvEpoch{rows: rows, patterns: maps.Clone(mv.patternCount)})
+	m.countPublish()
 }
 
 // snapshotsEnabled reports whether EnableSnapshots has run.
@@ -214,12 +202,9 @@ func (m *Maintainer) snapshotsEnabled() bool {
 }
 
 // countPublish records the epoch metrics for one publish.
-func (m *Maintainer) countPublish(compacted bool) {
+func (m *Maintainer) countPublish() {
 	m.opts.Metrics.Add("view.epoch.published", 1)
 	m.opts.Metrics.Set("view.epoch.seq", int64(m.epochSeq))
-	if compacted {
-		m.opts.Metrics.Add("view.epoch.compactions", 1)
-	}
 }
 
 // rowsFrom assembles the SQL-visible rows of an aggregation view from any
@@ -236,8 +221,6 @@ func (a *AggMaterialized) rowsFrom(n int, iter func(func(string, *aggGroup) bool
 		out = append(out, row)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		return rel.EncodeValues(out[i]...) < rel.EncodeValues(out[j]...)
-	})
+	rel.SortRows(out)
 	return out
 }

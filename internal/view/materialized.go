@@ -2,7 +2,6 @@ package view
 
 import (
 	"fmt"
-	"sort"
 
 	"ojv/internal/exec"
 	"ojv/internal/rel"
@@ -42,11 +41,9 @@ type Materialized struct {
 	// whose t-part equals that tuple. Nil when Options.DisableOrphanIndex.
 	perTable map[string]map[string]map[string]struct{}
 
-	// dirtyKeys/dirtyPatterns track the rows and pattern counters touched
-	// since the last epoch publish; nil until the maintainer enables
-	// snapshots (see epoch.go).
-	dirtyKeys     map[string]struct{}
-	dirtyPatterns map[uint32]struct{}
+	// dirtyKeys tracks the rows touched since the last epoch publish; nil
+	// until the maintainer enables snapshots (see epoch.go).
+	dirtyKeys map[string]struct{}
 }
 
 // newMaterialized wires up the storage for a definition.
@@ -156,7 +153,6 @@ func (m *Materialized) insertRow(row rel.Row) error {
 	m.patternCount[m.pattern(row)]++
 	if m.dirtyKeys != nil {
 		m.dirtyKeys[k] = struct{}{}
-		m.dirtyPatterns[m.pattern(row)] = struct{}{}
 	}
 	if m.perTable != nil {
 		for _, t := range m.tableOrder {
@@ -185,7 +181,6 @@ func (m *Materialized) deleteKey(k string) (rel.Row, bool) {
 	m.patternCount[m.pattern(row)]--
 	if m.dirtyKeys != nil {
 		m.dirtyKeys[k] = struct{}{}
-		m.dirtyPatterns[m.pattern(row)] = struct{}{}
 	}
 	if m.perTable != nil {
 		for _, t := range m.tableOrder {
@@ -330,9 +325,7 @@ func projectToOutput(r exec.Relation, def *Definition, outSchema rel.Schema) ([]
 // deterministic comparison in tests and tools.
 func (m *Materialized) SortedRows() []rel.Row {
 	rows := m.Rows()
-	sort.Slice(rows, func(i, j int) bool {
-		return rel.EncodeValues(rows[i]...) < rel.EncodeValues(rows[j]...)
-	})
+	rel.SortRows(rows)
 	return rows
 }
 

@@ -281,9 +281,10 @@ func WrapCatalog(cat *rel.Catalog) *Database {
 	return db
 }
 
-// TableSnapshot is a pinned, immutable epoch of one base table: rows and
-// secondary indexes as of the last committed statement (or flush) that
-// touched it. Safe for unsynchronized concurrent use.
+// TableSnapshot is a pinned, immutable epoch of one base table: its rows as
+// of the last committed statement (or flush) that touched it. Rows only —
+// secondary indexes serve the write path and are not part of a snapshot.
+// Safe for unsynchronized concurrent use.
 type TableSnapshot = rel.TableSnapshot
 
 // TableSnapshot pins the current committed epoch of a base table, or nil
