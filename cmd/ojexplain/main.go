@@ -3,7 +3,11 @@
 // (Section 2.2), the subsumption graph (Section 2.3), the maintenance graph
 // before and after foreign-key reduction (Sections 3.1, 6.2), and the
 // primary-delta expression in its bushy, left-deep and FK-simplified forms
-// (Sections 4, 4.1, 6.1).
+// (Sections 4, 4.1, 6.1), each followed by the physical plan the executor
+// compiles for it: one line per operator, and for every join the algorithm
+// chosen and the key or index an index join probes — so a join that
+// hash-builds its right operand because the join attribute has no index
+// shows here, not only in a trace.
 //
 // With -check it instead runs the plan-invariant verifier over every
 // compiled maintenance plan of the view and exits non-zero on the first
@@ -42,6 +46,7 @@ import (
 	"strings"
 
 	"ojv/internal/algebra"
+	"ojv/internal/exec"
 	"ojv/internal/fixture"
 	"ojv/internal/obs"
 	"ojv/internal/rel"
@@ -232,11 +237,17 @@ func explain(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table strin
 		return err
 	}
 	fmt.Fprintf(w, "ΔV^D (Section 4 transform, bushy):\n%s", indent(algebra.FormatTree(bushy)))
+	if err := physicalPlan(w, cat, bushy); err != nil {
+		return err
+	}
 	leftDeep, err := view.BuildPrimaryDelta(cat, expr, table, true, false)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "ΔV^D (left-deep, Section 4.1):\n%s", indent(algebra.FormatTree(leftDeep)))
+	if err := physicalPlan(w, cat, leftDeep); err != nil {
+		return err
+	}
 	simplified, err := view.BuildPrimaryDelta(cat, expr, table, true, true)
 	if err != nil {
 		return err
@@ -245,6 +256,9 @@ func explain(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table strin
 		fmt.Fprintln(w, "ΔV^D (FK-simplified, Section 6.1): provably empty")
 	} else {
 		fmt.Fprintf(w, "ΔV^D (FK-simplified, Section 6.1):\n%s", indent(algebra.FormatTree(simplified)))
+		if err := physicalPlan(w, cat, simplified); err != nil {
+			return err
+		}
 	}
 
 	// The maintenance plan as the paper's Q1..Qn statements.
@@ -264,6 +278,18 @@ func explain(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table strin
 		}
 		fmt.Fprintf(w, "\n%s", script)
 	}
+	return nil
+}
+
+// physicalPlan prints the program the executor compiles for a ΔV^D
+// expression against the catalog's current indexes — what a maintenance
+// run of that expression starts.
+func physicalPlan(w io.Writer, cat *rel.Catalog, e algebra.Expr) error {
+	prog, err := exec.Compile(cat, nil, e)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  physical plan:\n%s", indentBy(prog.String(), "    "))
 	return nil
 }
 

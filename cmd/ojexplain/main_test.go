@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ojv/internal/algebra"
+	"ojv/internal/rel"
 )
 
 func TestRunExplain(t *testing.T) {
@@ -15,6 +18,69 @@ func TestRunExplain(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q", want)
 		}
+	}
+}
+
+// TestRunExplainPhysicalPlan: under each ΔV^D expression the default output
+// shows the compiled program, naming for every join the algorithm and, for
+// an index join, the key or index it probes.
+func TestRunExplainPhysicalPlan(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-view", "v2fk", "-update", "O"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	for _, want := range []string{
+		"physical plan:",
+		"join.index[lo] probe L via index fk_L_O(lok)",
+		"join.index[lo] probe C via unique key(ck) select C.a>0",
+		"scan ΔO",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	if n := strings.Count(out.String(), "physical plan:"); n != 3 {
+		t.Errorf("%d physical plans, want one per ΔV^D form (3)", n)
+	}
+}
+
+// TestExplainNamesHashJoin: when the join attribute carries no index the
+// physical plan says so — the join hash-builds its right operand — which
+// until now only a trace showed.
+func TestExplainNamesHashJoin(t *testing.T) {
+	cat := rel.NewCatalog()
+	for _, n := range []string{"P", "Q"} {
+		if _, err := cat.CreateTable(n, []rel.Column{
+			{Name: n + "k", Kind: rel.KindInt}, {Name: n + "j", Kind: rel.KindInt},
+		}, n+"k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expr := &algebra.Join{
+		Kind:  algebra.LeftOuterJoin,
+		Left:  &algebra.TableRef{Name: "P"},
+		Right: &algebra.TableRef{Name: "Q"},
+		Pred:  algebra.Eq("P", "Pj", "Q", "Qj"),
+	}
+	var out bytes.Buffer
+	if err := explain(&out, cat, expr, "noindex", "P"); err != nil {
+		t.Fatal(err)
+	}
+	if want := "join.hash[lo] build right on P.Pj=Q.Qj"; !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
+	}
+	if strings.Contains(out.String(), "join.index") {
+		t.Errorf("an index join was planned without an index:\n%s", out.String())
+	}
+	if _, err := cat.CreateIndex("Q", "Q_j", "Qj"); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := explain(&out, cat, expr, "noindex", "P"); err != nil {
+		t.Fatal(err)
+	}
+	if want := "join.index[lo] probe Q via index Q_j(Qj)"; !strings.Contains(out.String(), want) {
+		t.Errorf("after CreateIndex the output lacks %q:\n%s", want, out.String())
 	}
 }
 

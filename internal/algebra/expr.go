@@ -376,6 +376,23 @@ type SchemaResolver interface {
 
 // SchemaOf computes the output schema of an expression.
 func SchemaOf(e Expr, res SchemaResolver) (rel.Schema, error) {
+	kids := e.Children()
+	in := make([]rel.Schema, len(kids))
+	for i, k := range kids {
+		sch, err := SchemaOf(k, res)
+		if err != nil {
+			return nil, err
+		}
+		in[i] = sch
+	}
+	return NodeSchema(e, in, res)
+}
+
+// NodeSchema is one step of SchemaOf: the output schema of e given the
+// schemas of e.Children(), in order. A caller that walks the tree bottom-up
+// anyway (the executor's compiler) derives every node's schema once instead
+// of re-deriving each subtree from its root.
+func NodeSchema(e Expr, in []rel.Schema, res SchemaResolver) (rel.Schema, error) {
 	switch n := e.(type) {
 	case *TableRef:
 		return resolveTable(n.Name, res)
@@ -385,20 +402,12 @@ func SchemaOf(e Expr, res SchemaResolver) (rel.Schema, error) {
 		return resolveTable(n.Name, res)
 	case *RelRef:
 		return resolveTable(n.Name, res)
-	case *Select:
-		return SchemaOf(n.Input, res)
-	case *Dedup:
-		return SchemaOf(n.Input, res)
-	case *RemoveSubsumed:
-		return SchemaOf(n.Input, res)
+	case *Select, *Dedup, *RemoveSubsumed, *Condense:
+		return in[0], nil
 	case *NullIf:
 		// Nulled columns become nullable.
-		sch, err := SchemaOf(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		out := make(rel.Schema, len(sch))
-		copy(out, sch)
+		out := make(rel.Schema, len(in[0]))
+		copy(out, in[0])
 		nulled := make(map[string]bool, len(n.NullTables))
 		for _, t := range n.NullTables {
 			nulled[t] = true
@@ -409,15 +418,9 @@ func SchemaOf(e Expr, res SchemaResolver) (rel.Schema, error) {
 			}
 		}
 		return out, nil
-	case *Condense:
-		return SchemaOf(n.Input, res)
 	case *Pad:
-		sch, err := SchemaOf(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
-		out := make(rel.Schema, len(sch))
-		copy(out, sch)
+		out := make(rel.Schema, len(in[0]))
+		copy(out, in[0])
 		for _, t := range n.Tables_ {
 			ts, err := resolveTable(t, res)
 			if err != nil {
@@ -432,10 +435,7 @@ func SchemaOf(e Expr, res SchemaResolver) (rel.Schema, error) {
 		}
 		return out, nil
 	case *Project:
-		sch, err := SchemaOf(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
+		sch := in[0]
 		out := make(rel.Schema, len(n.Cols))
 		for i, c := range n.Cols {
 			p := sch.IndexOf(c.Table, c.Column)
@@ -446,14 +446,7 @@ func SchemaOf(e Expr, res SchemaResolver) (rel.Schema, error) {
 		}
 		return out, nil
 	case *Join:
-		l, err := SchemaOf(n.Left, res)
-		if err != nil {
-			return nil, err
-		}
-		r, err := SchemaOf(n.Right, res)
-		if err != nil {
-			return nil, err
-		}
+		l, r := in[0], in[1]
 		switch n.Kind {
 		case SemiJoin, AntiJoin:
 			return l, nil
@@ -481,15 +474,10 @@ func SchemaOf(e Expr, res SchemaResolver) (rel.Schema, error) {
 			}
 			return out, nil
 		}
-	case *OuterUnion:
-		return unionSchema(n.Inputs, res)
-	case *MinUnion:
-		return unionSchema(n.Inputs, res)
+	case *OuterUnion, *MinUnion:
+		return unionSchema(in), nil
 	case *GroupBy:
-		sch, err := SchemaOf(n.Input, res)
-		if err != nil {
-			return nil, err
-		}
+		sch := in[0]
 		out := make(rel.Schema, 0, len(n.GroupCols)+len(n.Aggs))
 		for _, c := range n.GroupCols {
 			p := sch.IndexOf(c.Table, c.Column)
@@ -519,13 +507,9 @@ func resolveTable(name string, res SchemaResolver) (rel.Schema, error) {
 	return sch, nil
 }
 
-func unionSchema(inputs []Expr, res SchemaResolver) (rel.Schema, error) {
+func unionSchema(inputs []rel.Schema) rel.Schema {
 	var out rel.Schema
-	for i, in := range inputs {
-		sch, err := SchemaOf(in, res)
-		if err != nil {
-			return nil, err
-		}
+	for i, sch := range inputs {
 		if i == 0 {
 			out = sch
 			continue
@@ -541,7 +525,7 @@ func unionSchema(inputs []Expr, res SchemaResolver) (rel.Schema, error) {
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // SortedTables returns the expression's table set, sorted.

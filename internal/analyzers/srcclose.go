@@ -9,7 +9,7 @@ import (
 
 // SrcClose is a path-sensitive lifecycle check for the two resources the
 // maintenance path opens constantly: obs spans (StartSpan/Child ... End)
-// and executor sources (NewPipeline ... Close). A span left un-Ended skews
+// and executor sources (NewPipeline or Program.Start ... Close). A span left un-Ended skews
 // every duration above it; a source left un-Closed leaks operator state and
 // pool goroutines — the class TestPipelineGoroutineLeak can only catch for
 // the paths a test happens to execute. The analyzer walks every return
@@ -22,9 +22,9 @@ import (
 // closes v takes ownership too. Branches are walked with cloned open sets
 // and merged with may-be-open (union) semantics, so a close on only one arm
 // still flags the other. Two idiom-specific rules: after
-// `v, err := NewPipeline(...)`, the `err != nil` arm treats v as never
-// opened (a failed constructor returns nothing to close) until err is
-// reassigned; and passing a tracked resource to NewTee transfers its
+// `v, err := NewPipeline(...)` or `v, err := prog.Start(...)`, the
+// `err != nil` arm treats v as never opened (a failed constructor returns
+// nothing to close) until err is reassigned; and passing a tracked resource to NewTee transfers its
 // ownership to the tee — the fan-out idiom has the tee own the producer
 // source and the producer span (both released when the last consumer
 // handle closes), while each handle is owned by its consumer.
@@ -336,6 +336,13 @@ func (sc *srcCloseScope) openKind(call *ast.CallExpr) string {
 			return ""
 		case "NewPipeline":
 			return "source"
+		case "Start":
+			// (*exec.Program).Start carries NewPipeline's obligation; its
+			// Source result tells it from any other method called Start.
+			if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sc.pass.Info.Selections[sel] != nil && returnsSource(sc.pass.Info.TypeOf(call)) {
+				return "source"
+			}
+			return ""
 		}
 		sel, ok := c.Fun.(*ast.SelectorExpr)
 		if !ok {
@@ -364,6 +371,15 @@ func isSpanPtr(t types.Type) bool {
 func isSourceType(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Name() == "Source"
+}
+
+// returnsSource reports whether t, a call's result type, is Source or a
+// tuple led by one.
+func returnsSource(t types.Type) bool {
+	if tup, ok := t.(*types.Tuple); ok && tup.Len() > 0 {
+		t = tup.At(0).Type()
+	}
+	return isSourceType(t)
 }
 
 // handleOpens records resources bound by an assignment.

@@ -40,6 +40,21 @@ func NewPipeline(fail bool) (Source, error) {
 	return &pipe{}, nil
 }
 
+// Program mirrors exec.Program: a compiled pipeline whose Start opens a
+// source per run, with NewPipeline's contract (Close on every path, nothing
+// to close when err != nil).
+type Program struct{}
+
+func (p *Program) Start(fail bool) (Source, error) { return NewPipeline(fail) }
+
+// Sub mirrors exec.Program.Sub, so a chained p.Sub().Start() is covered.
+func (p *Program) Sub() *Program { return p }
+
+// worker has an unrelated Start: no Source comes back, nothing is tracked.
+type worker struct{}
+
+func (w *worker) Start(fail bool) (int, error) { return 0, nil }
+
 // NewTee mirrors exec.NewTee: the tee takes ownership of src and span
 // (both released when the last returned handle closes); the handles are
 // owned by their consumers.
@@ -152,6 +167,67 @@ func teeHandOffPartial() error {
 	_, handles := NewTee(shared, 2, nil)
 	_ = handles
 	return work() // want `other opened at line \d+ is not closed on this return path`
+}
+
+// startLeakOnError starts a compiled program and forgets the source on the
+// error exit of the drain — the per-run path has NewPipeline's obligation.
+func startLeakOnError(p *Program) error {
+	src, err := p.Start(false)
+	if err != nil {
+		return err
+	}
+	if err := work(); err != nil {
+		return err // want `src opened at line \d+ is not closed on this return path`
+	}
+	src.Close()
+	return nil
+}
+
+// startChainLeak: the sub-program's source is tracked through the chain.
+func startChainLeak(p *Program) int {
+	src, err := p.Sub().Start(false)
+	if err != nil {
+		return 0
+	}
+	_ = src
+	return 1 // want `src opened at line \d+ is not closed on this return path`
+}
+
+// startClosed closes on every path; the failed Start returns nothing to
+// close.
+func startClosed(p *Program) error {
+	src, err := p.Start(false)
+	if err != nil {
+		return err
+	}
+	if err := work(); err != nil {
+		src.Close()
+		return err
+	}
+	src.Close()
+	return nil
+}
+
+// startTeeHandOff hands a started producer to the tee.
+func startTeeHandOff(p *Program, parent *Span) ([]Source, error) {
+	sp := parent.Child("subtree")
+	src, err := p.Sub().Start(false)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	_, handles := NewTee(src, 2, sp)
+	return handles, nil
+}
+
+// unrelatedStart: a Start that returns no Source opens nothing.
+func unrelatedStart(w *worker) error {
+	n, err := w.Start(false)
+	if err != nil {
+		return err
+	}
+	_ = n
+	return nil
 }
 
 // registry holds spans that outlive the opening function by design; the

@@ -15,50 +15,47 @@ type aggState struct {
 	nonNull int64
 }
 
-// buildGroupBy compiles γ into a blocking streaming source: input batches
+// compileGroupBy compiles γ into a blocking streaming source: input batches
 // fold into per-group aggregate states as they arrive (only the group
 // states are retained, never the input rows), and the finalized groups
 // emit in first-seen order once the input is exhausted. SQL aggregate
 // semantics: COUNT(*) counts rows, COUNT(c) counts non-null values,
 // SUM/AVG over zero non-null inputs are NULL.
-func buildGroupBy(ctx *Context, n *algebra.GroupBy, parent *obs.Span) (Source, error) {
-	sp := opSpan(parent, "exec.groupby")
-	in, err := build(ctx, n.Input, sp)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := algebra.SchemaOf(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	groupCols := make([]int, len(n.GroupCols))
-	for i, c := range n.GroupCols {
-		p := in.Schema().IndexOf(c.Table, c.Column)
+func compileGroupBy(n *node, e *algebra.GroupBy) error {
+	in := n.kids[0]
+	groupCols := make([]int, len(e.GroupCols))
+	for i, c := range e.GroupCols {
+		p := in.schema.IndexOf(c.Table, c.Column)
 		if p < 0 {
-			return nil, fmt.Errorf("exec: group column %s not in %s", c, in.Schema())
+			return fmt.Errorf("exec: group column %s not in %s", c, in.schema)
 		}
 		groupCols[i] = p
 	}
-	aggCols := make([]int, len(n.Aggs))
-	for i, a := range n.Aggs {
+	aggCols := make([]int, len(e.Aggs))
+	for i, a := range e.Aggs {
 		if a.Func == algebra.AggCount && a.Col == (algebra.ColRef{}) {
 			aggCols[i] = -1 // COUNT(*)
 			continue
 		}
-		p := in.Schema().IndexOf(a.Col.Table, a.Col.Column)
+		p := in.schema.IndexOf(a.Col.Table, a.Col.Column)
 		if p < 0 {
-			return nil, fmt.Errorf("exec: aggregate column %s not in %s", a.Col, in.Schema())
+			return fmt.Errorf("exec: aggregate column %s not in %s", a.Col, in.schema)
 		}
 		aggCols[i] = p
 	}
-	return &groupBySource{
-		opBase:    opBase{schema: outSchema, span: sp},
-		ctx:       ctx,
-		in:        in,
-		aggs:      n.Aggs,
-		groupCols: groupCols,
-		aggCols:   aggCols,
-	}, nil
+	n.label = "groupby"
+	n.start = func(ctx *Context, parent *obs.Span) Source {
+		sp := opSpan(parent, "exec.groupby")
+		return &groupBySource{
+			opBase:    opBase{schema: n.schema, span: sp},
+			ctx:       ctx,
+			in:        in.open(ctx, sp),
+			aggs:      e.Aggs,
+			groupCols: groupCols,
+			aggCols:   aggCols,
+		}
+	}
+	return nil
 }
 
 // group is one aggregation group: its key values and aggregate states.

@@ -1,7 +1,8 @@
 // Package exec evaluates logical algebra expressions against an in-memory
-// catalog through a pull-based, batch-at-a-time operator pipeline: plans
-// compile into a tree of Source iterators (Open/Next/Close) exchanging
-// Batches of row references (see batch.go and stream.go). Scans, selects,
+// catalog through a pull-based, batch-at-a-time operator pipeline: an
+// expression compiles once into an immutable Program (program.go), and each
+// run starts it into a tree of Source iterators (Open/Next/Close)
+// exchanging Batches of row references (see batch.go and stream.go). Scans, selects,
 // projections, λ, δ and the probe side of every join stream; subsumption
 // operators, aggregation and hash-join build sides materialize, because
 // their semantics are properties of their whole input. Eval remains as the
@@ -48,7 +49,7 @@ type Context struct {
 	DeltaIsInsert bool
 	// Rels binds RelRef leaves to materialized relations.
 	Rels map[string]Relation
-	// Bound substitutes whole subtrees: when compilation reaches an
+	// Bound substitutes whole subtrees: when Program.Start reaches an
 	// expression node present in this map (pointer identity), the bound
 	// Source — in practice a tee handle over a shared-subtree producer —
 	// replaces the node's own pipeline. The caller guarantees the source

@@ -5,13 +5,16 @@ import (
 	"testing"
 
 	"ojv/internal/fixture"
+	"ojv/internal/rel"
 )
 
 // FuzzStreamEquivalence drives random SPOJ plans through the streaming
 // pipeline at a fuzzed (Parallelism, BatchSize) and compares the result —
 // as an order-insensitive multiset — against the materializing reference
-// evaluator. The catalog is kept small so even deep full-outer chains stay
-// cheap per input.
+// evaluator. Every plan is compiled once and started twice, with the
+// catalog mutated in between, so state leaking from one run of a Program
+// into the next is the fuzzer's to find. The catalog is kept small so even
+// deep full-outer chains stay cheap per input.
 func FuzzStreamEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed%5), uint8(1<<uint(seed%4)))
@@ -24,25 +27,42 @@ func FuzzStreamEquivalence(f *testing.F) {
 		}
 		expr := fixture.RandSPOJ(rng)
 
-		want, err := evalReference(&Context{Catalog: cat}, expr)
-		if err != nil {
-			t.Fatalf("oracle: %v", err)
-		}
 		ctx := &Context{
 			Catalog:     cat,
 			Parallelism: int(par % 8),    // 0 means GOMAXPROCS
 			BatchSize:   int(batch % 64), // 0 means DefaultBatchSize
 		}
-		got, err := Eval(ctx, expr)
+		prog, err := Compile(cat, nil, expr)
 		if err != nil {
-			t.Fatalf("pipeline: %v\nplan: %s", err, expr)
+			t.Fatalf("compile: %v\nplan: %s", err, expr)
 		}
-		if got.Schema.String() != want.Schema.String() {
-			t.Fatalf("schema %s, want %s\nplan: %s", got.Schema, want.Schema, expr)
-		}
-		if !sameRelation(got, want) {
-			t.Fatalf("par=%d batch=%d: pipeline produced %d rows, oracle %d rows\nplan: %s",
-				ctx.Parallelism, ctx.BatchSize, len(got.Rows), len(want.Rows), expr)
+		for run := 0; run < 2; run++ {
+			if run == 1 {
+				// Between the runs every table loses a row and gains two.
+				for _, name := range fixture.RandTables {
+					n := string(name)
+					tab := cat.Table(n)
+					victim := tab.Rows()[0].Project(tab.KeyCols())
+					if _, err := cat.Delete(n, [][]rel.Value{victim}); err != nil {
+						t.Fatal(err)
+					}
+					if err := cat.Insert(n, []rel.Row{fixture.RandRow(rng, 1000), fixture.RandRow(rng, 1001)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want, err := evalReference(&Context{Catalog: cat}, expr)
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			got := drainProgram(t, prog, ctx)
+			if got.Schema.String() != want.Schema.String() {
+				t.Fatalf("run %d: schema %s, want %s\nplan: %s", run, got.Schema, want.Schema, expr)
+			}
+			if !sameRelation(got, want) {
+				t.Fatalf("run %d par=%d batch=%d: pipeline produced %d rows, oracle %d rows\nplan: %s",
+					run, ctx.Parallelism, ctx.BatchSize, len(got.Rows), len(want.Rows), expr)
+			}
 		}
 	})
 }

@@ -2,23 +2,35 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"ojv/internal/algebra"
 	"ojv/internal/obs"
 	"ojv/internal/rel"
 )
 
-// probeFunc returns the candidate right rows for one left row; the bool is
-// false when an equijoin column of the left row is NULL (no match possible).
-type probeFunc func(l rel.Row) ([]rel.Row, bool)
+// probePlan is the compiled half of an index probe: the base table the
+// right operand resolves to, whether its pre-update state is wanted, the
+// selection over it, the unique key or secondary index the probe goes
+// through, and where in a left row the probe key comes from.
+type probePlan struct {
+	t     *rel.Table
+	old   bool
+	where algebra.Pred              // nil: no selection over the table
+	sel   func(rel.Row) algebra.Tri // where, compiled against the table
+	ix    *rel.Index                // nil: the probe goes through the unique key
+	// leftCols are the left-row positions of the probe key, in key or index
+	// column order; rightCols are the table's columns in the same order
+	// (they key the transient delta index of the old-state delete case).
+	leftCols, rightCols []int
+}
 
-// makeIndexProbe builds an index probe when the right operand is a base
+// planIndexProbe plans an index probe when the right operand is a base
 // table (optionally under a selection) with an index covering the equijoin
-// columns.
-func makeIndexProbe(ctx *Context, right algebra.Expr, leftSchema rel.Schema, pairs [][2]algebra.ColRef) (probeFunc, bool, error) {
+// columns; it returns nil when no probe applies.
+func (c *compiler) planIndexProbe(right algebra.Expr, leftSchema rel.Schema, pairs [][2]algebra.ColRef) (*probePlan, error) {
+	p := &probePlan{}
 	var tname string
-	var old bool
-	var sel algebra.Pred
 	unwrap := func(e algebra.Expr) bool {
 		switch r := e.(type) {
 		case *algebra.TableRef:
@@ -26,146 +38,154 @@ func makeIndexProbe(ctx *Context, right algebra.Expr, leftSchema rel.Schema, pai
 			return true
 		case *algebra.OldTableRef:
 			tname = r.Name
-			old = true
+			p.old = true
 			return true
 		}
 		return false
 	}
 	if !unwrap(right) {
 		if s, ok := right.(*algebra.Select); ok && unwrap(s.Input) {
-			sel = s.Pred
+			p.where = s.Pred
 		} else {
-			return nil, false, nil
+			return nil, nil
 		}
 	}
-	t := ctx.Catalog.Table(tname)
-	if t == nil {
-		return nil, false, fmt.Errorf("exec: unknown table %s", tname)
+	var err error
+	if p.t, err = c.table(tname); err != nil {
+		return nil, err
 	}
 	rightOffsets := make([]int, len(pairs))
-	for i, p := range pairs {
-		o := t.Schema().IndexOf(p[1].Table, p[1].Column)
+	for i, pr := range pairs {
+		o := p.t.Schema().IndexOf(pr[1].Table, pr[1].Column)
 		if o < 0 {
-			return nil, false, nil
+			return nil, nil
 		}
 		rightOffsets[i] = o
 	}
-	// leftFor returns the left-schema position feeding a given right offset.
-	leftFor := func(rightOffset int) int {
-		for i, p := range pairs {
-			if rightOffsets[i] == rightOffset {
-				return leftSchema.MustIndexOf(p[0].Table, p[0].Column)
+	// Prefer the unique key, then any secondary index on the same column set.
+	if sameColumnSet(p.t.KeyCols(), rightOffsets) {
+		p.rightCols = p.t.KeyCols()
+	} else if p.ix = p.t.IndexOnSet(rightOffsets); p.ix != nil {
+		p.rightCols = p.ix.Cols()
+	} else {
+		return nil, nil
+	}
+	p.leftCols = make([]int, len(p.rightCols))
+	for i, rc := range p.rightCols {
+		for j, pr := range pairs {
+			if rightOffsets[j] == rc {
+				p.leftCols[i] = leftSchema.MustIndexOf(pr[0].Table, pr[0].Column)
 			}
 		}
-		return -1
 	}
-	var selFn func(rel.Row) algebra.Tri
-	if sel != nil {
-		f, err := sel.Compile(t.Schema())
+	if p.where != nil {
+		f, err := p.where.Compile(p.t.Schema())
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		selFn = f
+		p.sel = f
 	}
+	return p, nil
+}
 
+// String names the probe for the physical-plan rendering: the table (± for
+// its old state), the key or index probed with its columns, the selection.
+func (p *probePlan) String() string {
+	cols := make([]string, len(p.rightCols))
+	for i, c := range p.rightCols {
+		cols[i] = p.t.Schema()[c].Name
+	}
+	name := p.t.Name()
+	if p.old {
+		name += "±"
+	}
+	via := "unique key"
+	if p.ix != nil {
+		via = "index " + p.ix.Name()
+	}
+	out := fmt.Sprintf("probe %s via %s(%s)", name, via, strings.Join(cols, ","))
+	if p.where != nil {
+		out += " select " + p.where.String()
+	}
+	return out
+}
+
+// indexProbe is one run of a probePlan: the plan plus what depends on the
+// run's delta and the scratch a serial probe loop reuses, so steady-state
+// probing allocates no key string and no one-element slice.
+type indexProbe struct {
+	*probePlan
 	// Old-state adjustment: when probing the pre-update state of a table
 	// with a bound delta, exclude freshly inserted rows (insert case) or
 	// re-admit deleted rows via a transient delta index (delete case).
-	delta := ctx.Deltas[tname]
-	var excludeKeys map[string]bool
-	var deltaByProbe map[string][]rel.Row
-	buildDeltaIndex := func(cols []int) {
-		deltaByProbe = make(map[string][]rel.Row, len(delta))
-		for _, d := range delta {
-			k := rel.EncodeRowCols(d, cols)
-			deltaByProbe[k] = append(deltaByProbe[k], d)
-		}
-	}
-	if old && len(delta) > 0 {
-		if ctx.DeltaIsInsert {
-			excludeKeys = make(map[string]bool, len(delta))
-			for _, d := range delta {
-				excludeKeys[t.KeyOf(d)] = true
-			}
-		} else {
-			buildDeltaIndex(rightOffsets)
-		}
-	}
-	adjust := func(rows []rel.Row, probeKey []byte) []rel.Row {
-		if excludeKeys == nil && deltaByProbe == nil && selFn == nil {
-			return rows
-		}
-		out := make([]rel.Row, 0, len(rows)+1)
-		for _, r := range rows {
-			if excludeKeys != nil && excludeKeys[t.KeyOf(r)] {
-				continue
-			}
-			out = append(out, r)
-		}
-		if deltaByProbe != nil {
-			out = append(out, deltaByProbe[string(probeKey)]...)
-		}
-		if selFn != nil {
-			kept := out[:0]
-			for _, r := range out {
-				if selFn(r) == algebra.True {
-					kept = append(kept, r)
-				}
-			}
-			out = kept
-		}
-		return out
-	}
+	excludeKeys  map[string]bool
+	deltaByProbe map[string][]rel.Row
+	keyBuf       []byte
+	oneRow       [1]rel.Row
+}
 
-	// Prefer the unique key, then any secondary index on the same column set.
-	if sameColumnSet(t.KeyCols(), rightOffsets) {
-		probeCols := make([]int, len(t.KeyCols()))
-		for i, kc := range t.KeyCols() {
-			probeCols[i] = leftFor(kc)
-		}
-		if deltaByProbe != nil {
-			buildDeltaIndex(t.KeyCols()) // re-key the delta in key-column order
-		}
-		// keyBuf and oneRow are per-probe scratch: the closure is called
-		// serially per left row, so reusing them avoids a key string and a
-		// one-element slice allocation on every probe.
-		var keyBuf []byte
-		oneRow := make([]rel.Row, 1)
-		return func(l rel.Row) ([]rel.Row, bool) {
-			for _, c := range probeCols {
-				if l[c].IsNull() {
-					return nil, false
-				}
-			}
-			keyBuf = rel.AppendRowCols(keyBuf[:0], l, probeCols)
-			row, ok := t.GetEncodedBytes(keyBuf)
-			if !ok {
-				return adjust(nil, keyBuf), true
-			}
-			oneRow[0] = row
-			return adjust(oneRow, keyBuf), true
-		}, true, nil
+// start binds the plan to one run.
+func (p *probePlan) start(ctx *Context) indexProbe {
+	ip := indexProbe{probePlan: p}
+	delta := ctx.Deltas[p.t.Name()]
+	if !p.old || len(delta) == 0 {
+		return ip
 	}
-	if ix := t.IndexOnSet(rightOffsets); ix != nil {
-		probeCols := make([]int, len(ix.Cols()))
-		for i, ic := range ix.Cols() {
-			probeCols[i] = leftFor(ic)
+	if ctx.DeltaIsInsert {
+		ip.excludeKeys = make(map[string]bool, len(delta))
+		for _, d := range delta {
+			ip.excludeKeys[p.t.KeyOf(d)] = true
 		}
-		if deltaByProbe != nil {
-			buildDeltaIndex(ix.Cols()) // re-key the delta in index-column order
-		}
-		var keyBuf []byte
-		return func(l rel.Row) ([]rel.Row, bool) {
-			for _, c := range probeCols {
-				if l[c].IsNull() {
-					return nil, false
-				}
-			}
-			keyBuf = rel.AppendRowCols(keyBuf[:0], l, probeCols)
-			return adjust(ix.LookupBytes(keyBuf), keyBuf), true
-		}, true, nil
+		return ip
 	}
-	return nil, false, nil
+	ip.deltaByProbe = make(map[string][]rel.Row, len(delta))
+	for _, d := range delta {
+		k := rel.EncodeRowCols(d, p.rightCols)
+		ip.deltaByProbe[k] = append(ip.deltaByProbe[k], d)
+	}
+	return ip
+}
+
+// candidates returns the candidate right rows for one left row; the bool is
+// false when an equijoin column of the left row is NULL (no match possible).
+// The returned slice is valid until the next call.
+func (ip *indexProbe) candidates(l rel.Row) ([]rel.Row, bool) {
+	for _, c := range ip.leftCols {
+		if l[c].IsNull() {
+			return nil, false
+		}
+	}
+	ip.keyBuf = rel.AppendRowCols(ip.keyBuf[:0], l, ip.leftCols)
+	var rows []rel.Row
+	if ip.ix != nil {
+		rows = ip.ix.LookupBytes(ip.keyBuf)
+	} else if row, ok := ip.t.GetEncodedBytes(ip.keyBuf); ok {
+		ip.oneRow[0] = row
+		rows = ip.oneRow[:]
+	}
+	if ip.excludeKeys == nil && ip.deltaByProbe == nil && ip.sel == nil {
+		return rows, true
+	}
+	out := make([]rel.Row, 0, len(rows)+1)
+	for _, r := range rows {
+		if ip.excludeKeys != nil && ip.excludeKeys[ip.t.KeyOf(r)] {
+			continue
+		}
+		out = append(out, r)
+	}
+	if ip.deltaByProbe != nil {
+		out = append(out, ip.deltaByProbe[string(ip.keyBuf)]...)
+	}
+	if ip.sel != nil {
+		kept := out[:0]
+		for _, r := range out {
+			if ip.sel(r) == algebra.True {
+				kept = append(kept, r)
+			}
+		}
+		out = kept
+	}
+	return out, true
 }
 
 // JoinRelations joins two already-materialized relations with the given
@@ -280,6 +300,6 @@ func newRelSource(ctx *Context, r Relation) Source {
 	return &scanSource{
 		opBase: opBase{schema: r.Schema},
 		ctx:    ctx,
-		fetch:  func() ([]rel.Row, error) { return r.Rows, nil },
+		fetch:  func(*Context) []rel.Row { return r.Rows },
 	}
 }

@@ -1,0 +1,270 @@
+package exec
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"ojv/internal/algebra"
+	"ojv/internal/fixture"
+	"ojv/internal/rel"
+)
+
+// This file proves a compiled Program is reusable and stateless: one
+// Compile, many Starts — with different deltas, both delta directions,
+// every (Parallelism, BatchSize) setting, base tables mutated in between,
+// abandoned runs, and concurrent runs — each equal to the materializing
+// oracle and to a pipeline compiled fresh for that run.
+
+// drainProgram starts p under ctx and drains it, failing the test on any
+// error.
+func drainProgram(t testing.TB, p *Program, ctx *Context) Relation {
+	t.Helper()
+	src, err := p.Start(ctx)
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	if err := src.Open(); err != nil {
+		src.Close()
+		t.Fatalf("open: %v", err)
+	}
+	out, err := Drain(src)
+	if cerr := src.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return out
+}
+
+// reuseCases is the TestStreamEquivalence table plus index probes into a
+// table's old state, whose per-run half (exclude set, transient delta
+// index) is the most stateful thing Start binds.
+func reuseCases(rng *rand.Rand) []streamCase {
+	cases := streamCases(rng)
+	for _, kind := range allJoinKinds {
+		if kind == algebra.RightOuterJoin || kind == algebra.FullOuterJoin {
+			continue
+		}
+		cases = append(cases, streamCase{
+			name: "join-oldprobe-" + kind.String(),
+			expr: &algebra.Join{
+				Kind:  kind,
+				Left:  &algebra.TableRef{Name: "A"},
+				Right: &algebra.OldTableRef{Name: "B"},
+				Pred:  algebra.Eq("A", "Aj", "B", "Bj"),
+			},
+		})
+	}
+	return cases
+}
+
+// reuseRun is one run's bindings over the shared catalog.
+type reuseRun struct {
+	fx      *streamFixture
+	rng     *rand.Rand
+	nextKey int64
+}
+
+// mutate changes the base tables every program reads: fresh rows into A
+// and B, one old row out of each.
+func (r *reuseRun) mutate(t testing.TB) {
+	t.Helper()
+	for _, name := range []string{"A", "B"} {
+		tab := r.fx.cat.Table(name)
+		victim := sortedRows(tab.Rows())[0]
+		if _, err := r.fx.cat.Delete(name, [][]rel.Value{victim.Project(tab.KeyCols())}); err != nil {
+			t.Fatal(err)
+		}
+		rows := []rel.Row{fixture.RandRow(r.rng, r.nextKey), fixture.RandRow(r.rng, r.nextKey+1)}
+		r.nextKey += 2
+		if err := r.fx.cat.Insert(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// context binds run i: an insert run's deltas are rows now in the tables,
+// a delete run's are rows no longer there, as maintenance would see them.
+func (r *reuseRun) context(i, par, batch int) *Context {
+	insert := i%2 == 0
+	deltas := make(map[string][]rel.Row)
+	for _, name := range []string{"A", "B"} {
+		if insert {
+			snap := sortedRows(r.fx.cat.Table(name).Rows())
+			deltas[name] = snap[i : i+4]
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			deltas[name] = append(deltas[name], fixture.RandRow(r.rng, r.nextKey))
+			r.nextKey++
+		}
+	}
+	return &Context{
+		Catalog:       r.fx.cat,
+		Deltas:        deltas,
+		DeltaIsInsert: insert,
+		Rels:          map[string]Relation{"__r": {Schema: r.fx.relA.Schema, Rows: r.fx.relA.Rows[i%3:]}},
+		Parallelism:   par,
+		BatchSize:     batch,
+	}
+}
+
+func TestProgramReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	// Small tables: the quadratic oracle runs once per run here, not once
+	// per case.
+	fx := newStreamFixture(t, rng, 40)
+	runs := &reuseRun{fx: fx, rng: rng, nextKey: 1 << 20}
+	rels := map[string]rel.Schema{"__r": fx.relA.Schema}
+	for _, tc := range reuseCases(rng) {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Compile(fx.cat, rels, tc.expr)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			for i, s := range streamSettings {
+				runs.mutate(t)
+				ctx := runs.context(i, s.par, s.batch)
+				want, err := evalReference(ctx, tc.expr)
+				if err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
+				if i == 2 {
+					// A run abandoned after one batch must leave nothing
+					// behind for the next one.
+					src, err := prog.Start(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := src.Open(); err != nil {
+						src.Close()
+						t.Fatal(err)
+					}
+					var b Batch
+					if _, err := src.Next(&b); err != nil {
+						t.Fatal(err)
+					}
+					if err := src.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := drainProgram(t, prog, ctx)
+				fresh := evalOK(t, ctx, tc.expr)
+				if got.Schema.String() != want.Schema.String() || got.Schema.String() != fresh.Schema.String() {
+					t.Fatalf("run %d: schema %s, oracle %s, fresh pipeline %s", i, got.Schema, want.Schema, fresh.Schema)
+				}
+				if !sameRelation(got, want) {
+					t.Fatalf("run %d (par=%d batch=%d insert=%v): %d rows differ from oracle's %d rows\n%s",
+						i, s.par, s.batch, ctx.DeltaIsInsert, len(got.Rows), len(want.Rows), tc.expr)
+				}
+				if !sameRelation(got, fresh) {
+					t.Fatalf("run %d: reused program and fresh pipeline disagree", i)
+				}
+			}
+		})
+	}
+}
+
+// TestProgramConcurrentStart starts one program from four goroutines at
+// once (view.Maintainer.Plan hands the same program to concurrent Query and
+// EXPLAIN callers); under -race this is the proof that Start shares no
+// mutable state through the program.
+func TestProgramConcurrentStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	fx := newStreamFixture(t, rng, 40)
+	runs := &reuseRun{fx: fx, rng: rng, nextKey: 1 << 20}
+	rels := map[string]rel.Schema{"__r": fx.relA.Schema}
+	for _, tc := range reuseCases(rng) {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Compile(fx.cat, rels, tc.expr)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			const goroutines = 4
+			ctxs := make([]*Context, goroutines)
+			wants := make([]Relation, goroutines)
+			for g := range ctxs {
+				s := streamSettings[g]
+				ctxs[g] = runs.context(g, s.par, s.batch)
+				if wants[g], err = evalReference(ctxs[g], tc.expr); err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
+			}
+			var wg sync.WaitGroup
+			for g := range ctxs {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for rep := 0; rep < 2; rep++ {
+						src, err := prog.Start(ctxs[g])
+						if err != nil {
+							t.Errorf("goroutine %d: start: %v", g, err)
+							return
+						}
+						err = src.Open()
+						var got Relation
+						if err == nil {
+							got, err = Drain(src)
+						}
+						if cerr := src.Close(); err == nil {
+							err = cerr
+						}
+						if err != nil {
+							t.Errorf("goroutine %d: %v", g, err)
+							return
+						}
+						if !sameRelation(got, wants[g]) {
+							t.Errorf("goroutine %d rep %d: %d rows differ from oracle's %d", g, rep, len(got.Rows), len(wants[g].Rows))
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestProgramSubAndPlan pins the two read-only views of a program: Sub
+// finds an operator by expression identity (and only operators — an index
+// join's right operand lives in its probe plan), and String names each
+// join's algorithm and the key or index an index join probes.
+func TestProgramSubAndPlan(t *testing.T) {
+	cat, err := fixture.RandCatalog(rand.New(rand.NewSource(5)), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, c, d := &algebra.TableRef{Name: "B"}, &algebra.TableRef{Name: "C"}, &algebra.TableRef{Name: "D"}
+	inner := &algebra.Join{Kind: algebra.LeftOuterJoin, Left: &algebra.DeltaRef{Name: "A"}, Right: b, Pred: algebra.Eq("A", "Aj", "B", "Bj")}
+	byKey := &algebra.Join{Kind: algebra.InnerJoin, Left: inner, Right: c, Pred: algebra.Eq("B", "Bv", "C", "Ck")}
+	root := &algebra.Join{Kind: algebra.FullOuterJoin, Left: byKey, Right: d, Pred: algebra.Eq("C", "Cj", "D", "Dj")}
+	prog, err := Compile(cat, nil, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `join.hash[fo] build right on C.Cj=D.Dj
+  join.index[join] probe C via unique key(Ck)
+    join.index[lo] probe B via index B_j(Bj)
+      scan ΔA
+  scan D
+`
+	if got := prog.String(); got != want {
+		t.Errorf("physical plan:\n%s\nwant:\n%s", got, want)
+	}
+	if sub := prog.Sub(inner); sub == nil || len(sub.Schema()) != 6 {
+		t.Fatalf("Sub(A lo B) = %v, want the six-column join", sub)
+	}
+	if prog.Sub(b) != nil {
+		t.Error("Sub found the right operand of an index join, which is never an operator")
+	}
+	if prog.Generation() != cat.DesignGeneration() {
+		t.Errorf("generation %d, catalog at %d", prog.Generation(), cat.DesignGeneration())
+	}
+	// A sub-program runs on its own and yields what compiling the subtree
+	// fresh yields.
+	ctx := &Context{Catalog: cat, Deltas: map[string][]rel.Row{"A": sortedRows(cat.Table("A").Rows())[:5]}, DeltaIsInsert: true}
+	if got, fresh := drainProgram(t, prog.Sub(inner), ctx), evalOK(t, ctx, inner); !sameRelation(got, fresh) {
+		t.Errorf("sub-program produced %d rows, fresh compile %d", len(got.Rows), len(fresh.Rows))
+	}
+}

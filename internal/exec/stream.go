@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"ojv/internal/algebra"
 	"ojv/internal/obs"
@@ -21,12 +22,31 @@ import (
 // buffer, transform once, and then emit in batches. Hash-join build sides
 // are materialized for the same reason (see streamjoin.go).
 
-// NewPipeline compiles an expression into a streaming operator pipeline.
-// The caller must Open the source, pull it with Next, and Close it on every
-// path once compilation succeeded. Eval wraps this into the materializing
-// compatibility interface.
+// NewPipeline compiles an expression and starts it once: the one-shot entry
+// point for callers that evaluate an expression a single time (Eval, view
+// materialization, the checkers). Anything that runs the same expression
+// repeatedly keeps the Program and calls Start per run. The caller must
+// Open the source, pull it with Next, and Close it on every path once
+// NewPipeline succeeded.
 func NewPipeline(ctx *Context, e algebra.Expr) (Source, error) {
-	return build(ctx, e, ctx.span())
+	p, err := Compile(ctx.Catalog, ctx.relSchemas(), e)
+	if err != nil {
+		return nil, err
+	}
+	return p.Start(ctx)
+}
+
+// relSchemas lists the schemas of the context's bound relations, which is
+// all Compile wants of them.
+func (c *Context) relSchemas() map[string]rel.Schema {
+	if len(c.Rels) == 0 {
+		return nil
+	}
+	out := make(map[string]rel.Schema, len(c.Rels))
+	for name, r := range c.Rels {
+		out[name] = r.Schema
+	}
+	return out
 }
 
 // span returns the parent span operator spans attach under (nil when
@@ -75,166 +95,169 @@ func (o *opBase) finish() {
 	}
 }
 
-// build compiles one node. parent is the span operator spans nest under.
-func build(ctx *Context, e algebra.Expr, parent *obs.Span) (Source, error) {
-	if src, ok := ctx.Bound[e]; ok {
-		sp := opSpan(parent, "exec.shared.consume")
-		return &consumeSource{opBase: opBase{schema: src.Schema(), span: sp}, in: src}, nil
-	}
-	switch n := e.(type) {
+// compileOp compiles the operator of one node whose inputs (n.kids) are
+// already compiled: it resolves everything static — schemas, predicates,
+// column offsets, the physical join — and leaves in n.start the per-run
+// remainder, which allocates the operator struct, opens its span and starts
+// its inputs.
+func (c *compiler) compileOp(n *node) error {
+	switch e := n.expr.(type) {
 	case *algebra.TableRef:
-		t := ctx.Catalog.Table(n.Name)
-		if t == nil {
-			return nil, fmt.Errorf("exec: unknown table %s", n.Name)
+		t, err := c.table(e.Name)
+		if err != nil {
+			return err
 		}
-		sp := opSpan(parent, "exec.scan").SetStr("table", n.Name)
-		return &scanSource{
-			opBase:  opBase{schema: t.Schema(), span: sp},
-			ctx:     ctx,
-			fetch:   func() ([]rel.Row, error) { return t.Rows(), nil },
-			counted: true,
-		}, nil
+		compileScan(n, e.Name, t.Schema(), func(*Context) []rel.Row { return t.Rows() }, nil, true)
 
 	case *algebra.DeltaRef:
-		t := ctx.Catalog.Table(n.Name)
-		if t == nil {
-			return nil, fmt.Errorf("exec: unknown table %s", n.Name)
+		t, err := c.table(e.Name)
+		if err != nil {
+			return err
 		}
-		sp := opSpan(parent, "exec.scan").SetStr("table", "Δ"+n.Name)
-		return &scanSource{
-			opBase:  opBase{schema: t.Schema(), span: sp},
-			ctx:     ctx,
-			fetch:   func() ([]rel.Row, error) { return ctx.Deltas[n.Name], nil },
-			counted: true,
-		}, nil
+		compileScan(n, "Δ"+e.Name, t.Schema(), func(ctx *Context) []rel.Row { return ctx.Deltas[e.Name] }, nil, true)
 
 	case *algebra.OldTableRef:
-		return buildOldScan(ctx, n.Name, parent)
+		t, err := c.table(e.Name)
+		if err != nil {
+			return err
+		}
+		compileScan(n, e.Name+"±", t.Schema(), func(*Context) []rel.Row { return t.Rows() }, t, true)
 
 	case *algebra.RelRef:
-		r, ok := ctx.Rels[n.Name]
+		sch, ok := c.rels[e.Name]
 		if !ok {
-			return nil, fmt.Errorf("exec: unbound relation %s", n.Name)
+			return fmt.Errorf("exec: unbound relation %s", e.Name)
 		}
-		sp := opSpan(parent, "exec.scan").SetStr("table", n.Name)
-		return &scanSource{
-			opBase: opBase{schema: r.Schema, span: sp},
-			ctx:    ctx,
-			fetch:  func() ([]rel.Row, error) { return r.Rows, nil },
-		}, nil
+		n.rels = []string{e.Name}
+		// A bound relation is an intermediate result, not base data: its
+		// rows stay out of exec.rows.scanned.
+		compileScan(n, e.Name, sch, func(ctx *Context) []rel.Row { return ctx.Rels[e.Name].Rows }, nil, false)
 
 	case *algebra.Select:
-		sp := opSpan(parent, "exec.select")
-		in, err := build(ctx, n.Input, sp)
+		in := n.kids[0]
+		pred, err := e.Pred.Compile(in.schema)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		f, err := n.Pred.Compile(in.Schema())
-		if err != nil {
-			return nil, err
+		n.label = "select " + e.Pred.String()
+		n.schema = in.schema
+		n.start = func(ctx *Context, parent *obs.Span) Source {
+			sp := opSpan(parent, "exec.select")
+			return &selectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.open(ctx, sp), pred: pred}
 		}
-		return &selectSource{opBase: opBase{schema: in.Schema(), span: sp}, in: in, pred: f}, nil
 
 	case *algebra.Project:
-		sp := opSpan(parent, "exec.project")
-		in, err := build(ctx, n.Input, sp)
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]int, len(n.Cols))
-		for i, c := range n.Cols {
-			p := in.Schema().IndexOf(c.Table, c.Column)
+		in := n.kids[0]
+		cols := make([]int, len(e.Cols))
+		for i, col := range e.Cols {
+			p := in.schema.IndexOf(col.Table, col.Column)
 			if p < 0 {
-				return nil, fmt.Errorf("exec: projected column %s not in %s", c, in.Schema())
+				return fmt.Errorf("exec: projected column %s not in %s", col, in.schema)
 			}
 			cols[i] = p
 		}
-		return &projectSource{
-			opBase: opBase{schema: in.Schema().Project(cols), span: sp},
-			in:     in, cols: cols,
-		}, nil
+		n.label = "project"
+		n.schema = in.schema.Project(cols)
+		n.start = func(ctx *Context, parent *obs.Span) Source {
+			sp := opSpan(parent, "exec.project")
+			return &projectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.open(ctx, sp), cols: cols}
+		}
 
 	case *algebra.Join:
-		return buildJoin(ctx, n, parent)
+		return c.compileJoin(n, e)
 
 	case *algebra.OuterUnion:
-		_, src, err := buildUnion(ctx, n.Inputs, parent)
-		return src, err
+		n.label = "union"
+		n.schema, n.start = compileUnion(n.kids)
 
 	case *algebra.MinUnion:
-		sp := opSpan(parent, "exec.minunion")
-		schema, union, err := buildUnion(ctx, n.Inputs, sp)
-		if err != nil {
-			return nil, err
+		schema, union := compileUnion(n.kids)
+		n.label = "minunion"
+		n.schema = schema
+		n.start = func(ctx *Context, parent *obs.Span) Source {
+			sp := opSpan(parent, "exec.minunion")
+			return &blockingSource{
+				opBase: opBase{schema: schema, span: sp},
+				ctx:    ctx, in: union(ctx, sp), transform: dropSubsumed,
+			}
 		}
-		return &blockingSource{
-			opBase: opBase{schema: schema, span: sp},
-			ctx:    ctx, in: union,
-			transform: func(rows []rel.Row) ([]rel.Row, error) {
-				ctx.Metrics.Add("exec.condense.rows", int64(len(rows)))
-				return removeSubsumed(rows), nil
-			},
-		}, nil
 
 	case *algebra.RemoveSubsumed:
-		sp := opSpan(parent, "exec.condense")
-		in, err := build(ctx, n.Input, sp)
-		if err != nil {
-			return nil, err
+		in := n.kids[0]
+		n.label = "condense ↓"
+		n.schema = in.schema
+		n.start = func(ctx *Context, parent *obs.Span) Source {
+			sp := opSpan(parent, "exec.condense")
+			return &blockingSource{
+				opBase: opBase{schema: n.schema, span: sp},
+				ctx:    ctx, in: in.open(ctx, sp), transform: dropSubsumed,
+			}
 		}
-		return &blockingSource{
-			opBase: opBase{schema: in.Schema(), span: sp},
-			ctx:    ctx, in: in,
-			transform: func(rows []rel.Row) ([]rel.Row, error) {
-				ctx.Metrics.Add("exec.condense.rows", int64(len(rows)))
-				return removeSubsumed(rows), nil
-			},
-		}, nil
 
 	case *algebra.Dedup:
-		sp := opSpan(parent, "exec.dedup")
-		in, err := build(ctx, n.Input, sp)
-		if err != nil {
-			return nil, err
+		in := n.kids[0]
+		n.label = "dedup"
+		n.schema = in.schema
+		n.start = func(ctx *Context, parent *obs.Span) Source {
+			sp := opSpan(parent, "exec.dedup")
+			return &dedupSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.open(ctx, sp)}
 		}
-		return &dedupSource{opBase: opBase{schema: in.Schema(), span: sp}, ctx: ctx, in: in}, nil
 
 	case *algebra.NullIf:
-		return buildNullIf(ctx, n, parent)
+		return compileNullIf(n, e)
 
 	case *algebra.Condense:
-		return buildCondense(ctx, n, parent)
+		return compileCondense(n, e)
 
 	case *algebra.Pad:
-		sp := opSpan(parent, "exec.pad")
-		in, err := build(ctx, n.Input, sp)
-		if err != nil {
-			return nil, err
+		in := n.kids[0]
+		n.label = "pad " + strings.Join(e.Tables_, ",")
+		n.start = func(ctx *Context, parent *obs.Span) Source {
+			sp := opSpan(parent, "exec.pad")
+			return &padSource{opBase: opBase{schema: n.schema, span: sp}, in: in.open(ctx, sp)}
 		}
-		outSchema, err := algebra.SchemaOf(n, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &padSource{opBase: opBase{schema: outSchema, span: sp}, in: in}, nil
 
 	case *algebra.GroupBy:
-		return buildGroupBy(ctx, n, parent)
+		return compileGroupBy(n, e)
 
 	default:
-		return nil, fmt.Errorf("exec: unknown node %T", e)
+		return fmt.Errorf("exec: unknown node %T", e)
 	}
+	return nil
+}
+
+// compileScan compiles a leaf: a scan of the rows fetch reads out of the
+// run's context, reported under the given name. old, when non-nil, makes it
+// the pre-update state of that table (see scanSource).
+func compileScan(n *node, name string, schema rel.Schema, fetch func(*Context) []rel.Row, old *rel.Table, counted bool) {
+	n.label = "scan " + name
+	n.schema = schema
+	n.start = func(ctx *Context, parent *obs.Span) Source {
+		sp := opSpan(parent, "exec.scan").SetStr("table", name)
+		return &scanSource{opBase: opBase{schema: schema, span: sp}, ctx: ctx, fetch: fetch, old: old, counted: counted}
+	}
+}
+
+// dropSubsumed is the ↓ transform of the blocking operators.
+func dropSubsumed(ctx *Context, rows []rel.Row) []rel.Row {
+	ctx.Metrics.Add("exec.condense.rows", int64(len(rows)))
+	return removeSubsumed(rows)
 }
 
 // scanSource streams a row slice obtained once at Open: a base-table
 // snapshot, a bound delta or relation, or a reconstructed old table state.
-// An optional keep filter drops rows during emission (the old-state
-// insert case excludes freshly inserted keys without building the filtered
-// slice).
+// fetch is compiled (it reads the rows out of whichever context runs it).
 type scanSource struct {
 	opBase
-	ctx     *Context
-	fetch   func() ([]rel.Row, error)
-	keep    func(rel.Row) bool
+	ctx   *Context
+	fetch func(*Context) []rel.Row
+	// old, when non-nil, makes this the pre-update state of that table: the
+	// current contents minus the inserted delta, or plus the deleted delta.
+	// This is how the paper's T± ⋉la_eq(T) ΔT (insertions) and T± + ΔT
+	// (deletions) are realized, without materializing the reconstructed
+	// state — the insert case drops the fresh keys (exclude) during emission.
+	old     *rel.Table
+	exclude map[string]bool
 	counted bool // publish emitted rows to exec.rows.scanned
 
 	rows []rel.Row
@@ -242,11 +265,19 @@ type scanSource struct {
 }
 
 func (s *scanSource) Open() error {
-	rows, err := s.fetch()
-	if err != nil {
-		return err
+	s.rows = s.fetch(s.ctx)
+	if s.old == nil {
+		return nil
 	}
-	s.rows = rows
+	delta := s.ctx.Deltas[s.old.Name()]
+	if !s.ctx.DeltaIsInsert {
+		s.rows = append(s.rows, delta...)
+	} else if len(delta) > 0 {
+		s.exclude = make(map[string]bool, len(delta))
+		for _, d := range delta {
+			s.exclude[s.old.KeyOf(d)] = true
+		}
+	}
 	return nil
 }
 
@@ -256,7 +287,7 @@ func (s *scanSource) Next(b *Batch) (bool, error) {
 	for s.pos < len(s.rows) && b.Len() < limit {
 		r := s.rows[s.pos]
 		s.pos++
-		if s.keep != nil && !s.keep(r) {
+		if s.exclude != nil && s.exclude[s.old.KeyOf(r)] {
 			continue
 		}
 		b.Append(r)
@@ -275,39 +306,6 @@ func (s *scanSource) Close() error {
 	s.rows = nil
 	s.finish()
 	return nil
-}
-
-// buildOldScan streams the pre-update state of a table: the current
-// contents minus the inserted delta, or plus the deleted delta. This is how
-// the paper's T± ⋉la_eq(T) ΔT (insertions) and T± + ΔT (deletions) are
-// realized, without materializing the reconstructed state.
-func buildOldScan(ctx *Context, name string, parent *obs.Span) (Source, error) {
-	t := ctx.Catalog.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("exec: unknown table %s", name)
-	}
-	sp := opSpan(parent, "exec.scan").SetStr("table", name+"±")
-	s := &scanSource{
-		opBase:  opBase{schema: t.Schema(), span: sp},
-		ctx:     ctx,
-		counted: true,
-	}
-	s.fetch = func() ([]rel.Row, error) {
-		delta := ctx.Deltas[name]
-		if len(delta) == 0 {
-			return t.Rows(), nil
-		}
-		if ctx.DeltaIsInsert {
-			deleted := make(map[string]bool, len(delta))
-			for _, d := range delta {
-				deleted[t.KeyOf(d)] = true
-			}
-			s.keep = func(r rel.Row) bool { return !deleted[t.KeyOf(r)] }
-			return t.Rows(), nil
-		}
-		return append(t.Rows(), delta...), nil
-	}
-	return s, nil
 }
 
 // selectSource filters batches in place: it pulls the input into the
@@ -374,27 +372,29 @@ func (s *projectSource) Close() error {
 	return err
 }
 
-// buildNullIf compiles the λ operator: rows failing the Unless predicate
+// compileNullIf compiles the λ operator: rows failing the Unless predicate
 // get the null-table columns cleared on a fresh copy; passing rows stream
 // through untouched.
-func buildNullIf(ctx *Context, n *algebra.NullIf, parent *obs.Span) (Source, error) {
-	sp := opSpan(parent, "exec.lambda")
-	in, err := build(ctx, n.Input, sp)
+func compileNullIf(n *node, e *algebra.NullIf) error {
+	in := n.kids[0]
+	pred, err := e.Unless.Compile(in.schema)
 	if err != nil {
-		return nil, err
-	}
-	f, err := n.Unless.Compile(in.Schema())
-	if err != nil {
-		return nil, err
+		return err
 	}
 	var nullCols []int
-	for _, t := range n.NullTables {
-		nullCols = append(nullCols, in.Schema().TableColumns(t)...)
+	for _, t := range e.NullTables {
+		nullCols = append(nullCols, in.schema.TableColumns(t)...)
 	}
-	return &nullIfSource{
-		opBase: opBase{schema: in.Schema(), span: sp},
-		ctx:    ctx, in: in, pred: f, nullCols: nullCols,
-	}, nil
+	n.label = "lambda null " + strings.Join(e.NullTables, ",") + " unless " + e.Unless.String()
+	n.schema = in.schema
+	n.start = func(ctx *Context, parent *obs.Span) Source {
+		sp := opSpan(parent, "exec.lambda")
+		return &nullIfSource{
+			opBase: opBase{schema: n.schema, span: sp},
+			ctx:    ctx, in: in.open(ctx, sp), pred: pred, nullCols: nullCols,
+		}
+	}
+	return nil
 }
 
 type nullIfSource struct {
@@ -507,32 +507,24 @@ func (s *padSource) Close() error {
 	return err
 }
 
-// buildUnion compiles the inputs of an outer union and returns the union
-// schema plus a source streaming the inputs in sequence, padded into the
-// union schema. Inputs whose schema already equals the union schema stream
-// through without per-row copies.
-func buildUnion(ctx *Context, inputs []algebra.Expr, parent *obs.Span) (rel.Schema, Source, error) {
-	sp := opSpan(parent, "exec.union")
-	ins := make([]Source, len(inputs))
+// compileUnion compiles an outer union over already-compiled inputs and
+// returns the union schema plus the start function of a source streaming
+// the inputs in sequence, padded into the union schema. Inputs whose schema
+// already equals the union schema stream through without per-row copies.
+func compileUnion(ins []*node) (rel.Schema, func(*Context, *obs.Span) Source) {
 	var schema rel.Schema
-	for i, e := range inputs {
-		src, err := build(ctx, e, sp)
-		if err != nil {
-			return nil, nil, err
-		}
-		ins[i] = src
+	for i, in := range ins {
 		if i == 0 {
-			schema = src.Schema()
+			schema = in.schema
 		} else {
-			schema = schema.Union(src.Schema())
+			schema = schema.Union(in.schema)
 		}
 	}
 	mappings := make([][]int, len(ins))
-	for i, src := range ins {
-		in := src.Schema()
-		identity := len(in) == len(schema)
-		mapping := make([]int, len(in))
-		for j, c := range in {
+	for i, in := range ins {
+		identity := len(in.schema) == len(schema)
+		mapping := make([]int, len(in.schema))
+		for j, c := range in.schema {
 			mapping[j] = schema.MustIndexOf(c.Table, c.Name)
 			if mapping[j] != j {
 				identity = false
@@ -542,11 +534,14 @@ func buildUnion(ctx *Context, inputs []algebra.Expr, parent *obs.Span) (rel.Sche
 			mappings[i] = mapping
 		}
 	}
-	return schema, &unionSource{
-		opBase:   opBase{schema: schema, span: sp},
-		ins:      ins,
-		mappings: mappings,
-	}, nil
+	return schema, func(ctx *Context, parent *obs.Span) Source {
+		sp := opSpan(parent, "exec.union")
+		srcs := make([]Source, len(ins))
+		for i, in := range ins {
+			srcs[i] = in.open(ctx, sp)
+		}
+		return &unionSource{opBase: opBase{schema: schema, span: sp}, ins: srcs, mappings: mappings}
+	}
 }
 
 type unionSource struct {
@@ -609,7 +604,7 @@ type blockingSource struct {
 	opBase
 	ctx       *Context
 	in        Source
-	transform func(rows []rel.Row) ([]rel.Row, error)
+	transform func(ctx *Context, rows []rel.Row) []rel.Row
 
 	started bool
 	out     []rel.Row
@@ -625,9 +620,7 @@ func (s *blockingSource) Next(b *Batch) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if s.out, err = s.transform(in.Rows); err != nil {
-			return false, err
-		}
+		s.out = s.transform(s.ctx, in.Rows)
 	}
 	b.Reset()
 	limit := s.ctx.batchSize()
@@ -649,31 +642,33 @@ func (s *blockingSource) Close() error {
 	return err
 }
 
-// buildCondense compiles the grouped condense: within each group key, ↓
+// compileCondense compiles the grouped condense: within each group key, ↓
 // then δ. Like the other subsumption operators it is blocking.
-func buildCondense(ctx *Context, n *algebra.Condense, parent *obs.Span) (Source, error) {
-	sp := opSpan(parent, "exec.condense")
-	in, err := build(ctx, n.Input, sp)
-	if err != nil {
-		return nil, err
-	}
-	keyCols := make([]int, len(n.GroupKey))
-	for i, c := range n.GroupKey {
-		p := in.Schema().IndexOf(c.Table, c.Column)
+func compileCondense(n *node, e *algebra.Condense) error {
+	in := n.kids[0]
+	keyCols := make([]int, len(e.GroupKey))
+	for i, c := range e.GroupKey {
+		p := in.schema.IndexOf(c.Table, c.Column)
 		if p < 0 {
-			return nil, fmt.Errorf("exec: condense key column %s not in %s", c, in.Schema())
+			return fmt.Errorf("exec: condense key column %s not in %s", c, in.schema)
 		}
 		keyCols[i] = p
 	}
-	return &blockingSource{
-		opBase: opBase{schema: in.Schema(), span: sp},
-		ctx:    ctx, in: in,
-		transform: func(rows []rel.Row) ([]rel.Row, error) {
-			out := condenseRows(rows, keyCols)
-			ctx.Metrics.Add("exec.condense.rows", int64(len(out)))
-			return out, nil
-		},
-	}, nil
+	transform := func(ctx *Context, rows []rel.Row) []rel.Row {
+		out := condenseRows(rows, keyCols)
+		ctx.Metrics.Add("exec.condense.rows", int64(len(out)))
+		return out
+	}
+	n.label = "condense ↓δ"
+	n.schema = in.schema
+	n.start = func(ctx *Context, parent *obs.Span) Source {
+		sp := opSpan(parent, "exec.condense")
+		return &blockingSource{
+			opBase: opBase{schema: n.schema, span: sp},
+			ctx:    ctx, in: in.open(ctx, sp), transform: transform,
+		}
+	}
+	return nil
 }
 
 // condenseRows applies ↓ then δ within each group (globally when keyCols is

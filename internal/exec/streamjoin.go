@@ -16,63 +16,55 @@ import (
 // is impossible for outer joins, and a materialized build side is what
 // makes the probe side stream — while the probe side flows batch-at-a-time
 // with optional morsel parallelism inside each batch.
-func buildJoin(ctx *Context, n *algebra.Join, parent *obs.Span) (Source, error) {
-	leftSchema, err := algebra.SchemaOf(n.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rightSchema, err := algebra.SchemaOf(n.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
+	left, right := n.kids[0], n.kids[1]
+	leftSchema, rightSchema := left.alg, right.alg
 	concat := leftSchema.Concat(rightSchema)
-	pred, err := n.Pred.Compile(concat)
+	pred, err := e.Pred.Compile(concat)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pairs, _ := algebra.EquiPairs(n.Pred, algebra.TableSet(n.Left), algebra.TableSet(n.Right))
+	pairs, _ := algebra.EquiPairs(e.Pred, algebra.TableSet(e.Left), algebra.TableSet(e.Right))
 
-	outSchema := concat
-	if n.Kind == algebra.SemiJoin || n.Kind == algebra.AntiJoin {
-		outSchema = leftSchema
+	n.schema = concat
+	if e.Kind == algebra.SemiJoin || e.Kind == algebra.AntiJoin {
+		n.schema = leftSchema
 	}
+	kind, rightWidth := e.Kind, len(rightSchema)
 
 	// Index nested loop: only for kinds that never emit unmatched right
 	// rows, when the right operand is a (selected) base table with a hash
-	// index (or the unique key) on exactly the equijoin columns.
-	if n.Kind != algebra.RightOuterJoin && n.Kind != algebra.FullOuterJoin && len(pairs) > 0 {
-		if probe, ok, err := makeIndexProbe(ctx, n.Right, leftSchema, pairs); err != nil {
-			return nil, err
-		} else if ok {
-			sp := opSpan(parent, "exec.join.index")
-			left, err := build(ctx, n.Left, sp)
-			if err != nil {
-				return nil, err
+	// index (or the unique key) on exactly the equijoin columns. The right
+	// operand then lives in the probe plan and is never started.
+	if kind != algebra.RightOuterJoin && kind != algebra.FullOuterJoin && len(pairs) > 0 {
+		probe, err := c.planIndexProbe(e.Right, leftSchema, pairs)
+		if err != nil {
+			return err
+		}
+		if probe != nil {
+			n.label = fmt.Sprintf("join.index[%s] %s", kind, probe)
+			n.kids = n.kids[:1]
+			n.start = func(ctx *Context, parent *obs.Span) Source {
+				sp := opSpan(parent, "exec.join.index")
+				return &probeJoinSource{
+					opBase:     opBase{schema: n.schema, span: sp},
+					ctx:        ctx,
+					kind:       kind,
+					left:       left.open(ctx, sp),
+					rightWidth: rightWidth,
+					pred:       pred,
+					probe:      probe.start(ctx),
+				}
 			}
-			return &probeJoinSource{
-				opBase:     opBase{schema: outSchema, span: sp},
-				ctx:        ctx,
-				kind:       n.Kind,
-				left:       left,
-				rightWidth: len(rightSchema),
-				pred:       pred,
-				probe:      probe,
-			}, nil
+			return nil
 		}
 	}
 
 	name := "exec.join.hash"
+	n.label = fmt.Sprintf("join.hash[%s] build right on %s", kind, e.Pred)
 	if len(pairs) == 0 {
 		name = "exec.join.nested"
-	}
-	sp := opSpan(parent, name)
-	left, err := build(ctx, n.Left, sp)
-	if err != nil {
-		return nil, err
-	}
-	right, err := build(ctx, n.Right, sp)
-	if err != nil {
-		return nil, err
+		n.label = fmt.Sprintf("join.nested[%s] on %s", kind, e.Pred)
 	}
 	leftCols := make([]int, len(pairs))
 	rightCols := make([]int, len(pairs))
@@ -80,25 +72,29 @@ func buildJoin(ctx *Context, n *algebra.Join, parent *obs.Span) (Source, error) 
 		leftCols[i] = leftSchema.MustIndexOf(p[0].Table, p[0].Column)
 		rightCols[i] = rightSchema.MustIndexOf(p[1].Table, p[1].Column)
 	}
-	return &hashJoinSource{
-		opBase:     opBase{schema: outSchema, span: sp},
-		ctx:        ctx,
-		kind:       n.Kind,
-		left:       left,
-		right:      right,
-		pred:       pred,
-		leftCols:   leftCols,
-		rightCols:  rightCols,
-		leftWidth:  len(leftSchema),
-		rightWidth: len(rightSchema),
-	}, nil
+	leftWidth := len(leftSchema)
+	n.start = func(ctx *Context, parent *obs.Span) Source {
+		sp := opSpan(parent, name)
+		return &hashJoinSource{
+			opBase:     opBase{schema: n.schema, span: sp},
+			ctx:        ctx,
+			kind:       kind,
+			left:       left.open(ctx, sp),
+			right:      right.open(ctx, sp),
+			pred:       pred,
+			leftCols:   leftCols,
+			rightCols:  rightCols,
+			leftWidth:  leftWidth,
+			rightWidth: rightWidth,
+		}
+	}
+	return nil
 }
 
 // probeJoinSource drives inner/left-outer/semi/anti joins through an index
 // probe: left batches stream in, each row probes the right table's index.
-// The probe closure carries serial scratch state, so probing never
-// parallelizes — index lookups are already proportional to the (small)
-// delta on the left.
+// The probe carries serial scratch state, so probing never parallelizes —
+// index lookups are already proportional to the (small) delta on the left.
 type probeJoinSource struct {
 	opBase
 	ctx        *Context
@@ -106,7 +102,7 @@ type probeJoinSource struct {
 	left       Source
 	rightWidth int
 	pred       func(rel.Row) algebra.Tri
-	probe      probeFunc
+	probe      indexProbe
 
 	in     Batch
 	rowBuf rel.Row
@@ -125,14 +121,17 @@ func (s *probeJoinSource) Next(b *Batch) (bool, error) {
 			return false, nil
 		}
 		s.ctx.Metrics.Add("exec.join.index.probe_rows", int64(s.in.Len()))
-		if s.rowBuf == nil && s.in.Len() > 0 {
-			s.rowBuf = make(rel.Row, len(s.in.Rows[0])+s.rightWidth)
-		}
 		for _, l := range s.in.Rows {
 			matched := false
-			cands, ok := s.probe(l)
+			cands, ok := s.probe.candidates(l)
 			if ok {
 				for _, r := range cands {
+					// The candidate is concatenated in place: a row that
+					// passes the predicate is emitted as it stands, and only
+					// the next candidate after it needs a fresh buffer.
+					if s.rowBuf == nil {
+						s.rowBuf = make(rel.Row, len(l)+s.rightWidth)
+					}
 					copy(s.rowBuf, l)
 					copy(s.rowBuf[len(l):], r)
 					if s.pred(s.rowBuf) != algebra.True {
@@ -140,7 +139,8 @@ func (s *probeJoinSource) Next(b *Batch) (bool, error) {
 					}
 					matched = true
 					if s.kind == algebra.InnerJoin || s.kind == algebra.LeftOuterJoin {
-						b.Append(s.rowBuf.Clone())
+						b.Append(s.rowBuf)
+						s.rowBuf = nil
 					} else {
 						break
 					}

@@ -170,7 +170,7 @@ func (h *teeHandle) Close() error {
 	return h.tee.handleClosed()
 }
 
-// consumeSource is the in-pipeline face of a bound shared subtree: build
+// consumeSource is the in-pipeline face of a bound shared subtree: Start
 // substitutes it for the cut node, so the consuming view's plan gets a
 // proper operator span (exec.shared.consume) and per-view row accounting
 // while the handle does the actual serving.

@@ -19,6 +19,9 @@ type Catalog struct {
 	// is atomic because independent flush components bump it concurrently
 	// while each holds only its own table-shard locks (shardlock.go).
 	version atomic.Uint64
+	// design counts changes to the physical design — the table set, the
+	// indexes, the constraints — and nothing else; see DesignGeneration.
+	design atomic.Uint64
 	// epochs holds the publish counter and the lock-free table directory
 	// for snapshot readers; see epoch.go.
 	epochs catalogEpochs
@@ -50,6 +53,13 @@ func NewCatalog() *Catalog {
 	}
 }
 
+// DesignGeneration identifies the catalog's physical design: it moves when
+// a table, an index or a foreign key is added and when Restore swaps the
+// tables, and never on a data commit (that is Version). A compiled executor
+// program holds *Table and *Index pointers and a per-join index choice, so
+// it is valid exactly as long as the generation it was compiled at.
+func (c *Catalog) DesignGeneration() uint64 { return c.design.Load() }
+
 // CreateTable creates a table with the given columns and unique key. Key
 // columns are implicitly NOT NULL, as the paper requires.
 func (c *Catalog) CreateTable(name string, cols []Column, key ...string) (*Table, error) {
@@ -77,6 +87,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, key ...string) (*Table
 	c.tables[name] = t
 	c.names = append(c.names, name)
 	c.version.Add(1)
+	c.design.Add(1)
 	if c.epochs.dir.Load() != nil {
 		c.publishDir()
 	}
@@ -171,6 +182,7 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 	t.fks = append(t.fks, fk)
 	c.inbound[refTable] = append(c.inbound[refTable], inboundFK{fromTable: table, fk: fk, ix: ix, keyPos: keyPos})
 	c.version.Add(1)
+	c.design.Add(1)
 	return nil
 }
 
@@ -193,6 +205,7 @@ func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error
 		return nil, err
 	}
 	c.version.Add(1)
+	c.design.Add(1)
 	return ix, nil
 }
 

@@ -163,3 +163,53 @@ func TestRestoreInPlace(t *testing.T) {
 		t.Fatal("restored catalog accepted a dangling foreign key")
 	}
 }
+
+// TestDesignGeneration: the physical-design generation moves on exactly the
+// changes a compiled executor program cannot survive — a new table, index
+// or foreign key, and Restore swapping the tables — and on nothing a data
+// commit does, failed DDL included.
+func TestDesignGeneration(t *testing.T) {
+	c := snapshotFixture(t)
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	gen := c.DesignGeneration()
+	moved := func(what string, want bool) {
+		t.Helper()
+		if got := c.DesignGeneration(); (got != gen) != want {
+			t.Fatalf("%s: generation %d -> %d, want moved=%v", what, gen, got, want)
+		}
+		gen = c.DesignGeneration()
+	}
+	if err := c.Insert("d", []Row{{Int(3), Str("ops"), MustDate("2003-04-05")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Update("d", []Value{Int(3)}, Row{Int(3), Str("sre"), MustDate("2003-04-05")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Delete("d", [][]Value{{Int(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	moved("insert, update, delete", false)
+	if _, err := c.CreateIndex("e", "e_tmp", "nosuch"); err == nil {
+		t.Fatal("index over a missing column created")
+	}
+	moved("failed CreateIndex", false)
+	if _, err := c.CreateIndex("e", "e_tmp", "tmp"); err != nil {
+		t.Fatal(err)
+	}
+	moved("CreateIndex", true)
+	if _, err := c.CreateTable("f", []Column{{Name: "id", Kind: KindInt}, {Name: "eid", Kind: KindInt, NotNull: true}}, "id"); err != nil {
+		t.Fatal(err)
+	}
+	moved("CreateTable", true)
+	if err := c.AddForeignKey("f", []string{"eid"}, "e", []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	moved("AddForeignKey", true)
+	if err := c.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	moved("Restore", true)
+}

@@ -268,7 +268,7 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, ctx *exec.Context, 
 	}
 	sec := span.Child("secondary").SetStr("source", "base")
 	defer sec.End()
-	cands, err := m.secondaryCandidatesAll(ctx, sec, plan.indirect, primary, isInsert)
+	cands, err := m.secondaryCandidatesAll(ctx, sec, plan, primary, isInsert)
 	if err != nil {
 		return err
 	}

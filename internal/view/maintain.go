@@ -43,7 +43,12 @@ type planKey struct {
 	fkOK  bool
 }
 
-// tablePlan is the compiled maintenance plan for updates to one table.
+// tablePlan is the maintenance plan for updates to one table: a logical
+// half derived from the view definition alone, which never changes, and an
+// executor half (prog, outCols, fromBase) compiled against the catalog's
+// physical design, which Plan replaces — in a copy of the plan, callers may
+// still hold the old one — when the design generation has moved. A plan is
+// immutable once Plan has returned it.
 type tablePlan struct {
 	table string
 	nf    *algebra.NormalForm
@@ -59,7 +64,22 @@ type tablePlan struct {
 	// construction touches only cached keys.
 	shared     []sharedNode
 	sharedKeys map[algebra.Expr]string
+
+	// prog is primary compiled (nil iff primary is); every maintenance run
+	// starts it instead of building a pipeline.
+	prog *exec.Program
+	// outCols maps the view's output schema onto prog's: output column i is
+	// ΔV^D column outCols[i], or NULL when −1 (see outputMapping). Nil for
+	// aggregation views.
+	outCols []int
+	// fromBase holds the compiled §5.3 candidate computation per indirect
+	// term, parallel to indirect; nil unless this maintainer cleans up from
+	// base tables (StrategyFromBase, aggregation views) and prog exists.
+	fromBase []*fromBaseTerm
 }
+
+// Program returns the compiled ΔV^D program (nil when PrimaryExpr is).
+func (p *tablePlan) Program() *exec.Program { return p.prog }
 
 // Graph returns the (possibly FK-reduced) maintenance graph the plan uses.
 func (p *tablePlan) Graph() *algebra.MaintGraph { return p.graph }
@@ -164,21 +184,60 @@ func (m *Maintainer) Materialize() error {
 // Plan returns the compiled maintenance plan for a table (building and
 // caching it on first use). fkOK declares that the update is a plain
 // insert/delete batch for which the Section 6 foreign-key optimizations are
-// sound. Plan is safe for concurrent use.
+// sound. The logical plan is built once; its executor programs are compiled
+// with it and again whenever the catalog's physical design has changed
+// since (an index created after the view's first run is probed by the
+// next). Plan is safe for concurrent use.
 func (m *Maintainer) Plan(table string, fkOK bool) (*tablePlan, error) {
 	fkOK = fkOK && !m.opts.DisableFKGraph
 	key := planKey{table: table, fkOK: fkOK}
 	m.planMu.Lock()
 	defer m.planMu.Unlock()
-	if p, ok := m.plans[key]; ok {
+	p, ok := m.plans[key]
+	switch {
+	case !ok:
+		var err error
+		if p, err = m.buildPlan(table, fkOK); err != nil {
+			return nil, err
+		}
+	case p.prog == nil || p.prog.Generation() == m.def.cat.DesignGeneration():
 		return p, nil
+	default:
+		stale := *p
+		p = &stale
 	}
-	p, err := m.buildPlan(table, fkOK)
-	if err != nil {
+	if err := m.compile(p); err != nil {
 		return nil, err
 	}
 	m.plans[key] = p
 	return p, nil
+}
+
+// compile (re)builds the executor half of a plan against the catalog's
+// current physical design.
+func (m *Maintainer) compile(p *tablePlan) error {
+	if p.primary == nil {
+		return nil
+	}
+	prog, err := exec.Compile(m.def.cat, nil, p.primary)
+	if err != nil {
+		return err
+	}
+	p.prog = prog
+	if m.mv != nil {
+		p.outCols = outputMapping(prog.Schema(), m.mv.schema)
+	}
+	if m.agg == nil && m.opts.Strategy != StrategyFromBase {
+		return nil
+	}
+	witness := m.witnessCols(prog.Schema())
+	p.fromBase = make([]*fromBaseTerm, len(p.indirect))
+	for i, ip := range p.indirect {
+		if p.fromBase[i], err = m.compileFromBase(ip, prog.Schema(), witness); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
@@ -571,22 +630,15 @@ func (m *Maintainer) startMaintSpan(op, table string) *obs.Span {
 		SetInt("parallelism", int64(m.workers()))
 }
 
-// mergeStats combines the delete-pass and insert-pass statistics of a
-// decomposed modify into one report: row counts sum (including per-term
-// secondary counts) and the term counts take the larger pass, so neither
-// pass's plan shape is dropped.
 // AccumulateStats folds one maintenance run's stats into a batch
-// accumulator (nil starts a fresh one). Row counts and per-term orphan
-// accounting sum across the runs; Table collapses to "" when runs span
-// tables; the term counts keep their maximum, mirroring mergeStats.
+// accumulator. A nil accumulator adopts s itself — the caller hands over a
+// MaintStats fresh from Apply* that nothing else holds — and later runs
+// fold into it. Row counts and per-term orphan accounting sum across the
+// runs; Table collapses to "" when runs span tables; the term counts keep
+// their maximum, mirroring mergeStats.
 func AccumulateStats(acc, s *MaintStats) *MaintStats {
 	if acc == nil {
-		out := *s
-		out.SecondaryByTerm = make(map[string]int, len(s.SecondaryByTerm))
-		for k, n := range s.SecondaryByTerm {
-			out.SecondaryByTerm[k] = n
-		}
-		return &out
+		return s
 	}
 	if acc.Table != s.Table {
 		acc.Table = ""
@@ -605,6 +657,10 @@ func AccumulateStats(acc, s *MaintStats) *MaintStats {
 	return acc
 }
 
+// mergeStats combines the delete-pass and insert-pass statistics of a
+// decomposed modify into one report: row counts sum (including per-term
+// secondary counts) and the term counts take the larger pass, so neither
+// pass's plan shape is dropped.
 func mergeStats(s1, s2 *MaintStats) *MaintStats {
 	out := *s2
 	out.PrimaryRows += s1.PrimaryRows
@@ -685,14 +741,14 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 	var primaryBatches int64
 	if plan.primary != nil {
 		if needPrimary {
-			primary, primaryBatches, err = evalCounted(ctx, plan.primary)
+			primary, primaryBatches, err = evalCounted(ctx, plan.prog)
 			if err != nil {
 				evalSpan.End()
 				return nil, err
 			}
 			primaryRows = len(primary.Rows)
 		} else {
-			projected, primaryRows, primaryBatches, err = m.streamProjected(ctx, plan.primary)
+			projected, primaryRows, primaryBatches, err = streamProjected(ctx, plan)
 			if err != nil {
 				evalSpan.End()
 				return nil, err
@@ -710,11 +766,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 	// Step 1: apply the primary delta to the view.
 	applySpan := span.Child("primary.apply")
 	if needPrimary {
-		projected, err = projectToOutput(primary, m.def, m.mv.schema)
-		if err != nil {
-			applySpan.End()
-			return nil, err
-		}
+		projected = projectRows(make([]rel.Row, 0, len(primary.Rows)), primary.Rows, plan.outCols)
 	}
 	if isInsert {
 		for _, row := range projected {
@@ -787,7 +839,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 	// different terms are independent — so the computations run in parallel.
 	// View mutations stay serial, in plan order.
 	sec.SetStr("source", "base")
-	cands, err := m.secondaryCandidatesAll(ctx, sec, plan.indirect, primary, isInsert)
+	cands, err := m.secondaryCandidatesAll(ctx, sec, plan, primary, isInsert)
 	if err != nil {
 		return nil, err
 	}
@@ -806,12 +858,12 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 	return stats, nil
 }
 
-// streamProjected evaluates the primary delta as a batch pipeline,
+// streamProjected runs the plan's ΔV^D program as a batch pipeline,
 // projecting every batch straight to the view's output schema: only the
 // projected rows accumulate, the full-width delta relation never exists.
 // Returns the projected rows, the wide row count and the batch count.
-func (m *Maintainer) streamProjected(ctx *exec.Context, e algebra.Expr) ([]rel.Row, int, int64, error) {
-	src, err := exec.NewPipeline(ctx, e)
+func streamProjected(ctx *exec.Context, plan *tablePlan) ([]rel.Row, int, int64, error) {
+	src, err := plan.prog.Start(ctx)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -819,7 +871,6 @@ func (m *Maintainer) streamProjected(ctx *exec.Context, e algebra.Expr) ([]rel.R
 		src.Close()
 		return nil, 0, 0, err
 	}
-	schema := src.Schema()
 	var projected []rel.Row
 	total := 0
 	var batches int64
@@ -835,13 +886,8 @@ func (m *Maintainer) streamProjected(ctx *exec.Context, e algebra.Expr) ([]rel.R
 		}
 		total += b.Len()
 		batches++
-		//ojvlint:ignore rowalias projectToOutput copies every row it keeps before this frame is refilled by the next Next
-		rows, err := projectToOutput(exec.Relation{Schema: schema, Rows: b.Rows}, m.def, m.mv.schema)
-		if err != nil {
-			src.Close()
-			return nil, 0, 0, err
-		}
-		projected = append(projected, rows...)
+		//ojvlint:ignore rowalias projectRows copies every row it keeps before this frame is refilled by the next Next
+		projected = projectRows(projected, b.Rows, plan.outCols)
 	}
 	if err := src.Close(); err != nil {
 		return nil, 0, 0, err
@@ -849,11 +895,12 @@ func (m *Maintainer) streamProjected(ctx *exec.Context, e algebra.Expr) ([]rel.R
 	return projected, total, batches, nil
 }
 
-// evalCounted is exec.Eval with a batch count: it drains the pipeline into
-// a Relation while counting the batches served, so the primary.eval span
-// can report batch granularity alongside rows (ojexplain -stats).
-func evalCounted(ctx *exec.Context, e algebra.Expr) (exec.Relation, int64, error) {
-	src, err := exec.NewPipeline(ctx, e)
+// evalCounted is exec.Eval over a compiled program, with a batch count: it
+// drains one run into a Relation while counting the batches served, so the
+// primary.eval span can report batch granularity alongside rows (ojexplain
+// -stats).
+func evalCounted(ctx *exec.Context, prog *exec.Program) (exec.Relation, int64, error) {
+	src, err := prog.Start(ctx)
 	if err != nil {
 		return exec.Relation{}, 0, err
 	}
@@ -895,14 +942,17 @@ func (m *Maintainer) workers() int {
 
 // secondaryCandidatesAll computes every indirect term's surviving ΔDi
 // candidates, in parallel across terms when parallelism allows. The result
-// is indexed like plans; the first error in term order wins. Per-term
+// is indexed like plan.indirect; the first error in term order wins. Per-term
 // candidate spans attach to sec concurrently (Span.Child is mutex-guarded).
-func (m *Maintainer) secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plans []*indirectPlan, primary exec.Relation, isInsert bool) ([]exec.Relation, error) {
+func (m *Maintainer) secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plan *tablePlan, primary exec.Relation, isInsert bool) ([]exec.Relation, error) {
+	plans := plan.indirect
 	cands := make([]exec.Relation, len(plans))
 	errs := make([]error, len(plans))
 	parallelEach(m.workers(), len(plans), func(i int) {
 		ts := sec.Child("term.candidates").SetStr("term", plans[i].term.SourceKey())
-		cands[i], errs[i] = m.secondaryCandidatesFromBase(ctx, plans[i], primary, isInsert)
+		if plan.fromBase != nil {
+			cands[i], errs[i] = secondaryCandidatesFromBase(ctx, plans[i], plan.fromBase[i], primary, isInsert)
+		}
 		ts.SetInt("rows", int64(len(cands[i].Rows)))
 		ts.End()
 	})

@@ -304,21 +304,33 @@ func (m *Materialized) Materialize() error {
 // into the view's output schema, treating absent columns as NULL (they
 // belong to tables pruned from a simplified delta expression).
 func projectToOutput(r exec.Relation, def *Definition, outSchema rel.Schema) ([]rel.Row, error) {
+	return projectRows(make([]rel.Row, 0, len(r.Rows)), r.Rows, outputMapping(r.Schema, outSchema)), nil
+}
+
+// outputMapping resolves projectToOutput's column mapping once: output
+// column i is column mapping[i] of from, or NULL when −1. A maintenance
+// plan keeps the mapping of its ΔV^D schema and projects every batch
+// through it.
+func outputMapping(from, outSchema rel.Schema) []int {
 	mapping := make([]int, len(outSchema))
 	for i, c := range outSchema {
-		mapping[i] = r.Schema.IndexOf(c.Table, c.Name)
+		mapping[i] = from.IndexOf(c.Table, c.Name)
 	}
-	out := make([]rel.Row, len(r.Rows))
-	for i, row := range r.Rows {
-		pr := make(rel.Row, len(outSchema))
+	return mapping
+}
+
+// projectRows appends to dst a fresh output-schema copy of every row.
+func projectRows(dst, rows []rel.Row, mapping []int) []rel.Row {
+	for _, row := range rows {
+		pr := make(rel.Row, len(mapping))
 		for j, src := range mapping {
 			if src >= 0 {
 				pr[j] = row[src]
 			}
 		}
-		out[i] = pr
+		dst = append(dst, pr)
 	}
-	return out, nil
+	return dst
 }
 
 // SortedRows returns the view contents sorted by encoded row, for

@@ -121,60 +121,112 @@ func anyMaskSubset(masks []uint32, pat uint32) bool {
 	return false
 }
 
-// secondaryCandidatesFromBase computes the surviving ΔDi candidates for one
-// indirect term from base tables and the primary delta (Section 5.3). The
-// returned relation carries all columns of the term's source tables.
-func (m *Maintainer) secondaryCandidatesFromBase(ctx *exec.Context, ip *indirectPlan, primary exec.Relation, isInsert bool) (exec.Relation, error) {
-	// Resolve the term tables' columns and witnesses within the delta schema.
-	witness := make(map[string]int, len(m.def.tables))
-	for _, t := range m.def.tables {
-		witness[t] = -1
+// fromBaseTerm is the compiled Section 5.3 candidate computation for one
+// indirect term: where the term's columns and every table's null witness
+// sit in the ΔV^D schema, and one anti-join program per directly affected
+// parent and update direction. A nil *fromBaseTerm means a table of the
+// term was pruned from ΔV^D by foreign-key simplification, so no candidate
+// can exist.
+type fromBaseTerm struct {
+	// witness[i] is the ΔV^D position of a key column of def.tables[i]
+	// (−1: the table is not in ΔV^D); shared by the terms of one plan.
+	witness []int
+	// tiCols are the ΔV^D positions of the term tables' columns — the
+	// candidate projection, with schema candSchema; tiKeyCols are the
+	// candidate positions of the term tables' key columns (the δ key).
+	tiCols, tiKeyCols []int
+	candSchema        rel.Schema
+	parents           []parentPrograms
+}
+
+// parentPrograms anti-join the candidates (bound as candRel) against one
+// parentBase's E'ip: exprInsert after an insertion, exprDelete after a
+// deletion.
+type parentPrograms struct{ insert, delete *exec.Program }
+
+// candRel names the candidate relation inside the Section 5.3 anti-joins.
+const candRel = "__cand"
+
+// witnessCols resolves, per view table, a key column of the table within a
+// ΔV^D schema (−1 when the table is absent from it).
+func (m *Maintainer) witnessCols(delta rel.Schema) []int {
+	witness := make([]int, len(m.def.tables))
+	for i, t := range m.def.tables {
+		witness[i] = -1
 		tab := m.def.cat.Table(t)
-		kc := tab.KeyCols()
-		if len(kc) > 0 {
-			name := tab.Schema()[kc[0]].Name
-			witness[t] = primary.Schema.IndexOf(t, name)
+		if kc := tab.KeyCols(); len(kc) > 0 {
+			witness[i] = delta.IndexOf(t, tab.Schema()[kc[0]].Name)
 		}
 	}
-	for _, t := range ip.term.Tables {
-		if witness[t] < 0 {
-			// The term's table was pruned from the delta expression by
-			// foreign-key simplification: no candidates can exist.
-			return exec.Relation{}, nil
+	return witness
+}
+
+// compileFromBase resolves one indirect term against the ΔV^D schema and
+// compiles its parents' anti-joins.
+func (m *Maintainer) compileFromBase(ip *indirectPlan, delta rel.Schema, witness []int) (*fromBaseTerm, error) {
+	for i, t := range m.def.tables {
+		if ip.tiSet[t] && witness[i] < 0 {
+			return nil, nil
 		}
 	}
-	var tiCols []int
-	var tiKeyCols []int
-	for i, c := range primary.Schema {
+	fb := &fromBaseTerm{witness: witness}
+	for i, c := range delta {
 		if ip.tiSet[c.Table] {
-			tiCols = append(tiCols, i)
+			fb.tiCols = append(fb.tiCols, i)
 		}
 	}
-	candSchema := primary.Schema.Project(tiCols)
+	fb.candSchema = delta.Project(fb.tiCols)
 	for _, t := range ip.term.Tables {
 		tab := m.def.cat.Table(t)
 		for _, kc := range tab.KeyCols() {
-			tiKeyCols = append(tiKeyCols, candSchema.MustIndexOf(t, tab.Schema()[kc].Name))
+			fb.tiKeyCols = append(fb.tiKeyCols, fb.candSchema.MustIndexOf(t, tab.Schema()[kc].Name))
 		}
 	}
+	rels := map[string]rel.Schema{candRel: fb.candSchema}
+	antiJoin := func(evidence algebra.Expr, qip algebra.Pred) (*exec.Program, error) {
+		return exec.Compile(m.def.cat, rels, &algebra.Join{
+			Kind:  algebra.AntiJoin,
+			Left:  &algebra.RelRef{Name: candRel, TableNames: ip.term.Tables},
+			Right: evidence,
+			Pred:  qip,
+		})
+	}
+	fb.parents = make([]parentPrograms, len(ip.parents))
+	for k, pb := range ip.parents {
+		var err error
+		if fb.parents[k].insert, err = antiJoin(pb.exprInsert, pb.qip); err != nil {
+			return nil, err
+		}
+		if fb.parents[k].delete, err = antiJoin(pb.exprDelete, pb.qip); err != nil {
+			return nil, err
+		}
+	}
+	return fb, nil
+}
 
+// secondaryCandidatesFromBase computes the surviving ΔDi candidates for one
+// indirect term from base tables and the primary delta (Section 5.3). The
+// returned relation carries all columns of the term's source tables.
+func secondaryCandidatesFromBase(ctx *exec.Context, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation, isInsert bool) (exec.Relation, error) {
+	if fb == nil {
+		return exec.Relation{}, nil
+	}
 	// Qi: real on the term's tables, null on the extras of indirectly
-	// affected parents; then δ πTi.*.
-	bits := m.tableBits()
+	// affected parents; then δ πTi.*. Table i of the view owns pattern bit i.
 	seen := make(map[string]bool)
-	cand := exec.Relation{Schema: candSchema}
+	cand := exec.Relation{Schema: fb.candSchema}
 	for _, row := range primary.Rows {
 		var pat uint32
-		for _, t := range m.def.tables {
-			if w := witness[t]; w >= 0 && !row[w].IsNull() {
-				pat |= 1 << bits[t]
+		for i, w := range fb.witness {
+			if w >= 0 && !row[w].IsNull() {
+				pat |= 1 << uint(i)
 			}
 		}
 		if pat&ip.tiMask != ip.tiMask || pat&ip.indirectExtrasMask != 0 {
 			continue
 		}
-		c := row.Project(tiCols)
-		k := rel.EncodeRowCols(c, tiKeyCols)
+		c := row.Project(fb.tiCols)
+		k := rel.EncodeRowCols(c, fb.tiKeyCols)
 		if seen[k] {
 			continue
 		}
@@ -187,51 +239,25 @@ func (m *Maintainer) secondaryCandidatesFromBase(ctx *exec.Context, ip *indirect
 
 	// Anti-join the candidates against every directly affected parent's
 	// E'ip: a candidate survives only if no parent evidence contains it.
-	// Each anti-join is consumed as a batch pipeline: the candidates stream
-	// through the probe side (a candidate is dismissed at its first
-	// matching evidence row), and a parent that eliminates every candidate
+	// Each anti-join runs as a batch pipeline: the candidates stream through
+	// the probe side (a candidate is dismissed at its first matching
+	// evidence row), and a parent that eliminates every candidate
 	// short-circuits the remaining parents entirely.
-	for _, pb := range ip.parents {
-		expr := pb.exprDelete
+	for _, pp := range fb.parents {
+		prog := pp.delete
 		if isInsert {
-			expr = pb.exprInsert
-		}
-		anti := &algebra.Join{
-			Kind:  algebra.AntiJoin,
-			Left:  &algebra.RelRef{Name: "__cand", TableNames: ip.term.Tables},
-			Right: expr,
-			Pred:  pb.qip,
+			prog = pp.insert
 		}
 		sub := &exec.Context{
 			Catalog:       ctx.Catalog,
 			Deltas:        ctx.Deltas,
 			DeltaIsInsert: ctx.DeltaIsInsert,
-			Rels:          map[string]exec.Relation{"__cand": cand},
+			Rels:          map[string]exec.Relation{candRel: cand},
 			Parallelism:   ctx.Parallelism,
 			BatchSize:     ctx.BatchSize,
 		}
-		src, err := exec.NewPipeline(sub, anti)
+		next, _, err := evalCounted(sub, prog)
 		if err != nil {
-			return exec.Relation{}, err
-		}
-		if err := src.Open(); err != nil {
-			src.Close()
-			return exec.Relation{}, err
-		}
-		next := exec.Relation{Schema: src.Schema()}
-		var b exec.Batch
-		for {
-			ok, nerr := src.Next(&b)
-			if nerr != nil {
-				src.Close()
-				return exec.Relation{}, nerr
-			}
-			if !ok {
-				break
-			}
-			next.Rows = append(next.Rows, b.Rows...)
-		}
-		if err := src.Close(); err != nil {
 			return exec.Relation{}, err
 		}
 		cand = next

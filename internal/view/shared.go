@@ -22,9 +22,9 @@ import (
 // producer evaluation streams bit-identical rows to what each view's own
 // evaluation of the subtree would have produced. Sharing is restricted to
 // subtrees that contain the Δ scan: those sit on the probe spine of the
-// left-deep plan, which the executor always compiles via build() — a base-
+// left-deep plan, which the executor always starts as operators — a base-
 // table-only right operand may instead become an index probe that never
-// builds its operand, so substituting it could leave a handle undrained
+// starts its operand, so substituting it could leave a handle undrained
 // (and would forfeit the index-join the paper's cost model relies on).
 
 // canonKey returns the canonical structural key of a subtree. Expression
@@ -91,18 +91,20 @@ func collectShareable(root algebra.Expr) ([]sharedNode, map[algebra.Expr]string)
 }
 
 // sharedOccurrence is one view's use of a shared subtree: the node in that
-// view's own plan tree that the tee handle replaces.
+// view's own plan tree that the tee handle replaces, and the compiled
+// program of that plan (node is one of its operators).
 type sharedOccurrence struct {
 	m    *Maintainer
 	node algebra.Expr
+	prog *exec.Program
 }
 
 // sharedSubtree is one node of the shared-subexpression DAG.
 type sharedSubtree struct {
 	key string
 	// expr is the representative tree (the first occurrence's node);
-	// occurrences are structurally identical, so any of them compiles to
-	// the same pipeline.
+	// occurrences are structurally identical, so the first one's compiled
+	// sub-node serves as the producer for all of them.
 	expr algebra.Expr
 	occ  []sharedOccurrence
 }
@@ -163,7 +165,7 @@ func sharedDAG(ms []*Maintainer, table string, fkOK bool) ([]*sharedSubtree, err
 					byKey[k] = st
 					out = append(out, st)
 				}
-				st.occ = append(st.occ, sharedOccurrence{m: p.m, node: e})
+				st.occ = append(st.occ, sharedOccurrence{m: p.m, node: e, prog: p.plan.prog})
 				return
 			}
 			for _, c := range e.Children() {
@@ -230,8 +232,9 @@ type SharedRun struct {
 }
 
 // PlanShared builds the shared evaluation for one flush step: the DAG for
-// (table, fkOK) across ms, one producer pipeline per shared subtree
-// (evaluated lazily, at the first consumer pull) and one tee handle per
+// (table, fkOK) across ms, one producer pipeline per shared subtree —
+// started from the sub-node the first occurrence's plan already compiled,
+// and evaluated lazily, at the first consumer pull — and one tee handle per
 // occurrence. It returns nil when fewer than two views share anything —
 // the caller proceeds exactly as before, with nil Bound maps.
 //
@@ -271,7 +274,7 @@ func PlanShared(ms []*Maintainer, table string, isInsert, fkOK bool, delta []rel
 			Metrics:       metrics,
 			Span:          span,
 		}
-		src, err := exec.NewPipeline(pctx, st.expr)
+		src, err := st.occ[0].prog.Sub(st.expr).Start(pctx)
 		if err != nil {
 			span.End()
 			run.Close()
