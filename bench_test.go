@@ -274,10 +274,20 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 	}
 	left := mkRel("t", 4000, 1000)
 	right := mkRel("u", 4000, 1000)
-	pred := algebra.Eq("t", "k", "u", "k")
+	ctx := &exec.Context{
+		Catalog:     rel.NewCatalog(),
+		Rels:        map[string]exec.Relation{"L": left, "R": right},
+		Parallelism: 1,
+	}
+	join := &algebra.Join{
+		Kind:  algebra.InnerJoin,
+		Left:  &algebra.RelRef{Name: "L", TableNames: []string{"t"}},
+		Right: &algebra.RelRef{Name: "R", TableNames: []string{"u"}},
+		Pred:  algebra.Eq("t", "k", "u", "k"),
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := exec.JoinRelations(algebra.InnerJoin, left, right, pred)
+		out, err := exec.Eval(ctx, join)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,9 +5,12 @@
 // primary-delta expression in its bushy, left-deep and FK-simplified forms
 // (Sections 4, 4.1, 6.1), each followed by the physical plan the executor
 // compiles for it: one line per operator, and for every join the algorithm
-// chosen and the key or index an index join probes — so a join that
-// hash-builds its right operand because the join attribute has no index
-// shows here, not only in a trace.
+// chosen and the key or index an index join probes. The view is arranged
+// first, as CreateView would (DESIGN.md §16), and the arrangements it
+// derived are listed above the ΔV^D forms, so the plans are the ones a
+// registered view runs: a join that still hash-builds its right operand —
+// a non-leaf operand of the bushy form, a right or full outer join — shows
+// here, not only in a trace.
 //
 // With -check it instead runs the plan-invariant verifier over every
 // compiled maintenance plan of the view and exits non-zero on the first
@@ -232,6 +235,26 @@ func explain(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table strin
 	}
 	fmt.Fprintf(w, "reduced maintenance graph (Theorem 3):        %s\n", orNone(gFK.String()))
 
+	// Arrange as registration would, so the physical plans below are what a
+	// registered view runs; the catalog is handed back as it was found.
+	def, err := view.Define(cat, name, expr, allOutput(cat, expr))
+	if err != nil {
+		return err
+	}
+	m, err := view.NewMaintainer(def, view.Options{})
+	if err != nil {
+		return err
+	}
+	if err := m.Arrange(); err != nil {
+		return err
+	}
+	defer m.Release()
+	arranged := "none: every probe is served by a key or a declared index"
+	if held := m.Arrangements(); len(held) > 0 {
+		arranged = strings.Join(held, ", ")
+	}
+	fmt.Fprintf(w, "arrangements: %s\n", arranged)
+
 	bushy, err := view.BuildPrimaryDelta(cat, expr, table, false, false)
 	if err != nil {
 		return err
@@ -262,15 +285,6 @@ func explain(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table strin
 	}
 
 	// The maintenance plan as the paper's Q1..Qn statements.
-	output := allOutput(cat, expr)
-	def, err := view.Define(cat, name, expr, output)
-	if err != nil {
-		return err
-	}
-	m, err := view.NewMaintainer(def, view.Options{})
-	if err != nil {
-		return err
-	}
 	for _, insert := range []bool{true, false} {
 		script, err := m.MaintenanceScript(table, insert)
 		if err != nil {

@@ -30,6 +30,7 @@ func TestRunExplainPhysicalPlan(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	for _, want := range []string{
+		"arrangements: none: every probe is served by a key or a declared index",
 		"physical plan:",
 		"join.index[lo] probe L via index fk_L_O(lok)",
 		"join.index[lo] probe C via unique key(ck) select C.a>0",
@@ -44,12 +45,15 @@ func TestRunExplainPhysicalPlan(t *testing.T) {
 	}
 }
 
-// TestExplainNamesHashJoin: when the join attribute carries no index the
-// physical plan says so — the join hash-builds its right operand — which
-// until now only a trace showed.
+// TestExplainNamesHashJoin: on a catalog that declares no index the output
+// lists the arrangements registration derives and the left-deep plans probe
+// them — what a registered view runs — while a join that still hash-builds
+// (the bushy form's non-leaf right operand) is named as such. Explaining
+// leaves the catalog as it found it, and a declared index takes the place of
+// the arrangement it covers.
 func TestExplainNamesHashJoin(t *testing.T) {
 	cat := rel.NewCatalog()
-	for _, n := range []string{"P", "Q"} {
+	for _, n := range []string{"P", "Q", "R"} {
 		if _, err := cat.CreateTable(n, []rel.Column{
 			{Name: n + "k", Kind: rel.KindInt}, {Name: n + "j", Kind: rel.KindInt},
 		}, n+"k"); err != nil {
@@ -57,20 +61,38 @@ func TestExplainNamesHashJoin(t *testing.T) {
 		}
 	}
 	expr := &algebra.Join{
-		Kind:  algebra.LeftOuterJoin,
-		Left:  &algebra.TableRef{Name: "P"},
-		Right: &algebra.TableRef{Name: "Q"},
-		Pred:  algebra.Eq("P", "Pj", "Q", "Qj"),
+		Kind: algebra.LeftOuterJoin,
+		Left: &algebra.TableRef{Name: "P"},
+		Right: &algebra.Join{
+			Kind:  algebra.InnerJoin,
+			Left:  &algebra.TableRef{Name: "Q"},
+			Right: &algebra.TableRef{Name: "R"},
+			Pred:  algebra.Eq("Q", "Qj", "R", "Rj"),
+		},
+		Pred: algebra.Eq("P", "Pj", "Q", "Qj"),
 	}
 	var out bytes.Buffer
 	if err := explain(&out, cat, expr, "noindex", "P"); err != nil {
 		t.Fatal(err)
 	}
-	if want := "join.hash[lo] build right on P.Pj=Q.Qj"; !strings.Contains(out.String(), want) {
-		t.Errorf("output lacks %q:\n%s", want, out.String())
+	for _, want := range []string{
+		"arrangements: P(Pj), Q(Qj), R(Rj)",
+		"join.hash[lo] build right on P.Pj=Q.Qj",
+		"join.index[join] probe R via index arr_R_Rj(Rj)",
+		"join.index[lo] probe Q via index arr_Q_Qj(Qj)",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
 	}
-	if strings.Contains(out.String(), "join.index") {
-		t.Errorf("an index join was planned without an index:\n%s", out.String())
+	leftDeep := out.String()[strings.Index(out.String(), "ΔV^D (left-deep"):]
+	if strings.Contains(leftDeep, "join.hash") {
+		t.Errorf("a left-deep plan of an arranged view hash-builds:\n%s", leftDeep)
+	}
+	for _, n := range []string{"P", "Q", "R"} {
+		if got := len(cat.Table(n).Indexes()); got != 0 {
+			t.Errorf("explain left %d index(es) on %s", got, n)
+		}
 	}
 	if _, err := cat.CreateIndex("Q", "Q_j", "Qj"); err != nil {
 		t.Fatal(err)
@@ -79,8 +101,13 @@ func TestExplainNamesHashJoin(t *testing.T) {
 	if err := explain(&out, cat, expr, "noindex", "P"); err != nil {
 		t.Fatal(err)
 	}
-	if want := "join.index[lo] probe Q via index Q_j(Qj)"; !strings.Contains(out.String(), want) {
-		t.Errorf("after CreateIndex the output lacks %q:\n%s", want, out.String())
+	for _, want := range []string{
+		"arrangements: P(Pj), R(Rj)",
+		"join.index[lo] probe Q via index Q_j(Qj)",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("after CreateIndex the output lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 

@@ -19,9 +19,10 @@ type Catalog struct {
 }
 
 type Table struct {
-	name string
-	rows []int
-	ix   *Index
+	name    string
+	rows    []int
+	ix      *Index
+	indexes []*Index
 }
 
 type Index struct {
@@ -66,6 +67,33 @@ func (c *Catalog) Truncate(name string) {
 }
 
 func (c *Catalog) bump() { c.version.Add(1) }
+
+// DropIndex removes an index from a table through an unexported helper and
+// never bumps: base apply would stop maintaining an index that a plan
+// validated (and a program compiled) against the old index set still uses.
+func (c *Catalog) DropIndex(name string, ix *Index) { // want `exported Catalog\.DropIndex reaches a mutation of committed Table\.indexes state \(line \d+\) without bumping Catalog\.version`
+	if t := c.tables[name]; t != nil {
+		t.dropIndex(ix)
+	}
+}
+
+func (t *Table) dropIndex(ix *Index) {
+	for i, have := range t.indexes {
+		if have == ix {
+			t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
+			return
+		}
+	}
+}
+
+// Release is the shape the real catalog uses for arrangements: the same
+// helper, and the version moves with the index set.
+func (c *Catalog) Release(name string, ix *Index) {
+	if t := c.tables[name]; t != nil {
+		t.dropIndex(ix)
+	}
+	c.version.Add(1)
+}
 
 // Restore swaps in a whole catalog before any plan can exist, so the stale
 // fast-path hazard cannot arise; the exemption is vetted in source.

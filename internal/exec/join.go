@@ -2,10 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ojv/internal/algebra"
-	"ojv/internal/obs"
 	"ojv/internal/rel"
 )
 
@@ -25,30 +25,45 @@ type probePlan struct {
 	leftCols, rightCols []int
 }
 
+// Want names a secondary index a compiled join goes through, or would go
+// through if it existed: a base table and the column set (offsets,
+// ascending) of its equijoin columns. Program.Wants lists them.
+type Want struct {
+	Table string
+	Cols  []int
+}
+
 // planIndexProbe plans an index probe when the right operand is a base
-// table (optionally under a selection) with an index covering the equijoin
-// columns; it returns nil when no probe applies.
+// table (under any chain of selections) with an index covering the equijoin
+// columns; it returns nil when no probe applies. A probe that needs a
+// secondary index — whether or not one exists yet — is recorded in
+// c.wants: the compiler reports, it never creates.
 func (c *compiler) planIndexProbe(right algebra.Expr, leftSchema rel.Schema, pairs [][2]algebra.ColRef) (*probePlan, error) {
 	p := &probePlan{}
-	var tname string
-	unwrap := func(e algebra.Expr) bool {
-		switch r := e.(type) {
-		case *algebra.TableRef:
-			tname = r.Name
-			return true
-		case *algebra.OldTableRef:
-			tname = r.Name
-			p.old = true
-			return true
+	// §4.1 leaves σq(σp(T)) as a right operand (view.isLeafish): peel the
+	// whole chain, innermost selection first in the conjunction.
+	var sels []algebra.Pred
+	for {
+		s, ok := right.(*algebra.Select)
+		if !ok {
+			break
 		}
-		return false
+		sels = append(sels, s.Pred)
+		right = s.Input
 	}
-	if !unwrap(right) {
-		if s, ok := right.(*algebra.Select); ok && unwrap(s.Input) {
-			p.where = s.Pred
-		} else {
-			return nil, nil
-		}
+	var tname string
+	switch r := right.(type) {
+	case *algebra.TableRef:
+		tname = r.Name
+	case *algebra.OldTableRef:
+		tname = r.Name
+		p.old = true
+	default:
+		return nil, nil
+	}
+	if len(sels) > 0 {
+		slices.Reverse(sels)
+		p.where = algebra.MakeAnd(sels...)
 	}
 	var err error
 	if p.t, err = c.table(tname); err != nil {
@@ -57,26 +72,27 @@ func (c *compiler) planIndexProbe(right algebra.Expr, leftSchema rel.Schema, pai
 	rightOffsets := make([]int, len(pairs))
 	for i, pr := range pairs {
 		o := p.t.Schema().IndexOf(pr[1].Table, pr[1].Column)
-		if o < 0 {
+		if o < 0 || slices.Contains(rightOffsets[:i], o) {
 			return nil, nil
 		}
 		rightOffsets[i] = o
 	}
 	// Prefer the unique key, then any secondary index on the same column set.
-	if sameColumnSet(p.t.KeyCols(), rightOffsets) {
+	if rel.SameIntSet(p.t.KeyCols(), rightOffsets) {
 		p.rightCols = p.t.KeyCols()
-	} else if p.ix = p.t.IndexOnSet(rightOffsets); p.ix != nil {
-		p.rightCols = p.ix.Cols()
 	} else {
-		return nil, nil
+		want := Want{Table: tname, Cols: slices.Clone(rightOffsets)}
+		slices.Sort(want.Cols)
+		c.wants = append(c.wants, want)
+		if p.ix = p.t.IndexOnSet(rightOffsets); p.ix == nil {
+			return nil, nil
+		}
+		p.rightCols = p.ix.Cols()
 	}
 	p.leftCols = make([]int, len(p.rightCols))
 	for i, rc := range p.rightCols {
-		for j, pr := range pairs {
-			if rightOffsets[j] == rc {
-				p.leftCols[i] = leftSchema.MustIndexOf(pr[0].Table, pr[0].Column)
-			}
-		}
+		j := slices.Index(rightOffsets, rc)
+		p.leftCols[i] = leftSchema.MustIndexOf(pairs[j][0].Table, pairs[j][0].Column)
 	}
 	if p.where != nil {
 		f, err := p.where.Compile(p.t.Schema())
@@ -122,6 +138,9 @@ type indexProbe struct {
 	deltaByProbe map[string][]rel.Row
 	keyBuf       []byte
 	oneRow       [1]rel.Row
+	// out is the candidate scratch of a probe that filters or extends its
+	// bucket (selection, exclude set, delta index), refilled per left row.
+	out []rel.Row
 }
 
 // start binds the plan to one run.
@@ -166,7 +185,7 @@ func (ip *indexProbe) candidates(l rel.Row) ([]rel.Row, bool) {
 	if ip.excludeKeys == nil && ip.deltaByProbe == nil && ip.sel == nil {
 		return rows, true
 	}
-	out := make([]rel.Row, 0, len(rows)+1)
+	out := ip.out[:0]
 	for _, r := range rows {
 		if ip.excludeKeys != nil && ip.excludeKeys[ip.t.KeyOf(r)] {
 			continue
@@ -185,121 +204,6 @@ func (ip *indexProbe) candidates(l rel.Row) ([]rel.Row, bool) {
 		}
 		out = kept
 	}
+	ip.out = out
 	return out, true
-}
-
-// JoinRelations joins two already-materialized relations with the given
-// predicate, using a hash join when an equijoin conjunct exists. The
-// table-set split for equijoin extraction is inferred from the relations'
-// schemas.
-func JoinRelations(kind algebra.JoinKind, left, right Relation, pred algebra.Pred) (Relation, error) {
-	concat := left.Schema.Concat(right.Schema)
-	f, err := pred.Compile(concat)
-	if err != nil {
-		return Relation{}, err
-	}
-	leftTabs := make(map[string]bool)
-	for _, t := range left.Schema.Tables() {
-		leftTabs[t] = true
-	}
-	rightTabs := make(map[string]bool)
-	for _, t := range right.Schema.Tables() {
-		rightTabs[t] = true
-	}
-	pairs, _ := algebra.EquiPairs(pred, leftTabs, rightTabs)
-	if len(pairs) > 0 {
-		return hashJoin(1, nil, kind, left, right, concat, f, pairs)
-	}
-	return nestedLoopJoin(kind, left, right, concat, f)
-}
-
-func sameColumnSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := make(map[int]bool, len(a))
-	for _, x := range a {
-		m[x] = true
-	}
-	for _, x := range b {
-		if !m[x] {
-			return false
-		}
-	}
-	return true
-}
-
-func nullExtendRight(l rel.Row, nRight int) rel.Row {
-	out := make(rel.Row, len(l)+nRight)
-	copy(out, l)
-	return out // trailing values are the zero Value, i.e. NULL
-}
-
-func nullExtendLeft(r rel.Row, nLeft int) rel.Row {
-	out := make(rel.Row, nLeft+len(r))
-	copy(out[nLeft:], r)
-	return out
-}
-
-// hashJoin joins two materialized relations through the streaming join
-// source by hashing the right input on the equijoin columns and probing
-// with the left in batches. With workers > 1 large batches probe in
-// parallel morsels; the result is byte-identical at every worker count.
-func hashJoin(workers int, metrics *obs.Registry, kind algebra.JoinKind, left, right Relation, concat rel.Schema, pred func(rel.Row) algebra.Tri, pairs [][2]algebra.ColRef) (Relation, error) {
-	leftCols := make([]int, len(pairs))
-	rightCols := make([]int, len(pairs))
-	for i, p := range pairs {
-		leftCols[i] = left.Schema.MustIndexOf(p[0].Table, p[0].Column)
-		rightCols[i] = right.Schema.MustIndexOf(p[1].Table, p[1].Column)
-	}
-	return joinMaterialized(workers, metrics, kind, left, right, concat, pred, leftCols, rightCols)
-}
-
-// nestedLoopJoin handles joins without equijoin conjuncts.
-func nestedLoopJoin(kind algebra.JoinKind, left, right Relation, concat rel.Schema, pred func(rel.Row) algebra.Tri) (Relation, error) {
-	return joinMaterialized(1, nil, kind, left, right, concat, pred, nil, nil)
-}
-
-// joinMaterialized wraps two materialized relations in scan sources, runs
-// the streaming hash/nested-loop join, and drains the result.
-func joinMaterialized(workers int, metrics *obs.Registry, kind algebra.JoinKind, left, right Relation, concat rel.Schema, pred func(rel.Row) algebra.Tri, leftCols, rightCols []int) (Relation, error) {
-	ctx := &Context{Parallelism: workers, Metrics: metrics}
-	outSchema := concat
-	if kind == algebra.SemiJoin || kind == algebra.AntiJoin {
-		outSchema = left.Schema
-	}
-	src := &hashJoinSource{
-		opBase:     opBase{schema: outSchema},
-		ctx:        ctx,
-		kind:       kind,
-		left:       newRelSource(ctx, left),
-		right:      newRelSource(ctx, right),
-		pred:       pred,
-		leftCols:   leftCols,
-		rightCols:  rightCols,
-		leftWidth:  len(left.Schema),
-		rightWidth: len(right.Schema),
-	}
-	if err := src.Open(); err != nil {
-		src.Close()
-		return Relation{}, err
-	}
-	out, err := Drain(src)
-	cerr := src.Close()
-	if err != nil {
-		return Relation{}, err
-	}
-	if cerr != nil {
-		return Relation{}, cerr
-	}
-	return out, nil
-}
-
-// newRelSource scans an in-memory relation (no metrics, no span).
-func newRelSource(ctx *Context, r Relation) Source {
-	return &scanSource{
-		opBase: opBase{schema: r.Schema},
-		ctx:    ctx,
-		fetch:  func(*Context) []rel.Row { return r.Rows },
-	}
 }

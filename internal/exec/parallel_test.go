@@ -55,6 +55,31 @@ func identicalRelations(a, b Relation) error {
 	return nil
 }
 
+// joinRels joins two materialized relations the way every caller does: a
+// RelRef ⋈ RelRef expression compiled and run through the streaming join.
+func joinRels(workers int, kind algebra.JoinKind, left, right Relation, pred algebra.Pred) (Relation, error) {
+	return Eval(&Context{
+		Catalog:     rel.NewCatalog(),
+		Rels:        map[string]Relation{"L": left, "R": right},
+		Parallelism: workers,
+	}, &algebra.Join{
+		Kind:  kind,
+		Left:  ref("L", left.Schema.Tables()...),
+		Right: ref("R", right.Schema.Tables()...),
+		Pred:  pred,
+	})
+}
+
+// eqAsRange is t.x = u.x spelled t.x ≤ u.x ∧ t.x ≥ u.x: the same
+// three-valued truth table with no equi-conjunct for the compiler to hash
+// on, so the join runs as a nested loop.
+func eqAsRange() algebra.Pred {
+	tx, ux := algebra.ColOperand("t", "x"), algebra.ColOperand("u", "x")
+	return algebra.MakeAnd(
+		algebra.Cmp{Left: tx, Op: algebra.OpLe, Right: ux},
+		algebra.Cmp{Left: tx, Op: algebra.OpGe, Right: ux})
+}
+
 // TestHashJoinParallelEquivalence checks, for every join kind, that the
 // serial hash join, the partitioned hash join at several worker counts, and
 // the nested-loop join all produce byte-identical results in identical row
@@ -65,19 +90,13 @@ func TestHashJoinParallelEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(900 + seed)))
 		left := bigRandRelation(rng, "t", 700+rng.Intn(600))
 		right := bigRandRelation(rng, "u", 700+rng.Intn(600))
-		concat := left.Schema.Concat(right.Schema)
-		pred, err := algebra.Eq("t", "x", "u", "x").Compile(concat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs := [][2]algebra.ColRef{{algebra.Col("t", "x"), algebra.Col("u", "x")}}
 		for _, kind := range allJoinKinds {
-			oracle, err := nestedLoopJoin(kind, left, right, concat, pred)
+			oracle, err := joinRels(1, kind, left, right, eqAsRange())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
-				got, err := hashJoin(workers, nil, kind, left, right, concat, pred, pairs)
+				got, err := joinRels(workers, kind, left, right, algebra.Eq("t", "x", "u", "x"))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,7 +204,6 @@ func TestPipelineGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := [][2]algebra.ColRef{{algebra.Col("t", "x"), algebra.Col("u", "x")}}
 
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
@@ -213,7 +231,7 @@ func TestPipelineGoroutineLeak(t *testing.T) {
 		}
 
 		// (b) A fully drained partitioned join.
-		if _, err := hashJoin(4, nil, algebra.FullOuterJoin, left, right, concat, pred, pairs); err != nil {
+		if _, err := joinRels(4, algebra.FullOuterJoin, left, right, algebra.Eq("t", "x", "u", "x")); err != nil {
 			t.Fatal(err)
 		}
 

@@ -26,6 +26,8 @@ import (
 type Program struct {
 	root *node
 	gen  uint64
+	// wants lists the secondary-index needs of the program's joins; see Wants.
+	wants []Want
 }
 
 // node is one compiled operator. Compile-time closures take the run's
@@ -58,6 +60,8 @@ type node struct {
 type compiler struct {
 	cat  *rel.Catalog
 	rels map[string]rel.Schema
+	// wants collects what planIndexProbe reports, in plan order.
+	wants []Want
 }
 
 func (c *compiler) TableSchema(name string) (rel.Schema, bool) {
@@ -88,7 +92,7 @@ func Compile(cat *rel.Catalog, rels map[string]rel.Schema, e algebra.Expr) (*Pro
 	if err != nil {
 		return nil, err
 	}
-	return &Program{root: root, gen: gen}, nil
+	return &Program{root: root, gen: gen, wants: c.wants}, nil
 }
 
 // compile compiles one node bottom-up: inputs first, then the operator
@@ -151,6 +155,16 @@ func (p *Program) Schema() rel.Schema { return p.root.schema }
 // Generation returns the catalog design generation the program was
 // compiled at.
 func (p *Program) Generation() uint64 { return p.gen }
+
+// Wants lists, for every equijoin of the program whose right operand is a
+// base table (or its old state) under any chain of selections and whose
+// equi-columns are not that table's unique key, the (table, column set) a
+// secondary index must cover for the join to probe instead of hash-building
+// the table — whether or not such an index existed at compile time. Whoever
+// registers the program for repeated runs arranges them (rel.Catalog.Arrange);
+// the compiler itself runs under read locks and mutates nothing. Callers must
+// not modify the result. A Sub program reports none.
+func (p *Program) Wants() []Want { return p.wants }
 
 // Sub returns the program of the compiled sub-node for e (matched by
 // pointer identity), or nil when e is not an operator of this program. The

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -266,5 +268,79 @@ func TestProgramSubAndPlan(t *testing.T) {
 	ctx := &Context{Catalog: cat, Deltas: map[string][]rel.Row{"A": sortedRows(cat.Table("A").Rows())[:5]}, DeltaIsInsert: true}
 	if got, fresh := drainProgram(t, prog.Sub(inner), ctx), evalOK(t, ctx, inner); !sameRelation(got, fresh) {
 		t.Errorf("sub-program produced %d rows, fresh compile %d", len(got.Rows), len(fresh.Rows))
+	}
+}
+
+// TestProgramWants pins what the compiler reports about secondary indexes:
+// one (table, column set) per equijoin whose right operand is a base table
+// (or its old state) under any chain of selections and whose equi-columns
+// are not the table's key — with or without an index to serve it — and
+// nothing for a join no index could serve. Compile only reports: the
+// catalog's design stands.
+func TestProgramWants(t *testing.T) {
+	cat, err := fixture.RandCatalogNoIndex(rand.New(rand.NewSource(9)), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &algebra.TableRef{Name: "A"}, &algebra.TableRef{Name: "B"}
+	equi := algebra.Eq("A", "Aj", "B", "Bj")
+	join := func(kind algebra.JoinKind, right algebra.Expr, pred algebra.Pred) algebra.Expr {
+		return &algebra.Join{Kind: kind, Left: a, Right: right, Pred: pred}
+	}
+	bj := []Want{{Table: "B", Cols: []int{1}}}
+	cases := []struct {
+		name string
+		expr algebra.Expr
+		want []Want
+	}{
+		{"base", join(algebra.LeftOuterJoin, b, equi), bj},
+		{"selected-twice", join(algebra.InnerJoin, twiceSelectedB(), equi), bj},
+		{"old-state", join(algebra.AntiJoin, &algebra.Select{Input: &algebra.OldTableRef{Name: "B"}, Pred: algebra.CmpConst("B", "Bv", algebra.OpLt, rel.Int(9))}, equi), bj},
+		{"two-columns", join(algebra.SemiJoin, b, algebra.MakeAnd(algebra.Eq("A", "Av", "B", "Bv"), equi)), []Want{{Table: "B", Cols: []int{1, 2}}}},
+		{"unique-key", join(algebra.InnerJoin, b, algebra.Eq("A", "Aj", "B", "Bk")), nil},
+		{"duplicate-right-column", join(algebra.InnerJoin, b, algebra.MakeAnd(equi, algebra.Eq("A", "Av", "B", "Bj"))), nil},
+		{"full-outer", join(algebra.FullOuterJoin, b, equi), nil},
+		{"non-leaf-right", join(algebra.InnerJoin, &algebra.Dedup{Input: b}, equi), nil},
+		{"no-equi-conjunct", join(algebra.InnerJoin, b, algebra.Cmp{Left: algebra.ColOperand("A", "Av"), Op: algebra.OpLt, Right: algebra.ColOperand("B", "Bv")}), nil},
+	}
+	gen := cat.DesignGeneration()
+	for _, tc := range cases {
+		prog, err := Compile(cat, nil, tc.expr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := prog.Wants(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: wants %v, want %v", tc.name, got, tc.want)
+		}
+		if strings.Contains(prog.String(), "join.index") != (tc.name == "unique-key") {
+			t.Errorf("%s: unexpected algorithm on an index-less catalog:\n%s", tc.name, prog)
+		}
+	}
+	if cat.DesignGeneration() != gen || len(cat.Table("B").Indexes()) != 0 {
+		t.Fatal("Compile changed the catalog's physical design")
+	}
+	// With the index in place the same joins probe — the twice-selected leaf
+	// through both predicates — and report the same needs.
+	if _, err := cat.CreateIndex("B", "B_j", "Bj"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases[:3] {
+		prog, err := Compile(cat, nil, tc.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(prog.String(), "probe B") || strings.Contains(prog.String(), "join.hash") {
+			t.Errorf("%s: an indexed leaf was not probed:\n%s", tc.name, prog)
+		}
+		if got := prog.Wants(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: wants %v once served, want %v", tc.name, got, tc.want)
+		}
+	}
+	prog, err := Compile(cat, nil, cases[1].expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "join.index[join] probe B via index B_j(Bj) select (B.Bv<70 and B.Bv>5)\n  scan A\n"; prog.String() != want {
+		t.Errorf("physical plan:\n%s\nwant:\n%s", prog, want)
 	}
 }

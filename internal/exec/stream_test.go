@@ -394,6 +394,14 @@ type streamCase struct {
 	deltaDelete bool // evaluate with DeltaIsInsert=false
 }
 
+// twiceSelectedB is σ[Bv>5](σ[Bv<70](B)).
+func twiceSelectedB() algebra.Expr {
+	return &algebra.Select{
+		Input: &algebra.Select{Input: &algebra.TableRef{Name: "B"}, Pred: algebra.CmpConst("B", "Bv", algebra.OpLt, rel.Int(70))},
+		Pred:  algebra.CmpConst("B", "Bv", algebra.OpGt, rel.Int(5)),
+	}
+}
+
 // streamCases enumerates expressions covering every streaming operator and
 // every join kind on each physical join path (index nested loop, hash,
 // nested loop).
@@ -455,6 +463,12 @@ func streamCases(rng *rand.Rand) []streamCase {
 		cases = append(cases, streamCase{
 			name: "join-base-" + kind.String(),
 			expr: &algebra.Join{Kind: kind, Left: a, Right: b, Pred: equi},
+		})
+		// A leaf under two selections (what §4.1 leaves of σq(σp(B)) as a
+		// right operand) still probes; both predicates filter the bucket.
+		cases = append(cases, streamCase{
+			name: "join-base-select2-" + kind.String(),
+			expr: &algebra.Join{Kind: kind, Left: a, Right: twiceSelectedB(), Pred: equi},
 		})
 		// Dedup on the right defeats the index probe: always a hash join.
 		cases = append(cases, streamCase{

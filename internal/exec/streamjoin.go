@@ -172,6 +172,18 @@ func (s *probeJoinSource) Close() error {
 	return err
 }
 
+func nullExtendRight(l rel.Row, nRight int) rel.Row {
+	out := make(rel.Row, len(l)+nRight)
+	copy(out, l)
+	return out // trailing values are the zero Value, i.e. NULL
+}
+
+func nullExtendLeft(r rel.Row, nLeft int) rel.Row {
+	out := make(rel.Row, nLeft+len(r))
+	copy(out[nLeft:], r)
+	return out
+}
+
 // probeScratch is per-worker probe state, reused across morsels and
 // batches so steady-state probing allocates nothing.
 type probeScratch struct {

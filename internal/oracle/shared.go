@@ -23,11 +23,35 @@ import (
 // overlap heavily (the many-views-over-few-tables setting).
 const sharedPool = "ABC"
 
-// RunSharedSeed executes one deterministic run: nViews random views over
-// the three-table pool, rounds rounds of mixed statements, flushed and
-// checked per round (flushing each round keeps pickKeys sampling the
-// committed state).
+// RunSharedSeed executes one deterministic run twice: on the catalog that
+// declares an index on every join attribute, and on its index-less sibling,
+// where every index the views probe is an arrangement their registration
+// derived and several views hold — so shared arrangements are checked
+// against recomputation under the shared DAG.
 func RunSharedSeed(seed int64, strategy view.Strategy, nViews, rounds, rows int) error {
+	for _, c := range []struct {
+		design string
+		build  func(*rand.Rand, int) (*rel.Catalog, error)
+	}{
+		{"declared indexes", fixture.RandCatalog},
+		{"arrangements only", fixture.RandCatalogNoIndex},
+	} {
+		cat, err := c.build(rand.New(rand.NewSource(seed)), rows)
+		if err != nil {
+			return err
+		}
+		if err := runShared(cat, seed, strategy, nViews, rounds, rows); err != nil {
+			return fmt.Errorf("%s: %w", c.design, err)
+		}
+	}
+	return nil
+}
+
+// runShared is one run over one catalog: nViews random views over the
+// three-table pool, rounds rounds of mixed statements, flushed and checked
+// per round (flushing each round keeps pickKeys sampling the committed
+// state).
+func runShared(cat *rel.Catalog, seed int64, strategy view.Strategy, nViews, rounds, rows int) error {
 	if nViews < 2 {
 		nViews = 2
 	}
@@ -39,13 +63,10 @@ func RunSharedSeed(seed int64, strategy view.Strategy, nViews, rounds, rows int)
 		}
 		return seed ^ (int64(i+1) << 32)
 	}
-	cat, err := fixture.RandCatalog(rand.New(rand.NewSource(seed)), rows)
-	if err != nil {
-		return err
-	}
 	db := ojv.WrapCatalog(cat)
 	views := make([]*ojv.View, nViews)
 	for i := range views {
+		var err error
 		expr := fixture.RandSPOJFrom(rand.New(rand.NewSource(shapeSeed(i))), sharedPool)
 		views[i], err = db.CreateView(fmt.Sprintf("sv%d", i), ojv.ExprRel(expr),
 			fixture.RandOutput(cat, expr),

@@ -54,8 +54,9 @@ func NewCatalog() *Catalog {
 }
 
 // DesignGeneration identifies the catalog's physical design: it moves when
-// a table, an index or a foreign key is added and when Restore swaps the
-// tables, and never on a data commit (that is Version). A compiled executor
+// a table, an index or a foreign key is added, when an arrangement is built
+// or dropped, and when Restore swaps the tables, and never on a data commit
+// (that is Version). A compiled executor
 // program holds *Table and *Index pointers and a per-join index choice, so
 // it is valid exactly as long as the generation it was compiled at.
 func (c *Catalog) DesignGeneration() uint64 { return c.design.Load() }
@@ -118,8 +119,10 @@ func (c *Catalog) TableSchema(name string) (Schema, bool) {
 // table(cols...) to refTable(refCols...). The referenced columns must be the
 // referenced table's unique key and the referencing columns must be NOT
 // NULL; both conditions are what make the paper's foreign-key optimizations
-// (Section 6) sound. A secondary index on the referencing columns is created
-// automatically so deletes from the referenced table can be validated.
+// (Section 6) sound. A secondary index on the referencing columns validates
+// deletes from the referenced table: an index already on that column set is
+// adopted — and pinned, so an arrangement the constraint now depends on
+// outlives the views that asked for it — otherwise one is created.
 func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, refCols []string) error {
 	t := c.tables[table]
 	if t == nil {
@@ -140,7 +143,7 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 		}
 		refOffsets[i] = p
 	}
-	if !sameIntSet(refOffsets, rt.keyCols) {
+	if !SameIntSet(refOffsets, rt.keyCols) {
 		return fmt.Errorf("rel: foreign key %s->%s must reference the unique key of %s", table, refTable, refTable)
 	}
 	offsets := make([]int, len(cols))
@@ -170,10 +173,9 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 	}
 	ix := t.IndexOnSet(offsets)
 	if ix == nil {
-		var err error
-		if ix, err = t.createIndex(fmt.Sprintf("fk_%s_%s", table, refTable), cols...); err != nil {
-			return err
-		}
+		ix = t.buildIndex(fmt.Sprintf("fk_%s_%s", table, refTable), offsets, true)
+	} else {
+		ix.pinned = true
 	}
 	keyPos := make([]int, len(ix.cols))
 	for i, ic := range ix.cols {
@@ -186,10 +188,12 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 	return nil
 }
 
-// CreateIndex builds a secondary hash index over the named columns of a
-// table. The catalog version is bumped on success: an index is committed
-// catalog state, and a plan validated before it existed must not be flushed
-// through the Prevalidated() fast path without re-validation.
+// CreateIndex declares a secondary hash index over the named columns of a
+// table. When the column set is already arranged (Arrange) the arrangement
+// is adopted — renamed and pinned — instead of building a twin; otherwise
+// the index is built. The catalog version is bumped on success: an index is
+// committed catalog state, and a plan validated before it existed must not
+// be flushed through the Prevalidated() fast path without re-validation.
 func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error) {
 	t, ok := c.tables[table]
 	if !ok {
@@ -200,13 +204,65 @@ func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error
 			return nil, fmt.Errorf("rel: table %s: index %s already exists", table, name)
 		}
 	}
-	ix, err := t.createIndex(name, cols...)
+	offsets, err := t.columnOffsets(cols)
 	if err != nil {
 		return nil, err
+	}
+	ix := t.IndexOnSet(offsets)
+	if ix != nil && !ix.pinned {
+		ix.name, ix.pinned = name, true
+	} else {
+		ix = t.buildIndex(name, offsets, true)
 	}
 	c.version.Add(1)
 	c.design.Add(1)
 	return ix, nil
+}
+
+// Arrange acquires the arrangement over a column set (offsets, in any
+// order) of a table for one holder: the maintained index a view's
+// maintenance joins probe. The first index on that set serves — a declared
+// one as it stands, an arrangement another view already holds — and when
+// there is none the catalog builds one, which moves the version and the
+// design generation so compiled programs pick it up. Every Arrange is
+// matched by one Release of the returned index.
+func (c *Catalog) Arrange(table string, cols []int) (*Index, error) {
+	t := c.tables[table]
+	if t == nil {
+		return nil, fmt.Errorf("rel: unknown table %s", table)
+	}
+	ix := t.IndexOnSet(cols)
+	if ix == nil {
+		offsets := slices.Clone(cols)
+		slices.Sort(offsets)
+		name := "arr_" + table
+		for _, o := range offsets {
+			if o < 0 || o >= len(t.schema) {
+				return nil, fmt.Errorf("rel: table %s: arranged column %d does not exist", table, o)
+			}
+			name += "_" + t.schema[o].Name
+		}
+		ix = t.buildIndex(name, offsets, false)
+		c.version.Add(1)
+		c.design.Add(1)
+	}
+	ix.holders++
+	return ix, nil
+}
+
+// Release gives back one hold on an index Arrange returned. An arrangement
+// nobody declared (see Index) is dropped with its last holder, which moves
+// the version and the design generation like its creation did.
+func (c *Catalog) Release(table string, ix *Index) {
+	ix.holders--
+	if ix.holders > 0 || ix.pinned {
+		return
+	}
+	if t := c.tables[table]; t != nil {
+		t.dropIndex(ix)
+	}
+	c.version.Add(1)
+	c.design.Add(1)
 }
 
 // fkSatisfied reports whether the row referenced by row's fk columns

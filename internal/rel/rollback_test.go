@@ -17,7 +17,7 @@ func rollbackFixture(t *testing.T) (*Catalog, *Table, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := tab.createIndex("p_v", "v")
+	ix, err := c.CreateIndex("p", "p_v", "v")
 	if err != nil {
 		t.Fatal(err)
 	}

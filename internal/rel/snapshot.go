@@ -6,10 +6,12 @@ import (
 	"io"
 )
 
-// Snapshot support: a catalog (schemas, keys, foreign keys, secondary
-// indexes and all rows) can be written to and restored from a stream.
-// Registered views are not part of the snapshot — they are definitions over
-// the catalog and are re-materialized after loading.
+// Snapshot support: a catalog (schemas, keys, foreign keys, declared
+// secondary indexes and all rows) can be written to and restored from a
+// stream. Registered views are not part of the snapshot — they are
+// definitions over the catalog and are re-materialized after loading — and
+// neither are the arrangements derived from them (unpinned indexes):
+// re-creating the views re-derives those.
 
 // wireValue is the gob representation of a Value.
 type wireValue struct {
@@ -54,6 +56,9 @@ func (c *Catalog) Save(w io.Writer) error {
 		}
 		wt.FKs = append(wt.FKs, t.fks...)
 		for _, ix := range t.indexes {
+			if !ix.pinned {
+				continue
+			}
 			var cols []string
 			for _, c := range ix.cols {
 				cols = append(cols, t.schema[c].Name)

@@ -25,14 +25,31 @@ type ForeignKey struct {
 func (fk ForeignKey) KeySource() []int { return fk.keySrc }
 
 // Index is a secondary hash index over a column set of one table.
+//
+// Ownership decides its lifetime. A pinned index was declared — by
+// CreateIndex, or by AddForeignKey as the constraint's RESTRICT-validation
+// index — and lives as long as its table. An unpinned index is an
+// arrangement: derived state the catalog built because a registered view's
+// maintenance probes that column set (Catalog.Arrange), shared by every
+// view that does, and dropped when the last of them releases it. Ownership
+// only grows: declaring an index, or a foreign key, over an arranged column
+// set pins the arrangement instead of building a twin.
 type Index struct {
 	name string
 	cols []int
 	m    map[string][]Row
+	// holders counts the Arrange calls not yet matched by a Release.
+	holders int
+	pinned  bool
 }
 
 // Name returns the index name.
 func (ix *Index) Name() string { return ix.name }
+
+// Pinned reports whether the index was declared (CreateIndex, AddForeignKey)
+// rather than derived: a pinned index survives every Release and is part of
+// a Save.
+func (ix *Index) Pinned() bool { return ix.pinned }
 
 // Lookup returns the rows whose indexed columns encode to the given key.
 // The returned slice must not be modified.
@@ -196,23 +213,23 @@ func (t *Table) IndexOn(cols []int) *Index {
 	return nil
 }
 
-// IndexOnSet returns an index whose column set equals cols as a set, along
-// with the index, or nil when no such index exists.
+// IndexOnSet returns the first index whose column set equals cols as a set,
+// or nil when no such index exists.
 func (t *Table) IndexOnSet(cols []int) *Index {
 	for _, ix := range t.indexes {
-		if sameIntSet(ix.cols, cols) {
+		if SameIntSet(ix.cols, cols) {
 			return ix
 		}
 	}
 	return nil
 }
 
-// createIndex builds a secondary hash index over the named columns. It is
-// unexported on purpose: index creation changes committed catalog state, so
-// the only way in is Catalog.CreateIndex (or a bumping caller like
-// AddForeignKey), which moves Catalog.version and keeps the Prevalidated()
-// flush fast path honest.
-func (t *Table) createIndex(name string, cols ...string) (*Index, error) {
+// Indexes returns the table's secondary indexes, declared and arranged, in
+// creation order. The result is a fresh slice.
+func (t *Table) Indexes() []*Index { return slices.Clone(t.indexes) }
+
+// columnOffsets resolves column names of this table to offsets.
+func (t *Table) columnOffsets(cols []string) ([]int, error) {
 	offsets := make([]int, len(cols))
 	for i, c := range cols {
 		p := t.schema.IndexOf(t.name, c)
@@ -221,12 +238,29 @@ func (t *Table) createIndex(name string, cols ...string) (*Index, error) {
 		}
 		offsets[i] = p
 	}
-	ix := &Index{name: name, cols: offsets, m: make(map[string][]Row)}
+	return offsets, nil
+}
+
+// buildIndex builds a secondary hash index over the given column offsets.
+// Like dropIndex it is unexported on purpose: the set of
+// indexes is committed catalog state, so the only way in is a Catalog method
+// (CreateIndex, AddForeignKey, Arrange, Release) that moves Catalog.version
+// and keeps the Prevalidated() flush fast path honest.
+func (t *Table) buildIndex(name string, offsets []int, pinned bool) *Index {
+	ix := &Index{name: name, cols: offsets, m: make(map[string][]Row), pinned: pinned}
 	for _, r := range t.rows {
 		ix.add(r)
 	}
 	t.indexes = append(t.indexes, ix)
-	return ix, nil
+	return ix
+}
+
+// dropIndex removes an index from the table, so base apply stops
+// maintaining it.
+func (t *Table) dropIndex(ix *Index) {
+	if i := slices.Index(t.indexes, ix); i >= 0 {
+		t.indexes = slices.Delete(t.indexes, i, i+1)
+	}
 }
 
 // ValidateRow checks a row against the table schema (arity, NOT NULL,
@@ -310,7 +344,9 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-func sameIntSet(a, b []int) bool {
+// SameIntSet reports whether a and b hold the same integers, in any order
+// (column offsets compared as sets).
+func SameIntSet(a, b []int) bool {
 	return len(a) == len(b) && subsetInts(a, b) && subsetInts(b, a)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +28,10 @@ type Maintainer struct {
 	// plan verification), which may race with each other.
 	planMu sync.Mutex
 	plans  map[planKey]*tablePlan
+	// held lists the arrangements Arrange acquired and Release gives back.
+	// Both run under the owner's exclusive lock (the Database's write lock
+	// in register and DropView), like every other catalog DDL.
+	held []arrangement
 
 	// mvEp/aggEp hold the current committed epoch once EnableSnapshots has
 	// run (exactly one is used, matching mv/agg); epochSeq is the per-view
@@ -41,6 +46,13 @@ type Maintainer struct {
 type planKey struct {
 	table string
 	fkOK  bool
+}
+
+// arrangement is one hold on a catalog index this view's maintenance joins
+// probe (rel.Catalog.Arrange).
+type arrangement struct {
+	table string
+	ix    *rel.Index
 }
 
 // tablePlan is the maintenance plan for updates to one table: a logical
@@ -80,6 +92,24 @@ type tablePlan struct {
 
 // Program returns the compiled ΔV^D program (nil when PrimaryExpr is).
 func (p *tablePlan) Program() *exec.Program { return p.prog }
+
+// programs lists every program a maintenance run of the plan may start: the
+// ΔV^D program and the §5.3 anti-joins.
+func (p *tablePlan) programs() []*exec.Program {
+	if p.prog == nil {
+		return nil
+	}
+	out := []*exec.Program{p.prog}
+	for _, fb := range p.fromBase {
+		if fb == nil {
+			continue
+		}
+		for _, pp := range fb.parents {
+			out = append(out, pp.insert, pp.delete)
+		}
+	}
+	return out
+}
 
 // Graph returns the (possibly FK-reduced) maintenance graph the plan uses.
 func (p *tablePlan) Graph() *algebra.MaintGraph { return p.graph }
@@ -211,6 +241,80 @@ func (m *Maintainer) Plan(table string, fkOK bool) (*tablePlan, error) {
 	}
 	m.plans[key] = p
 	return p, nil
+}
+
+// Arrange makes "a small delta costs a few index probes" (§7) hold for this
+// view by construction. It builds every maintenance plan the view will ever
+// run — each base table under both foreign-key contracts, so a bad plan is
+// rejected here rather than at the first statement — asks the compiled
+// programs (ΔV^D, and the §5.3 anti-joins of from-base and aggregation
+// views) which secondary indexes their equijoins go through or would go
+// through (exec.Program.Wants), and acquires the catalog's arrangement for
+// each: the index a declaration or another view already provides, or a new
+// one. A new index moves the catalog's design generation, so the next Plan
+// recompiles the programs into probes. Arrange is the maintainer's only
+// catalog side effect; on error it holds nothing. Release undoes it.
+func (m *Maintainer) Arrange() (err error) {
+	defer func() {
+		if err != nil {
+			m.Release()
+		}
+	}()
+	seen := make(map[string]bool)
+	for _, t := range m.def.tables {
+		for _, fkOK := range []bool{true, false} {
+			p, err := m.Plan(t, fkOK)
+			if err != nil {
+				return err
+			}
+			for _, prog := range p.programs() {
+				for _, w := range prog.Wants() {
+					key := fmt.Sprint(w.Table, w.Cols)
+					if seen[key] {
+						continue
+					}
+					seen[key] = true
+					ix, err := m.def.cat.Arrange(w.Table, w.Cols)
+					if err != nil {
+						return err
+					}
+					m.held = append(m.held, arrangement{table: w.Table, ix: ix})
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Release gives back every arrangement Arrange acquired; the catalog drops
+// the ones no other view holds and nobody declared. The maintainer keeps
+// working afterwards — its programs recompile to whatever the catalog still
+// offers — so Release is also the undo of a registration that failed later.
+func (m *Maintainer) Release() {
+	for _, a := range m.held {
+		m.def.cat.Release(a.table, a.ix)
+	}
+	m.held = nil
+}
+
+// Arrangements names the arrangements the view holds that nobody declared,
+// as table(column,...), for explain tooling: the indexes that exist because
+// this view (or a sibling) is registered.
+func (m *Maintainer) Arrangements() []string {
+	var out []string
+	for _, a := range m.held {
+		if a.ix.Pinned() {
+			continue
+		}
+		sch := m.def.cat.Table(a.table).Schema()
+		cols := make([]string, len(a.ix.Cols()))
+		for i, c := range a.ix.Cols() {
+			cols[i] = sch[c].Name
+		}
+		out = append(out, a.table+"("+strings.Join(cols, ",")+")")
+	}
+	sort.Strings(out)
+	return out
 }
 
 // compile (re)builds the executor half of a plan against the catalog's

@@ -327,9 +327,13 @@ func (db *Database) AddForeignKey(table string, cols []string, refTable string, 
 	return err
 }
 
-// CreateIndex builds a secondary hash index. It goes through the catalog so
-// the version moves: a queued plan validated before the index existed must
-// not reuse its validation at flush.
+// CreateIndex declares a secondary hash index. Registered views never need
+// one for their own maintenance — CreateView arranges an index over every
+// join attribute its maintenance probes — so this is for Query and for
+// pinning: declaring an index over a column set a view already arranged
+// adopts that index under the given name, and it then outlives the views.
+// It goes through the catalog so the version moves: a queued plan validated
+// before the index existed must not reuse its validation at flush.
 func (db *Database) CreateIndex(table, name string, cols ...string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -357,7 +361,11 @@ type View struct {
 }
 
 // CreateView defines, validates and materializes an SPOJ view and registers
-// it for incremental maintenance.
+// it for incremental maintenance. Registration arranges, once, a maintained
+// index over every join attribute the view's maintenance probes that has no
+// key or declared index to serve it (shared with every other view probing
+// the same columns, dropped with the last of them), so a small update costs
+// index probes rather than a scan of the joined tables.
 func (db *Database) CreateView(name string, r Rel, output []ColRef, opts ...Options) (*View, error) {
 	def, err := view.Define(db.cat, name, r.e, output)
 	if err != nil {
@@ -389,7 +397,11 @@ func (db *Database) register(name string, def *view.Definition, opts []Options) 
 	if err != nil {
 		return nil, err
 	}
+	if err := m.Arrange(); err != nil {
+		return nil, err
+	}
 	if err := m.Materialize(); err != nil {
+		m.Release()
 		return nil, err
 	}
 	m.EnableSnapshots()
@@ -401,10 +413,12 @@ func (db *Database) register(name string, def *view.Definition, opts []Options) 
 	return v, nil
 }
 
-// DropView unregisters a view and releases its materialized state. It
-// takes db.mu, so it serializes against statements and flushes the same
-// way registration does: a drop never lands mid-flush, and the next flush
-// simply plans without the view. Multi-view shared plans are rebuilt per
+// DropView unregisters a view and releases its materialized state and its
+// holds on the arrangements its maintenance probed (an arrangement no other
+// view holds and nobody declared is dropped with it). It takes db.mu, so it
+// serializes against statements and flushes the same way registration does:
+// a drop never lands mid-flush, and the next flush simply plans without the
+// view. Multi-view shared plans are rebuilt per
 // flush step from the live registry, so a dropped view's subtrees vanish
 // from the DAG and a new view reusing the name (with a different
 // definition) contributes its own structural keys — stale aliasing is
@@ -415,9 +429,11 @@ func (db *Database) DropView(name string) bool {
 	defer db.mu.Unlock()
 	db.viewMu.Lock()
 	defer db.viewMu.Unlock()
-	if _, ok := db.views[name]; !ok {
+	v, ok := db.views[name]
+	if !ok {
 		return false
 	}
+	v.m.Release()
 	delete(db.views, name)
 	for i, n := range db.order {
 		if n == name {

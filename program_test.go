@@ -1,7 +1,9 @@
 package ojv_test
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ojv"
@@ -17,19 +19,32 @@ import (
 // it must buy — a statement that allocates for its probes, not for
 // rebuilding its pipeline.
 
-// TestDDLReachesPhysicalPlan: an index that appears after a view's first
-// maintenance run is probed by the next run. The join attribute starts
-// without an index, so statement 1 hash-builds the child table; after
-// CreateIndex — or AddForeignKey, which always leaves an index on the
-// referencing columns — statement 2 probes it and builds nothing.
+// TestDDLReachesPhysicalPlan: a registered view's join attribute never
+// lacks an index — CreateView arranges one (DESIGN.md §16) — so statement 1
+// already probes, and DDL over the arranged columns reaches the cached
+// programs without costing the probe: CreateIndex and AddForeignKey adopt
+// the arrangement (the next run's plan names the declared index), DropView
+// of the only other holder leaves it to the survivor. Every statement
+// probes, builds no hash table and leaves the view equal to recomputation.
+// (The hash-then-CreateIndex-then-probe upgrade of a maintainer that has
+// not arranged is internal/view's TestUnarrangedProgramUpgradesOnDDL.)
 func TestDDLReachesPhysicalPlan(t *testing.T) {
-	ddl := map[string]func(db *ojv.Database) error{
-		"CreateIndex": func(db *ojv.Database) error { return db.CreateIndex("c", "c_pfk", "pfk") },
-		"AddForeignKey": func(db *ojv.Database) error {
+	ddl := map[string]struct {
+		apply func(db *ojv.Database) error
+		via   string
+	}{
+		"CreateIndex": {func(db *ojv.Database) error { return db.CreateIndex("c", "c_pfk", "pfk") }, "index c_pfk(pfk)"},
+		"AddForeignKey": {func(db *ojv.Database) error {
 			return db.AddForeignKey("c", []string{"pfk"}, "p", []string{"pk"})
-		},
+		}, "index arr_c_pfk(pfk)"},
+		"DropView": {func(db *ojv.Database) error {
+			if !db.DropView("twin") {
+				return fmt.Errorf("view twin is not registered")
+			}
+			return nil
+		}, "index arr_c_pfk(pfk)"},
 	}
-	for name, apply := range ddl {
+	for name, c := range ddl {
 		t.Run(name, func(t *testing.T) {
 			db := ojv.NewDatabase()
 			db.MustCreateTable("p", ojv.Cols(ojv.IntCol("pk"), ojv.IntCol("g")), "pk")
@@ -48,37 +63,54 @@ func TestDDLReachesPhysicalPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			metrics := ojv.NewMetrics()
-			v, err := db.CreateView("pc",
-				ojv.Table("p").LeftJoin(ojv.Table("c"), ojv.Eq("p", "pk", "c", "pfk")),
-				ojv.Columns("p.pk", "p.g", "c.ck", "c.pfk", "c.x"),
+			on := ojv.Eq("p", "pk", "c", "pfk")
+			cols := ojv.Columns("p.pk", "p.g", "c.ck", "c.pfk", "c.x")
+			v, err := db.CreateView("pc", ojv.Table("p").LeftJoin(ojv.Table("c"), on), cols,
 				ojv.Options{Metrics: metrics, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// statement inserts one parent and returns what the run added to
-			// the hash-build and index-probe counters.
-			statement := func(pk int64) (built, probed int64) {
+			// The twin probes the same columns through a different join kind:
+			// one arrangement, two holders, no shared ΔV^D subtree (a shared
+			// producer would count its probes in the statement's registry,
+			// which is nil).
+			if _, err := db.CreateView("twin", ojv.Table("p").Join(ojv.Table("c"), on), cols,
+				ojv.Options{Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
+			// statement inserts one parent and requires that the run probed
+			// through the named index and hash-built nothing.
+			statement := func(when string, pk int64, via string) {
 				t.Helper()
 				before := metrics.Snapshot()
 				if err := db.Insert("p", []ojv.Row{{ojv.Int(pk), ojv.Int(1)}}); err != nil {
 					t.Fatal(err)
 				}
 				if err := v.Check(); err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", when, err)
 				}
 				after := metrics.Snapshot()
-				return after["exec.join.hash.build_rows"] - before["exec.join.hash.build_rows"],
-					after["exec.join.index.probe_rows"] - before["exec.join.index.probe_rows"]
+				built := after["exec.join.hash.build_rows"] - before["exec.join.hash.build_rows"]
+				probed := after["exec.join.index.probe_rows"] - before["exec.join.index.probe_rows"]
+				if built != 0 || probed == 0 {
+					t.Fatalf("%s: hash-built %d rows, index-probed %d; want probes and no build", when, built, probed)
+				}
+				plan, err := v.Maintainer().Plan("p", true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if phys := plan.Program().String(); !strings.Contains(phys, "probe c via "+via) {
+					t.Fatalf("%s: physical plan lacks a probe via %s:\n%s", when, via, phys)
+				}
 			}
-			if built, probed := statement(1000); built == 0 || probed != 0 {
-				t.Fatalf("before the index: hash-built %d rows, index-probed %d; want a hash build and no probe", built, probed)
-			}
-			if err := apply(db); err != nil {
+			statement("statement 1", 1000, "index arr_c_pfk(pfk)")
+			if err := c.apply(db); err != nil {
 				t.Fatal(err)
 			}
-			if built, probed := statement(1001); built != 0 || probed == 0 {
-				t.Fatalf("after %s: hash-built %d rows, index-probed %d; want probes and no build", name, built, probed)
-			}
+			statement("after "+name, 1001, c.via)
+			// The survivor keeps probing when the only other holder goes.
+			db.DropView("twin")
+			statement("after the twin is dropped", 1002, c.via)
 		})
 	}
 }
