@@ -88,7 +88,7 @@ func DecodeValues(s string) ([]Value, error) {
 			if len(b) < 8 {
 				return nil, fmt.Errorf("rel: truncated %s value in encoded key", k)
 			}
-			out = append(out, Value{kind: k, i: int64(binary.BigEndian.Uint64(b[:8]))})
+			out = append(out, Value{kind: k, w: binary.BigEndian.Uint64(b[:8])})
 			b = b[8:]
 		case KindFloat:
 			if len(b) < 8 {
@@ -120,23 +120,23 @@ func appendValue(buf []byte, v Value) []byte {
 		return append(buf, byte(KindNull))
 	case KindInt:
 		buf = append(buf, byte(KindInt))
-		return binary.BigEndian.AppendUint64(buf, uint64(v.i))
+		return binary.BigEndian.AppendUint64(buf, v.w)
 	case KindFloat:
 		// Integral floats encode as integers so that Int(2) and Float(2)
 		// produce the same key, in line with Value.Equal.
-		if v.f == math.Trunc(v.f) && v.f >= -9.2e18 && v.f <= 9.2e18 {
+		if f := v.float(); f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
 			buf = append(buf, byte(KindInt))
-			return binary.BigEndian.AppendUint64(buf, uint64(int64(v.f)))
+			return binary.BigEndian.AppendUint64(buf, uint64(int64(f)))
 		}
 		buf = append(buf, byte(KindFloat))
-		return binary.BigEndian.AppendUint64(buf, math.Float64bits(v.f))
+		return binary.BigEndian.AppendUint64(buf, v.w)
 	case KindBool, KindDate:
 		buf = append(buf, byte(v.kind))
-		return binary.BigEndian.AppendUint64(buf, uint64(v.i))
+		return binary.BigEndian.AppendUint64(buf, v.w)
 	case KindString:
 		buf = append(buf, byte(KindString))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.s)))
-		return append(buf, v.s...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(v.w))
+		return append(buf, v.str()...)
 	default:
 		panic("rel: cannot encode value kind")
 	}

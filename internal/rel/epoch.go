@@ -77,22 +77,33 @@ func newFullEpochHashed[V any](seq uint64, live map[string]V, clone func(V) V, h
 }
 
 // PublishEpoch derives the next epoch from prev by resolving every dirty
-// key against the live container via lookup. The previous epoch is shared
-// structurally; only the paths to the dirty keys occupy new memory.
-func PublishEpoch[V any](prev *EpochMap[V], seq uint64, dirty map[string]struct{}, lookup func(string) (V, bool), clone func(V) V) *EpochMap[V] {
+// key against the live container via lookup. dirty yields the keys — a
+// dirty set, or a log that may name a key more than once (resolving a key
+// again is idempotent). The previous epoch is shared structurally; only
+// the paths to the dirty keys occupy new memory.
+func PublishEpoch[V any](prev *EpochMap[V], seq uint64, dirty func(yield func(string)), lookup func(string) (V, bool), clone func(V) V) *EpochMap[V] {
 	tx := prev.edit()
-	for k := range dirty {
+	dirty(func(k string) {
 		v, ok := lookup(k)
 		if !ok {
 			tx.delete(k)
-			continue
+			return
 		}
 		if clone != nil {
 			v = clone(v)
 		}
 		tx.set(k, v)
-	}
+	})
 	return tx.publish(seq)
+}
+
+// dirtySet adapts a dirty-key set to PublishEpoch.
+func dirtySet(set map[string]struct{}) func(yield func(string)) {
+	return func(yield func(string)) {
+		for k := range set {
+			yield(k)
+		}
+	}
 }
 
 // edit opens a transaction over e's root; e itself never changes.
@@ -174,7 +185,7 @@ func (t *Table) publishEpoch(seq uint64) {
 	case len(t.dirty) == 0:
 		return // nothing changed since the previous publish
 	default:
-		rows = PublishEpoch(prev.rows, seq, t.dirty, func(k string) (Row, bool) {
+		rows = PublishEpoch(prev.rows, seq, dirtySet(t.dirty), func(k string) (Row, bool) {
 			r, ok := t.rows[k]
 			return r, ok
 		}, nil)

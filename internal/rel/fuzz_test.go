@@ -4,15 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
 // valuesFromSpec deterministically maps fuzz bytes to a value sequence,
 // consuming a kind selector byte and an 8-byte payload per value so the
 // fuzzer can reach every kind, NaN/Inf floats, NULLs and embedded NULs in
-// strings.
-func valuesFromSpec(data []byte) []Value {
+// strings. Every value is read back through its kind's accessor on the way.
+func valuesFromSpec(t *testing.T, data []byte) []Value {
 	var out []Value
+	add := func(v Value, kind Kind, payloadOK bool) {
+		if v.Kind() != kind || !payloadOK {
+			t.Fatalf("constructed %s value reads back as %s (%s)", kind, v.Kind(), v)
+		}
+		out = append(out, v)
+	}
 	for len(data) > 0 {
 		sel := data[0]
 		data = data[1:]
@@ -28,19 +35,30 @@ func valuesFromSpec(data []byte) []Value {
 		}
 		switch sel % 6 {
 		case 0:
-			out = append(out, Null)
+			add(Null, KindNull, Null.IsNull())
 		case 1:
-			out = append(out, Int(int64(payload)))
+			v := Int(int64(payload))
+			add(v, KindInt, v.AsInt() == int64(payload))
 		case 2:
-			out = append(out, Float(math.Float64frombits(payload)))
+			v := Float(math.Float64frombits(payload))
+			add(v, KindFloat, math.Float64bits(v.AsFloat()) == payload)
 		case 3:
 			var raw [8]byte
 			binary.BigEndian.PutUint64(raw[:], payload)
-			out = append(out, Str(string(raw[:sel%9])))
+			// sel%9 == 0 is the empty string; a large selector repeats the
+			// bytes into a string far longer than any inline buffer.
+			str := string(raw[:sel%9])
+			if sel >= 240 {
+				str = strings.Repeat(str, 12000)
+			}
+			v := Str(str)
+			add(v, KindString, v.AsString() == str)
 		case 4:
-			out = append(out, Bool(payload%2 == 0))
+			v := Bool(payload%2 == 0)
+			add(v, KindBool, v.AsBool() == (payload%2 == 0))
 		default:
-			out = append(out, Date(int64(payload%100000)))
+			v := Date(int64(payload % 100000))
+			add(v, KindDate, v.AsInt() == int64(payload%100000))
 		}
 	}
 	return out
@@ -56,9 +74,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 7})
 	f.Add([]byte{2, 0x40, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 2})
 	f.Add([]byte{3, 'a', 'b', 0, 0, 0, 0, 0, 0}, []byte{4, 0, 0, 0, 0, 0, 0, 0, 1})
+	// "", a 72 kB string, NaN, −0.0, math.MinInt64 and an integral float
+	// beside the integer it folds to.
+	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 249, 'l', 'o', 'n', 'g', 'l', 'o', 'n', 'g'},
+		[]byte{2, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 2, 0x80, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0, 2, 0x40, 0, 0, 0, 0, 0, 0, 0},
+		[]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, specA, specB []byte) {
-		va := valuesFromSpec(specA)
-		vb := valuesFromSpec(specB)
+		va := valuesFromSpec(t, specA)
+		vb := valuesFromSpec(t, specB)
 
 		encA := EncodeValues(va...)
 		dec, err := DecodeValues(encA)

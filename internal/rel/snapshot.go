@@ -13,12 +13,40 @@ import (
 // neither are the arrangements derived from them (unpinned indexes):
 // re-creating the views re-derives those.
 
-// wireValue is the gob representation of a Value.
+// wireValue is the gob representation of a Value: the kind and one field
+// per payload type, of which at most the kind's own is non-zero (gob omits
+// zero fields). The format predates the one-word Value and is kept as is.
 type wireValue struct {
 	Kind Kind
 	I    int64
 	F    float64
 	S    string
+}
+
+func toWire(v Value) wireValue {
+	switch v.kind {
+	case KindFloat:
+		return wireValue{Kind: v.kind, F: v.float()}
+	case KindString:
+		return wireValue{Kind: v.kind, S: v.str()}
+	default:
+		return wireValue{Kind: v.kind, I: v.int()}
+	}
+}
+
+func (wv wireValue) value() Value {
+	switch wv.Kind {
+	case KindNull:
+		return Null
+	case KindFloat:
+		return Float(wv.F)
+	case KindString:
+		return Str(wv.S)
+	default:
+		// Integer-like kinds, and kinds this version does not know: the
+		// load's schema validation rejects the latter.
+		return Value{kind: wv.Kind, w: uint64(wv.I)}
+	}
 }
 
 // wireTable is the gob representation of one table.
@@ -68,7 +96,7 @@ func (c *Catalog) Save(w io.Writer) error {
 		for _, row := range t.rows {
 			wr := make([]wireValue, len(row))
 			for i, v := range row {
-				wr[i] = wireValue{Kind: v.kind, I: v.i, F: v.f, S: v.s}
+				wr[i] = toWire(v)
 			}
 			wt.Rows = append(wt.Rows, wr)
 		}
@@ -95,7 +123,7 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 		for i, wr := range wt.Rows {
 			row := make(Row, len(wr))
 			for j, wv := range wr {
-				row[j] = Value{kind: wv.Kind, i: wv.I, f: wv.F, s: wv.S}
+				row[j] = wv.value()
 			}
 			rows[i] = row
 		}

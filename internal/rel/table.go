@@ -102,7 +102,7 @@ func (ix *Index) remove(row Row) {
 // old's slot in its bucket.
 func (ix *Index) replace(old, row Row) {
 	for _, c := range ix.cols {
-		if old[c] != row[c] {
+		if !old[c].identical(row[c]) {
 			ix.remove(old)
 			ix.add(row)
 			return

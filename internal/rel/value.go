@@ -10,8 +10,10 @@ package rel
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -51,36 +53,52 @@ func (k Kind) String() string {
 //
 // Dates are stored as days since 1970-01-01 in the integer payload so that
 // date comparison is integer comparison.
+//
+// A Value is 24 bytes: one payload word (the integer, boolean or date; the
+// float's IEEE bits; the string's length), one data pointer (the string's
+// bytes, nil for every other kind) and the kind. Two equal strings may sit
+// at different addresses, so == on a Value would not be value equality; the
+// leading zero-size field makes the struct non-comparable, which turns ==
+// and map-keying on a Value into compile errors. Use Equal, or key on the
+// encoding (EncodeValues).
 type Value struct {
+	_    [0]func()
+	w    uint64
+	p    unsafe.Pointer
 	kind Kind
-	i    int64
-	f    float64
-	s    string
 }
 
 // Null is the SQL NULL marker.
 var Null = Value{}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, w: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, w: math.Float64bits(v)} }
 
 // String returns a string value.
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+func Str(v string) Value {
+	return Value{kind: KindString, w: uint64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
-	var i int64
+	var i uint64
 	if v {
 		i = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, w: i}
 }
 
 // Date returns a date value for the given day offset from 1970-01-01.
-func Date(daysSinceEpoch int64) Value { return Value{kind: KindDate, i: daysSinceEpoch} }
+func Date(daysSinceEpoch int64) Value { return Value{kind: KindDate, w: uint64(daysSinceEpoch)} }
+
+// The payload accessors below read the word as the kind the caller has
+// already established; they do not check it.
+func (v Value) int() int64     { return int64(v.w) }
+func (v Value) float() float64 { return math.Float64frombits(v.w) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.w)) }
 
 // ParseDate parses a YYYY-MM-DD string into a date value.
 func ParseDate(s string) (Value, error) {
@@ -112,7 +130,7 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) AsInt() int64 {
 	switch v.kind {
 	case KindInt, KindBool, KindDate:
-		return v.i
+		return v.int()
 	default:
 		panic(fmt.Sprintf("rel: AsInt on %s value", v.kind))
 	}
@@ -122,9 +140,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	default:
 		panic(fmt.Sprintf("rel: AsFloat on %s value", v.kind))
 	}
@@ -136,7 +154,7 @@ func (v Value) AsString() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("rel: AsString on %s value", v.kind))
 	}
-	return v.s
+	return v.str()
 }
 
 // AsBool returns the boolean payload. It panics unless the value is a
@@ -145,7 +163,7 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("rel: AsBool on %s value", v.kind))
 	}
-	return v.i != 0
+	return v.w != 0
 }
 
 // String renders the value for diagnostics and tools.
@@ -154,18 +172,18 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
-		if v.i != 0 {
+		if v.w != 0 {
 			return "true"
 		}
 		return "false"
 	case KindDate:
-		return time.Unix(v.i*86400, 0).UTC().Format("2006-01-02")
+		return time.Unix(v.int()*86400, 0).UTC().Format("2006-01-02")
 	default:
 		return fmt.Sprintf("Value(kind=%d)", v.kind)
 	}
@@ -189,14 +207,15 @@ func Compare(a, b Value) (int, bool) {
 	}
 	switch a.kind {
 	case KindInt, KindBool, KindDate:
-		return cmpInt(a.i, b.i), true
+		return cmpInt(a.int(), b.int()), true
 	case KindFloat:
-		return cmpFloat(a.f, b.f), true
+		return cmpFloat(a.float(), b.float()), true
 	case KindString:
+		as, bs := a.str(), b.str()
 		switch {
-		case a.s < b.s:
+		case as < bs:
 			return -1, true
-		case a.s > b.s:
+		case as > bs:
 			return 1, true
 		default:
 			return 0, true
@@ -220,14 +239,21 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindInt, KindBool, KindDate:
-		return v.i == o.i
+		return v.w == o.w
 	case KindFloat:
-		return v.f == o.f
+		return v.float() == o.float()
 	case KindString:
-		return v.s == o.s
+		return v.str() == o.str()
 	default:
 		return false
 	}
+}
+
+// identical reports whether two values have the same kind and the same
+// payload, bit for bit — what == meant before a Value carried a pointer.
+// Stricter than Equal (Int(2) and Float(2) differ) and than equal encodings.
+func (v Value) identical(o Value) bool {
+	return v.kind == o.kind && v.w == o.w && (v.kind != KindString || v.str() == o.str())
 }
 
 func cmpInt(a, b int64) int {
@@ -259,7 +285,7 @@ func Add(a, b Value) Value {
 		return Null
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		return Int(a.i + b.i)
+		return Int(a.int() + b.int())
 	}
 	return Float(a.AsFloat() + b.AsFloat())
 }
@@ -270,7 +296,7 @@ func Sub(a, b Value) Value {
 		return Null
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		return Int(a.i - b.i)
+		return Int(a.int() - b.int())
 	}
 	return Float(a.AsFloat() - b.AsFloat())
 }

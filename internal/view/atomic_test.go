@@ -34,7 +34,8 @@ func (f *faultInjector) hook(site string) error {
 
 // fingerprint captures everything a rollback must restore: the stored rows
 // (groups for aggregation views), the per-term pattern counters and the
-// orphan-index shape.
+// membership of every per-table chain (not the order within a chain, and
+// not handle numbers).
 func fingerprint(m *Maintainer) string {
 	var b strings.Builder
 	if a := m.Aggregated(); a != nil {
@@ -56,12 +57,10 @@ func fingerprint(m *Maintainer) string {
 		}
 	}
 	b.WriteByte('\n')
-	for _, t := range mv.tableOrder {
-		total := 0
-		for _, set := range mv.perTable[t] {
-			total += len(set)
+	if mv.perTable != nil {
+		for i, t := range mv.tableOrder {
+			fmt.Fprintf(&b, "index %s: %s\n", t, indexShape(mv, i))
 		}
-		fmt.Fprintf(&b, "index %s: %d keys %d entries\n", t, len(mv.perTable[t]), total)
 	}
 	return b.String()
 }
@@ -397,11 +396,18 @@ func TestContainsTupleIndexAgreement(t *testing.T) {
 		t.Fatal("fixture views do not differ on the orphan index")
 	}
 
-	probe := func(tables []string, encKeys map[string]string) {
+	probe := func(parts map[int]string) {
 		t.Helper()
-		got, want := idx.containsTuple(tables, encKeys), scan.containsTuple(tables, encKeys)
+		var mask uint32
+		keys := make([]string, len(idx.tableOrder))
+		for tb, ek := range parts {
+			mask |= 1 << uint(tb)
+			keys[tb] = ek
+		}
+		key := probeKey(idx, keys)
+		got, want := idx.containsTuple(mask, key), scan.containsTuple(mask, key)
 		if got != want {
-			t.Errorf("containsTuple(%v, %v): index says %v, scan says %v", tables, encKeys, got, want)
+			t.Errorf("containsTuple(%b, %x): index says %v, scan says %v", mask, key, got, want)
 		}
 	}
 	missing := rel.EncodeValues(rel.Int(987654))
@@ -411,46 +417,50 @@ func TestContainsTupleIndexAgreement(t *testing.T) {
 		if i%7 != 0 {
 			continue // sample: every row costs four single + three pair probes
 		}
-		var present []string
-		for _, tb := range idx.tableOrder {
+		var present []int
+		for tb := range idx.tableOrder {
 			if row[idx.witnessCol[tb]].IsNull() {
 				continue
 			}
 			present = append(present, tb)
 			ek := rel.EncodeRowCols(row, idx.keyCols[tb])
-			probe([]string{tb}, map[string]string{tb: ek})
+			probe(map[int]string{tb: ek})
 			// Same table with an absent key: the probe set is empty and both
 			// sides must say false.
-			probe([]string{tb}, map[string]string{tb: missing})
+			probe(map[int]string{tb: missing})
 		}
 		// Pair probes, existing/existing and existing/missing in both orders.
 		if len(present) >= 2 {
 			a, b := present[0], present[1]
 			ea := rel.EncodeRowCols(row, idx.keyCols[a])
 			eb := rel.EncodeRowCols(row, idx.keyCols[b])
-			probe([]string{a, b}, map[string]string{a: ea, b: eb})
-			probe([]string{a, b}, map[string]string{a: ea, b: missing})
-			probe([]string{a, b}, map[string]string{a: missing, b: eb})
+			probe(map[int]string{a: ea, b: eb})
+			probe(map[int]string{a: ea, b: missing})
+			probe(map[int]string{a: missing, b: eb})
 		}
 	}
 
-	// Direct empty-probe regression: when the first table's set is empty the
-	// indexed path must answer false without touching the second (possibly
-	// huge) set.
-	first := idx.tableOrder[0]
-	second := idx.tableOrder[1]
+	// Direct empty-probe regression: when the first table's chain is empty
+	// the indexed path must answer false without walking the second
+	// (possibly huge) chain.
 	var secondKey string
 	for _, row := range rows {
-		if !row[idx.witnessCol[second]].IsNull() {
-			secondKey = rel.EncodeRowCols(row, idx.keyCols[second])
+		if !row[idx.witnessCol[1]].IsNull() {
+			secondKey = rel.EncodeRowCols(row, idx.keyCols[1])
 			break
 		}
 	}
 	if secondKey == "" {
-		t.Fatalf("no non-null %s row in the view", second)
+		t.Fatalf("no non-null %s row in the view", idx.tableOrder[1])
 	}
-	if idx.containsTuple([]string{first, second}, map[string]string{first: missing, second: secondKey}) {
+	keys := make([]string, len(idx.tableOrder))
+	keys[0], keys[1] = missing, secondKey
+	walked := idx.linkOps
+	if idx.containsTuple(0b11, probeKey(idx, keys)) {
 		t.Error("containsTuple = true with an empty probe set on the first table")
+	}
+	if idx.linkOps != walked {
+		t.Errorf("an empty first chain still cost %d link steps", idx.linkOps-walked)
 	}
 }
 

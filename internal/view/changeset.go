@@ -8,11 +8,13 @@ import (
 
 // Changeset is the undo log for one atomic maintenance run over a single
 // maintainer's stored view. Every view mutation — row inserts and deletes
-// on a Materialized (which carry the patternCount and perTable index
+// on a Materialized (which carry the patternCount and per-table chain
 // updates with them) and group mutations on an AggMaterialized — is staged
 // through the changeset, which records enough to restore the exact
 // pre-mutation state. Commit discards the log; Rollback replays it in
-// reverse, returning the view bit-identically to its state at Begin.
+// reverse, returning the view to its state at Begin: the same rows, the
+// same counters and the same membership of every per-table chain (a row's
+// handle and its place within a chain are not state and may differ).
 //
 // The paper assumes "the base tables have already been updated" when
 // maintenance runs; without a changeset any mid-apply error (a duplicate
@@ -86,15 +88,15 @@ func (cs *Changeset) fail(site string) error {
 	return cs.m.opts.FailPoint(site)
 }
 
-// insertRow stages one view-row insertion.
-func (cs *Changeset) insertRow(site string, row rel.Row) error {
+// insertRow stages the insertion of one view row under its view key.
+func (cs *Changeset) insertRow(site, key string, row rel.Row) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	if err := cs.m.mv.insertRow(row); err != nil {
+	if err := cs.m.mv.insertRow(key, row); err != nil {
 		return err
 	}
-	cs.undo = append(cs.undo, undoRec{kind: undoViewInsert, key: cs.m.mv.viewKey(row)})
+	cs.undo = append(cs.undo, undoRec{kind: undoViewInsert, key: key})
 	return nil
 }
 
@@ -160,7 +162,7 @@ func (cs *Changeset) Rollback() error {
 			}
 		case undoViewDelete:
 			//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-			if err := cs.m.mv.insertRow(r.row); err != nil {
+			if err := cs.m.mv.insertRow(r.key, r.row); err != nil {
 				return fmt.Errorf("view %s: rollback: %v; re-materialize the view", cs.m.def.Name, err)
 			}
 		case undoAggGroup:

@@ -229,6 +229,27 @@ func DefineAggregate(cat *rel.Catalog, name string, expr algebra.Expr, agg AggSp
 // Tables returns the sorted base tables the view references.
 func (d *Definition) Tables() []string { return d.tables }
 
+// tablePos returns a table's position in Tables — its bit in a term
+// pattern and its index in every per-table structure of the stored view —
+// or −1 for a table the view does not reference.
+func (d *Definition) tablePos(table string) int {
+	for i, t := range d.tables {
+		if t == table {
+			return i
+		}
+	}
+	return -1
+}
+
+// maskOf returns the pattern bitmask of a set of the view's tables.
+func (d *Definition) maskOf(tables []string) uint32 {
+	var p uint32
+	for _, t := range tables {
+		p |= 1 << uint(d.tablePos(t))
+	}
+	return p
+}
+
 // NormalForm returns the view's join-disjunctive normal form (with FK-based
 // term elimination applied).
 func (d *Definition) NormalForm() *algebra.NormalForm { return d.nf }

@@ -13,9 +13,10 @@ import (
 // maintenance run stages mutations (and possibly rolls them back), the
 // pointer still names the last committed epoch, so concurrent readers
 // never observe torn or mid-flush state; CommitStaged resolves the keys
-// the run touched against the now-committed stored view and publishes the
-// next epoch in O(delta) (see rel/epoch.go and rel/trie.go for the
-// persistent trie behind an epoch).
+// the run touched — the committing changeset's log names them — against
+// the now-committed stored view and publishes the next epoch in O(delta)
+// (see rel/epoch.go and rel/trie.go for the persistent trie behind an
+// epoch).
 //
 // Epochs are per view. A reader pinning snapshots of two views (or a view
 // and a base table) between two commits may see one side's new epoch and
@@ -121,18 +122,17 @@ func (m *Maintainer) Snapshot() *Snapshot {
 	return &Snapshot{mv: m.mv, mve: e}
 }
 
-// EnableSnapshots publishes the first epoch and switches on dirty-key
-// tracking, making Snapshot non-nil from here on. The Database facade
-// calls it under its write lock when it registers a view; callers must
-// hold whatever lock serializes maintenance.
+// EnableSnapshots publishes the first epoch, making Snapshot non-nil from
+// here on (and switches on dirty-group tracking in an aggregation view).
+// The Database facade calls it under its write lock when it registers a
+// view; callers must hold whatever lock serializes maintenance.
 func (m *Maintainer) EnableSnapshots() {
 	m.pins = m.opts.Metrics.Counter("view.epoch.pins")
 	m.publishFull()
 }
 
-// publishFull copies the stored view into a fresh epoch and resets dirty
-// tracking. Used at enablement and after Materialize, which replaces the
-// stored maps wholesale.
+// publishFull copies the stored view into a fresh epoch. Used at
+// enablement and after Materialize, which replaces the store wholesale.
 func (m *Maintainer) publishFull() {
 	m.epochSeq++
 	if m.agg != nil {
@@ -141,21 +141,28 @@ func (m *Maintainer) publishFull() {
 		m.aggEp.Store(&aggEpoch{groups: rel.NewFullEpoch(m.epochSeq, a.groups, (*aggGroup).clone)})
 	} else {
 		mv := m.mv
-		mv.dirtyKeys = make(map[string]struct{})
+		live := make(map[string]rel.Row, len(mv.rows))
+		for k, h := range mv.rows {
+			live[k] = mv.at(h).row
+		}
 		m.mvEp.Store(&mvEpoch{
-			rows:     rel.NewFullEpoch(m.epochSeq, mv.rows, nil),
+			rows:     rel.NewFullEpoch(m.epochSeq, live, nil),
 			patterns: maps.Clone(mv.patternCount),
 		})
 	}
 	m.countPublish()
 }
 
-// publishEpoch publishes the epoch after a committed changeset: every key
-// the run touched (including keys whose mutation was undone — they
-// resolve to their unchanged committed value) is resolved against the
-// stored view and path-copied into the previous epoch's trie. No-op until
-// EnableSnapshots. Callers must hold whatever lock serializes maintenance.
-func (m *Maintainer) publishEpoch() {
+// publishEpoch publishes the epoch of a committing changeset: every key
+// its log names (a key staged and then removed again resolves to its
+// unchanged committed value, or to absence) is resolved against the stored
+// view and path-copied into the previous epoch's trie. Every view-row
+// mutation outside Materialize runs through a changeset and every
+// changeset commits through here, so the log is the complete set of keys
+// the epoch may differ in; aggregation groups, folded in place, keep their
+// dirty set. No-op until EnableSnapshots. Callers must hold whatever lock
+// serializes maintenance.
+func (m *Maintainer) publishEpoch(cs *Changeset) {
 	if m.agg != nil {
 		prev := m.aggEp.Load()
 		if prev == nil {
@@ -166,7 +173,12 @@ func (m *Maintainer) publishEpoch() {
 			return
 		}
 		m.epochSeq++
-		groups := rel.PublishEpoch(prev.groups, m.epochSeq, a.dirtyGroups, func(k string) (*aggGroup, bool) {
+		dirty := func(yield func(string)) {
+			for k := range a.dirtyGroups {
+				yield(k)
+			}
+		}
+		groups := rel.PublishEpoch(prev.groups, m.epochSeq, dirty, func(k string) (*aggGroup, bool) {
 			g, ok := a.groups[k]
 			return g, ok
 		}, (*aggGroup).clone)
@@ -180,15 +192,22 @@ func (m *Maintainer) publishEpoch() {
 		return
 	}
 	mv := m.mv
-	if len(mv.dirtyKeys) == 0 {
+	if len(cs.undo) == 0 {
 		return
 	}
 	m.epochSeq++
-	rows := rel.PublishEpoch(prev.rows, m.epochSeq, mv.dirtyKeys, func(k string) (rel.Row, bool) {
-		r, ok := mv.rows[k]
-		return r, ok
+	logged := func(yield func(string)) {
+		for i := range cs.undo {
+			yield(cs.undo[i].key)
+		}
+	}
+	rows := rel.PublishEpoch(prev.rows, m.epochSeq, logged, func(k string) (rel.Row, bool) {
+		h, ok := mv.rows[k]
+		if !ok {
+			return nil, false
+		}
+		return mv.at(h).row, true
 	}, nil)
-	clear(mv.dirtyKeys)
 	m.mvEp.Store(&mvEpoch{rows: rows, patterns: maps.Clone(mv.patternCount)})
 	m.countPublish()
 }

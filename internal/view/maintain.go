@@ -124,8 +124,7 @@ func (p *tablePlan) IndirectTermCount() int { return len(p.indirect) }
 
 // indirectPlan drives the secondary delta for one indirectly affected term.
 type indirectPlan struct {
-	term  algebra.Term
-	tiSet map[string]bool
+	term algebra.Term
 	// tiMask is the term's table bitmask; parentMasks are the directly
 	// affected parents' masks (the disjuncts of the paper's Pi predicate);
 	// indirectExtrasMask covers the extra tables of indirectly affected
@@ -367,9 +366,8 @@ func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
 	if p.primary != nil {
 		p.shared, p.sharedKeys = collectShareable(p.primary)
 	}
-	bits := m.tableBits()
 	for _, ti := range graph.IndirectTerms() {
-		ip, err := m.buildIndirectPlan(nf, graph, ti, bits)
+		ip, err := m.buildIndirectPlan(nf, graph, ti)
 		if err != nil {
 			return nil, err
 		}
@@ -390,43 +388,15 @@ func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
 	return p, nil
 }
 
-// tableBits assigns each table its bit, shared with the view storage.
-func (m *Maintainer) tableBits() map[string]uint {
-	bits := make(map[string]uint, len(m.def.tables))
-	for i, t := range m.def.tables {
-		bits[t] = uint(i)
-	}
-	return bits
-}
-
-func maskOf(tables []string, bits map[string]uint) uint32 {
-	var p uint32
-	for _, t := range tables {
-		p |= 1 << bits[t]
-	}
-	return p
-}
-
-func (m *Maintainer) buildIndirectPlan(nf *algebra.NormalForm, graph *algebra.MaintGraph, termIdx int, bits map[string]uint) (*indirectPlan, error) {
+func (m *Maintainer) buildIndirectPlan(nf *algebra.NormalForm, graph *algebra.MaintGraph, termIdx int) (*indirectPlan, error) {
 	term := nf.Terms[termIdx]
-	ip := &indirectPlan{
-		term:   term,
-		tiSet:  make(map[string]bool, len(term.Tables)),
-		tiMask: maskOf(term.Tables, bits),
-	}
-	for _, t := range term.Tables {
-		ip.tiSet[t] = true
-	}
+	ip := &indirectPlan{term: term, tiMask: m.def.maskOf(term.Tables)}
 	for _, pk := range graph.IndirectParents[termIdx] {
-		for _, t := range nf.Terms[pk].Tables {
-			if !ip.tiSet[t] {
-				ip.indirectExtrasMask |= 1 << bits[t]
-			}
-		}
+		ip.indirectExtrasMask |= m.def.maskOf(nf.Terms[pk].Tables) &^ ip.tiMask
 	}
 	for _, pk := range graph.DirectParents[termIdx] {
 		parent := nf.Terms[pk]
-		ip.parentMasks = append(ip.parentMasks, maskOf(parent.Tables, bits))
+		ip.parentMasks = append(ip.parentMasks, m.def.maskOf(parent.Tables))
 		pb, err := m.buildParentBase(term, parent, graph.Updated)
 		if err != nil {
 			return nil, err
@@ -656,8 +626,8 @@ func (m *Maintainer) CommitStaged(cs *Changeset, stats *MaintStats) {
 	stats.UndoRecords = cs.Len()
 	commit := m.opts.Tracer.StartSpan("changeset.commit").
 		SetStr("view", m.def.Name).SetInt("undo_records", int64(stats.UndoRecords))
+	m.publishEpoch(cs)
 	cs.Commit()
-	m.publishEpoch()
 	commit.End()
 	m.opts.Metrics.Add("view.undo.records", int64(stats.UndoRecords))
 	m.opts.Metrics.Add("view.commits", 1)
@@ -874,7 +844,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 	}
 	if isInsert {
 		for _, row := range projected {
-			if err := cs.insertRow("primary-insert", row); err != nil {
+			if err := cs.insertRow("primary-insert", m.mv.viewKey(row), row); err != nil {
 				applySpan.End()
 				return nil, err
 			}
@@ -949,7 +919,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 	}
 	for i, ip := range plan.indirect {
 		ts := sec.Child("term.apply").SetStr("term", ip.term.SourceKey())
-		n, err := m.applySecondaryFromBase(cs, ip, cands[i], isInsert)
+		n, err := m.applySecondaryFromBase(cs, ip, plan.fromBase[i], cands[i], isInsert)
 		ts.SetInt("rows", int64(n))
 		ts.End()
 		if err != nil {

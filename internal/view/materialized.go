@@ -12,8 +12,8 @@ import (
 // Physical design: every row is identified by the view's unique key — the
 // concatenation of the key columns of all referenced tables (NULL-marked
 // for null-extended tables), exactly the clustered index the paper creates
-// on its experimental views. Rows live in one hash map by that key; a
-// per-pattern counter tracks how many rows each normal-form term
+// on its experimental views. Rows live in one store by that key (store.go);
+// a per-pattern counter tracks how many rows each normal-form term
 // contributes (used by the Table 1 experiment and EXPLAIN output); and an
 // optional per-table key index maps each base-table key to the view rows
 // containing that tuple, playing the role of the paper's secondary view
@@ -26,24 +26,18 @@ type Materialized struct {
 	schema rel.Schema
 	// outCols maps output positions to fullSchema positions.
 	outCols []int
-	// tableOrder is the sorted table list; patterns are bitmasks over it.
+	// tableOrder is the sorted table list; patterns are bitmasks over it,
+	// and every per-table slice here and in the store is indexed by a
+	// table's position in it.
 	tableOrder []string
-	tableBit   map[string]uint
-	// keyCols[t] lists the positions in the OUTPUT schema of t's key columns.
-	keyCols map[string][]int
-	// witnessCol[t] is the output position of one key column of t, used to
-	// test null(t).
-	witnessCol map[string]int
+	// keyCols[i] lists the positions in the OUTPUT schema of table i's key
+	// columns; witnessCol[i] is the first of them, used to test null(t).
+	keyCols    [][]int
+	witnessCol []int
+	// colTable[c] is the table position of output column c.
+	colTable []int
 
-	rows         map[string]rel.Row
-	patternCount map[uint32]int
-	// perTable[t] maps an encoded base-table key to the set of view-row keys
-	// whose t-part equals that tuple. Nil when Options.DisableOrphanIndex.
-	perTable map[string]map[string]map[string]struct{}
-
-	// dirtyKeys tracks the rows touched since the last epoch publish; nil
-	// until the maintainer enables snapshots (see epoch.go).
-	dirtyKeys map[string]struct{}
+	store
 }
 
 // newMaterialized wires up the storage for a definition.
@@ -51,15 +45,16 @@ func newMaterialized(def *Definition, opts Options) (*Materialized, error) {
 	if def.Agg != nil {
 		return nil, fmt.Errorf("view %s: aggregation views use AggMaterialized", def.Name)
 	}
+	if len(def.tables) > maxTables {
+		return nil, fmt.Errorf("view %s: %d tables, a term pattern holds %d", def.Name, len(def.tables), maxTables)
+	}
 	m := &Materialized{
-		def:          def,
-		opts:         opts,
-		tableOrder:   def.tables,
-		tableBit:     make(map[string]uint, len(def.tables)),
-		keyCols:      make(map[string][]int, len(def.tables)),
-		witnessCol:   make(map[string]int, len(def.tables)),
-		rows:         make(map[string]rel.Row),
-		patternCount: make(map[uint32]int),
+		def:        def,
+		opts:       opts,
+		tableOrder: def.tables,
+		keyCols:    make([][]int, len(def.tables)),
+		witnessCol: make([]int, len(def.tables)),
+		store:      newStore(len(def.tables), !opts.DisableOrphanIndex),
 	}
 	outSchema := make(rel.Schema, len(def.Output))
 	m.outCols = make([]int, len(def.Output))
@@ -69,20 +64,17 @@ func newMaterialized(def *Definition, opts Options) (*Materialized, error) {
 		outSchema[i] = def.fullSchema[p]
 	}
 	m.schema = outSchema
-	for bit, t := range m.tableOrder {
-		m.tableBit[t] = uint(bit)
+	for i, t := range m.tableOrder {
 		tab := def.cat.Table(t)
 		for _, kc := range tab.KeyCols() {
 			name := tab.Schema()[kc].Name
-			m.keyCols[t] = append(m.keyCols[t], outSchema.MustIndexOf(t, name))
+			m.keyCols[i] = append(m.keyCols[i], outSchema.MustIndexOf(t, name))
 		}
-		m.witnessCol[t] = m.keyCols[t][0]
+		m.witnessCol[i] = m.keyCols[i][0]
 	}
-	if !opts.DisableOrphanIndex {
-		m.perTable = make(map[string]map[string]map[string]struct{}, len(m.tableOrder))
-		for _, t := range m.tableOrder {
-			m.perTable[t] = make(map[string]map[string]struct{})
-		}
+	m.colTable = make([]int, len(outSchema))
+	for c, col := range outSchema {
+		m.colTable[c] = def.tablePos(col.Table)
 	}
 	return m, nil
 }
@@ -96,44 +88,68 @@ func (m *Materialized) Len() int { return len(m.rows) }
 // Rows returns all view rows in unspecified order.
 func (m *Materialized) Rows() []rel.Row {
 	out := make([]rel.Row, 0, len(m.rows))
-	for _, r := range m.rows {
-		out = append(out, r)
+	for _, h := range m.rows {
+		out = append(out, m.at(h).row)
 	}
 	return out
+}
+
+// appendKey appends a view key to buf: for every table of mask, the encoded
+// values row carries at cols[i] (table i's key columns, in whatever schema
+// row has); for every other table, NULL marks.
+func (m *Materialized) appendKey(buf []byte, row rel.Row, cols [][]int, mask uint32) []byte {
+	for i, kc := range m.keyCols {
+		if mask&(1<<uint(i)) != 0 {
+			buf = rel.AppendRowCols(buf, row, cols[i])
+			continue
+		}
+		for range kc {
+			buf = append(buf, nullTag)
+		}
+	}
+	return buf
 }
 
 // viewKey computes the unique key of an output row: all tables' key columns
 // in sorted-table order.
 func (m *Materialized) viewKey(row rel.Row) string {
-	buf := make([]byte, 0, 16*len(m.tableOrder))
-	for _, t := range m.tableOrder {
-		for _, c := range m.keyCols[t] {
-			buf = rel.AppendEncoded(buf, row[c])
+	var scratch [64]byte
+	return string(m.appendKey(scratch[:0], row, m.keyCols, ^uint32(0)))
+}
+
+// orphanKeyFor builds the view key of the orphan row of a term: the term
+// tables' key values taken from an output-projected row, NULL elsewhere.
+func (m *Materialized) orphanKeyFor(row rel.Row, termMask uint32) string {
+	var scratch [64]byte
+	return string(m.appendKey(scratch[:0], row, m.keyCols, termMask))
+}
+
+// splitKey records where each table's part of a view key starts.
+func (m *Materialized) splitKey(key string, parts *keyParts) {
+	off := int32(0)
+	for i, kc := range m.keyCols {
+		parts[i] = off
+		for range kc {
+			off = skipEncoded(key, off)
 		}
 	}
-	return string(buf)
+	parts[len(m.keyCols)] = off
 }
 
 // pattern computes the non-null table bitmask of an output row (which
 // normal-form term the row belongs to).
 func (m *Materialized) pattern(row rel.Row) uint32 {
 	var p uint32
-	for _, t := range m.tableOrder {
-		if !row[m.witnessCol[t]].IsNull() {
-			p |= 1 << m.tableBit[t]
+	for i, w := range m.witnessCol {
+		if !row[w].IsNull() {
+			p |= 1 << uint(i)
 		}
 	}
 	return p
 }
 
 // patternOf returns the bitmask of a table set.
-func (m *Materialized) patternOf(tables []string) uint32 {
-	var p uint32
-	for _, t := range tables {
-		p |= 1 << m.tableBit[t]
-	}
-	return p
-}
+func (m *Materialized) patternOf(tables []string) uint32 { return m.def.maskOf(tables) }
 
 // TermCardinality returns the number of view rows whose source-table set is
 // exactly the given set (the per-term cardinalities of the paper's
@@ -142,161 +158,145 @@ func (m *Materialized) TermCardinality(tables []string) int {
 	return m.patternCount[m.patternOf(tables)]
 }
 
-// insertRow adds one projected row. It reports an error on key collision,
-// which would indicate a maintenance bug or an out-of-contract view.
-func (m *Materialized) insertRow(row rel.Row) error {
-	k := m.viewKey(row)
+// insertRow adds one projected row under its view key k = viewKey(row). It
+// reports an error on key collision, which would indicate a maintenance bug
+// or an out-of-contract view.
+func (m *Materialized) insertRow(k string, row rel.Row) error {
 	if _, dup := m.rows[k]; dup {
 		return fmt.Errorf("view %s: duplicate view key for row %s", m.def.Name, row)
 	}
-	m.rows[k] = row
-	m.patternCount[m.pattern(row)]++
-	if m.dirtyKeys != nil {
-		m.dirtyKeys[k] = struct{}{}
-	}
-	if m.perTable != nil {
-		for _, t := range m.tableOrder {
-			if row[m.witnessCol[t]].IsNull() {
-				continue
-			}
-			tk := rel.EncodeRowCols(row, m.keyCols[t])
-			set := m.perTable[t][tk]
-			if set == nil {
-				set = make(map[string]struct{}, 1)
-				m.perTable[t][tk] = set
-			}
-			set[k] = struct{}{}
+	h := m.alloc()
+	*m.at(h) = storedRow{key: k, row: row}
+	m.rows[k] = h
+	m.patternCount[m.index(k, h, true)]++
+	return nil
+}
+
+// index puts row h, stored under view key k, on the chain of every table k
+// is non-null on (add) or takes it off them (!add), and returns the row's
+// term pattern, read off the same walk of the key.
+func (m *Materialized) index(k string, h int32, add bool) uint32 {
+	var parts keyParts
+	m.splitKey(k, &parts)
+	var pat uint32
+	for i := range m.keyCols {
+		if k[parts[i]] == nullTag {
+			continue
+		}
+		pat |= 1 << uint(i)
+		if m.perTable == nil {
+			continue
+		}
+		if tk := k[parts[i]:parts[i+1]]; add {
+			m.chainAdd(i, tk, h)
+		} else {
+			m.chainRemove(i, tk, h)
 		}
 	}
-	return nil
+	return pat
 }
 
 // deleteKey removes the row with the given view key, returning it.
 func (m *Materialized) deleteKey(k string) (rel.Row, bool) {
-	row, ok := m.rows[k]
+	h, ok := m.rows[k]
 	if !ok {
 		return nil, false
 	}
+	row := m.at(h).row
 	delete(m.rows, k)
-	m.patternCount[m.pattern(row)]--
-	if m.dirtyKeys != nil {
-		m.dirtyKeys[k] = struct{}{}
-	}
-	if m.perTable != nil {
-		for _, t := range m.tableOrder {
-			if row[m.witnessCol[t]].IsNull() {
-				continue
-			}
-			tk := rel.EncodeRowCols(row, m.keyCols[t])
-			if set := m.perTable[t][tk]; set != nil {
-				delete(set, k)
-				if len(set) == 0 {
-					delete(m.perTable[t], tk)
-				}
-			}
-		}
-	}
+	m.patternCount[m.index(k, h, false)]--
+	m.release(h)
 	return row, true
 }
 
-// containsTuple reports whether any view row carries exactly the given
-// base-table tuples (non-null and key-equal on every table of the set).
-// rowVals supplies, per table, the encoded key of the wanted tuple and the
-// raw key values. Used by the deletion-case secondary delta: a candidate is
-// a new orphan iff no remaining view row contains it.
-func (m *Materialized) containsTuple(tables []string, encKeys map[string]string) bool {
-	if m.perTable != nil {
-		// An empty probe set for any table proves no view row contains the
-		// tuple; otherwise probe the genuinely least-populated index. (A nil
-		// first set must short-circuit, not be "improved upon" by a larger
-		// one — replacing a provably-empty probe with a populated one turned
-		// a negative lookup into a scan of the biggest bucket.)
-		bestSet := m.perTable[tables[0]][encKeys[tables[0]]]
-		if len(bestSet) == 0 {
-			return false
-		}
-		for _, t := range tables[1:] {
-			s := m.perTable[t][encKeys[t]]
-			if len(s) == 0 {
-				return false
-			}
-			if len(s) < len(bestSet) {
-				bestSet = s
-			}
-		}
-		for vk := range bestSet {
-			if m.rowMatches(m.rows[vk], tables, encKeys) {
+// containsTuple reports whether any view row carries exactly the base-table
+// tuples that key — an orphan-shaped view key — names for the tables of
+// mask (non-null and key-equal on every one of them). Used by the
+// deletion-case secondary delta: a candidate is a new orphan iff no
+// remaining view row contains it.
+func (m *Materialized) containsTuple(mask uint32, key string) bool {
+	var parts keyParts
+	m.splitKey(key, &parts)
+	if m.perTable == nil {
+		for _, h := range m.rows {
+			if m.keyMatches(m.at(h).key, mask, key, &parts) {
 				return true
 			}
 		}
 		return false
 	}
-	for _, row := range m.rows {
-		if m.rowMatches(row, tables, encKeys) {
+	// An empty chain for any table proves no view row contains the tuple;
+	// otherwise walk the genuinely shortest chain. (An empty first chain
+	// must short-circuit, not be "improved upon" by a longer one —
+	// replacing a provably-empty probe with a populated one turned a
+	// negative lookup into a scan of the biggest bucket.)
+	best, bestTable := chain{}, -1
+	for i := range m.keyCols {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		c, ok := m.perTable[i][key[parts[i]:parts[i+1]]]
+		if !ok {
+			return false
+		}
+		if bestTable < 0 || c.count < best.count {
+			best, bestTable = c, i
+		}
+	}
+	if bestTable < 0 {
+		return false
+	}
+	for h := best.head; h != noRow; h = m.link(h, bestTable).next {
+		m.linkOps++
+		if m.keyMatches(m.at(h).key, mask, key, &parts) {
 			return true
 		}
 	}
 	return false
 }
 
-func (m *Materialized) rowMatches(row rel.Row, tables []string, encKeys map[string]string) bool {
-	for _, t := range tables {
-		if row[m.witnessCol[t]].IsNull() {
-			return false
+// keyMatches reports whether the stored view key rowKey is non-null on, and
+// agrees with key on, the part of every table of mask; parts splits key.
+func (m *Materialized) keyMatches(rowKey string, mask uint32, key string, parts *keyParts) bool {
+	off := int32(0)
+	for i, kc := range m.keyCols {
+		start := off
+		for range kc {
+			off = skipEncoded(rowKey, off)
 		}
-		if rel.EncodeRowCols(row, m.keyCols[t]) != encKeys[t] {
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		if rowKey[start] == nullTag || rowKey[start:off] != key[parts[i]:parts[i+1]] {
 			return false
 		}
 	}
 	return true
 }
 
-// orphanKeyFor builds the view key of the orphan row of a term: the term
-// tables' key values taken from an output-projected row, NULL elsewhere.
-func (m *Materialized) orphanKeyFor(row rel.Row, termTables map[string]bool) string {
-	buf := make([]byte, 0, 16*len(m.tableOrder))
-	for _, t := range m.tableOrder {
-		for _, c := range m.keyCols[t] {
-			if termTables[t] {
-				buf = rel.AppendEncoded(buf, row[c])
-			} else {
-				buf = rel.AppendEncoded(buf, rel.Null)
-			}
-		}
-	}
-	return string(buf)
-}
-
 // Materialize recomputes the view contents from scratch by evaluating the
 // definition expression. The stored contents are replaced only on success:
-// the rebuild happens in a staging copy that is swapped in atomically, so a
+// the rebuild fills a private store that is swapped in whole, so a
 // mid-build failure (e.g. a duplicate view key from an out-of-contract
-// definition) leaves the current contents intact.
+// definition) leaves the current contents, slab and free list untouched.
 func (m *Materialized) Materialize() error {
 	ctx := &exec.Context{Catalog: m.def.cat}
 	res, err := exec.Eval(ctx, m.def.Expr)
 	if err != nil {
 		return err
 	}
-	staged := *m
-	staged.rows = make(map[string]rel.Row, len(res.Rows))
-	staged.patternCount = make(map[uint32]int)
-	if m.perTable != nil {
-		staged.perTable = make(map[string]map[string]map[string]struct{}, len(m.tableOrder))
-		for _, t := range m.tableOrder {
-			staged.perTable[t] = make(map[string]map[string]struct{})
-		}
-	}
 	proj, err := projectToOutput(res, m.def, m.schema)
 	if err != nil {
 		return err
 	}
+	staged := *m
+	staged.store = newStore(len(m.tableOrder), m.perTable != nil)
 	for _, row := range proj {
-		if err := staged.insertRow(row); err != nil {
+		if err := staged.insertRow(staged.viewKey(row), row); err != nil {
 			return err
 		}
 	}
-	m.rows, m.patternCount, m.perTable = staged.rows, staged.patternCount, staged.perTable
+	m.store = staged.store
 	return nil
 }
 
@@ -322,15 +322,20 @@ func outputMapping(from, outSchema rel.Schema) []int {
 // projectRows appends to dst a fresh output-schema copy of every row.
 func projectRows(dst, rows []rel.Row, mapping []int) []rel.Row {
 	for _, row := range rows {
-		pr := make(rel.Row, len(mapping))
-		for j, src := range mapping {
-			if src >= 0 {
-				pr[j] = row[src]
-			}
-		}
-		dst = append(dst, pr)
+		dst = append(dst, projectRow(row, mapping))
 	}
 	return dst
+}
+
+// projectRow returns row projected through mapping (see outputMapping).
+func projectRow(row rel.Row, mapping []int) rel.Row {
+	pr := make(rel.Row, len(mapping))
+	for j, src := range mapping {
+		if src >= 0 {
+			pr[j] = row[src]
+		}
+	}
+	return pr
 }
 
 // SortedRows returns the view contents sorted by encoded row, for

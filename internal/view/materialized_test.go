@@ -76,29 +76,50 @@ func TestPerTableIndexConsistency(t *testing.T) {
 	// Every index entry points to a live row that actually contains the
 	// tuple, and every row is indexed under each of its non-null tables.
 	for table, idx := range mv.perTable {
-		for tk, set := range idx {
-			for vk := range set {
-				row, ok := mv.rows[vk]
-				if !ok {
-					t.Fatalf("index %s/%x points to missing row", table, tk)
+		for tk := range idx {
+			for _, h := range chainHandles(t, mv, table, tk) {
+				sr := mv.at(h)
+				if got, ok := mv.rows[sr.key]; !ok || got != h {
+					t.Fatalf("index %s/%x points to missing row", mv.tableOrder[table], tk)
 				}
-				if rel.EncodeRowCols(row, mv.keyCols[table]) != tk {
-					t.Fatalf("index %s entry mismatches row %s", table, row)
+				if rel.EncodeRowCols(sr.row, mv.keyCols[table]) != tk {
+					t.Fatalf("index %s entry mismatches row %s", mv.tableOrder[table], sr.row)
 				}
 			}
 		}
 	}
-	for vk, row := range mv.rows {
-		for _, table := range mv.tableOrder {
+	for _, h := range mv.rows {
+		row := mv.at(h).row
+		for table := range mv.tableOrder {
 			if row[mv.witnessCol[table]].IsNull() {
 				continue
 			}
 			tk := rel.EncodeRowCols(row, mv.keyCols[table])
-			if _, ok := mv.perTable[table][tk][vk]; !ok {
-				t.Fatalf("row %s not indexed under %s", row, table)
+			indexed := false
+			for _, ch := range chainHandles(t, mv, table, tk) {
+				indexed = indexed || ch == h
+			}
+			if !indexed {
+				t.Fatalf("row %s not indexed under %s", row, mv.tableOrder[table])
 			}
 		}
 	}
+}
+
+// probeKey builds the orphan-shaped view key containsTuple takes: table i's
+// part is parts[i] (an encoded table key), NULL marks when parts[i] is "".
+func probeKey(mv *Materialized, parts []string) string {
+	var buf []byte
+	for i, kc := range mv.keyCols {
+		if parts[i] != "" {
+			buf = append(buf, parts[i]...)
+			continue
+		}
+		for range kc {
+			buf = rel.AppendEncoded(buf, rel.Null)
+		}
+	}
+	return string(buf)
 }
 
 func TestContainsTupleAgainstScan(t *testing.T) {
@@ -108,24 +129,19 @@ func TestContainsTupleAgainstScan(t *testing.T) {
 		// For every term and a sample of rows, containsTuple must agree
 		// with a full scan.
 		for _, term := range nf.Terms {
+			mask := mv.patternOf(term.Tables)
 			n := 0
 			for _, row := range mv.Rows() {
-				if row[mv.witnessCol[term.Tables[0]]].IsNull() {
+				if mv.pattern(row)&mask != mask {
 					continue
 				}
-				encKeys := make(map[string]string)
-				usable := true
-				for _, tb := range term.Tables {
-					if row[mv.witnessCol[tb]].IsNull() {
-						usable = false
-						break
+				parts := make([]string, len(mv.tableOrder))
+				for i := range mv.tableOrder {
+					if mask&(1<<uint(i)) != 0 {
+						parts[i] = rel.EncodeRowCols(row, mv.keyCols[i])
 					}
-					encKeys[tb] = rel.EncodeRowCols(row, mv.keyCols[tb])
 				}
-				if !usable {
-					continue
-				}
-				if !mv.containsTuple(term.Tables, encKeys) {
+				if !mv.containsTuple(mask, probeKey(mv, parts)) {
 					t.Fatalf("disable=%v: row %s not found for its own term %s", disable, row, term.SourceKey())
 				}
 				n++
@@ -135,9 +151,9 @@ func TestContainsTupleAgainstScan(t *testing.T) {
 			}
 		}
 		// A fabricated key must not be found.
-		tb := nf.AllTables[0]
-		enc := map[string]string{tb: rel.EncodeValues(rel.Int(999999))}
-		if mv.containsTuple([]string{tb}, enc) {
+		parts := make([]string, len(mv.tableOrder))
+		parts[0] = rel.EncodeValues(rel.Int(999999))
+		if mv.containsTuple(1, probeKey(mv, parts)) {
 			t.Errorf("disable=%v: phantom tuple found", disable)
 		}
 	}
@@ -146,7 +162,7 @@ func TestContainsTupleAgainstScan(t *testing.T) {
 func TestInsertRowRejectsDuplicates(t *testing.T) {
 	mv := storageFixture(t, Options{})
 	row := mv.Rows()[0]
-	if err := mv.insertRow(row); err == nil {
+	if err := mv.insertRow(mv.viewKey(row), row); err == nil {
 		t.Error("duplicate view key must be rejected")
 	}
 	if _, ok := mv.deleteKey("no-such-key"); ok {
@@ -174,25 +190,23 @@ func TestOrphanKeyRoundTrip(t *testing.T) {
 	// row's own view key.
 	nf := mv.Definition().NormalForm()
 	for _, term := range nf.Terms {
-		tiSet := make(map[string]bool)
-		for _, tb := range term.Tables {
-			tiSet[tb] = true
-		}
 		pat := mv.patternOf(term.Tables)
 		for _, row := range mv.Rows() {
 			if mv.pattern(row) != pat {
 				continue
 			}
-			if mv.orphanKeyFor(row, tiSet) != mv.viewKey(row) {
+			if mv.orphanKeyFor(row, pat) != mv.viewKey(row) {
 				t.Fatalf("orphan key mismatch for %s (term %s)", row, term.SourceKey())
 			}
-			// The encoded-keys variant agrees too.
-			encKeys := make(map[string]string)
-			for _, tb := range term.Tables {
-				encKeys[tb] = rel.EncodeRowCols(row, mv.keyCols[tb])
+			// The per-table encoded keys concatenate to it too.
+			parts := make([]string, len(mv.tableOrder))
+			for i := range mv.tableOrder {
+				if pat&(1<<uint(i)) != 0 {
+					parts[i] = rel.EncodeRowCols(row, mv.keyCols[i])
+				}
 			}
-			if mv.orphanKeyFromEnc(tiSet, encKeys) != mv.viewKey(row) {
-				t.Fatalf("orphanKeyFromEnc mismatch for %s", row)
+			if probeKey(mv, parts) != mv.viewKey(row) {
+				t.Fatalf("view key of %s is not the concatenation of its table keys", row)
 			}
 			break
 		}

@@ -276,7 +276,6 @@ func (m *Maintainer) verifyIndirect(p *tablePlan) error {
 	if len(p.indirect) != len(want) {
 		return m.viol("5.3", "plan cleans %d indirect terms, the maintenance graph has %d", len(p.indirect), len(want))
 	}
-	bits := m.tableBits()
 	wantIdx := make(map[string]int, len(want))
 	for _, ti := range want {
 		wantIdx[nf.Terms[ti].SourceKey()] = ti
@@ -290,15 +289,7 @@ func (m *Maintainer) verifyIndirect(p *tablePlan) error {
 			return m.viol("5.3", "plan cleans term {%s}, which is not an indirectly affected term (or is cleaned twice)", ip.term.SourceKey())
 		}
 		delete(wantIdx, ip.term.SourceKey())
-		if len(ip.tiSet) != len(ip.term.Tables) {
-			return m.viol("5.3", "term set of {%s} is inconsistent", ip.term.SourceKey())
-		}
-		for _, t := range ip.term.Tables {
-			if !ip.tiSet[t] {
-				return m.viol("5.3", "term set of {%s} is missing %s", ip.term.SourceKey(), t)
-			}
-		}
-		if ip.tiMask != maskOf(ip.term.Tables, bits) {
+		if ip.tiMask != m.def.maskOf(ip.term.Tables) {
 			return m.viol("5.3", "bitmask of term {%s} does not match its source set", ip.term.SourceKey())
 		}
 		direct := graph.DirectParents[ti]
@@ -306,17 +297,13 @@ func (m *Maintainer) verifyIndirect(p *tablePlan) error {
 			return m.viol("3.1", "term {%s} needs one base expression per directly affected parent: have %d, want %d", ip.term.SourceKey(), len(ip.parents), len(direct))
 		}
 		for k, pk := range direct {
-			if ip.parentMasks[k] != maskOf(nf.Terms[pk].Tables, bits) {
+			if ip.parentMasks[k] != m.def.maskOf(nf.Terms[pk].Tables) {
 				return m.viol("5.3", "parent mask %d of term {%s} does not match parent {%s}", k, ip.term.SourceKey(), nf.Terms[pk].SourceKey())
 			}
 		}
 		var extras uint32
 		for _, pk := range graph.IndirectParents[ti] {
-			for _, t := range nf.Terms[pk].Tables {
-				if !ip.tiSet[t] {
-					extras |= 1 << bits[t]
-				}
-			}
+			extras |= m.def.maskOf(nf.Terms[pk].Tables) &^ ip.tiMask
 		}
 		if ip.indirectExtrasMask != extras {
 			return m.viol("5.3", "Qi extra-table mask of term {%s} does not match its indirectly affected parents", ip.term.SourceKey())
@@ -409,8 +396,8 @@ func (m *Maintainer) verifyStrategy(p *tablePlan) error {
 	if m.mv == nil {
 		return m.viol("5.2", "StrategyFromView requires a materialized view")
 	}
-	for _, t := range m.def.tables {
-		if len(m.mv.keyCols[t]) == 0 {
+	for i, t := range m.def.tables {
+		if len(m.mv.keyCols[i]) == 0 {
 			return m.viol("5.2", "StrategyFromView requires the view to expose the key columns of %s for orphan checks", t)
 		}
 	}

@@ -136,9 +136,9 @@ func (m *Maintainer) renderIndirect(b *strings.Builder, step int, ip *indirectPl
 // paper's null(T) implementation does.
 func (m *Maintainer) nullTests(ip *indirectPlan) string {
 	var parts []string
-	for _, t := range m.def.tables {
+	for i, t := range m.def.tables {
 		w := witnessColumn(m, t)
-		if ip.tiSet[t] {
+		if ip.tiMask&(1<<uint(i)) != 0 {
 			parts = append(parts, w+" is not null")
 		} else {
 			parts = append(parts, w+" is null")
@@ -149,12 +149,11 @@ func (m *Maintainer) nullTests(ip *indirectPlan) string {
 
 // piPredicate renders Pi = ∨_k nn(Tk) over the directly affected parents.
 func (m *Maintainer) piPredicate(ip *indirectPlan) string {
-	bits := m.tableBits()
 	var disjuncts []string
 	for _, mask := range ip.parentMasks {
 		var conj []string
-		for _, t := range m.def.tables {
-			if mask&(1<<bits[t]) != 0 {
+		for i, t := range m.def.tables {
+			if mask&(1<<uint(i)) != 0 {
 				conj = append(conj, witnessColumn(m, t)+" is not null")
 			}
 		}

@@ -29,7 +29,7 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary 
 			if !anyMaskSubset(ip.parentMasks, pat) {
 				continue
 			}
-			key := mv.orphanKeyFor(pr, ip.tiSet)
+			key := mv.orphanKeyFor(pr, ip.tiMask)
 			_, ok, err := cs.deleteKey("secondary-orphan-delete", key)
 			if err != nil {
 				return n, err
@@ -40,7 +40,11 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary 
 		}
 		return n, nil
 	}
+	// A candidate is identified by the view key its orphan row would have;
+	// the term tables' keys it must not be contained under are parts of
+	// that key.
 	seen := make(map[string]bool)
+	var buf []byte
 	for _, pr := range projected {
 		pat := mv.pattern(pr)
 		if !anyMaskSubset(ip.parentMasks, pat) {
@@ -54,27 +58,22 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary 
 		if pat&ip.indirectExtrasMask != 0 {
 			continue
 		}
-		encKeys := make(map[string]string, len(ip.term.Tables))
-		var candKey string
-		for _, t := range ip.term.Tables {
-			ek := rel.EncodeRowCols(pr, mv.keyCols[t])
-			encKeys[t] = ek
-			candKey += ek
-		}
-		if seen[candKey] {
+		buf = mv.appendKey(buf[:0], pr, mv.keyCols, ip.tiMask)
+		if seen[string(buf)] {
 			continue
 		}
-		seen[candKey] = true
-		if mv.containsTuple(ip.term.Tables, encKeys) {
+		key := string(buf)
+		seen[key] = true
+		if mv.containsTuple(ip.tiMask, key) {
 			continue
 		}
 		orphan := make(rel.Row, len(mv.schema))
-		for i, c := range mv.schema {
-			if ip.tiSet[c.Table] {
+		for i, t := range mv.colTable {
+			if ip.tiMask&(1<<uint(t)) != 0 {
 				orphan[i] = pr[i]
 			}
 		}
-		if err := cs.insertRow("secondary-orphan-insert", orphan); err != nil {
+		if err := cs.insertRow("secondary-orphan-insert", key, orphan); err != nil {
 			return n, err
 		}
 		n++
@@ -98,7 +97,7 @@ func (m *Maintainer) secondaryInsertCombined(cs *Changeset, plans []*indirectPla
 			if !anyMaskSubset(ip.parentMasks, pat) {
 				continue
 			}
-			key := mv.orphanKeyFor(pr, ip.tiSet)
+			key := mv.orphanKeyFor(pr, ip.tiMask)
 			_, ok, err := cs.deleteKey("secondary-orphan-delete", key)
 			if err != nil {
 				return counts, err
@@ -137,6 +136,12 @@ type fromBaseTerm struct {
 	tiCols, tiKeyCols []int
 	candSchema        rel.Schema
 	parents           []parentPrograms
+	// How a candidate becomes a view row: keyCols[i] are the candidate
+	// positions of view table i's key columns (nil outside the term), and,
+	// for a stored (non-aggregated) view, orphanCols[c] is the candidate
+	// position of output column c (−1: NULL in the orphan).
+	keyCols    [][]int
+	orphanCols []int
 }
 
 // parentPrograms anti-join the candidates (bound as candRel) against one
@@ -164,22 +169,33 @@ func (m *Maintainer) witnessCols(delta rel.Schema) []int {
 // compileFromBase resolves one indirect term against the ΔV^D schema and
 // compiles its parents' anti-joins.
 func (m *Maintainer) compileFromBase(ip *indirectPlan, delta rel.Schema, witness []int) (*fromBaseTerm, error) {
+	inTerm := func(table string) bool {
+		i := m.def.tablePos(table)
+		return i >= 0 && ip.tiMask&(1<<uint(i)) != 0
+	}
 	for i, t := range m.def.tables {
-		if ip.tiSet[t] && witness[i] < 0 {
+		if inTerm(t) && witness[i] < 0 {
 			return nil, nil
 		}
 	}
 	fb := &fromBaseTerm{witness: witness}
 	for i, c := range delta {
-		if ip.tiSet[c.Table] {
+		if inTerm(c.Table) {
 			fb.tiCols = append(fb.tiCols, i)
 		}
 	}
 	fb.candSchema = delta.Project(fb.tiCols)
+	if m.mv != nil {
+		fb.orphanCols = outputMapping(fb.candSchema, m.mv.schema)
+	}
+	fb.keyCols = make([][]int, len(m.def.tables))
 	for _, t := range ip.term.Tables {
 		tab := m.def.cat.Table(t)
+		i := m.def.tablePos(t)
 		for _, kc := range tab.KeyCols() {
-			fb.tiKeyCols = append(fb.tiKeyCols, fb.candSchema.MustIndexOf(t, tab.Schema()[kc].Name))
+			c := fb.candSchema.MustIndexOf(t, tab.Schema()[kc].Name)
+			fb.tiKeyCols = append(fb.tiKeyCols, c)
+			fb.keyCols[i] = append(fb.keyCols[i], c)
 		}
 	}
 	rels := map[string]rel.Schema{candRel: fb.candSchema}
@@ -272,71 +288,30 @@ func secondaryCandidatesFromBase(ctx *exec.Context, ip *indirectPlan, fb *fromBa
 // the stored view: prior orphans are deleted after an insertion, new orphans
 // are inserted after a deletion. Unlike candidate computation, application
 // mutates the view and must run serially, in plan order.
-func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, cand exec.Relation, isInsert bool) (int, error) {
+func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, fb *fromBaseTerm, cand exec.Relation, isInsert bool) (int, error) {
 	if len(cand.Rows) == 0 {
 		return 0, nil
 	}
 	mv := m.mv
-	// Key-column positions per term table within the candidate schema.
-	keyCols := make(map[string][]int, len(ip.term.Tables))
-	for _, t := range ip.term.Tables {
-		tab := m.def.cat.Table(t)
-		for _, kc := range tab.KeyCols() {
-			keyCols[t] = append(keyCols[t], cand.Schema.MustIndexOf(t, tab.Schema()[kc].Name))
-		}
-	}
 	n := 0
-	if isInsert {
-		for _, c := range cand.Rows {
-			encKeys := make(map[string]string, len(ip.term.Tables))
-			for _, t := range ip.term.Tables {
-				encKeys[t] = rel.EncodeRowCols(c, keyCols[t])
-			}
-			_, ok, err := cs.deleteKey("frombase-orphan-delete", mv.orphanKeyFromEnc(ip.tiSet, encKeys))
+	var buf []byte
+	for _, c := range cand.Rows {
+		buf = mv.appendKey(buf[:0], c, fb.keyCols, ip.tiMask)
+		if isInsert {
+			_, ok, err := cs.deleteKey("frombase-orphan-delete", string(buf))
 			if err != nil {
 				return n, err
 			}
 			if ok {
 				n++
 			}
+			continue
 		}
-		return n, nil
-	}
-	// Deletion: insert new orphans built from the candidates.
-	mapping := make([]int, len(mv.schema))
-	for i, col := range mv.schema {
-		mapping[i] = -1
-		if ip.tiSet[col.Table] {
-			mapping[i] = cand.Schema.MustIndexOf(col.Table, col.Name)
-		}
-	}
-	for _, c := range cand.Rows {
-		orphan := make(rel.Row, len(mv.schema))
-		for i, src := range mapping {
-			if src >= 0 {
-				orphan[i] = c[src]
-			}
-		}
-		if err := cs.insertRow("frombase-orphan-insert", orphan); err != nil {
+		// Deletion: insert the new orphan built from the candidate.
+		if err := cs.insertRow("frombase-orphan-insert", string(buf), projectRow(c, fb.orphanCols)); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, nil
-}
-
-// orphanKeyFromEnc builds an orphan view key from per-table pre-encoded key
-// strings.
-func (m *Materialized) orphanKeyFromEnc(tiSet map[string]bool, encKeys map[string]string) string {
-	buf := make([]byte, 0, 16*len(m.tableOrder))
-	for _, t := range m.tableOrder {
-		if tiSet[t] {
-			buf = append(buf, encKeys[t]...)
-			continue
-		}
-		for range m.keyCols[t] {
-			buf = rel.AppendEncoded(buf, rel.Null)
-		}
-	}
-	return string(buf)
 }

@@ -1,0 +1,171 @@
+package view
+
+import "ojv/internal/rel"
+
+// The view store: where a stored view row lives, and what it costs.
+//
+// A stored row is a {key, row} pair in a slab — fixed-size chunks, so
+// growing the view never copies a row — addressed by an int32 handle; rows
+// maps a view key to its handle and a LIFO free list recycles the handles
+// of deleted rows. Everything else that refers to a row refers to the
+// handle: the per-table index threads an intrusive doubly-linked chain per
+// distinct table key through a second, pointer-free slab of links (one
+// link per row per table), so adding a row to a bucket or taking it out is
+// a constant number of link writes at any bucket size and allocates nothing
+// per bucket. A bucket's map key is a substring of one of its rows' view
+// keys (the view key is the concatenation of the tables' encoded keys), so
+// no table key is ever encoded or stored on its own.
+
+const (
+	// storeChunkBits fixes the slab chunk at 512 rows (20 kB of row
+	// headers, 4 kB of links per table).
+	storeChunkBits = 9
+	storeChunk     = 1 << storeChunkBits
+
+	// maxTables is the widest view a uint32 term pattern can describe.
+	maxTables = 32
+
+	// noRow ends a chain.
+	noRow int32 = -1
+
+	// nullTag is the encoding of NULL: a null-extended table's part of a
+	// view key is one nullTag per key column.
+	nullTag = byte(rel.KindNull)
+)
+
+// storedRow is one slab slot; the zero value is a free slot.
+type storedRow struct {
+	key string
+	row rel.Row
+}
+
+// chainLink is a row's place in one table's chain.
+type chainLink struct{ next, prev int32 }
+
+// chain is one bucket of the per-table index: the rows whose part for the
+// table equals the bucket's key.
+type chain struct{ head, count int32 }
+
+// store is the mutable half of a Materialized.
+type store struct {
+	rows         map[string]int32
+	patternCount map[uint32]int
+
+	slab [][]storedRow
+	// used counts the handles ever handed out; free lists the ones given
+	// back since. len(rows) + len(free) == used.
+	used int32
+	free []int32
+
+	// perTable[i] maps table i's encoded key to the chain of view rows
+	// containing that tuple; links holds the chains' links, row h's link
+	// for table i at links[h>>storeChunkBits][(h&(storeChunk-1))*len(perTable)+i].
+	// Both nil when Options.DisableOrphanIndex.
+	perTable []map[string]chain
+	links    [][]chainLink
+	// linkOps counts the links written or followed, so a test can assert
+	// that index maintenance stays linear in the rows on a hot key.
+	linkOps int
+}
+
+func newStore(nTables int, indexed bool) store {
+	s := store{
+		rows:         make(map[string]int32),
+		patternCount: make(map[uint32]int),
+	}
+	if indexed {
+		s.perTable = make([]map[string]chain, nTables)
+		for i := range s.perTable {
+			s.perTable[i] = make(map[string]chain)
+		}
+	}
+	return s
+}
+
+// at returns the slot of handle h.
+func (s *store) at(h int32) *storedRow {
+	return &s.slab[h>>storeChunkBits][h&(storeChunk-1)]
+}
+
+func (s *store) link(h int32, table int) *chainLink {
+	return &s.links[h>>storeChunkBits][int(h&(storeChunk-1))*len(s.perTable)+table]
+}
+
+// alloc hands out a free handle, growing the slabs by one chunk when every
+// slot is taken.
+func (s *store) alloc() int32 {
+	if n := len(s.free); n > 0 {
+		h := s.free[n-1]
+		s.free = s.free[:n-1]
+		return h
+	}
+	if int(s.used) == len(s.slab)*storeChunk {
+		s.slab = append(s.slab, make([]storedRow, storeChunk))
+		if s.perTable != nil {
+			s.links = append(s.links, make([]chainLink, storeChunk*len(s.perTable)))
+		}
+	}
+	s.used++
+	return s.used - 1
+}
+
+// release clears h's slot, so the row and its key can be collected, and
+// puts the handle on the free list.
+func (s *store) release(h int32) {
+	*s.at(h) = storedRow{}
+	s.free = append(s.free, h)
+}
+
+// chainAdd puts row h at the head of table's chain for key tk.
+func (s *store) chainAdd(table int, tk string, h int32) {
+	c, ok := s.perTable[table][tk]
+	if !ok {
+		c.head = noRow
+	}
+	*s.link(h, table) = chainLink{next: c.head, prev: noRow}
+	if c.head != noRow {
+		s.link(c.head, table).prev = h
+	}
+	s.linkOps += 2
+	s.perTable[table][tk] = chain{head: h, count: c.count + 1}
+}
+
+// chainRemove takes row h out of table's chain for key tk.
+func (s *store) chainRemove(table int, tk string, h int32) {
+	c := s.perTable[table][tk]
+	l := *s.link(h, table)
+	if l.prev != noRow {
+		s.link(l.prev, table).next = l.next
+	} else {
+		c.head = l.next
+	}
+	if l.next != noRow {
+		s.link(l.next, table).prev = l.prev
+	}
+	s.linkOps += 2
+	if c.count--; c.count == 0 {
+		delete(s.perTable[table], tk)
+		return
+	}
+	s.perTable[table][tk] = c
+}
+
+// keyParts holds the start of each table's part of a view key, and the
+// key's length after the last.
+type keyParts [maxTables + 1]int32
+
+// skipEncoded returns the offset after the value that rel's injective
+// encoding (rel.AppendEncoded) put at key[off:]: a kind tag alone for NULL,
+// the tag and 8 bytes for the fixed-width kinds, the tag, a 4-byte length
+// and the bytes for a string.
+func skipEncoded(key string, off int32) int32 {
+	switch rel.Kind(key[off]) {
+	case rel.KindNull:
+		return off + 1
+	case rel.KindString:
+		n := uint32(key[off+1])<<24 | uint32(key[off+2])<<16 | uint32(key[off+3])<<8 | uint32(key[off+4])
+		return off + 5 + int32(n)
+	default:
+		return off + 9
+	}
+}
