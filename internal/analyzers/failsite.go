@@ -27,16 +27,31 @@ import (
 //     name set is statically enumerable;
 //   - a site name always identifies one mutation kind (insertRow vs
 //     deleteKey vs fold);
-//   - every site-less staged mutation — (*Materialized).insertRow /
-//     deleteKey or a write to an agg `groups` map, reached through a
-//     parameter or receiver — is preceded in its function by a FailPoint
-//     consult (rollback is the vetted exception, annotated in source);
+//   - every site-less staged mutation — one of the stored view's
+//     primitives (stagedMutations) or a write to an agg `groups` map,
+//     reached through a parameter or receiver — is preceded in its function
+//     by a FailPoint consult (rollback is the vetted exception, annotated in
+//     source). A primitive may be built from primitives of its own type:
+//     the guard is owed by whoever calls in from outside;
 //   - the consulted-site set equals the union of wantSites in the view
 //     package's test files and equals oracle's flushFaultSites list.
 var FailSite = &Analyzer{
 	Name:      "failsite",
 	Doc:       "verifies FailPoint site discipline and fault-matrix site-name parity",
 	RunModule: runFailSite,
+}
+
+// stagedMutations names the site-less primitives that change what a stored
+// view holds: an insert, a delete by key, and the two halves a delete is
+// made of since a deleted row stays in its slot until its changeset ends —
+// unlink takes it out of sight, relink (the rollback) puts it back.
+// Releasing an unlinked slot at commit changes nothing a reader can see and
+// is not one of them.
+var stagedMutations = map[string]bool{
+	"insertRow": true,
+	"unlinkKey": true,
+	"unlink":    true,
+	"relink":    true,
 }
 
 // siteUse records where a site name is consulted and through which kind of
@@ -179,11 +194,15 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 						return true
 					}
 					name := sel.Sel.Name
-					if name != "insertRow" && name != "deleteKey" {
+					if !stagedMutations[name] {
 						return true
 					}
-					if siteParamIndex(calleeFunc(pkg, n)) >= 0 {
+					callee := calleeFunc(pkg, n)
+					if siteParamIndex(callee) >= 0 {
 						return true // the site-bearing changeset wrapper
+					}
+					if sameReceiverType(pkg, fd, callee) {
+						return true // a primitive built from its type's primitives
 					}
 					if !rootedAt(pkg, sel.X, owned) {
 						return true // a locally built staging copy
@@ -203,6 +222,25 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 			})
 		}
 	}
+}
+
+// sameReceiverType reports whether fd is a method of the type callee is a
+// method of.
+func sameReceiverType(pkg *Package, fd *ast.FuncDecl, callee *types.Func) bool {
+	if callee == nil || fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return false
+	}
+	recv := callee.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	deref := func(t types.Type) types.Type {
+		if p, ok := t.(*types.Pointer); ok {
+			return p.Elem()
+		}
+		return t
+	}
+	return types.Identical(deref(recv.Type()), deref(pkg.Info.TypeOf(fd.Recv.List[0].Type)))
 }
 
 // funcParamObjs collects the receiver and parameter objects of fd.

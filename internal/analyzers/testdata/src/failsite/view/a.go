@@ -3,15 +3,40 @@
 // and in parity with the fault matrices.
 package view
 
-// Materialized mirrors the stored view; its insertRow/deleteKey are the
-// site-less primitives only the changeset wrappers may reach unguarded.
+// Materialized mirrors the stored view; its insertRow/unlinkKey and the
+// unlink/relink halves a staged delete is made of are the site-less
+// primitives only the changeset wrappers may reach unguarded. One primitive
+// calling another of its own type is not a staged mutation of its own.
 type Materialized struct {
-	rows map[string]int
+	rows  map[string]int
+	slots []slot
 }
 
-func (m *Materialized) insertRow(k string, v int) { m.rows[k] = v }
+type slot struct {
+	key string
+	v   int
+}
 
-func (m *Materialized) deleteKey(k string) { delete(m.rows, k) }
+func (m *Materialized) insertRow(k string, v int) int {
+	m.slots = append(m.slots, slot{k, v})
+	h := len(m.slots) - 1
+	m.relink(h)
+	return h
+}
+
+func (m *Materialized) unlinkKey(k string) int {
+	h := m.rows[k]
+	m.unlink(h)
+	return h
+}
+
+func (m *Materialized) relink(h int) { m.rows[m.slots[h].key] = h }
+
+func (m *Materialized) unlink(h int) { delete(m.rows, m.slots[h].key) }
+
+// release frees an unlinked slot: nothing a reader can see changes, so it is
+// not a staged mutation and needs no consult.
+func (m *Materialized) release(h int) { m.slots[h] = slot{} }
 
 type aggGroup struct{ n int }
 
@@ -26,7 +51,8 @@ type Maintainer struct {
 }
 
 type Changeset struct {
-	m *Maintainer
+	m   *Maintainer
+	log []int
 }
 
 // fail consults the fault-injection hook at a mutation site.
@@ -43,7 +69,7 @@ func (cs *Changeset) insertRow(site, k string, v int) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	cs.m.mv.insertRow(k, v)
+	cs.log = append(cs.log, cs.m.mv.insertRow(k, v))
 	return nil
 }
 
@@ -51,8 +77,16 @@ func (cs *Changeset) deleteKey(site, k string) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	cs.m.mv.deleteKey(k)
+	cs.log = append(cs.log, cs.m.mv.unlinkKey(k))
 	return nil
+}
+
+// commit releases the slots the run unlinked: finalization, not a staged
+// mutation.
+func (cs *Changeset) commit() {
+	for _, h := range cs.log {
+		cs.m.mv.release(h)
+	}
 }
 
 // applyPrimary stages through the wrappers with literal sites that both
@@ -72,7 +106,26 @@ func applyDynamic(cs *Changeset, site, k string) error {
 
 // repairOrphan mutates the stored view directly with no consult at all.
 func repairOrphan(m *Maintainer, k string) {
-	m.mv.deleteKey(k) // want `staged view mutation deleteKey is not preceded by a FailPoint consult in repairOrphan`
+	m.mv.unlinkKey(k) // want `staged view mutation unlinkKey is not preceded by a FailPoint consult in repairOrphan`
+}
+
+// hideRow and showRow reach past the wrappers to the halves of a delete, by
+// handle: as unguarded as a delete by key.
+func hideRow(m *Maintainer, h int) {
+	m.mv.unlink(h) // want `staged view mutation unlink is not preceded by a FailPoint consult in hideRow`
+}
+
+func showRow(cs *Changeset, h int) {
+	cs.m.mv.relink(h) // want `staged view mutation relink is not preceded by a FailPoint consult in showRow`
+}
+
+// hideGuarded consults the bare hook before unlinking by handle: guarded.
+func hideGuarded(cs *Changeset, h int) error {
+	if err := cs.fail("s-delete"); err != nil {
+		return err
+	}
+	cs.m.mv.unlink(h)
+	return nil
 }
 
 // foldGroup consults the bare hook before touching the group map: guarded.
@@ -107,10 +160,20 @@ func applyUntested(cs *Changeset, k string) error {
 }
 
 // undoReplay is the vetted exception: rollback must never consult the hook,
-// and says so in source.
-func undoReplay(m *Maintainer, k string, v int) {
-	//ojvlint:ignore failsite rollback replay must succeed unconditionally, so it never consults the fault hook
-	m.mv.insertRow(k, v)
+// and says so in source, at the relink of a deleted row and at the unlink of
+// an inserted one.
+func undoReplay(cs *Changeset) {
+	for i := len(cs.log) - 1; i >= 0; i-- {
+		h := cs.log[i]
+		if i%2 == 0 {
+			//ojvlint:ignore failsite rollback replay must succeed unconditionally, so it never consults the fault hook
+			cs.m.mv.relink(h)
+			continue
+		}
+		//ojvlint:ignore failsite rollback replay must succeed unconditionally, so it never consults the fault hook
+		cs.m.mv.unlink(h)
+		cs.m.mv.release(h)
+	}
 }
 
 // rematerialize swaps in a fresh group map: whole-field replacement is a

@@ -7,11 +7,12 @@ import (
 
 // Epoch-based copy-on-write snapshots.
 //
-// A mutable container (table row map, view row map, aggregation groups)
-// publishes an immutable EpochMap at every commit boundary. Readers load
-// the current epoch through one atomic pointer and then read it without
-// any lock: nothing in a published epoch is ever mutated again, so a
-// reader pinned to an epoch can never observe torn state from an
+// A mutable container read by key (a table's row map, a view's aggregation
+// groups; a stored view's rows are read by scan and publish by handle, see
+// view/rowvec.go) publishes an immutable EpochMap at every commit boundary.
+// Readers load the current epoch through one atomic pointer and then read
+// it without any lock: nothing in a published epoch is ever mutated again,
+// so a reader pinned to an epoch can never observe torn state from an
 // in-flight flush, no matter how long it holds on to the snapshot.
 //
 // An epoch is the root of a persistent hash trie (trie.go). The writer
@@ -76,34 +77,24 @@ func newFullEpochHashed[V any](seq uint64, live map[string]V, clone func(V) V, h
 	return &EpochMap[V]{seq: seq, count: n, root: buildTrie(items, buf[n:], 0), hash: hash}
 }
 
-// PublishEpoch derives the next epoch from prev by resolving every dirty
-// key against the live container via lookup. dirty yields the keys — a
-// dirty set, or a log that may name a key more than once (resolving a key
-// again is idempotent). The previous epoch is shared structurally; only
-// the paths to the dirty keys occupy new memory.
-func PublishEpoch[V any](prev *EpochMap[V], seq uint64, dirty func(yield func(string)), lookup func(string) (V, bool), clone func(V) V) *EpochMap[V] {
+// PublishEpoch derives the next epoch from prev by resolving every key of
+// the dirty set against the live container via lookup. The previous epoch
+// is shared structurally; only the paths to the dirty keys occupy new
+// memory.
+func PublishEpoch[V any](prev *EpochMap[V], seq uint64, dirty map[string]struct{}, lookup func(string) (V, bool), clone func(V) V) *EpochMap[V] {
 	tx := prev.edit()
-	dirty(func(k string) {
+	for k := range dirty {
 		v, ok := lookup(k)
 		if !ok {
 			tx.delete(k)
-			return
+			continue
 		}
 		if clone != nil {
 			v = clone(v)
 		}
 		tx.set(k, v)
-	})
-	return tx.publish(seq)
-}
-
-// dirtySet adapts a dirty-key set to PublishEpoch.
-func dirtySet(set map[string]struct{}) func(yield func(string)) {
-	return func(yield func(string)) {
-		for k := range set {
-			yield(k)
-		}
 	}
+	return tx.publish(seq)
 }
 
 // edit opens a transaction over e's root; e itself never changes.
@@ -185,7 +176,7 @@ func (t *Table) publishEpoch(seq uint64) {
 	case len(t.dirty) == 0:
 		return // nothing changed since the previous publish
 	default:
-		rows = PublishEpoch(prev.rows, seq, dirtySet(t.dirty), func(k string) (Row, bool) {
+		rows = PublishEpoch(prev.rows, seq, t.dirty, func(k string) (Row, bool) {
 			r, ok := t.rows[k]
 			return r, ok
 		}, nil)

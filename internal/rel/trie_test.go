@@ -145,7 +145,7 @@ func runTrieModel(t *testing.T, hash func(string) uint64, nKeys, ops, pinEvery, 
 			continue
 		}
 		prev := cur
-		cur = PublishEpoch(prev, prev.Seq()+1, dirtySet(dirty), lookup, nil)
+		cur = PublishEpoch(prev, prev.Seq()+1, dirty, lookup, nil)
 		published++
 		if cur.Len() != len(live) {
 			t.Fatalf("op %d: Len = %d, live %d", op, cur.Len(), len(live))
@@ -205,7 +205,7 @@ func TestEpochTrieBatchPublishUnderPin(t *testing.T) {
 		live[universe[i]] = i + 1000
 		dirty[universe[i]] = struct{}{}
 	}
-	e1 := PublishEpoch(e0, 2, dirtySet(dirty), lookup, nil)
+	e1 := PublishEpoch(e0, 2, dirty, lookup, nil)
 	m1 := maps.Clone(live)
 
 	dirty = make(map[string]struct{})
@@ -216,7 +216,7 @@ func TestEpochTrieBatchPublishUnderPin(t *testing.T) {
 	// A key inserted and deleted between two publishes is dirty but was
 	// never published: resolving it must change nothing.
 	dirty["never-there"] = struct{}{}
-	e2 := PublishEpoch(e1, 3, dirtySet(dirty), lookup, nil)
+	e2 := PublishEpoch(e1, 3, dirty, lookup, nil)
 
 	checkEpoch(t, e0, m0, universe)
 	checkEpoch(t, e1, m1, universe)
@@ -271,7 +271,7 @@ func FuzzEpochTrie(f *testing.F) {
 				delete(live, k)
 				dirty[k] = struct{}{}
 			default:
-				cur = PublishEpoch(cur, cur.Seq()+1, dirtySet(dirty), lookup, nil)
+				cur = PublishEpoch(cur, cur.Seq()+1, dirty, lookup, nil)
 				clear(dirty)
 				checkTrie(t, cur)
 				pins = append(pins, pin{cur, maps.Clone(live)})

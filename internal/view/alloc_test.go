@@ -9,18 +9,11 @@ import (
 	"ojv/internal/rel"
 )
 
-// TestViewApplyAllocBudget bounds what the stored view itself allocates per
-// row applied: on the benchmark's multi-view shape — three tables of three
-// integer columns, a lo (b fo c) — 2 000 view rows are inserted through one
-// changeset and deleted through the next, and a cycle may allocate, per
-// row, the two view-key strings (one per mutation) and the undo log's
-// amortized growth. The store before this one also encoded a table key per
-// source table per mutation, encoded the view key twice per insert and kept
-// a one-entry set per distinct table key: 22.5 objects and 1.35 kB per row
-// on this test, against 2 objects and 0.41 kB (of which the undo log is
-// 0.34).
-func TestViewApplyAllocBudget(t *testing.T) {
-	const n = 2000
+// applyFixture is the benchmark's multi-view shape — three tables of three
+// integer columns, a lo (b fo c) — with n view rows to stage: every a tuple
+// meets four (b, c) pairs, as a join attribute spanning a small table does.
+func applyFixture(t *testing.T, n int) (*Maintainer, []rel.Row) {
+	t.Helper()
 	cat := rel.NewCatalog()
 	var out []algebra.ColRef
 	for _, name := range []string{"a", "b", "c"} {
@@ -47,31 +40,54 @@ func TestViewApplyAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv := m.Materialized()
-	// Every a tuple meets four (b, c) pairs, as a join attribute spanning a
-	// small table does.
 	rows := make([]rel.Row, n)
 	for i := range rows {
 		a, bc := int64(i/4), int64(i)
 		rows[i] = rel.Row{rel.Int(a), rel.Int(a), rel.Int(a % 100), rel.Int(bc), rel.Int(a), rel.Int(1), rel.Int(bc), rel.Int(a), rel.Int(2)}
 	}
-	cycle := func() {
-		cs := m.Begin()
-		for _, r := range rows {
+	return m, rows
+}
+
+// stageRows stages the insertion or the deletion of rows into a fresh
+// changeset.
+func stageRows(t *testing.T, m *Maintainer, rows []rel.Row, insert bool) *Changeset {
+	t.Helper()
+	mv := m.Materialized()
+	cs := m.Begin()
+	var key []byte
+	for _, r := range rows {
+		if insert {
 			if err := cs.insertRow("primary-insert", mv.viewKey(r), r); err != nil {
 				t.Fatal(err)
 			}
+			continue
 		}
-		m.CommitStaged(cs, &MaintStats{})
-		cs = m.Begin()
-		for _, r := range rows {
-			if _, ok, err := cs.deleteKey("primary-delete", mv.viewKey(r)); err != nil || !ok {
-				t.Fatal(fmt.Errorf("delete of %s: %v %v", r, ok, err))
-			}
+		key = mv.appendKey(key[:0], r, mv.keyCols, ^uint32(0))
+		if _, ok, err := cs.deleteKey("primary-delete", key); err != nil || !ok {
+			t.Fatal(fmt.Errorf("delete of %s: %v %v", r, ok, err))
 		}
-		m.CommitStaged(cs, &MaintStats{})
 	}
-	cycle() // the slab and the maps reach their size here
+	return cs
+}
+
+// TestViewApplyAllocBudget bounds what the stored view itself allocates per
+// row applied: 2 000 view rows are inserted through one changeset and
+// deleted through the next, and a cycle may allocate, per row, the inserted
+// row's view-key string and nothing else — the delete builds its key in a
+// reused buffer, an undo record is 8 bytes in a log buffer the maintainer
+// keeps from changeset to changeset, and the per-table index allocates
+// nothing per row. The store before PR 22 encoded a table key per source
+// table per mutation and kept a one-entry set per distinct table key (22.5
+// objects and 1.35 kB per row on this test); PR 22's kept the key and the row
+// in a 56-byte undo record per mutation (2 objects, 0.41 kB).
+func TestViewApplyAllocBudget(t *testing.T) {
+	const n = 2000
+	m, rows := applyFixture(t, n)
+	cycle := func() {
+		m.CommitStaged(stageRows(t, m, rows, true), &MaintStats{})
+		m.CommitStaged(stageRows(t, m, rows, false), &MaintStats{})
+	}
+	cycle() // the slab, the maps and the log buffer reach their size here
 	const rounds = 5
 	objects := testing.AllocsPerRun(rounds, cycle) / n
 	var before, after runtime.MemStats
@@ -82,13 +98,58 @@ func TestViewApplyAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / rounds / n
 	t.Logf("insert + delete of one view row: %.2f objects, %.0f B", objects, bytes)
-	if objects > 3 {
-		t.Errorf("a view row inserted and deleted allocates %.2f objects, budget 3", objects)
+	if objects > 1.1 {
+		t.Errorf("a view row inserted and deleted allocates %.2f objects, budget 1.1", objects)
 	}
-	if bytes > 450 {
-		t.Errorf("a view row inserted and deleted allocates %.0f B, budget 450", bytes)
+	if bytes > 36 {
+		t.Errorf("a view row inserted and deleted allocates %.0f B, budget 36", bytes)
 	}
-	if mv.Len() != 0 {
+	if mv := m.Materialized(); mv.Len() != 0 {
 		t.Fatalf("%d rows left in the view", mv.Len())
+	}
+}
+
+// TestViewPublishAllocBudget bounds what committing a changeset allocates per
+// row it touched, on a view of 32 000 rows with snapshots on: the next epoch
+// is the previous one with the touched handles' leaves, and the paths above
+// them, copied. One row costs its leaf and path — 1.2 kB, where the keyed
+// trie's path, entry arrays and 56-byte undo records cost 1.6 kB — and a
+// thousand fresh rows, whose handles the store hands out in a run, cost each
+// leaf once: 28 B a row, where the trie paid a path per key, 574 B a row.
+func TestViewPublishAllocBudget(t *testing.T) {
+	const resident, bulk = 32_000, 1000
+	m, rows := applyFixture(t, resident+bulk)
+	m.CommitStaged(stageRows(t, m, rows[:resident], true), &MaintStats{})
+	m.EnableSnapshots()
+	// commitBytes stages the insertion and then the deletion of fresh, each in
+	// its own changeset, and returns the bytes the two commits allocated per
+	// row.
+	commitBytes := func(fresh []rel.Row) float64 {
+		var total uint64
+		for _, insert := range []bool{true, false} {
+			cs := stageRows(t, m, fresh, insert)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.CommitStaged(cs, &MaintStats{})
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		return float64(total) / 2 / float64(len(fresh))
+	}
+	commitBytes(rows[resident:]) // the log buffer reaches its size here
+	var one float64
+	for i := 0; i < 50; i++ {
+		one += commitBytes(rows[resident+i*7:resident+i*7+1]) / 50
+	}
+	many := commitBytes(rows[resident:])
+	t.Logf("commit of a 1-row changeset: %.0f B; of a %d-row changeset: %.1f B per row", one, bulk, many)
+	if one > 1400 {
+		t.Errorf("committing one row allocates %.0f B, budget 1400", one)
+	}
+	if many > 32 {
+		t.Errorf("committing %d fresh rows allocates %.1f B per row, budget 32", bulk, many)
+	}
+	if got := m.Snapshot().Len(); got != resident || m.Materialized().Len() != resident {
+		t.Fatalf("%d rows in the epoch, %d in the view, want %d", got, m.Materialized().Len(), resident)
 	}
 }

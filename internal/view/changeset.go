@@ -1,6 +1,7 @@
 package view
 
 import (
+	"errors"
 	"fmt"
 
 	"ojv/internal/rel"
@@ -11,10 +12,17 @@ import (
 // on a Materialized (which carry the patternCount and per-table chain
 // updates with them) and group mutations on an AggMaterialized — is staged
 // through the changeset, which records enough to restore the exact
-// pre-mutation state. Commit discards the log; Rollback replays it in
-// reverse, returning the view to its state at Begin: the same rows, the
-// same counters and the same membership of every per-table chain (a row's
-// handle and its place within a chain are not state and may differ).
+// pre-mutation state. Rollback replays the log in reverse, returning the
+// view to its state at Begin: the same rows at the same handles, the same
+// counters and the same membership of every per-table chain (a row's place
+// within a chain is not state and may differ). Commit makes the run
+// permanent.
+//
+// A view-row record is the row's handle and nothing else. That is enough
+// because a staged delete only unlinks its row and leaves it in its slot
+// (store.go): rollback relinks the slot, commit releases it. A published
+// epoch is indexed by the same handles, and the committing changeset's log
+// is the list of slots the next epoch differs in (epoch.go).
 //
 // The paper assumes "the base tables have already been updated" when
 // maintenance runs; without a changeset any mid-apply error (a duplicate
@@ -41,8 +49,12 @@ import (
 //	agg-secondary-fold        aggregation view, one secondary-delta row folded
 //	modify-between-passes     OnModify, between the delete and insert passes
 type Changeset struct {
-	m    *Maintainer
-	undo []undoRec
+	m *Maintainer
+	// rows logs the view-row mutations of a Materialized in order; groups
+	// the first touch of each group of an AggMaterialized. A maintainer has
+	// one kind of view, so a changeset fills one of the two.
+	rows   []rowUndo
+	groups []groupUndo
 	// snapGroups marks aggregation-group keys whose pre-mutation state is
 	// already in the log, so each group is snapshotted at most once.
 	snapGroups map[string]bool
@@ -52,19 +64,25 @@ type Changeset struct {
 type undoKind uint8
 
 const (
-	// undoViewInsert reverts an insertRow: delete the staged key.
+	// undoViewInsert reverts an insertRow: unlink the staged row and release
+	// its slot.
 	undoViewInsert undoKind = iota
-	// undoViewDelete reverts a deleteKey: re-insert the removed row.
+	// undoViewDelete reverts a deleteKey: relink the row, still in its slot.
 	undoViewDelete
-	// undoAggGroup reverts all mutations of one aggregation group: restore
-	// the snapshotted group, or remove it when the snapshot marks absence.
-	undoAggGroup
 )
 
-type undoRec struct {
+// rowUndo is one view-row mutation: 8 bytes and no pointers, so the log is
+// never scanned by the collector and its buffer is reused from changeset to
+// changeset.
+type rowUndo struct {
 	kind undoKind
-	key  string
-	row  rel.Row
+	h    int32
+}
+
+// groupUndo reverts all mutations of one aggregation group: restore the
+// snapshotted group, or remove it when the snapshot marks absence.
+type groupUndo struct {
+	key string
 	// group is the deep-copied pre-mutation group state; nil means the
 	// group did not exist at Begin.
 	group *aggGroup
@@ -73,12 +91,15 @@ type undoRec struct {
 // Begin opens an undo-logged changeset over the maintainer's stored view.
 // Callers stage maintenance through the Apply* methods and then either
 // Commit or Rollback; OnInsert/OnDelete/OnModify do all three internally.
+// The row log starts in the buffer the previous changeset handed back.
 func (m *Maintainer) Begin() *Changeset {
-	return &Changeset{m: m}
+	cs := &Changeset{m: m, rows: m.logBuf[:0]}
+	m.logBuf = nil
+	return cs
 }
 
 // Len returns the number of undo records staged so far.
-func (cs *Changeset) Len() int { return len(cs.undo) }
+func (cs *Changeset) Len() int { return len(cs.rows) + len(cs.groups) }
 
 // fail consults the fault-injection hook at a mutation site.
 func (cs *Changeset) fail(site string) error {
@@ -93,22 +114,23 @@ func (cs *Changeset) insertRow(site, key string, row rel.Row) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	if err := cs.m.mv.insertRow(key, row); err != nil {
+	h, err := cs.m.mv.insertRow(key, row)
+	if err != nil {
 		return err
 	}
-	cs.undo = append(cs.undo, undoRec{kind: undoViewInsert, key: key})
+	cs.rows = append(cs.rows, rowUndo{kind: undoViewInsert, h: h})
 	return nil
 }
 
 // deleteKey stages the deletion of the view row with the given key,
-// reporting whether a row was removed.
-func (cs *Changeset) deleteKey(site, key string) (rel.Row, bool, error) {
+// reporting whether a row was removed. The key is only read.
+func (cs *Changeset) deleteKey(site string, key []byte) (rel.Row, bool, error) {
 	if err := cs.fail(site); err != nil {
 		return nil, false, err
 	}
-	row, ok := cs.m.mv.deleteKey(key)
+	h, row, ok := cs.m.mv.unlinkKey(key)
 	if ok {
-		cs.undo = append(cs.undo, undoRec{kind: undoViewDelete, key: key, row: row})
+		cs.rows = append(cs.rows, rowUndo{kind: undoViewDelete, h: h})
 	}
 	return row, ok, nil
 }
@@ -128,57 +150,92 @@ func (cs *Changeset) snapshotGroup(key string) {
 	if g, ok := cs.m.agg.groups[key]; ok {
 		snap = g.clone()
 	}
-	cs.undo = append(cs.undo, undoRec{kind: undoAggGroup, key: key, group: snap})
+	cs.groups = append(cs.groups, groupUndo{key: key, group: snap})
 }
 
-// Commit discards the undo log, making every staged mutation permanent.
+// Commit makes every staged mutation permanent: the slots of the rows the
+// run deleted are released, and the log is dropped. A maintainer that
+// publishes epochs commits through CommitStaged, which reads the log first.
 // Committing an already-finished changeset is a no-op.
 func (cs *Changeset) Commit() {
-	cs.undo = nil
-	cs.snapGroups = nil
+	if cs.done {
+		return
+	}
+	for _, r := range cs.rows {
+		if r.kind == undoViewDelete {
+			cs.m.mv.release(r.h)
+		}
+	}
+	cs.finish()
+}
+
+// finish ends the changeset and hands the row log's buffer back to the
+// maintainer for the next Begin.
+func (cs *Changeset) finish() {
+	if cap(cs.rows) > cap(cs.m.logBuf) {
+		cs.m.logBuf = cs.rows[:0]
+	}
+	cs.rows, cs.groups, cs.snapGroups = nil, nil, nil
 	cs.done = true
 }
 
+// undoRow reverts one view-row record, after checking that the slot is in
+// the state the record left it in: an inserted row linked under its key, a
+// deleted one still in its slot with its key free. The two mutations name
+// the stored view through cs, not the alias, so that ojvlint sees them — and
+// their exemption — for what they are.
+func (cs *Changeset) undoRow(r rowUndo) error {
+	mv := cs.m.mv
+	if r.h >= mv.used || mv.at(r.h).row == nil {
+		return errMutatedOutside
+	}
+	at, linked := mv.rows[mv.at(r.h).key]
+	switch {
+	case r.kind == undoViewInsert && linked && at == r.h:
+		//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
+		cs.m.mv.unlink(r.h)
+		mv.release(r.h)
+	case r.kind == undoViewDelete && !linked:
+		//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
+		cs.m.mv.relink(r.h)
+	default:
+		return errMutatedOutside
+	}
+	return nil
+}
+
+var errMutatedOutside = errors.New("a staged row is not where the changeset left it")
+
 // Rollback restores the stored view to its state at Begin by replaying the
-// undo log in reverse. Rolling back an already-finished changeset is a
-// no-op. An error means an undo record could not be applied — possible only
-// if the view was mutated outside the changeset — and the view must be
-// re-materialized.
+// undo log in reverse; every row that was live at Begin is live again at the
+// handle it had. Rolling back an already-finished changeset is a no-op. An
+// error means an undo record could not be applied — possible only if the view
+// was mutated outside the changeset — and the view must be re-materialized.
 func (cs *Changeset) Rollback() error {
 	if cs.done {
 		return nil
 	}
-	cs.done = true
-	undo := cs.undo
-	cs.undo = nil
-	cs.snapGroups = nil
-	for i := len(undo) - 1; i >= 0; i-- {
-		r := undo[i]
-		switch r.kind {
-		case undoViewInsert:
+	rows, groups := cs.rows, cs.groups
+	defer cs.finish()
+	for i := len(rows) - 1; i >= 0; i-- {
+		if err := cs.undoRow(rows[i]); err != nil {
+			return fmt.Errorf("view %s: rollback: %v; re-materialize the view", cs.m.def.Name, err)
+		}
+	}
+	for i := len(groups) - 1; i >= 0; i-- {
+		r := groups[i]
+		// The direct map writes below bypass fold, so the epoch dirty set
+		// must learn the key here; the rolled-back group resolves to its
+		// unchanged committed state at the next publish.
+		if cs.m.agg.dirtyGroups != nil {
+			cs.m.agg.dirtyGroups[r.key] = struct{}{}
+		}
+		if r.group == nil {
 			//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-			if _, ok := cs.m.mv.deleteKey(r.key); !ok {
-				return fmt.Errorf("view %s: rollback: staged row vanished; re-materialize the view", cs.m.def.Name)
-			}
-		case undoViewDelete:
+			delete(cs.m.agg.groups, r.key)
+		} else {
 			//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-			if err := cs.m.mv.insertRow(r.key, r.row); err != nil {
-				return fmt.Errorf("view %s: rollback: %v; re-materialize the view", cs.m.def.Name, err)
-			}
-		case undoAggGroup:
-			// The direct map writes below bypass fold, so the epoch dirty set
-			// must learn the key here; the rolled-back group resolves to its
-			// unchanged committed state at the next publish.
-			if cs.m.agg.dirtyGroups != nil {
-				cs.m.agg.dirtyGroups[r.key] = struct{}{}
-			}
-			if r.group == nil {
-				//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-				delete(cs.m.agg.groups, r.key)
-			} else {
-				//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-				cs.m.agg.groups[r.key] = r.group
-			}
+			cs.m.agg.groups[r.key] = r.group
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package view
 
 import (
 	"maps"
+	"slices"
 
 	"ojv/internal/rel"
 )
@@ -12,23 +13,29 @@ import (
 // The Maintainer owns one atomic pointer to the current epoch. While a
 // maintenance run stages mutations (and possibly rolls them back), the
 // pointer still names the last committed epoch, so concurrent readers
-// never observe torn or mid-flush state; CommitStaged resolves the keys
-// the run touched — the committing changeset's log names them — against
-// the now-committed stored view and publishes the next epoch in O(delta)
-// (see rel/epoch.go and rel/trie.go for the persistent trie behind an
-// epoch).
+// never observe torn or mid-flush state; CommitStaged publishes the next
+// epoch in O(delta). Nothing reads a view snapshot by key — readers scan it,
+// as the paper's readers scan the view through its clustered index — so a
+// non-aggregated view's epoch is a persistent vector indexed by store handle
+// (rowvec.go) and the committing changeset's log, a list of handles, names
+// exactly the slots to set or clear. The invariant is epoch[h] == the row
+// committed in store slot h, for every h; it holds because a rollback leaves
+// every live row at its handle and a deleted row's slot is not reused before
+// its delete commits (store.go). Aggregation groups are read by key and keep
+// the persistent trie of rel/epoch.go.
 //
 // Epochs are per view. A reader pinning snapshots of two views (or a view
 // and a base table) between two commits may see one side's new epoch and
 // the other's old one; within a single snapshot the state is always a
 // committed epoch, and per-view sequence numbers are monotonic.
 
-// mvEpoch is one committed epoch of a non-aggregated view: the keyed rows
-// plus the per-term pattern counters that back TermCardinality. The
+// mvEpoch is one committed epoch of a non-aggregated view: the rows by
+// handle plus the per-term pattern counters that back TermCardinality. The
 // counters are one entry per normal-form term, so each epoch carries its
 // own copy of the map.
 type mvEpoch struct {
-	rows     *rel.EpochMap[rel.Row]
+	seq      uint64
+	rows     *rowVec
 	patterns map[uint32]int
 }
 
@@ -56,7 +63,7 @@ func (s *Snapshot) Epoch() uint64 {
 	if s.age != nil {
 		return s.age.groups.Seq()
 	}
-	return s.mve.rows.Seq()
+	return s.mve.seq
 }
 
 // Schema returns the view's output schema.
@@ -72,7 +79,7 @@ func (s *Snapshot) Len() int {
 	if s.age != nil {
 		return s.age.groups.Len()
 	}
-	return s.mve.rows.Len()
+	return s.mve.rows.count
 }
 
 // Rows returns the view contents as of the epoch. The slice is fresh;
@@ -82,7 +89,7 @@ func (s *Snapshot) Rows() []rel.Row {
 	if s.age != nil {
 		return s.agg.rowsFrom(s.age.groups.Len(), s.age.groups.Range)
 	}
-	return s.mve.rows.Values()
+	return s.mve.rows.appendRows(make([]rel.Row, 0, s.mve.rows.count))
 }
 
 // SortedRows returns Rows sorted by encoded value, for deterministic
@@ -140,28 +147,34 @@ func (m *Maintainer) publishFull() {
 		a.dirtyGroups = make(map[string]struct{})
 		m.aggEp.Store(&aggEpoch{groups: rel.NewFullEpoch(m.epochSeq, a.groups, (*aggGroup).clone)})
 	} else {
+		// The live rows are the linked ones: rows, not the slab, which may
+		// hold slots an open changeset has unlinked. Filling in handle order
+		// allocates the leaves in the order a scan reads them and stays in
+		// one leaf for vecWidth sets.
 		mv := m.mv
-		live := make(map[string]rel.Row, len(mv.rows))
-		for k, h := range mv.rows {
-			live[k] = mv.at(h).row
+		handles := make([]int32, 0, len(mv.rows))
+		for _, h := range mv.rows {
+			handles = append(handles, h)
 		}
-		m.mvEp.Store(&mvEpoch{
-			rows:     rel.NewFullEpoch(m.epochSeq, live, nil),
-			patterns: maps.Clone(mv.patternCount),
-		})
+		slices.Sort(handles)
+		tx := new(rowVec).edit()
+		for _, h := range handles {
+			tx.set(h, mv.at(h).row)
+		}
+		m.mvEp.Store(&mvEpoch{seq: m.epochSeq, rows: tx.publish(), patterns: maps.Clone(mv.patternCount)})
 	}
 	m.countPublish()
 }
 
-// publishEpoch publishes the epoch of a committing changeset: every key
-// its log names (a key staged and then removed again resolves to its
-// unchanged committed value, or to absence) is resolved against the stored
-// view and path-copied into the previous epoch's trie. Every view-row
-// mutation outside Materialize runs through a changeset and every
-// changeset commits through here, so the log is the complete set of keys
-// the epoch may differ in; aggregation groups, folded in place, keep their
-// dirty set. No-op until EnableSnapshots. Callers must hold whatever lock
-// serializes maintenance.
+// publishEpoch publishes the epoch of a committing changeset, before the
+// changeset releases the slots of the rows it deleted: every handle its log
+// names is set to the row staged there or cleared, in log order, so a row
+// inserted and deleted again in one run ends up clear. Every view-row
+// mutation outside Materialize runs through a changeset and every changeset
+// commits through here, so the log is the complete list of slots the epoch
+// may differ in; aggregation groups, folded in place, keep their dirty set.
+// No-op until EnableSnapshots. Callers must hold whatever lock serializes
+// maintenance.
 func (m *Maintainer) publishEpoch(cs *Changeset) {
 	if m.agg != nil {
 		prev := m.aggEp.Load()
@@ -173,12 +186,7 @@ func (m *Maintainer) publishEpoch(cs *Changeset) {
 			return
 		}
 		m.epochSeq++
-		dirty := func(yield func(string)) {
-			for k := range a.dirtyGroups {
-				yield(k)
-			}
-		}
-		groups := rel.PublishEpoch(prev.groups, m.epochSeq, dirty, func(k string) (*aggGroup, bool) {
+		groups := rel.PublishEpoch(prev.groups, m.epochSeq, a.dirtyGroups, func(k string) (*aggGroup, bool) {
 			g, ok := a.groups[k]
 			return g, ok
 		}, (*aggGroup).clone)
@@ -188,27 +196,20 @@ func (m *Maintainer) publishEpoch(cs *Changeset) {
 		return
 	}
 	prev := m.mvEp.Load()
-	if prev == nil {
+	if prev == nil || len(cs.rows) == 0 {
 		return
 	}
 	mv := m.mv
-	if len(cs.undo) == 0 {
-		return
-	}
 	m.epochSeq++
-	logged := func(yield func(string)) {
-		for i := range cs.undo {
-			yield(cs.undo[i].key)
+	tx := prev.rows.edit()
+	for _, r := range cs.rows {
+		if r.kind == undoViewInsert {
+			tx.set(r.h, mv.at(r.h).row)
+		} else {
+			tx.set(r.h, nil)
 		}
 	}
-	rows := rel.PublishEpoch(prev.rows, m.epochSeq, logged, func(k string) (rel.Row, bool) {
-		h, ok := mv.rows[k]
-		if !ok {
-			return nil, false
-		}
-		return mv.at(h).row, true
-	}, nil)
-	m.mvEp.Store(&mvEpoch{rows: rows, patterns: maps.Clone(mv.patternCount)})
+	m.mvEp.Store(&mvEpoch{seq: m.epochSeq, rows: tx.publish(), patterns: maps.Clone(mv.patternCount)})
 	m.countPublish()
 }
 

@@ -152,7 +152,7 @@ func TestCheckerReportsDivergence(t *testing.T) {
 	// message.
 	mv := m.Materialized()
 	for k := range mv.rows {
-		mv.deleteKey(k)
+		deleteNow(mv, k)
 		break
 	}
 	err := Check(m)

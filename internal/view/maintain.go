@@ -41,6 +41,10 @@ type Maintainer struct {
 	aggEp    atomic.Pointer[aggEpoch]
 	epochSeq uint64
 	pins     *obs.Counter
+
+	// logBuf is the row log of the last finished changeset, emptied, for the
+	// next Begin to fill (changeset.go).
+	logBuf []rowUndo
 }
 
 type planKey struct {
@@ -81,9 +85,18 @@ type tablePlan struct {
 	// starts it instead of building a pipeline.
 	prog *exec.Program
 	// outCols maps the view's output schema onto prog's: output column i is
-	// ΔV^D column outCols[i], or NULL when −1 (see outputMapping). Nil for
-	// aggregation views.
+	// ΔV^D column outCols[i], or NULL when −1 (see outputMapping). keyCols[i]
+	// are the ΔV^D positions of view table i's key columns and present the
+	// mask of the tables ΔV^D carries (a table foreign-key simplification
+	// pruned has no columns there and reads as null-extended); with witness
+	// they let a deletion take view keys, term patterns and new orphans
+	// straight off a ΔV^D row. All nil for aggregation views.
 	outCols []int
+	keyCols [][]int
+	present uint32
+	// witness[i] is the ΔV^D position of a key column of view table i, −1
+	// when the table is not in ΔV^D.
+	witness []int
 	// fromBase holds the compiled §5.3 candidate computation per indirect
 	// term, parallel to indirect; nil unless this maintainer cleans up from
 	// base tables (StrategyFromBase, aggregation views) and prog exists.
@@ -327,16 +340,27 @@ func (m *Maintainer) compile(p *tablePlan) error {
 		return err
 	}
 	p.prog = prog
-	if m.mv != nil {
-		p.outCols = outputMapping(prog.Schema(), m.mv.schema)
+	p.witness = m.witnessCols(prog.Schema())
+	if mv := m.mv; mv != nil {
+		p.outCols = outputMapping(prog.Schema(), mv.schema)
+		p.keyCols = make([][]int, len(mv.keyCols))
+		p.present = 0
+		for i, kc := range mv.keyCols {
+			if p.witness[i] < 0 {
+				continue
+			}
+			p.present |= 1 << uint(i)
+			for _, c := range kc {
+				p.keyCols[i] = append(p.keyCols[i], p.outCols[c])
+			}
+		}
 	}
 	if m.agg == nil && m.opts.Strategy != StrategyFromBase {
 		return nil
 	}
-	witness := m.witnessCols(prog.Schema())
 	p.fromBase = make([]*fromBaseTerm, len(p.indirect))
 	for i, ip := range p.indirect {
-		if p.fromBase[i], err = m.compileFromBase(ip, prog.Schema(), witness); err != nil {
+		if p.fromBase[i], err = m.compileFromBase(ip, prog.Schema(), p.witness); err != nil {
 			return err
 		}
 	}
@@ -801,14 +825,15 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 		Span:          evalSpan,
 		Bound:         bound,
 	}
-	// The full-width primary delta is needed by aggregation, by the
-	// deletion-case view cleanup, and by from-base candidate computation.
-	// The insertion-case view cleanup and indirect-free plans read only the
-	// projected rows, so those paths stream the delta batch by batch and
-	// project each batch straight to the output schema — the wide
-	// intermediate never materializes.
+	// The full-width primary delta is needed by aggregation, by from-base
+	// candidate computation and by every deletion, which reads view keys,
+	// term patterns and new orphans straight off it: a deleted row is never
+	// projected. An insertion that cleans up from the view (or has nothing to
+	// clean up) reads only the projected rows, so it streams the delta batch
+	// by batch and projects each batch straight to the output schema — the
+	// wide intermediate never materializes.
 	useView := m.opts.Strategy != StrategyFromBase
-	needPrimary := m.agg != nil || (len(plan.indirect) > 0 && !(useView && isInsert))
+	needPrimary := m.agg != nil || !isInsert || (len(plan.indirect) > 0 && !useView)
 	var primary exec.Relation
 	var projected []rel.Row
 	primaryRows := 0
@@ -839,10 +864,10 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 
 	// Step 1: apply the primary delta to the view.
 	applySpan := span.Child("primary.apply")
-	if needPrimary {
-		projected = projectRows(make([]rel.Row, 0, len(primary.Rows)), primary.Rows, plan.outCols)
-	}
 	if isInsert {
+		if needPrimary {
+			projected = projectRows(make([]rel.Row, 0, len(primary.Rows)), primary.Rows, plan.outCols)
+		}
 		for _, row := range projected {
 			if err := cs.insertRow("primary-insert", m.mv.viewKey(row), row); err != nil {
 				applySpan.End()
@@ -850,19 +875,21 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 			}
 		}
 	} else {
-		for _, row := range projected {
-			_, ok, err := cs.deleteKey("primary-delete", m.mv.viewKey(row))
+		var key []byte
+		for _, row := range primary.Rows {
+			key = m.mv.appendKey(key[:0], row, plan.keyCols, plan.present)
+			_, ok, err := cs.deleteKey("primary-delete", key)
 			if err != nil {
 				applySpan.End()
 				return nil, err
 			}
 			if !ok {
 				applySpan.End()
-				return nil, fmt.Errorf("view %s: primary delta row not found for deletion: %s", m.def.Name, row)
+				return nil, fmt.Errorf("view %s: primary delta row not found for deletion: %s", m.def.Name, projectRow(row, plan.outCols))
 			}
 		}
 	}
-	applySpan.SetInt("rows", int64(len(projected)))
+	applySpan.SetInt("rows", int64(primaryRows))
 	applySpan.End()
 
 	// Step 2: compute and apply the secondary delta.
@@ -896,7 +923,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta []
 		sec.SetStr("source", "view")
 		for _, ip := range plan.indirect {
 			ts := sec.Child("term").SetStr("term", ip.term.SourceKey())
-			n, err := m.secondaryFromView(cs, ip, primary, projected, isInsert)
+			n, err := m.secondaryFromView(cs, plan, ip, primary.Rows)
 			ts.SetInt("rows", int64(n))
 			ts.End()
 			if err != nil {
@@ -1025,7 +1052,7 @@ func (m *Maintainer) secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, pl
 	parallelEach(m.workers(), len(plans), func(i int) {
 		ts := sec.Child("term.candidates").SetStr("term", plans[i].term.SourceKey())
 		if plan.fromBase != nil {
-			cands[i], errs[i] = secondaryCandidatesFromBase(ctx, plans[i], plan.fromBase[i], primary, isInsert)
+			cands[i], errs[i] = secondaryCandidatesFromBase(ctx, plan, plans[i], plan.fromBase[i], primary, isInsert)
 		}
 		ts.SetInt("rows", int64(len(cands[i].Rows)))
 		ts.End()

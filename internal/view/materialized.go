@@ -117,13 +117,6 @@ func (m *Materialized) viewKey(row rel.Row) string {
 	return string(m.appendKey(scratch[:0], row, m.keyCols, ^uint32(0)))
 }
 
-// orphanKeyFor builds the view key of the orphan row of a term: the term
-// tables' key values taken from an output-projected row, NULL elsewhere.
-func (m *Materialized) orphanKeyFor(row rel.Row, termMask uint32) string {
-	var scratch [64]byte
-	return string(m.appendKey(scratch[:0], row, m.keyCols, termMask))
-}
-
 // splitKey records where each table's part of a view key starts.
 func (m *Materialized) splitKey(key string, parts *keyParts) {
 	off := int32(0)
@@ -158,18 +151,35 @@ func (m *Materialized) TermCardinality(tables []string) int {
 	return m.patternCount[m.patternOf(tables)]
 }
 
-// insertRow adds one projected row under its view key k = viewKey(row). It
-// reports an error on key collision, which would indicate a maintenance bug
-// or an out-of-contract view.
-func (m *Materialized) insertRow(k string, row rel.Row) error {
+// insertRow adds one projected row under its view key k = viewKey(row) and
+// returns its handle. It reports an error on key collision, which would
+// indicate a maintenance bug or an out-of-contract view.
+func (m *Materialized) insertRow(k string, row rel.Row) (int32, error) {
 	if _, dup := m.rows[k]; dup {
-		return fmt.Errorf("view %s: duplicate view key for row %s", m.def.Name, row)
+		return noRow, fmt.Errorf("view %s: duplicate view key for row %s", m.def.Name, row)
 	}
 	h := m.alloc()
 	*m.at(h) = storedRow{key: k, row: row}
+	m.relink(h)
+	return h, nil
+}
+
+// relink makes the row in slot h visible: under its key in rows, in its
+// term's counter and on its tables' chains. The slot must hold a row whose
+// key is not in rows.
+func (m *Materialized) relink(h int32) {
+	k := m.at(h).key
 	m.rows[k] = h
 	m.patternCount[m.index(k, h, true)]++
-	return nil
+}
+
+// unlink is the inverse of relink: the row leaves rows, the counter and the
+// chains, and stays in its slot — a changeset's rollback relinks it at the
+// same handle, its commit releases the slot (see store.go).
+func (m *Materialized) unlink(h int32) {
+	k := m.at(h).key
+	delete(m.rows, k)
+	m.patternCount[m.index(k, h, false)]--
 }
 
 // index puts row h, stored under view key k, on the chain of every table k
@@ -196,17 +206,16 @@ func (m *Materialized) index(k string, h int32, add bool) uint32 {
 	return pat
 }
 
-// deleteKey removes the row with the given view key, returning it.
-func (m *Materialized) deleteKey(k string) (rel.Row, bool) {
-	h, ok := m.rows[k]
+// unlinkKey unlinks the row with the given view key, returning its handle
+// and the row. The key is a byte slice so that callers can build it in a
+// reused buffer; the lookup does not copy it.
+func (m *Materialized) unlinkKey(k []byte) (int32, rel.Row, bool) {
+	h, ok := m.rows[string(k)]
 	if !ok {
-		return nil, false
+		return noRow, nil, false
 	}
-	row := m.at(h).row
-	delete(m.rows, k)
-	m.patternCount[m.index(k, h, false)]--
-	m.release(h)
-	return row, true
+	m.unlink(h)
+	return h, m.at(h).row, true
 }
 
 // containsTuple reports whether any view row carries exactly the base-table
@@ -292,7 +301,7 @@ func (m *Materialized) Materialize() error {
 	staged := *m
 	staged.store = newStore(len(m.tableOrder), m.perTable != nil)
 	for _, row := range proj {
-		if err := staged.insertRow(staged.viewKey(row), row); err != nil {
+		if _, err := staged.insertRow(staged.viewKey(row), row); err != nil {
 			return err
 		}
 	}

@@ -162,11 +162,11 @@ func TestContainsTupleAgainstScan(t *testing.T) {
 func TestInsertRowRejectsDuplicates(t *testing.T) {
 	mv := storageFixture(t, Options{})
 	row := mv.Rows()[0]
-	if err := mv.insertRow(mv.viewKey(row), row); err == nil {
+	if _, err := mv.insertRow(mv.viewKey(row), row); err == nil {
 		t.Error("duplicate view key must be rejected")
 	}
-	if _, ok := mv.deleteKey("no-such-key"); ok {
-		t.Error("deleteKey of a missing key must report false")
+	if _, _, ok := mv.unlinkKey([]byte("no-such-key")); ok {
+		t.Error("unlinkKey of a missing key must report false")
 	}
 }
 
@@ -186,8 +186,8 @@ func TestMaterializeIsIdempotent(t *testing.T) {
 
 func TestOrphanKeyRoundTrip(t *testing.T) {
 	mv := storageFixture(t, Options{})
-	// For an orphan row of some term, orphanKeyFor(row) must equal the
-	// row's own view key.
+	// For an orphan row of some term, the key built from the term's tables
+	// alone must equal the row's own view key.
 	nf := mv.Definition().NormalForm()
 	for _, term := range nf.Terms {
 		pat := mv.patternOf(term.Tables)
@@ -195,7 +195,7 @@ func TestOrphanKeyRoundTrip(t *testing.T) {
 			if mv.pattern(row) != pat {
 				continue
 			}
-			if mv.orphanKeyFor(row, pat) != mv.viewKey(row) {
+			if orphanKey(mv, row, pat) != mv.viewKey(row) {
 				t.Fatalf("orphan key mismatch for %s (term %s)", row, term.SourceKey())
 			}
 			// The per-table encoded keys concatenate to it too.

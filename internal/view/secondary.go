@@ -6,47 +6,23 @@ import (
 	"ojv/internal/rel"
 )
 
-// secondaryFromView computes and applies ΔDi for one indirect term using
-// the view and the primary delta (Section 5.2). It returns the number of
-// orphan rows removed (insert case) or added (delete case).
-//
-// Insert case: σ nn(Ti)∧n(Si) (V+ΔV^D) ⋉ls_eq(Ti) σPi ΔV^D — every
-// current orphan of the term that joins (on the term's key) a delta row
-// belonging to a directly affected parent ceases to be an orphan and is
-// deleted. The view's key structure turns the semijoin into point lookups:
-// the orphan's view key is fully determined by the delta row's Ti key
-// values.
-//
-// Delete case: (δ πTi.* σPi ΔV^D) ⋉la_eq(Ti) (V−ΔV^D) — projections of
-// deleted parent tuples that are no longer contained in any view row become
-// new orphans and are inserted.
-func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary exec.Relation, projected []rel.Row, isInsert bool) (int, error) {
+// secondaryFromView computes and applies ΔDi for one indirect term after a
+// deletion, using the view and the primary delta (Section 5.2):
+// (δ πTi.* σPi ΔV^D) ⋉la_eq(Ti) (V−ΔV^D) — projections of deleted parent
+// tuples that are no longer contained in any view row become new orphans and
+// are inserted. It returns the number of orphan rows added. deleted holds the
+// full-width ΔV^D rows; the plan's witness, keyCols and outCols say where a
+// row's term pattern, view key and output columns sit in them.
+func (m *Maintainer) secondaryFromView(cs *Changeset, plan *tablePlan, ip *indirectPlan, deleted []rel.Row) (int, error) {
 	mv := m.mv
 	n := 0
-	if isInsert {
-		for _, pr := range projected {
-			pat := mv.pattern(pr)
-			if !anyMaskSubset(ip.parentMasks, pat) {
-				continue
-			}
-			key := mv.orphanKeyFor(pr, ip.tiMask)
-			_, ok, err := cs.deleteKey("secondary-orphan-delete", key)
-			if err != nil {
-				return n, err
-			}
-			if ok {
-				n++
-			}
-		}
-		return n, nil
-	}
 	// A candidate is identified by the view key its orphan row would have;
 	// the term tables' keys it must not be contained under are parts of
 	// that key.
 	seen := make(map[string]bool)
 	var buf []byte
-	for _, pr := range projected {
-		pat := mv.pattern(pr)
+	for _, row := range deleted {
+		pat := patternAt(row, plan.witness)
 		if !anyMaskSubset(ip.parentMasks, pat) {
 			continue
 		}
@@ -58,7 +34,7 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary 
 		if pat&ip.indirectExtrasMask != 0 {
 			continue
 		}
-		buf = mv.appendKey(buf[:0], pr, mv.keyCols, ip.tiMask)
+		buf = mv.appendKey(buf[:0], row, plan.keyCols, ip.tiMask)
 		if seen[string(buf)] {
 			continue
 		}
@@ -70,7 +46,7 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary 
 		orphan := make(rel.Row, len(mv.schema))
 		for i, t := range mv.colTable {
 			if ip.tiMask&(1<<uint(t)) != 0 {
-				orphan[i] = pr[i]
+				orphan[i] = row[plan.outCols[i]]
 			}
 		}
 		if err := cs.insertRow("secondary-orphan-insert", key, orphan); err != nil {
@@ -81,23 +57,27 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, primary 
 	return n, nil
 }
 
-// secondaryInsertCombined performs the insertion-case view-side cleanup for
-// every indirect term in one pass over the primary delta: each delta row's
+// secondaryInsertCombined performs the insertion-case view-side cleanup
+// (Section 5.2) for every indirect term in one pass over the primary delta:
+// σ nn(Ti)∧n(Si) (V+ΔV^D) ⋉ls_eq(Ti) σPi ΔV^D — every current orphan of a
+// term that joins (on the term's key) a delta row belonging to a directly
+// affected parent ceases to be an orphan and is deleted. The view's key
+// structure turns the semijoin into point lookups: the orphan's view key is
+// fully determined by the delta row's Ti key values. Each delta row's
 // non-null pattern is computed once and tested against every term's parent
-// masks. Semantically identical to calling secondaryFromView per term
-// (orphan deletions are keyed and idempotent, so term order is irrelevant
-// for insertions); it exists because the shared per-row work dominates when
-// several terms are affected.
+// masks; orphan deletions are keyed and idempotent, so term order is
+// irrelevant.
 func (m *Maintainer) secondaryInsertCombined(cs *Changeset, plans []*indirectPlan, projected []rel.Row) (map[string]int, error) {
 	mv := m.mv
 	counts := make(map[string]int, len(plans))
+	var key []byte
 	for _, pr := range projected {
 		pat := mv.pattern(pr)
 		for _, ip := range plans {
 			if !anyMaskSubset(ip.parentMasks, pat) {
 				continue
 			}
-			key := mv.orphanKeyFor(pr, ip.tiMask)
+			key = mv.appendKey(key[:0], pr, mv.keyCols, ip.tiMask)
 			_, ok, err := cs.deleteKey("secondary-orphan-delete", key)
 			if err != nil {
 				return counts, err
@@ -108,6 +88,19 @@ func (m *Maintainer) secondaryInsertCombined(cs *Changeset, plans []*indirectPla
 		}
 	}
 	return counts, nil
+}
+
+// patternAt computes the non-null table bitmask of a ΔV^D row: table i of
+// the view owns bit i and is non-null iff its witness column (−1: the table
+// is not in ΔV^D) is.
+func patternAt(row rel.Row, witness []int) uint32 {
+	var pat uint32
+	for i, w := range witness {
+		if w >= 0 && !row[w].IsNull() {
+			pat |= 1 << uint(i)
+		}
+	}
+	return pat
 }
 
 // anyMaskSubset reports whether pat contains all bits of any mask.
@@ -121,15 +114,12 @@ func anyMaskSubset(masks []uint32, pat uint32) bool {
 }
 
 // fromBaseTerm is the compiled Section 5.3 candidate computation for one
-// indirect term: where the term's columns and every table's null witness
-// sit in the ΔV^D schema, and one anti-join program per directly affected
-// parent and update direction. A nil *fromBaseTerm means a table of the
+// indirect term: where the term's columns sit in the ΔV^D schema (every
+// table's null witness is the plan's), and one anti-join program per
+// directly affected parent and update direction. A nil *fromBaseTerm means a table of the
 // term was pruned from ΔV^D by foreign-key simplification, so no candidate
 // can exist.
 type fromBaseTerm struct {
-	// witness[i] is the ΔV^D position of a key column of def.tables[i]
-	// (−1: the table is not in ΔV^D); shared by the terms of one plan.
-	witness []int
 	// tiCols are the ΔV^D positions of the term tables' columns — the
 	// candidate projection, with schema candSchema; tiKeyCols are the
 	// candidate positions of the term tables' key columns (the δ key).
@@ -178,7 +168,7 @@ func (m *Maintainer) compileFromBase(ip *indirectPlan, delta rel.Schema, witness
 			return nil, nil
 		}
 	}
-	fb := &fromBaseTerm{witness: witness}
+	fb := &fromBaseTerm{}
 	for i, c := range delta {
 		if inTerm(c.Table) {
 			fb.tiCols = append(fb.tiCols, i)
@@ -223,7 +213,7 @@ func (m *Maintainer) compileFromBase(ip *indirectPlan, delta rel.Schema, witness
 // secondaryCandidatesFromBase computes the surviving ΔDi candidates for one
 // indirect term from base tables and the primary delta (Section 5.3). The
 // returned relation carries all columns of the term's source tables.
-func secondaryCandidatesFromBase(ctx *exec.Context, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation, isInsert bool) (exec.Relation, error) {
+func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation, isInsert bool) (exec.Relation, error) {
 	if fb == nil {
 		return exec.Relation{}, nil
 	}
@@ -232,12 +222,7 @@ func secondaryCandidatesFromBase(ctx *exec.Context, ip *indirectPlan, fb *fromBa
 	seen := make(map[string]bool)
 	cand := exec.Relation{Schema: fb.candSchema}
 	for _, row := range primary.Rows {
-		var pat uint32
-		for i, w := range fb.witness {
-			if w >= 0 && !row[w].IsNull() {
-				pat |= 1 << uint(i)
-			}
-		}
+		pat := patternAt(row, plan.witness)
 		if pat&ip.tiMask != ip.tiMask || pat&ip.indirectExtrasMask != 0 {
 			continue
 		}
@@ -298,7 +283,7 @@ func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, fb 
 	for _, c := range cand.Rows {
 		buf = mv.appendKey(buf[:0], c, fb.keyCols, ip.tiMask)
 		if isInsert {
-			_, ok, err := cs.deleteKey("frombase-orphan-delete", string(buf))
+			_, ok, err := cs.deleteKey("frombase-orphan-delete", buf)
 			if err != nil {
 				return n, err
 			}

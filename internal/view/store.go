@@ -15,6 +15,16 @@ import "ojv/internal/rel"
 // per bucket. A bucket's map key is a substring of one of its rows' view
 // keys (the view key is the concatenation of the tables' encoded keys), so
 // no table key is ever encoded or stored on its own.
+//
+// A handle names one row for as long as the row is committed. A staged
+// delete only unlinks the row — out of rows, its term's counter and the
+// chains — and leaves {key, row} in the slot; the changeset's rollback
+// relinks it in place, its commit releases the slot. So a rolled-back
+// changeset leaves every live row at the handle it had, the published epoch
+// (a vector indexed by handle, rowvec.go) equals the committed store slot for
+// slot, and an undo record is the handle alone. Nothing but the changeset
+// that unlinked it can reach a dead slot: every reader goes through rows or
+// a chain.
 
 const (
 	// storeChunkBits fixes the slab chunk at 512 rows (20 kB of row
@@ -53,7 +63,8 @@ type store struct {
 
 	slab [][]storedRow
 	// used counts the handles ever handed out; free lists the ones given
-	// back since. len(rows) + len(free) == used.
+	// back since. len(rows) + len(free) == used, less the slots an open
+	// changeset has unlinked and not yet released.
 	used int32
 	free []int32
 

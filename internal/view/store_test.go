@@ -18,7 +18,10 @@ import (
 // Materialize streams run against a Materialized and against a deliberately
 // naive model — a map from view key to row, answered by full scans — and
 // after every batch of operations every structure of the store must agree
-// with the model. The fixture's tables have an integer key, a composite
+// with the model, mid-changeset included: a row a changeset has deleted is
+// still in its slot until the commit, and nothing may see it there. At every
+// commit, rollback and Materialize the published epoch must equal the store
+// slot for slot. The fixture's tables have an integer key, a composite
 // (integer, string) key and a string key, so a table's part of a view key
 // has every width the substring offsets must get right.
 
@@ -154,6 +157,30 @@ func modelContains(model map[string]rel.Row, mask uint32, probe rel.Row) bool {
 	return false
 }
 
+// orphanKey is the view key of the orphan row of the term with the given
+// mask: the term tables' key values taken from row, NULL marks elsewhere.
+func orphanKey(mv *Materialized, row rel.Row, mask uint32) string {
+	return string(mv.appendKey(nil, row, mv.keyCols, mask))
+}
+
+// deleteNow removes the row under key k and frees its slot at once, as a
+// changeset that deletes it and commits does.
+func deleteNow(mv *Materialized, k string) bool {
+	h, _, ok := mv.unlinkKey([]byte(k))
+	if ok {
+		mv.release(h)
+	}
+	return ok
+}
+
+// sameRow reports whether a and b are the same stored row (or both none).
+func sameRow(a, b rel.Row) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return &a[0] == &b[0]
+}
+
 // chainHandles walks one chain forward, checking every back link on the way.
 func chainHandles(t testing.TB, mv *Materialized, table int, tk string) []int32 {
 	t.Helper()
@@ -179,12 +206,22 @@ func chainHandles(t testing.TB, mv *Materialized, table int, tk string) []int32 
 	return hs
 }
 
-// checkStore compares every structure of the store with the model.
-func checkStore(t testing.TB, mv *Materialized, model map[string]rel.Row) {
+// checkStore compares every structure of the store with the model. dead
+// holds the handles an open changeset has unlinked and not yet released.
+func checkStore(t testing.TB, mv *Materialized, model map[string]rel.Row, dead map[int32]bool) {
 	t.Helper()
 	// rows and slab.
 	if len(mv.rows) != len(model) || mv.Len() != len(model) {
 		t.Fatalf("store has %d rows, model %d", len(mv.rows), len(model))
+	}
+	if rows := mv.Rows(); len(rows) != len(model) {
+		t.Fatalf("Rows() returns %d rows, model has %d", len(rows), len(model))
+	} else {
+		for _, r := range rows {
+			if !sameRow(r, model[modelKey(r)]) {
+				t.Fatalf("Rows() returns %s, which the model does not hold", r)
+			}
+		}
 	}
 	for k, want := range model {
 		h, ok := mv.rows[k]
@@ -199,18 +236,28 @@ func checkStore(t testing.TB, mv *Materialized, model map[string]rel.Row) {
 			t.Fatalf("viewKey = %x, model key %x", got, k)
 		}
 	}
-	// Free list: every handle is live or free, exactly once, and a free slot
-	// holds nothing.
-	if len(mv.rows)+len(mv.free) != int(mv.used) {
-		t.Fatalf("%d live + %d free handles, %d handed out", len(mv.rows), len(mv.free), mv.used)
+	// Free list: every handle is live, free or dead, exactly once; a free
+	// slot holds nothing and a dead one still holds its row, under a key that
+	// is no longer (or, re-inserted, elsewhere) in rows.
+	if len(mv.rows)+len(mv.free)+len(dead) != int(mv.used) {
+		t.Fatalf("%d live + %d free + %d unlinked handles, %d handed out", len(mv.rows), len(mv.free), len(dead), mv.used)
+	}
+	for h := range dead {
+		sr := mv.at(h)
+		if sr.row == nil {
+			t.Fatalf("unlinked slot %d was cleared before its changeset ended", h)
+		}
+		if at, ok := mv.rows[sr.key]; ok && at == h {
+			t.Fatalf("unlinked slot %d is still in rows", h)
+		}
 	}
 	if want := (int(mv.used) + storeChunk - 1) / storeChunk; len(mv.slab) != want {
 		t.Fatalf("%d slab chunks for %d handles, want %d", len(mv.slab), mv.used, want)
 	}
 	free := make(map[int32]bool, len(mv.free))
 	for _, h := range mv.free {
-		if h < 0 || h >= mv.used || free[h] {
-			t.Fatalf("free list holds handle %d out of range or twice", h)
+		if h < 0 || h >= mv.used || free[h] || dead[h] {
+			t.Fatalf("free list holds handle %d out of range, twice or before its release", h)
 		}
 		free[h] = true
 		if sr := mv.at(h); sr.key != "" || sr.row != nil {
@@ -265,7 +312,7 @@ func checkStore(t testing.TB, mv *Materialized, model map[string]rel.Row) {
 				t.Fatalf("table %d key %x: chain of %d, model has %d rows", i, tk, len(hs), len(want))
 			}
 			for _, h := range hs {
-				if free[h] || !want[mv.at(h).key] {
+				if free[h] || dead[h] || !want[mv.at(h).key] {
 					t.Fatalf("table %d key %x: chain holds row %d (%x), not in the model's group", i, tk, h, mv.at(h).key)
 				}
 			}
@@ -276,7 +323,7 @@ func checkStore(t testing.TB, mv *Materialized, model map[string]rel.Row) {
 // checkContains compares containsTuple with the model's scan for one probe.
 func checkContains(t testing.TB, mv *Materialized, model map[string]rel.Row, mask uint32, probe rel.Row) {
 	t.Helper()
-	key := mv.orphanKeyFor(probe, mask)
+	key := orphanKey(mv, probe, mask)
 	if got, want := mv.containsTuple(mask, key), modelContains(model, mask, probe); got != want {
 		t.Fatalf("containsTuple(%03b, %s) = %v, scan says %v", mask, probe, got, want)
 	}
@@ -304,14 +351,17 @@ type storeOps struct {
 	t     testing.TB
 	fx    *storeFixture
 	model map[string]rel.Row
-	// saved is the model as of the open changeset's Begin.
-	saved map[string]rel.Row
-	cs    *Changeset
-	// maxLive is the most rows the store held at once since it was last
-	// rebuilt: with a free list that is reused, exactly the handles it has
-	// handed out.
-	maxLive int
-	ops     int
+	// saved is the model as of the open changeset's Begin, and handles the
+	// handle of every row then: a rollback must restore both.
+	saved   map[string]rel.Row
+	handles map[string]int32
+	cs      *Changeset
+	// peak is the most slots the store needed at once since it was last
+	// rebuilt — live rows plus rows the open changeset had unlinked, whose
+	// slots wait for its commit: with a free list that is reused, exactly the
+	// handles it has handed out.
+	peak int
+	ops  int
 }
 
 func cloneModel(m map[string]rel.Row) map[string]rel.Row {
@@ -325,21 +375,57 @@ func cloneModel(m map[string]rel.Row) map[string]rel.Row {
 func newStoreOps(t testing.TB, opts Options) *storeOps {
 	fx := newStoreFixture(t, opts)
 	fx.m.EnableSnapshots()
-	return &storeOps{t: t, fx: fx, model: cloneModel(fx.base), maxLive: len(fx.base)}
+	s := &storeOps{t: t, fx: fx, model: cloneModel(fx.base), peak: len(fx.base)}
+	s.checkEpoch()
+	return s
 }
 
 func (s *storeOps) begin() {
 	if s.cs == nil {
 		s.cs = s.fx.m.Begin()
 		s.saved = cloneModel(s.model)
+		s.handles = make(map[string]int32, len(s.fx.mv.rows))
+		for k, h := range s.fx.mv.rows {
+			s.handles[k] = h
+		}
 	}
+}
+
+// dead lists the slots the open changeset has unlinked.
+func (s *storeOps) dead() map[int32]bool {
+	dead := make(map[int32]bool)
+	if s.cs != nil {
+		for _, r := range s.cs.rows {
+			if r.kind == undoViewDelete {
+				dead[r.h] = true
+			}
+		}
+	}
+	return dead
 }
 
 func (s *storeOps) check() {
 	s.t.Helper()
-	checkStore(s.t, s.fx.mv, s.model)
-	if int(s.fx.mv.used) != s.maxLive {
-		s.t.Fatalf("store handed out %d handles, at most %d rows were ever live: the free list is not reused", s.fx.mv.used, s.maxLive)
+	checkStore(s.t, s.fx.mv, s.model, s.dead())
+	if int(s.fx.mv.used) != s.peak {
+		s.t.Fatalf("store handed out %d handles, at most %d slots were ever needed at once: the free list is not reused", s.fx.mv.used, s.peak)
+	}
+}
+
+// checkEpoch holds the published epoch against the committed store, slot for
+// slot. It runs only between changesets, when the store is all committed.
+func (s *storeOps) checkEpoch() {
+	s.t.Helper()
+	mv := s.fx.mv
+	ep := s.fx.m.mvEp.Load()
+	for h := int32(0); h < mv.used; h++ {
+		if got, want := ep.rows.get(h), mv.at(h).row; !sameRow(got, want) {
+			s.t.Fatalf("epoch %d holds %s at handle %d, the store %s", ep.seq, got, h, want)
+		}
+	}
+	snap := s.fx.m.Snapshot()
+	if snap.Len() != mv.Len() || len(snap.Rows()) != mv.Len() {
+		s.t.Fatalf("epoch has Len %d and %d rows, the store %d", snap.Len(), len(snap.Rows()), mv.Len())
 	}
 }
 
@@ -349,6 +435,8 @@ func (s *storeOps) finish(commit bool) {
 		return
 	}
 	if commit {
+		// A slot the changeset filled and emptied again is free after it, so
+		// checkEpoch finds it nil in the epoch too.
 		s.fx.m.CommitStaged(s.cs, &MaintStats{})
 		snap := s.fx.m.Snapshot()
 		want := make([]rel.Row, 0, len(s.model))
@@ -363,12 +451,25 @@ func (s *storeOps) finish(commit bool) {
 			s.t.Fatalf("epoch term cardinality %d, stored %d", got, want)
 		}
 	} else {
+		before := s.fx.m.Snapshot().Epoch()
 		if err := s.fx.m.RollbackStaged(s.cs); err != nil {
 			s.t.Fatal(err)
 		}
 		s.model = s.saved
+		if got := s.fx.m.Snapshot().Epoch(); got != before {
+			s.t.Fatalf("rollback published epoch %d over %d", got, before)
+		}
+		if len(s.fx.mv.rows) != len(s.handles) {
+			s.t.Fatalf("%d rows after rollback, %d at Begin", len(s.fx.mv.rows), len(s.handles))
+		}
+		for k, h := range s.handles {
+			if got, ok := s.fx.mv.rows[k]; !ok || got != h {
+				s.t.Fatalf("row %x was at handle %d at Begin and is at %d (present=%v) after rollback", k, h, got, ok)
+			}
+		}
 	}
-	s.cs, s.saved = nil, nil
+	s.cs, s.saved, s.handles = nil, nil, nil
+	s.checkEpoch()
 }
 
 // run consumes the stream. Each op is an opcode byte and, for the row ops,
@@ -402,13 +503,13 @@ func (s *storeOps) run(data []byte) {
 				}
 				if !present {
 					s.model[k] = row
-					if len(s.model) > s.maxLive {
-						s.maxLive = len(s.model)
+					if need := len(s.model) + len(s.dead()); need > s.peak {
+						s.peak = need
 					}
 				}
 			case op < 10:
 				s.begin()
-				got, ok, err := s.cs.deleteKey("", k)
+				got, ok, err := s.cs.deleteKey("", []byte(k))
 				if err != nil || ok != present {
 					s.t.Fatalf("delete of %x (present=%v): ok %v err %v", k, present, ok, err)
 				}
@@ -459,7 +560,8 @@ func (s *storeOps) run(data []byte) {
 				if len(s.model) != len(s.fx.base) {
 					s.t.Fatalf("Materialize produced %d rows, want %d", len(s.model), len(s.fx.base))
 				}
-				s.maxLive = len(s.model)
+				s.peak = len(s.model)
+				s.checkEpoch()
 			}
 		default:
 			s.check()
@@ -521,6 +623,58 @@ func FuzzViewStore(f *testing.F) {
 	})
 }
 
+// TestViewEpochReaderDuringChangesets is the race test of publication by
+// handle: while the model stream commits, rolls back and re-materializes, a
+// reader keeps pinning the current epoch. Every epoch it sees is whole — as
+// many rows as its count says, none of them a freed slot — and epochs never
+// go backwards; under -race the detector additionally proves that nothing a
+// published epoch can reach is written afterwards, the in-place edits of the
+// next transaction included.
+func TestViewEpochReaderDuringChangesets(t *testing.T) {
+	s := newStoreOps(t, Options{})
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	go func() {
+		defer close(done)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := s.fx.m.Snapshot()
+			e := snap.Epoch()
+			if e < last {
+				t.Errorf("epoch went backwards: %d after %d", e, last)
+				return
+			}
+			last = e
+			rows := snap.Rows()
+			if len(rows) != snap.Len() {
+				t.Errorf("epoch %d: %d rows, Len %d", last, len(rows), snap.Len())
+				return
+			}
+			for _, r := range rows {
+				if len(r) != len(snap.Schema()) {
+					t.Errorf("epoch %d holds a row of %d columns", last, len(r))
+					return
+				}
+			}
+		}
+	}()
+	n := 20_000
+	if testing.Short() {
+		n /= 10
+	}
+	data := make([]byte, 5*n)
+	rand.New(rand.NewSource(24)).Read(data)
+	s.run(data)
+}
+
 // TestViewStoreHotKey pins the per-table index at O(1) per row whatever the
 // bucket size: one A tuple carried by 20 000 view rows, which are inserted,
 // deleted oldest-first — the far end of a chain that is pushed at the head —
@@ -539,31 +693,31 @@ func TestViewStoreHotKey(t *testing.T) {
 	insertAll := func() {
 		for _, r := range rows {
 			k := mv.viewKey(r)
-			if err := mv.insertRow(k, r); err != nil {
+			if _, err := mv.insertRow(k, r); err != nil {
 				t.Fatal(err)
 			}
 			model[k] = r
 		}
 	}
 	insertAll()
-	checkStore(t, mv, model)
+	checkStore(t, mv, model, nil)
 	hot := rel.EncodeValues(rel.Int(5))
 	if c := mv.perTable[0][hot]; int(c.count) != n {
 		t.Fatalf("hot chain holds %d rows, want %d", c.count, n)
 	}
 	for _, r := range rows {
 		k := mv.viewKey(r)
-		if _, ok := mv.deleteKey(k); !ok {
+		if !deleteNow(mv, k) {
 			t.Fatalf("row %s vanished", r)
 		}
 		delete(model, k)
 	}
-	checkStore(t, mv, model)
+	checkStore(t, mv, model, nil)
 	if _, ok := mv.perTable[0][hot]; ok {
 		t.Fatal("the emptied hot chain kept its bucket")
 	}
 	insertAll()
-	checkStore(t, mv, model)
+	checkStore(t, mv, model, nil)
 	if got, want := int(mv.used), len(model); got != want {
 		t.Fatalf("re-insert handed out new handles: %d for %d rows", got, want)
 	}
