@@ -10,8 +10,6 @@
 //	ojbench -experiment fig5b
 //	ojbench -experiment ablations
 //	ojbench -experiment scaling
-//	ojbench -experiment writes -writestmts 10000
-//	ojbench -experiment serving -writestmts 10000 -readers 4
 //	ojbench -experiment fig5a -trace trace.json -metrics   # observability
 //	ojbench -experiment fig5a -pprof localhost:6060
 package main
@@ -25,8 +23,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"ojv/internal/bench"
@@ -37,14 +33,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "table1 | fig5a | fig5b | ablations | scaling | writes | serving | all")
-	writeStmts := flag.Int("writestmts", 10000, "statements in the -experiment writes/serving stream")
-	flushRows := flag.Int("flushrows", 1000, "WriteBatch flush threshold in the -experiment serving run")
-	readers := flag.Int("readers", 4, "concurrent snapshot readers in the -experiment serving run")
-	groups := flag.Int("groups", 4, "disjoint view groups in the -experiment concurrent-maintenance run")
-	mvViews := flag.String("mvviews", "1,16,128", "comma-separated view counts for the -experiment multi-view run")
-	mvRounds := flag.Int("mvrounds", 6, "timed flush rounds per point in the -experiment multi-view run")
-	maintWorkers := flag.Int("maintworkers", 4, "maintenance workers at the top measured point of -experiment concurrent-maintenance")
+	experiment := flag.String("experiment", "all", "table1 | fig5a | fig5b | ablations | scaling | all")
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor (the paper runs SF=1)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	reps := flag.Int("reps", 3, "repetitions per measured point (median reported)")
@@ -87,38 +76,6 @@ func main() {
 	run("fig5b", func() error { return fig5(*sf, *seed, false) })
 	run("ablations", func() error { return ablations(*sf, *seed) })
 	run("scaling", func() error { return scaling() })
-	// The writes experiment measures the group-commit pipeline, not the
-	// paper's figures, so it only runs when requested by name.
-	if *experiment == "writes" {
-		if err := writes(*sf, *seed, *writeStmts); err != nil {
-			fmt.Fprintf(os.Stderr, "ojbench: writes: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The serving experiment measures reader isolation during async flushes;
-	// like writes, it only runs when requested by name.
-	if *experiment == "serving" {
-		if err := serving(*sf, *seed, *writeStmts, *flushRows, *readers); err != nil {
-			fmt.Fprintf(os.Stderr, "ojbench: serving: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The concurrent-maintenance experiment measures component-parallel
-	// flush throughput over disjoint view groups; it only runs by name.
-	if *experiment == "concurrent-maintenance" {
-		if err := concurrentMaintenance(*seed, *groups, *maintWorkers); err != nil {
-			fmt.Fprintf(os.Stderr, "ojbench: concurrent-maintenance: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// The multi-view experiment measures the shared ΔV^D plan layer; it only
-	// runs by name.
-	if *experiment == "multi-view" {
-		if err := multiView(*seed, *mvViews, *mvRounds); err != nil {
-			fmt.Fprintf(os.Stderr, "ojbench: multi-view: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	if benchTracer != nil {
 		f, err := os.Create(*tracePath)
@@ -322,123 +279,6 @@ func ablations(sf float64, seed int64) error {
 			return err
 		}
 		fmt.Printf("  deltatree %-16s T-insert: %s\n", cfg.name, el.Round(10*time.Microsecond))
-	}
-	fmt.Println()
-	return nil
-}
-
-// writes measures the write-throughput trajectory of 1-row insert
-// statements: the synchronous per-statement path against the group-commit
-// pipeline at increasing flush thresholds. Every run's final view state is
-// verified bit-identical to the per-statement reference.
-func writes(sf float64, seed int64, statements int) error {
-	fmt.Printf("== Writes: %d 1-row lineitem inserts against V3, per-statement vs group commit (SF=%g) ==\n", statements, sf)
-	results, err := bench.RunWrites(sf, seed, statements, []int{1, 100, 1000, 10000}, benchReps)
-	if err != nil {
-		return err
-	}
-	emitBench("writes", results)
-	base := results[0].StmtsPerSec
-	fmt.Printf("%-14s %10s %14s %12s %12s %12s %12s %9s\n",
-		"mode", "batch", "stmts/sec", "speedup", "p50", "p95", "p99", "flushes")
-	for _, r := range results {
-		fmt.Printf("%-14s %10d %14.0f %11.1fx %12s %12s %12s %9d\n",
-			r.Mode, r.BatchSize, r.StmtsPerSec, r.StmtsPerSec/base,
-			r.P50.Round(10*time.Nanosecond), r.P95.Round(10*time.Nanosecond),
-			r.P99.Round(10*time.Nanosecond), r.Flushes)
-	}
-	fmt.Println()
-	return nil
-}
-
-// serving measures snapshot-read latency while the async maintenance
-// goroutine group-commits a write stream, against the same readers on the
-// idle final view. The final state is verified bit-identical to a
-// synchronous twin inside bench.RunServing.
-func serving(sf float64, seed int64, statements, flushRows, readers int) error {
-	fmt.Printf("== Serving: %d concurrent snapshot readers during %d group-committed lineitem inserts (flush threshold %d, SF=%g) ==\n",
-		readers, statements, flushRows, sf)
-	r, err := bench.RunServing(sf, seed, statements, flushRows, readers, benchReps)
-	if err != nil {
-		return err
-	}
-	emitBench("serving", r)
-	fmt.Printf("%-14s %10s %12s %12s %12s\n", "phase", "reads", "p50", "p95", "p99")
-	fmt.Printf("%-14s %10d %12s %12s %12s\n", "during-flush", r.FlushReads,
-		r.FlushP50.Round(10*time.Nanosecond), r.FlushP95.Round(10*time.Nanosecond), r.FlushP99.Round(10*time.Nanosecond))
-	fmt.Printf("%-14s %10d %12s %12s %12s\n", "idle", r.IdleReads,
-		r.IdleP50.Round(10*time.Nanosecond), r.IdleP95.Round(10*time.Nanosecond), r.IdleP99.Round(10*time.Nanosecond))
-	fmt.Printf("p99 ratio during-flush/idle: %.2fx (target <= 2.0x)\n", r.P99Ratio)
-	fmt.Printf("writer: %.0f stmts/sec, %d flushes (p50 %s, max %s), final view rows %d (bit-identical to synchronous twin)\n\n",
-		r.StmtsPerSec, r.Flushes, r.FlushDurP50.Round(10*time.Microsecond), r.FlushDurMax.Round(10*time.Microsecond), r.FinalViewRows)
-	return nil
-}
-
-// concurrentMaintenance measures flush throughput against the component
-// worker pool: groups disjoint parent/child view groups stage identical
-// statement streams, flushed serialized (MaintWorkers 1: the same pipeline,
-// a pool of one) and then through worker pools up to maintWorkers. Final view states are verified
-// bit-identical to the serialized reference inside the bench (the
-// interleaving-correctness version of the claim is proved by
-// internal/oracle RunConcurrentMaintSeed under -race).
-func concurrentMaintenance(seed int64, groups, maintWorkers int) error {
-	const (
-		rounds   = 12
-		perRound = 500
-		baseRows = 1500
-	)
-	fmt.Printf("== Concurrent maintenance: %d disjoint view groups, %d flushes of %d child inserts + %d parent updates per group ==\n",
-		groups, rounds, perRound, perRound/4)
-	workerCounts := []int{2}
-	if maintWorkers > 2 {
-		workerCounts = append(workerCounts, maintWorkers)
-	}
-	results, err := bench.RunConcurrentMaintenance(seed, groups, rounds, perRound, baseRows, workerCounts, benchReps)
-	if err != nil {
-		return err
-	}
-	emitBench("concurrent-maintenance", results)
-	fmt.Printf("%-12s %8s %8s %14s %12s %12s %10s\n",
-		"mode", "workers", "groups", "flushes/sec", "speedup", "components", "viewrows")
-	for _, r := range results {
-		fmt.Printf("%-12s %8d %8d %14.1f %11.2fx %12d %10d\n",
-			r.Mode, r.Workers, r.Groups, r.FlushesPerSec, r.Speedup, r.Components, r.FinalViewRows)
-	}
-	fmt.Println()
-	return nil
-}
-
-// multiView measures shared-plan maintenance for N views over three base
-// tables, per shape (shared-prefix and disjoint). Every point's final view
-// states are verified against recomputation inside bench.RunMultiView,
-// along with the producer/consumer row identity.
-func multiView(seed int64, viewCounts string, rounds int) error {
-	var counts []int
-	for _, s := range strings.Split(viewCounts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -mvviews entry %q", s)
-		}
-		counts = append(counts, n)
-	}
-	const (
-		perRound = 60
-		baseRows = 300
-	)
-	fmt.Printf("== Multi-view: shared ΔV^D plans, %d flushes of %d inserts per table ==\n",
-		rounds, perRound)
-	results, err := bench.RunMultiView(seed, counts, rounds, perRound, baseRows, benchReps)
-	if err != nil {
-		return err
-	}
-	emitBench("multi-view", results)
-	fmt.Printf("%-14s %6s %14s %14s %10s %12s\n",
-		"shape", "views", "flush-total", "per-view", "subtrees", "rows-saved")
-	for _, r := range results {
-		fmt.Printf("%-14s %6d %14s %14s %10d %12d\n",
-			r.Shape, r.Views,
-			r.FlushElapsed.Round(10*time.Microsecond), r.PerViewFlush.Round(time.Microsecond),
-			r.SharedSubtrees, r.RowsSaved)
 	}
 	fmt.Println()
 	return nil

@@ -245,6 +245,11 @@ func TestDeleteValidation(t *testing.T) {
 	if _, err := c.Delete("dept", [][]Value{{Int(1), Int(2)}}); err == nil {
 		t.Error("key arity mismatch must be rejected")
 	}
+	// A repeated key is rejected before any row goes: a failed Delete
+	// leaves the table as it was.
+	if _, err := c.Delete("dept", [][]Value{{Int(1)}, {Int(1)}}); err == nil || c.Table("dept").Len() != 1 {
+		t.Fatalf("repeated-key delete: err %v, %d rows left", err, c.Table("dept").Len())
+	}
 	rows, err := c.Delete("dept", [][]Value{{Int(1)}})
 	if err != nil || len(rows) != 1 || !rows[0][1].Equal(Str("a")) {
 		t.Fatalf("Delete = %v, %v", rows, err)

@@ -249,8 +249,9 @@ func (a *AggMaterialized) Rows() []rel.Row {
 // applyAgg maintains an aggregation view: the aggregated primary delta is
 // folded in with the update's sign, then the secondary delta (computed from
 // base tables — an aggregated view cannot serve term extraction, Section
-// 5.3) is folded with the opposite sign.
-func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, ctx *exec.Context, plan *tablePlan, primary exec.Relation, isInsert bool, stats *MaintStats) error {
+// 5.3) is folded with the opposite sign. evidence is the context the
+// Section 5.3 anti-joins read the base tables through.
+func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Context, plan *tablePlan, primary exec.Relation, isInsert bool, stats *MaintStats) error {
 	sign := int64(1)
 	if !isInsert {
 		sign = -1
@@ -268,7 +269,7 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, ctx *exec.Context, 
 	}
 	sec := span.Child("secondary").SetStr("source", "base")
 	defer sec.End()
-	cands, err := m.secondaryCandidatesAll(ctx, sec, plan, primary, isInsert)
+	cands, err := m.secondaryCandidatesAll(evidence, sec, plan, primary)
 	if err != nil {
 		return err
 	}

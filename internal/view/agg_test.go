@@ -74,6 +74,27 @@ func TestAggViewMaintenance(t *testing.T) {
 					t.Fatalf("after insert %s: %v", step.table, err)
 				}
 			}
+			// Updates in place: a row keeps its key, so the rows it joins
+			// keep their partner across the delete and the insert pass.
+			for _, table := range []string{"C", "O"} {
+				rows := cat.Table(table).Rows()
+				rel.SortRows(rows)
+				var olds, news []rel.Row
+				for _, old := range rows[:5] {
+					row := old.Clone()
+					row[len(row)-1] = rel.Int(1 + rng.Int63n(9))
+					if _, err := cat.Update(table, old[:1], row); err != nil {
+						t.Fatal(err)
+					}
+					olds, news = append(olds, old), append(news, row)
+				}
+				if _, err := m.OnModify(table, olds, news); err != nil {
+					t.Fatal(err)
+				}
+				if err := Check(m); err != nil {
+					t.Fatalf("after update %s: %v", table, err)
+				}
+			}
 			for _, table := range []string{"L", "O", "C"} {
 				keys := deletableKeys(t, cat, table, 6, withFK)
 				deleted, err := cat.Delete(table, keys)

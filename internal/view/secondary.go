@@ -211,9 +211,11 @@ func (m *Maintainer) compileFromBase(ip *indirectPlan, delta rel.Schema, witness
 }
 
 // secondaryCandidatesFromBase computes the surviving ΔDi candidates for one
-// indirect term from base tables and the primary delta (Section 5.3). The
+// indirect term from base tables and the primary delta (Section 5.3),
+// reading the updated table as ctx binds it: after an insertion (the old
+// state) when its delta is an insert, after a deletion otherwise. The
 // returned relation carries all columns of the term's source tables.
-func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation, isInsert bool) (exec.Relation, error) {
+func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation) (exec.Relation, error) {
 	if fb == nil {
 		return exec.Relation{}, nil
 	}
@@ -246,7 +248,7 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 	// short-circuits the remaining parents entirely.
 	for _, pp := range fb.parents {
 		prog := pp.delete
-		if isInsert {
+		if ctx.DeltaIsInsert {
 			prog = pp.insert
 		}
 		sub := &exec.Context{
