@@ -28,11 +28,13 @@ import (
 //   - a site name always identifies one mutation kind (insertRow vs
 //     deleteKey vs fold);
 //   - every site-less staged mutation — one of the stored view's
-//     primitives (stagedMutations) or a write to an agg `groups` map,
-//     reached through a parameter or receiver — is preceded in its function
-//     by a FailPoint consult (rollback is the vetted exception, annotated in
-//     source). A primitive may be built from primitives of its own type:
-//     the guard is owed by whoever calls in from outside;
+//     primitives (stagedMutations), a write into a slot of the rel.Slab the
+//     view's rows live in (through the *rel.Slot the slab hands out), or a
+//     write to an agg `groups` map, reached through a parameter or receiver
+//     — is preceded in its function by a FailPoint consult (rollback is the
+//     vetted exception, annotated in source). A primitive may be built from
+//     primitives of its own type, and a slot is written only by the
+//     primitives: the guard is owed by whoever calls in from outside;
 //   - the consulted-site set equals the union of wantSites in the view
 //     package's test files and equals oracle's flushFaultSites list.
 var FailSite = &Analyzer{
@@ -44,9 +46,10 @@ var FailSite = &Analyzer{
 // stagedMutations names the site-less primitives that change what a stored
 // view holds: an insert, a delete by key, and the two halves a delete is
 // made of since a deleted row stays in its slot until its changeset ends —
-// unlink takes it out of sight, relink (the rollback) puts it back.
-// Releasing an unlinked slot at commit changes nothing a reader can see and
-// is not one of them.
+// unlink takes it out of sight, relink (the rollback) puts it back. The
+// slots themselves live in a rel.Slab: writing one is the primitives' job
+// (slotWrite). Releasing an unlinked slot at commit (rel.Slab.Release)
+// changes nothing a reader can see and is not a staged mutation.
 var stagedMutations = map[string]bool{
 	"insertRow": true,
 	"unlinkKey": true,
@@ -180,6 +183,7 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 				}
 				return false
 			}
+			slots := make(map[types.Object]bool) // locals holding an owned *rel.Slot
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
@@ -215,6 +219,14 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 					for _, lhs := range n.Lhs {
 						if groupsWrite(pkg, lhs, owned) && !guarded(n.Pos()) {
 							mp.Reportf(n.Pos(), "staged aggregate-group mutation is not preceded by a FailPoint consult in %s — crash atomicity requires a fail(site) before every staged write (DESIGN.md §12)", fd.Name.Name)
+						}
+						if slotWrite(pkg, lhs, owned, slots) && !stagedMutations[fd.Name.Name] && !guarded(n.Pos()) {
+							mp.Reportf(n.Pos(), "staged write into a view slab slot is not preceded by a FailPoint consult in %s — only the store's primitives write slots, and crash atomicity requires a fail(site) before every staged write (DESIGN.md §12)", fd.Name.Name)
+						}
+					}
+					for i, lhs := range n.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && i < len(n.Rhs) && len(n.Lhs) == len(n.Rhs) && isSlotPtr(pkg.Info.TypeOf(n.Rhs[i])) && slotWrite(pkg, n.Rhs[i], owned, slots) {
+							slots[pkg.Info.ObjectOf(id)] = true
 						}
 					}
 				}
@@ -316,6 +328,41 @@ func rootedAt(pkg *Package, e ast.Expr, owned map[types.Object]bool) bool {
 			e = x.X
 		case *ast.Ident:
 			return owned[pkg.Info.ObjectOf(x)]
+		default:
+			return false
+		}
+	}
+}
+
+// isSlotPtr reports whether t is *Slot of a package named rel: the slot a
+// rel.Slab hands out.
+func isSlotPtr(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := p.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Slot" && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "rel"
+}
+
+// slotWrite reports whether lhs writes into a slab slot of committed state:
+// through a call that returns an owned *rel.Slot, or through a local
+// holding one.
+func slotWrite(pkg *Package, lhs ast.Expr, owned, slots map[types.Object]bool) bool {
+	for {
+		switch x := lhs.(type) {
+		case *ast.SelectorExpr:
+			lhs = x.X
+		case *ast.IndexExpr:
+			lhs = x.X
+		case *ast.StarExpr:
+			lhs = x.X
+		case *ast.ParenExpr:
+			lhs = x.X
+		case *ast.CallExpr:
+			return isSlotPtr(pkg.Info.TypeOf(x)) && rootedAt(pkg, x.Fun, owned)
+		case *ast.Ident:
+			return slots[pkg.Info.ObjectOf(x)]
 		default:
 			return false
 		}

@@ -3,40 +3,41 @@
 // and in parity with the fault matrices.
 package view
 
-// Materialized mirrors the stored view; its insertRow/unlinkKey and the
-// unlink/relink halves a staged delete is made of are the site-less
-// primitives only the changeset wrappers may reach unguarded. One primitive
-// calling another of its own type is not a staged mutation of its own.
+import "ojv/internal/rel"
+
+// Materialized mirrors the stored view: its rows live in a rel.Slab. Its
+// insertRow/unlinkKey and the unlink/relink halves a staged delete is made
+// of are the site-less primitives only the changeset wrappers may reach
+// unguarded, and only they write a slot. One primitive calling another of
+// its own type is not a staged mutation of its own.
 type Materialized struct {
-	rows  map[string]int
-	slots []slot
+	rows map[string]int32
+	slab rel.Slab
 }
 
-type slot struct {
-	key string
-	v   int
-}
+// at returns a slot, as the real store does.
+func (m *Materialized) at(h int32) *rel.Slot { return m.slab.At(h) }
 
-func (m *Materialized) insertRow(k string, v int) int {
-	m.slots = append(m.slots, slot{k, v})
-	h := len(m.slots) - 1
+func (m *Materialized) insertRow(k string, row rel.Row) int32 {
+	h := m.slab.Alloc()
+	*m.at(h) = rel.Slot{Key: k, Row: row}
 	m.relink(h)
 	return h
 }
 
-func (m *Materialized) unlinkKey(k string) int {
+func (m *Materialized) unlinkKey(k string) int32 {
 	h := m.rows[k]
 	m.unlink(h)
 	return h
 }
 
-func (m *Materialized) relink(h int) { m.rows[m.slots[h].key] = h }
+func (m *Materialized) relink(h int32) { m.rows[m.at(h).Key] = h }
 
-func (m *Materialized) unlink(h int) { delete(m.rows, m.slots[h].key) }
+func (m *Materialized) unlink(h int32) { delete(m.rows, m.at(h).Key) }
 
 // release frees an unlinked slot: nothing a reader can see changes, so it is
 // not a staged mutation and needs no consult.
-func (m *Materialized) release(h int) { m.slots[h] = slot{} }
+func (m *Materialized) release(h int32) { m.slab.Release(h) }
 
 type aggGroup struct{ n int }
 
@@ -52,7 +53,7 @@ type Maintainer struct {
 
 type Changeset struct {
 	m   *Maintainer
-	log []int
+	log []int32
 }
 
 // fail consults the fault-injection hook at a mutation site.
@@ -69,7 +70,7 @@ func (cs *Changeset) insertRow(site, k string, v int) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	cs.log = append(cs.log, cs.m.mv.insertRow(k, v))
+	cs.log = append(cs.log, cs.m.mv.insertRow(k, rel.Row{rel.Int(int64(v))}))
 	return nil
 }
 
@@ -111,16 +112,37 @@ func repairOrphan(m *Maintainer, k string) {
 
 // hideRow and showRow reach past the wrappers to the halves of a delete, by
 // handle: as unguarded as a delete by key.
-func hideRow(m *Maintainer, h int) {
+func hideRow(m *Maintainer, h int32) {
 	m.mv.unlink(h) // want `staged view mutation unlink is not preceded by a FailPoint consult in hideRow`
 }
 
-func showRow(cs *Changeset, h int) {
+func showRow(cs *Changeset, h int32) {
 	cs.m.mv.relink(h) // want `staged view mutation relink is not preceded by a FailPoint consult in showRow`
 }
 
+// rewriteRow and rewriteAliased reach past every primitive into the slab:
+// a row replaced in its slot is a staged mutation, through the store's
+// accessor, the slab's own, or a local holding the slot.
+func rewriteRow(m *Maintainer, h int32, row rel.Row) {
+	m.mv.at(h).Row = row // want `staged write into a view slab slot is not preceded by a FailPoint consult in rewriteRow`
+}
+
+func rewriteAliased(cs *Changeset, h int32, row rel.Row) {
+	sl := cs.m.mv.slab.At(h)
+	sl.Row = row // want `staged write into a view slab slot is not preceded by a FailPoint consult in rewriteAliased`
+}
+
+// rewriteGuarded consults first: guarded.
+func rewriteGuarded(cs *Changeset, h int32, row rel.Row) error {
+	if err := cs.fail("s-insert"); err != nil {
+		return err
+	}
+	*cs.m.mv.at(h) = rel.Slot{Key: "k", Row: row}
+	return nil
+}
+
 // hideGuarded consults the bare hook before unlinking by handle: guarded.
-func hideGuarded(cs *Changeset, h int) error {
+func hideGuarded(cs *Changeset, h int32) error {
 	if err := cs.fail("s-delete"); err != nil {
 		return err
 	}
@@ -183,9 +205,10 @@ func rematerialize(m *Maintainer) {
 }
 
 // localCopy stages into a locally built view, not committed state handed
-// in: out of scope for the guard.
+// in: out of scope for the guard, its slots included.
 func localCopy(k string, v int) *Materialized {
-	scratch := &Materialized{rows: map[string]int{}}
-	scratch.insertRow(k, v)
+	scratch := &Materialized{rows: map[string]int32{}}
+	h := scratch.insertRow(k, rel.Row{rel.Int(int64(v))})
+	scratch.at(h).Row = nil
 	return scratch
 }

@@ -23,6 +23,33 @@ type Table struct {
 	rows    []int
 	ix      *Index
 	indexes []*Index
+	// handles, slab and log mirror the handle-addressed store: a key map to
+	// slab handles, the slab, and the mutations since the last publish.
+	handles map[string]int32
+	slab    Slab
+	log     []int32
+}
+
+// Slab mirrors rel.Slab: a container of its own, not a guarded type, whose
+// exported methods write only its own fields. It is reached as committed
+// state through a Table field.
+type Slab struct {
+	slots []Slot
+	free  []int32
+}
+
+type Slot struct{ row int }
+
+func (s *Slab) At(h int32) *Slot { return &s.slots[h] }
+
+func (s *Slab) Alloc() int32 {
+	s.slots = append(s.slots, Slot{})
+	return int32(len(s.slots) - 1)
+}
+
+func (s *Slab) Release(h int32) {
+	*s.At(h) = Slot{}
+	s.free = append(s.free, h)
 }
 
 type Index struct {
@@ -101,4 +128,40 @@ func (c *Catalog) Release(name string, ix *Index) {
 //ojvlint:ignore versionguard restore runs before planning, so no Prevalidated() state can be stale
 func (c *Catalog) Restore(tabs map[string]*Table) {
 	c.tables = tabs
+}
+
+// Overwrite writes a slab slot through the pointer the slab hands out.
+func (t *Table) Overwrite(h int32, v int) { // want `exported Table\.Overwrite reaches a mutation of committed Table\.slab state \(line \d+\) without bumping Catalog\.version`
+	t.slab.At(h).row = v
+}
+
+// Patch writes the same slot through a local pointer to it.
+func (t *Table) Patch(h int32, v int) { // want `exported Table\.Patch reaches a mutation of committed Table\.slab state \(line \d+\) without bumping Catalog\.version`
+	s := t.slab.At(h)
+	s.row = v
+}
+
+// Free releases a slot by calling a slab method that writes its receiver.
+func (c *Catalog) Free(name string, h int32) { // want `exported Catalog\.Free reaches a mutation of committed Table\.slab state \(line \d+\) without bumping Catalog\.version`
+	c.tables[name].slab.Release(h)
+}
+
+// Forget drops the log, so the next publish or rollback misses mutations.
+func (t *Table) Forget() { // want `exported Table\.Forget reaches a mutation of committed Table\.log state \(line \d+\) without bumping Catalog\.version`
+	t.log = t.log[:0]
+}
+
+// Relink puts a handle back under its key and logs it, and bumps: the
+// shape of the real rollback.
+func (c *Catalog) Relink(name, key string, h int32) {
+	t := c.tables[name]
+	t.handles[key] = h
+	t.log = append(t.log, h)
+	c.version.Add(1)
+}
+
+// Peek reads a slot through a local pointer and writes nothing.
+func (t *Table) Peek(h int32) int {
+	s := t.slab.At(h)
+	return s.row
 }

@@ -40,12 +40,14 @@ type Relation struct {
 type Context struct {
 	// Catalog resolves TableRef leaves and provides schemas and indexes.
 	Catalog *rel.Catalog
-	// Deltas binds DeltaRef leaves: table name → delta rows (in the table's
-	// schema).
-	Deltas map[string][]rel.Row
+	// DeltaTable and Delta bind the DeltaRef leaves of one table to its
+	// delta rows (in the table's schema): the paper's single-table delta.
+	// A DeltaRef of any other table reads no rows.
+	DeltaTable string
+	Delta      []rel.Row
 	// DeltaIsInsert tells OldTableRef how to reconstruct the pre-update
-	// state of a table with a bound delta: current−Δ after an insertion,
-	// current+Δ after a deletion.
+	// state of the delta's table: current−Δ after an insertion, current+Δ
+	// after a deletion.
 	DeltaIsInsert bool
 	// Rels binds RelRef leaves to materialized relations.
 	Rels map[string]Relation
@@ -86,6 +88,15 @@ func (c *Context) TableSchema(name string) (rel.Schema, bool) {
 		return r.Schema, true
 	}
 	return c.Catalog.TableSchema(name)
+}
+
+// deltaOf returns the delta rows bound to a table, nil for any table but
+// DeltaTable.
+func (c *Context) deltaOf(table string) []rel.Row {
+	if table != c.DeltaTable {
+		return nil
+	}
+	return c.Delta
 }
 
 // Eval evaluates an expression and returns its materialized result: it

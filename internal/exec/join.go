@@ -137,16 +137,15 @@ type indexProbe struct {
 	excludeKeys  map[string]bool
 	deltaByProbe map[string][]rel.Row
 	keyBuf       []byte
-	oneRow       [1]rel.Row
-	// out is the candidate scratch of a probe that filters or extends its
-	// bucket (selection, exclude set, delta index), refilled per left row.
+	// out is the candidate scratch, refilled per left row: the rows the
+	// bucket's handles resolve to, filtered and extended.
 	out []rel.Row
 }
 
 // start binds the plan to one run.
 func (p *probePlan) start(ctx *Context) indexProbe {
 	ip := indexProbe{probePlan: p}
-	delta := ctx.Deltas[p.t.Name()]
+	delta := ctx.deltaOf(p.t.Name())
 	if !p.old || len(delta) == 0 {
 		return ip
 	}
@@ -175,22 +174,15 @@ func (ip *indexProbe) candidates(l rel.Row) ([]rel.Row, bool) {
 		}
 	}
 	ip.keyBuf = rel.AppendRowCols(ip.keyBuf[:0], l, ip.leftCols)
-	var rows []rel.Row
-	if ip.ix != nil {
-		rows = ip.ix.LookupBytes(ip.keyBuf)
-	} else if row, ok := ip.t.GetEncodedBytes(ip.keyBuf); ok {
-		ip.oneRow[0] = row
-		rows = ip.oneRow[:]
-	}
-	if ip.excludeKeys == nil && ip.deltaByProbe == nil && ip.sel == nil {
-		return rows, true
-	}
 	out := ip.out[:0]
-	for _, r := range rows {
-		if ip.excludeKeys != nil && ip.excludeKeys[ip.t.KeyOf(r)] {
-			continue
+	if ip.ix != nil {
+		for _, h := range ip.ix.LookupBytes(ip.keyBuf) {
+			if r := ip.t.Row(h); ip.excludeKeys == nil || !ip.excludeKeys[ip.t.KeyOf(r)] {
+				out = append(out, r)
+			}
 		}
-		out = append(out, r)
+	} else if row, ok := ip.t.GetEncodedBytes(ip.keyBuf); ok && !ip.excludeKeys[string(ip.keyBuf)] {
+		out = append(out, row)
 	}
 	if ip.deltaByProbe != nil {
 		out = append(out, ip.deltaByProbe[string(ip.keyBuf)]...)

@@ -56,7 +56,7 @@ func TestOldTableProbeInsertCase(t *testing.T) {
 		delta = append(delta, rel.Row{rel.Int(int64(100 + i)), rel.Int(rng.Int63n(8)), rel.Int(rng.Int63n(50))})
 	}
 	must(t, cat.Insert("R", delta))
-	ctx := &Context{Catalog: cat, Deltas: map[string][]rel.Row{"R": delta}, DeltaIsInsert: true}
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: delta, DeltaIsInsert: true}
 	pred := algebra.Eq("L", "a", "R", "j")
 	compareOldProbe(t, ctx,
 		&algebra.OldTableRef{Name: "R"},
@@ -79,7 +79,7 @@ func TestOldTableProbeDeleteCase(t *testing.T) {
 	}
 	deleted, err := cat.Delete("R", keys)
 	must(t, err)
-	ctx := &Context{Catalog: cat, Deltas: map[string][]rel.Row{"R": deleted}, DeltaIsInsert: false}
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: deleted, DeltaIsInsert: false}
 	pred := algebra.Eq("L", "a", "R", "j")
 	compareOldProbe(t, ctx,
 		&algebra.OldTableRef{Name: "R"},
@@ -108,7 +108,7 @@ func TestOldTableProbeRecoversDeletedRows(t *testing.T) {
 	}
 	deleted, err := cat.Delete("R", [][]rel.Value{{rel.Int(7)}})
 	must(t, err)
-	ctx := &Context{Catalog: cat, Deltas: map[string][]rel.Row{"R": deleted}, DeltaIsInsert: false}
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: deleted, DeltaIsInsert: false}
 	old := evalOK(t, ctx, &algebra.OldTableRef{Name: "R"})
 	found := false
 	for _, r := range old.Rows {

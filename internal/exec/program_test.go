@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -62,6 +63,28 @@ func reuseCases(rng *rand.Rand) []streamCase {
 	return cases
 }
 
+// deltaTable names the table whose delta the case reads, through a DeltaRef
+// or an OldTableRef: a context binds one table's delta. Cases that read none
+// get A's.
+func (tc streamCase) deltaTable() string {
+	var find func(e algebra.Expr) string
+	find = func(e algebra.Expr) string {
+		switch n := e.(type) {
+		case *algebra.DeltaRef:
+			return n.Name
+		case *algebra.OldTableRef:
+			return n.Name
+		}
+		for _, c := range e.Children() {
+			if name := find(c); name != "" {
+				return name
+			}
+		}
+		return ""
+	}
+	return cmp.Or(find(tc.expr), "A")
+}
+
 // reuseRun is one run's bindings over the shared catalog.
 type reuseRun struct {
 	fx      *streamFixture
@@ -87,25 +110,24 @@ func (r *reuseRun) mutate(t testing.TB) {
 	}
 }
 
-// context binds run i: an insert run's deltas are rows now in the tables,
-// a delete run's are rows no longer there, as maintenance would see them.
-func (r *reuseRun) context(i, par, batch int) *Context {
+// context binds run i's delta of table: an insert run's delta is rows now
+// in the table, a delete run's rows no longer there, as maintenance would
+// see them.
+func (r *reuseRun) context(i, par, batch int, table string) *Context {
 	insert := i%2 == 0
-	deltas := make(map[string][]rel.Row)
-	for _, name := range []string{"A", "B"} {
-		if insert {
-			snap := sortedRows(r.fx.cat.Table(name).Rows())
-			deltas[name] = snap[i : i+4]
-			continue
-		}
+	var delta []rel.Row
+	if insert {
+		delta = sortedRows(r.fx.cat.Table(table).Rows())[i : i+4]
+	} else {
 		for k := 0; k < 3; k++ {
-			deltas[name] = append(deltas[name], fixture.RandRow(r.rng, r.nextKey))
+			delta = append(delta, fixture.RandRow(r.rng, r.nextKey))
 			r.nextKey++
 		}
 	}
 	return &Context{
 		Catalog:       r.fx.cat,
-		Deltas:        deltas,
+		DeltaTable:    table,
+		Delta:         delta,
 		DeltaIsInsert: insert,
 		Rels:          map[string]Relation{"__r": {Schema: r.fx.relA.Schema, Rows: r.fx.relA.Rows[i%3:]}},
 		Parallelism:   par,
@@ -128,7 +150,7 @@ func TestProgramReuse(t *testing.T) {
 			}
 			for i, s := range streamSettings {
 				runs.mutate(t)
-				ctx := runs.context(i, s.par, s.batch)
+				ctx := runs.context(i, s.par, s.batch, tc.deltaTable())
 				want, err := evalReference(ctx, tc.expr)
 				if err != nil {
 					t.Fatalf("oracle: %v", err)
@@ -189,7 +211,7 @@ func TestProgramConcurrentStart(t *testing.T) {
 			wants := make([]Relation, goroutines)
 			for g := range ctxs {
 				s := streamSettings[g]
-				ctxs[g] = runs.context(g, s.par, s.batch)
+				ctxs[g] = runs.context(g, s.par, s.batch, tc.deltaTable())
 				if wants[g], err = evalReference(ctxs[g], tc.expr); err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
@@ -265,7 +287,7 @@ func TestProgramSubAndPlan(t *testing.T) {
 	}
 	// A sub-program runs on its own and yields what compiling the subtree
 	// fresh yields.
-	ctx := &Context{Catalog: cat, Deltas: map[string][]rel.Row{"A": sortedRows(cat.Table("A").Rows())[:5]}, DeltaIsInsert: true}
+	ctx := &Context{Catalog: cat, DeltaTable: "A", Delta: sortedRows(cat.Table("A").Rows())[:5], DeltaIsInsert: true}
 	if got, fresh := drainProgram(t, prog.Sub(inner), ctx), evalOK(t, ctx, inner); !sameRelation(got, fresh) {
 		t.Errorf("sub-program produced %d rows, fresh compile %d", len(got.Rows), len(fresh.Rows))
 	}

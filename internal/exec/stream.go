@@ -114,7 +114,7 @@ func (c *compiler) compileOp(n *node) error {
 		if err != nil {
 			return err
 		}
-		compileScan(n, "Δ"+e.Name, t.Schema(), func(ctx *Context) []rel.Row { return ctx.Deltas[e.Name] }, nil, true)
+		compileScan(n, "Δ"+e.Name, t.Schema(), func(ctx *Context) []rel.Row { return ctx.deltaOf(e.Name) }, nil, true)
 
 	case *algebra.OldTableRef:
 		t, err := c.table(e.Name)
@@ -269,7 +269,7 @@ func (s *scanSource) Open() error {
 	if s.old == nil {
 		return nil
 	}
-	delta := s.ctx.Deltas[s.old.Name()]
+	delta := s.ctx.deltaOf(s.old.Name())
 	if !s.ctx.DeltaIsInsert {
 		s.rows = append(s.rows, delta...)
 	} else if len(delta) > 0 {

@@ -142,7 +142,8 @@ func (v *View) apply(table string, delta []rel.Row, isInsert bool) error {
 	}
 	ctx := &exec.Context{
 		Catalog:       v.cat,
-		Deltas:        map[string][]rel.Row{table: delta},
+		DeltaTable:    table,
+		Delta:         delta,
 		DeltaIsInsert: isInsert,
 	}
 	if del != nil {

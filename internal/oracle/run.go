@@ -110,6 +110,7 @@ type runner struct {
 	committed map[string]map[uint64]uint64
 	readers   *readers
 	st        stats
+	rng       *rand.Rand // samples the keys check reads snapshots by
 }
 
 func run(s Script) (stats, error) {
@@ -118,7 +119,7 @@ func run(s Script) (stats, error) {
 		return stats{}, err
 	}
 	r := &runner{db: ojv.WrapCatalog(cat), fault: -1, tr: ojv.NewTracer(), reg: ojv.NewMetrics(),
-		committed: map[string]map[uint64]uint64{}, st: stats{shapes: map[string]int{}}}
+		committed: map[string]map[uint64]uint64{}, st: stats{shapes: map[string]int{}}, rng: rand.New(rand.NewSource(int64(s.Seed)))}
 	r.m = newModel(s.Tables, func(name string) []rel.Row { return r.db.TableSnapshot(name).Rows() })
 	for _, t := range s.Tables {
 		r.st.shapes[[fixture.NumDists]string{"uniform", "zipf", "hot", "all-null"}[t.Dist]]++
@@ -259,7 +260,7 @@ func (r *runner) exec(st stmt, staged bool) (bool, error) {
 	if staged {
 		want, wantErr := r.m.stage(st)
 		got, err := r.call(st, true)
-		return err == nil, agree(want, wantErr, got, err)
+		return err == nil, cmp.Or(agree(want, wantErr, got, err), r.readStaged(st))
 	}
 	wantErr := r.m.check(st, false)
 	var got []rel.Row
@@ -301,6 +302,24 @@ func (r *runner) call(st stmt, staged bool) ([]rel.Row, error) {
 		return del(st.t.Name, keys)
 	}
 	return nil, upd(st.t.Name, keys[0], st.rows[0])
+}
+
+// readStaged reads every key a staged statement named back through the
+// batch: WriteBatch.Get must answer with the model's overlay of the batch's
+// entries on the committed rows, accepted or not (read-your-writes).
+func (r *runner) readStaged(st stmt) error {
+	keys := slices.Clone(st.keys)
+	for _, row := range st.rows {
+		keys = append(keys, row[0].AsInt())
+	}
+	for _, k := range keys {
+		want := r.m.get(st.t, k, true)
+		got, ok, err := r.wb.Get(st.t.Name, []rel.Value{rel.Int(k)})
+		if err != nil || ok != (want != nil) || ok && !got.Equal(want) {
+			return fmt.Errorf("WriteBatch.Get(%s, %d) = %v, %v, %v; the model's overlay has %v", st.t.Name, k, got, ok, err, want)
+		}
+	}
+	return nil
 }
 
 // agree compares the database's answer to a statement with the model's:
@@ -585,6 +604,9 @@ func (r *runner) check() error {
 		if s.Len() != len(got) {
 			return fmt.Errorf("%s epoch %d: Len() = %d, Rows() has %d", c.key, epoch, s.Len(), len(got))
 		}
+		if err := readKeyed(s, got, r.rng); err != nil {
+			return fmt.Errorf("%s epoch %d: %w", c.key, epoch, err)
+		}
 		epochs := r.committed[c.key]
 		if epochs == nil {
 			epochs = map[uint64]uint64{}
@@ -638,6 +660,36 @@ func hashRows(rows []rel.Row) uint64 {
 	return h
 }
 
+// readKeyed reads a table snapshot by key — a few keys its rows hold and a
+// few it lacks — through Get and GetEncoded, which must agree with the
+// epoch's rows. A view snapshot has no keyed read.
+func readKeyed(s snapshot, rows []rel.Row, rng *rand.Rand) error {
+	ts, ok := s.(*ojv.TableSnapshot)
+	if !ok {
+		return nil
+	}
+	byKey := make(map[int64]rel.Row, len(rows))
+	for _, row := range rows {
+		byKey[row[0].AsInt()] = row
+	}
+	keys := []int64{noKey}
+	for range 3 {
+		if len(rows) > 0 {
+			k := rows[rng.Intn(len(rows))][0].AsInt()
+			keys = append(keys, k, k+1)
+		}
+	}
+	for _, k := range keys {
+		want := byKey[k]
+		got, ok := ts.Get(rel.Int(k))
+		enc, encOK := ts.GetEncoded(rel.EncodeValues(rel.Int(k)))
+		if ok != (want != nil) || encOK != ok || ok && (!got.Equal(want) || !enc.Equal(want)) {
+			return fmt.Errorf("Get(%d) = %v, %v and GetEncoded %v, %v; Rows() has %v", k, got, ok, enc, encOK, want)
+		}
+	}
+	return nil
+}
+
 // container is a table or a view: how to pin its current snapshot, and
 // what the model says it holds.
 type container struct {
@@ -681,6 +733,9 @@ type readers struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 	seen    [][]observation
+	// failed holds each reader's first keyed read that disagreed with the
+	// rows of its own epoch.
+	failed []error
 }
 
 type observation struct {
@@ -693,18 +748,22 @@ type observation struct {
 const maxObservations = 20000
 
 func startReaders(n int, cs []container) *readers {
-	rd := &readers{done: make(chan struct{}), seen: make([][]observation, n)}
+	rd := &readers{done: make(chan struct{}), seen: make([][]observation, n), failed: make([]error, n)}
 	rd.watched.Store(&cs)
 	for i := range n {
 		rd.wg.Add(1)
 		go func() {
 			defer rd.wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
 			for j := i; ; j++ {
 				cs := *rd.watched.Load()
 				c := cs[j%len(cs)]
 				if s := c.pin(); len(rd.seen[i]) < maxObservations {
 					rows := s.Rows()
 					rd.seen[i] = append(rd.seen[i], observation{c.key, s.Epoch(), hashRows(rows), s.Len(), len(rows)})
+					if err := readKeyed(s, rows, rng); err != nil && rd.failed[i] == nil {
+						rd.failed[i] = fmt.Errorf("reader %d: %s epoch %d: %w", i, c.key, s.Epoch(), err)
+					}
 				}
 				select {
 				case <-rd.done:
@@ -723,6 +782,9 @@ func startReaders(n int, cs []container) *readers {
 func (rd *readers) stop(committed map[string]map[uint64]uint64) error {
 	close(rd.done)
 	rd.wg.Wait()
+	if err := errors.Join(rd.failed...); err != nil {
+		return err
+	}
 	for i, seen := range rd.seen {
 		last := map[string]uint64{}
 		for _, o := range seen {

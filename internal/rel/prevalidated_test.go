@@ -52,10 +52,11 @@ func TestVersionCounts(t *testing.T) {
 		do   func() error
 	}{
 		{"insert", func() error { return c.Insert("p", []Row{{Int(1), Int(10)}}) }},
+		{"publish", func() error { c.PublishEpochs(); return nil }},
 		{"update", func() error { _, err := c.Update("p", []Value{Int(1)}, Row{Int(1), Int(11)}); return err }},
 		{"delete", func() error { _, err := c.Delete("p", [][]Value{{Int(1)}}); return err }},
-		{"rollback-delete", func() error { return c.RollbackDelete("p", []Row{{Int(1), Int(11)}}) }},
-		{"rollback-insert", func() error { return c.RollbackInsert("p", []Row{{Int(1), Int(11)}}) }},
+		{"rollback", func() error { return c.Rollback([]string{"p"}) }},
+		{"publish-tables", func() error { c.PublishTableEpochs([]string{"p"}); return nil }},
 	}
 	for _, s := range steps {
 		before := c.Version()

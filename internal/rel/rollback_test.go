@@ -6,7 +6,8 @@ import (
 )
 
 // rollbackFixture builds a two-column table with a secondary index and a few
-// seed rows.
+// seed rows, and publishes them: a rollback returns the table to its last
+// published epoch.
 func rollbackFixture(t *testing.T) (*Catalog, *Table, *Index) {
 	t.Helper()
 	c := NewCatalog()
@@ -29,16 +30,41 @@ func rollbackFixture(t *testing.T) (*Catalog, *Table, *Index) {
 	if err := c.Insert("p", seed); err != nil {
 		t.Fatal(err)
 	}
+	c.PublishEpochs()
 	return c, tab, ix
+}
+
+// handles maps every live key of tab to its handle.
+func handles(tab *Table) map[string]int32 {
+	out := make(map[string]int32, len(tab.rows))
+	for k, h := range tab.rows {
+		out[k] = h
+	}
+	return out
+}
+
+// sameHandles fails unless tab holds exactly the keys of want, each at the
+// handle want names.
+func sameHandles(t *testing.T, tab *Table, want map[string]int32) {
+	t.Helper()
+	if len(tab.rows) != len(want) {
+		t.Fatalf("table has %d rows, want %d", len(tab.rows), len(want))
+	}
+	for k, h := range want {
+		if got, ok := tab.rows[k]; !ok || got != h {
+			t.Fatalf("key %x at handle %d (%v), want %d", k, got, ok, h)
+		}
+	}
 }
 
 func TestRollbackInsert(t *testing.T) {
 	c, tab, ix := rollbackFixture(t)
+	before := handles(tab)
 	batch := []Row{{Int(4), Int(40)}, {Int(5), Int(10)}}
 	if err := c.Insert("p", batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RollbackInsert("p", batch); err != nil {
+	if err := c.Rollback([]string{"p"}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Len() != 3 {
@@ -49,6 +75,7 @@ func TestRollbackInsert(t *testing.T) {
 			t.Errorf("row %s still present after rollback", row)
 		}
 	}
+	sameHandles(t, tab, before)
 	// The secondary index must forget the batch too: v=10 had two seed rows
 	// plus one batch row, v=40 only the batch row.
 	if n := len(ix.Lookup(EncodeValues(Int(10)))); n != 2 {
@@ -58,24 +85,34 @@ func TestRollbackInsert(t *testing.T) {
 		t.Errorf("index lookup v=40 returned %d rows, want 0", n)
 	}
 
-	// Rolling back rows that are no longer present reports the interleaved
-	// mutation instead of silently continuing.
-	err := c.RollbackInsert("p", batch)
-	if err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("second rollback: got %v, want missing-row error", err)
+	// The log is spent: rolling back again changes nothing.
+	if err := c.Rollback([]string{"p"}); err != nil {
+		t.Fatalf("second rollback: %v", err)
 	}
-	if err := c.RollbackInsert("nope", nil); err == nil {
+	sameHandles(t, tab, before)
+	if err := c.Rollback([]string{"nope"}); err == nil {
 		t.Fatal("rollback on unknown table succeeded")
 	}
 }
 
 func TestRollbackDelete(t *testing.T) {
 	c, tab, ix := rollbackFixture(t)
+	before := handles(tab)
 	deleted, err := c.Delete("p", [][]Value{{Int(1)}, {Int(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RollbackDelete("p", deleted); err != nil {
+	// The deleted rows' slots wait for the publish: re-inserting their keys
+	// takes fresh handles.
+	if err := c.Insert("p", deleted); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range deleted {
+		if h := tab.rows[tab.KeyOf(row)]; h == before[tab.KeyOf(row)] {
+			t.Fatalf("row %s re-inserted at handle %d before its delete published", row, h)
+		}
+	}
+	if err := c.Rollback([]string{"p"}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Len() != 3 {
@@ -87,51 +124,64 @@ func TestRollbackDelete(t *testing.T) {
 			t.Errorf("row %s not restored (got %v, %v)", row, got, ok)
 		}
 	}
+	sameHandles(t, tab, before)
 	if n := len(ix.Lookup(EncodeValues(Int(10)))); n != 2 {
 		t.Errorf("index lookup v=10 returned %d rows, want 2", n)
 	}
 
-	// Restoring a row whose key is occupied again is the interleaved-
-	// mutation error case.
-	err = c.RollbackDelete("p", deleted)
-	if err == nil {
-		t.Fatal("rollback over occupied keys succeeded")
+	// A catalog that never published keeps no log, so it has nothing to
+	// roll back to.
+	bare := NewCatalog()
+	if _, err := bare.CreateTable("p", []Column{{Name: "k", Kind: KindInt}}, "k"); err != nil {
+		t.Fatal(err)
 	}
-	if err := c.RollbackDelete("nope", nil); err == nil {
+	if err := bare.Rollback([]string{"p"}); err == nil || !strings.Contains(err.Error(), "never published") {
+		t.Fatalf("rollback of an unpublished catalog: got %v, want a no-log error", err)
+	}
+	if err := c.Rollback([]string{"nope"}); err == nil {
 		t.Fatal("rollback on unknown table succeeded")
 	}
 }
 
 func TestRollbackUpdate(t *testing.T) {
 	c, tab, ix := rollbackFixture(t)
-	old, err := c.Update("p", []Value{Int(2)}, Row{Int(2), Int(99)})
-	if err != nil {
+	before := handles(tab)
+	if _, err := c.Update("p", []Value{Int(2)}, Row{Int(2), Int(99)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RollbackUpdate("p", []Value{Int(2)}, old); err != nil {
+	// An update keeps its handle, and a second one logs the first's row.
+	if _, err := c.Update("p", []Value{Int(2)}, Row{Int(2), Int(98)}); err != nil {
+		t.Fatal(err)
+	}
+	sameHandles(t, tab, before)
+	if err := c.Rollback([]string{"p"}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tab.Get(Int(2))
 	if !ok || !got[1].Equal(Int(20)) {
 		t.Fatalf("old row not restored: got %v, %v", got, ok)
 	}
-	if n := len(ix.Lookup(EncodeValues(Int(99)))); n != 0 {
-		t.Errorf("index still holds the rolled-back value: %d rows", n)
+	sameHandles(t, tab, before)
+	for _, v := range []int64{98, 99} {
+		if n := len(ix.Lookup(EncodeValues(Int(v)))); n != 0 {
+			t.Errorf("index still holds the rolled-back value %d: %d rows", v, n)
+		}
 	}
 	if n := len(ix.Lookup(EncodeValues(Int(20)))); n != 1 {
 		t.Errorf("index lookup v=20 returned %d rows, want 1", n)
 	}
 
-	if err := c.RollbackUpdate("p", []Value{Int(42)}, old); err == nil {
-		t.Fatal("rollback of a missing key succeeded")
+	// Rolling back an unchanged table is a no-op; an unknown one fails.
+	if err := c.Rollback([]string{"p"}); err != nil {
+		t.Fatalf("rollback of an unchanged table: %v", err)
 	}
-	if err := c.RollbackUpdate("nope", []Value{Int(2)}, old); err == nil {
+	if err := c.Rollback([]string{"nope"}); err == nil {
 		t.Fatal("rollback on unknown table succeeded")
 	}
 }
 
 // TestRollbackSkipsConstraintChecks pins the documented contract: rollback
-// restores the pre-batch state even when the forward direction would now be
+// restores the published state even when the forward direction would now be
 // rejected (here, re-inserting a referenced parent's child rows).
 func TestRollbackSkipsConstraintChecks(t *testing.T) {
 	c := NewCatalog()
@@ -150,6 +200,7 @@ func TestRollbackSkipsConstraintChecks(t *testing.T) {
 	if err := c.AddForeignKey("child", []string{"pk"}, "parent", []string{"k"}); err != nil {
 		t.Fatal(err)
 	}
+	c.PublishEpochs()
 	rows := []Row{{Int(10), Int(1)}}
 	if err := c.Insert("child", rows); err != nil {
 		t.Fatal(err)
@@ -160,7 +211,7 @@ func TestRollbackSkipsConstraintChecks(t *testing.T) {
 	if _, err := c.Delete("parent", [][]Value{{Int(1)}}); err == nil {
 		t.Fatal("deleting a referenced parent succeeded")
 	}
-	if err := c.RollbackInsert("child", rows); err != nil {
+	if err := c.Rollback([]string{"child", "parent"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Delete("parent", [][]Value{{Int(1)}}); err != nil {

@@ -93,7 +93,8 @@ func (c *Catalog) Save(w io.Writer) error {
 			}
 			wt.Indexes = append(wt.Indexes, wireIndex{Name: ix.name, Columns: cols})
 		}
-		for _, row := range t.rows {
+		for _, h := range t.rows {
+			row := t.Row(h)
 			wr := make([]wireValue, len(row))
 			for i, v := range row {
 				wr[i] = toWire(v)

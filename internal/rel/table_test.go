@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -322,11 +323,11 @@ func TestSchemaUnionAndTables(t *testing.T) {
 
 // TestIndexFollowsRows drives random inserts, updates (in both appliers,
 // with and without a change to the indexed columns), deletes and update
-// rollbacks against a table with two secondary indexes, and after every
-// operation checks that each bucket holds exactly the stored slices of the
-// rows with that key: Index.remove and Index.replace match by slice
-// identity, so a bucket entry that is equal to the stored row but not the
-// same slice would go stale on the next operation.
+// rollbacks against a table with two secondary indexes, publishing after
+// every operation, and after each one checks that every bucket holds exactly
+// the handles of the live rows with its key: Index.remove and Index.replace
+// find a row by handle, and an update that moves no indexed column leaves
+// the buckets alone.
 func TestIndexFollowsRows(t *testing.T) {
 	c := NewCatalog()
 	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("g"), StrColumn("s")}, "id"); err != nil {
@@ -341,29 +342,12 @@ func TestIndexFollowsRows(t *testing.T) {
 	if _, err := c.CreateIndex("t", "ix_g", "s"); err == nil || !strings.Contains(err.Error(), "index ix_g already exists") {
 		t.Fatalf("duplicate index name: err = %v", err)
 	}
+	c.PublishEpochs()
 	tab := c.Table("t")
 	check := func(op int) {
 		t.Helper()
 		for _, ix := range tab.indexes {
-			n := 0
-			for key, bucket := range ix.m {
-				if len(bucket) == 0 {
-					t.Fatalf("op %d: index %s keeps an empty bucket", op, ix.name)
-				}
-				for _, r := range bucket {
-					stored, ok := tab.rows[tab.KeyOf(r)]
-					if !ok || &stored[0] != &r[0] {
-						t.Fatalf("op %d: index %s bucket holds %v, which is not the stored row (%v, %v)", op, ix.name, r, stored, ok)
-					}
-					if EncodeRowCols(r, ix.cols) != key {
-						t.Fatalf("op %d: index %s files %v under the wrong key", op, ix.name, r)
-					}
-				}
-				n += len(bucket)
-			}
-			if n != len(tab.rows) {
-				t.Fatalf("op %d: index %s holds %d rows, table %d", op, ix.name, n, len(tab.rows))
-			}
+			checkBuckets(t, tab, ix, fmt.Sprintf("op %d", op))
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -387,12 +371,38 @@ func TestIndexFollowsRows(t *testing.T) {
 		default:
 			if _, err = c.Update("t", key, row); err == nil && op%4 == 3 {
 				check(op)
-				err = c.RollbackUpdate("t", key, old)
+				err = c.Rollback([]string{"t"})
 			}
 		}
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 		check(op)
+		c.PublishEpochs()
+	}
+}
+
+// checkBuckets fails unless every bucket of ix holds exactly the handles of
+// tab's live rows with the bucket's key, with no empty bucket.
+func checkBuckets(t testing.TB, tab *Table, ix *Index, what string) {
+	t.Helper()
+	n := 0
+	for key, bucket := range ix.m {
+		if len(bucket) == 0 {
+			t.Fatalf("%s: index %s keeps an empty bucket", what, ix.name)
+		}
+		for _, h := range bucket {
+			r := tab.Row(h)
+			if r == nil || tab.rows[tab.KeyOf(r)] != h {
+				t.Fatalf("%s: index %s bucket holds handle %d (%v), which is not a live row", what, ix.name, h, r)
+			}
+			if EncodeRowCols(r, ix.cols) != key {
+				t.Fatalf("%s: index %s files %v under the wrong key", what, ix.name, r)
+			}
+		}
+		n += len(bucket)
+	}
+	if n != len(tab.rows) {
+		t.Fatalf("%s: index %s holds %d rows, table %d", what, ix.name, n, len(tab.rows))
 	}
 }

@@ -73,6 +73,7 @@ func TestViewEpochRollbackPublishesNothing(t *testing.T) {
 	before := m.Snapshot()
 	beforeFP := fingerprintRows(before.SortedRows())
 
+	cat.PublishEpochs() // the base rollback below returns R to this epoch
 	failing = true
 	rows := insertRowsFor(cat, "R", 6, 300, false)
 	if err := cat.Insert("R", rows); err != nil {
@@ -81,7 +82,7 @@ func TestViewEpochRollbackPublishesNothing(t *testing.T) {
 	if _, err := m.OnInsert("R", rows); err == nil {
 		t.Fatal("expected injected fault")
 	}
-	if err := cat.RollbackInsert("R", rows); err != nil {
+	if err := cat.Rollback([]string{"R"}); err != nil {
 		t.Fatal(err)
 	}
 	after := m.Snapshot()

@@ -820,7 +820,8 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 	evalSpan := span.Child("primary.eval")
 	ctx := &exec.Context{
 		Catalog:       m.def.cat,
-		Deltas:        map[string][]rel.Row{table: delta},
+		DeltaTable:    table,
+		Delta:         delta,
 		DeltaIsInsert: isInsert,
 		Parallelism:   m.opts.Parallelism,
 		BatchSize:     m.opts.BatchSize,
@@ -871,7 +872,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		// that is absent.
 		evidence := ctx
 		if replacing != nil && len(plan.indirect) > 0 {
-			evidence = &exec.Context{Catalog: ctx.Catalog, Deltas: map[string][]rel.Row{table: replacing},
+			evidence = &exec.Context{Catalog: ctx.Catalog, DeltaTable: table, Delta: replacing,
 				DeltaIsInsert: true, Parallelism: ctx.Parallelism, BatchSize: ctx.BatchSize}
 		}
 		return stats, m.applyAgg(cs, span, evidence, plan, primary, isInsert, stats)

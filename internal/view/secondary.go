@@ -253,7 +253,8 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 		}
 		sub := &exec.Context{
 			Catalog:       ctx.Catalog,
-			Deltas:        ctx.Deltas,
+			DeltaTable:    ctx.DeltaTable,
+			Delta:         ctx.Delta,
 			DeltaIsInsert: ctx.DeltaIsInsert,
 			Rels:          map[string]exec.Relation{candRel: cand},
 			Parallelism:   ctx.Parallelism,

@@ -267,7 +267,8 @@ func PlanShared(ms []*Maintainer, table string, isInsert, fkOK bool, delta []rel
 			SetInt("views", int64(len(st.occ)))
 		pctx := &exec.Context{
 			Catalog:       first.def.cat,
-			Deltas:        map[string][]rel.Row{table: delta},
+			DeltaTable:    table,
+			Delta:         delta,
 			DeltaIsInsert: isInsert,
 			Parallelism:   first.opts.Parallelism,
 			BatchSize:     first.opts.BatchSize,

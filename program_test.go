@@ -146,11 +146,15 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 // 3-join TPC-H view V3, must stay within a recorded budget of objects and
 // bytes. The commit before programs were cached measures 269–273 objects /
 // 16.0–17.2 kB per pair on V2 and 350–358 / 34.7–36.2 kB on V3; the one
-// that cached them 173–181 / 10.2–11.7 kB and 186–197 / 15.7–17.9 kB; this
-// one, with 24-byte values and the handle store behind the view, 160–173 /
-// 9.8–11.4 kB and 170–178 / 12.8–14.4 kB over 25 processes (the spread is
-// between processes: hash seeds shape the maps and the published tries).
-// The budgets sit about 10 % above the middle of those readings, so
+// that cached them 173–181 / 10.2–11.7 kB and 186–197 / 15.7–17.9 kB; the
+// one with 24-byte values and the handle store behind the view 160–173 /
+// 9.8–11.4 kB and 170–178 / 12.8–14.4 kB over 25 processes, and its
+// successor, which gave views a vector epoch, 145–153 / 9.0–10.2 kB and
+// 153–157 / 12.4–13.1 kB over 12 (the spread was between processes: hash
+// seeds shaped the published tries). With base tables on the slab and a
+// vector epoch, and one delta bound per run, both read the same in every
+// process: 137 / 8.8 kB and 149 / 11.9 kB.
+// The budgets sit about 10 % above those readings, so
 // per-run schema derivation, predicate compilation or offset resolution
 // creeping back into the statement path trips them on either view, and so
 // does a per-table key string or set coming back into the view apply.
@@ -177,7 +181,7 @@ func TestStatementAllocBudget(t *testing.T) {
 		}
 		key := []ojv.Value{ojv.Int(1 << 20)}
 		objects, bytes := statementPairCost(t, db, "L", ojv.Row{key[0], order}, key)
-		checkBudget(t, objects, bytes, 180, 11800)
+		checkBudget(t, objects, bytes, 150, 9700)
 	})
 	t.Run("V3", func(t *testing.T) {
 		tdb, err := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 1})
@@ -205,7 +209,7 @@ func TestStatementAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		objects, bytes := statementPairCost(t, db, "lineitem", row, row[:2])
-		checkBudget(t, objects, bytes, 190, 15400)
+		checkBudget(t, objects, bytes, 165, 13100)
 	})
 }
 

@@ -107,8 +107,9 @@ type stagedView struct {
 // sequence of single-table updates the maintenance layer is proven against.
 // On success the changesets commit together (each view publishes its epoch
 // there) and the component's table epochs publish. On any failure
-// everything unwinds — staged changesets in reverse view order, applied
-// base deltas in reverse step order — so the component's tables and views
+// everything unwinds — staged changesets in reverse view order, then each
+// of the component's tables back to its last published epoch, which is its
+// state when the component began — so the component's tables and views
 // return to their pre-call state. The shard locks are defense in depth:
 // components are disjoint by construction, so a blocked Acquire means a
 // conflict-analysis bug degraded to serialization instead of a race.
@@ -130,10 +131,6 @@ func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, met
 		staged[j] = stagedView{v: v, cs: v.m.Begin()}
 		maints[j] = v.m
 	}
-	// applied[i] counts the base mutations of step i the unwind must revert:
-	// 1 for an applied insert or delete batch, the rows updated so far for
-	// a modify.
-	applied := make([]int, len(c.steps))
 	var cause error
 	for i := range c.steps {
 		st := &c.steps[i]
@@ -141,7 +138,7 @@ func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, met
 			SetStr("table", st.Table).
 			SetStr("op", st.Op.String()).
 			SetInt("rows", int64(st.Len()))
-		applied[i], cause = db.applyBase(st, fast)
+		cause = db.applyBase(st, fast)
 		if cause == nil {
 			cause = stageStep(st, staged, maints, stepSpan, metrics)
 		}
@@ -170,20 +167,7 @@ func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, met
 	for j := len(staged) - 1; j >= 0; j-- {
 		undo(staged[j].v.m.RollbackStaged(staged[j].cs))
 	}
-	for i := len(c.steps) - 1; i >= 0; i-- {
-		st := c.steps[i]
-		switch {
-		case applied[i] == 0:
-		case st.Op == pipeline.OpInsert:
-			undo(db.cat.RollbackInsert(st.Table, st.Rows))
-		case st.Op == pipeline.OpDelete:
-			undo(db.cat.RollbackDelete(st.Table, st.OldRows))
-		default:
-			for r := applied[i] - 1; r >= 0; r-- {
-				undo(db.cat.RollbackUpdate(st.Table, st.Keys[r], st.OldRows[r]))
-			}
-		}
-	}
+	undo(db.cat.Rollback(c.tables))
 	if rbErr != nil {
 		return fmt.Errorf("%w (rollback also failed: %v)", cause, rbErr)
 	}
@@ -194,40 +178,35 @@ func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, met
 // appliers when fast is set (the queue's version guard held) and through
 // the catalog's re-validating mutation path otherwise. The validating path
 // records the rows the catalog removed or replaced into the step, so
-// maintenance and the unwind see what was actually there (a synchronous
-// delete learns its rows this way). It returns how many base mutations
-// commitComponent must revert should the component fail.
-func (db *Database) applyBase(st *pipeline.Step, fast bool) (applied int, err error) {
+// maintenance sees what was actually there (a synchronous delete learns its
+// rows this way). Whatever part of the step applied before a failure, the
+// table's log holds it for the unwind.
+func (db *Database) applyBase(st *pipeline.Step, fast bool) (err error) {
 	switch st.Op {
 	case pipeline.OpInsert:
 		if fast {
-			err = db.cat.InsertPrevalidated(st.Table, st.Rows, st.EncKeys)
-		} else {
-			err = db.cat.Insert(st.Table, st.Rows)
+			return db.cat.InsertPrevalidated(st.Table, st.Rows, st.EncKeys)
 		}
+		return db.cat.Insert(st.Table, st.Rows)
 	case pipeline.OpDelete:
 		if fast {
 			_, err = db.cat.DeletePrevalidated(st.Table, st.Keys, st.EncKeys)
 		} else {
 			st.OldRows, err = db.cat.Delete(st.Table, st.Keys)
 		}
-	case pipeline.OpModify:
-		for i := range st.Keys {
-			if fast {
-				_, err = db.cat.UpdatePrevalidated(st.Table, st.EncKeys[i], st.NewRows[i])
-			} else {
-				st.OldRows[i], err = db.cat.Update(st.Table, st.Keys[i], st.NewRows[i])
-			}
-			if err != nil {
-				return i, err
-			}
+		return err
+	}
+	for i := range st.Keys {
+		if fast {
+			_, err = db.cat.UpdatePrevalidated(st.Table, st.EncKeys[i], st.NewRows[i])
+		} else {
+			st.OldRows[i], err = db.cat.Update(st.Table, st.Keys[i], st.NewRows[i])
 		}
-		return len(st.Keys), nil
+		if err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
+	return nil
 }
 
 // stageStep stages one applied step's maintenance into each view's

@@ -183,10 +183,12 @@ func TestWritePathFaultMatrix(t *testing.T) {
 			name:     "rollback also failed",
 			stmt:     insertStmt("c", Row{Int(9), Str("eve")}),
 			failSite: "primary-insert",
-			// Sabotage: remove the applied base row behind the write path's
-			// back, so its own RollbackInsert finds the row missing.
+			// Sabotage: maintain v1 for the row's delete behind the write
+			// path's back, which commits and frees the slot of the view row
+			// v1's staged changeset inserted, so that changeset's rollback
+			// finds the slot empty. The base unwind still runs.
 			onFail: func(f *faultDB) {
-				if err := f.cat.RollbackInsert("c", []rel.Row{{Int(9), Str("eve")}}); err != nil {
+				if _, err := f.View("v1").m.OnDelete("c", []rel.Row{{Int(9), Str("eve")}}); err != nil {
 					panic(err)
 				}
 			},
