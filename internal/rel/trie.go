@@ -97,16 +97,6 @@ func (n *trieNode[V]) walk(f func(string, V) bool) bool {
 	return true
 }
 
-func (n *trieNode[V]) appendValues(dst []V) []V {
-	for i := range n.entries {
-		dst = append(dst, n.entries[i].val)
-	}
-	for _, c := range n.children {
-		dst = c.appendValues(dst)
-	}
-	return dst
-}
-
 // trieItem is an entry with its hash, the unit buildTrie sorts.
 type trieItem[V any] struct {
 	hash  uint64

@@ -95,9 +95,6 @@ func checkEpoch(t testing.TB, e *EpochMap[int], model map[string]int, universe [
 	if seen != len(model) {
 		t.Fatalf("epoch %d: Range yielded %d pairs, model has %d", e.Seq(), seen, len(model))
 	}
-	if vals := e.Values(); len(vals) != len(model) {
-		t.Fatalf("epoch %d: Values yielded %d values, model has %d", e.Seq(), len(vals), len(model))
-	}
 }
 
 // runTrieModel drives random sets, deletes and publishes against a Go map.
