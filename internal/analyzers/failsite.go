@@ -26,12 +26,12 @@ import (
 //     string literal (or forwards its own site parameter), so the site
 //     name set is statically enumerable;
 //   - a site name always identifies one mutation kind (insertRow vs
-//     deleteKey vs fold);
-//   - every site-less staged mutation — one of the stored view's
-//     primitives (stagedMutations), a write into a slot of the rel.Slab the
-//     view's rows live in (through the *rel.Slot the slab hands out), or a
-//     write to an agg `groups` map, reached through a parameter or receiver
-//     — is preceded in its function by a FailPoint consult (rollback is the
+//     deleteKey vs foldGroups);
+//   - every site-less staged mutation — one of the store's primitives
+//     (stagedMutations), or a write into a slot of the rel.Slab a view's
+//     rows or an aggregation view's groups live in (through the *rel.Slot
+//     the slab hands out), reached through a parameter or receiver — is
+//     preceded in its function by a FailPoint consult (rollback is the
 //     vetted exception, annotated in source). A primitive may be built from
 //     primitives of its own type, and a slot is written only by the
 //     primitives: the guard is owed by whoever calls in from outside;
@@ -44,12 +44,13 @@ var FailSite = &Analyzer{
 }
 
 // stagedMutations names the site-less primitives that change what a stored
-// view holds: an insert, a delete by key, and the two halves a delete is
-// made of since a deleted row stays in its slot until its changeset ends —
-// unlink takes it out of sight, relink (the rollback) puts it back. The
-// slots themselves live in a rel.Slab: writing one is the primitives' job
-// (slotWrite). Releasing an unlinked slot at commit (rel.Slab.Release)
-// changes nothing a reader can see and is not a staged mutation.
+// view or an aggregation view holds: an insert, a delete by key, and the two
+// halves a delete is made of since a deleted row stays in its slot until its
+// changeset ends — unlink takes it out of sight, relink (the rollback) puts
+// it back. The slots themselves live in a rel.Slab: writing one is the
+// primitives' job (slotWrite). Releasing an unlinked slot at commit
+// (rel.Slab.Release) changes nothing a reader can see and is not a staged
+// mutation.
 var stagedMutations = map[string]bool{
 	"insertRow": true,
 	"unlinkKey": true,
@@ -152,12 +153,6 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 					if a.Kind == token.STRING {
 						name, err := strconv.Unquote(a.Value)
 						if err == nil {
-							// The empty literal is the documented "no fault
-							// site" marker of nil-changeset folds; it names
-							// no crash point.
-							if name == "" {
-								return true
-							}
 							if _, ok := used[name]; !ok {
 								used[name] = siteUse{pos: a.Pos(), kind: callee.Name()}
 							}
@@ -187,12 +182,6 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
-						if sel, ok := n.Args[0].(*ast.SelectorExpr); ok && sel.Sel.Name == "groups" && rootedAt(pkg, sel.X, owned) && !guarded(n.Pos()) {
-							mp.Reportf(n.Pos(), "staged aggregate-group mutation is not preceded by a FailPoint consult in %s — crash atomicity requires a fail(site) before every staged write (DESIGN.md §12)", fd.Name.Name)
-						}
-						return true
-					}
 					sel, ok := n.Fun.(*ast.SelectorExpr)
 					if !ok {
 						return true
@@ -217,9 +206,6 @@ func failSitePackage(mp *ModulePass, pkg *Package, used map[string]siteUse, kind
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						if groupsWrite(pkg, lhs, owned) && !guarded(n.Pos()) {
-							mp.Reportf(n.Pos(), "staged aggregate-group mutation is not preceded by a FailPoint consult in %s — crash atomicity requires a fail(site) before every staged write (DESIGN.md §12)", fd.Name.Name)
-						}
 						if slotWrite(pkg, lhs, owned, slots) && !stagedMutations[fd.Name.Name] && !guarded(n.Pos()) {
 							mp.Reportf(n.Pos(), "staged write into a view slab slot is not preceded by a FailPoint consult in %s — only the store's primitives write slots, and crash atomicity requires a fail(site) before every staged write (DESIGN.md §12)", fd.Name.Name)
 						}
@@ -367,22 +353,6 @@ func slotWrite(pkg *Package, lhs ast.Expr, owned, slots map[types.Object]bool) b
 			return false
 		}
 	}
-}
-
-// groupsWrite reports whether lhs writes an ELEMENT of a field named groups
-// rooted at an owned object. Whole-field replacement (a.groups = make(...)
-// and the swap back on failure) is a from-scratch rebuild, not a staged
-// per-row mutation, and is exempt.
-func groupsWrite(pkg *Package, lhs ast.Expr, owned map[types.Object]bool) bool {
-	ix, ok := lhs.(*ast.IndexExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := ix.X.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "groups" {
-		return false
-	}
-	return rootedAt(pkg, sel.X, owned)
 }
 
 // declaredSite is one site name in a fault matrix, at its declaration.

@@ -8,7 +8,6 @@ package oracle
 var flushFaultSites = []string{
 	"s-insert",
 	"s-delete",
-	"s-orphan",
 	"s-kinds",
 	"s-stale-oracle", // want `the oracle fault matrix \(flushFaultSites\) lists site "s-stale-oracle", which no flush-path mutation consults`
 	"s-dup",          // want `the oracle fault matrix \(flushFaultSites\) lists site "s-dup", which no flush-path mutation consults`

@@ -39,15 +39,15 @@ func (m *Materialized) unlink(h int32) { delete(m.rows, m.at(h).Key) }
 // not a staged mutation and needs no consult.
 func (m *Materialized) release(h int32) { m.slab.Release(h) }
 
-type aggGroup struct{ n int }
-
-type agg struct {
-	groups map[string]*aggGroup
+// AggMaterialized mirrors the aggregation store: its groups are state rows
+// in a rel.Slab too.
+type AggMaterialized struct {
+	slab rel.Slab
 }
 
 type Maintainer struct {
 	mv  *Materialized
-	agg *agg
+	agg *AggMaterialized
 	fp  func(site string) error
 }
 
@@ -150,20 +150,10 @@ func hideGuarded(cs *Changeset, h int32) error {
 	return nil
 }
 
-// foldGroup consults the bare hook before touching the group map: guarded.
-func foldGroup(cs *Changeset, k string) error {
-	if err := cs.fail("s-orphan"); err != nil {
-		return err
-	}
-	cs.m.agg.groups[k] = &aggGroup{n: 1}
-	return nil
-}
-
-// rebuildGroup stages aggregate-group mutations unguarded, both the element
-// write and the delete.
-func rebuildGroup(m *Maintainer, k string) {
-	m.agg.groups[k] = &aggGroup{} // want `staged aggregate-group mutation is not preceded by a FailPoint consult in rebuildGroup`
-	delete(m.agg.groups, k)       // want `staged aggregate-group mutation is not preceded by a FailPoint consult in rebuildGroup`
+// restateGroup edits a group's state row in its slot, unguarded: a group is
+// a slab slot like a view row, and writing it is as much a staged mutation.
+func restateGroup(m *Maintainer, h int32, st rel.Row) {
+	m.agg.slab.At(h).Row = st // want `staged write into a view slab slot is not preceded by a FailPoint consult in restateGroup`
 }
 
 // applyMixed reuses one site name for two mutation kinds, so a matrix entry
@@ -196,12 +186,6 @@ func undoReplay(cs *Changeset) {
 		cs.m.mv.unlink(h)
 		cs.m.mv.release(h)
 	}
-}
-
-// rematerialize swaps in a fresh group map: whole-field replacement is a
-// from-scratch rebuild, not a staged per-row mutation, and is exempt.
-func rematerialize(m *Maintainer) {
-	m.agg.groups = make(map[string]*aggGroup)
 }
 
 // localCopy stages into a locally built view, not committed state handed

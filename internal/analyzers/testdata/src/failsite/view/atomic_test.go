@@ -14,7 +14,6 @@ var faultMatrix = []faultCase{
 		wantSites: []string{
 			"s-insert",
 			"s-delete",
-			"s-orphan",
 			"s-kinds",
 			"s-stale-test", // want `the view test fault matrix \(wantSites\) lists site "s-stale-test", which no flush-path mutation consults`
 		},

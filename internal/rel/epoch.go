@@ -3,7 +3,6 @@ package rel
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -20,8 +19,9 @@ import (
 // epoch, so a pinned reader retains only what its epoch no longer shares
 // with the current one.
 //
-// Rows — a base table's here, a stored view's in internal/view — live in a
-// slab (slab.go) and publish a RowVec (rowvec.go) indexed by slab handle.
+// Every container — a base table here; a stored view and an aggregation
+// view, whose groups are rows too, in internal/view — keeps its rows in a
+// slab (slab.go) and publishes a RowVec (rowvec.go) indexed by slab handle.
 // Each container logs the handles a commit touched; publishing sets or
 // clears exactly those vector slots from the committed slots, then releases
 // the slots of the rows the commit deleted. The invariant is epoch[h] == the
@@ -29,92 +29,6 @@ import (
 // row at its handle, and a deleted row's slot is not reused before its delete
 // publishes. Nothing is written by key: a keyed snapshot read
 // (TableSnapshot.Get) indexes the epoch once, on its first keyed read.
-//
-// Aggregation groups are mutated in place and read by key; they publish an
-// EpochMap, the root of a persistent hash trie (trie.go). The writer keeps
-// its live Go map and the set of keys dirtied since the last publish;
-// publishing resolves exactly those keys against the live map and
-// path-copies them into the previous root, O(dirty · log₃₂ n). Dirty keys
-// whose mutation was rolled back before the publish resolve to their
-// unchanged live value, so only committed state is ever resolved.
-
-// EpochMap is an immutable snapshot of a map[string]V. All methods are
-// read-only and safe for unsynchronized concurrent use.
-type EpochMap[V any] struct {
-	seq   uint64
-	count int
-	root  *trieNode[V]
-	hash  func(string) uint64
-}
-
-// Seq returns the epoch sequence number the snapshot was published at.
-func (e *EpochMap[V]) Seq() uint64 { return e.seq }
-
-// Len returns the number of live keys in the snapshot.
-func (e *EpochMap[V]) Len() int { return e.count }
-
-// Get returns the value of k as of this epoch.
-func (e *EpochMap[V]) Get(k string) (V, bool) { return e.root.get(e.hash(k), k) }
-
-// Range calls f for every live key/value pair until f returns false.
-// Iteration order is unspecified, like a map's.
-func (e *EpochMap[V]) Range(f func(string, V) bool) { e.root.walk(f) }
-
-// NewFullEpoch builds an epoch from the whole live map. clone, when
-// non-nil, guards values the live side mutates in place (aggregation
-// groups); nil shares the values, which is correct for values that are
-// replaced rather than mutated.
-func NewFullEpoch[V any](seq uint64, live map[string]V, clone func(V) V) *EpochMap[V] {
-	seed := maphash.MakeSeed()
-	return newFullEpochHashed(seq, live, clone, func(k string) uint64 { return maphash.String(seed, k) })
-}
-
-// newFullEpochHashed is NewFullEpoch with the key hash given, so tests can
-// force fragment and full-hash collisions. Epochs derived from the result
-// keep its hash.
-func newFullEpochHashed[V any](seq uint64, live map[string]V, clone func(V) V, hash func(string) uint64) *EpochMap[V] {
-	n := len(live)
-	buf := make([]trieItem[V], 2*n) // the items, then buildTrie's scratch
-	items := buf[:0]
-	for k, v := range live {
-		if clone != nil {
-			v = clone(v)
-		}
-		items = append(items, trieItem[V]{hash(k), trieEntry[V]{k, v}})
-	}
-	return &EpochMap[V]{seq: seq, count: n, root: buildTrie(items, buf[n:], 0), hash: hash}
-}
-
-// PublishEpoch derives the next epoch from prev by resolving every key of
-// the dirty set against the live container via lookup. The previous epoch
-// is shared structurally; only the paths to the dirty keys occupy new
-// memory.
-func PublishEpoch[V any](prev *EpochMap[V], seq uint64, dirty map[string]struct{}, lookup func(string) (V, bool), clone func(V) V) *EpochMap[V] {
-	tx := prev.edit()
-	for k := range dirty {
-		v, ok := lookup(k)
-		if !ok {
-			tx.delete(k)
-			continue
-		}
-		if clone != nil {
-			v = clone(v)
-		}
-		tx.set(k, v)
-	}
-	return tx.publish(seq)
-}
-
-// edit opens a transaction over e's root; e itself never changes.
-func (e *EpochMap[V]) edit() *trieTx[V] {
-	return &trieTx[V]{owner: new(trieOwner), hash: e.hash, root: e.root, count: e.count}
-}
-
-// publish ends the transaction: its root becomes the epoch seq, and with
-// the owner token dropped no node under it is ever written again.
-func (t *trieTx[V]) publish(seq uint64) *EpochMap[V] {
-	return &EpochMap[V]{seq: seq, count: t.count, root: t.root, hash: t.hash}
-}
 
 // TableSnapshot is the published epoch of one base table's rows, immutable
 // and readable without locks. Secondary indexes are not published: they

@@ -89,11 +89,10 @@ func TestEpochPinnedSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestEpochCompaction drives 200 publishes of inserts and deletes, with an
-// update of an indexed column thrown in, and checks every epoch against
-// the live table. (The name predates the trie: there is no chain to
-// compact any more, and no publish may cost more than its dirty keys.)
-func TestEpochCompaction(t *testing.T) {
+// TestEpochTracksLiveTable drives 200 publishes of inserts and deletes, with
+// an update of an indexed column thrown in, and checks every epoch against
+// the live table.
+func TestEpochTracksLiveTable(t *testing.T) {
 	c := epochFixture(t)
 	c.PublishEpochs()
 	tab := c.Table("t")
@@ -289,8 +288,8 @@ func publishBytesPerRound(t *testing.T, n int) float64 {
 // TestPublishAllocBudget is the allocation guard for epoch publishing, in
 // the mould of exec's TestAllocBudget and run beside it in CI: a 1-row
 // statement and its publish must cost the same whatever the table's size.
-// Any O(container) work on the publish path — a compaction, a copied map,
-// a rebuilt index — fails both bounds at 200 k rows.
+// Any O(container) work on the publish path — a copied map, a rebuilt
+// index — fails both bounds at 200 k rows.
 func TestPublishAllocBudget(t *testing.T) {
 	small := publishBytesPerRound(t, 2_000)
 	large := publishBytesPerRound(t, 200_000)

@@ -12,10 +12,11 @@ package rel
 //
 // A root reachable from a published epoch is never written. Deriving the
 // next epoch opens a VecTx, whose owner token marks the nodes it creates:
-// those it edits in place, any other node it copies on first touch — the
-// discipline of trie.go. The slab hands out fresh and recycled handles in
-// runs, so the handles of one commit share leaves and a publish copies each
-// touched leaf once.
+// those it edits in place, any other node it copies on first touch. Publish
+// drops the token, so a node is only ever written by the transaction that
+// created it, before anyone can read it. The slab hands out fresh and
+// recycled handles in runs, so the handles of one commit share leaves and a
+// publish copies each touched leaf once.
 //
 // Leaves and interior nodes are two types, and Go has no untagged union, so
 // the interior type carries both kinds of child: kids at height > 1 and, at

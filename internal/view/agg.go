@@ -2,6 +2,7 @@ package view
 
 import (
 	"fmt"
+	"slices"
 
 	"ojv/internal/algebra"
 	"ojv/internal/exec"
@@ -16,46 +17,34 @@ import (
 // accumulators, which is exactly the bookkeeping the paper prescribes:
 // groups whose row count reaches zero are removed, and an aggregate whose
 // inputs all disappear goes to NULL.
+//
+// A group is one state row in a store slot (store.go), under its encoded
+// group key:
+//
+//	[group cols…, rowCount, nnTable…, sum₀, nonNull₀, sum₁, nonNull₁, …]
+//
+// A stored state row is never written again: a fold replaces every group it
+// touches, through the changeset, as a stored view replaces a row. So the
+// groups share the view rows' undo log, rollback and epoch.
 type AggMaterialized struct {
 	def  *Definition
 	opts Options
 
 	schema         rel.Schema
 	nullableTables []string
-	groups         map[string]*aggGroup
-	// dirtyGroups tracks group keys touched since the last epoch publish;
-	// nil until the maintainer enables snapshots (see epoch.go).
-	dirtyGroups map[string]struct{}
-}
+	// countAt is the state row's rowCount column, after the group columns;
+	// the not-null counts follow it, and aggregate i's sum and not-null count
+	// are at sumAt+2i and sumAt+2i+1.
+	countAt, sumAt int
 
-type aggGroup struct {
-	key      rel.Row
-	rowCount int64
-	nnTable  []int64 // aligned with nullableTables
-	aggs     []aggAcc
-}
-
-type aggAcc struct {
-	sum     rel.Value
-	nonNull int64
-}
-
-// clone deep-copies a group for the changeset undo log (values are
-// immutable, so copying the slices suffices).
-func (g *aggGroup) clone() *aggGroup {
-	return &aggGroup{
-		key:      append(rel.Row(nil), g.key...),
-		rowCount: g.rowCount,
-		nnTable:  append([]int64(nil), g.nnTable...),
-		aggs:     append([]aggAcc(nil), g.aggs...),
-	}
+	store
 }
 
 func newAggMaterialized(def *Definition, opts Options) (*AggMaterialized, error) {
 	if def.Agg == nil {
 		return nil, fmt.Errorf("view %s: not an aggregation view", def.Name)
 	}
-	a := &AggMaterialized{def: def, opts: opts, groups: make(map[string]*aggGroup)}
+	a := &AggMaterialized{def: def, opts: opts, store: store{rows: make(map[string]int32)}}
 	// Output schema: group columns then aggregate columns.
 	for _, c := range def.Agg.GroupCols {
 		p := def.fullSchema.MustIndexOf(c.Table, c.Column)
@@ -82,6 +71,8 @@ func newAggMaterialized(def *Definition, opts Options) (*AggMaterialized, error)
 			a.nullableTables = append(a.nullableTables, t)
 		}
 	}
+	a.countAt = len(def.Agg.GroupCols)
+	a.sumAt = a.countAt + 1 + len(a.nullableTables)
 	return a, nil
 }
 
@@ -89,47 +80,92 @@ func newAggMaterialized(def *Definition, opts Options) (*AggMaterialized, error)
 func (a *AggMaterialized) Schema() rel.Schema { return a.schema }
 
 // Len returns the number of groups.
-func (a *AggMaterialized) Len() int { return len(a.groups) }
+func (a *AggMaterialized) Len() int { return len(a.rows) }
 
 // NotNullCount returns a group's not-null count for one table, along with
 // whether the group exists; exposed for tests and tools.
 func (a *AggMaterialized) NotNullCount(groupKey rel.Row, table string) (int64, bool) {
-	g, ok := a.groups[rel.EncodeValues(groupKey...)]
+	h, ok := a.rows[rel.EncodeValues(groupKey...)]
 	if !ok {
 		return 0, false
 	}
+	st := a.slab.At(h).Row
 	for i, t := range a.nullableTables {
 		if t == table {
-			return g.nnTable[i], true
+			return st[a.countAt+1+i].AsInt(), true
 		}
 	}
-	return g.rowCount, true // tables present in every term count every row
+	return st[a.countAt].AsInt(), true // tables present in every term count every row
 }
 
-// Materialize recomputes the groups from scratch. The stored groups are
-// replaced only on success, so a mid-build failure leaves the view intact.
+// Materialize recomputes the groups from scratch. The rebuild fills a
+// private store that is swapped in whole, so a mid-build failure leaves the
+// view intact.
 func (a *AggMaterialized) Materialize() error {
 	ctx := &exec.Context{Catalog: a.def.cat}
 	res, err := exec.Eval(ctx, a.def.Expr)
 	if err != nil {
 		return err
 	}
-	old := a.groups
-	a.groups = make(map[string]*aggGroup)
-	if err := a.fold(nil, "", res.Rows, res.Schema, +1); err != nil {
-		a.groups = old
+	staged := *a
+	staged.store = store{rows: make(map[string]int32)}
+	edits, err := staged.fold(res.Rows, res.Schema, +1)
+	if err != nil {
 		return err
 	}
+	for _, e := range edits {
+		if _, err := staged.insertRow(e.key, e.row); err != nil {
+			return err
+		}
+	}
+	a.store = staged.store
 	return nil
 }
 
-// fold merges rows (over any sub-schema of the tuple space) into the groups
-// with the given sign. Columns missing from the schema are treated as NULL
-// (they belong to null-extended tables). A non-nil cs snapshots each
-// touched group before its first mutation (and consults the fault hook at
-// site), so the fold participates in the run's undo log; Materialize folds
-// with a nil cs into a fresh group map it swaps in atomically.
-func (a *AggMaterialized) fold(cs *Changeset, site string, rows []rel.Row, schema rel.Schema, sign int64) error {
+// insertRow adds one state row under its group key k and returns its handle.
+func (a *AggMaterialized) insertRow(k string, st rel.Row) (int32, error) {
+	if _, dup := a.rows[k]; dup {
+		return noRow, fmt.Errorf("view %s: duplicate group %s", a.def.Name, st[:a.countAt])
+	}
+	h := a.alloc()
+	*a.slab.At(h) = rel.Slot{Key: k, Row: st}
+	a.relink(h)
+	return h, nil
+}
+
+// relink makes the group in slot h visible under its key.
+func (a *AggMaterialized) relink(h int32) { a.rows[a.slab.At(h).Key] = h }
+
+// unlink takes the group in slot h out of sight and leaves it in its slot,
+// as Materialized.unlink does a view row.
+func (a *AggMaterialized) unlink(h int32) { delete(a.rows, a.slab.At(h).Key) }
+
+// unlinkKey unlinks the group with the given key, returning its handle and
+// state row.
+func (a *AggMaterialized) unlinkKey(k []byte) (int32, rel.Row, bool) {
+	h, ok := a.rows[string(k)]
+	if !ok {
+		return noRow, nil, false
+	}
+	a.unlink(h)
+	return h, a.slab.At(h).Row, true
+}
+
+// groupEdit is what a fold does to one group: the group's key, whether a
+// state row is stored under it, and the state row that replaces it — nil
+// when the group's row count reached zero.
+type groupEdit struct {
+	key    string
+	stored bool
+	row    rel.Row
+}
+
+// fold merges rows (over any sub-schema of the tuple space) with the given
+// sign into copies of the groups they touch, and returns one edit per group
+// in the order of first touch. Columns missing from the schema are treated
+// as NULL (they belong to null-extended tables). Rows are merged in input
+// order, so sums accumulate in it; the store is only read.
+func (a *AggMaterialized) fold(rows []rel.Row, schema rel.Schema, sign int64) ([]groupEdit, error) {
 	spec := a.def.Agg
 	groupPos := make([]int, len(spec.GroupCols))
 	for i, c := range spec.GroupCols {
@@ -150,6 +186,9 @@ func (a *AggMaterialized) fold(cs *Changeset, site string, rows []rel.Row, schem
 			witness[i] = schema.IndexOf(t, tab.Schema()[kcs[0]].Name)
 		}
 	}
+	var edits []groupEdit
+	at := make(map[string]int)
+	var buf []byte
 	for _, row := range rows {
 		key := make(rel.Row, len(groupPos))
 		for i, p := range groupPos {
@@ -157,33 +196,32 @@ func (a *AggMaterialized) fold(cs *Changeset, site string, rows []rel.Row, schem
 				key[i] = row[p]
 			}
 		}
-		k := rel.EncodeValues(key...)
-		if cs != nil {
-			if err := cs.fail(site); err != nil {
-				return err
+		buf = rel.AppendEncoded(buf[:0], key...)
+		ei, ok := at[string(buf)]
+		if !ok {
+			e := groupEdit{key: string(buf)}
+			if h, ok := a.rows[e.key]; ok {
+				e.stored, e.row = true, slices.Clone(a.slab.At(h).Row)
 			}
-			cs.snapshotGroup(k)
+			ei = len(edits)
+			at[e.key] = ei
+			edits = append(edits, e)
 		}
-		if a.dirtyGroups != nil {
-			a.dirtyGroups[k] = struct{}{}
-		}
-		g := a.groups[k]
-		if g == nil {
+		st := edits[ei].row
+		if st == nil {
 			if sign < 0 {
-				return fmt.Errorf("view %s: delta removes rows from a missing group %s", a.def.Name, key)
+				return nil, fmt.Errorf("view %s: delta removes rows from a missing group %s", a.def.Name, key)
 			}
-			g = &aggGroup{key: key, nnTable: make([]int64, len(a.nullableTables)), aggs: make([]aggAcc, len(spec.Aggs))}
-			a.groups[k] = g
+			st = a.newGroup(key)
 		}
-		g.rowCount += sign
+		count := st[a.countAt].AsInt() + sign
+		st[a.countAt] = rel.Int(count)
 		for i, w := range witness {
 			if w >= 0 && !row[w].IsNull() {
-				g.nnTable[i] += sign
+				st[a.countAt+1+i] = rel.Int(st[a.countAt+1+i].AsInt() + sign)
 			}
 		}
-		for i := range spec.Aggs {
-			acc := &g.aggs[i]
-			p := aggPos[i]
+		for i, p := range aggPos {
 			if p < 0 {
 				continue // COUNT(*) uses rowCount
 			}
@@ -191,60 +229,100 @@ func (a *AggMaterialized) fold(cs *Changeset, site string, rows []rel.Row, schem
 			if v.IsNull() {
 				continue
 			}
-			acc.nonNull += sign
-			if acc.sum.IsNull() {
-				acc.sum = rel.Int(0)
+			sum, nonNull := a.sumAt+2*i, a.sumAt+2*i+1
+			st[nonNull] = rel.Int(st[nonNull].AsInt() + sign)
+			if st[sum].IsNull() {
+				st[sum] = rel.Int(0)
 			}
 			if sign > 0 {
-				acc.sum = rel.Add(acc.sum, v)
+				st[sum] = rel.Add(st[sum], v)
 			} else {
-				acc.sum = rel.Sub(acc.sum, v)
+				st[sum] = rel.Sub(st[sum], v)
 			}
 		}
-		if g.rowCount == 0 {
-			delete(a.groups, k)
-		} else if g.rowCount < 0 {
-			return fmt.Errorf("view %s: negative row count in group %s", a.def.Name, key)
+		switch {
+		case count < 0:
+			return nil, fmt.Errorf("view %s: negative row count in group %s", a.def.Name, key)
+		case count == 0:
+			st = nil // the group is gone; a later row starts it afresh
+		}
+		edits[ei].row = st
+	}
+	return edits, nil
+}
+
+// newGroup returns the state row of an empty group: counts 0, sums NULL.
+func (a *AggMaterialized) newGroup(key rel.Row) rel.Row {
+	st := make(rel.Row, a.sumAt+2*len(a.def.Agg.Aggs))
+	copy(st, key)
+	for c := a.countAt; c < a.sumAt; c++ {
+		st[c] = rel.Int(0)
+	}
+	for c := a.sumAt + 1; c < len(st); c += 2 {
+		st[c] = rel.Int(0)
+	}
+	return st
+}
+
+// foldGroups folds rows into the aggregation view with the given sign and
+// stages the result: each stored group the fold touched is deleted and its
+// replacement inserted under the same key, the fault hook consulted at site
+// before each.
+func (cs *Changeset) foldGroups(site string, rows []rel.Row, schema rel.Schema, sign int64) error {
+	edits, err := cs.m.agg.fold(rows, schema, sign)
+	if err != nil {
+		return err
+	}
+	for _, e := range edits {
+		if e.stored {
+			if _, _, err := cs.deleteKey(site, []byte(e.key)); err != nil {
+				return err
+			}
+		}
+		if e.row != nil {
+			if err := cs.insertRow(site, e.key, e.row); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// aggValue renders one aggregate of a group with standard SQL NULL
-// semantics.
-func (g *aggGroup) aggValue(ag algebra.Aggregate, i int) rel.Value {
-	acc := g.aggs[i]
-	switch ag.Func {
-	case algebra.AggCount:
-		if ag.Col == (algebra.ColRef{}) {
-			return rel.Int(g.rowCount)
+// render returns the SQL-visible row of a state row: the group columns, then
+// each aggregate with standard SQL NULL semantics.
+func (a *AggMaterialized) render(st rel.Row) rel.Row {
+	row := append(make(rel.Row, 0, len(a.schema)), st[:a.countAt]...)
+	for i, ag := range a.def.Agg.Aggs {
+		sum, nonNull := st[a.sumAt+2*i], st[a.sumAt+2*i+1]
+		switch {
+		case ag.Func == algebra.AggCount && ag.Col == (algebra.ColRef{}):
+			row = append(row, st[a.countAt])
+		case ag.Func == algebra.AggCount:
+			row = append(row, nonNull)
+		case nonNull.AsInt() == 0:
+			row = append(row, rel.Null)
+		case ag.Func == algebra.AggSum:
+			row = append(row, sum)
+		default: // AggAvg
+			row = append(row, rel.Float(sum.AsFloat()/float64(nonNull.AsInt())))
 		}
-		return rel.Int(acc.nonNull)
-	case algebra.AggSum:
-		if acc.nonNull == 0 {
-			return rel.Null
-		}
-		return acc.sum
-	case algebra.AggAvg:
-		if acc.nonNull == 0 {
-			return rel.Null
-		}
-		return rel.Float(acc.sum.AsFloat() / float64(acc.nonNull))
 	}
-	return rel.Null
+	return row
+}
+
+// rendered replaces every state row of rows, a slice the caller owns, by its
+// rendering, and sorts them by encoded row.
+func (a *AggMaterialized) rendered(rows []rel.Row) []rel.Row {
+	for i, st := range rows {
+		rows[i] = a.render(st)
+	}
+	rel.SortRows(rows)
+	return rows
 }
 
 // Rows materializes the SQL-visible contents: group columns followed by the
 // aggregate values with standard NULL semantics.
-func (a *AggMaterialized) Rows() []rel.Row {
-	return a.rowsFrom(len(a.groups), func(f func(string, *aggGroup) bool) {
-		for k, g := range a.groups {
-			if !f(k, g) {
-				return
-			}
-		}
-	})
-}
+func (a *AggMaterialized) Rows() []rel.Row { return a.rendered(a.linked()) }
 
 // applyAgg maintains an aggregation view: the aggregated primary delta is
 // folded in with the update's sign, then the secondary delta (computed from
@@ -258,7 +336,7 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Cont
 	}
 	applySpan := span.Child("primary.apply").SetInt("rows", int64(len(primary.Rows)))
 	if len(primary.Rows) > 0 {
-		if err := m.agg.fold(cs, "agg-primary-fold", primary.Rows, primary.Schema, sign); err != nil {
+		if err := cs.foldGroups("agg-primary-fold", primary.Rows, primary.Schema, sign); err != nil {
 			applySpan.End()
 			return err
 		}
@@ -280,7 +358,7 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Cont
 		}
 		ts := sec.Child("term.apply").SetStr("term", ip.term.SourceKey()).
 			SetInt("rows", int64(len(cand.Rows)))
-		err := m.agg.fold(cs, "agg-secondary-fold", cand.Rows, cand.Schema, -sign)
+		err := cs.foldGroups("agg-secondary-fold", cand.Rows, cand.Schema, -sign)
 		ts.End()
 		if err != nil {
 			return err

@@ -3,9 +3,11 @@ package view
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ojv/internal/algebra"
+	"ojv/internal/fixture"
 	"ojv/internal/rel"
 )
 
@@ -151,5 +153,94 @@ func TestViewPublishAllocBudget(t *testing.T) {
 	}
 	if got := m.Snapshot().Len(); got != resident || m.Materialized().Len() != resident {
 		t.Fatalf("%d rows in the epoch, %d in the view, want %d", got, m.Materialized().Len(), resident)
+	}
+}
+
+// aggCommitBytes returns what one commit on V2's aggregate allocates —
+// Begin, ApplyInsert of 1 000 fresh orders of 100 customers spread evenly
+// over the key space, CommitStaged — over a catalog of the given number of
+// customers, about nine groups in ten of them, with snapshots on or off: the
+// median of five rounds, each undone by a maintained delete before the next.
+func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
+	t.Helper()
+	cat, err := fixture.COL(fixture.COLOptions{Customers: customers, Orders: customers, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := DefineAggregate(cat, "v2agg", fixture.V2Expr(), v2AggSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintainer(def, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if snapshots {
+		m.EnableSnapshots()
+	}
+	delta := make([]rel.Row, 1000)
+	keys := make([][]rel.Value, len(delta))
+	for i := range delta {
+		delta[i] = rel.Row{rel.Int(int64(2*customers + i)), rel.Int(int64(i % 100 * (customers / 100))), rel.Int(int64(1 + i%9))}
+		keys[i] = []rel.Value{delta[i][0]}
+	}
+	var costs []uint64
+	var before, after runtime.MemStats
+	for round := 0; round < 5; round++ {
+		if err := cat.Insert("O", delta); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		cs := m.Begin()
+		stats, err := m.ApplyInsert(cs, "O", delta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.CommitStaged(cs, stats)
+		runtime.ReadMemStats(&after)
+		costs = append(costs, after.TotalAlloc-before.TotalAlloc)
+		deleted, err := cat.Delete("O", keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.OnDelete("O", deleted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Check(m); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(costs)
+	return costs[len(costs)/2]
+}
+
+// TestAggPublishAllocBudget bounds what snapshots add to an aggregate view's
+// commit: the bytes of a commit with snapshots on less those with them off,
+// for 1 000 orders over 100 groups spread among 2 000 and among 20 000. When
+// groups were folded in place and published to a persistent hash trie, the
+// dirty-key set, the clone of every touched group and the trie's path copies
+// cost 46.5 kB and 62.1 kB. A group replaced in a fresh slot costs the epoch
+// the leaf and height-1 node of its old handle; the new handles are a run off
+// the free list. That is 35.5 kB and 57.5 kB: the 100 old handles share 125
+// leaves and 8 height-1 nodes among 2 000 groups, and spread over 1 250
+// leaves and 79 height-1 nodes among 20 000. The budgets sit about 10 % above the highest of 20 runs, and
+// the cost at 20 000 groups may be at most 2× the cost at 2 000 (1.6× seen).
+func TestAggPublishAllocBudget(t *testing.T) {
+	snapshotBytes := func(customers int) int64 {
+		return int64(aggCommitBytes(t, customers, true)) - int64(aggCommitBytes(t, customers, false))
+	}
+	small, large := snapshotBytes(2200), snapshotBytes(22_000)
+	t.Logf("snapshots add %d B to a commit over 2 000 groups, %d B over 20 000", small, large)
+	if small > 41_000 {
+		t.Errorf("snapshots add %d B to a commit over 2 000 groups, budget 41000", small)
+	}
+	if large > 65_000 {
+		t.Errorf("snapshots add %d B to a commit over 20 000 groups, budget 65000", large)
+	}
+	if large > 2*small {
+		t.Errorf("snapshots add %d B over 20 000 groups against %d B over 2 000: more than 2×", large, small)
 	}
 }

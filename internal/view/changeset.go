@@ -8,21 +8,21 @@ import (
 )
 
 // Changeset is the undo log for one atomic maintenance run over a single
-// maintainer's stored view. Every view mutation — row inserts and deletes
-// on a Materialized (which carry the patternCount and per-table chain
-// updates with them) and group mutations on an AggMaterialized — is staged
-// through the changeset, which records enough to restore the exact
-// pre-mutation state. Rollback replays the log in reverse, returning the
-// view to its state at Begin: the same rows at the same handles, the same
-// counters and the same membership of every per-table chain (a row's place
-// within a chain is not state and may differ). Commit makes the run
-// permanent.
+// maintainer's stored view. Every mutation of the store — row inserts and
+// deletes on a Materialized (which carry the patternCount and per-table chain
+// updates with them), and the replacement of a group's state row on an
+// AggMaterialized, which is a delete and an insert too — is staged through
+// the changeset, which records enough to restore the exact pre-mutation
+// state. Rollback replays the log in reverse, returning the view to its
+// state at Begin: the same rows at the same handles, the same counters and
+// the same membership of every per-table chain (a row's place within a chain
+// is not state and may differ). Commit makes the run permanent.
 //
-// A view-row record is the row's handle and nothing else. That is enough
-// because a staged delete only unlinks its row and leaves it in its slot
-// (store.go): rollback relinks the slot, commit releases it. A published
-// epoch is indexed by the same handles, and the committing changeset's log
-// is the list of slots the next epoch differs in (epoch.go).
+// A record is the row's handle and nothing else. That is enough because a
+// staged delete only unlinks its row and leaves it in its slot (store.go):
+// rollback relinks the slot, commit releases it. A published epoch is indexed
+// by the same handles, and the committing changeset's log is the list of
+// slots the next epoch differs in (epoch.go).
 //
 // The paper assumes "the base tables have already been updated" when
 // maintenance runs; without a changeset any mid-apply error (a duplicate
@@ -45,20 +45,15 @@ import (
 //	secondary-orphan-insert   §5.2 cleanup, new-orphan insertion (delete case)
 //	frombase-orphan-delete    §5.3 cleanup, orphan removal (insert case)
 //	frombase-orphan-insert    §5.3 cleanup, new-orphan insertion (delete case)
-//	agg-primary-fold          aggregation view, one primary-delta row folded
-//	agg-secondary-fold        aggregation view, one secondary-delta row folded
+//	agg-primary-fold          aggregation view, the delete or the insert of
+//	                          a group the primary delta replaces
+//	agg-secondary-fold        aggregation view, the delete or the insert of
+//	                          a group the secondary delta replaces
 //	modify-between-passes     OnModify, between the delete and insert passes
 type Changeset struct {
-	m *Maintainer
-	// rows logs the view-row mutations of a Materialized in order; groups
-	// the first touch of each group of an AggMaterialized. A maintainer has
-	// one kind of view, so a changeset fills one of the two.
-	rows   []rowUndo
-	groups []groupUndo
-	// snapGroups marks aggregation-group keys whose pre-mutation state is
-	// already in the log, so each group is snapshotted at most once.
-	snapGroups map[string]bool
-	done       bool
+	m    *Maintainer
+	rows []rowUndo
+	done bool
 }
 
 type undoKind uint8
@@ -71,21 +66,12 @@ const (
 	undoViewDelete
 )
 
-// rowUndo is one view-row mutation: 8 bytes and no pointers, so the log is
+// rowUndo is one mutation of a stored row: 8 bytes and no pointers, so the log is
 // never scanned by the collector and its buffer is reused from changeset to
 // changeset.
 type rowUndo struct {
 	kind undoKind
 	h    int32
-}
-
-// groupUndo reverts all mutations of one aggregation group: restore the
-// snapshotted group, or remove it when the snapshot marks absence.
-type groupUndo struct {
-	key string
-	// group is the deep-copied pre-mutation group state; nil means the
-	// group did not exist at Begin.
-	group *aggGroup
 }
 
 // Begin opens an undo-logged changeset over the maintainer's stored view.
@@ -99,7 +85,7 @@ func (m *Maintainer) Begin() *Changeset {
 }
 
 // Len returns the number of undo records staged so far.
-func (cs *Changeset) Len() int { return len(cs.rows) + len(cs.groups) }
+func (cs *Changeset) Len() int { return len(cs.rows) }
 
 // fail consults the fault-injection hook at a mutation site.
 func (cs *Changeset) fail(site string) error {
@@ -109,12 +95,12 @@ func (cs *Changeset) fail(site string) error {
 	return cs.m.opts.FailPoint(site)
 }
 
-// insertRow stages the insertion of one view row under its view key.
+// insertRow stages the insertion of one row under its key.
 func (cs *Changeset) insertRow(site, key string, row rel.Row) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	h, err := cs.m.mv.insertRow(key, row)
+	h, err := cs.m.st.insertRow(key, row)
 	if err != nil {
 		return err
 	}
@@ -122,35 +108,17 @@ func (cs *Changeset) insertRow(site, key string, row rel.Row) error {
 	return nil
 }
 
-// deleteKey stages the deletion of the view row with the given key,
-// reporting whether a row was removed. The key is only read.
+// deleteKey stages the deletion of the row with the given key, reporting
+// whether a row was removed. The key is only read.
 func (cs *Changeset) deleteKey(site string, key []byte) (rel.Row, bool, error) {
 	if err := cs.fail(site); err != nil {
 		return nil, false, err
 	}
-	h, row, ok := cs.m.mv.unlinkKey(key)
+	h, row, ok := cs.m.st.unlinkKey(key)
 	if ok {
 		cs.rows = append(cs.rows, rowUndo{kind: undoViewDelete, h: h})
 	}
 	return row, ok, nil
-}
-
-// snapshotGroup records an aggregation group's pre-mutation state, once per
-// changeset. It must run before the group is first touched; fold calls it
-// for every row it merges.
-func (cs *Changeset) snapshotGroup(key string) {
-	if cs.snapGroups == nil {
-		cs.snapGroups = make(map[string]bool)
-	}
-	if cs.snapGroups[key] {
-		return
-	}
-	cs.snapGroups[key] = true
-	var snap *aggGroup
-	if g, ok := cs.m.agg.groups[key]; ok {
-		snap = g.clone()
-	}
-	cs.groups = append(cs.groups, groupUndo{key: key, group: snap})
 }
 
 // Commit makes every staged mutation permanent: the slots of the rows the
@@ -161,9 +129,10 @@ func (cs *Changeset) Commit() {
 	if cs.done {
 		return
 	}
+	slab := &cs.m.st.stored().slab
 	for _, r := range cs.rows {
 		if r.kind == undoViewDelete {
-			cs.m.mv.slab.Release(r.h)
+			slab.Release(r.h)
 		}
 	}
 	cs.finish()
@@ -175,29 +144,29 @@ func (cs *Changeset) finish() {
 	if cap(cs.rows) > cap(cs.m.logBuf) {
 		cs.m.logBuf = cs.rows[:0]
 	}
-	cs.rows, cs.groups, cs.snapGroups = nil, nil, nil
+	cs.rows = nil
 	cs.done = true
 }
 
-// undoRow reverts one view-row record, after checking that the slot is in
-// the state the record left it in: an inserted row linked under its key, a
-// deleted one still in its slot with its key free. The two mutations name
-// the stored view through cs, not the alias, so that ojvlint sees them — and
-// their exemption — for what they are.
+// undoRow reverts one record, after checking that the slot is in the state
+// the record left it in: an inserted row linked under its key, a deleted one
+// still in its slot with its key free. The two mutations name the store
+// through cs, not the alias, so that ojvlint sees them — and their exemption
+// — for what they are.
 func (cs *Changeset) undoRow(r rowUndo) error {
-	mv := cs.m.mv
-	if r.h >= mv.slab.Used() || mv.slab.At(r.h).Row == nil {
+	s := cs.m.st.stored()
+	if r.h >= s.slab.Used() || s.slab.At(r.h).Row == nil {
 		return errMutatedOutside
 	}
-	at, linked := mv.rows[mv.slab.At(r.h).Key]
+	at, linked := s.rows[s.slab.At(r.h).Key]
 	switch {
 	case r.kind == undoViewInsert && linked && at == r.h:
 		//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-		cs.m.mv.unlink(r.h)
-		mv.slab.Release(r.h)
+		cs.m.st.unlink(r.h)
+		s.slab.Release(r.h)
 	case r.kind == undoViewDelete && !linked:
 		//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-		cs.m.mv.relink(r.h)
+		cs.m.st.relink(r.h)
 	default:
 		return errMutatedOutside
 	}
@@ -215,27 +184,10 @@ func (cs *Changeset) Rollback() error {
 	if cs.done {
 		return nil
 	}
-	rows, groups := cs.rows, cs.groups
 	defer cs.finish()
-	for i := len(rows) - 1; i >= 0; i-- {
-		if err := cs.undoRow(rows[i]); err != nil {
+	for i := len(cs.rows) - 1; i >= 0; i-- {
+		if err := cs.undoRow(cs.rows[i]); err != nil {
 			return fmt.Errorf("view %s: rollback: %v; re-materialize the view", cs.m.def.Name, err)
-		}
-	}
-	for i := len(groups) - 1; i >= 0; i-- {
-		r := groups[i]
-		// The direct map writes below bypass fold, so the epoch dirty set
-		// must learn the key here; the rolled-back group resolves to its
-		// unchanged committed state at the next publish.
-		if cs.m.agg.dirtyGroups != nil {
-			cs.m.agg.dirtyGroups[r.key] = struct{}{}
-		}
-		if r.group == nil {
-			//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-			delete(cs.m.agg.groups, r.key)
-		} else {
-			//ojvlint:ignore failsite rollback must never consult the fault hook: undo replay has to succeed unconditionally
-			cs.m.agg.groups[r.key] = r.group
 		}
 	}
 	return nil

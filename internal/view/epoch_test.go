@@ -93,7 +93,7 @@ func TestViewEpochRollbackPublishesNothing(t *testing.T) {
 		t.Fatal("rolled-back run changed the published state")
 	}
 
-	// The poisoned dirty keys must resolve cleanly on the next real commit.
+	// The next real commit publishes from the restored store.
 	failing = false
 	runInsert(t, cat, m, "R", insertRowsFor(cat, "R", 3, 301, false))
 	cur := m.Snapshot()
@@ -128,7 +128,9 @@ func TestViewEpochTermCardinality(t *testing.T) {
 }
 
 // TestAggEpochPinnedAcrossCommits exercises epochs over an aggregation
-// view, where live groups mutate in place and must be cloned at publish.
+// view, whose groups are replaced in fresh slots and never written in place:
+// a pinned epoch keeps its groups across commits and across a changeset that
+// replaces groups and is rolled back.
 func TestAggEpochPinnedAcrossCommits(t *testing.T) {
 	cat, m := newAggMaintainer(t, false)
 	m.EnableSnapshots()
@@ -153,6 +155,38 @@ func TestAggEpochPinnedAcrossCommits(t *testing.T) {
 	}
 	if cur.Epoch() <= pinned.Epoch() {
 		t.Fatal("aggregation epoch not monotonic")
+	}
+
+	wantCur := fingerprintRows(cur.Rows())
+	cat.PublishEpochs() // the base rollback below returns O to this epoch
+	oRows := []rel.Row{{rel.Int(3100), rel.Int(3001), rel.Int(5)}, {rel.Int(3101), rel.Int(3003), rel.Int(7)}}
+	if err := cat.Insert("O", oRows); err != nil {
+		t.Fatal(err)
+	}
+	cs := m.Begin()
+	if _, err := m.ApplyInsert(cs, "O", oRows, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cs.Len() == 0 {
+		t.Fatal("the changeset replaced no group")
+	}
+	if err := m.RollbackStaged(cs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Rollback([]string{"O"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprintRows(pinned.Rows()); got != wantPinned {
+		t.Fatal("pinned aggregation epoch changed under a rolled-back changeset")
+	}
+	if after := m.Snapshot(); after.Epoch() != cur.Epoch() || fingerprintRows(after.Rows()) != wantCur {
+		t.Fatal("a rolled-back changeset changed the published aggregation epoch")
+	}
+	if got := fingerprintRows(m.Aggregated().Rows()); got != wantCur {
+		t.Fatal("a rolled-back changeset changed the stored groups")
+	}
+	if err := Check(m); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -19,8 +19,11 @@ import (
 // the catalog, exactly as the paper assumes ("the base tables have already
 // been updated").
 type Maintainer struct {
-	mv   *Materialized
-	agg  *AggMaterialized // non-nil for aggregation views
+	mv  *Materialized
+	agg *AggMaterialized // non-nil for aggregation views
+	// st is whichever of the two the maintainer has: the store its
+	// changesets stage into and its epochs publish.
+	st   rowStore
 	def  *Definition
 	opts Options
 	// planMu guards plans: the cache is populated lazily from paths the
@@ -33,12 +36,10 @@ type Maintainer struct {
 	// in register and DropView), like every other catalog DDL.
 	held []arrangement
 
-	// mvEp/aggEp hold the current committed epoch once EnableSnapshots has
-	// run (exactly one is used, matching mv/agg); epochSeq is the per-view
-	// publish counter and pins the cached snapshot-pin counter. See
-	// epoch.go.
-	mvEp     atomic.Pointer[mvEpoch]
-	aggEp    atomic.Pointer[aggEpoch]
+	// ep holds the current committed epoch once EnableSnapshots has run;
+	// epochSeq is the per-view publish counter and pins the cached
+	// snapshot-pin counter. See epoch.go.
+	ep       atomic.Pointer[viewEpoch]
 	epochSeq uint64
 	pins     *obs.Counter
 
@@ -189,13 +190,13 @@ func NewMaintainer(def *Definition, opts Options) (*Maintainer, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.agg = am
+		m.agg, m.st = am, am
 	} else {
 		mv, err := newMaterialized(def, opts)
 		if err != nil {
 			return nil, err
 		}
-		m.mv = mv
+		m.mv, m.st = mv, mv
 	}
 	return m, nil
 }
@@ -217,7 +218,7 @@ func (m *Maintainer) Materialize() error {
 	} else {
 		err = m.mv.Materialize()
 	}
-	if err == nil && m.snapshotsEnabled() {
+	if err == nil && m.ep.Load() != nil {
 		m.publishFull()
 	}
 	return err

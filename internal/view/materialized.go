@@ -86,13 +86,7 @@ func (m *Materialized) Schema() rel.Schema { return m.schema }
 func (m *Materialized) Len() int { return len(m.rows) }
 
 // Rows returns all view rows in unspecified order.
-func (m *Materialized) Rows() []rel.Row {
-	out := make([]rel.Row, 0, len(m.rows))
-	for _, h := range m.rows {
-		out = append(out, m.slab.At(h).Row)
-	}
-	return out
-}
+func (m *Materialized) Rows() []rel.Row { return m.linked() }
 
 // appendKey appends a view key to buf: for every table of mask, the encoded
 // values row carries at cols[i] (table i's key columns, in whatever schema

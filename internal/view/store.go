@@ -22,6 +22,21 @@ import "ojv/internal/rel"
 // leaves every live row at the handle it had, the published epoch (a
 // rel.RowVec indexed by handle) equals the committed store slot for slot, and
 // an undo record is the handle alone.
+//
+// An aggregation view keeps its groups in a store too (agg.go), one state
+// row per group under the encoded group key, with no term counters and no
+// chains. A changeset stages into either kind through rowStore.
+
+// rowStore is the seam between a changeset and the store it stages into:
+// the four staged mutations, and the store they act on, whose slots an epoch
+// publishes and a commit releases.
+type rowStore interface {
+	insertRow(k string, row rel.Row) (int32, error)
+	unlinkKey(k []byte) (int32, rel.Row, bool)
+	unlink(h int32)
+	relink(h int32)
+	stored() *store
+}
 
 const (
 	// maxTables is the widest view a uint32 term pattern can describe.
@@ -42,9 +57,11 @@ type chainLink struct{ next, prev int32 }
 // table equals the bucket's key.
 type chain struct{ head, count int32 }
 
-// store is the mutable half of a Materialized.
+// store is the mutable half of a Materialized or an AggMaterialized.
 type store struct {
-	rows         map[string]int32
+	rows map[string]int32
+	// patternCount counts the rows of each term pattern; nil in an
+	// aggregation view, whose rows belong to no term.
 	patternCount map[uint32]int
 
 	// slab holds the rows: len(rows) + len(slab.Free()) == slab.Used(), less
@@ -74,6 +91,19 @@ func newStore(nTables int, indexed bool) store {
 		}
 	}
 	return s
+}
+
+// stored returns the store itself, for a changeset or an epoch that reaches
+// it through rowStore.
+func (s *store) stored() *store { return s }
+
+// linked returns the rows of the linked slots, in unspecified order.
+func (s *store) linked() []rel.Row {
+	out := make([]rel.Row, 0, len(s.rows))
+	for _, h := range s.rows {
+		out = append(out, s.slab.At(h).Row)
+	}
+	return out
 }
 
 func (s *store) link(h int32, table int) *chainLink {
