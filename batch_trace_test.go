@@ -53,7 +53,7 @@ func TestGoldenFlushTrace(t *testing.T) {
 			ojv.Eq("customer", "ck", "orders", "ock")),
 		ojv.Columns("customer.ck", "customer.name", "orders.ok", "orders.total",
 			"lineitem.lok", "lineitem.ln", "lineitem.qty"),
-		ojv.Options{Parallelism: 1, Tracer: tracer})
+		ojv.Options{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

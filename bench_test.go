@@ -275,9 +275,8 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 	left := mkRel("t", 4000, 1000)
 	right := mkRel("u", 4000, 1000)
 	ctx := &exec.Context{
-		Catalog:     rel.NewCatalog(),
-		Rels:        map[string]exec.Relation{"L": left, "R": right},
-		Parallelism: 1,
+		Catalog: rel.NewCatalog(),
+		Rels:    map[string]exec.Relation{"L": left, "R": right},
 	}
 	join := &algebra.Join{
 		Kind:  algebra.InnerJoin,
@@ -294,34 +293,6 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 		if len(out.Rows) == 0 {
 			b.Fatal("empty join result")
 		}
-	}
-}
-
-// BenchmarkParallelMaintenance measures the V3 insert workload at explicit
-// worker counts; on a multi-core machine higher counts shorten the delta
-// evaluation (on a single core all settings degenerate to the serial path).
-func BenchmarkParallelMaintenance(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			n := bench.ScaleN(60000, benchSF)
-			s, err := bench.NewSetupWith(benchSF, 1, bench.MethodOJV, n,
-				view.Options{Parallelism: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := s.TakeHeldOut()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.InsertBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if _, err := s.DeleteBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
 	}
 }
 

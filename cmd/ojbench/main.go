@@ -23,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"ojv/internal/bench"
@@ -37,14 +38,18 @@ func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor (the paper runs SF=1)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	reps := flag.Int("reps", 3, "repetitions per measured point (median reported)")
-	workers := flag.Int("workers", 0, "maintenance parallelism (0 = GOMAXPROCS, 1 = serial)")
 	batchSize := flag.Int("batchsize", 0, "executor pipeline batch size in rows (0 = exec default)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of every maintenance run to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics snapshot (JSON) after the experiments")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
 	flag.Parse()
+	selected, err := selectExperiments(*experiment)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ojbench: %v\n", err)
+		os.Exit(2)
+	}
 	benchReps = *reps
-	benchOpts = view.Options{Parallelism: *workers, BatchSize: *batchSize}
+	benchOpts = view.Options{BatchSize: *batchSize}
 	if *tracePath != "" {
 		benchTracer = obs.NewTracer()
 		benchOpts.Tracer = benchTracer
@@ -62,20 +67,12 @@ func main() {
 		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	run := func(name string, f func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "ojbench: %s: %v\n", name, err)
+	for _, e := range selected {
+		if err := e.run(*sf, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "ojbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 	}
-	run("table1", func() error { return table1(*sf, *seed) })
-	run("fig5a", func() error { return fig5(*sf, *seed, true) })
-	run("fig5b", func() error { return fig5(*sf, *seed, false) })
-	run("ablations", func() error { return ablations(*sf, *seed) })
-	run("scaling", func() error { return scaling() })
 
 	if benchTracer != nil {
 		f, err := os.Create(*tracePath)
@@ -104,6 +101,38 @@ func main() {
 	}
 }
 
+// experiment is one value of -experiment and the code it runs.
+type experiment struct {
+	name string
+	run  func(sf float64, seed int64) error
+}
+
+// experiments are the runnable experiments, in the order "all" runs them.
+var experiments = []experiment{
+	{"table1", table1},
+	{"fig5a", func(sf float64, seed int64) error { return fig5(sf, seed, true) }},
+	{"fig5b", func(sf float64, seed int64) error { return fig5(sf, seed, false) }},
+	{"ablations", ablations},
+	{"scaling", func(float64, int64) error { return scaling() }},
+}
+
+// selectExperiments resolves an -experiment value: one experiment by name,
+// or every one for "all". Any other value is an error listing the valid
+// names.
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return experiments, nil
+	}
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		if e.name == name {
+			return experiments[i : i+1], nil
+		}
+		names[i] = e.name
+	}
+	return nil, fmt.Errorf("unknown experiment %q; valid: %s, all", name, strings.Join(names, ", "))
+}
+
 // benchTracer and benchMetrics are non-nil when -trace / -metrics are set;
 // benchOpts carries them into every view the experiments build.
 var (
@@ -113,16 +142,16 @@ var (
 
 var benchReps = 3
 
-// benchOpts carries the -workers setting into every non-GK experiment.
+// benchOpts carries -batchsize, -trace and -metrics into every non-GK
+// experiment.
 var benchOpts view.Options
 
 // emitBench prints one machine-readable result line per experiment, tagged
-// with the worker setting and GOMAXPROCS so runs on different machines and
+// with the batch size and GOMAXPROCS so runs on different machines and
 // flag combinations can be compared. Durations marshal as nanoseconds.
 func emitBench(experiment string, data any) {
 	b, err := json.Marshal(map[string]any{
 		"experiment": experiment,
-		"workers":    benchOpts.Parallelism,
 		"batchsize":  benchOpts.BatchSize,
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"data":       data,
@@ -272,9 +301,7 @@ func ablations(sf float64, seed int64) error {
 		{"bushy", view.Options{DisableLeftDeep: true}},
 		{"no-fk-simplify", view.Options{DisableFKSimplify: true}},
 	} {
-		opts := cfg.opts
-		opts.Parallelism = benchOpts.Parallelism
-		el, err := medianOf(benchReps, func() (time.Duration, error) { return v1Insert(opts) })
+		el, err := medianOf(benchReps, func() (time.Duration, error) { return v1Insert(cfg.opts) })
 		if err != nil {
 			return err
 		}
@@ -305,7 +332,6 @@ func customerInsert(sf float64, seed int64, disableFKGraph bool) (time.Duration,
 	s, err := bench.NewSetupOpts(sf, seed, view.Options{
 		DisableFKGraph:    disableFKGraph,
 		DisableFKSimplify: disableFKGraph,
-		Parallelism:       benchOpts.Parallelism,
 	})
 	if err != nil {
 		return 0, err

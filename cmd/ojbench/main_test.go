@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"ojv/internal/obs"
@@ -24,7 +25,7 @@ func withBenchGlobals(t *testing.T) (*obs.Tracer, *obs.Registry) {
 	benchReps = 1
 	benchTracer = obs.NewTracer()
 	benchMetrics = obs.NewRegistry()
-	benchOpts = view.Options{Parallelism: 2, Tracer: benchTracer, Metrics: benchMetrics}
+	benchOpts = view.Options{Tracer: benchTracer, Metrics: benchMetrics}
 	return benchTracer, benchMetrics
 }
 
@@ -70,6 +71,32 @@ func TestFig5WithObservation(t *testing.T) {
 	for _, name := range []string{"view.commits", "view.rows.primary", "exec.rows.scanned"} {
 		if snap[name] == 0 {
 			t.Errorf("metric %s is zero after a Figure 5 run", name)
+		}
+	}
+}
+
+// TestSelectExperiments pins -experiment resolution: a name selects its
+// experiment, "all" selects every one in order, and anything else is an
+// error naming the valid values.
+func TestSelectExperiments(t *testing.T) {
+	got, err := selectExperiments("fig5b")
+	if err != nil || len(got) != 1 || got[0].name != "fig5b" {
+		t.Fatalf(`selectExperiments("fig5b") = %v, %v`, got, err)
+	}
+	all, err := selectExperiments("all")
+	if err != nil || len(all) != len(experiments) {
+		t.Fatalf(`selectExperiments("all") = %d experiments, %v; want %d`, len(all), err, len(experiments))
+	}
+	for _, name := range []string{"fig5", "", "ALL", "table1 "} {
+		got, err := selectExperiments(name)
+		if err == nil {
+			t.Errorf("selectExperiments(%q) = %d experiments, want an error", name, len(got))
+			continue
+		}
+		for _, e := range experiments {
+			if !strings.Contains(err.Error(), e.name) {
+				t.Errorf("selectExperiments(%q) error %q does not name %s", name, err, e.name)
+			}
 		}
 	}
 }

@@ -310,8 +310,8 @@ func physicalPlan(w io.Writer, cat *rel.Catalog, e algebra.Expr) error {
 // explainStats materializes the view, runs one traced delete of a few
 // unreferenced rows followed by their re-insertion (a net no-op on the
 // data), and prints the maintenance scripts annotated with the observed
-// per-statement stats plus the full recorded span trees. Maintenance runs
-// serially so the trace is deterministic up to durations.
+// per-statement stats plus the full recorded span trees. The trace is
+// deterministic up to durations.
 func explainStats(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table string, strategy view.Strategy) error {
 	def, err := view.Define(cat, name, expr, allOutput(cat, expr))
 	if err != nil {
@@ -320,10 +320,9 @@ func explainStats(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table 
 	tracer := obs.NewTracer()
 	metrics := obs.NewRegistry()
 	m, err := view.NewMaintainer(def, view.Options{
-		Strategy:    strategy,
-		Parallelism: 1,
-		Tracer:      tracer,
-		Metrics:     metrics,
+		Strategy: strategy,
+		Tracer:   tracer,
+		Metrics:  metrics,
 	})
 	if err != nil {
 		return err

@@ -7,14 +7,15 @@
 //   - rowalias flags rel.Row values, encoded-key []byte buffers, and row
 //     maps that are stored or emitted downstream and then mutated or
 //     reused — the scratch-buffer aliasing bug class the zero-alloc exec
-//     layer (rel.HashRowCols, rel.AppendRowCols, morsel outputs) makes
+//     layer (rel.HashRowCols, rel.AppendRowCols, the join's scratch row) makes
 //     possible, and the publish-then-write bug class of the epoch snapshot
 //     layer (a fresh-map reassignment after the publish is the sanctioned
 //     copy-on-write idiom). Aliasing is not a data race, so the race
 //     detector never sees it.
 //   - locksafe flags a Lock/RLock without a matching Unlock/RUnlock in the
 //     same function, and WaitGroup.Add calls placed inside the goroutine
-//     they guard — the misuse patterns that matter for the exec pool.
+//     they guard — the misuse patterns that matter for the flush's worker
+//     pool.
 //   - errfmt enforces the repo's diagnostic conventions: error messages in
 //     the algebra/rel/exec/gk domains carry their "domain: " prefix, and
 //     plan-invariant diagnostics cite the paper section (§N.N) they

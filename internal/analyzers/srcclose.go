@@ -11,8 +11,8 @@ import (
 // maintenance path opens constantly: obs spans (StartSpan/Child ... End)
 // and executor sources (NewPipeline or Program.Start ... Close). A span left un-Ended skews
 // every duration above it; a source left un-Closed leaks operator state and
-// pool goroutines — the class TestPipelineGoroutineLeak can only catch for
-// the paths a test happens to execute. The analyzer walks every return
+// its span — a class tests can only catch for the paths they happen to
+// execute. The analyzer walks every return
 // path, including error exits, and reports resources still open.
 //
 // The abstraction: an open binds a variable; a close is v.End()/v.Close()

@@ -233,8 +233,8 @@ func NewSetup(sf float64, seed int64, method Method, holdOut int) (*Setup, error
 }
 
 // NewSetupWith is NewSetup with explicit base maintenance options (e.g. a
-// Parallelism setting); the method still controls the view shape and forces
-// its own Strategy. The GK baseline ignores the options.
+// BatchSize, Tracer or Metrics); the method still controls the view shape
+// and forces its own Strategy. The GK baseline ignores the options.
 func NewSetupWith(sf float64, seed int64, method Method, holdOut int, base view.Options) (*Setup, error) {
 	db, err := tpch.Generate(tpch.Config{ScaleFactor: sf, Seed: seed})
 	if err != nil {

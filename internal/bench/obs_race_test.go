@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -10,24 +9,22 @@ import (
 	"ojv/internal/view"
 )
 
-// TestObservedParallelHammer is the regression test for lost metric
-// updates under parallel maintenance: it drives repeated insert/delete
-// cycles of one V3 view with StrategyFromBase and four workers — the
-// configuration where per-term candidate computation and morsel-parallel
-// hash joins hit the registry from several goroutines at once — while a
-// background goroutine continuously snapshots the registry and renders the
-// live span forest. Run under -race this flushes out unsynchronized
-// access; in any mode it asserts that no counter update was lost: the
-// registry's row counters must equal the sums of the per-run MaintStats
-// exactly, and the per-worker morsel tallies must sum to the total.
-func TestObservedParallelHammer(t *testing.T) {
+// TestObservedMaintenanceHammer is the regression test for lost metric
+// updates while maintenance is observed: it drives repeated insert/delete
+// cycles of one V3 view with StrategyFromBase — every term's §5.3
+// anti-joins feeding the registry — while a background goroutine
+// continuously snapshots the registry and renders the live span forest.
+// Run under -race this flushes out unsynchronized access between the
+// maintaining and the observing goroutine; in any mode it asserts that no
+// counter update was lost: the registry's row counters must equal the sums
+// of the per-run MaintStats exactly.
+func TestObservedMaintenanceHammer(t *testing.T) {
 	tracer := obs.NewTracer()
 	reg := obs.NewRegistry()
 	n := ScaleN(60000, testSF)
 	s, err := NewSetupWith(testSF, 1, MethodOJVBase, n, view.Options{
-		Parallelism: 4,
-		Tracer:      tracer,
-		Metrics:     reg,
+		Tracer:  tracer,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,20 +107,8 @@ func TestObservedParallelHammer(t *testing.T) {
 		t.Errorf("view.rollbacks = %d on a fault-free hammer", got)
 	}
 
-	// Per-worker morsel tallies must sum to the published total — a lost
-	// update in the partitioned hash join would break this identity.
-	var workerSum int64
-	for name, v := range after {
-		if strings.HasPrefix(name, "exec.morsels.worker.") {
-			workerSum += v - before[name]
-		}
-	}
-	if total := delta("exec.morsels.total"); workerSum != total {
-		t.Errorf("worker morsel counts sum to %d, total says %d", workerSum, total)
-	}
-
-	// Every recorded span tree must validate even though children were
-	// attached from parallel workers.
+	// Every recorded span tree must validate even though it was rendered
+	// while children were being attached.
 	roots := tracer.Roots()
 	if len(roots) == 0 {
 		t.Fatal("hammer recorded no spans")
@@ -135,9 +120,6 @@ func TestObservedParallelHammer(t *testing.T) {
 		}
 		if r.Name() == "view.maintain" {
 			maintains++
-			if p, _ := r.AttrInt("parallelism"); p != 4 {
-				t.Errorf("maintain root records parallelism=%d, want 4", p)
-			}
 		}
 	}
 	if maintains != int(runs) {

@@ -78,7 +78,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := &Context{Catalog: rel.NewCatalog(), Rels: rels, Parallelism: 1}
+			ctx := &Context{Catalog: rel.NewCatalog(), Rels: rels}
 			avg := testing.AllocsPerRun(5, func() {
 				if _, err := Eval(ctx, tc.expr); err != nil {
 					t.Fatal(err)

@@ -17,11 +17,10 @@
 // relies on — a small delta on the left of a left-deep tree makes
 // maintenance cost proportional to the delta, not the base tables.
 //
-// Evaluation is partition-parallel when Context.Parallelism allows it:
-// join build sides drain concurrently with opening the probe side, and
-// large probe batches are processed in morsels (see partition.go and
-// streamjoin.go). Every setting produces identical rows in identical
-// order.
+// A pipeline runs on the goroutine that pulls it: a hash join drains and
+// builds its right side at Open, then opens its left side, so rows arrive
+// in one deterministic order. Concurrency lives a level up, where a flush
+// maintains independent components on separate workers.
 package exec
 
 import (
@@ -58,21 +57,16 @@ type Context struct {
 	// streams exactly the rows the subtree would produce, in the same
 	// order and schema. See view.PlanShared.
 	Bound map[algebra.Expr]Source
-	// Parallelism caps the worker goroutines evaluation may use for
-	// partitioned hash joins and concurrent subtree evaluation. 0 (the
-	// zero value) means runtime.GOMAXPROCS(0); 1 forces serial execution.
-	// Results are deterministic — identical rows in identical order — at
-	// every setting.
-	Parallelism int
 	// BatchSize is the soft row cap per pipeline batch (joins may overshoot
 	// for one input batch rather than split their output). Non-positive
-	// means DefaultBatchSize.
+	// means DefaultBatchSize. Results are identical rows in identical order
+	// at every setting.
 	BatchSize int
 	// Metrics, when non-nil, receives executor counters (rows scanned, hash
-	// build/probe rows, λ and condense applications, per-worker morsel
-	// counts). Counters are incremented once per batch with batch totals,
-	// never per row, so the enabled overhead stays small; a nil registry
-	// costs one pointer check per batch.
+	// build/probe rows, λ and condense applications). Counters are
+	// incremented once per batch with batch totals, never per row, so the
+	// enabled overhead stays small; a nil registry costs one pointer check
+	// per batch.
 	Metrics *obs.Registry
 	// Span, when non-nil, is the parent span per-operator pipeline spans
 	// attach under; the pipeline mirrors the plan tree beneath it, each

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzStreamEquivalence drives random SPOJ plans through the streaming
-// pipeline at a fuzzed (Parallelism, BatchSize) and compares the result —
+// pipeline at a fuzzed BatchSize and compares the result —
 // as an order-insensitive multiset — against the materializing reference
 // evaluator. Every plan is compiled once and started twice, with the
 // catalog mutated in between, so state leaking from one run of a Program
@@ -17,9 +17,9 @@ import (
 // deep full-outer chains stay cheap per input.
 func FuzzStreamEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed%5), uint8(1<<uint(seed%4)))
+		f.Add(seed, uint8(1<<uint(seed%4)))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, par, batch uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, batch uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		cat, err := fixture.RandCatalog(rng, 40)
 		if err != nil {
@@ -28,9 +28,8 @@ func FuzzStreamEquivalence(f *testing.F) {
 		expr := fixture.RandSPOJ(rng)
 
 		ctx := &Context{
-			Catalog:     cat,
-			Parallelism: int(par % 8),    // 0 means GOMAXPROCS
-			BatchSize:   int(batch % 64), // 0 means DefaultBatchSize
+			Catalog:   cat,
+			BatchSize: int(batch % 64), // 0 means DefaultBatchSize
 		}
 		prog, err := Compile(cat, nil, expr)
 		if err != nil {
@@ -60,8 +59,8 @@ func FuzzStreamEquivalence(f *testing.F) {
 				t.Fatalf("run %d: schema %s, want %s\nplan: %s", run, got.Schema, want.Schema, expr)
 			}
 			if !sameRelation(got, want) {
-				t.Fatalf("run %d par=%d batch=%d: pipeline produced %d rows, oracle %d rows\nplan: %s",
-					run, ctx.Parallelism, ctx.BatchSize, len(got.Rows), len(want.Rows), expr)
+				t.Fatalf("run %d batch=%d: pipeline produced %d rows, oracle %d rows\nplan: %s",
+					run, ctx.BatchSize, len(got.Rows), len(want.Rows), expr)
 			}
 		}
 	})

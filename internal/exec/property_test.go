@@ -198,11 +198,11 @@ func TestHashJoinAgainstNestedLoop(t *testing.T) {
 		a := randRelation(rng, "t", 3+rng.Intn(6))
 		b := randRelation(rng, "u", 3+rng.Intn(6))
 		for _, kind := range allJoinKinds {
-			hashed, err := joinRels(1, kind, a, b, algebra.Eq("t", "x", "u", "x"))
+			hashed, err := joinRels(kind, a, b, algebra.Eq("t", "x", "u", "x"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			nested, err := joinRels(1, kind, a, b, eqAsRange())
+			nested, err := joinRels(kind, a, b, eqAsRange())
 			if err != nil {
 				t.Fatal(err)
 			}

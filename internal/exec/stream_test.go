@@ -16,11 +16,10 @@ import (
 // tree-walking evaluator that materializes each node bottom-up (the shape
 // the executor had before the pipeline refactor). The pipeline must produce
 // the same multiset as the oracle, and byte-identical rows in identical
-// order at every (Parallelism, BatchSize) setting.
+// order at every BatchSize setting.
 
 // evalReference is the test-only materializing oracle. Joins run as a
-// serial nested loop (never index nested loop, never hashed, never
-// partitioned), so it shares no physical machinery with the pipeline other
+// nested loop (never index nested loop, never hashed), so it shares no physical machinery with the pipeline other
 // than the row-level helpers (dedup, removeSubsumed, null extension) that
 // predate the refactor and have their own unit tests.
 func evalReference(ctx *Context, e algebra.Expr) (Relation, error) {
@@ -516,14 +515,13 @@ func newStreamFixture(t testing.TB, rng *rand.Rand, rows int) *streamFixture {
 	}
 }
 
-func (fx *streamFixture) context(tc streamCase, par, batch int) *Context {
+func (fx *streamFixture) context(tc streamCase, batch int) *Context {
 	return &Context{
 		Catalog:       fx.cat,
 		DeltaTable:    "A",
 		Delta:         fx.delta,
 		DeltaIsInsert: !tc.deltaDelete,
 		Rels:          map[string]Relation{"__r": fx.relA},
-		Parallelism:   par,
 		BatchSize:     batch,
 	}
 }
@@ -537,17 +535,14 @@ func sortedRows(rows []rel.Row) []rel.Row {
 	return rows
 }
 
-// streamSettings are the (Parallelism, BatchSize) combinations every
-// property is checked at. BatchSize 1 forces the maximum number of operator
-// round trips; 7 exercises ragged batch boundaries; 1024 is the default.
-var streamSettings = []struct{ par, batch int }{
-	{1, 1}, {1, 7}, {1, 1024},
-	{4, 1}, {4, 7}, {4, 1024},
-}
+// streamSettings are the BatchSize values every property is checked at. 1
+// forces the maximum number of operator round trips; 7 exercises ragged
+// batch boundaries; 1024 is the default.
+var streamSettings = []int{1, 7, 1024}
 
 // TestStreamEquivalence is the stream ≡ materialize property over the
 // fixture catalog: for every operator and join kind, the pipeline must
-// produce the oracle's multiset at every (Parallelism, BatchSize) setting.
+// produce the oracle's multiset at every BatchSize setting.
 // Row order is not compared here — catalog scans hand out rows in map
 // order, so even two identical evaluations disagree on order; the order
 // contract is proven over fixed-order inputs by TestStreamOrderDeterminism.
@@ -556,18 +551,18 @@ func TestStreamEquivalence(t *testing.T) {
 	fx := newStreamFixture(t, rng, 300)
 	for _, tc := range streamCases(rng) {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := evalReference(fx.context(tc, 1, 0), tc.expr)
+			want, err := evalReference(fx.context(tc, 0), tc.expr)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
-			for _, s := range streamSettings {
-				got := evalOK(t, fx.context(tc, s.par, s.batch), tc.expr)
+			for _, batch := range streamSettings {
+				got := evalOK(t, fx.context(tc, batch), tc.expr)
 				if got.Schema.String() != want.Schema.String() {
-					t.Fatalf("par=%d batch=%d: schema %s, want %s", s.par, s.batch, got.Schema, want.Schema)
+					t.Fatalf("batch=%d: schema %s, want %s", batch, got.Schema, want.Schema)
 				}
 				if !sameRelation(got, want) {
-					t.Fatalf("par=%d batch=%d: %d rows differ from oracle's %d rows\n%s",
-						s.par, s.batch, len(got.Rows), len(want.Rows), tc.expr)
+					t.Fatalf("batch=%d: %d rows differ from oracle's %d rows\n%s",
+						batch, len(got.Rows), len(want.Rows), tc.expr)
 				}
 			}
 		})
@@ -578,7 +573,7 @@ func TestStreamEquivalence(t *testing.T) {
 // every leaf is either a bound relation (fixed row order) or, for the
 // index-nested-loop cases, a base table that is only index-probed, never
 // scanned. Over these inputs the pipeline promises byte-identical rows in
-// identical order at every (Parallelism, BatchSize) setting.
+// identical order at every BatchSize setting.
 func orderCases() []streamCase {
 	rref := func(n string) algebra.Expr { return &algebra.RelRef{Name: n, TableNames: []string{n}} }
 	a, b := rref("A"), rref("B")
@@ -647,11 +642,9 @@ func orderCases() []streamCase {
 }
 
 // TestStreamOrderDeterminism evaluates fixed-order inputs at every
-// (Parallelism, BatchSize) combination and requires byte-identical rows in
-// identical order, plus multiset agreement with the oracle. The bound
-// relations are large enough (with a skewed join domain) that Parallelism 4
-// trips the partitioned probe path, so morsel-order output concatenation is
-// exercised under the race detector.
+// BatchSize and requires byte-identical rows in identical order, plus
+// multiset agreement with the oracle. The bound relations span several
+// default-size batches, with a skewed join domain.
 func TestStreamOrderDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(1042))
 	fx := newStreamFixture(t, rng, 60)
@@ -674,9 +667,7 @@ func TestStreamOrderDeterminism(t *testing.T) {
 		t := fx.cat.Table(table)
 		return Relation{Schema: t.Schema(), Rows: sortedRows(t.Rows())}
 	}
-	// 500×600 keeps the quadratic oracle fast while still tripping the
-	// partitioned probe path at the default batch size (600 build rows plus
-	// a 500-row probe batch exceed partitionedJoinMinRows).
+	// 500×600 keeps the quadratic oracle fast.
 	rels := map[string]Relation{
 		"A":   mkBig("A", 500),
 		"B":   mkBig("B", 600),
@@ -686,12 +677,12 @@ func TestStreamOrderDeterminism(t *testing.T) {
 	}
 	for _, tc := range orderCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			mkCtx := func(par, batch int) *Context {
-				ctx := fx.context(tc, par, batch)
+			mkCtx := func(batch int) *Context {
+				ctx := fx.context(tc, batch)
 				ctx.Rels = rels
 				return ctx
 			}
-			want, err := evalReference(mkCtx(1, 0), tc.expr)
+			want, err := evalReference(mkCtx(0), tc.expr)
 			if err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
@@ -699,19 +690,18 @@ func TestStreamOrderDeterminism(t *testing.T) {
 				t.Fatalf("degenerate case: oracle produced no rows")
 			}
 			var baseline Relation
-			for i, s := range streamSettings {
-				got := evalOK(t, mkCtx(s.par, s.batch), tc.expr)
+			for i, batch := range streamSettings {
+				got := evalOK(t, mkCtx(batch), tc.expr)
 				if !sameRelation(got, want) {
-					t.Fatalf("par=%d batch=%d: %d rows differ from oracle's %d rows",
-						s.par, s.batch, len(got.Rows), len(want.Rows))
+					t.Fatalf("batch=%d: %d rows differ from oracle's %d rows",
+						batch, len(got.Rows), len(want.Rows))
 				}
 				if i == 0 {
 					baseline = got
 					continue
 				}
 				if err := identicalRelations(baseline, got); err != nil {
-					t.Fatalf("par=%d batch=%d: order differs from par=%d batch=%d: %v",
-						s.par, s.batch, streamSettings[0].par, streamSettings[0].batch, err)
+					t.Fatalf("batch=%d: order differs from batch=%d: %v", batch, streamSettings[0], err)
 				}
 			}
 		})
@@ -719,15 +709,12 @@ func TestStreamOrderDeterminism(t *testing.T) {
 }
 
 // TestPipelinePartialClose abandons pipelines mid-stream — after a single
-// batch, or without any Next at all — and checks Close remains clean. The
-// pooled goroutines a join spawns at Open are always joined before Open
-// returns, so early abandonment must not leak or deadlock (see
-// TestPipelineGoroutineLeak for the counting proof).
+// batch, or without any Next at all — and checks Close remains clean.
 func TestPipelinePartialClose(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	fx := newStreamFixture(t, rng, 200)
 	for _, tc := range streamCases(rng) {
-		ctx := fx.context(tc, 4, 3)
+		ctx := fx.context(tc, 3)
 		src, err := NewPipeline(ctx, tc.expr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -14,8 +14,7 @@ import (
 // equijoin exists, nested loop otherwise. The build side (the right input)
 // is drained and hashed at Open — subsumption-free streaming of both sides
 // is impossible for outer joins, and a materialized build side is what
-// makes the probe side stream — while the probe side flows batch-at-a-time
-// with optional morsel parallelism inside each batch.
+// makes the probe side stream — while the probe side flows batch-at-a-time.
 func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 	left, right := n.kids[0], n.kids[1]
 	leftSchema, rightSchema := left.alg, right.alg
@@ -93,8 +92,6 @@ func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 
 // probeJoinSource drives inner/left-outer/semi/anti joins through an index
 // probe: left batches stream in, each row probes the right table's index.
-// The probe carries serial scratch state, so probing never parallelizes —
-// index lookups are already proportional to the (small) delta on the left.
 type probeJoinSource struct {
 	opBase
 	ctx        *Context
@@ -184,21 +181,69 @@ func nullExtendLeft(r rel.Row, nLeft int) rel.Row {
 	return out
 }
 
-// probeScratch is per-worker probe state, reused across morsels and
-// batches so steady-state probing allocates nothing.
-type probeScratch struct {
-	keyBuf []byte
-	rowBuf rel.Row
+// joinTable is the materialized build side of a hash or nested-loop join:
+// build-row indexes bucketed by the uint64 prehash of the equijoin columns,
+// or, with no equijoin columns, the full index list. Buckets fill in build
+// order, so every candidate list is ascending and a probe row meets its
+// matches in build order. Hash collisions only add candidates that the join
+// predicate — which always contains the equijoin conjuncts — filters out.
+type joinTable struct {
+	buckets map[uint64][]int32 // nil for a nested-loop table
+	all     []int32            // every row, the nested-loop candidate list
+}
+
+// buildJoinTable hashes rows on cols. Empty cols builds the nested-loop
+// table whose candidate list is every row.
+func buildJoinTable(rows []rel.Row, cols []int) *joinTable {
+	t := &joinTable{}
+	if len(cols) == 0 {
+		t.all = make([]int32, len(rows))
+		for i := range t.all {
+			t.all[i] = int32(i)
+		}
+		return t
+	}
+	t.buckets = make(map[uint64][]int32)
+	var buf []byte
+	for i, r := range rows {
+		if anyNull(r, cols) {
+			continue // a NULL equijoin key never matches
+		}
+		var h uint64
+		h, buf = rel.HashRowCols(r, cols, buf)
+		t.buckets[h] = append(t.buckets[h], int32(i))
+	}
+	return t
+}
+
+// candidates returns the build-row indexes a probe row must be tested
+// against, threading the caller's hash scratch buffer through. A nil list
+// from a hashed table means the probe key is NULL or unmatched.
+func (t *joinTable) candidates(l rel.Row, probeCols []int, buf []byte) ([]int32, []byte) {
+	if t.buckets == nil {
+		return t.all, buf
+	}
+	if anyNull(l, probeCols) {
+		return nil, buf
+	}
+	var h uint64
+	h, buf = rel.HashRowCols(l, probeCols, buf)
+	return t.buckets[h], buf
+}
+
+func anyNull(r rel.Row, cols []int) bool {
+	for _, c := range cols {
+		if r[c].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // hashJoinSource implements every join kind: the right input is drained
-// and hashed at Open (concurrently with opening the left input, preserving
-// the concurrent-subtree evaluation of independent plan branches), then
-// left batches stream through the probe. Large batches probe in parallel
-// morsels whose output chunks concatenate in morsel order, so the output
-// is byte-identical at every worker count. Unmatched right rows
-// (right/full outer) are emitted last, in right order, after the left side
-// is exhausted.
+// and hashed at Open, then left batches stream through the probe in
+// left-row order. Unmatched right rows (right/full outer) are emitted last,
+// in right order, after the left side is exhausted.
 type hashJoinSource struct {
 	opBase
 	ctx                   *Context
@@ -208,52 +253,33 @@ type hashJoinSource struct {
 	leftCols, rightCols   []int // empty: no equijoin, nested-loop candidates
 	leftWidth, rightWidth int
 
-	rightRows     []rel.Row
-	table         *joinTable
-	in            Batch
-	scratch       []probeScratch
-	workerMatched [][]bool
-	workerMorsels []int64
-	leftDone      bool
-	matched       []bool
-	tailPos       int
+	rightRows []rel.Row
+	table     *joinTable
+	in        Batch
+	keyBuf    []byte  // probe-key hash scratch
+	rowBuf    rel.Row // concatenation scratch, cloned on emit
+	leftDone  bool
+	matched   []bool // right rows some left row matched (right/full outer)
+	tailPos   int
 }
 
 func (s *hashJoinSource) Open() error {
-	workers := s.ctx.workers()
-	err := runTasks(workers,
-		func() error {
-			if err := s.right.Open(); err != nil {
-				return err
-			}
-			r, err := Drain(s.right)
-			if err != nil {
-				return err
-			}
-			s.rightRows = r.Rows
-			if len(s.rightCols) > 0 {
-				s.ctx.Metrics.Add("exec.join.hash.build_rows", int64(len(s.rightRows)))
-			}
-			s.table = buildJoinTable(workers, s.rightRows, s.rightCols)
-			return nil
-		},
-		s.left.Open,
-	)
+	if err := s.right.Open(); err != nil {
+		return err
+	}
+	r, err := Drain(s.right)
 	if err != nil {
 		return err
 	}
-	s.scratch = make([]probeScratch, workers)
-	if s.needMatchedRight() {
-		s.workerMatched = make([][]bool, workers)
+	s.rightRows = r.Rows
+	if len(s.rightCols) > 0 {
+		s.ctx.Metrics.Add("exec.join.hash.build_rows", int64(len(s.rightRows)))
 	}
-	if s.ctx.Metrics != nil {
-		s.workerMorsels = make([]int64, workers)
+	s.table = buildJoinTable(s.rightRows, s.rightCols)
+	if s.kind == algebra.RightOuterJoin || s.kind == algebra.FullOuterJoin {
+		s.matched = make([]bool, len(s.rightRows))
 	}
-	return nil
-}
-
-func (s *hashJoinSource) needMatchedRight() bool {
-	return s.kind == algebra.RightOuterJoin || s.kind == algebra.FullOuterJoin
+	return s.left.Open()
 }
 
 func (s *hashJoinSource) Next(b *Batch) (bool, error) {
@@ -274,7 +300,7 @@ func (s *hashJoinSource) Next(b *Batch) (bool, error) {
 		}
 		s.probeBatch(b)
 	}
-	if s.leftDone && b.Len() == 0 && s.needMatchedRight() {
+	if s.leftDone && b.Len() == 0 && s.matched != nil {
 		s.emitTail(b)
 	}
 	if b.Len() == 0 {
@@ -285,95 +311,50 @@ func (s *hashJoinSource) Next(b *Batch) (bool, error) {
 }
 
 // probeBatch joins the buffered left batch against the build table,
-// appending output rows to b: in parallel morsels when the batch and build
-// side are large enough, serially otherwise. Either way the output order
-// is left-row order.
+// appending output rows to b in left-row order.
 func (s *hashJoinSource) probeBatch(b *Batch) {
-	n := s.in.Len()
-	workers := s.ctx.workers()
-	if workers > 1 && len(s.rightRows)+n >= partitionedJoinMinRows {
-		nchunks := (n + probeMorsel - 1) / probeMorsel
-		chunks := make([][]rel.Row, nchunks)
-		forChunks(workers, n, probeMorsel, func(w, ci, lo, hi int) {
-			if s.workerMorsels != nil {
-				s.workerMorsels[w]++
-			}
-			chunks[ci] = s.probeRange(lo, hi, w, nil)
-		})
-		for _, c := range chunks {
-			b.Rows = append(b.Rows, c...)
-		}
-		return
+	if s.rowBuf == nil {
+		s.rowBuf = make(rel.Row, s.leftWidth+s.rightWidth)
 	}
-	b.Rows = s.probeRange(0, n, 0, b.Rows)
-}
-
-// probeRange joins left rows [lo,hi) of the buffered batch, appending
-// output rows to dst. w selects the per-worker scratch and matched bitmap;
-// the caller guarantees at most one concurrent invocation per w.
-func (s *hashJoinSource) probeRange(lo, hi, w int, dst []rel.Row) []rel.Row {
-	sc := &s.scratch[w]
-	if sc.rowBuf == nil {
-		sc.rowBuf = make(rel.Row, s.leftWidth+s.rightWidth)
-	}
-	var matchedRight []bool
-	if s.workerMatched != nil {
-		if s.workerMatched[w] == nil {
-			s.workerMatched[w] = make([]bool, len(s.rightRows))
-		}
-		matchedRight = s.workerMatched[w]
-	}
-	for _, l := range s.in.Rows[lo:hi] {
+	for _, l := range s.in.Rows {
 		matched := false
 		var cands []int32
-		cands, sc.keyBuf = s.table.candidates(l, s.leftCols, sc.keyBuf)
+		cands, s.keyBuf = s.table.candidates(l, s.leftCols, s.keyBuf)
 		for _, idx := range cands {
-			r := s.rightRows[idx]
-			copy(sc.rowBuf, l)
-			copy(sc.rowBuf[len(l):], r)
-			if s.pred(sc.rowBuf) != algebra.True {
+			copy(s.rowBuf, l)
+			copy(s.rowBuf[len(l):], s.rightRows[idx])
+			if s.pred(s.rowBuf) != algebra.True {
 				continue
 			}
 			matched = true
-			if matchedRight != nil {
-				matchedRight[idx] = true
+			if s.matched != nil {
+				s.matched[idx] = true
 			}
 			switch s.kind {
 			case algebra.InnerJoin, algebra.LeftOuterJoin, algebra.RightOuterJoin, algebra.FullOuterJoin:
-				dst = append(dst, sc.rowBuf.Clone())
+				b.Append(s.rowBuf.Clone())
 			}
 		}
 		switch s.kind {
 		case algebra.LeftOuterJoin, algebra.FullOuterJoin:
 			if !matched {
-				dst = append(dst, nullExtendRight(l, s.rightWidth))
+				b.Append(nullExtendRight(l, s.rightWidth))
 			}
 		case algebra.SemiJoin:
 			if matched {
-				dst = append(dst, l)
+				b.Append(l)
 			}
 		case algebra.AntiJoin:
 			if !matched {
-				dst = append(dst, l)
+				b.Append(l)
 			}
 		}
 	}
-	return dst
 }
 
 // emitTail appends one batch of unmatched right rows (right/full outer
-// joins), OR-merging the per-worker matched bitmaps on first use.
+// joins).
 func (s *hashJoinSource) emitTail(b *Batch) {
-	if s.matched == nil {
-		s.matched = make([]bool, len(s.rightRows))
-		for _, wm := range s.workerMatched {
-			for i, m := range wm {
-				if m {
-					s.matched[i] = true
-				}
-			}
-		}
-	}
 	limit := s.ctx.batchSize()
 	for s.tailPos < len(s.rightRows) && b.Len() < limit {
 		i := s.tailPos
@@ -387,13 +368,6 @@ func (s *hashJoinSource) emitTail(b *Batch) {
 func (s *hashJoinSource) Close() error {
 	lerr := s.left.Close()
 	rerr := s.right.Close()
-	for w, n := range s.workerMorsels {
-		if n > 0 {
-			s.ctx.Metrics.Add(fmt.Sprintf("exec.morsels.worker.%d", w), n)
-			s.ctx.Metrics.Add("exec.morsels.total", n)
-		}
-	}
-	s.workerMorsels = nil
 	s.finish()
 	if lerr != nil {
 		return lerr

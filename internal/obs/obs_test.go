@@ -247,13 +247,13 @@ func TestChromeTraceExport(t *testing.T) {
 
 func TestRenderTreeDeterministic(t *testing.T) {
 	tr := NewTracer()
-	root := tr.StartSpan("view.maintain").SetStr("table", "T").SetInt("parallelism", 1)
+	root := tr.StartSpan("view.maintain").SetStr("table", "T").SetInt("batches", 1)
 	c := root.Child("primary.eval").SetInt("rows", 3)
 	c.End()
 	root.End()
 
 	got := RenderTree(tr.Roots(), false)
-	want := "view.maintain parallelism=1 table=T\n  primary.eval rows=3\n"
+	want := "view.maintain batches=1 table=T\n  primary.eval rows=3\n"
 	if got != want {
 		t.Fatalf("RenderTree = %q, want %q", got, want)
 	}

@@ -6,14 +6,14 @@
 // eval/apply → per-term secondary clean-up → changeset commit/rollback —
 // with monotonic durations, row counts and strategy tags. A Registry
 // (metrics.go) holds cheap atomic counters and histograms for executor-level
-// accounting (rows scanned, hash probes, λ/δ applications, undo records,
-// per-worker morsel counts).
+// accounting (rows scanned, hash probes, λ/δ applications, undo records).
 //
 // Both types are nil-safe no-ops: every method checks its receiver, so a
 // disabled pipeline pays exactly one pointer check per instrumentation
 // site. Spans may be started and ended from concurrent worker goroutines
-// (the from-base secondary delta computes per-term candidates in parallel);
-// attaching children is mutex-guarded per span.
+// (a flush maintains independent components on separate workers, and an
+// observer may render the forest meanwhile); attaching children is
+// mutex-guarded per span.
 package obs
 
 import (

@@ -30,12 +30,14 @@ var (
 )
 
 // wantShapes are the adversarial shapes the short corpus must produce.
-var wantShapes = []string{"zipf", "hot", "all-null", "truncate", "orphan-all", "churn", "round", "fault", "load-under-batch"}
+var wantShapes = []string{"zipf", "hot", "all-null", "truncate", "orphan-all", "churn", "round", "fault", "load-under-batch",
+	"query-view", "query-base"}
 
 // TestShortCorpus is the always-on corpus: every op kind drawn, over six
-// seeds, both secondary-delta strategies and serial and parallel delta
-// evaluation. Once every subtest ran, it checks the corpus produced each
-// adversarial shape at least once.
+// seeds, both secondary-delta strategies, and every batch flushed inline
+// (par=1) or on a pool of four component workers (par=4). Once every
+// subtest ran, it checks the corpus produced each adversarial shape at
+// least once.
 func TestShortCorpus(t *testing.T) {
 	var mu sync.Mutex
 	shapes, runs := map[string]int{}, 0
@@ -52,7 +54,7 @@ func TestShortCorpus(t *testing.T) {
 	for seed := range 6 {
 		for _, strategy := range strategies {
 			for _, par := range []int{1, 4} {
-				gen := Gen{Seed: int64(seed), Strategies: []ojv.Strategy{strategy}, Parallelism: []int{par}}
+				gen := Gen{Seed: int64(seed), Strategies: []ojv.Strategy{strategy}, Workers: []int{par}}
 				t.Run(fmt.Sprintf("seed=%d/strategy=%v/par=%d", seed, strategy, par), func(t *testing.T) {
 					t.Parallel()
 					st, err := run(gen.Script())
@@ -119,7 +121,7 @@ func TestSharedOracleShort(t *testing.T) {
 // over three tables, and requires shared subtrees to have been planned.
 func TestSharedOracleManyViews(t *testing.T) {
 	st, err := run(Gen{Seed: 42, Tables: 3, Views: 16, Ops: 30,
-		Weights: map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 20, DropView: 0, Save: 0, Load: 0}}.Script())
+		Weights: map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 20, DropView: 0, Save: 0, Load: 0, Query: 0}}.Script())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,6 +225,8 @@ func (r *runner) do(i int, op Op) error {
 		r.fault = int(op.Seed)
 	case Round:
 		return r.round(op)
+	case Query:
+		return r.query(op)
 	}
 	return nil
 }
@@ -553,8 +555,7 @@ func (r *runner) createView(op Op) error {
 	d := r.m.drawView(op.Seed, op.N&8 != 0)
 	name := fmt.Sprintf("v%d", r.nviews)
 	r.nviews++
-	opts := ojv.Options{Strategy: ojv.Strategy(op.N & 3 % 3), Parallelism: 1 + 3*int(op.N>>2&1),
-		VerifyPlans: true, Tracer: r.tr, Metrics: r.reg, FailPoint: func(site string) error { return r.arm.hit(name, site) }}
+	opts := ojv.Options{Strategy: ojv.Strategy(op.N & 3 % 3), VerifyPlans: true, Tracer: r.tr, Metrics: r.reg, FailPoint: func(site string) error { return r.arm.hit(name, site) }}
 	if d.agg != nil && opts.Strategy == ojv.StrategyFromView {
 		opts.Strategy = ojv.StrategyFromBase // an aggregate stores no orphans to read
 	}
@@ -571,6 +572,49 @@ func (r *runner) createView(op Op) error {
 	r.views = append(r.views, liveView{v: v, def: d})
 	r.watch()
 	return r.check()
+}
+
+// query asks Database.Query for a shuffled subset of a shape's columns and
+// compares the answer with the model's evaluation. The shape is drawn from
+// Seed, which mostly leaves the base tables to answer, or with N&1 is a live
+// non-aggregate view's, which a view must answer.
+func (r *runner) query(op Op) error {
+	var live []viewDef
+	for _, lv := range r.views {
+		if lv.def.agg == nil {
+			live = append(live, lv.def)
+		}
+	}
+	var d viewDef
+	if op.N&1 != 0 && len(live) > 0 {
+		d = live[int(op.N>>1)%len(live)]
+	} else {
+		d, live = r.m.drawView(op.Seed, false), nil
+	}
+	rng := rand.New(rand.NewSource(int64(op.Seed)))
+	d.output = slices.Clone(d.output)
+	rng.Shuffle(len(d.output), func(i, j int) { d.output[i], d.output[j] = d.output[j], d.output[i] })
+	d.output = d.output[:1+rng.Intn(len(d.output))]
+	got, used, err := r.db.Query(ojv.ExprRel(d.expr), d.output)
+	if err != nil {
+		return fmt.Errorf("Query %s: %w", d.expr, err)
+	}
+	if live != nil && used == "" {
+		return fmt.Errorf("Query %s: no view answered a live view's shape", d.expr)
+	}
+	want, err := r.m.eval(d)
+	if err == nil {
+		err = sameRows(got, want)
+	}
+	if err != nil {
+		return fmt.Errorf("Query %s %v (answered by %q): %w", d.expr, d.output, used, err)
+	}
+	if used != "" {
+		r.st.shapes["query-view"]++
+	} else {
+		r.st.shapes["query-base"]++
+	}
+	return nil
 }
 
 // check compares every table's and every view's current snapshot with the

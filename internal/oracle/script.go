@@ -38,7 +38,7 @@ const (
 	Flush                     //
 	Close                     //
 	Discard                   //
-	CreateView                // shape from Seed; N: strategy (bits 0-1), Parallelism 4 (bit 2), aggregate (bit 3)
+	CreateView                // shape from Seed; N: strategy (bits 0-1), aggregate (bit 3); bit 2 is unused
 	DropView                  // the N-th live view
 	CreateIndex               // column set N%4 of the table: j, v, f, (j, v); (j, v) for f on a table without one
 	AddForeignKey             // declare the table's f → parent key, if not declared yet
@@ -46,12 +46,13 @@ const (
 	Load                      // the last Save, if any
 	Fault                     // fail the Seed-th failpoint site of the next commit; Seed 0 only counts sites
 	Round                     // 1+N%4 goroutines stage into the open batch, one FK group each
+	Query                     // shape from Seed, or with N&1 the (N>>1)-th live non-aggregate view's; a subset of its columns
 	numKinds
 )
 
 var kindNames = [numKinds]string{"insert", "delete", "update", "truncate", "orphan-all", "churn", "reparent",
 	"open-batch", "flush", "close", "discard", "create-view", "drop-view", "create-index",
-	"add-foreign-key", "save", "load", "fault", "round"}
+	"add-foreign-key", "save", "load", "fault", "round", "query"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -89,12 +90,10 @@ type Gen struct {
 	Tables  int // tables; 0 means 3 to 5
 	Views   int // most views alive at once; 0 means 4
 	Readers int // snapshot reader goroutines
-	// Strategies, Parallelism and Workers are what CreateView and OpenBatch
-	// draw from; nil means every value (Auto, FromView, FromBase; 1 and 4;
-	// 0 and 2).
-	Strategies  []ojv.Strategy
-	Parallelism []int
-	Workers     []int
+	// Strategies and Workers are what CreateView and OpenBatch draw from;
+	// nil means every value (Auto, FromView, FromBase; 0 and 2).
+	Strategies []ojv.Strategy
+	Workers    []int
 	// Weights overrides the default weight of an op kind.
 	Weights map[Kind]int
 }
@@ -103,7 +102,7 @@ var defaultWeights = [numKinds]int{
 	Insert: 10, Delete: 6, Update: 6, Truncate: 1, OrphanAll: 1, Churn: 2, Reparent: 2,
 	OpenBatch: 3, Flush: 4, Close: 2, Discard: 1,
 	CreateView: 4, DropView: 2, CreateIndex: 1, AddForeignKey: 2,
-	Save: 1, Load: 2, Fault: 2, Round: 2,
+	Save: 1, Load: 2, Fault: 2, Round: 2, Query: 2,
 }
 
 // Script draws one script.
@@ -130,7 +129,7 @@ func (g Gen) Script() Script {
 		total += v
 	}
 	strategies := orAll(g.Strategies, ojv.StrategyAuto, ojv.StrategyFromView, ojv.StrategyFromBase)
-	pars, workers := orAll(g.Parallelism, 1, 4), orAll(g.Workers, 0, 2)
+	workers := orAll(g.Workers, 0, 2)
 	maxViews := cmp.Or(g.Views, 4)
 	views, batch, saved := 0, false, false
 	var shapes []uint32
@@ -168,9 +167,6 @@ func (g Gen) Script() Script {
 			}
 			shapes = append(shapes, op.Seed)
 			op.N = uint8(strategies[rng.Intn(len(strategies))])
-			if pars[rng.Intn(len(pars))] > 1 {
-				op.N |= 4
-			}
 			if rng.Intn(4) == 0 {
 				op.N |= 8 // an aggregate
 			}

@@ -347,7 +347,7 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Cont
 	}
 	sec := span.Child("secondary").SetStr("source", "base")
 	defer sec.End()
-	cands, err := m.secondaryCandidatesAll(evidence, sec, plan, primary)
+	cands, err := secondaryCandidatesAll(evidence, sec, plan, primary)
 	if err != nil {
 		return err
 	}

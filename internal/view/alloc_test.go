@@ -171,7 +171,7 @@ func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(def, Options{Parallelism: 1})
+	m, err := NewMaintainer(def, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

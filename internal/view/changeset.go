@@ -32,9 +32,9 @@ import (
 // and, through the staged Apply* API, the multi-view ojv.Database update
 // path — all-or-nothing.
 //
-// A changeset is single-use and not safe for concurrent use; maintenance
-// applies view mutations serially (see Options.Parallelism), so one
-// changeset per run suffices.
+// A changeset is single-use and not safe for concurrent use; a maintenance
+// run applies its view mutations on one goroutine, so one changeset per run
+// suffices.
 //
 // Fault-injection sites. Options.FailPoint, when set, is consulted with a
 // site label immediately before every staged mutation:

@@ -56,12 +56,6 @@ type Options struct {
 	DisableOrphanIndex bool
 	// Strategy selects the secondary-delta source.
 	Strategy Strategy
-	// Parallelism caps the worker goroutines used for delta evaluation and
-	// for computing per-term secondary-delta cleanups. 0 (the zero value)
-	// means runtime.GOMAXPROCS(0); 1 forces serial maintenance. View
-	// mutations are always applied serially, so results are identical —
-	// including row iteration structure and MaintStats — at every setting.
-	Parallelism int
 	// BatchSize is the soft row cap per executor pipeline batch (joins may
 	// overshoot for one input batch rather than split their output). 0 (the
 	// zero value) means exec.DefaultBatchSize. Results are identical at
@@ -85,8 +79,8 @@ type Options struct {
 	// maintenance path then pays only a nil check per span site.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives executor- and maintenance-level
-	// counters (rows scanned, hash probes, undo records, per-worker morsel
-	// counts). Nil disables metrics collection.
+	// counters (rows scanned, hash probes, undo records). Nil disables
+	// metrics collection.
 	Metrics *obs.Registry
 }
 

@@ -2,7 +2,6 @@ package view
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -725,8 +724,7 @@ func (m *Maintainer) startMaintSpan(op, table string) *obs.Span {
 		strategy = "from-base"
 	}
 	return root.SetStr("view", m.def.Name).SetStr("table", table).
-		SetStr("op", op).SetStr("strategy", strategy).
-		SetInt("parallelism", int64(m.workers()))
+		SetStr("op", op).SetStr("strategy", strategy)
 }
 
 // AccumulateStats folds one maintenance run's stats into a batch
@@ -824,7 +822,6 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		DeltaTable:    table,
 		Delta:         delta,
 		DeltaIsInsert: isInsert,
-		Parallelism:   m.opts.Parallelism,
 		BatchSize:     m.opts.BatchSize,
 		Metrics:       m.opts.Metrics,
 		Span:          evalSpan,
@@ -874,7 +871,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		evidence := ctx
 		if replacing != nil && len(plan.indirect) > 0 {
 			evidence = &exec.Context{Catalog: ctx.Catalog, DeltaTable: table, Delta: replacing,
-				DeltaIsInsert: true, Parallelism: ctx.Parallelism, BatchSize: ctx.BatchSize}
+				DeltaIsInsert: true, BatchSize: ctx.BatchSize}
 		}
 		return stats, m.applyAgg(cs, span, evidence, plan, primary, isInsert, stats)
 	}
@@ -954,10 +951,10 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 	}
 	// From-base cleanup: each term's candidate computation reads only the
 	// catalog and the primary delta — by Theorem 1 the net contributions of
-	// different terms are independent — so the computations run in parallel.
-	// View mutations stay serial, in plan order.
+	// different terms are independent — so every term's candidates are
+	// computed before the first view mutation, which then run in plan order.
 	sec.SetStr("source", "base")
-	cands, err := m.secondaryCandidatesAll(ctx, sec, plan, primary)
+	cands, err := secondaryCandidatesAll(ctx, sec, plan, primary)
 	if err != nil {
 		return nil, err
 	}
@@ -1049,65 +1046,20 @@ func evalCounted(ctx *exec.Context, prog *exec.Program) (exec.Relation, int64, e
 	return out, batches, nil
 }
 
-// workers resolves Options.Parallelism the same way exec.Context does:
-// non-positive means runtime.GOMAXPROCS(0), 1 forces serial maintenance.
-func (m *Maintainer) workers() int {
-	if m.opts.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return m.opts.Parallelism
-}
-
 // secondaryCandidatesAll computes every indirect term's surviving ΔDi
-// candidates, in parallel across terms when parallelism allows. The result
-// is indexed like plan.indirect; the first error in term order wins. Per-term
-// candidate spans attach to sec concurrently (Span.Child is mutex-guarded).
-func (m *Maintainer) secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plan *tablePlan, primary exec.Relation) ([]exec.Relation, error) {
-	plans := plan.indirect
-	cands := make([]exec.Relation, len(plans))
-	errs := make([]error, len(plans))
-	parallelEach(m.workers(), len(plans), func(i int) {
-		ts := sec.Child("term.candidates").SetStr("term", plans[i].term.SourceKey())
-		if plan.fromBase != nil {
-			cands[i], errs[i] = secondaryCandidatesFromBase(ctx, plan, plans[i], plan.fromBase[i], primary)
-		}
+// candidates from base tables, in term order. The result is indexed like
+// plan.indirect.
+func secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plan *tablePlan, primary exec.Relation) ([]exec.Relation, error) {
+	cands := make([]exec.Relation, len(plan.indirect))
+	for i, ip := range plan.indirect {
+		ts := sec.Child("term.candidates").SetStr("term", ip.term.SourceKey())
+		var err error
+		cands[i], err = secondaryCandidatesFromBase(ctx, plan, ip, plan.fromBase[i], primary)
 		ts.SetInt("rows", int64(len(cands[i].Rows)))
 		ts.End()
-	})
-	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return cands, nil
-}
-
-// parallelEach runs fn(i) for every i in [0,n) on up to workers goroutines.
-// fn must be safe for concurrent invocation at distinct indexes.
-func parallelEach(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

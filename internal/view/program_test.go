@@ -18,7 +18,7 @@ import (
 // in a new plan value, the old one stays intact for whoever holds it —
 // while the logical plan (the ΔV^D expression) is never rebuilt.
 func TestPlanProgramCachedUntilDDL(t *testing.T) {
-	cat, m := newV1Maintainer(t, false, Options{Parallelism: 1})
+	cat, m := newV1Maintainer(t, false, Options{})
 	first, err := m.Plan("T", true)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,6 @@ func TestSharedProducerStartsCompiledSubtree(t *testing.T) {
 			DeltaTable:    "R",
 			Delta:         delta,
 			DeltaIsInsert: true,
-			Parallelism:   1,
 		}
 		got, _, err := evalCounted(ctx, sub)
 		if err != nil {
@@ -233,7 +232,7 @@ func TestUnarrangedProgramUpgradesOnDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := obs.NewRegistry()
-	m := unarrangedAB(t, cat, "ab", "B", Options{Parallelism: 1, Metrics: metrics})
+	m := unarrangedAB(t, cat, "ab", "B", Options{Metrics: metrics})
 	if err := m.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestArrangeAndRelease(t *testing.T) {
 	}
 	for _, strategy := range []Strategy{StrategyFromView, StrategyFromBase} {
 		metrics := obs.NewRegistry()
-		m := unarrangedAB(t, cat, "ab", "B", Options{Parallelism: 1, Metrics: metrics, Strategy: strategy})
+		m := unarrangedAB(t, cat, "ab", "B", Options{Metrics: metrics, Strategy: strategy})
 		if err := m.Arrange(); err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +298,7 @@ func TestArrangeReleasedOnFailedRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := obs.NewRegistry()
-	other := unarrangedAB(t, cat, "ab", "B", Options{Parallelism: 1, Metrics: metrics})
+	other := unarrangedAB(t, cat, "ab", "B", Options{Metrics: metrics})
 	if err := other.Arrange(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +312,7 @@ func TestArrangeReleasedOnFailedRegistration(t *testing.T) {
 	}
 	aj := cat.Table("A").Indexes()[0]
 
-	failing := unarrangedAB(t, cat, "ac", "C", Options{Parallelism: 1})
+	failing := unarrangedAB(t, cat, "ac", "C", Options{})
 	if err := failing.Arrange(); err != nil {
 		t.Fatal(err)
 	}

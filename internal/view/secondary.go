@@ -257,7 +257,6 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 			Delta:         ctx.Delta,
 			DeltaIsInsert: ctx.DeltaIsInsert,
 			Rels:          map[string]exec.Relation{candRel: cand},
-			Parallelism:   ctx.Parallelism,
 			BatchSize:     ctx.BatchSize,
 		}
 		next, _, err := evalCounted(sub, prog)

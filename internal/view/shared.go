@@ -238,9 +238,9 @@ type SharedRun struct {
 // occurrence. It returns nil when fewer than two views share anything —
 // the caller proceeds exactly as before, with nil Bound maps.
 //
-// The producer evaluates under the first consuming view's executor knobs
-// (Parallelism, BatchSize); results are bit-identical at any setting, so
-// the choice only shapes batching. parent is the span producer spans
+// The producer evaluates under the first consuming view's BatchSize;
+// results are bit-identical at any setting, so the choice only shapes
+// batching. parent is the span producer spans
 // attach under (the flush step); metrics receives the view.shared.*
 // counters.
 func PlanShared(ms []*Maintainer, table string, isInsert, fkOK bool, delta []rel.Row, parent *obs.Span, metrics *obs.Registry) (*SharedRun, error) {
@@ -270,7 +270,6 @@ func PlanShared(ms []*Maintainer, table string, isInsert, fkOK bool, delta []rel
 			DeltaTable:    table,
 			Delta:         delta,
 			DeltaIsInsert: isInsert,
-			Parallelism:   first.opts.Parallelism,
 			BatchSize:     first.opts.BatchSize,
 			Metrics:       metrics,
 			Span:          span,

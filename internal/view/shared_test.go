@@ -19,7 +19,7 @@ func newNamedV1(t *testing.T, cat *rel.Catalog, name string, withFK bool) *Maint
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(def, Options{Parallelism: 1})
+	m, err := NewMaintainer(def, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSharedDAGNoOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewMaintainer(defRS, Options{Parallelism: 1})
+	rs, err := NewMaintainer(defRS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,16 +45,15 @@ func goldenCompare(t *testing.T, name, got string) {
 }
 
 // runTracedV1 materializes V1 with tracing on, then performs one fixed
-// insert and one fixed delete against T, returning the tracer. Parallelism
-// is pinned to 1 so row counts and span order are deterministic.
+// insert and one fixed delete against T, returning the tracer. Row counts
+// and span order are deterministic.
 func runTracedV1(t *testing.T, strategy Strategy) *obs.Tracer {
 	t.Helper()
 	tracer := obs.NewTracer()
 	cat, m := newV1Maintainer(t, false, Options{
-		Strategy:    strategy,
-		Parallelism: 1,
-		Tracer:      tracer,
-		Metrics:     obs.NewRegistry(),
+		Strategy: strategy,
+		Tracer:   tracer,
+		Metrics:  obs.NewRegistry(),
 	})
 	tracer.Reset() // drop spans recorded during materialization checks
 	rows := insertRowsFor(cat, "T", 2, 7, false)
@@ -102,7 +101,7 @@ func TestGoldenAnnotatedScript(t *testing.T) {
 	}
 	// The script renders from a maintainer with the same definition; rebuild
 	// one on a fresh catalog (the plan is structural, not data-dependent).
-	_, m := newV1Maintainer(t, false, Options{Strategy: StrategyFromView, Parallelism: 1})
+	_, m := newV1Maintainer(t, false, Options{Strategy: StrategyFromView})
 	script, err := m.AnnotatedMaintenanceScript("T", true, insertRoot)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +129,6 @@ func assertWellFormed(t *testing.T, tracer *obs.Tracer) {
 			if _, ok := r.AttrStr(key); !ok {
 				t.Errorf("maintain root missing attribute %q", key)
 			}
-		}
-		if _, ok := r.AttrInt("parallelism"); !ok {
-			t.Error("maintain root missing attribute parallelism")
 		}
 		// Serial phases are disjoint intervals inside the root, so child
 		// durations must sum to no more than the root's.

@@ -55,9 +55,8 @@ type (
 	// ColRef names a column as (table, column).
 	ColRef = algebra.ColRef
 	// Options tunes the maintenance planner: ablation switches plus the
-	// Parallelism worker cap for delta evaluation (0 = GOMAXPROCS, 1 =
-	// serial) and the executor's BatchSize (rows per pipeline batch, 0 =
-	// default; results are identical at every setting of either knob).
+	// executor's BatchSize (rows per pipeline batch, 0 = default; results
+	// are identical at every setting).
 	Options = view.Options
 	// MaintStats reports what one maintenance run did.
 	MaintStats = view.MaintStats

@@ -66,7 +66,7 @@ func TestDDLReachesPhysicalPlan(t *testing.T) {
 			on := ojv.Eq("p", "pk", "c", "pfk")
 			cols := ojv.Columns("p.pk", "p.g", "c.ck", "c.pfk", "c.x")
 			v, err := db.CreateView("pc", ojv.Table("p").LeftJoin(ojv.Table("c"), on), cols,
-				ojv.Options{Metrics: metrics, Parallelism: 1})
+				ojv.Options{Metrics: metrics})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestDDLReachesPhysicalPlan(t *testing.T) {
 			// producer would count its probes in the statement's registry,
 			// which is nil).
 			if _, err := db.CreateView("twin", ojv.Table("p").Join(ojv.Table("c"), on), cols,
-				ojv.Options{Parallelism: 1}); err != nil {
+				ojv.Options{}); err != nil {
 				t.Fatal(err)
 			}
 			// statement inserts one parent and requires that the run probed
@@ -176,7 +176,7 @@ func TestStatementAllocBudget(t *testing.T) {
 			}
 		}
 		db := ojv.WrapCatalog(cat)
-		if _, err := db.CreateView("v2", ojv.ExprRel(fixture.V2Expr()), fixture.V2Output(cat), ojv.Options{Parallelism: 1}); err != nil {
+		if _, err := db.CreateView("v2", ojv.ExprRel(fixture.V2Expr()), fixture.V2Output(cat), ojv.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		key := []ojv.Value{ojv.Int(1 << 20)}
@@ -205,7 +205,7 @@ func TestStatementAllocBudget(t *testing.T) {
 			}
 		}
 		db := ojv.WrapCatalog(tdb.Catalog)
-		if _, err := db.CreateView("v3", ojv.ExprRel(tpch.V3Expr()), tpch.V3Output(), ojv.Options{Parallelism: 1}); err != nil {
+		if _, err := db.CreateView("v3", ojv.ExprRel(tpch.V3Expr()), tpch.V3Output(), ojv.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		objects, bytes := statementPairCost(t, db, "lineitem", row, row[:2])

@@ -63,7 +63,7 @@ func TestSteadyStateProbesOnly(t *testing.T) {
 			db := ojv.WrapCatalog(cat)
 			metrics := ojv.NewMetrics()
 			opts := vr.opts
-			opts.Metrics, opts.Parallelism = metrics, 1
+			opts.Metrics = metrics
 			var v *ojv.View
 			if vr.agg {
 				first := expr.Tables()[0]
@@ -155,7 +155,7 @@ func TestMultiViewExaminedBudget(t *testing.T) {
 		expr := leaf("a", true).LeftJoin(
 			leaf("b", private).FullJoin(leaf("c", private), ojv.Eq("b", "bj", "c", "cj")),
 			ojv.Eq("a", "aj", "b", "bj"))
-		v, err := db.CreateView(fmt.Sprintf("v%d", i), expr, ojv.Columns(cols...), ojv.Options{Metrics: metrics, Parallelism: 1})
+		v, err := db.CreateView(fmt.Sprintf("v%d", i), expr, ojv.Columns(cols...), ojv.Options{Metrics: metrics})
 		if err != nil {
 			t.Fatal(err)
 		}
