@@ -331,10 +331,10 @@ func TestNoArrangementWhereIndexesAreDeclared(t *testing.T) {
 
 // TestArrangeBetweenFlushes: CreateView and DropView land between flushes
 // of an open WriteBatch running two maintenance workers over two disjoint
-// view groups. Each moves the catalog version (an arrangement is built or
-// dropped), so the statements staged before it flush through the validating
-// path; both groups must stay equal to a synchronous twin that registers and
-// drops the same views at the same points. Run under -race in CI.
+// view groups. Each builds or drops an arrangement under the staged
+// statements; both groups must stay equal to a synchronous twin that
+// registers and drops the same views at the same points. Run under -race in
+// CI.
 func TestArrangeBetweenFlushes(t *testing.T) {
 	type group struct{ a, b string }
 	groups := []group{{"A", "B"}, {"C", "D"}}

@@ -279,10 +279,9 @@ func (b *WriteBatch) Discard() {
 // own commit boundary. On error every failed component is restored exactly
 // and its statements remain pending behind Err; components that committed
 // stay committed and their statements leave the queue, so a retried Flush
-// re-plans only what failed — through the re-validating path, since the
-// commits moved the catalog version. A flush whose delta tables form one
-// component (any flush over tables that one view joins, or that foreign
-// keys connect) is therefore all-or-nothing. A concurrent maintenance-
+// re-plans and re-validates only what failed. A flush whose delta tables
+// form one component (any flush over tables that one view joins, or that
+// foreign keys connect) is therefore all-or-nothing. A concurrent maintenance-
 // goroutine flush serializes before this one: Flush observes its outcome
 // (possibly an empty queue, or its sticky error) rather than racing it.
 func (b *WriteBatch) Flush() error {
@@ -340,19 +339,7 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 	b.db.mu.Lock()
 	defer b.db.mu.Unlock()
 
-	// Under the write lock the version guard is decisive: when no other
-	// writer touched the catalog since this batch's first statement, the
-	// enqueue-time validations still prove every pending entry and the base
-	// deltas apply through the prevalidated fast path, skipping the
-	// catalog's per-row re-validation (rel/prevalidated.go).
-	fast := b.q.Prevalidated()
-	apply := "validated"
-	if fast {
-		apply = "prevalidated"
-	}
-
 	root := b.opts.Tracer.StartSpan("view.flush").
-		SetStr("apply", apply).
 		SetStr("trigger", trigger).
 		SetInt("statements", int64(statements)).
 		SetInt("rows_staged", int64(staged)).
@@ -375,7 +362,7 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 
 	var firstErr error
 	var committed []string
-	for i, err := range b.db.commit(comps, fast, b.opts.MaintWorkers, root, b.opts.Metrics) {
+	for i, err := range b.db.commit(comps, b.opts.MaintWorkers, root, b.opts.Metrics) {
 		if err == nil {
 			committed = append(committed, comps[i].tables...)
 		} else if firstErr == nil {
@@ -394,9 +381,6 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 
 	b.q.Reset()
 	b.flushErr = nil
-	if fast {
-		b.opts.Metrics.Add("view.flush.prevalidated", 1)
-	}
 	b.opts.Metrics.Add("view.flush.count", 1)
 	b.opts.Metrics.Add("view.flush.statements", int64(statements))
 	b.opts.Metrics.Add("view.flush.rows.staged", int64(staged))

@@ -500,54 +500,116 @@ func TestBatchConcurrentWriters(t *testing.T) {
 }
 
 // TestBatchFallbackEquivalence interleaves synchronous statements with a
-// batch's enqueues. The interleaved writes move the catalog version, so
-// the flush must take the re-validating path (view.flush.prevalidated
-// stays 0) — and still produce the state the same statements yield when
-// run synchronously in flush order.
+// batch's enqueues. Every flush re-validates through the catalog, so the
+// flush either yields the state the same statements reach when run
+// synchronously in flush order, or — when a synchronous write broke a
+// constraint a staged row relied on — fails atomically: the view and the
+// tables stay as the synchronous writes left them, the statements stay
+// pending and Err is set.
 func TestBatchFallbackEquivalence(t *testing.T) {
-	dbRef := newShopDB(t)
-	vRef := shopView(t, dbRef)
-	dbBat := newShopDB(t)
-	vBat := shopView(t, dbBat)
-
-	m := ojv.NewMetrics()
-	wb := dbBat.NewWriteBatch(ojv.BatchOptions{Metrics: m})
-	if err := wb.Insert("customer", []ojv.Row{{ojv.Int(8), ojv.Str("gus")}}); err != nil {
-		t.Fatal(err)
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Interleaved synchronous write: invalidates the batch's fast path.
-	if err := dbBat.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}); err != nil {
-		t.Fatal(err)
+	del := func(db *ojv.Database, table string, key ...ojv.Value) error {
+		_, err := db.Delete(table, [][]ojv.Value{key})
+		return err
 	}
-	if err := wb.Update("customer", []ojv.Value{ojv.Int(2)}, ojv.Row{ojv.Int(2), ojv.Str("rob")}); err != nil {
-		t.Fatal(err)
+	order12 := ojv.Row{ojv.Int(12), ojv.Int(3), ojv.Float(75), ojv.MustDate("2007-04-17")}
+	cases := []struct {
+		name string
+		// run stages statements into wb and interleaves synchronous ones.
+		run func(t *testing.T, db *ojv.Database, wb *ojv.WriteBatch)
+		// ref runs the same statements synchronously in flush order; nil
+		// when the flush must fail.
+		ref func(t *testing.T, db *ojv.Database)
+	}{
+		{"sync-insert-between-enqueues", func(t *testing.T, db *ojv.Database, wb *ojv.WriteBatch) {
+			must(t, wb.Insert("customer", []ojv.Row{{ojv.Int(8), ojv.Str("gus")}}))
+			must(t, db.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}))
+			must(t, wb.Update("customer", []ojv.Value{ojv.Int(2)}, ojv.Row{ojv.Int(2), ojv.Str("rob")}))
+		}, func(t *testing.T, db *ojv.Database) {
+			// The plan's phases put the modify before the insert.
+			must(t, db.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}))
+			must(t, db.Update("customer", []ojv.Value{ojv.Int(2)}, ojv.Row{ojv.Int(2), ojv.Str("rob")}))
+			must(t, db.Insert("customer", []ojv.Row{{ojv.Int(8), ojv.Str("gus")}}))
+		}},
+		// The batch resolved order 11 at enqueue; the synchronous update moves
+		// it to another customer, so the flush must maintain the view with the
+		// row the catalog deletes.
+		{"sync-update-of-batch-deleted-row", func(t *testing.T, db *ojv.Database, wb *ojv.WriteBatch) {
+			_, err := wb.Delete("orders", [][]ojv.Value{{ojv.Int(11)}})
+			must(t, err)
+			must(t, db.Update("orders", []ojv.Value{ojv.Int(11)}, ojv.Row{ojv.Int(11), ojv.Int(3), ojv.Float(55), ojv.MustDate("2007-04-16")}))
+		}, func(t *testing.T, db *ojv.Database) {
+			must(t, db.Update("orders", []ojv.Value{ojv.Int(11)}, ojv.Row{ojv.Int(11), ojv.Int(3), ojv.Float(55), ojv.MustDate("2007-04-16")}))
+			must(t, del(db, "orders", ojv.Int(11)))
+		}},
+		// The staged lineitem's order goes synchronously (nothing committed
+		// references it); the staged order 12 applies first and must unwind.
+		{"sync-delete-of-referenced-parent", func(t *testing.T, db *ojv.Database, wb *ojv.WriteBatch) {
+			must(t, wb.Insert("orders", []ojv.Row{order12}))
+			must(t, wb.Insert("lineitem", []ojv.Row{{ojv.Int(11), ojv.Int(1), ojv.Int(7)}}))
+			must(t, del(db, "orders", ojv.Int(11)))
+		}, nil},
+		// The foreign key is declared while the committed table is empty, so
+		// only the staged row violates it.
+		{"foreign-key-over-staged-row", func(t *testing.T, db *ojv.Database, wb *ojv.WriteBatch) {
+			db.MustCreateTable("note", ojv.Cols(ojv.IntCol("nk"), ojv.NotNull(ojv.IntCol("nok"))), "nk")
+			must(t, wb.Insert("orders", []ojv.Row{order12}))
+			must(t, wb.Insert("note", []ojv.Row{{ojv.Int(1), ojv.Int(99)}}))
+			must(t, db.AddForeignKey("note", []string{"nok"}, "orders", []string{"ok"}))
+		}, nil},
 	}
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Snapshot()["view.flush.prevalidated"]; got != 0 {
-		t.Fatalf("flush used the prevalidated path %d times despite an interleaved write", got)
-	}
-
-	// Reference: the same statements, synchronously, in flush order
-	// (modify before insert, per the plan's phases).
-	if err := dbRef.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbRef.Update("customer", []ojv.Value{ojv.Int(2)}, ojv.Row{ojv.Int(2), ojv.Str("rob")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbRef.Insert("customer", []ojv.Row{{ojv.Int(8), ojv.Str("gus")}}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := viewFingerprint(vBat), viewFingerprint(vRef); got != want {
-		t.Error("fallback flush state differs from synchronous reference")
-	}
-	if err := vBat.Check(); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := newShopDB(t)
+			v := shopView(t, db)
+			wb := db.NewWriteBatch()
+			c.run(t, db, wb)
+			tables := func() string {
+				var out []string
+				for _, name := range []string{"customer", "orders", "lineitem", "note"} {
+					if s := db.TableSnapshot(name); s != nil {
+						out = append(out, name+":\n"+snapshotRows(s.Rows()))
+					}
+				}
+				return strings.Join(out, "\n")
+			}
+			beforeView, beforeTables := viewFingerprint(v), tables()
+			pending := wb.PendingStatements()
+			err := wb.Flush()
+			if c.ref == nil {
+				if err == nil {
+					t.Fatal("flush of a batch a synchronous write invalidated succeeded")
+				}
+				if wb.Err() == nil {
+					t.Error("failed flush did not stick in Err")
+				}
+				if viewFingerprint(v) != beforeView {
+					t.Error("failed flush changed the view")
+				}
+				if tables() != beforeTables {
+					t.Error("failed flush changed the tables")
+				}
+				if got := wb.PendingStatements(); got != pending {
+					t.Errorf("pending statements = %d, want %d (preserved for retry)", got, pending)
+				}
+				wb.Discard()
+			} else {
+				must(t, err)
+				dbRef := newShopDB(t)
+				vRef := shopView(t, dbRef)
+				c.ref(t, dbRef)
+				if got, want := viewFingerprint(v), viewFingerprint(vRef); got != want {
+					t.Errorf("flushed view differs from the synchronous reference\n--- batch ---\n%s\n--- sync ---\n%s", got, want)
+				}
+			}
+			must(t, wb.Close())
+			must(t, v.Check())
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
-// Command ojvlint is the multichecker for this module's custom static
-// analyses (rowalias, locksafe, errfmt, lockorder, versionguard, failsite,
-// srcclose — see internal/analyzers). It loads and type-checks packages
-// without the go tool, so it runs offline:
+// Command ojvlint is the multichecker for this module's six custom static
+// analyses (rowalias, locksafe, errfmt, lockorder, failsite, srcclose — see
+// internal/analyzers). It loads and type-checks packages without the go
+// tool, so it runs offline:
 //
 //	go run ./cmd/ojvlint ./...          # whole module (from anywhere inside it)
 //	go run ./cmd/ojvlint ./internal/exec
@@ -9,7 +9,7 @@
 //
 // Each argument is either ./... (the whole module) or a directory. With no
 // arguments, ./... is assumed. The module-wide passes (lockorder,
-// versionguard, failsite) see exactly the packages loaded, so run ./... for
+// failsite) see exactly the packages loaded, so run ./... for
 // their full-fidelity results. Diagnostics print one per line in
 // file:line:col: analyzer: message form (or as a JSON array with -json);
 // the exit status is non-zero when any new diagnostic is reported.

@@ -115,7 +115,7 @@ func RunCorpus(t *testing.T, dir string, as ...*Analyzer) {
 
 // RunModuleCorpus loads several corpus packages and runs the analyzers over
 // all of them as one set — the shape the module-wide passes (lockorder,
-// versionguard, failsite) need, since the conventions they check span
+// failsite) need, since the conventions they check span
 // package boundaries. Want comments are also collected from _test.go files
 // in the corpus directories: the loader skips them, but the failsite pass
 // reads them on its own and anchors matrix-parity diagnostics there.

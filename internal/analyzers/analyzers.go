@@ -49,7 +49,7 @@ func (d Diagnostic) String() string {
 // Analyzer is one static-analysis pass. Exactly one of Run and RunModule is
 // set: Run analyzes one package at a time, RunModule sees every loaded
 // package at once — the shape the interprocedural passes (lockorder,
-// versionguard, failsite) need, since the conventions they check span
+// failsite) need, since the conventions they check span
 // package boundaries.
 type Analyzer struct {
 	Name      string
@@ -110,7 +110,7 @@ func (p *ModulePass) Line(pos token.Pos) int { return p.Fset.Position(pos).Line 
 // per-package passes from PR 2/5 plus the module-wide concurrency and
 // invariant passes.
 func All() []*Analyzer {
-	return []*Analyzer{RowAlias, LockSafe, ErrFmt, LockOrder, VersionGuard, FailSite, SrcClose}
+	return []*Analyzer{RowAlias, LockSafe, ErrFmt, LockOrder, FailSite, SrcClose}
 }
 
 // runPerPackage applies the per-package analyzers to one package, appending

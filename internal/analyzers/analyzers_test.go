@@ -22,10 +22,6 @@ func TestLockOrderCorpus(t *testing.T) {
 	RunModuleCorpus(t, []string{"testdata/src/lockorder/a"}, LockOrder)
 }
 
-func TestVersionGuardCorpus(t *testing.T) {
-	RunModuleCorpus(t, []string{"testdata/src/versionguard/rel"}, VersionGuard)
-}
-
 func TestFailSiteCorpus(t *testing.T) {
 	RunModuleCorpus(t, []string{
 		"testdata/src/failsite/view",

@@ -21,17 +21,18 @@ var (
 	sharedMix     = map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 8, DropView: 0, Save: 0, Load: 0, Round: 0}
 	concurrentMix = map[Kind]int{OpenBatch: 8, Flush: 4, Round: 8, Close: 1, Discard: 0, Save: 0, Load: 0}
 	// The fault sweeps stage into one open batch and flush it once, at the
-	// end. They draw no delete of a whole row (an update's delete pass still
-	// visits the delete sites), so RESTRICT cannot fail the flush wholesale.
+	// end (no BatchRows, whose read may flush). They draw no delete of a
+	// whole row (an update's delete pass still visits the delete sites), so
+	// RESTRICT cannot fail the flush wholesale.
 	faultMix = map[Kind]int{OpenBatch: 20, Flush: 0, Close: 0, Discard: 0, DropView: 0, Save: 0, Load: 0,
-		Fault: 0, Delete: 0, Truncate: 0, OrphanAll: 0, AddForeignKey: 0}
+		Fault: 0, Delete: 0, Truncate: 0, OrphanAll: 0, AddForeignKey: 0, BatchRows: 0}
 	concurrentFaultMix = map[Kind]int{OpenBatch: 20, Round: 8, Flush: 0, Close: 0, Discard: 0, DropView: 0, Save: 0, Load: 0,
-		Fault: 0, Delete: 0, Truncate: 0, OrphanAll: 0, AddForeignKey: 0}
+		Fault: 0, Delete: 0, Truncate: 0, OrphanAll: 0, AddForeignKey: 0, BatchRows: 0}
 )
 
 // wantShapes are the adversarial shapes the short corpus must produce.
 var wantShapes = []string{"zipf", "hot", "all-null", "truncate", "orphan-all", "churn", "round", "fault", "load-under-batch",
-	"query-view", "query-base"}
+	"query-view", "query-base", "read-flush", "read-committed"}
 
 // TestShortCorpus is the always-on corpus: every op kind drawn, over six
 // seeds, both secondary-delta strategies, and every batch flushed inline
@@ -121,7 +122,7 @@ func TestSharedOracleShort(t *testing.T) {
 // over three tables, and requires shared subtrees to have been planned.
 func TestSharedOracleManyViews(t *testing.T) {
 	st, err := run(Gen{Seed: 42, Tables: 3, Views: 16, Ops: 30,
-		Weights: map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 20, DropView: 0, Save: 0, Load: 0, Query: 0}}.Script())
+		Weights: map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 20, DropView: 0, Save: 0, Load: 0, Query: 0, BatchRows: 0}}.Script())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,6 +111,7 @@ type runner struct {
 	readers   *readers
 	st        stats
 	rng       *rand.Rand // samples the keys check reads snapshots by
+	readFlush bool       // the open batch reads through ReadFlush
 }
 
 func run(s Script) (stats, error) {
@@ -148,11 +149,19 @@ func (r *runner) do(i int, op Op) error {
 		return r.statement(op)
 	case OpenBatch:
 		if r.wb == nil {
-			r.wb = r.db.NewWriteBatch(ojv.BatchOptions{MaintWorkers: int(op.N & 15), Tracer: r.tr, Metrics: r.reg})
+			policy := ojv.ReadCommitted
+			if r.readFlush = op.N&16 != 0; r.readFlush {
+				policy = ojv.ReadFlush
+			}
+			r.wb = r.db.NewWriteBatch(ojv.BatchOptions{MaintWorkers: int(op.N & 15), ReadPolicy: policy, Tracer: r.tr, Metrics: r.reg})
 			r.m.batch = newBatch()
 		}
 	case Flush, Close:
-		return r.flush(op.Kind == Close)
+		call := (*ojv.WriteBatch).Flush
+		if op.Kind == Close {
+			call = (*ojv.WriteBatch).Close
+		}
+		return r.flush(call, op.Kind == Close)
 	case Discard:
 		if r.wb != nil {
 			r.wb.Discard()
@@ -227,6 +236,8 @@ func (r *runner) do(i int, op Op) error {
 		return r.round(op)
 	case Query:
 		return r.query(op)
+	case BatchRows:
+		return r.batchRows(op)
 	}
 	return nil
 }
@@ -395,21 +406,18 @@ func (r *runner) observe(call func() error) (callErr, err error) {
 	return nil, nil
 }
 
-// flush flushes (or closes) the open batch. A failure the model predicts,
-// or one injected by a Fault op, must leave every failed component exactly
-// as it was and every other one flushed, stick in Err and keep the
-// statements pending; the runner then retries an injected failure, which
-// must converge on the fault-free state, and discards a predicted one.
-func (r *runner) flush(close bool) error {
+// flush runs call, which flushes the open batch: Flush, Close (with close
+// set) or a read under ReadFlush. A failure the model predicts, or one
+// injected by a Fault op, must leave every failed component exactly as it
+// was and every other one flushed, stick in Err and keep the statements
+// pending; the runner then retries an injected failure, which must
+// converge on the fault-free state, and discards a predicted one.
+func (r *runner) flush(call func(*ojv.WriteBatch) error, close bool) error {
 	if r.wb == nil {
 		return nil
 	}
 	post, failed := r.m.flush()
-	call := r.wb.Flush
-	if close {
-		call = r.wb.Close
-	}
-	err, bad := r.observe(call)
+	err, bad := r.observe(func() error { return call(r.wb) })
 	switch {
 	case bad != nil:
 		return bad
@@ -498,6 +506,39 @@ func (r *runner) commit(post map[*mtable]map[int64]rel.Row, close bool) {
 	if close {
 		r.wb, r.m.batch = nil, nil
 	}
+}
+
+// batchRows reads the N-th live view through WriteBatch.Rows. Under
+// ReadFlush the read is a flush followed by the view check, so a flush the
+// model fails fails the read; under ReadCommitted the read must return the
+// naive view over the committed rows, whatever the batch holds.
+func (r *runner) batchRows(op Op) error {
+	if r.wb == nil || len(r.views) == 0 {
+		return nil
+	}
+	lv := r.views[int(op.N)%len(r.views)]
+	var got []rel.Row
+	var err error
+	if r.readFlush {
+		read := false
+		err = r.flush(func(wb *ojv.WriteBatch) (err error) {
+			got, err = wb.Rows(lv.v.Name())
+			read = err == nil
+			return err
+		}, false)
+		if err != nil || !read {
+			return err // a failed read is a failed flush, checked as one
+		}
+		r.st.shapes["read-flush"]++
+	} else {
+		got, err = r.wb.Rows(lv.v.Name())
+		r.st.shapes["read-committed"]++
+	}
+	want, werr := r.m.eval(lv.def)
+	if err = cmp.Or(err, werr, sameRows(got, want)); err != nil {
+		return fmt.Errorf("WriteBatch.Rows(%s): %w", lv.v.Name(), err)
+	}
+	return nil
 }
 
 // round has goroutines stage statements into the open batch concurrently,

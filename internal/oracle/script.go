@@ -34,7 +34,7 @@ const (
 	OrphanAll                 // every row whose j is fixture.HotValue
 	Churn                     // insert, update and delete one fresh key
 	Reparent                  // insert a fresh parent and move a child of the T-th child table to it; with N&4, delete the parent again
-	OpenBatch                 // MaintWorkers N&15
+	OpenBatch                 // MaintWorkers N&15; ReadFlush with N&16
 	Flush                     //
 	Close                     //
 	Discard                   //
@@ -47,17 +47,19 @@ const (
 	Fault                     // fail the Seed-th failpoint site of the next commit; Seed 0 only counts sites
 	Round                     // 1+N%4 goroutines stage into the open batch, one FK group each
 	Query                     // shape from Seed, or with N&1 the (N>>1)-th live non-aggregate view's; a subset of its columns
+	BatchRows                 // the N-th live view through WriteBatch.Rows
 	numKinds
 )
 
 var kindNames = [numKinds]string{"insert", "delete", "update", "truncate", "orphan-all", "churn", "reparent",
 	"open-batch", "flush", "close", "discard", "create-view", "drop-view", "create-index",
-	"add-foreign-key", "save", "load", "fault", "round", "query"}
+	"add-foreign-key", "save", "load", "fault", "round", "query", "batch-rows"}
 
 func (k Kind) String() string { return kindNames[k] }
 
 // syncBit in a statement op's N runs it synchronously even while a batch is
-// open: the interleaving DESIGN.md §11 sends down the validating flush path.
+// open, so the flush re-validates staged rows against what it wrote
+// (DESIGN.md §11).
 const syncBit = 0x80
 
 // Op is one step of a script. Its fields mean what its kind says; every
@@ -102,7 +104,7 @@ var defaultWeights = [numKinds]int{
 	Insert: 10, Delete: 6, Update: 6, Truncate: 1, OrphanAll: 1, Churn: 2, Reparent: 2,
 	OpenBatch: 3, Flush: 4, Close: 2, Discard: 1,
 	CreateView: 4, DropView: 2, CreateIndex: 1, AddForeignKey: 2,
-	Save: 1, Load: 2, Fault: 2, Round: 2, Query: 2,
+	Save: 1, Load: 2, Fault: 2, Round: 2, Query: 2, BatchRows: 2,
 }
 
 // Script draws one script.
@@ -151,8 +153,8 @@ func (g Gen) Script() Script {
 			if batch {
 				continue
 			}
-			batch, op.N = true, uint8(workers[rng.Intn(len(workers))])
-		case Flush, Close, Discard, Round:
+			batch, op.N = true, uint8(workers[rng.Intn(len(workers))])|uint8(op.Seed&16)
+		case Flush, Close, Discard, Round, BatchRows:
 			if !batch {
 				continue
 			}

@@ -77,10 +77,6 @@ type Step struct {
 	OldRows []rel.Row
 	// NewRows pair with OldRows for OpModify.
 	NewRows []rel.Row
-	// EncKeys are the encoded unique keys of the step's rows, computed once
-	// at enqueue; the prevalidated flush path applies them without
-	// re-encoding.
-	EncKeys []string
 }
 
 // Len returns the number of rows the step touches.
@@ -115,9 +111,6 @@ type tableDelta struct {
 	// order records each key at first staging, for deterministic plans;
 	// annihilated keys leave stale slots that the plan skips.
 	order []string
-	// inboundTables names the tables referencing this one, deduplicated;
-	// deletes consult it to decide fast-flush eligibility.
-	inboundTables []string
 }
 
 // Queue coalesces statements into net per-table deltas. Accounting
@@ -132,19 +125,6 @@ type Queue struct {
 	staged     int
 	coalesced  int
 	net        int
-	// baseVersion is the catalog version at the first staged statement.
-	// While the catalog still reports it at flush time, every enqueue-time
-	// validation is authoritative and the flush may use the catalog's
-	// prevalidated appliers (see Prevalidated).
-	baseVersion uint64
-	sawVersion  bool
-	// fkRevalidate forces the validating flush path: it is set when a
-	// delete targets a table whose referencing tables already have pending
-	// entries, because an insert or modify staged *before* that delete may
-	// reference the deleted key — a violation only the catalog's full FK
-	// checks catch (enqueue checks references against the overlay as it was
-	// when the referencing statement arrived).
-	fkRevalidate bool
 	// keyBuf is enqueue-time scratch for encoding foreign-key probes.
 	keyBuf []byte
 	// encScratch carries encoded keys from a statement's validation pass to
@@ -174,30 +154,6 @@ func (q *Queue) Reset() {
 	q.tables = make(map[string]*tableDelta)
 	q.touched = nil
 	q.statements, q.staged, q.coalesced, q.net = 0, 0, 0, 0
-	q.sawVersion = false
-	q.fkRevalidate = false
-}
-
-// Prevalidated reports whether the enqueue-time validations still prove
-// every pending entry, in which case a flush may apply the plan through
-// the catalog's prevalidated appliers (rel/prevalidated.go) instead of the
-// re-validating mutation path. It must be evaluated under the same write
-// lock the flush applies under: the proof is "catalog unchanged since the
-// first staged statement", witnessed by the version counter, and it only
-// holds while that lock keeps other writers out.
-func (q *Queue) Prevalidated() bool {
-	return q.sawVersion && !q.fkRevalidate && q.cat.Version() == q.baseVersion
-}
-
-// markVersion snapshots the catalog version under the first staged
-// statement. Statements run under at least a read lock, so the version
-// cannot move mid-statement; capturing it at success is equivalent to
-// capturing it at validation.
-func (q *Queue) markVersion() {
-	if !q.sawVersion {
-		q.sawVersion = true
-		q.baseVersion = q.cat.Version()
-	}
 }
 
 func (q *Queue) tableDelta(table string) (*tableDelta, error) {
@@ -205,8 +161,8 @@ func (q *Queue) tableDelta(table string) (*tableDelta, error) {
 	if td, ok := q.tables[table]; ok {
 		if td.t != t {
 			// Catalog.Restore swapped the table under this queue: the pending
-			// entries still flush (through the re-validating path — the
-			// version moved), but nothing more stages against the stale table.
+			// entries still flush (re-validated like every flush), but nothing
+			// more stages against the stale table.
 			return nil, fmt.Errorf("pipeline: table %s was replaced under pending statements; flush or discard them first", table)
 		}
 		return td, nil
@@ -215,18 +171,6 @@ func (q *Queue) tableDelta(table string) (*tableDelta, error) {
 		return nil, fmt.Errorf("pipeline: unknown table %s", table)
 	}
 	td := &tableDelta{t: t, entries: make(map[string]entry)}
-	for _, ref := range q.cat.ReferencingKeys(table) {
-		dup := false
-		for _, n := range td.inboundTables {
-			if n == ref.Table {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			td.inboundTables = append(td.inboundTables, ref.Table)
-		}
-	}
 	q.tables[table] = td
 	q.touched = append(q.touched, table)
 	return td, nil
@@ -324,7 +268,6 @@ func (q *Queue) Insert(table string, rows []rel.Row) error {
 		}
 		q.staged++
 	}
-	q.markVersion()
 	q.statements++
 	return nil
 }
@@ -386,20 +329,6 @@ func (q *Queue) Delete(table string, keys [][]rel.Value) ([]rel.Row, error) {
 		}
 		q.staged++
 	}
-	// An insert or modify staged before this delete may reference a key the
-	// delete removes; only the validating flush path catches that, so the
-	// presence of pending entries in any referencing table disables the
-	// prevalidated path for the whole batch (conservatively — deletes from
-	// leaf tables keep it).
-	if !q.fkRevalidate {
-		for _, ref := range td.inboundTables {
-			if td2, ok := q.tables[ref]; ok && len(td2.entries) > 0 {
-				q.fkRevalidate = true
-				break
-			}
-		}
-	}
-	q.markVersion()
 	q.statements++
 	return out, nil
 }
@@ -443,7 +372,6 @@ func (q *Queue) Update(table string, key []rel.Value, newRow rel.Row) error {
 		q.net++
 	}
 	q.staged++
-	q.markVersion()
 	q.statements++
 	return nil
 }
@@ -539,10 +467,7 @@ func (q *Queue) DeltaTables() []string {
 // retried flush. Accounting is rebuilt from the surviving entries — each
 // counts as one staged row of its own statement, with no coalescing
 // credit — preserving the StagedRows() == Len() + CoalescedRows()
-// invariant and keeping Statements() > 0 while work remains. The version
-// witness is untouched: the committed components bumped the catalog
-// version, so Prevalidated() reports false and the retry takes the
-// re-validating flush path.
+// invariant and keeping Statements() > 0 while work remains.
 func (q *Queue) DropTables(names []string) {
 	for _, n := range names {
 		if td, ok := q.tables[n]; ok {
@@ -598,7 +523,6 @@ func (q *Queue) appendStep(steps []Step, table string, kind entryKind) []Step {
 			st.OldRows = append(st.OldRows, e.old)
 			st.NewRows = append(st.NewRows, e.new)
 		}
-		st.EncKeys = append(st.EncKeys, k)
 	}
 	if st.Len() == 0 {
 		return steps

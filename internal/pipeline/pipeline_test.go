@@ -305,93 +305,3 @@ func TestResetAndEmptyInsert(t *testing.T) {
 		t.Fatal("reset left a plan behind")
 	}
 }
-
-// TestPrevalidatedGuard pins the fast-flush eligibility rules: the version
-// guard trips on any interleaved catalog mutation, and a delete from a
-// table whose referencing tables already hold pending entries forces the
-// validating flush path.
-func TestPrevalidatedGuard(t *testing.T) {
-	cat := newCat(t)
-	q := New(cat)
-	if q.Prevalidated() {
-		t.Fatal("empty queue claims prevalidated")
-	}
-	if err := q.Insert("item", []rel.Row{{rel.Int(9), rel.Int(1), rel.Int(5)}}); err != nil {
-		t.Fatal(err)
-	}
-	if !q.Prevalidated() {
-		t.Fatal("untouched catalog: queue should be prevalidated")
-	}
-
-	// Any interleaved catalog mutation invalidates the proof.
-	if err := cat.Insert("part", []rel.Row{{rel.Int(7), rel.Str("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	if q.Prevalidated() {
-		t.Fatal("catalog changed under the queue, still claims prevalidated")
-	}
-	q.Reset()
-
-	// Leaf deletes keep the fast path: nothing references item.
-	if _, err := q.Delete("item", [][]rel.Value{key(rel.Int(1))}); err != nil {
-		t.Fatal(err)
-	}
-	if !q.Prevalidated() {
-		t.Fatal("leaf delete should keep the fast path")
-	}
-	q.Reset()
-
-	// A child insert staged before its parent's delete is the case enqueue
-	// validation cannot catch (the parent was visible when the insert was
-	// checked); the queue must fall back to the validating flush.
-	if err := q.Insert("item", []rel.Row{{rel.Int(9), rel.Int(3), rel.Int(5)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Delete("part", [][]rel.Value{key(rel.Int(3))}); err != nil {
-		t.Fatal(err)
-	}
-	if q.Prevalidated() {
-		t.Fatal("parent delete after child insert must disable the fast path")
-	}
-	// Reset restores eligibility.
-	q.Reset()
-	if err := q.Insert("part", []rel.Row{{rel.Int(8), rel.Str("y")}}); err != nil {
-		t.Fatal(err)
-	}
-	if !q.Prevalidated() {
-		t.Fatal("reset queue should regain the fast path")
-	}
-}
-
-// TestPlanEncKeys checks that every plan step carries the encoded keys its
-// rows were staged under, aligned with the step's row slices.
-func TestPlanEncKeys(t *testing.T) {
-	cat := newCat(t)
-	q := New(cat)
-	if err := q.Insert("part", []rel.Row{{rel.Int(9), rel.Str("new")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Update("item", []rel.Value{rel.Int(2)}, rel.Row{rel.Int(2), rel.Int(2), rel.Int(99)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Delete("item", [][]rel.Value{key(rel.Int(1))}); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range q.Plan() {
-		if len(st.EncKeys) != st.Len() {
-			t.Fatalf("step %s:%s has %d enc keys for %d rows", st.Table, st.Op, len(st.EncKeys), st.Len())
-		}
-		tab := cat.Table(st.Table)
-		for i, k := range st.EncKeys {
-			var want string
-			if st.Op == OpInsert {
-				want = tab.KeyOf(st.Rows[i])
-			} else {
-				want = tab.KeyOf(st.OldRows[i])
-			}
-			if k != want {
-				t.Errorf("step %s:%s key %d: encoded key mismatch", st.Table, st.Op, i)
-			}
-		}
-	}
-}

@@ -15,10 +15,6 @@ type Catalog struct {
 	names  []string
 	// inbound maps a referenced table name to the constraints pointing at it.
 	inbound map[string][]inboundFK
-	// version counts committed changes; see Version in prevalidated.go. It
-	// is atomic because independent flush components bump it concurrently
-	// while each holds only its own table-shard locks (shardlock.go).
-	version atomic.Uint64
 	// design counts changes to the physical design — the table set, the
 	// indexes, the constraints — and nothing else; see DesignGeneration.
 	design atomic.Uint64
@@ -55,10 +51,10 @@ func NewCatalog() *Catalog {
 
 // DesignGeneration identifies the catalog's physical design: it moves when
 // a table, an index or a foreign key is added, when an arrangement is built
-// or dropped, and when Restore swaps the tables, and never on a data commit
-// (that is Version). A compiled executor
-// program holds *Table and *Index pointers and a per-join index choice, so
-// it is valid exactly as long as the generation it was compiled at.
+// or dropped, and when Restore swaps the tables, and never on a data commit.
+// A compiled executor program holds *Table and *Index pointers and a
+// per-join index choice, so it is valid exactly as long as the generation
+// it was compiled at.
 func (c *Catalog) DesignGeneration() uint64 { return c.design.Load() }
 
 // CreateTable creates a table with the given columns and unique key. Key
@@ -87,7 +83,6 @@ func (c *Catalog) CreateTable(name string, cols []Column, key ...string) (*Table
 	t := &Table{name: name, schema: schema, keyCols: keyCols, rows: make(map[string]int32)}
 	c.tables[name] = t
 	c.names = append(c.names, name)
-	c.version.Add(1)
 	c.design.Add(1)
 	if c.epochs.dir.Load() != nil {
 		c.publishDir()
@@ -183,7 +178,6 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 	}
 	t.fks = append(t.fks, fk)
 	c.inbound[refTable] = append(c.inbound[refTable], inboundFK{fromTable: table, fk: fk, ix: ix, keyPos: keyPos})
-	c.version.Add(1)
 	c.design.Add(1)
 	return nil
 }
@@ -191,9 +185,8 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 // CreateIndex declares a secondary hash index over the named columns of a
 // table. When the column set is already arranged (Arrange) the arrangement
 // is adopted — renamed and pinned — instead of building a twin; otherwise
-// the index is built. The catalog version is bumped on success: an index is
-// committed catalog state, and a plan validated before it existed must not
-// be flushed through the Prevalidated() fast path without re-validation.
+// the index is built. On success the design generation moves, so compiled
+// programs pick the index up.
 func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error) {
 	t, ok := c.tables[table]
 	if !ok {
@@ -214,7 +207,6 @@ func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error
 	} else {
 		ix = t.buildIndex(name, offsets, true)
 	}
-	c.version.Add(1)
 	c.design.Add(1)
 	return ix, nil
 }
@@ -223,9 +215,9 @@ func (c *Catalog) CreateIndex(table, name string, cols ...string) (*Index, error
 // order) of a table for one holder: the maintained index a view's
 // maintenance joins probe. The first index on that set serves — a declared
 // one as it stands, an arrangement another view already holds — and when
-// there is none the catalog builds one, which moves the version and the
-// design generation so compiled programs pick it up. Every Arrange is
-// matched by one Release of the returned index.
+// there is none the catalog builds one, which moves the design generation
+// so compiled programs pick it up. Every Arrange is matched by one Release
+// of the returned index.
 func (c *Catalog) Arrange(table string, cols []int) (*Index, error) {
 	t := c.tables[table]
 	if t == nil {
@@ -243,7 +235,6 @@ func (c *Catalog) Arrange(table string, cols []int) (*Index, error) {
 			name += "_" + t.schema[o].Name
 		}
 		ix = t.buildIndex(name, offsets, false)
-		c.version.Add(1)
 		c.design.Add(1)
 	}
 	ix.holders++
@@ -252,7 +243,7 @@ func (c *Catalog) Arrange(table string, cols []int) (*Index, error) {
 
 // Release gives back one hold on an index Arrange returned. An arrangement
 // nobody declared (see Index) is dropped with its last holder, which moves
-// the version and the design generation like its creation did.
+// the design generation like its creation did.
 func (c *Catalog) Release(table string, ix *Index) {
 	ix.holders--
 	if ix.holders > 0 || ix.pinned {
@@ -261,7 +252,6 @@ func (c *Catalog) Release(table string, ix *Index) {
 	if t := c.tables[table]; t != nil {
 		t.dropIndex(ix)
 	}
-	c.version.Add(1)
 	c.design.Add(1)
 }
 
@@ -309,8 +299,12 @@ func (c *Catalog) Insert(table string, rows []Row) error {
 		return fmt.Errorf("rel: unknown table %s", table)
 	}
 	// Pre-validate: keys unique (including within the batch) and FKs satisfied.
+	// A one-row statement has no duplicate to find within it.
 	keys := make([]string, len(rows))
-	seen := make(map[string]bool, len(rows))
+	var seen map[string]bool
+	if len(rows) > 1 {
+		seen = make(map[string]bool, len(rows))
+	}
 	for i, row := range rows {
 		if err := t.validateRow(row); err != nil {
 			return err
@@ -319,15 +313,17 @@ func (c *Catalog) Insert(table string, rows []Row) error {
 		if seen[k] || t.ContainsKey(k) {
 			return fmt.Errorf("rel: table %s: duplicate key %v", table, row.Project(t.keyCols))
 		}
-		seen[k], keys[i] = true, k
+		if seen != nil {
+			seen[k] = true
+		}
+		keys[i] = k
 		if err := c.checkOutboundFKs(t, row); err != nil {
 			return err
 		}
 	}
 	for i, row := range rows {
-		t.insertPrevalidated(row, keys[i])
+		t.insert(row, keys[i])
 	}
-	c.version.Add(1)
 	return nil
 }
 
@@ -350,7 +346,10 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 		return nil, fmt.Errorf("rel: unknown table %s", table)
 	}
 	encoded := make([]string, len(keys))
-	seen := make(map[string]bool, len(keys))
+	var seen map[string]bool
+	if len(keys) > 1 {
+		seen = make(map[string]bool, len(keys))
+	}
 	for i, kv := range keys {
 		if len(kv) != len(t.keyCols) {
 			return nil, fmt.Errorf("rel: table %s: key has %d values, expected %d", table, len(kv), len(t.keyCols))
@@ -359,7 +358,9 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 		if seen[encoded[i]] {
 			return nil, fmt.Errorf("rel: table %s: duplicate key %v in delete", table, kv)
 		}
-		seen[encoded[i]] = true
+		if seen != nil {
+			seen[encoded[i]] = true
+		}
 		if !t.ContainsKey(encoded[i]) {
 			return nil, fmt.Errorf("rel: table %s: no row with key %v", table, kv)
 		}
@@ -378,7 +379,6 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 		}
 		out = append(out, row)
 	}
-	c.version.Add(1)
 	return out, nil
 }
 
@@ -418,7 +418,6 @@ func (c *Catalog) Update(table string, key []Value, newRow Row) (Row, error) {
 		return nil, err
 	}
 	old := t.replaceByKey(enc, newRow)
-	c.version.Add(1)
 	return old, nil
 }
 

@@ -201,12 +201,6 @@ type catalogEpochs struct {
 // The first call switches the tables' logs on; catalogs that never publish
 // pay only a flag test per mutation.
 func (c *Catalog) PublishEpochs() {
-	// Publishing rewires per-table bookkeeping (the log, released slots),
-	// so it counts as a committed mutation like every other exported catalog
-	// write. Harmless to the flush fast path: the facade publishes at
-	// commit boundaries, after which the pipeline queue has been reset and
-	// re-snapshots the version at its next staged statement.
-	c.version.Add(1)
 	seq := c.epochs.seq.Add(1)
 	for _, name := range c.names {
 		c.tables[name].publishEpoch(seq)
@@ -226,7 +220,6 @@ func (c *Catalog) PublishTableEpochs(names []string) {
 	if len(names) == 0 {
 		return
 	}
-	c.version.Add(1)
 	seq := c.epochs.seq.Add(1)
 	for _, name := range names {
 		if t := c.tables[name]; t != nil {
@@ -253,7 +246,6 @@ func (c *Catalog) Rollback(names []string) error {
 		}
 		err = cmp.Or(err, t.rollback())
 	}
-	c.version.Add(1)
 	return err
 }
 

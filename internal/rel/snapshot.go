@@ -159,8 +159,8 @@ func LoadCatalog(r io.Reader) (*Catalog, error) {
 // with a snapshot written by Save (re-validated like LoadCatalog). The
 // catalog keeps its identity, so everything holding it — open write
 // queues, lock-free snapshot readers — observes the loaded tables, and its
-// version and design generation move, so no validation made against the
-// replaced tables and no program compiled over them survives. Callers
+// design generation moves, so no program compiled over the replaced tables
+// survives. Callers
 // publish epochs afterwards. On error the catalog is unchanged.
 func (c *Catalog) Restore(r io.Reader) error {
 	loaded, err := LoadCatalog(r)
@@ -168,7 +168,6 @@ func (c *Catalog) Restore(r io.Reader) error {
 		return err
 	}
 	c.tables, c.names, c.inbound = loaded.tables, loaded.names, loaded.inbound
-	c.version.Add(1)
 	c.design.Add(1)
 	return nil
 }

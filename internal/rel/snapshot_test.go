@@ -122,9 +122,9 @@ func TestLoadCatalogRejectsGarbage(t *testing.T) {
 }
 
 // TestRestoreInPlace pins Catalog.Restore: same catalog, loaded contents,
-// a moved version (no validation made against the old tables survives) and
-// a published directory that resolves to the loaded tables; a snapshot
-// that does not decode leaves everything as it was.
+// a moved design generation (no program compiled over the old tables
+// survives) and a published directory that resolves to the loaded tables;
+// a snapshot that does not decode leaves everything as it was.
 func TestRestoreInPlace(t *testing.T) {
 	c := snapshotFixture(t)
 	c.PublishEpochs()
@@ -136,12 +136,12 @@ func TestRestoreInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PublishEpochs()
-	stale, before := c.Table("e"), c.Version()
+	stale, before := c.Table("e"), c.DesignGeneration()
 
 	if err := c.Restore(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("junk snapshot restored")
 	}
-	if c.Table("e") != stale || c.Version() != before {
+	if c.Table("e") != stale || c.DesignGeneration() != before {
 		t.Fatal("failed Restore changed the catalog")
 	}
 
@@ -149,8 +149,8 @@ func TestRestoreInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PublishEpochs()
-	if c.Table("e") == stale || c.Version() == before {
-		t.Fatal("Restore kept the old table or the old version")
+	if c.Table("e") == stale || c.DesignGeneration() == before {
+		t.Fatal("Restore kept the old table or the old design generation")
 	}
 	if got := c.Table("e").Len(); got != 2 {
 		t.Fatalf("restored e has %d rows, want 2", got)

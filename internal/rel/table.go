@@ -187,10 +187,10 @@ func (t *Table) ContainsKeyBytes(encodedKey []byte) bool {
 	return ok
 }
 
-// insertPrevalidated stores a row whose constraints and encoded key k the
-// catalog has already established. The row is cloned, so callers remain
-// free to reuse or mutate their row slices once the insert returns.
-func (t *Table) insertPrevalidated(row Row, k string) {
+// insert stores a row whose constraints and encoded key k the catalog has
+// already established. The row is cloned, so callers remain free to reuse
+// or mutate their row slices once the insert returns.
+func (t *Table) insert(row Row, k string) {
 	h := t.slab.Alloc()
 	*t.slab.At(h) = Slot{Key: k, Row: row.Clone()}
 	t.link(h)
@@ -243,8 +243,8 @@ func (t *Table) columnOffsets(cols []string) ([]int, error) {
 // buildIndex builds a secondary hash index over the given column offsets.
 // Like dropIndex it is unexported on purpose: the set of
 // indexes is committed catalog state, so the only way in is a Catalog method
-// (CreateIndex, AddForeignKey, Arrange, Release) that moves Catalog.version
-// and keeps the Prevalidated() flush fast path honest.
+// (CreateIndex, AddForeignKey, Arrange, Release) that moves the design
+// generation, which compiled programs are checked against.
 func (t *Table) buildIndex(name string, offsets []int, pinned bool) *Index {
 	ix := &Index{name: name, cols: offsets, m: make(map[string][]int32), pinned: pinned}
 	for _, h := range t.rows {

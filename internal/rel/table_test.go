@@ -195,29 +195,61 @@ func TestSecondaryIndex(t *testing.T) {
 	}
 }
 
-// TestCreateIndexBumpsVersion pins the invariant the versionguard analyzer
-// enforces: index creation is committed catalog state, so it must advance
-// the catalog version or the Prevalidated() flush fast path would reuse
-// validation computed before the index existed.
-func TestCreateIndexBumpsVersion(t *testing.T) {
+// TestCreateIndexMovesDesignGeneration: an index is part of the physical
+// design, so a successful CreateIndex moves the design generation (compiled
+// programs recompile to use it) and a failed one changes nothing.
+func TestCreateIndexMovesDesignGeneration(t *testing.T) {
 	c := mkCatalog(t)
-	before := c.Version()
+	before := c.DesignGeneration()
 	if _, err := c.CreateIndex("dept", "by_name", "name"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Version(); got <= before {
-		t.Errorf("Version() = %d after CreateIndex, want > %d", got, before)
+	if got := c.DesignGeneration(); got <= before {
+		t.Errorf("DesignGeneration() = %d after CreateIndex, want > %d", got, before)
 	}
-	// A failed creation commits nothing and must not bump.
-	before = c.Version()
+	before = c.DesignGeneration()
 	if _, err := c.CreateIndex("nosuch", "ix", "name"); err == nil {
 		t.Fatal("CreateIndex on unknown table should fail")
 	}
 	if _, err := c.CreateIndex("dept", "ix2", "nocol"); err == nil {
 		t.Fatal("CreateIndex on unknown column should fail")
 	}
-	if got := c.Version(); got != before {
-		t.Errorf("Version() = %d after failed CreateIndex, want %d", got, before)
+	if got := c.DesignGeneration(); got != before {
+		t.Errorf("DesignGeneration() = %d after failed CreateIndex, want %d", got, before)
+	}
+}
+
+// TestDesignGenerationIgnoresDataCommits: a compiled program stays valid
+// across data commits, so row mutations, publishes and rollbacks leave the
+// design generation where CreateTable moved it.
+func TestDesignGenerationIgnoresDataCommits(t *testing.T) {
+	c := NewCatalog()
+	g0 := c.DesignGeneration()
+	if _, err := c.CreateTable("p", []Column{{Name: "k", Kind: KindInt}, {Name: "v", Kind: KindInt}}, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if c.DesignGeneration() == g0 {
+		t.Fatal("CreateTable did not move the design generation")
+	}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"insert", func() error { return c.Insert("p", []Row{{Int(1), Int(10)}}) }},
+		{"publish", func() error { c.PublishEpochs(); return nil }},
+		{"update", func() error { _, err := c.Update("p", []Value{Int(1)}, Row{Int(1), Int(11)}); return err }},
+		{"delete", func() error { _, err := c.Delete("p", [][]Value{{Int(1)}}); return err }},
+		{"rollback", func() error { return c.Rollback([]string{"p"}) }},
+		{"publish-tables", func() error { c.PublishTableEpochs([]string{"p"}); return nil }},
+	}
+	for _, s := range steps {
+		before := c.DesignGeneration()
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if c.DesignGeneration() != before {
+			t.Errorf("%s moved the design generation", s.name)
+		}
 	}
 }
 
@@ -367,7 +399,7 @@ func TestIndexFollowsRows(t *testing.T) {
 		case op%4 == 0:
 			_, err = c.Delete("t", [][]Value{key})
 		case op%4 == 1:
-			_, err = c.UpdatePrevalidated("t", EncodeValues(key...), row)
+			_, err = c.Update("t", key, row)
 		default:
 			if _, err = c.Update("t", key, row); err == nil && op%4 == 3 {
 				check(op)

@@ -331,8 +331,6 @@ func (db *Database) AddForeignKey(table string, cols []string, refTable string, 
 // join attribute its maintenance probes — so this is for Query and for
 // pinning: declaring an index over a column set a view already arranged
 // adopts that index under the given name, and it then outlives the views.
-// It goes through the catalog so the version moves: a queued plan validated
-// before the index existed must not reuse its validation at flush.
 func (db *Database) CreateIndex(table, name string, cols ...string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

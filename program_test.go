@@ -153,7 +153,8 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 // 153–157 / 12.4–13.1 kB over 12 (the spread was between processes: hash
 // seeds shaped the published tries). With base tables on the slab and a
 // vector epoch, and one delta bound per run, both read the same in every
-// process: 137 / 8.8 kB and 149 / 11.9 kB.
+// process: 137 / 8.8 kB and 149 / 11.9 kB; with no duplicate-key set for a
+// one-row statement, 136 / 8.65 kB and 148 / 11.70 kB.
 // The budgets sit about 10 % above those readings, so
 // per-run schema derivation, predicate compilation or offset resolution
 // creeping back into the statement path trips them on either view, and so

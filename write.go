@@ -29,18 +29,17 @@ func (db *Database) execute(st pipeline.Step) (pipeline.Step, error) {
 	}
 	comps := db.partition([]string{st.Table})
 	comps[0].steps = []pipeline.Step{st}
-	err := db.commit(comps, false, 1, nil, nil)[0]
+	err := db.commit(comps, 1, nil, nil)[0]
 	return comps[0].steps[0], err
 }
 
 // commit applies independent components on up to workers goroutines —
 // inline on the calling goroutine when that is one — and returns each
 // component's outcome, indexed like comps. Every component is attempted: a
-// failed one has rolled back alone and disturbs no other. fast selects the
-// prevalidated base appliers (the caller's version guard held); root and
-// metrics are the caller's flush span and registry, nil for statements.
-// Caller holds db.mu.
-func (db *Database) commit(comps []flushComponent, fast bool, workers int, root *Span, metrics *Metrics) []error {
+// failed one has rolled back alone and disturbs no other. root and metrics
+// are the caller's flush span and registry, nil for statements. Caller
+// holds db.mu.
+func (db *Database) commit(comps []flushComponent, workers int, root *Span, metrics *Metrics) []error {
 	errs := make([]error, len(comps))
 	for _, c := range comps {
 		db.locks.Ensure(c.tables)
@@ -50,7 +49,7 @@ func (db *Database) commit(comps []flushComponent, fast bool, workers int, root 
 	}
 	if workers <= 1 {
 		for i, c := range comps {
-			errs[i] = db.commitComponent(c, fast, root, metrics)
+			errs[i] = db.commitComponent(c, root, metrics)
 		}
 		return errs
 	}
@@ -61,7 +60,7 @@ func (db *Database) commit(comps []flushComponent, fast bool, workers int, root 
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = db.commitComponent(comps[i], fast, root, metrics)
+				errs[i] = db.commitComponent(comps[i], root, metrics)
 			}
 		}()
 	}
@@ -113,7 +112,7 @@ type stagedView struct {
 // return to their pre-call state. The shard locks are defense in depth:
 // components are disjoint by construction, so a blocked Acquire means a
 // conflict-analysis bug degraded to serialization instead of a race.
-func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, metrics *Metrics) error {
+func (db *Database) commitComponent(c flushComponent, root *Span, metrics *Metrics) error {
 	if len(c.steps) == 0 {
 		return nil
 	}
@@ -138,7 +137,7 @@ func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, met
 			SetStr("table", st.Table).
 			SetStr("op", st.Op.String()).
 			SetInt("rows", int64(st.Len()))
-		cause = db.applyBase(st, fast)
+		cause = db.applyBase(st)
 		if cause == nil {
 			cause = stageStep(st, staged, maints, stepSpan, metrics)
 		}
@@ -174,35 +173,24 @@ func (db *Database) commitComponent(c flushComponent, fast bool, root *Span, met
 	return cause
 }
 
-// applyBase applies one step's base-table delta, through the prevalidated
-// appliers when fast is set (the queue's version guard held) and through
-// the catalog's re-validating mutation path otherwise. The validating path
-// records the rows the catalog removed or replaced into the step, so
-// maintenance sees what was actually there (a synchronous delete learns its
-// rows this way). Whatever part of the step applied before a failure, the
-// table's log holds it for the unwind.
-func (db *Database) applyBase(st *pipeline.Step, fast bool) (err error) {
+// applyBase applies one step's base-table delta through the catalog's
+// validating mutation path, so key and foreign-key constraints hold at every
+// step maintenance sees, whatever else wrote to the catalog since the step's
+// statements were staged. It records the rows the catalog removed or
+// replaced into the step, so maintenance sees what was actually there (a
+// synchronous delete learns its rows this way, and a flush the rows a
+// synchronous statement rewrote after enqueue). Whatever part of the step
+// applied before a failure, the table's log holds it for the unwind.
+func (db *Database) applyBase(st *pipeline.Step) (err error) {
 	switch st.Op {
 	case pipeline.OpInsert:
-		if fast {
-			return db.cat.InsertPrevalidated(st.Table, st.Rows, st.EncKeys)
-		}
 		return db.cat.Insert(st.Table, st.Rows)
 	case pipeline.OpDelete:
-		if fast {
-			_, err = db.cat.DeletePrevalidated(st.Table, st.Keys, st.EncKeys)
-		} else {
-			st.OldRows, err = db.cat.Delete(st.Table, st.Keys)
-		}
+		st.OldRows, err = db.cat.Delete(st.Table, st.Keys)
 		return err
 	}
 	for i := range st.Keys {
-		if fast {
-			_, err = db.cat.UpdatePrevalidated(st.Table, st.EncKeys[i], st.NewRows[i])
-		} else {
-			st.OldRows[i], err = db.cat.Update(st.Table, st.Keys[i], st.NewRows[i])
-		}
-		if err != nil {
+		if st.OldRows[i], err = db.cat.Update(st.Table, st.Keys[i], st.NewRows[i]); err != nil {
 			return err
 		}
 	}
