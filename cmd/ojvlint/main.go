@@ -5,18 +5,17 @@
 //
 //	go run ./cmd/ojvlint ./...          # whole module (from anywhere inside it)
 //	go run ./cmd/ojvlint ./internal/exec
-//	go run ./cmd/ojvlint -json -baseline lint/baseline.json ./...
+//	go run ./cmd/ojvlint -json ./...
 //
 // Each argument is either ./... (the whole module) or a directory. With no
 // arguments, ./... is assumed. The module-wide passes (lockorder,
 // failsite) see exactly the packages loaded, so run ./... for
 // their full-fidelity results. Diagnostics print one per line in
 // file:line:col: analyzer: message form (or as a JSON array with -json);
-// the exit status is non-zero when any new diagnostic is reported.
+// the exit status is non-zero when any diagnostic is reported.
 //
-// Vetted findings live in two places: //ojvlint:ignore annotations next to
-// the code they excuse, and the committed baseline (-baseline filters known
-// findings; -update-baseline rewrites the file from the current run).
+// A vetted finding carries an //ojvlint:ignore annotation next to the code
+// it excuses; there is no other way to silence one.
 package main
 
 import (
@@ -51,8 +50,6 @@ type jsonDiag struct {
 func run(args []string, out *os.File) (int, error) {
 	fs := flag.NewFlagSet("ojvlint", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
-	baselinePath := fs.String("baseline", "", "filter findings recorded in this baseline file")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite the -baseline file from this run's findings and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
@@ -98,25 +95,6 @@ func run(args []string, out *os.File) (int, error) {
 	diags, err := analyzers.RunAll(pkgs, analyzers.All())
 	if err != nil {
 		return 2, err
-	}
-
-	if *updateBaseline {
-		if *baselinePath == "" {
-			return 2, fmt.Errorf("-update-baseline requires -baseline <path>")
-		}
-		if err := analyzers.WriteBaseline(*baselinePath, loader.Root(), diags); err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(os.Stderr, "ojvlint: baseline %s updated with %d finding(s)\n", *baselinePath, len(diags))
-		return 0, nil
-	}
-
-	if *baselinePath != "" {
-		baseline, err := analyzers.LoadBaseline(*baselinePath)
-		if err != nil {
-			return 2, err
-		}
-		diags = analyzers.FilterBaseline(diags, baseline, loader.Root())
 	}
 
 	if *jsonOut {

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -64,52 +63,9 @@ func TestMalformedSuppression(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip checks that a written baseline filters exactly the
-// findings it was built from, with line references normalized so unrelated
-// line shifts do not invalidate entries.
-func TestBaselineRoundTrip(t *testing.T) {
-	l, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir("testdata/src/srcclose/a", "corpus/testdata/src/srcclose/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunAnalyzers(pkg, []*Analyzer{SrcClose})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("corpus produced no findings to baseline")
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, l.Root(), diags); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(baseline) == 0 {
-		t.Fatal("baseline round-tripped empty")
-	}
-	if rest := FilterBaseline(diags, baseline, l.Root()); len(rest) != 0 {
-		t.Errorf("baseline did not filter its own findings: %v", rest)
-	}
-	// A shifted line reference still matches: the baseline stores "line N".
-	shifted := diags
-	for i := range shifted {
-		shifted[i].Message = strings.Replace(shifted[i].Message, "line ", "line 9", 1)
-	}
-	if rest := FilterBaseline(shifted, baseline, l.Root()); len(rest) != 0 {
-		t.Errorf("baseline did not survive a line shift: %v", rest)
-	}
-}
-
 // TestRepoClean runs every analyzer over every package of the module and
-// expects zero findings beyond the committed baseline — the same gate
-// cmd/ojvlint enforces in CI.
+// expects zero findings — the same gate cmd/ojvlint enforces in CI. A
+// vetted finding carries an //ojvlint:ignore annotation instead.
 func TestRepoClean(t *testing.T) {
 	l, err := sharedLoader()
 	if err != nil {
@@ -126,11 +82,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(l.Root(), "lint", "baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range FilterBaseline(diags, baseline, l.Root()) {
+	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
 }

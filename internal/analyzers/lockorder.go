@@ -25,18 +25,6 @@ import (
 // does not inherit its spawner's locks), and a deferred Unlock keeps the
 // lock held to function end, which is exactly what edge generation wants.
 //
-// A mutex reached through a map index — l.shards[n].Lock() — is a lock
-// *family*: all members share one node named Owner.field[*], because the
-// analyzer cannot distinguish members statically and the hierarchy
-// discipline is per family anyway. Family nodes participate in the normal
-// graph (an inversion against a family is an inversion), plus two checks
-// specific to multi-member acquisition: acquiring a second member while one
-// is held is flagged unless the acquisition loop carries a sortedness
-// witness — a sort.Strings/sort.Slice/slices.Sort* call on the iterated
-// slice earlier in the same function — since unordered multi-shard
-// acquisition deadlocks against a concurrent acquirer in the opposite
-// order (DESIGN.md §14).
-//
 // Calls through function values and interface methods are not resolved;
 // the analyzer is a hierarchy checker, not a whole-program alias analysis.
 var LockOrder = &Analyzer{
@@ -59,20 +47,18 @@ type lockFunc struct {
 }
 
 type lockOrderState struct {
-	mp     *ModulePass
-	funcs  map[*types.Func]*lockFunc
-	names  map[types.Object]string
-	edges  map[[2]types.Object]lockEdge
-	family map[types.Object]bool // map-indexed lock families, named Owner.field[*]
+	mp    *ModulePass
+	funcs map[*types.Func]*lockFunc
+	names map[types.Object]string
+	edges map[[2]types.Object]lockEdge
 }
 
 func runLockOrder(mp *ModulePass) error {
 	st := &lockOrderState{
-		mp:     mp,
-		funcs:  make(map[*types.Func]*lockFunc),
-		names:  make(map[types.Object]string),
-		edges:  make(map[[2]types.Object]lockEdge),
-		family: make(map[types.Object]bool),
+		mp:    mp,
+		funcs: make(map[*types.Func]*lockFunc),
+		names: make(map[types.Object]string),
+		edges: make(map[[2]types.Object]lockEdge),
 	}
 
 	// Function registry across all packages.
@@ -134,12 +120,6 @@ func runLockOrder(mp *ModulePass) error {
 		st.walkStmts(lf.pkg, lf.decl.Body.List, make(map[types.Object]token.Pos))
 	}
 
-	// Sharded-lock idiom: loops acquiring family members need a sortedness
-	// witness. Runs after the acquire pass so every family is known.
-	for _, lf := range st.funcs {
-		st.checkShardLoops(lf)
-	}
-
 	st.report()
 	return nil
 }
@@ -186,38 +166,6 @@ func (st *lockOrderState) lockTarget(pkg *Package, call *ast.CallExpr) (types.Ob
 		if _, seen := st.names[obj]; !seen {
 			st.names[obj] = pkg.Types.Name() + "." + obj.Name()
 		}
-		return obj, op
-	case *ast.IndexExpr:
-		// Map-indexed mutex: l.shards[n].Lock(). The identity is the map
-		// field (or variable) itself — one family node for all members —
-		// named Owner.field[*].
-		var obj types.Object
-		var ownerName string
-		switch x := recv.X.(type) {
-		case *ast.SelectorExpr:
-			s, ok := pkg.Info.Selections[x]
-			if !ok {
-				return nil, ""
-			}
-			obj = s.Obj()
-			owner := s.Recv()
-			if p, ok := owner.(*types.Pointer); ok {
-				owner = p.Elem()
-			}
-			ownerName = types.TypeString(owner, func(p *types.Package) string { return p.Name() })
-		case *ast.Ident:
-			obj = pkg.Info.ObjectOf(x)
-			if obj == nil {
-				return nil, ""
-			}
-			ownerName = pkg.Types.Name()
-		default:
-			return nil, ""
-		}
-		if _, seen := st.names[obj]; !seen {
-			st.names[obj] = ownerName + "." + obj.Name() + "[*]"
-		}
-		st.family[obj] = true
 		return obj, op
 	}
 	return nil, ""
@@ -437,122 +385,6 @@ func (st *lockOrderState) addEdge(from, to types.Object, pos token.Pos) {
 	}
 }
 
-// checkShardLoops enforces the sharded-lock idiom on loops: a loop body
-// that locks members of a lock family acquires an unbounded, data-dependent
-// set of mutexes, which is deadlock-free only under a total acquisition
-// order. The witness the analyzer accepts is a sort of the iterated slice —
-// sort.Strings/sort.Slice/slices.Sort* on the ranged variable (or a
-// variable indexed in the shard key) earlier in the same function, the
-// shape rel.TableLocks.Acquire uses. Ranging a map directly can never carry
-// a witness: map order is random by construction.
-func (st *lockOrderState) checkShardLoops(lf *lockFunc) {
-	pkg := lf.pkg
-
-	// Earliest sortedness witness per sorted object in this function.
-	witness := make(map[types.Object]token.Pos)
-	ast.Inspect(lf.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if obj := sortWitnessArg(pkg, call); obj != nil {
-			if p, seen := witness[obj]; !seen || call.Pos() < p {
-				witness[obj] = call.Pos()
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(lf.decl.Body, func(n ast.Node) bool {
-		var body *ast.BlockStmt
-		var iterObjs []types.Object
-		var loopPos token.Pos
-		switch l := n.(type) {
-		case *ast.RangeStmt:
-			body, loopPos = l.Body, l.Pos()
-			if id, ok := l.X.(*ast.Ident); ok {
-				if o := pkg.Info.ObjectOf(id); o != nil {
-					iterObjs = append(iterObjs, o)
-				}
-			}
-		case *ast.ForStmt:
-			body, loopPos = l.Body, l.Pos()
-		default:
-			return true
-		}
-		ast.Inspect(body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj, op := st.lockTarget(pkg, call)
-			if obj == nil || !st.family[obj] || (op != "Lock" && op != "RLock") {
-				return true
-			}
-			// Candidate witnesses: the ranged slice plus any variable the
-			// shard key expression reads (covers the indexed-for shape
-			// shards[sorted[i]]).
-			cand := append([]types.Object(nil), iterObjs...)
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if ix, ok := sel.X.(*ast.IndexExpr); ok {
-					ast.Inspect(ix.Index, func(k ast.Node) bool {
-						if id, ok := k.(*ast.Ident); ok {
-							if o := pkg.Info.ObjectOf(id); o != nil {
-								cand = append(cand, o)
-							}
-						}
-						return true
-					})
-				}
-			}
-			for _, o := range cand {
-				if p, ok := witness[o]; ok && p < loopPos {
-					return true
-				}
-			}
-			st.mp.Reportf(call.Pos(), "%s members are acquired in a loop with no sortedness witness on the iterated keys — ordered multi-shard acquisition requires sorting the names first (DESIGN.md §14)", st.names[obj])
-			return true
-		})
-		return true
-	})
-}
-
-// sortWitnessArg resolves call to the object it sorts when call is one of
-// the recognized in-place sorts (sort.Strings, sort.Slice, sort.SliceStable,
-// slices.Sort, slices.SortFunc, slices.SortStableFunc) applied to a plain
-// variable, or nil otherwise.
-func sortWitnessArg(pkg *Package, call *ast.CallExpr) types.Object {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) == 0 {
-		return nil
-	}
-	pid, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	pn, ok := pkg.Info.ObjectOf(pid).(*types.PkgName)
-	if !ok {
-		return nil
-	}
-	switch name := sel.Sel.Name; pn.Imported().Path() {
-	case "sort":
-		if name != "Strings" && name != "Ints" && name != "Slice" && name != "SliceStable" {
-			return nil
-		}
-	case "slices":
-		if name != "Sort" && name != "SortFunc" && name != "SortStableFunc" {
-			return nil
-		}
-	default:
-		return nil
-	}
-	id, ok := call.Args[0].(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return pkg.Info.ObjectOf(id)
-}
-
 // lockEdgeRec is one materialized edge for reporting.
 type lockEdgeRec struct {
 	from, to types.Object
@@ -582,15 +414,7 @@ func (st *lockOrderState) report() {
 	reportedPair := make(map[[2]types.Object]bool)
 	for _, e := range edges {
 		if e.from == e.to {
-			if st.family[e.from] {
-				// Two members of one family on a path: not re-entry of a
-				// single mutex, but just as fatal without an acquisition
-				// order — a concurrent acquirer taking the members in the
-				// opposite order deadlocks against this one.
-				st.mp.Reportf(e.site.pos, "a second %s member is acquired while another is already held — unordered multi-shard acquisition deadlocks against a concurrent acquirer in the opposite order; acquire through the sorted-order helper (DESIGN.md §14)", st.names[e.from])
-			} else {
-				st.mp.Reportf(e.site.pos, "%s is acquired on a path that already holds it — self-deadlock on re-entry; the lock hierarchy must be acyclic (DESIGN.md §12)", st.names[e.from])
-			}
+			st.mp.Reportf(e.site.pos, "%s is acquired on a path that already holds it — self-deadlock on re-entry; the lock hierarchy must be acyclic (DESIGN.md §12)", st.names[e.from])
 			inCycle[e.from] = true
 			continue
 		}

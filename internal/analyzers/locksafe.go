@@ -7,7 +7,8 @@ import (
 )
 
 // LockSafe flags mutex and WaitGroup misuse patterns that matter for the
-// exec worker pool:
+// write path's goroutines — the component workers of a flush and a
+// WriteBatch's maintenance goroutine:
 //
 //   - a sync.Mutex/RWMutex Lock or RLock with no matching Unlock/RUnlock in
 //     the same function scope (directly, deferred, or inside a deferred

@@ -12,9 +12,8 @@ import (
 // on the flagged line or on the line directly above it. The reason is
 // mandatory: an ignore without one (or naming no analyzer) is itself
 // reported, so vetted findings always carry their justification next to the
-// code they excuse. Suppression is the per-site mechanism; whole findings
-// that pre-date a pass belong in the committed baseline instead (see
-// baseline.go).
+// code they excuse. It is the only way to vet a finding: CI and
+// TestRepoClean fail on any other.
 
 const ignorePrefix = "//ojvlint:ignore"
 

@@ -211,10 +211,10 @@ func (c *Catalog) PublishEpochs() {
 // PublishTableEpochs publishes a new epoch of exactly the named tables. It
 // is the per-component commit boundary of a concurrent WriteBatch flush:
 // each independent component publishes its own base tables when it commits,
-// without waiting for (or disturbing) the other components. Callers must
-// hold the shard locks serializing writers of the named tables, and the
-// tables must already have epochs enabled (the facade publishes the whole
-// catalog when it adopts one). The table directory is not refreshed: a
+// without waiting for (or disturbing) the other components. The caller
+// holds the database's write lock and is the only writer of the named
+// tables, and the tables must already have epochs enabled (the facade
+// publishes the whole catalog when it adopts one). The table directory is not refreshed: a
 // flush never runs DDL, so the name→table mapping cannot have changed.
 func (c *Catalog) PublishTableEpochs(names []string) {
 	if len(names) == 0 {
@@ -230,8 +230,9 @@ func (c *Catalog) PublishTableEpochs(names []string) {
 
 // Rollback returns each named table to its last published epoch, undoing
 // every mutation since in place (see Table.rollback). It is the unwind of a
-// failed component of a flush: the caller holds the shard locks of the
-// named tables, and each of them was published when the component began.
+// failed component of a flush: the caller holds the database's write lock
+// and is the only writer of the named tables, and each of them was
+// published when the component began.
 // Constraint checks are skipped — the published state satisfied every
 // constraint. It rolls back every table it can and reports the first
 // failure: an unknown table, or a catalog that never published and so kept

@@ -256,17 +256,11 @@ type Database struct {
 	viewMu sync.RWMutex
 	views  map[string]*View
 	order  []string
-	// locks shards the write path by base table: independent components
-	// acquire only their own tables' shards, so maintenance of views with
-	// disjoint footprints proceeds concurrently inside a flush
-	// (conflict.go). Lock order: mu before any shard, shards in sorted name
-	// order (rel.TableLocks).
-	locks *rel.TableLocks
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	db := &Database{cat: rel.NewCatalog(), views: make(map[string]*View), locks: rel.NewTableLocks()}
+	db := &Database{cat: rel.NewCatalog(), views: make(map[string]*View)}
 	db.cat.PublishEpochs()
 	return db
 }
@@ -275,7 +269,7 @@ func NewDatabase() *Database {
 // The caller must not touch the catalog directly afterwards: it is not
 // synchronized with the database's locks.
 func WrapCatalog(cat *rel.Catalog) *Database {
-	db := &Database{cat: cat, views: make(map[string]*View), locks: rel.NewTableLocks()}
+	db := &Database{cat: cat, views: make(map[string]*View)}
 	db.cat.PublishEpochs()
 	return db
 }

@@ -38,12 +38,11 @@ func (db *Database) execute(st pipeline.Step) (pipeline.Step, error) {
 // component's outcome, indexed like comps. Every component is attempted: a
 // failed one has rolled back alone and disturbs no other. root and metrics
 // are the caller's flush span and registry, nil for statements. Caller
-// holds db.mu.
+// holds db.mu, the write path's one lock: workers need no lock of their
+// own, because partition gives each delta table and each affected view to
+// exactly one component, so no two components write the same container.
 func (db *Database) commit(comps []flushComponent, workers int, root *Span, metrics *Metrics) []error {
 	errs := make([]error, len(comps))
-	for _, c := range comps {
-		db.locks.Ensure(c.tables)
-	}
 	if workers > len(comps) {
 		workers = len(comps)
 	}
@@ -99,8 +98,7 @@ type stagedView struct {
 	stats *MaintStats
 }
 
-// commitComponent applies and commits one component under its tables'
-// shard locks (sorted order — see rel.TableLocks): each step mutates its
+// commitComponent applies and commits one component: each step mutates its
 // base table, then stages maintenance for that single-table delta into
 // every component view's changeset — base delta first, then the views, the
 // sequence of single-table updates the maintenance layer is proven against.
@@ -109,15 +107,12 @@ type stagedView struct {
 // everything unwinds — staged changesets in reverse view order, then each
 // of the component's tables back to its last published epoch, which is its
 // state when the component began — so the component's tables and views
-// return to their pre-call state. The shard locks are defense in depth:
-// components are disjoint by construction, so a blocked Acquire means a
-// conflict-analysis bug degraded to serialization instead of a race.
+// return to their pre-call state. Caller holds db.mu, and the component is
+// the only writer of its tables and views (see commit).
 func (db *Database) commitComponent(c flushComponent, root *Span, metrics *Metrics) error {
 	if len(c.steps) == 0 {
 		return nil
 	}
-	db.locks.Acquire(c.tables)
-	defer db.locks.Release(c.tables)
 	span := root.Child("flush.component").
 		SetStr("tables", strings.Join(c.tables, ",")).
 		SetInt("views", int64(len(c.views))).
