@@ -21,22 +21,25 @@ import (
 //     reads the referencing one).
 //
 // The transitive closure of the conflict relation partitions the delta
-// tables into independent components. Every view with a non-empty
-// footprint∩delta overlap lands in exactly one component (the first rule
-// forces its whole overlap into one), and views with an empty overlap have
-// nothing to maintain: their plans no-op on unrelated tables, so skipping
-// them leaves reader-visible state bit-identical. Components share no
-// written table and no view, so any interleaving of their commits is
-// equivalent to applying them one after another.
+// tables into independent components. Every view family (one registered
+// view, or several sharing one store, DESIGN.md §19; its views share a
+// footprint) with a non-empty footprint∩delta overlap lands in exactly one
+// component (the first rule forces its whole overlap into one), and
+// families with an empty overlap have nothing to maintain: their plans
+// no-op on unrelated tables, so skipping them leaves reader-visible state
+// bit-identical. Components share no written table and no family, so any
+// interleaving of their commits is equivalent to applying them one after
+// another.
 
 // flushComponent is one independently committable unit of a write: the
-// delta tables it writes (sorted), the registered views it maintains (in
-// registration order) and the plan over those tables — one step for a
-// synchronous statement, Queue.PlanFor(tables) for a flush.
+// delta tables it writes (sorted), the view families it maintains (in
+// registration order; a family's views share one footprint, one store and
+// one changeset, DESIGN.md §19) and the plan over those tables — one step
+// for a synchronous statement, Queue.PlanFor(tables) for a flush.
 type flushComponent struct {
-	tables []string
-	views  []*View
-	steps  []pipeline.Step
+	tables   []string
+	families []*family
+	steps    []pipeline.Step
 }
 
 // partition splits the sorted, duplicate-free delta tables into independent
@@ -67,16 +70,15 @@ func (db *Database) partition(delta []string) []flushComponent {
 	union := func(a, b int) { parent[find(a)] = find(b) }
 
 	// Rule 1: a view footprint's delta tables conflict pairwise. Remember
-	// each affected view's anchor table to place it in its component later.
-	type viewOverlap struct {
-		v      *View
+	// each affected family's anchor table to place it in its component later.
+	type familyOverlap struct {
+		f      *family
 		anchor int
 	}
-	var overlaps []viewOverlap
-	for _, name := range db.order {
-		v := db.views[name]
+	var overlaps []familyOverlap
+	for _, f := range db.families {
 		anchor := -1
-		for _, t := range v.footprint {
+		for _, t := range f.footprint {
 			i := index(t)
 			switch {
 			case i < 0:
@@ -87,7 +89,7 @@ func (db *Database) partition(delta []string) []flushComponent {
 			}
 		}
 		if anchor >= 0 {
-			overlaps = append(overlaps, viewOverlap{v: v, anchor: anchor})
+			overlaps = append(overlaps, familyOverlap{f: f, anchor: anchor})
 		}
 	}
 
@@ -114,7 +116,7 @@ func (db *Database) partition(delta []string) []flushComponent {
 	}
 	for _, o := range overlaps {
 		c := &comps[compOf[find(o.anchor)]-1]
-		c.views = append(c.views, o.v)
+		c.families = append(c.families, o.f)
 	}
 	return comps
 }

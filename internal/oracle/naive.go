@@ -84,6 +84,34 @@ func (m *model) drawView(seed uint32, aggregate bool) viewDef {
 	return d
 }
 
+// sibling returns a copy of a view with the constant of its first leaf
+// selection on a table in every term redrawn: a leaf reached from the root
+// through inner joins and the preserved sides of one-sided outer joins only.
+// The copy then differs from the view only where σ commutes to the top, so
+// the facade maintains the two as one view family. A view with no such
+// selection is copied as it is.
+func sibling(d viewDef, rng *rand.Rand) viewDef {
+	out := d
+	out.expr = algebra.CloneExpr(d.expr)
+	var redraw func(e algebra.Expr) bool
+	redraw = func(e algebra.Expr) bool {
+		switch n := e.(type) {
+		case *algebra.Select:
+			if c, ok := n.Pred.(algebra.Cmp); ok {
+				c.Right = algebra.ConstOperand(rel.Int(int64(10 + rng.Intn(80))))
+				n.Pred = c
+				return true
+			}
+		case *algebra.Join:
+			return (n.Kind == algebra.InnerJoin || n.Kind == algebra.LeftOuterJoin) && redraw(n.Left) ||
+				(n.Kind == algebra.InnerJoin || n.Kind == algebra.RightOuterJoin) && redraw(n.Right)
+		}
+		return false
+	}
+	redraw(out.expr)
+	return out
+}
+
 // eval computes a view from the model's committed rows: nested loops over
 // the expression tree, then the projection or the grouping. It shares
 // nothing with the maintenance code but algebra's predicate compiler.

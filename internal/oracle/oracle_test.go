@@ -32,7 +32,7 @@ var (
 
 // wantShapes are the adversarial shapes the short corpus must produce.
 var wantShapes = []string{"zipf", "hot", "all-null", "truncate", "orphan-all", "churn", "round", "fault", "load-under-batch",
-	"query-view", "query-base", "read-flush", "read-committed"}
+	"query-view", "query-base", "read-flush", "read-committed", "family", "family-drop"}
 
 // TestShortCorpus is the always-on corpus: every op kind drawn, over six
 // seeds, both secondary-delta strategies, and every batch flushed inline

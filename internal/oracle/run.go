@@ -88,8 +88,17 @@ type stats struct {
 }
 
 type liveView struct {
-	v   *ojv.View
-	def viewDef
+	v        *ojv.View
+	def      viewDef
+	strategy ojv.Strategy
+}
+
+// siblings reports whether another live view shares lv's family: its store
+// and maintainer.
+func (r *runner) siblings(lv liveView) bool {
+	return slices.ContainsFunc(r.views, func(o liveView) bool {
+		return o.v != lv.v && o.v.Maintainer() == lv.v.Maintainer()
+	})
 }
 
 type runner struct {
@@ -174,6 +183,9 @@ func (r *runner) do(i int, op Op) error {
 			return nil
 		}
 		i := int(op.N) % len(r.views)
+		if r.siblings(r.views[i]) {
+			r.st.shapes["family-drop"]++
+		}
 		if !r.db.DropView(r.views[i].v.Name()) {
 			return fmt.Errorf("DropView %s found no view", r.views[i].v.Name())
 		}
@@ -351,7 +363,8 @@ func agree(want []rel.Row, wantErr error, got []rel.Row, err error) error {
 
 // observe runs one committing call with the pending Fault op armed. Every
 // span tree must validate and, when the call succeeded, the registry must
-// move by exactly the LastStats of the views it committed, with one
+// move by exactly the LastStats of the view families it committed — each
+// family once, however many of its views are live — with one
 // changeset.commit root each, and the shared rows balance (consumer =
 // producer + saved). callErr is the call's own error, err a broken identity.
 func (r *runner) observe(call func() error) (callErr, err error) {
@@ -387,8 +400,12 @@ func (r *runner) observe(call func() error) (callErr, err error) {
 	if c, p, s := d("view.shared.rows.consumer"), d("view.shared.rows.producer"), d("view.shared.rows.saved"); c != p+s {
 		return nil, fmt.Errorf("shared rows: consumer %d != producer %d + saved %d", c, p, s)
 	}
+	// The views of one family share its run, and its LastStats: count each
+	// committed family once.
+	counted := map[*ojv.MaintStats]bool{}
 	for i, lv := range r.views {
-		if s := lv.v.LastStats; s != last[i] {
+		if s := lv.v.LastStats; s != last[i] && !counted[s] {
+			counted[s] = true
 			want["view.commits"]++
 			want["view.rows.primary"] += int64(s.PrimaryRows)
 			want["view.rows.secondary"] += int64(s.SecondaryRows)
@@ -600,6 +617,10 @@ func (r *runner) createView(op Op) error {
 	if d.agg != nil && opts.Strategy == ojv.StrategyFromView {
 		opts.Strategy = ojv.StrategyFromBase // an aggregate stores no orphans to read
 	}
+	if live := slices.DeleteFunc(slices.Clone(r.views), func(lv liveView) bool { return lv.def.agg != nil }); op.N&4 != 0 && op.N&8 == 0 && len(live) > 0 {
+		src := live[int(op.Seed)%len(live)]
+		d, opts.Strategy = sibling(src.def, rand.New(rand.NewSource(int64(op.Seed)))), src.strategy
+	}
 	var v *ojv.View
 	var err error
 	if d.agg != nil {
@@ -610,7 +631,10 @@ func (r *runner) createView(op Op) error {
 	if err != nil {
 		return fmt.Errorf("CreateView %s over %s: %w", name, d.expr, err)
 	}
-	r.views = append(r.views, liveView{v: v, def: d})
+	r.views = append(r.views, liveView{v: v, def: d, strategy: opts.Strategy})
+	if r.siblings(r.views[len(r.views)-1]) {
+		r.st.shapes["family"]++
+	}
 	r.watch()
 	return r.check()
 }

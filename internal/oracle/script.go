@@ -38,7 +38,7 @@ const (
 	Flush                     //
 	Close                     //
 	Discard                   //
-	CreateView                // shape from Seed; N: strategy (bits 0-1), aggregate (bit 3); bit 2 is unused
+	CreateView                // shape from Seed; N: strategy (bits 0-1), aggregate (bit 3), or with bit 2 a sibling of the Seed-th live non-aggregate view
 	DropView                  // the N-th live view
 	CreateIndex               // column set N%4 of the table: j, v, f, (j, v); (j, v) for f on a table without one
 	AddForeignKey             // declare the table's f → parent key, if not declared yet
@@ -169,8 +169,19 @@ func (g Gen) Script() Script {
 			}
 			shapes = append(shapes, op.Seed)
 			op.N = uint8(strategies[rng.Intn(len(strategies))])
-			if rng.Intn(4) == 0 {
+			switch rng.Intn(4) {
+			case 0:
 				op.N |= 8 // an aggregate
+			case 1:
+				// A sibling: a live view's shape with its selection's constant
+				// redrawn, which joins that view's family. Now and then the new
+				// member leaves again at once, while its sibling stays.
+				op.N |= 4
+				if rng.Intn(3) == 0 {
+					s.Ops = append(s.Ops, op)
+					op = Op{Kind: DropView, N: uint8(views - 1)}
+					views--
+				}
 			}
 		case DropView:
 			if views == 0 {

@@ -234,7 +234,7 @@ func (s *aggOps) commit() {
 	if used := int(s.a.slab.Used()); len(s.a.rows)+len(s.a.slab.Free()) != used {
 		s.t.Fatalf("%d groups and %d free slots after a commit, %d handed out", len(s.a.rows), len(s.a.slab.Free()), used)
 	}
-	ep := s.m.ep.Load()
+	ep := s.m.members[0].ep.Load()
 	for h := int32(0); h < s.a.slab.Used(); h++ {
 		if got, want := ep.rows.Get(h), s.a.slab.At(h).Row; !sameRow(got, want) {
 			s.t.Fatalf("epoch %d holds %s at handle %d, the store %s", ep.seq, got, h, want)

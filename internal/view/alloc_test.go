@@ -156,6 +156,72 @@ func TestViewPublishAllocBudget(t *testing.T) {
 	}
 }
 
+// familyFixture is the benchmark's shared-prefix views: a family of n
+// members over applyFixture's tables, member i σ(a.av < 50+i) a ⟕ (b ⟗ c),
+// with every member's snapshots on.
+func familyFixture(t *testing.T, n int) *Maintainer {
+	t.Helper()
+	m, _ := applyFixture(t, 0)
+	def, j := m.def, m.def.Expr.(*algebra.Join)
+	leaf := func(i int) *Definition {
+		a := &algebra.Select{Input: j.Left, Pred: algebra.CmpConst("a", "av", algebra.OpLt, rel.Int(int64(50+i)))}
+		d, err := Define(def.cat, fmt.Sprintf("f%d", i), &algebra.Join{Kind: j.Kind, Left: a, Right: j.Right, Pred: j.Pred}, def.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	f, err := NewMaintainer(leaf(0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if mem, err := f.Join(leaf(i), Options{}); err != nil || mem == nil {
+			t.Fatalf("member %d did not join: %v", i, err)
+		}
+	}
+	f.EnableSnapshots()
+	return f
+}
+
+// TestFamilyApplyAllocBudget bounds what a view family of 24 members — the
+// benchmark's shared-prefix views — allocates for a 1-row insert and its
+// commit, and the delete that undoes it, over 2 000 resident rows that
+// every member takes: the family stores, keys and undo-logs the row once,
+// as one view does (2 448 B a cycle), and each of the other 23 members
+// publishes its own epoch twice — a copied leaf and path (0.9 kB), its term
+// counters and the epoch header, 1.3 kB a publish. That is 62 832 B, the
+// same on every run; the budget sits 3 % above. One copy of the projected
+// row per member would add 5.5 kB, a store per member more.
+func TestFamilyApplyAllocBudget(t *testing.T) {
+	const resident = 2000
+	_, rows := applyFixture(t, resident+50)
+	cycleBytes := func(m *Maintainer) float64 {
+		m.CommitStaged(stageRows(t, m, rows[:resident], true), &MaintStats{})
+		cycle := func(i int) {
+			row := rows[resident+i : resident+i+1]
+			m.CommitStaged(stageRows(t, m, row, true), &MaintStats{})
+			m.CommitStaged(stageRows(t, m, row, false), &MaintStats{})
+		}
+		cycle(0) // the log buffer reaches its size here
+		var costs []float64
+		for i := 1; i < 50; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cycle(i)
+			runtime.ReadMemStats(&after)
+			costs = append(costs, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		slices.Sort(costs)
+		return costs[len(costs)/2]
+	}
+	one, family := cycleBytes(familyFixture(t, 1)), cycleBytes(familyFixture(t, 24))
+	t.Logf("1-row insert + delete, each committed: one view %.0f B, a family of 24 %.0f B", one, family)
+	if family > 65_000 {
+		t.Errorf("a family of 24 allocates %.0f B for a 1-row insert and delete, budget 65000", family)
+	}
+}
+
 // aggCommitBytes returns what one commit on V2's aggregate allocates —
 // Begin, ApplyInsert of 1 000 fresh orders of 100 customers spread evenly
 // over the key space, CommitStaged — over a catalog of the given number of

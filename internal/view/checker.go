@@ -117,31 +117,43 @@ func RecomputeAggregate(def *Definition) ([]rel.Row, error) {
 // Check verifies a maintained view against both recompute oracles and
 // returns a descriptive error on the first divergence. For aggregation
 // views it compares against the group-by recompute.
+// For a family it checks the stored rows against the family's definition;
+// Member.Check checks one view.
 func Check(m *Maintainer) error {
 	if m.agg != nil {
-		want, err := RecomputeAggregate(m.def)
-		if err != nil {
-			return err
-		}
-		got := m.agg.Rows()
-		// Incrementally maintained SUM/AVG accumulate floating-point
-		// rounding in a different order than a from-scratch recompute, so
-		// aggregate values are compared with a relative tolerance.
-		return diffRowsApprox(m.def.Name+" (aggregate)", got, want)
+		return checkAgg(m.def, m.agg.Rows())
 	}
-	got := m.mv.SortedRows()
-	direct, err := RecomputeDirect(m.def)
+	return checkRows(m.def, m.mv.SortedRows())
+}
+
+// checkAgg compares an aggregation view's groups with the group-by
+// recompute of def.
+func checkAgg(def *Definition, got []rel.Row) error {
+	want, err := RecomputeAggregate(def)
 	if err != nil {
 		return err
 	}
-	if err := diffRows(m.def.Name+" vs direct recompute", got, direct); err != nil {
-		return err
-	}
-	viaNF, err := RecomputeNormalForm(m.def)
+	// Incrementally maintained SUM/AVG accumulate floating-point rounding in
+	// a different order than a from-scratch recompute, so aggregate values
+	// are compared with a relative tolerance.
+	return diffRowsApprox(def.Name+" (aggregate)", got, want)
+}
+
+// checkRows compares a stored view's rows, sorted, with both recomputes of
+// def.
+func checkRows(def *Definition, got []rel.Row) error {
+	direct, err := RecomputeDirect(def)
 	if err != nil {
 		return err
 	}
-	return diffRows(m.def.Name+" vs normal-form recompute", got, viaNF)
+	if err := diffRows(def.Name+" vs direct recompute", got, direct); err != nil {
+		return err
+	}
+	viaNF, err := RecomputeNormalForm(def)
+	if err != nil {
+		return err
+	}
+	return diffRows(def.Name+" vs normal-form recompute", got, viaNF)
 }
 
 func diffRows(label string, got, want []rel.Row) error {

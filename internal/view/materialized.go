@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 
+	"ojv/internal/algebra"
 	"ojv/internal/exec"
 	"ojv/internal/rel"
 )
@@ -36,6 +37,10 @@ type Materialized struct {
 	witnessCol []int
 	// colTable[c] is the table position of output column c.
 	colTable []int
+	// filters[i] is the predicate of the family's filtered member in slot i
+	// (nil: no filtered member there); insertRow sets a row's membership bit
+	// i when it accepts the row. nil in a family with no filtered member.
+	filters []func(rel.Row) algebra.Tri
 
 	store
 }
@@ -154,8 +159,38 @@ func (m *Materialized) insertRow(k string, row rel.Row) (int32, error) {
 	}
 	h := m.alloc()
 	*m.slab.At(h) = rel.Slot{Key: k, Row: row}
+	if m.filters != nil {
+		if n := int(h) + 1 - len(m.bits); n > 0 {
+			m.bits = append(m.bits, make([]uint64, n)...)
+		}
+		m.bits[h] = m.membership(row)
+	}
 	m.relink(h)
 	return h, nil
+}
+
+// membership returns the membership word of a row: the bits of the filtered
+// members that accept it.
+func (m *Materialized) membership(row rel.Row) uint64 {
+	var w uint64
+	for i, accept := range m.filters {
+		if accept != nil && accept(row) == algebra.True {
+			w |= 1 << uint(i)
+		}
+	}
+	return w
+}
+
+// rebits recomputes the membership word of every linked row, after the
+// family's filtered members changed.
+func (m *Materialized) rebits() {
+	if m.filters == nil {
+		return
+	}
+	m.bits = make([]uint64, m.slab.Used())
+	for _, h := range m.rows {
+		m.bits[h] = m.membership(m.slab.At(h).Row)
+	}
 }
 
 // relink makes the row in slot h visible: under its key in rows, in its

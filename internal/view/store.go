@@ -74,6 +74,10 @@ type store struct {
 	// Both nil when Options.DisableOrphanIndex.
 	perTable []map[string]chain
 	links    [][]chainLink
+	// bits[h] is the membership word of the row in slot h: bit i is set when
+	// the family's filtered member in slot i holds the row (family.go). nil
+	// while no member is filtered.
+	bits []uint64
 	// linkOps counts the links written or followed, so a test can assert
 	// that index maintenance stays linear in the rows on a hot key.
 	linkOps int

@@ -110,6 +110,47 @@ func TestSteadyStateProbesOnly(t *testing.T) {
 	}
 }
 
+// TestFromBaseCleanupIsCounted: the §5.3 anti-joins run with the run's
+// Metrics, so a StrategyFromBase view's delete shows its from-base cleanup
+// in exec.*. The same delete on a StrategyFromView twin, whose cleanup reads
+// the view, counts its ΔV^D evaluation alone; before the anti-joins carried
+// Metrics the two counted the same.
+func TestFromBaseCleanupIsCounted(t *testing.T) {
+	examined := func(strategy ojv.Strategy) int64 {
+		db := ojv.NewDatabase()
+		db.MustCreateTable("p", ojv.Cols(ojv.IntCol("pk"), ojv.IntCol("pj")), "pk")
+		db.MustCreateTable("c", ojv.Cols(ojv.IntCol("ck"), ojv.IntCol("cj")), "ck")
+		if err := db.Insert("p", []ojv.Row{{ojv.Int(1), ojv.Int(10)}, {ojv.Int(2), ojv.Int(20)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("c", []ojv.Row{{ojv.Int(1), ojv.Int(10)}, {ojv.Int(2), ojv.Int(10)}, {ojv.Int(3), ojv.Int(20)}}); err != nil {
+			t.Fatal(err)
+		}
+		metrics := ojv.NewMetrics()
+		v, err := db.CreateView("v", ojv.Table("p").LeftJoin(ojv.Table("c"), ojv.Eq("p", "pj", "c", "cj")),
+			ojv.Columns("p.pk", "p.pj", "c.ck", "c.cj"), ojv.Options{Strategy: strategy, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := readExec(metrics)
+		// p 2's only partner goes: p 2 becomes an orphan.
+		if _, err := db.Delete("c", [][]ojv.Value{{ojv.Int(3)}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Check(); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.TermCardinality("p"); got != 1 {
+			t.Fatalf("%d orphans of p after the delete, want 1", got)
+		}
+		return readExec(metrics).examined - before.examined
+	}
+	fromView, fromBase := examined(ojv.StrategyFromView), examined(ojv.StrategyFromBase)
+	if fromBase <= fromView {
+		t.Fatalf("a from-base delete examined %d rows, its from-view twin %d: the §5.3 anti-join is not counted", fromBase, fromView)
+	}
+}
+
 // TestMultiViewExaminedBudget is the benchmark's multi-view shape in small —
 // σ(a) ⟕ (b ⟗ c) over three 200-row tables whose join attributes carry no
 // declared index, four views differing in their selections — flushed one row

@@ -188,7 +188,7 @@ func TestWritePathFaultMatrix(t *testing.T) {
 			// v1's staged changeset inserted, so that changeset's rollback
 			// finds the slot empty. The base unwind still runs.
 			onFail: func(f *faultDB) {
-				if _, err := f.View("v1").m.OnDelete("c", []rel.Row{{Int(9), Str("eve")}}); err != nil {
+				if _, err := f.View("v1").Maintainer().OnDelete("c", []rel.Row{{Int(9), Str("eve")}}); err != nil {
 					panic(err)
 				}
 			},
@@ -370,13 +370,13 @@ func TestPartitionFollowsForeignKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comps := db.partition([]string{"c", "p"}); len(comps) != 2 || len(comps[1].views) != 0 {
-		t.Fatalf("unrelated tables: %d components, p's views %v; want 2 components, p's without views", len(comps), comps[len(comps)-1].views)
+	if comps := db.partition([]string{"c", "p"}); len(comps) != 2 || len(comps[1].families) != 0 {
+		t.Fatalf("unrelated tables: %d components, p's families %v; want 2 components, p's without views", len(comps), comps[len(comps)-1].families)
 	}
 	if err := db.AddForeignKey("c", []string{"cpk"}, "p", []string{"pk"}); err != nil {
 		t.Fatal(err)
 	}
-	if comps := db.partition([]string{"p"}); len(comps) != 1 || len(comps[0].views) != 1 || comps[0].views[0] != v {
+	if comps := db.partition([]string{"p"}); len(comps) != 1 || len(comps[0].families) != 1 || comps[0].families[0] != v.fam {
 		t.Fatalf("parent-only write after the foreign key: components %+v, want one maintaining vc", comps)
 	}
 	if comps := db.partition([]string{"c", "p"}); len(comps) != 1 {
