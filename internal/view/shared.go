@@ -208,7 +208,7 @@ func SharedDAG(ms []*Maintainer, table string, fkOK bool) ([]SharedSubtree, erro
 	for i, st := range dag {
 		views := make([]string, len(st.occ))
 		for j, o := range st.occ {
-			views[j] = o.m.def.Name
+			views[j] = o.m.Name()
 		}
 		out[i] = SharedSubtree{Key: st.key, Expr: st.expr, Views: views}
 	}
