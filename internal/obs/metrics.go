@@ -32,8 +32,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically set/read last-value metric (e.g. the current
-// epoch sequence number). The nil gauge is a valid no-op, like Counter.
+// Gauge is an atomically set/read last-value metric (e.g. a queue depth).
+// The nil gauge is a valid no-op, like Counter.
 type Gauge struct {
 	v atomic.Int64
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ojv"
+	"ojv/internal/algebra"
 	"ojv/internal/fixture"
 	"ojv/internal/rel"
 )
@@ -716,6 +717,11 @@ func (r *runner) check() error {
 		if err := readKeyed(s, got, r.rng); err != nil {
 			return fmt.Errorf("%s epoch %d: %w", c.key, epoch, err)
 		}
+		if c.terms != nil {
+			if err := c.terms(s, want); err != nil {
+				return fmt.Errorf("%s epoch %d: %w", c.key, epoch, err)
+			}
+		}
 		epochs := r.committed[c.key]
 		if epochs == nil {
 			epochs = map[uint64]uint64{}
@@ -725,6 +731,40 @@ func (r *runner) check() error {
 			return fmt.Errorf("%s republished epoch %d with other rows", c.key, epoch)
 		}
 		epochs[epoch] = hashRows(got)
+	}
+	return nil
+}
+
+// termCounts checks a view snapshot's TermCardinality against the model's
+// rows of the view, for every non-empty set of the view's tables: the number
+// of rows whose keys are non-null on exactly that set, 0 for a set that is
+// no term of the normal form. Every table's key is an output column.
+func termCounts(d viewDef, s *ojv.ViewSnapshot, want []rel.Row) error {
+	tables := d.expr.Tables()
+	keyAt := make([]int, len(tables))
+	for i, t := range tables {
+		keyAt[i] = slices.Index(d.output, algebra.Col(t, t+"k"))
+	}
+	count := make(map[uint32]int)
+	for _, row := range want {
+		var set uint32
+		for i, at := range keyAt {
+			if !row[at].IsNull() {
+				set |= 1 << i
+			}
+		}
+		count[set]++
+	}
+	for set := uint32(1); set < 1<<len(tables); set++ {
+		var names []string
+		for i, t := range tables {
+			if set&(1<<i) != 0 {
+				names = append(names, t)
+			}
+		}
+		if got := s.TermCardinality(names); got != count[set] {
+			return fmt.Errorf("TermCardinality(%v) = %d, the model has %d rows of that term", names, got, count[set])
+		}
 	}
 	return nil
 }
@@ -800,11 +840,14 @@ func readKeyed(s snapshot, rows []rel.Row, rng *rand.Rand) error {
 }
 
 // container is a table or a view: how to pin its current snapshot, and
-// what the model says it holds.
+// what the model says it holds. terms, set for a view that is not an
+// aggregation, checks a pinned snapshot's term counters against the
+// model's rows.
 type container struct {
-	key  string
-	pin  func() snapshot
-	want func() ([]rel.Row, error)
+	key   string
+	pin   func() snapshot
+	want  func() ([]rel.Row, error)
+	terms func(snapshot, []rel.Row) error
 }
 
 // snapshot is what *ojv.TableSnapshot and *ojv.ViewSnapshot share.
@@ -819,14 +862,18 @@ type snapshot interface {
 func (r *runner) watch() {
 	r.cs = r.cs[:0:0]
 	for _, t := range r.m.tables {
-		r.cs = append(r.cs, container{"table " + t.Name,
-			func() snapshot { return r.db.TableSnapshot(t.Name) },
-			func() ([]rel.Row, error) { return rowsOf(t.rows), nil }})
+		r.cs = append(r.cs, container{key: "table " + t.Name,
+			pin:  func() snapshot { return r.db.TableSnapshot(t.Name) },
+			want: func() ([]rel.Row, error) { return rowsOf(t.rows), nil }})
 	}
 	for _, lv := range r.views {
-		r.cs = append(r.cs, container{fmt.Sprintf("view %s = %s", lv.v.Name(), lv.def.expr),
-			func() snapshot { return lv.v.Snapshot() },
-			func() ([]rel.Row, error) { return r.m.eval(lv.def) }})
+		c := container{key: fmt.Sprintf("view %s = %s", lv.v.Name(), lv.def.expr),
+			pin:  func() snapshot { return lv.v.Snapshot() },
+			want: func() ([]rel.Row, error) { return r.m.eval(lv.def) }}
+		if lv.def.agg == nil {
+			c.terms = func(s snapshot, want []rel.Row) error { return termCounts(lv.def, s.(*ojv.ViewSnapshot), want) }
+		}
+		r.cs = append(r.cs, c)
 	}
 	if cs := r.cs; r.readers != nil {
 		r.readers.watched.Store(&cs)

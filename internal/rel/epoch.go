@@ -60,7 +60,7 @@ func (s *TableSnapshot) Len() int { return s.rows.Len() }
 // is fresh (callers may sort it in place); the rows are shared and must
 // not be modified.
 func (s *TableSnapshot) Rows() []Row {
-	return s.rows.AppendRows(make([]Row, 0, s.rows.Len()))
+	return s.rows.Append(make([]Row, 0, s.rows.Len()))
 }
 
 // Get returns the row with the given key values as of the epoch.
@@ -122,7 +122,7 @@ func (t *Table) Snapshot() *TableSnapshot {
 // ends up clear — releasing the slot of each deleted row as they go. Callers
 // must hold whatever lock serializes table writers.
 func (t *Table) publishEpoch(seq uint64) {
-	var tx *VecTx
+	var tx *VecTx[Row]
 	switch prev := t.epoch.Load(); {
 	case prev == nil:
 		t.logged = true
@@ -141,7 +141,7 @@ func (t *Table) publishEpoch(seq uint64) {
 				tx.Set(r.h, t.slab.At(r.h).Row)
 				continue
 			}
-			tx.Set(r.h, nil)
+			tx.Clear(r.h)
 			t.slab.Release(r.h) // no later record names a deleted row's handle
 		}
 		t.clearLog()

@@ -236,7 +236,8 @@ func (s *aggOps) commit() {
 	}
 	ep := s.m.members[0].ep.Load()
 	for h := int32(0); h < s.a.slab.Used(); h++ {
-		if got, want := ep.rows.Get(h), s.a.slab.At(h).Row; !sameRow(got, want) {
+		got, _ := ep.rows.Get(h)
+		if want := s.a.slab.At(h).Row; !sameRow(got, want) {
 			s.t.Fatalf("epoch %d holds %s at handle %d, the store %s", ep.seq, got, h, want)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // applyFixture is the benchmark's multi-view shape — three tables of three
 // integer columns, a lo (b fo c) — with n view rows to stage: every a tuple
 // meets four (b, c) pairs, as a join attribute spanning a small table does.
-func applyFixture(t *testing.T, n int) (*Maintainer, []rel.Row) {
+func applyFixture(t testing.TB, n int) (*Maintainer, []rel.Row) {
 	t.Helper()
 	cat := rel.NewCatalog()
 	var out []algebra.ColRef
@@ -52,7 +52,7 @@ func applyFixture(t *testing.T, n int) (*Maintainer, []rel.Row) {
 
 // stageRows stages the insertion or the deletion of rows into a fresh
 // changeset.
-func stageRows(t *testing.T, m *Maintainer, rows []rel.Row, insert bool) *Changeset {
+func stageRows(t testing.TB, m *Maintainer, rows []rel.Row, insert bool) *Changeset {
 	t.Helper()
 	mv := m.Materialized()
 	cs := m.Begin()
@@ -157,14 +157,14 @@ func TestViewPublishAllocBudget(t *testing.T) {
 }
 
 // familyFixture is the benchmark's shared-prefix views: a family of n
-// members over applyFixture's tables, member i σ(a.av < 50+i) a ⟕ (b ⟗ c),
+// members over applyFixture's tables, member i σ(a.av < first+i) a ⟕ (b ⟗ c),
 // with every member's snapshots on.
-func familyFixture(t *testing.T, n int) *Maintainer {
+func familyFixture(t testing.TB, first, n int) *Maintainer {
 	t.Helper()
 	m, _ := applyFixture(t, 0)
 	def, j := m.def, m.def.Expr.(*algebra.Join)
 	leaf := func(i int) *Definition {
-		a := &algebra.Select{Input: j.Left, Pred: algebra.CmpConst("a", "av", algebra.OpLt, rel.Int(int64(50+i)))}
+		a := &algebra.Select{Input: j.Left, Pred: algebra.CmpConst("a", "av", algebra.OpLt, rel.Int(int64(first+i)))}
 		d, err := Define(def.cat, fmt.Sprintf("f%d", i), &algebra.Join{Kind: j.Kind, Left: a, Right: j.Right, Pred: j.Pred}, def.Output)
 		if err != nil {
 			t.Fatal(err)
@@ -186,13 +186,17 @@ func familyFixture(t *testing.T, n int) *Maintainer {
 
 // TestFamilyApplyAllocBudget bounds what a view family of 24 members — the
 // benchmark's shared-prefix views — allocates for a 1-row insert and its
-// commit, and the delete that undoes it, over 2 000 resident rows that
-// every member takes: the family stores, keys and undo-logs the row once,
-// as one view does (2 448 B a cycle), and each of the other 23 members
-// publishes its own epoch twice — a copied leaf and path (0.9 kB), its term
-// counters and the epoch header, 1.3 kB a publish. That is 62 832 B, the
-// same on every run; the budget sits 3 % above. One copy of the projected
-// row per member would add 5.5 kB, a store per member more.
+// commit, and the delete that undoes it, over 2 000 resident rows, of a
+// row every member takes: the family stores, keys, undo-logs and
+// publishes the row once, as one view does (2 400 B a cycle, the row
+// vector's copied leaf and path included); the same walk copies the word
+// vector's leaf and path (584 B a publish), and each of the 23 filtered
+// members publishes an epoch header and its own term counters (48 + 192 B a
+// publish) over the family's two vectors. That is 2 400 + 2×584 + 46×240 =
+// 14 608 B, the same on every run; the budget sits 3 % above. A leaf and
+// path copied per member, as when each member kept a vector of its own,
+// would add 0.9 kB a publish (62 832 B a cycle); one copy of the projected
+// row per member 5.5 kB, a store per member more.
 func TestFamilyApplyAllocBudget(t *testing.T) {
 	const resident = 2000
 	_, rows := applyFixture(t, resident+50)
@@ -215,10 +219,82 @@ func TestFamilyApplyAllocBudget(t *testing.T) {
 		slices.Sort(costs)
 		return costs[len(costs)/2]
 	}
-	one, family := cycleBytes(familyFixture(t, 1)), cycleBytes(familyFixture(t, 24))
+	one, family := cycleBytes(familyFixture(t, 50, 1)), cycleBytes(familyFixture(t, 50, 24))
 	t.Logf("1-row insert + delete, each committed: one view %.0f B, a family of 24 %.0f B", one, family)
-	if family > 65_000 {
-		t.Errorf("a family of 24 allocates %.0f B for a 1-row insert and delete, budget 65000", family)
+	if family > 15_050 {
+		t.Errorf("a family of 24 allocates %.0f B for a 1-row insert and delete, budget 15050", family)
+	}
+}
+
+// loadFamily commits, in one changeset, the rows σ(a.av < lt) accepts: the
+// rows a family whose selection is that one stores.
+func loadFamily(t testing.TB, m *Maintainer, rows []rel.Row, lt int64) {
+	t.Helper()
+	var take []rel.Row
+	for _, r := range rows {
+		if r[2].AsInt() < lt {
+			take = append(take, r)
+		}
+	}
+	m.CommitStaged(stageRows(t, m, take, true), &MaintStats{})
+}
+
+// TestMemberSnapshotRowsAllocs: reading a filtered member's snapshot
+// allocates the slice it returns and nothing else, with room for exactly
+// Len rows: the walk over the family's two vectors allocates nothing per
+// row, leaf or level.
+func TestMemberSnapshotRowsAllocs(t *testing.T) {
+	_, rows := applyFixture(t, 2000)
+	f := familyFixture(t, 50, 24)
+	loadFamily(t, f, rows, 73)
+	for _, mem := range []*Member{f.members[0], f.members[11]} {
+		if !mem.filtered {
+			t.Fatalf("member %s is not filtered", mem.def.Name)
+		}
+		snap := mem.Snapshot()
+		var got []rel.Row
+		if n := testing.AllocsPerRun(20, func() { got = snap.Rows() }); n != 1 {
+			t.Errorf("member %s: Rows allocates %.1f objects, want 1", mem.def.Name, n)
+		}
+		want := 0
+		for _, r := range rows {
+			if r[2].AsInt() < int64(50+mem.slot) {
+				want++
+			}
+		}
+		if len(got) != want || snap.Len() != want || cap(got) != want {
+			t.Errorf("member %s: %d rows in a slice of capacity %d, Len %d, want %d", mem.def.Name, len(got), cap(got), snap.Len(), want)
+		}
+	}
+}
+
+// BenchmarkMemberSnapshotRows reads a member's snapshot through its family
+// — a family of 24 holding the 1 460 rows of σ(a.av < 73) — against a
+// family of one holding just the member's rows: the narrowest member
+// (1 000 rows, filtered), a middle one (1 220, filtered) and the widest
+// (all 1 460, the family's whole selection, so unfiltered).
+func BenchmarkMemberSnapshotRows(b *testing.B) {
+	_, rows := applyFixture(b, 2000)
+	family := familyFixture(b, 50, 24)
+	loadFamily(b, family, rows, 73)
+	for _, slot := range []int{0, 11, 23} {
+		lt := 50 + slot
+		alone := familyFixture(b, lt, 1)
+		loadFamily(b, alone, rows, int64(lt))
+		for _, c := range []struct {
+			name string
+			mem  *Member
+		}{{"family", family.members[slot]}, {"alone", alone.members[0]}} {
+			b.Run(fmt.Sprintf("lt=%d/%s", lt, c.name), func(b *testing.B) {
+				snap := c.mem.Snapshot()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if len(snap.Rows()) != snap.Len() {
+						b.Fatal("short read")
+					}
+				}
+			})
+		}
 	}
 }
 

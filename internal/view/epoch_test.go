@@ -212,3 +212,39 @@ func TestEpochRematerializePublishesFull(t *testing.T) {
 		t.Fatal("rebuilt epoch diverged from stored view")
 	}
 }
+
+// TestFamilyPublishCopies: a commit copies nodes of the family's two
+// vectors and nothing per member. A family of 24 copies what a family of
+// one copies, plus the word vector's nodes, which are as many, the word
+// vector having the row vector's shape; a family of 2 copies the same. And
+// every member a commit concerns publishes the family's vectors themselves.
+func TestFamilyPublishCopies(t *testing.T) {
+	_, rows := applyFixture(t, 2100)
+	copies := func(n int) []int {
+		f := familyFixture(t, 50, n)
+		f.CommitStaged(stageRows(t, f, rows[:2000], true), &MaintStats{})
+		var out []int
+		for _, batch := range [][]rel.Row{rows[2000:2001], rows[2001:2100]} {
+			for _, insert := range []bool{true, false} {
+				f.CommitStaged(stageRows(t, f, batch, insert), &MaintStats{})
+				out = append(out, f.publishCopies)
+				for _, mem := range f.members {
+					ep := mem.ep.Load()
+					if ep.rows != f.epochRows || mem.filtered && ep.words != f.epochWords || !mem.filtered && ep.words != nil {
+						t.Fatalf("family of %d: member %s publishes vectors of its own", n, mem.def.Name)
+					}
+				}
+			}
+		}
+		return out
+	}
+	one := copies(1)
+	for _, n := range []int{2, 24} {
+		got := copies(n)
+		for i := range one {
+			if got[i] != 2*one[i] {
+				t.Errorf("family of %d: commit %d copies %d nodes, a family of one %d: want twice that", n, i, got[i], one[i])
+			}
+		}
+	}
+}

@@ -27,8 +27,10 @@ import (
 // other member is filtered, and the store keeps one membership word per
 // slot beside the slab, a bit per filtered member, computed once when the
 // row is inserted (Materialized.insertRow). At commit the family's one log
-// is published into each member's epoch, filtered by its bit, so a member's
-// Snapshot reads like any view's.
+// is published once, into the family's row vector and a vector of the
+// membership words beside it, and a filtered member's epoch is the two
+// vectors and its bit (epoch.go): its Snapshot reads the family's rows
+// whose word carries the bit, and nothing is copied per member.
 
 // maxMembers is the most views one family serves: a membership word has a
 // bit per member. A further view of the same shape founds a new family.
@@ -71,10 +73,17 @@ func (mem *Member) Schema() rel.Schema {
 	return mem.m.mv.schema
 }
 
+// bit returns the member's bit of a membership word.
+func (mem *Member) bit() uint64 { return 1 << uint(mem.slot) }
+
 // has reports whether the stored row in slot h is the member's.
 func (mem *Member) has(h int32) bool {
-	return !mem.filtered || mem.m.mv.bits[h]&(1<<uint(mem.slot)) != 0
+	return !mem.filtered || mem.m.mv.bits[h]&mem.bit() != 0
 }
+
+// filtering reports whether the store keeps membership words: whether some
+// member is filtered.
+func (m *Maintainer) filtering() bool { return m.mv != nil && m.mv.filters != nil }
 
 // rows returns the member's linked rows, in unspecified order.
 func (mem *Member) rows() []rel.Row {
@@ -89,14 +98,59 @@ func (mem *Member) rows() []rel.Row {
 }
 
 // Check verifies the member against both recompute oracles of its own
-// definition (see Check).
+// definition (see Check), and its published epoch, once it has one, against
+// its stored rows.
 func (mem *Member) Check() error {
+	var rows []rel.Row
+	var err error
 	if mem.m.agg != nil {
-		return checkAgg(mem.def, mem.m.agg.Rows())
+		rows = mem.m.agg.Rows()
+		err = checkAgg(mem.def, rows)
+	} else {
+		rows = mem.rows()
+		rel.SortRows(rows)
+		err = checkRows(mem.def, rows)
 	}
-	rows := mem.rows()
-	rel.SortRows(rows)
-	return checkRows(mem.def, rows)
+	if err != nil {
+		return err
+	}
+	return mem.checkEpoch(rows)
+}
+
+// checkEpoch holds the member's current epoch against its stored rows: the
+// same rows, Len their number, and per term pattern as many of them as
+// TermCardinality reports.
+func (mem *Member) checkEpoch(want []rel.Row) error {
+	ep := mem.ep.Load()
+	if ep == nil {
+		return nil
+	}
+	got := (&Snapshot{mem: mem, ep: ep}).Rows()
+	if ep.count != len(got) {
+		return fmt.Errorf("view %s epoch %d: Len %d, Rows has %d", mem.def.Name, ep.seq, ep.count, len(got))
+	}
+	rel.SortRows(got)
+	rel.SortRows(want)
+	if err := diffRows(fmt.Sprintf("%s epoch %d vs store", mem.def.Name, ep.seq), got, want); err != nil {
+		return err
+	}
+	if mem.m.mv == nil {
+		return nil
+	}
+	terms := make(map[uint32]int)
+	for _, row := range got {
+		terms[mem.m.mv.pattern(row)]++
+	}
+	for p, n := range ep.patterns {
+		if terms[p] != n {
+			return fmt.Errorf("view %s epoch %d: %d rows of term %b, TermCardinality %d", mem.def.Name, ep.seq, terms[p], p, n)
+		}
+		delete(terms, p)
+	}
+	for p, n := range terms {
+		return fmt.Errorf("view %s epoch %d: %d rows of term %b, TermCardinality 0", mem.def.Name, ep.seq, n, p)
+	}
+	return nil
 }
 
 // Members returns the views the family serves, in the order they joined.
@@ -139,9 +193,10 @@ func (m *Maintainer) initFamily(def *Definition, opts Options) {
 // selection does not imply the new predicate the family widens: its
 // definition becomes σ over the disjunction, its plans and arrangements
 // follow, and the rows of the new view the store lacks are inserted —
-// existing rows keep their handles and existing members their epochs. On
-// error the family is unchanged. Callers hold the lock that serializes
-// maintenance, and enable the member's snapshots afterwards.
+// existing rows keep their handles and existing members their epochs, and
+// the family's vectors are rebuilt for the epochs to come. On error the
+// family is unchanged. Callers hold the lock that serializes maintenance,
+// and enable the member's snapshots afterwards.
 func (m *Maintainer) Join(def *Definition, opts Options) (*Member, error) {
 	if m.sel < 0 || def.Agg != nil || len(m.members) >= maxMembers ||
 		!slices.Equal(def.Output, m.def.Output) || !sameOptions(m.opts, opts) {
@@ -183,16 +238,23 @@ func (m *Maintainer) Join(def *Definition, opts Options) (*Member, error) {
 		}
 	}
 	m.mv.rebits()
+	if m.epochRows != nil {
+		m.resnap()
+	}
 	return mem, nil
 }
 
 // Drop removes a member from the family. The store keeps the rows only the
-// member wanted: the family's selection does not narrow. The facade
-// releases the family with its last member.
+// member wanted: the family's selection does not narrow, and the words keep
+// the member's stale bit until a member that reuses its slot rewrites them.
+// When no member is filtered any more the family stops publishing words.
+// The facade releases the family with its last member.
 func (m *Maintainer) Drop(mem *Member) {
 	m.members = slices.DeleteFunc(m.members, func(x *Member) bool { return x == mem })
 	if mem.filtered {
-		m.refilter()
+		if m.refilter(); !m.filtering() {
+			m.epochWords = nil
+		}
 	}
 }
 

@@ -49,6 +49,16 @@ type Maintainer struct {
 	// logBuf is the row log of the last finished changeset, emptied, for the
 	// next Begin to fill (changeset.go).
 	logBuf []rowUndo
+
+	// epochRows and epochWords are the family's last published vectors: its
+	// stored rows by handle and, while a member is filtered, their
+	// membership words (nil otherwise). Both nil until snapshots are
+	// enabled. termDeltas is the commit walk's scratch, and publishCopies
+	// the nodes the last commit's walk copied into the two. See epoch.go.
+	epochRows     *rel.RowVec
+	epochWords    *rel.Vec[uint64]
+	termDeltas    []termDelta
+	publishCopies int
 }
 
 type planKey struct {
@@ -212,9 +222,9 @@ func (m *Maintainer) Materialized() *Materialized { return m.mv }
 func (m *Maintainer) Aggregated() *AggMaterialized { return m.agg }
 
 // Materialize (re)computes the stored contents from scratch. When
-// snapshots are enabled the rebuilt state publishes as a fresh full epoch
-// (the stored maps were replaced wholesale, so incremental publication
-// does not apply).
+// snapshots are enabled the family's vectors are rebuilt and every member
+// publishes a fresh full epoch (the store was replaced wholesale, so
+// incremental publication does not apply).
 func (m *Maintainer) Materialize() error {
 	var err error
 	if m.agg != nil {
@@ -222,7 +232,8 @@ func (m *Maintainer) Materialize() error {
 	} else {
 		err = m.mv.Materialize()
 	}
-	if err == nil {
+	if err == nil && m.epochRows != nil {
+		m.resnap()
 		for _, mem := range m.members {
 			if mem.ep.Load() != nil {
 				mem.publishFull()
@@ -659,9 +670,7 @@ func (m *Maintainer) CommitStaged(cs *Changeset, stats *MaintStats) {
 	stats.UndoRecords = cs.Len()
 	commit := m.opts.Tracer.StartSpan("changeset.commit").
 		SetStr("view", m.Name()).SetInt("undo_records", int64(stats.UndoRecords))
-	for _, mem := range m.members {
-		mem.publish(cs)
-	}
+	m.publish(cs)
 	cs.Commit()
 	commit.End()
 	m.opts.Metrics.Add("view.undo.records", int64(stats.UndoRecords))

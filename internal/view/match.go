@@ -15,16 +15,20 @@ import (
 // trees — different join orders, commuted outer joins, selections pushed
 // to different depths — match whenever they denote the same view.
 //
+// The forms compared are those without foreign-key term elimination: the
+// definition's was computed when the view was created, and a foreign key
+// declared since would eliminate terms from the query's alone.
+//
 // This is deliberately the exact-match special case of the view-matching
 // problem; the general containment test ("can part of the query be
 // computed from the view") is the subject of the companion VLDB 2005 paper
 // and out of scope here.
 func (d *Definition) Matches(query algebra.Expr) bool {
-	qnf, err := algebra.Normalize(query, d.cat)
+	qnf, err := algebra.Normalize(query, nil)
 	if err != nil {
 		return false
 	}
-	return sameNormalForm(d.nf, qnf)
+	return sameNormalForm(d.nfNoFK, qnf)
 }
 
 func sameNormalForm(a, b *algebra.NormalForm) bool {

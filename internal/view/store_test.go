@@ -419,7 +419,8 @@ func (s *storeOps) checkEpoch() {
 	mv := s.fx.mv
 	ep := s.fx.m.members[0].ep.Load()
 	for h := int32(0); h < mv.slab.Used(); h++ {
-		if got, want := ep.rows.Get(h), mv.slab.At(h).Row; !sameRow(got, want) {
+		got, _ := ep.rows.Get(h)
+		if want := mv.slab.At(h).Row; !sameRow(got, want) {
 			s.t.Fatalf("epoch %d holds %s at handle %d, the store %s", ep.seq, got, h, want)
 		}
 	}
