@@ -362,7 +362,7 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 
 	var firstErr error
 	var committed []string
-	for i, err := range b.db.commit(comps, b.opts.MaintWorkers, root, b.opts.Metrics) {
+	for i, err := range b.db.commit(comps, b.opts.MaintWorkers, root) {
 		if err == nil {
 			committed = append(committed, comps[i].tables...)
 		} else if firstErr == nil {

@@ -22,13 +22,6 @@
 // maintenance scripts annotated with the observed per-statement row counts
 // and durations, followed by the recorded span trees.
 //
-// With -shared it registers a small multi-view fixture around the chosen
-// view — two identical twins plus, when the view is a join, a third view
-// over the child subtree containing the updated table — and prints the
-// shared ΔV^D subexpression DAG a flush would build: one entry per shared
-// subtree with its canonical key, per-subtree view fan-out and the
-// subtree itself.
-//
 // Usage:
 //
 //	ojexplain -view v1 -update T
@@ -38,7 +31,6 @@
 //	ojexplain -view ojview -update lineitem
 //	ojexplain -view v1fk -check         # verify all plans, exit 1 on violation
 //	ojexplain -view v1 -stats           # annotate the plan with observed span stats
-//	ojexplain -view v1 -shared          # print the multi-view shared ΔV^D DAG
 package main
 
 import (
@@ -68,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	update := fs.String("update", "", "updated base table (defaults to a sensible table per view)")
 	check := fs.Bool("check", false, "verify every compiled maintenance plan against the paper's invariants and exit")
 	stats := fs.Bool("stats", false, "run a traced sample maintenance pass and annotate the plan with observed stats")
-	shared := fs.Bool("shared", false, "print the shared ΔV^D subexpression DAG for a multi-view registry built around the view")
 	strategy := fs.String("strategy", "auto", "secondary-delta strategy for -stats: auto | view | base")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,13 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *check {
 		if err := checkPlans(stdout, cat, expr, *viewName, *update); err != nil {
-			fmt.Fprintf(stderr, "ojexplain: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *shared {
-		if err := explainShared(stdout, cat, expr, *viewName, table); err != nil {
 			fmt.Fprintf(stderr, "ojexplain: %v\n", err)
 			return 1
 		}
@@ -360,74 +344,6 @@ func explainStats(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table 
 	}
 	fmt.Fprintf(w, "recorded spans:\n%s", obs.RenderTree(tracer.Roots(), true))
 	return nil
-}
-
-// explainShared registers a small multi-view fixture around the chosen
-// view — identical twins plus, when possible, a third view over the join
-// child containing the updated table — and prints the shared ΔV^D
-// subexpression DAG a flush touching that table would build, with each
-// subtree's view fan-out.
-func explainShared(w io.Writer, cat *rel.Catalog, expr algebra.Expr, name, table string) error {
-	type reg struct {
-		name string
-		expr algebra.Expr
-	}
-	regs := []reg{{name + "_a", expr}, {name + "_b", expr}}
-	if j, ok := expr.(*algebra.Join); ok {
-		for _, sub := range []algebra.Expr{j.Left, j.Right} {
-			if len(sub.Tables()) > 1 && containsTable(sub, table) {
-				regs = append(regs, reg{name + "_sub", sub})
-				break
-			}
-		}
-	}
-	var ms []*view.Maintainer
-	fmt.Fprintf(w, "registry (%d views):\n", len(regs))
-	for _, r := range regs {
-		def, err := view.Define(cat, r.name, r.expr, allOutput(cat, r.expr))
-		if err != nil {
-			return err
-		}
-		m, err := view.NewMaintainer(def, view.Options{})
-		if err != nil {
-			return err
-		}
-		ms = append(ms, m)
-		fmt.Fprintf(w, "  %s = %s\n", r.name, r.expr)
-	}
-	for _, c := range []struct {
-		label string
-		fkOK  bool
-	}{
-		{"insert/delete contract (foreign keys hold)", true},
-		{"modify contract (between passes, no FK assumption)", false},
-	} {
-		dag, err := view.SharedDAG(ms, table, c.fkOK)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nshared ΔV^D DAG for updates to %s, %s: %d shared subtree(s)\n", table, c.label, len(dag))
-		if len(dag) == 0 {
-			fmt.Fprintln(w, "  (no subtree is shared by two or more views; each view evaluates alone)")
-			continue
-		}
-		for i, st := range dag {
-			fmt.Fprintf(w, "  S%d: fan-out %d -> %s\n", i+1, len(st.Views), strings.Join(st.Views, ", "))
-			fmt.Fprintf(w, "      key %s\n", st.Key)
-			fmt.Fprint(w, indentBy(algebra.FormatTree(st.Expr), "      "))
-		}
-	}
-	return nil
-}
-
-// containsTable reports whether the expression references the table.
-func containsTable(e algebra.Expr, table string) bool {
-	for _, t := range e.Tables() {
-		if t == table {
-			return true
-		}
-	}
-	return false
 }
 
 // findMaintainRoot picks the recorded view.maintain root span for the given

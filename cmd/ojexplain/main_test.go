@@ -199,30 +199,15 @@ func TestRunStatsV2(t *testing.T) {
 	}
 }
 
-// TestRunShared drives the -shared mode: the multi-view registry around
-// v1 must share the twins' full primary-delta tree (fan-out 2) under both
-// the insert/delete and the modify contract, while the subtree view —
-// consumed inside the larger shared node by the twins — shares nothing.
-func TestRunShared(t *testing.T) {
+// TestRunRejectsSharedFlag: the multi-view shared-plan mode is gone, so
+// -shared is an unknown flag.
+func TestRunRejectsSharedFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-view", "v1", "-update", "T", "-shared"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	if code := run([]string{"-view", "v1", "-shared"}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{
-		"registry (3 views):",
-		"v1_sub",
-		"shared ΔV^D DAG for updates to T",
-		"insert/delete contract",
-		"modify contract",
-		"fan-out 2 -> v1_a, v1_b",
-		"key (((ΔT",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("shared output lacks %q:\n%s", want, out.String())
-		}
-	}
-	if strings.Contains(out.String(), "fan-out 1") {
-		t.Errorf("single-consumer subtree survived in the DAG:\n%s", out.String())
+	if !strings.Contains(errb.String(), "flag provided but not defined: -shared") {
+		t.Errorf("stderr lacks the unknown-flag error: %s", errb.String())
 	}
 }
 

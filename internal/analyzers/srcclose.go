@@ -9,11 +9,11 @@ import (
 
 // SrcClose is a path-sensitive lifecycle check for the two resources the
 // maintenance path opens constantly: obs spans (StartSpan/Child ... End)
-// and executor sources (NewPipeline or Program.Start ... Close). A span left un-Ended skews
-// every duration above it; a source left un-Closed leaks operator state and
-// its span — a class tests can only catch for the paths they happen to
-// execute. The analyzer walks every return
-// path, including error exits, and reports resources still open.
+// and executor sources (NewPipeline or Program.Start ... Close). A span left
+// un-Ended skews every duration above it; a source left un-Closed leaks
+// operator state and its span — a class tests can only catch for the paths
+// they happen to execute. The analyzer walks every return path, including
+// error exits, and reports resources still open.
 //
 // The abstraction: an open binds a variable; a close is v.End()/v.Close()
 // (also at the end of a SetStr/SetInt chain, in an if-init, or inside a
@@ -21,13 +21,10 @@ import (
 // anything mentioning v) transfers ownership to the caller; a closure that
 // closes v takes ownership too. Branches are walked with cloned open sets
 // and merged with may-be-open (union) semantics, so a close on only one arm
-// still flags the other. Two idiom-specific rules: after
+// still flags the other. One idiom-specific rule: after
 // `v, err := NewPipeline(...)` or `v, err := prog.Start(...)`, the
 // `err != nil` arm treats v as never opened (a failed constructor returns
-// nothing to close) until err is reassigned; and passing a tracked resource to NewTee transfers its
-// ownership to the tee — the fan-out idiom has the tee own the producer
-// source and the producer span (both released when the last consumer
-// handle closes), while each handle is owned by its consumer.
+// nothing to close) until err is reassigned.
 var SrcClose = &Analyzer{
 	Name: "srcclose",
 	Doc:  "flags spans and sources not closed on every return path",
@@ -107,7 +104,6 @@ func (sc *srcCloseScope) walkStmt(s ast.Stmt, open scOpen) bool {
 
 	case *ast.AssignStmt:
 		sc.handleCloses(s, open)
-		sc.handleTransfers(s, open)
 		sc.handleFuncLits(s, open)
 		// Reassigning a paired error variable severs the failed-open link.
 		for _, lhs := range s.Lhs {
@@ -126,7 +122,6 @@ func (sc *srcCloseScope) walkStmt(s ast.Stmt, open scOpen) bool {
 
 	case *ast.ExprStmt:
 		sc.handleCloses(s, open)
-		sc.handleTransfers(s, open)
 		sc.handleFuncLits(s, open)
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
@@ -457,32 +452,6 @@ func (sc *srcCloseScope) closeTargets(n ast.Node) []*types.Var {
 		return true
 	})
 	return out
-}
-
-// handleTransfers discharges resources handed to a fan-out constructor:
-// NewTee(src, n, span) takes ownership of the producer source and the
-// producer span — the tee closes the source and ends the span when its
-// last consumer handle closes — so a tracked variable passed to NewTee is
-// no longer this function's to release. Resources not mentioned in the
-// call's arguments stay tracked.
-func (sc *srcCloseScope) handleTransfers(n ast.Node, open scOpen) {
-	ast.Inspect(n, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if calleeName(call) != "NewTee" {
-			return true
-		}
-		for _, arg := range call.Args {
-			for v := range open {
-				if sc.mentions(arg, v) {
-					delete(open, v)
-				}
-			}
-		}
-		return true
-	})
 }
 
 // handleCloses removes every resource closed inside the statement.

@@ -47,20 +47,10 @@ type Program struct{}
 
 func (p *Program) Start(fail bool) (Source, error) { return NewPipeline(fail) }
 
-// Sub mirrors exec.Program.Sub, so a chained p.Sub().Start() is covered.
-func (p *Program) Sub() *Program { return p }
-
 // worker has an unrelated Start: no Source comes back, nothing is tracked.
 type worker struct{}
 
 func (w *worker) Start(fail bool) (int, error) { return 0, nil }
-
-// NewTee mirrors exec.NewTee: the tee takes ownership of src and span
-// (both released when the last returned handle closes); the handles are
-// owned by their consumers.
-func NewTee(src Source, n int, span *Span) (*pipe, []Source) {
-	return &pipe{}, make([]Source, n)
-}
 
 func work() error { return nil }
 
@@ -138,37 +128,6 @@ func closureClose() error {
 	return work()
 }
 
-// teeHandOff is the fan-out idiom: the producer source and span pass to
-// NewTee, which owns both from then on — no release needed here even
-// though neither End nor Close appears on any path.
-func teeHandOff(parent *Span) ([]Source, error) {
-	sp := parent.Child("subtree")
-	src, err := NewPipeline(false)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	_, handles := NewTee(src, 2, sp)
-	return handles, nil
-}
-
-// teeHandOffPartial transfers only the source it actually passes to the
-// tee: the second pipeline is untouched by the call and still leaks.
-func teeHandOffPartial() error {
-	shared, err := NewPipeline(false)
-	if err != nil {
-		return err
-	}
-	other, err2 := NewPipeline(false)
-	if err2 != nil {
-		return err2 // want `shared opened at line \d+ is not closed on this return path`
-	}
-	_ = other
-	_, handles := NewTee(shared, 2, nil)
-	_ = handles
-	return work() // want `other opened at line \d+ is not closed on this return path`
-}
-
 // startLeakOnError starts a compiled program and forgets the source on the
 // error exit of the drain — the per-run path has NewPipeline's obligation.
 func startLeakOnError(p *Program) error {
@@ -181,16 +140,6 @@ func startLeakOnError(p *Program) error {
 	}
 	src.Close()
 	return nil
-}
-
-// startChainLeak: the sub-program's source is tracked through the chain.
-func startChainLeak(p *Program) int {
-	src, err := p.Sub().Start(false)
-	if err != nil {
-		return 0
-	}
-	_ = src
-	return 1 // want `src opened at line \d+ is not closed on this return path`
 }
 
 // startClosed closes on every path; the failed Start returns nothing to
@@ -206,18 +155,6 @@ func startClosed(p *Program) error {
 	}
 	src.Close()
 	return nil
-}
-
-// startTeeHandOff hands a started producer to the tee.
-func startTeeHandOff(p *Program, parent *Span) ([]Source, error) {
-	sp := parent.Child("subtree")
-	src, err := p.Sub().Start(false)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	_, handles := NewTee(src, 2, sp)
-	return handles, nil
 }
 
 // unrelatedStart: a Start that returns no Source opens nothing.

@@ -49,7 +49,7 @@ func compileGroupBy(n *node, e *algebra.GroupBy) error {
 		return &groupBySource{
 			opBase:    opBase{schema: n.schema, span: sp},
 			ctx:       ctx,
-			in:        in.open(ctx, sp),
+			in:        in.start(ctx, sp),
 			aggs:      e.Aggs,
 			groupCols: groupCols,
 			aggCols:   aggCols,

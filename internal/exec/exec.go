@@ -50,13 +50,6 @@ type Context struct {
 	DeltaIsInsert bool
 	// Rels binds RelRef leaves to materialized relations.
 	Rels map[string]Relation
-	// Bound substitutes whole subtrees: when Program.Start reaches an
-	// expression node present in this map (pointer identity), the bound
-	// Source — in practice a tee handle over a shared-subtree producer —
-	// replaces the node's own pipeline. The caller guarantees the source
-	// streams exactly the rows the subtree would produce, in the same
-	// order and schema. See view.PlanShared.
-	Bound map[algebra.Expr]Source
 	// BatchSize is the soft row cap per pipeline batch (joins may overshoot
 	// for one input batch rather than split their output). Non-positive
 	// means DefaultBatchSize. Results are identical rows in identical order

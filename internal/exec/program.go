@@ -45,8 +45,8 @@ type node struct {
 	// rels names the RelRef leaves below the node; Start refuses a Context
 	// that does not bind them before any operator or span exists.
 	rels []string
-	// start allocates the node's operator (and, through open, its inputs)
-	// for one run and opens its span under parent.
+	// start allocates the node's operator (and, through its kids' start,
+	// its inputs) for one run and opens its span under parent.
 	start func(ctx *Context, parent *obs.Span) Source
 	// label and kids render the physical plan (String); an index join keeps
 	// only its probe-side input, the right operand lives in the label.
@@ -123,30 +123,18 @@ func (c *compiler) compile(e algebra.Expr) (*node, error) {
 	return n, nil
 }
 
-// open starts the node for one run, unless the run binds a source to this
-// very expression node (Context.Bound): then the bound source — a tee
-// handle over a shared producer — stands in for the whole subtree.
-func (n *node) open(ctx *Context, parent *obs.Span) Source {
-	if src, ok := ctx.Bound[n.expr]; ok {
-		sp := opSpan(parent, "exec.shared.consume")
-		return &consumeSource{opBase: opBase{schema: src.Schema(), span: sp}, in: src}
-	}
-	return n.start(ctx, parent)
-}
-
 // Start instantiates the program for one run: it allocates the operator
 // tree, opens the operator spans under ctx.Span (parent before child) and
-// binds the run's deltas, relations, bound sources, metrics and executor
-// knobs. The caller must Open the source, pull it with Next, and Close it
-// on every path once Start succeeded; a failed Start returns nothing to
-// close.
+// binds the run's deltas, relations, metrics and executor knobs. The
+// caller must Open the source, pull it with Next, and Close it on every
+// path once Start succeeded; a failed Start returns nothing to close.
 func (p *Program) Start(ctx *Context) (Source, error) {
 	for _, name := range p.root.rels {
 		if _, ok := ctx.Rels[name]; !ok {
 			return nil, fmt.Errorf("exec: unbound relation %s", name)
 		}
 	}
-	return p.root.open(ctx, ctx.span()), nil
+	return p.root.start(ctx, ctx.span()), nil
 }
 
 // Schema describes the rows a started program streams.
@@ -163,31 +151,8 @@ func (p *Program) Generation() uint64 { return p.gen }
 // the table — whether or not such an index existed at compile time. Whoever
 // registers the program for repeated runs arranges them (rel.Catalog.Arrange);
 // the compiler itself runs under read locks and mutates nothing. Callers must
-// not modify the result. A Sub program reports none.
+// not modify the result.
 func (p *Program) Wants() []Want { return p.wants }
-
-// Sub returns the program of the compiled sub-node for e (matched by
-// pointer identity), or nil when e is not an operator of this program. The
-// multi-view planner starts a shared subtree's producer from it instead of
-// compiling the subtree a second time.
-func (p *Program) Sub(e algebra.Expr) *Program {
-	var find func(n *node) *node
-	find = func(n *node) *node {
-		if n.expr == e {
-			return n
-		}
-		for _, k := range n.kids {
-			if hit := find(k); hit != nil {
-				return hit
-			}
-		}
-		return nil
-	}
-	if n := find(p.root); n != nil {
-		return &Program{root: n, gen: p.gen}
-	}
-	return nil
-}
 
 // String renders the physical plan as an indented operator tree: one line
 // per operator, and for a join the algorithm chosen and, for an index join,

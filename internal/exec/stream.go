@@ -143,7 +143,7 @@ func (c *compiler) compileOp(n *node) error {
 		n.schema = in.schema
 		n.start = func(ctx *Context, parent *obs.Span) Source {
 			sp := opSpan(parent, "exec.select")
-			return &selectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.open(ctx, sp), pred: pred}
+			return &selectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp), pred: pred}
 		}
 
 	case *algebra.Project:
@@ -160,7 +160,7 @@ func (c *compiler) compileOp(n *node) error {
 		n.schema = in.schema.Project(cols)
 		n.start = func(ctx *Context, parent *obs.Span) Source {
 			sp := opSpan(parent, "exec.project")
-			return &projectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.open(ctx, sp), cols: cols}
+			return &projectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp), cols: cols}
 		}
 
 	case *algebra.Join:
@@ -190,7 +190,7 @@ func (c *compiler) compileOp(n *node) error {
 			sp := opSpan(parent, "exec.condense")
 			return &blockingSource{
 				opBase: opBase{schema: n.schema, span: sp},
-				ctx:    ctx, in: in.open(ctx, sp), transform: dropSubsumed,
+				ctx:    ctx, in: in.start(ctx, sp), transform: dropSubsumed,
 			}
 		}
 
@@ -200,7 +200,7 @@ func (c *compiler) compileOp(n *node) error {
 		n.schema = in.schema
 		n.start = func(ctx *Context, parent *obs.Span) Source {
 			sp := opSpan(parent, "exec.dedup")
-			return &dedupSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.open(ctx, sp)}
+			return &dedupSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.start(ctx, sp)}
 		}
 
 	case *algebra.NullIf:
@@ -214,7 +214,7 @@ func (c *compiler) compileOp(n *node) error {
 		n.label = "pad " + strings.Join(e.Tables_, ",")
 		n.start = func(ctx *Context, parent *obs.Span) Source {
 			sp := opSpan(parent, "exec.pad")
-			return &padSource{opBase: opBase{schema: n.schema, span: sp}, in: in.open(ctx, sp)}
+			return &padSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp)}
 		}
 
 	case *algebra.GroupBy:
@@ -391,7 +391,7 @@ func compileNullIf(n *node, e *algebra.NullIf) error {
 		sp := opSpan(parent, "exec.lambda")
 		return &nullIfSource{
 			opBase: opBase{schema: n.schema, span: sp},
-			ctx:    ctx, in: in.open(ctx, sp), pred: pred, nullCols: nullCols,
+			ctx:    ctx, in: in.start(ctx, sp), pred: pred, nullCols: nullCols,
 		}
 	}
 	return nil
@@ -538,7 +538,7 @@ func compileUnion(ins []*node) (rel.Schema, func(*Context, *obs.Span) Source) {
 		sp := opSpan(parent, "exec.union")
 		srcs := make([]Source, len(ins))
 		for i, in := range ins {
-			srcs[i] = in.open(ctx, sp)
+			srcs[i] = in.start(ctx, sp)
 		}
 		return &unionSource{opBase: opBase{schema: schema, span: sp}, ins: srcs, mappings: mappings}
 	}
@@ -665,7 +665,7 @@ func compileCondense(n *node, e *algebra.Condense) error {
 		sp := opSpan(parent, "exec.condense")
 		return &blockingSource{
 			opBase: opBase{schema: n.schema, span: sp},
-			ctx:    ctx, in: in.open(ctx, sp), transform: transform,
+			ctx:    ctx, in: in.start(ctx, sp), transform: transform,
 		}
 	}
 	return nil

@@ -49,7 +49,7 @@ func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 					opBase:     opBase{schema: n.schema, span: sp},
 					ctx:        ctx,
 					kind:       kind,
-					left:       left.open(ctx, sp),
+					left:       left.start(ctx, sp),
 					rightWidth: rightWidth,
 					pred:       pred,
 					probe:      probe.start(ctx),
@@ -78,8 +78,8 @@ func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 			opBase:     opBase{schema: n.schema, span: sp},
 			ctx:        ctx,
 			kind:       kind,
-			left:       left.open(ctx, sp),
-			right:      right.open(ctx, sp),
+			left:       left.start(ctx, sp),
+			right:      right.start(ctx, sp),
 			pred:       pred,
 			leftCols:   leftCols,
 			rightCols:  rightCols,

@@ -111,6 +111,33 @@ func TestEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestEndAll: EndAll ends the open spans of a tree — also below a span a
+// deferred End already closed — within their parents' durations, and leaves
+// an already-ended span's duration alone.
+func TestEndAll(t *testing.T) {
+	root := NewTracer().StartSpan("root")
+	done := root.Child("done")
+	done.End()
+	d := done.Duration()
+	root.Child("open").Child("deep")
+	closed := root.Child("closed")
+	orphan := closed.Child("orphan")
+	closed.End()
+	time.Sleep(time.Millisecond)
+	root.EndAll()
+	if err := root.Validate(); err != nil {
+		t.Fatalf("Validate after EndAll: %v", err)
+	}
+	if done.Duration() != d {
+		t.Fatalf("EndAll changed an ended span's duration: %v -> %v", d, done.Duration())
+	}
+	if orphan.Duration() > closed.Duration() {
+		t.Fatalf("orphan ended after its parent: %v > %v", orphan.Duration(), closed.Duration())
+	}
+	var nilSpan *Span
+	nilSpan.EndAll()
+}
+
 func TestConcurrentChildren(t *testing.T) {
 	tr := NewTracer()
 	root := tr.StartSpan("root")

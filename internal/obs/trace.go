@@ -133,6 +133,33 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
+// EndAll ends s, if still open, and every open span below it, each no
+// later than its parent ended. A panic skips the End of every span it
+// unwinds through, while deferred Ends still run; the code that contains it
+// ends what the panic left open, so the recorded trace stays well-formed.
+func (s *Span) EndAll() { s.endBy(time.Time{}) }
+
+// endBy ends s, if still open, no later than limit (the zero time: now),
+// then its open descendants no later than s ended.
+func (s *Span) endBy(limit time.Time) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if !s.ended {
+		s.ended = true
+		s.dur = time.Since(s.start)
+		if !limit.IsZero() {
+			s.dur = max(min(s.dur, limit.Sub(s.start)), 0)
+		}
+	}
+	end := s.start.Add(s.dur)
+	s.mu.Unlock()
+	for _, c := range s.Children() {
+		c.endBy(end)
+	}
+}
+
 // SetInt attaches an integer attribute (row counts, worker counts) and
 // returns the span for chaining.
 func (s *Span) SetInt(key string, v int64) *Span {

@@ -18,7 +18,7 @@ var strategies = []ojv.Strategy{ojv.StrategyFromView, ojv.StrategyFromBase}
 // keeps every statement kind.
 var (
 	batchMix      = map[Kind]int{OpenBatch: 8, Flush: 6, Churn: 4, Save: 0, Load: 0}
-	sharedMix     = map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 8, DropView: 0, Save: 0, Load: 0, Round: 0}
+	manyViewsMix  = map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 8, DropView: 0, Save: 0, Load: 0, Round: 0}
 	concurrentMix = map[Kind]int{OpenBatch: 8, Flush: 4, Round: 8, Close: 1, Discard: 0, Save: 0, Load: 0}
 	// The fault sweeps stage into one open batch and flush it once, at the
 	// end (no BatchRows, whose read may flush). They draw no delete of a
@@ -107,27 +107,33 @@ func TestServingCorpus(t *testing.T) {
 	}
 }
 
-// TestSharedOracleShort concentrates up to six views, a third of them
-// duplicate shapes, on three tables, so flushes share ΔV^D subtrees.
-func TestSharedOracleShort(t *testing.T) {
+// TestManyViewsOracleShort concentrates up to six views, a third of them
+// duplicate shapes, on three tables, so flushes maintain several views, and
+// view families, over the same deltas.
+func TestManyViewsOracleShort(t *testing.T) {
 	for seed := range 6 {
 		for _, s := range strategies {
 			corpus(t, fmt.Sprintf("seed=%d/strategy=%v", seed, s),
-				Gen{Seed: int64(200 + seed), Strategies: []ojv.Strategy{s}, Tables: 3, Views: 6, Weights: sharedMix})
+				Gen{Seed: int64(200 + seed), Strategies: []ojv.Strategy{s}, Tables: 3, Views: 6, Weights: manyViewsMix})
 		}
 	}
 }
 
-// TestSharedOracleManyViews stresses the tee fan-out with sixteen views
-// over three tables, and requires shared subtrees to have been planned.
+// TestSharedOracleManyViews is a many-views correctness corpus: sixteen
+// views over three tables, flushed in batches. Over its seeds some view
+// must have joined a view family.
 func TestSharedOracleManyViews(t *testing.T) {
-	st, err := run(Gen{Seed: 42, Tables: 3, Views: 16, Ops: 30,
-		Weights: map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 20, DropView: 0, Save: 0, Load: 0, Query: 0, BatchRows: 0}}.Script())
-	if err != nil {
-		t.Fatal(err)
+	families := 0
+	for seed := int64(42); seed < 44; seed++ {
+		st, err := run(Gen{Seed: seed, Tables: 3, Views: 16, Ops: 30,
+			Weights: map[Kind]int{OpenBatch: 8, Flush: 6, CreateView: 20, DropView: 0, Save: 0, Load: 0, Query: 0, BatchRows: 0}}.Script())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		families += st.shapes["family"]
 	}
-	if st.shapes["shared-subtrees"] == 0 {
-		t.Fatal("sixteen views over three tables planned no shared subtree")
+	if families == 0 {
+		t.Fatal("sixteen views over three tables formed no view family")
 	}
 }
 
@@ -156,10 +162,11 @@ func TestRunTinyCorpus(t *testing.T) {
 
 // sweep fails every failpoint site of a script's final flush in turn: a
 // count-only Fault op counts the sites a fault-free run consults there,
-// then site k = 1..n each get a run of their own. Every failed flush must
-// restore the failed component exactly, leave the others flushed and keep
-// its statements, and the retry must converge on the fault-free state.
-// It returns the shapes the swept runs counted.
+// then site k = 1..n each get two runs of their own, one failing it with an
+// error and one with a panic. Every failed flush must restore the failed
+// component exactly, leave the others flushed and keep its statements, and
+// the retry must converge on the fault-free state. It returns the shapes
+// the swept runs counted.
 func sweep(t *testing.T, s Script) map[string]int {
 	t.Helper()
 	with := func(fault Op) Script {
@@ -176,28 +183,42 @@ func sweep(t *testing.T, s Script) map[string]int {
 	}
 	shapes := map[string]int{}
 	for k := 1; k <= st.sites; k++ {
-		swept, err := run(with(Op{Kind: Fault, Seed: uint32(k)}))
-		if err != nil {
-			t.Fatalf("site %d of %d: %v", k, st.sites, err)
-		}
-		for name, n := range swept.shapes {
-			shapes[name] += n
+		for _, panics := range []uint8{0, 1} {
+			swept, err := run(with(Op{Kind: Fault, N: panics, Seed: uint32(k)}))
+			if err != nil {
+				t.Fatalf("site %d of %d (panic %v): %v", k, st.sites, panics == 1, err)
+			}
+			for name, n := range swept.shapes {
+				shapes[name] += n
+			}
 		}
 	}
-	t.Logf("swept %d failpoint sites; %d tables committed beside a failed component, %d restored that no view reads",
-		st.sites, shapes["partial-flush"], shapes["restored-unviewed"])
+	t.Logf("swept %d failpoint sites, %d fired as panics; %d tables committed beside a failed component, %d restored that no view reads",
+		st.sites, shapes["panic-fault"], shapes["partial-flush"], shapes["restored-unviewed"])
 	return shapes
 }
 
 // TestBatchFaultMatrix sweeps the flush of a batch with synchronous
-// statements interleaved, flushed inline.
+// statements interleaved, flushed inline. Some sweep must have fired a
+// fault as a panic.
 func TestBatchFaultMatrix(t *testing.T) {
+	var mu sync.Mutex
+	panics, runs := 0, 0
+	t.Cleanup(func() {
+		if runs == 4 && panics == 0 {
+			t.Error("no swept fault fired as a panic")
+		}
+	})
 	for _, seed := range []int64{1, 2} {
 		for _, s := range strategies {
 			gen := Gen{Seed: seed, Ops: 20, Strategies: []ojv.Strategy{s}, Workers: []int{0}, Weights: faultMix}
 			t.Run(fmt.Sprintf("seed=%d/strategy=%v", seed, s), func(t *testing.T) {
 				t.Parallel()
-				sweep(t, gen.Script())
+				swept := sweep(t, gen.Script())
+				mu.Lock()
+				defer mu.Unlock()
+				panics += swept["panic-fault"]
+				runs++
 			})
 		}
 	}
@@ -205,10 +226,11 @@ func TestBatchFaultMatrix(t *testing.T) {
 
 // TestConcurrentFaultMatrix sweeps the flush of a batch staged by
 // concurrent rounds over every FK group, so it splits into components
-// that fail alone — inline with no pool, concurrently on a pool of two.
-// Some sweep must have seen a component commit beside a failed one, and a
-// failed component roll back a table that no view reads (a child whose
-// declared foreign key puts it in its parent's component).
+// that fail alone — inline with no pool, concurrently on a pool of two —
+// while two snapshot readers pin every table and view. Some sweep must
+// have seen a component commit beside a failed one, a failed component
+// roll back a table that no view reads (a child whose declared foreign key
+// puts it in its parent's component), and a fault fire as a panic.
 func TestConcurrentFaultMatrix(t *testing.T) {
 	var mu sync.Mutex
 	shapes, runs := map[string]int{}, 0
@@ -222,10 +244,13 @@ func TestConcurrentFaultMatrix(t *testing.T) {
 		if shapes["restored-unviewed"] == 0 {
 			t.Error("no failed component held a table that no view reads")
 		}
+		if shapes["panic-fault"] == 0 {
+			t.Error("no swept fault fired as a panic")
+		}
 	})
 	for _, seed := range []int64{7300, 7301, 12} {
 		for _, w := range []int{0, 2} {
-			gen := Gen{Seed: seed, Ops: 20, Tables: 5, Views: 3, Workers: []int{w}, Weights: concurrentFaultMix}
+			gen := Gen{Seed: seed, Ops: 20, Tables: 5, Views: 3, Readers: 2, Workers: []int{w}, Weights: concurrentFaultMix}
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, w), func(t *testing.T) {
 				t.Parallel()
 				swept := sweep(t, gen.Script())

@@ -41,11 +41,13 @@ var flushFaultSites = []string{
 func knownFaultSite(site string) bool { return slices.Contains(flushFaultSites, site) }
 
 // faultArm is every view's Options.FailPoint, through a closure naming the
-// view. It counts the sites one commit consults, fails the failAt-th and
-// records the view it failed; concurrent components share it.
+// view. It counts the sites one commit consults, fails the failAt-th — by
+// returning an error, or with panics set by panicking with it — and records
+// the view it failed; concurrent components share it.
 type faultArm struct {
 	mu        sync.Mutex
 	n, failAt int
+	panics    bool
 	failed    string
 }
 
@@ -57,18 +59,23 @@ func (f *faultArm) hit(view, site string) error {
 	defer f.mu.Unlock()
 	if f.n++; f.n == f.failAt {
 		f.failed = view
-		return fmt.Errorf("oracle: injected fault in view %s at %s (site %d)", view, site, f.n)
+		err := fmt.Errorf("oracle: injected fault in view %s at %s (site %d)", view, site, f.n)
+		if f.panics {
+			panic(err)
+		}
+		return err
 	}
 	return nil
 }
 
-// arm starts counting afresh, failing the failAt-th site (0: none), and
-// returns what the previous arming counted and the view it failed, if any.
-func (f *faultArm) arm(failAt int) (sites int, failed string) {
+// arm starts counting afresh, failing the failAt-th site (0: none) as a
+// panic when panics is set, and returns what the previous arming counted
+// and the view it failed, if any.
+func (f *faultArm) arm(failAt int, panics bool) (sites int, failed string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sites, failed = f.n, f.failed
-	f.n, f.failAt, f.failed = 0, failAt, ""
+	f.n, f.failAt, f.panics, f.failed = 0, failAt, panics, ""
 	return sites, failed
 }
 
@@ -84,7 +91,7 @@ func Run(s Script) error {
 
 // stats is what one run saw, for the tests' coverage assertions.
 type stats struct {
-	shapes map[string]int // adversarial shapes drawn or accepted, shared subtrees planned
+	shapes map[string]int // adversarial shapes drawn or accepted
 	sites  int            // sites the last count-only Fault op's commit consulted
 }
 
@@ -110,6 +117,7 @@ type runner struct {
 	nviews int
 	arm    faultArm
 	fault  int    // the pending Fault op's site, -1 for none
+	panics bool   // the pending Fault op fires as a panic
 	fired  string // the view the last observed commit's fault fired in, or ""
 	tr     *ojv.Tracer
 	reg    *ojv.Metrics
@@ -149,7 +157,6 @@ func run(s Script) (stats, error) {
 	if rerr := r.readers.stop(r.committed); err == nil {
 		err = rerr
 	}
-	r.st.shapes["shared-subtrees"] = int(r.reg.Snapshot()["view.shared.subtrees"])
 	return r.st, err
 }
 
@@ -244,7 +251,7 @@ func (r *runner) do(i int, op Op) error {
 		}
 		return r.check()
 	case Fault:
-		r.fault = int(op.Seed)
+		r.fault, r.panics = int(op.Seed), op.N&1 != 0
 	case Round:
 		return r.round(op)
 	case Query:
@@ -366,8 +373,9 @@ func agree(want []rel.Row, wantErr error, got []rel.Row, err error) error {
 // span tree must validate and, when the call succeeded, the registry must
 // move by exactly the LastStats of the view families it committed — each
 // family once, however many of its views are live — with one
-// changeset.commit root each, and the shared rows balance (consumer =
-// producer + saved). callErr is the call's own error, err a broken identity.
+// changeset.commit root each. A fault armed as a panic must come back as a
+// *ojv.PanicError that carries its stack. callErr is the call's own error,
+// err a broken identity.
 func (r *runner) observe(call func() error) (callErr, err error) {
 	before := r.reg.Snapshot()
 	last := make([]*ojv.MaintStats, len(r.views))
@@ -375,14 +383,22 @@ func (r *runner) observe(call func() error) (callErr, err error) {
 		last[i] = lv.v.LastStats
 	}
 	r.tr.Reset()
-	r.arm.arm(max(r.fault, 0))
+	r.arm.arm(max(r.fault, 0), r.panics)
 	callErr = call()
-	sites, fired := r.arm.arm(0)
+	sites, fired := r.arm.arm(0, false)
 	if r.fault == 0 {
 		r.st.sites = sites
 	}
-	if r.fired, r.fault = fired, -1; fired != "" {
+	panics := r.panics
+	if r.fired, r.fault, r.panics = fired, -1, false; fired != "" {
 		r.st.shapes["fault"]++
+	}
+	if fired != "" && panics {
+		var pe *ojv.PanicError
+		if !errors.As(callErr, &pe) || len(pe.Stack) == 0 {
+			return callErr, fmt.Errorf("a fault fired as a panic in view %s, but the call returned %v, not a *PanicError with a stack", fired, callErr)
+		}
+		r.st.shapes["panic-fault"]++
 	}
 	want := map[string]int64{}
 	for _, root := range r.tr.Roots() {
@@ -398,9 +414,6 @@ func (r *runner) observe(call func() error) (callErr, err error) {
 	}
 	after := r.reg.Snapshot()
 	d := func(name string) int64 { return after[name] - before[name] }
-	if c, p, s := d("view.shared.rows.consumer"), d("view.shared.rows.producer"), d("view.shared.rows.saved"); c != p+s {
-		return nil, fmt.Errorf("shared rows: consumer %d != producer %d + saved %d", c, p, s)
-	}
 	// The views of one family share its run, and its LastStats: count each
 	// committed family once.
 	counted := map[*ojv.MaintStats]bool{}

@@ -44,7 +44,7 @@ const (
 	AddForeignKey             // declare the table's f → parent key, if not declared yet
 	Save                      //
 	Load                      // the last Save, if any
-	Fault                     // fail the Seed-th failpoint site of the next commit; Seed 0 only counts sites
+	Fault                     // fail the Seed-th failpoint site of the next commit, as a panic with N&1; Seed 0 only counts sites
 	Round                     // 1+N%4 goroutines stage into the open batch, one FK group each
 	Query                     // shape from Seed, or with N&1 the (N>>1)-th live non-aggregate view's; a subset of its columns
 	BatchRows                 // the N-th live view through WriteBatch.Rows

@@ -337,7 +337,7 @@ func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
 		}
 		runtime.ReadMemStats(&before)
 		cs := m.Begin()
-		stats, err := m.ApplyInsert(cs, "O", delta, nil)
+		stats, err := m.ApplyInsert(cs, "O", delta)
 		if err != nil {
 			t.Fatal(err)
 		}

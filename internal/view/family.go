@@ -156,8 +156,8 @@ func (mem *Member) checkEpoch(want []rel.Row) error {
 // Members returns the views the family serves, in the order they joined.
 func (m *Maintainer) Members() []*Member { return m.members }
 
-// Name names the family after its oldest live member: its spans, errors and
-// shared-plan listings carry that view's name. The family's own definition
+// Name names the family after its oldest live member: its spans and errors
+// carry that view's name. The family's own definition
 // keeps its founder's name, which a later view may reuse once the founder
 // is dropped.
 func (m *Maintainer) Name() string {

@@ -88,12 +88,6 @@ type tablePlan struct {
 	// affected.
 	primary  algebra.Expr
 	indirect []*indirectPlan
-	// shared lists the shareable subtrees of primary in preorder, and
-	// sharedKeys indexes them by node for the multi-view cut walk (see
-	// shared.go). Both are computed once at plan build, so per-flush DAG
-	// construction touches only cached keys.
-	shared     []sharedNode
-	sharedKeys map[algebra.Expr]string
 
 	// prog is primary compiled (nil iff primary is); every maintenance run
 	// starts it instead of building a pipeline.
@@ -407,9 +401,6 @@ func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
 		}
 		p.primary = expr // may be nil: FK-simplified to empty
 	}
-	if p.primary != nil {
-		p.shared, p.sharedKeys = collectShareable(p.primary)
-	}
 	for _, ti := range graph.IndirectTerms() {
 		ip, err := m.buildIndirectPlan(nf, graph, ti)
 		if err != nil {
@@ -601,7 +592,7 @@ func buildJoinTree(leaves []algebra.Expr, conjuncts []algebra.Pred) algebra.Expr
 // is atomic: on error the view rolls back to its pre-call state.
 func (m *Maintainer) OnInsert(table string, delta []rel.Row) (*MaintStats, error) {
 	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyInsert(cs, table, delta, nil)
+		return m.ApplyInsert(cs, table, delta)
 	})
 }
 
@@ -609,7 +600,7 @@ func (m *Maintainer) OnInsert(table string, delta []rel.Row) (*MaintStats, error
 // is atomic: on error the view rolls back to its pre-call state.
 func (m *Maintainer) OnDelete(table string, delta []rel.Row) (*MaintStats, error) {
 	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyDelete(cs, table, delta, nil)
+		return m.ApplyDelete(cs, table, delta)
 	})
 }
 
@@ -619,7 +610,7 @@ func (m *Maintainer) OnDelete(table string, delta []rel.Row) (*MaintStats, error
 // within them rolls the whole modify back.
 func (m *Maintainer) OnModify(table string, deleted, inserted []rel.Row) (*MaintStats, error) {
 	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyModify(cs, table, deleted, inserted, nil, nil)
+		return m.ApplyModify(cs, table, deleted, inserted)
 	})
 }
 
@@ -701,45 +692,61 @@ func (m *Maintainer) Rebuild(cs *Changeset) error {
 
 // ApplyInsert stages the maintenance for an insert batch into cs without
 // committing; the caller owns Commit/Rollback. The Database uses this to
-// make one base-table update atomic across every affected view. bound maps
-// cut nodes of this view's plan to tee handles over a multi-view producer
-// (see PlanShared); nil evaluates the whole plan per view.
-func (m *Maintainer) ApplyInsert(cs *Changeset, table string, delta []rel.Row, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
-	root := m.startMaintSpan("insert", table)
-	defer root.End()
-	return m.apply(cs, root, table, delta, nil, true, true, bound)
+// make one base-table update atomic across every affected view.
+func (m *Maintainer) ApplyInsert(cs *Changeset, table string, delta []rel.Row) (*MaintStats, error) {
+	return m.maintain("insert", table, func(root *obs.Span) (*MaintStats, error) {
+		return m.apply(cs, root, table, delta, nil, true, true)
+	})
 }
 
 // ApplyDelete stages the maintenance for a delete batch into cs without
 // committing (see ApplyInsert).
-func (m *Maintainer) ApplyDelete(cs *Changeset, table string, delta []rel.Row, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
-	root := m.startMaintSpan("delete", table)
-	defer root.End()
-	return m.apply(cs, root, table, delta, nil, false, true, bound)
+func (m *Maintainer) ApplyDelete(cs *Changeset, table string, delta []rel.Row) (*MaintStats, error) {
+	return m.maintain("delete", table, func(root *obs.Span) (*MaintStats, error) {
+		return m.apply(cs, root, table, delta, nil, false, true)
+	})
 }
 
 // ApplyModify stages both passes of a decomposed modify into cs without
-// committing, merging the two passes' statistics. Each pass evaluates its
-// own plan, so each takes its own bound map.
-func (m *Maintainer) ApplyModify(cs *Changeset, table string, deleted, inserted []rel.Row, boundDel, boundIns map[algebra.Expr]exec.Source) (*MaintStats, error) {
-	root := m.startMaintSpan("modify", table)
-	defer root.End()
-	del := root.Child("pass.delete")
-	s1, err := m.apply(cs, del, table, deleted, inserted, false, false, boundDel)
-	del.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := cs.fail("modify-between-passes"); err != nil {
-		return nil, err
-	}
-	ins := root.Child("pass.insert")
-	s2, err := m.apply(cs, ins, table, inserted, nil, true, false, boundIns)
-	ins.End()
-	if err != nil {
-		return nil, err
-	}
-	return mergeStats(s1, s2), nil
+// committing, merging the two passes' statistics.
+func (m *Maintainer) ApplyModify(cs *Changeset, table string, deleted, inserted []rel.Row) (*MaintStats, error) {
+	return m.maintain("modify", table, func(root *obs.Span) (*MaintStats, error) {
+		del := root.Child("pass.delete")
+		s1, err := m.apply(cs, del, table, deleted, inserted, false, false)
+		del.End()
+		if err != nil {
+			return nil, err
+		}
+		if err := cs.fail("modify-between-passes"); err != nil {
+			return nil, err
+		}
+		ins := root.Child("pass.insert")
+		s2, err := m.apply(cs, ins, table, inserted, nil, true, false)
+		ins.End()
+		if err != nil {
+			return nil, err
+		}
+		return mergeStats(s1, s2), nil
+	})
+}
+
+// maintain runs one staged maintenance under its view.maintain root span,
+// which ends on every exit. A panic skips the End of every span it unwinds
+// through, so on a panic the root ends its whole tree (obs.Span.EndAll):
+// the write that contains the panic (ojv.PanicError) keeps a well-formed
+// trace.
+func (m *Maintainer) maintain(op, table string, run func(root *obs.Span) (*MaintStats, error)) (*MaintStats, error) {
+	root := m.startMaintSpan(op, table)
+	returned := false
+	defer func() {
+		if !returned {
+			root.EndAll()
+		}
+		root.End()
+	}()
+	stats, err := run(root)
+	returned = true
+	return stats, err
 }
 
 // startMaintSpan opens the root span of one maintenance run. Returns nil
@@ -811,7 +818,7 @@ func mergeStats(s1, s2 *MaintStats) *MaintStats {
 // apply stages one maintenance pass for delta, the rows inserted into or
 // deleted from table. replacing is set on a modify's delete pass: the new
 // images, which the table already holds.
-func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, replacing []rel.Row, isInsert, fkOK bool, bound map[algebra.Expr]exec.Source) (*MaintStats, error) {
+func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, replacing []rel.Row, isInsert, fkOK bool) (*MaintStats, error) {
 	stats := &MaintStats{Table: table, Insert: isInsert, SecondaryByTerm: make(map[string]int)}
 	// Publish the run's row accounting to the registry on every exit path
 	// (including aborted runs: the invariant tests snapshot per attempt).
@@ -855,7 +862,6 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		BatchSize:     m.opts.BatchSize,
 		Metrics:       m.opts.Metrics,
 		Span:          evalSpan,
-		Bound:         bound,
 	}
 	// The full-width primary delta is needed by aggregation, by from-base
 	// candidate computation and by every deletion, which reads view keys,

@@ -81,9 +81,8 @@ func annotate(b *strings.Builder, s *obs.Span) {
 		return
 	}
 	if rows, ok := s.AttrInt("rows"); ok {
-		// Pipeline-backed statements also report batch granularity, so
-		// per-run savings (fewer batches through a shared subtree) are
-		// visible next to the row counts.
+		// Pipeline-backed statements also report batch granularity next to
+		// the row counts.
 		if batches, ok := s.AttrInt("batches"); ok {
 			fmt.Fprintf(b, "--   observed: rows=%d batches=%d time=%s\n", rows, batches, s.Duration().Round(time.Microsecond))
 			return

@@ -439,13 +439,10 @@ func (db *Database) register(name string, def *view.Definition, opts []Options) 
 // with other views leaves the family's store and arrangements to them; the
 // last one releases them. It takes db.mu, so it serializes against
 // statements and flushes the same way registration does: a drop never
-// lands mid-flush, and the next flush simply plans without the view.
-// Multi-view shared plans are rebuilt per flush step from the live
-// registry, so a dropped view's subtrees vanish from the DAG and a new view
-// reusing the name (with a different definition) contributes its own
-// structural keys — stale aliasing is pinned by
-// TestSharedPlanRebuildOnRegistryChange. Dropping an unknown view is a no-op
-// returning false.
+// lands mid-flush, and the next flush simply plans without the view. A new
+// view reusing the name (with a different definition) is maintained by its
+// own plan (TestRegistryChangeBetweenFlushes). Dropping an unknown view is
+// a no-op returning false.
 func (db *Database) DropView(name string) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -71,9 +71,8 @@ func TestDDLReachesPhysicalPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The twin probes the same columns through a different join kind:
-			// one arrangement, two holders, no shared ΔV^D subtree (a shared
-			// producer would count its probes in the statement's registry,
-			// which is nil).
+			// one arrangement, two holders, and its own probes go to its own
+			// registry, which is nil.
 			if _, err := db.CreateView("twin", ojv.Table("p").Join(ojv.Table("c"), on), cols,
 				ojv.Options{}); err != nil {
 				t.Fatal(err)

@@ -30,26 +30,26 @@ func (db *Database) execute(st pipeline.Step) (pipeline.Step, error) {
 	}
 	comps := db.partition([]string{st.Table})
 	comps[0].steps = []pipeline.Step{st}
-	err := db.commit(comps, 1, nil, nil)[0]
+	err := db.commit(comps, 1, nil)[0]
 	return comps[0].steps[0], err
 }
 
 // commit applies independent components on up to workers goroutines —
 // inline on the calling goroutine when that is one — and returns each
 // component's outcome, indexed like comps. Every component is attempted: a
-// failed one has rolled back alone and disturbs no other. root and metrics
-// are the caller's flush span and registry, nil for statements. Caller
-// holds db.mu, the write path's one lock: workers need no lock of their
-// own, because partition gives each delta table and each affected view to
-// exactly one component, so no two components write the same container.
-func (db *Database) commit(comps []flushComponent, workers int, root *Span, metrics *Metrics) []error {
+// failed one has rolled back alone and disturbs no other. root is the
+// caller's flush span, nil for statements. Caller holds db.mu, the write
+// path's one lock: workers need no lock of their own, because partition
+// gives each delta table and each affected view to exactly one component,
+// so no two components write the same container.
+func (db *Database) commit(comps []flushComponent, workers int, root *Span) []error {
 	errs := make([]error, len(comps))
 	if workers > len(comps) {
 		workers = len(comps)
 	}
 	if workers <= 1 {
 		for i, c := range comps {
-			errs[i] = db.commitComponent(c, root, metrics)
+			errs[i] = db.commitComponent(c, root)
 		}
 		return errs
 	}
@@ -60,7 +60,7 @@ func (db *Database) commit(comps []flushComponent, workers int, root *Span, metr
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = db.commitComponent(comps[i], root, metrics)
+				errs[i] = db.commitComponent(comps[i], root)
 			}
 		}()
 	}
@@ -135,7 +135,7 @@ func (e *PanicError) Unwrap() error {
 // family a panic tore is rebuilt from those tables, so the component's
 // tables and views return to their pre-call state. Caller holds db.mu, and
 // the component is the only writer of its tables and families (see commit).
-func (db *Database) commitComponent(c flushComponent, root *Span, metrics *Metrics) error {
+func (db *Database) commitComponent(c flushComponent, root *Span) error {
 	if len(c.steps) == 0 {
 		return nil
 	}
@@ -150,14 +150,12 @@ func (db *Database) commitComponent(c flushComponent, root *Span, metrics *Metri
 	defer span.End()
 
 	staged := make([]stagedFamily, len(c.families))
-	maints := make([]*view.Maintainer, len(c.families))
 	for j, f := range c.families {
 		staged[j] = stagedFamily{f: f, cs: f.m.Begin()}
-		maints[j] = f.m
 	}
 	var cause error
 	for i := range c.steps {
-		if cause = db.applyStep(&c.steps[i], staged, maints, span, metrics); cause != nil {
+		if cause = db.applyStep(&c.steps[i], staged, span); cause != nil {
 			break
 		}
 	}
@@ -204,7 +202,7 @@ func (db *Database) commitComponent(c flushComponent, root *Span, metrics *Metri
 // Component workers and the WriteBatch maintenance goroutine both reach
 // this code, so neither can take the process down with a component half
 // staged.
-func (db *Database) applyStep(st *pipeline.Step, staged []stagedFamily, maints []*view.Maintainer, span *Span, metrics *Metrics) (err error) {
+func (db *Database) applyStep(st *pipeline.Step, staged []stagedFamily, span *Span) (err error) {
 	stepSpan := span.Child("flush.step").
 		SetStr("table", st.Table).
 		SetStr("op", st.Op.String()).
@@ -218,7 +216,7 @@ func (db *Database) applyStep(st *pipeline.Step, staged []stagedFamily, maints [
 	if err = db.applyBase(st); err != nil {
 		return err
 	}
-	return stageStep(st, staged, maints, stepSpan, metrics)
+	return stageStep(st, staged)
 }
 
 // rebuild re-materializes a family whose changeset a panic tore from the
@@ -258,54 +256,20 @@ func (db *Database) applyBase(st *pipeline.Step) (err error) {
 }
 
 // stageStep stages one applied step's maintenance into each family's
-// changeset. With two or more families it first builds the step's shared-
-// subexpression DAG across them, so every shared ΔV^D subtree evaluates
-// once and the per-family maintenance consumes it through tee handles; with
-// fewer (or nothing in common) PlanShared returns a nil run, whose Bound
-// maps are nil and whose Close is a no-op. The base state a step's shared
-// producers read is constant across the step's families (the base delta is
-// already applied; view maintenance mutates only view state), so lazy
-// producer evaluation interleaved with per-family pulls is sound.
-func stageStep(st *pipeline.Step, staged []stagedFamily, maints []*view.Maintainer, span *Span, metrics *Metrics) (err error) {
-	// A modify decomposes into a delete pass and an insert pass, each with
-	// its own plan — so up to two shared runs per step.
-	var runDel, runIns *view.SharedRun
-	defer func() {
-		// Close force-releases any handle a view never drained, closes each
-		// producer exactly once, and publishes the step's sharing metrics.
-		eDel, eIns := runDel.Close(), runIns.Close()
-		if err == nil {
-			err = eDel
-		}
-		if err == nil {
-			err = eIns
-		}
-	}()
-	switch st.Op {
-	case pipeline.OpInsert:
-		runIns, err = view.PlanShared(maints, st.Table, true, true, st.Rows, span, metrics)
-	case pipeline.OpDelete:
-		runDel, err = view.PlanShared(maints, st.Table, false, true, st.OldRows, span, metrics)
-	case pipeline.OpModify:
-		runDel, err = view.PlanShared(maints, st.Table, false, false, st.OldRows, span, metrics)
-		if err == nil {
-			runIns, err = view.PlanShared(maints, st.Table, true, false, st.NewRows, span, metrics)
-		}
-	}
-	if err != nil {
-		return err
-	}
+// changeset: every family starts its own compiled ΔV^D program against the
+// step's delta.
+func stageStep(st *pipeline.Step, staged []stagedFamily) (err error) {
 	for j := range staged {
 		s := &staged[j]
 		m := s.f.m
 		var stats *MaintStats
 		switch st.Op {
 		case pipeline.OpInsert:
-			stats, err = m.ApplyInsert(s.cs, st.Table, st.Rows, runIns.Bound(m))
+			stats, err = m.ApplyInsert(s.cs, st.Table, st.Rows)
 		case pipeline.OpDelete:
-			stats, err = m.ApplyDelete(s.cs, st.Table, st.OldRows, runDel.Bound(m))
+			stats, err = m.ApplyDelete(s.cs, st.Table, st.OldRows)
 		case pipeline.OpModify:
-			stats, err = m.ApplyModify(s.cs, st.Table, st.OldRows, st.NewRows, runDel.Bound(m), runIns.Bound(m))
+			stats, err = m.ApplyModify(s.cs, st.Table, st.OldRows, st.NewRows)
 		}
 		if err != nil {
 			return fmt.Errorf("maintaining view %s: %w", m.Name(), err)
