@@ -67,12 +67,12 @@ type BatchOptions struct {
 //   - A flush drains the net per-table deltas through the same write path
 //     as single statements (write.go): the delta tables partition into
 //     independent components, and each component — its base deltas plus one
-//     undo-logged changeset per affected view, with ΔV^D subtrees common to
-//     several views evaluated once — commits or rolls back atomically. A
-//     failed component restores its pre-flush state exactly and keeps its
-//     statements pending; the flush records itself in Err and suspends
-//     auto-flushing until Flush succeeds or Discard drops the batch (see
-//     Flush for what happens to the other components).
+//     undo-logged changeset per affected view family, which evaluates its
+//     own ΔV^D program once for all its views — commits or rolls back
+//     atomically. A failed component restores its pre-flush state exactly
+//     and keeps its statements pending; the flush records itself in Err
+//     and suspends auto-flushing until Flush succeeds or Discard drops the
+//     batch (see Flush for what happens to the other components).
 //   - Auto flushes (FlushRows threshold and FlushInterval tick) run on one
 //     dedicated maintenance goroutine, never inline in a writer's
 //     statement. View readers are isolated from the flush by epochs: they

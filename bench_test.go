@@ -1,21 +1,21 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per table
-// and figure) plus the ablation benches listed in DESIGN.md. Absolute
-// numbers come from an in-memory engine at a reduced scale factor; the
-// experiments reproduce the paper's relative results — which method wins
-// and by what order of magnitude.
+// and figure) plus the ablation benches listed in DESIGN.md §4. The points
+// are defined and timed by internal/bench, the same code cmd/ojbench
+// prints. Absolute numbers come from an in-memory engine at a reduced
+// scale factor; the experiments reproduce the paper's relative results —
+// which method wins and by what order of magnitude.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run '^$' -bench .
 package ojv_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"ojv"
 	"ojv/internal/algebra"
 	"ojv/internal/bench"
 	"ojv/internal/exec"
-	"ojv/internal/fixture"
 	"ojv/internal/rel"
 	"ojv/internal/tpch"
 	"ojv/internal/view"
@@ -25,30 +25,47 @@ import (
 // SF=1. Batch sizes are scaled accordingly.
 const benchSF = 0.01
 
-// cycleSetup prepares a V3 setup and a reusable batch: each benchmark
-// iteration inserts the batch (measured for insert benches) and deletes it
-// again (measured for delete benches), so one generated database serves all
-// iterations.
-func cycleSetup(b *testing.B, method bench.Method, paperN int) (*bench.Setup, []rel.Row) {
-	b.Helper()
-	n := bench.ScaleN(paperN, benchSF)
-	s, err := bench.NewSetup(benchSF, 1, method, n)
-	if err != nil {
-		b.Fatal(err)
+// benchPoints runs each point whose label has the prefix as a
+// sub-benchmark: one setup, then b.N timed runs of the point, each undone
+// before the next. ns/op, B/op and allocs/op report the maintenance step
+// alone, as the runner measures it for cmd/ojbench.
+func benchPoints(b *testing.B, prefix string, points []bench.Point) {
+	for _, p := range points {
+		name, ok := strings.CutPrefix(p.Label, prefix)
+		if !ok {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
+			s, err := bench.NewSetup(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sum bench.Fig5Result
+			for i := 0; i < b.N; i++ {
+				r, err := s.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				sum.Elapsed += r.Elapsed
+				sum.Allocs += r.Allocs
+				sum.AllocBytes += r.AllocBytes
+				if _, err := s.Undo(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sum.Elapsed.Nanoseconds())/float64(b.N), "ns/op")
+			b.ReportMetric(float64(sum.AllocBytes)/float64(b.N), "B/op")
+			b.ReportMetric(float64(sum.Allocs)/float64(b.N), "allocs/op")
+		})
 	}
-	return s, s.TakeHeldOut()
 }
 
 // BenchmarkTable1TermStats measures the full Table 1 experiment: term
 // cardinalities plus the rows affected by the scaled 60,000-row insert.
 func BenchmarkTable1TermStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1(benchSF, 1)
-		if err != nil {
+		if _, err := bench.Table1(benchSF, 1, view.Options{}); err != nil {
 			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("table1 rows = %d", len(rows))
 		}
 	}
 }
@@ -57,205 +74,25 @@ func BenchmarkTable1TermStats(b *testing.B) {
 // lineitem insertions, for the core view, the outer-join view and the GK
 // baseline.
 func BenchmarkFig5aInsert(b *testing.B) {
-	for _, method := range bench.Fig5Methods {
-		for _, paperN := range bench.PaperNs {
-			b.Run(fmt.Sprintf("%s/N=%d", method, paperN), func(b *testing.B) {
-				s, batch := cycleSetup(b, method, paperN)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.InsertBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					if _, err := s.DeleteBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			})
-		}
-	}
+	benchPoints(b, "", bench.Fig5(benchSF, 1, true, bench.Fig5Methods, view.Options{}))
 }
 
 // BenchmarkFig5bDelete reproduces Figure 5(b): maintenance cost of V3 after
 // lineitem deletions.
 func BenchmarkFig5bDelete(b *testing.B) {
-	for _, method := range bench.Fig5Methods {
-		for _, paperN := range bench.PaperNs {
-			b.Run(fmt.Sprintf("%s/N=%d", method, paperN), func(b *testing.B) {
-				s, batch := cycleSetup(b, method, paperN)
-				// Start from the full database: insert the batch up front.
-				if _, err := s.InsertBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.DeleteBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					if _, err := s.InsertBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
-			})
-		}
-	}
+	benchPoints(b, "", bench.Fig5(benchSF, 1, false, bench.Fig5Methods, view.Options{}))
 }
 
-// BenchmarkAblationSecondarySource compares computing the secondary delta
-// from the view (Section 5.2) against computing it from base tables
-// (Section 5.3) on the largest insert batch.
-func BenchmarkAblationSecondarySource(b *testing.B) {
-	for _, method := range []bench.Method{bench.MethodOJV, bench.MethodOJVBase} {
-		b.Run(string(method), func(b *testing.B) {
-			s, batch := cycleSetup(b, method, 60000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.InsertBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if _, err := s.DeleteBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
-	}
-}
+// The ablations of DESIGN.md §4, one benchmark per design choice.
 
-// BenchmarkAblationTheorem3 measures customer insertions with and without
-// the FK-reduced maintenance graph (Section 6.2): with it, inserting
-// customers touches only the {customer} term.
-func BenchmarkAblationTheorem3(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		b.Run(fmt.Sprintf("fkGraphDisabled=%v", disable), func(b *testing.B) {
-			s, err := bench.NewSetupOpts(benchSF, 1, view.Options{DisableFKGraph: disable, DisableFKSimplify: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cust := s.DB.Catalog.Table("customer")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				rows := s.DB.NewCustomers(bench.ScaleN(15000, benchSF))
-				if err := s.DB.Catalog.Insert("customer", rows); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := s.Target.OnInsertRows("customer", rows); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				keys := make([][]rel.Value, len(rows))
-				for j, r := range rows {
-					keys[j] = r.Project(cust.KeyCols())
-				}
-				deleted, err := s.DB.Catalog.Delete("customer", keys)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Target.OnDeleteRows("customer", deleted); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
-	}
-}
+func BenchmarkAblationSecondarySource(b *testing.B) { benchAblation(b, "secondary-source/") }
+func BenchmarkAblationTheorem3(b *testing.B)        { benchAblation(b, "theorem3/") }
+func BenchmarkAblationLeftDeep(b *testing.B)        { benchAblation(b, "left-deep/") }
+func BenchmarkAblationFKSimplify(b *testing.B)      { benchAblation(b, "fk-simplify/") }
+func BenchmarkAblationOrphanIndex(b *testing.B)     { benchAblation(b, "orphan-index/") }
 
-// v1CycleBench drives T-insert/T-delete cycles over the abstract V1 view
-// (where the bushy ΔV^D tree joins two base tables, unlike V3's naturally
-// left-deep shape).
-func v1CycleBench(b *testing.B, opts view.Options) {
-	b.Helper()
-	cat, err := fixture.RSTU(fixture.RSTUOptions{Rows: 20000, Seed: 3, WithFK: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	def, err := view.Define(cat, "v1", fixture.V1Expr(true), fixture.V1Output(cat))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := view.NewMaintainer(def, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Materialize(); err != nil {
-		b.Fatal(err)
-	}
-	var rows []rel.Row
-	var keys [][]rel.Value
-	for i := 0; i < 200; i++ {
-		k := int64(100000 + i)
-		rows = append(rows, rel.Row{rel.Int(k), rel.Int(int64(i % 101)), rel.Int(int64(i % 97))})
-		keys = append(keys, []rel.Value{rel.Int(k)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := cat.Insert("T", rows); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := m.OnInsert("T", rows); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		deleted, err := cat.Delete("T", keys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.OnDelete("T", deleted); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkAblationLeftDeep compares the left-deep ΔV^D tree (Section 4.1)
-// against the bushy tree produced by the basic Section 4 transform.
-func BenchmarkAblationLeftDeep(b *testing.B) {
-	b.Run("left-deep", func(b *testing.B) { v1CycleBench(b, view.Options{}) })
-	b.Run("bushy", func(b *testing.B) { v1CycleBench(b, view.Options{DisableLeftDeep: true}) })
-}
-
-// BenchmarkAblationFKSimplify compares ΔV^D with and without the
-// SimplifyTree pass (Section 6.1), which removes the ΔT lo U probe.
-func BenchmarkAblationFKSimplify(b *testing.B) {
-	b.Run("simplified", func(b *testing.B) { v1CycleBench(b, view.Options{}) })
-	b.Run("unsimplified", func(b *testing.B) { v1CycleBench(b, view.Options{DisableFKSimplify: true}) })
-}
-
-// BenchmarkAblationOrphanIndex compares lineitem deletions with and without
-// the per-table orphan index on the view (new-orphan containment checks
-// fall back to view scans without it).
-func BenchmarkAblationOrphanIndex(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		b.Run(fmt.Sprintf("indexDisabled=%v", disable), func(b *testing.B) {
-			s, err := bench.NewSetupOpts(benchSF, 1, view.Options{DisableOrphanIndex: disable})
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := s.DB.NewLineitems(bench.ScaleN(60000, benchSF))
-			if _, err := s.InsertBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.DeleteBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if _, err := s.InsertBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-		})
-	}
+func benchAblation(b *testing.B, prefix string) {
+	benchPoints(b, prefix, bench.Ablations(benchSF, 1, view.Options{}))
 }
 
 // BenchmarkHashJoinBuild measures the equijoin hash-table build and probe

@@ -1,6 +1,7 @@
 // Command ojbench regenerates the paper's experimental tables and figures
 // (Table 1, Figure 5(a), Figure 5(b)) on the scaled TPC-H database, plus
-// the ablation experiments described in DESIGN.md.
+// the ablation and scaling experiments described in DESIGN.md. The
+// experiments are defined and timed by internal/bench; ojbench prints them.
 //
 // Usage:
 //
@@ -22,14 +23,11 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	"ojv/internal/bench"
-	"ojv/internal/fixture"
 	"ojv/internal/obs"
-	"ojv/internal/rel"
 	"ojv/internal/view"
 )
 
@@ -38,7 +36,6 @@ func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor (the paper runs SF=1)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	reps := flag.Int("reps", 3, "repetitions per measured point (median reported)")
-	batchSize := flag.Int("batchsize", 0, "executor pipeline batch size in rows (0 = exec default)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of every maintenance run to this file")
 	metrics := flag.Bool("metrics", false, "print a metrics snapshot (JSON) after the experiments")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
@@ -49,14 +46,11 @@ func main() {
 		os.Exit(2)
 	}
 	benchReps = *reps
-	benchOpts = view.Options{BatchSize: *batchSize}
 	if *tracePath != "" {
-		benchTracer = obs.NewTracer()
-		benchOpts.Tracer = benchTracer
+		benchOpts.Tracer = obs.NewTracer()
 	}
 	if *metrics {
-		benchMetrics = obs.NewRegistry()
-		benchOpts.Metrics = benchMetrics
+		benchOpts.Metrics = obs.NewRegistry()
 	}
 	if *pprofAddr != "" {
 		go func() {
@@ -74,13 +68,13 @@ func main() {
 		}
 	}
 
-	if benchTracer != nil {
+	if tracer := benchOpts.Tracer; tracer != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ojbench: %v\n", err)
 			os.Exit(1)
 		}
-		if err := benchTracer.WriteChromeTrace(f); err == nil {
+		if err := tracer.WriteChromeTrace(f); err == nil {
 			err = f.Close()
 		} else {
 			f.Close()
@@ -90,11 +84,11 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("trace: wrote %d maintenance spans to %s (load in chrome://tracing or Perfetto)\n",
-			len(benchTracer.Roots()), *tracePath)
+			len(tracer.Roots()), *tracePath)
 	}
-	if benchMetrics != nil {
+	if benchOpts.Metrics != nil {
 		fmt.Println("metrics:")
-		if err := benchMetrics.WriteJSON(os.Stdout); err != nil {
+		if err := benchOpts.Metrics.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "ojbench: writing metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -113,7 +107,7 @@ var experiments = []experiment{
 	{"fig5a", func(sf float64, seed int64) error { return fig5(sf, seed, true) }},
 	{"fig5b", func(sf float64, seed int64) error { return fig5(sf, seed, false) }},
 	{"ablations", ablations},
-	{"scaling", func(float64, int64) error { return scaling() }},
+	{"scaling", scaling},
 }
 
 // selectExperiments resolves an -experiment value: one experiment by name,
@@ -133,26 +127,26 @@ func selectExperiments(name string) ([]experiment, error) {
 	return nil, fmt.Errorf("unknown experiment %q; valid: %s, all", name, strings.Join(names, ", "))
 }
 
-// benchTracer and benchMetrics are non-nil when -trace / -metrics are set;
-// benchOpts carries them into every view the experiments build.
-var (
-	benchTracer  *obs.Tracer
-	benchMetrics *obs.Registry
-)
-
 var benchReps = 3
 
-// benchOpts carries -batchsize, -trace and -metrics into every non-GK
-// experiment.
+// benchOpts carries -trace and -metrics into every view the experiments
+// build.
 var benchOpts view.Options
 
-// emitBench prints one machine-readable result line per experiment, tagged
-// with the batch size and GOMAXPROCS so runs on different machines and
-// flag combinations can be compared. Durations marshal as nanoseconds.
+// run measures the points of one experiment and prints its machine-readable
+// result line, tagged with GOMAXPROCS so runs on different machines can be
+// compared. Durations marshal as nanoseconds.
+func run(name string, points []bench.Point) ([]bench.Fig5Result, error) {
+	results, err := bench.Run(points, benchReps)
+	if err == nil {
+		emitBench(name, results)
+	}
+	return results, err
+}
+
 func emitBench(experiment string, data any) {
 	b, err := json.Marshal(map[string]any{
 		"experiment": experiment,
-		"batchsize":  benchOpts.BatchSize,
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"data":       data,
 	})
@@ -162,41 +156,27 @@ func emitBench(experiment string, data any) {
 	fmt.Printf("BENCH %s\n", b)
 }
 
-// scaling runs the extension experiment: a fixed insert batch against a
-// growing database.
-func scaling() error {
-	fmt.Println("== Scaling (extension): insert 120 lineitems while the database grows ==")
-	sfs := []float64{0.002, 0.005, 0.01, 0.02, 0.04}
-	methods := []bench.Method{bench.MethodCore, bench.MethodOJV, bench.MethodGK}
-	results, err := bench.RunScalingOpts(sfs, 120, methods, benchReps, benchOpts, nil)
-	if err != nil {
-		return err
+// printGrid prints one line per key and one column per Figure 5 method:
+// the median maintenance time and, in brackets, the primary delta's rows.
+// Results come key-major, in bench.Fig5Methods order.
+func printGrid(head string, results []bench.Fig5Result, key func(bench.Fig5Result) string) {
+	fmt.Printf("%-10s", head)
+	for _, m := range bench.Fig5Methods {
+		fmt.Printf(" %20s", m)
 	}
-	emitBench("scaling", results)
-	fmt.Printf("%-10s", "SF")
-	for _, m := range methods {
-		fmt.Printf(" %16s", m)
-	}
-	fmt.Println()
-	for _, sf := range sfs {
-		fmt.Printf("%-10g", sf)
-		for _, m := range methods {
-			for _, r := range results {
-				if r.SF == sf && r.Method == m {
-					fmt.Printf(" %16s", r.Elapsed.Round(10*time.Microsecond))
-				}
-			}
+	for i, r := range results {
+		if i%len(bench.Fig5Methods) == 0 {
+			fmt.Printf("\n%-10s", key(r))
 		}
-		fmt.Println()
+		fmt.Printf(" %20s", fmt.Sprintf("%s [%d]", r.Elapsed.Round(10*time.Microsecond), r.PrimaryRows))
 	}
-	fmt.Println()
-	return nil
+	fmt.Print("\n")
 }
 
 func table1(sf float64, seed int64) error {
 	fmt.Printf("== Table 1: terms in view V3 and rows affected when inserting %d lineitem rows (SF=%g) ==\n",
 		bench.ScaleN(60000, sf), sf)
-	rows, err := bench.Table1Opts(sf, seed, benchOpts)
+	rows, err := bench.Table1(sf, seed, benchOpts)
 	if err != nil {
 		return err
 	}
@@ -211,47 +191,26 @@ func table1(sf float64, seed int64) error {
 }
 
 func fig5(sf float64, seed int64, insert bool) error {
-	label, verb := "Figure 5(a)", "inserted"
+	name, label, verb := "fig5a", "Figure 5(a)", "inserted"
 	if !insert {
-		label, verb = "Figure 5(b)", "deleted"
+		name, label, verb = "fig5b", "Figure 5(b)", "deleted"
 	}
 	fmt.Printf("== %s: maintenance cost for V3, lineitem rows %s (SF=%g) ==\n", label, verb, sf)
-	results, err := bench.RunFig5Opts(sf, seed, insert, bench.Fig5Methods, benchReps, benchOpts, nil)
+	results, err := run(name, bench.Fig5(sf, seed, insert, bench.Fig5Methods, benchOpts))
 	if err != nil {
 		return err
 	}
-	name := "fig5a"
-	if !insert {
-		name = "fig5b"
-	}
-	emitBench(name, results)
-	fmt.Printf("%-10s", "paperN")
-	for _, m := range bench.Fig5Methods {
-		fmt.Printf(" %16s", m)
-	}
-	fmt.Println()
-	for _, paperN := range bench.PaperNs {
-		fmt.Printf("%-10d", paperN)
-		for _, m := range bench.Fig5Methods {
-			for _, r := range results {
-				if r.PaperN == paperN && r.Method == m {
-					fmt.Printf(" %16s", r.Elapsed.Round(10*time.Microsecond))
-				}
-			}
-		}
-		fmt.Println()
-	}
+	printGrid("paperN", results, func(r bench.Fig5Result) string { return fmt.Sprint(r.PaperN) })
 	// Changeset accounting: every measured run of a changeset-backed method
 	// must have committed (a rollback would mean the timing covered a failed,
 	// reverted run).
 	commits, rollbacks, undo := 0, 0, 0
 	for _, r := range results {
-		if r.Method == bench.MethodGK {
-			continue
-		}
-		if r.Commits > 0 {
-			commits += r.Commits
-		} else {
+		switch {
+		case r.Method == bench.MethodGK:
+		case r.Committed:
+			commits++
+		default:
 			rollbacks++
 		}
 		undo += r.UndoRecords
@@ -261,118 +220,26 @@ func fig5(sf float64, seed int64, insert bool) error {
 }
 
 func ablations(sf float64, seed int64) error {
-	fmt.Printf("== Ablations (SF=%g) ==\n", sf)
-
-	// Secondary-delta source: from view vs from base tables (Section 5).
-	for _, method := range []bench.Method{bench.MethodOJV, bench.MethodOJVBase} {
-		el, err := medianOf(benchReps, func() (time.Duration, error) {
-			n := bench.ScaleN(60000, sf)
-			s, err := bench.NewSetupWith(sf, seed, method, n, benchOpts)
-			if err != nil {
-				return 0, err
-			}
-			r, err := s.RunInsert(n)
-			return r.Elapsed, err
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  secondary-source %-14s insert60000: %s\n", method, el.Round(10*time.Microsecond))
+	fmt.Printf("== Ablations (SF=%g): each pair differs in one maintenance switch ==\n", sf)
+	results, err := run("ablations", bench.Ablations(sf, seed, benchOpts))
+	if err != nil {
+		return err
 	}
-
-	// Theorem 3 (reduced maintenance graph): customer inserts with and
-	// without FK exploitation.
-	for _, disable := range []bool{false, true} {
-		disable := disable
-		el, err := medianOf(benchReps, func() (time.Duration, error) { return customerInsert(sf, seed, disable) })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  theorem3 fk-graph-disabled=%-5v customer-insert: %s\n", disable, el.Round(10*time.Microsecond))
-	}
-
-	// Left-deep vs bushy ΔV^D and FK SimplifyTree, on the abstract V1
-	// (where the bushy tree joins two base tables).
-	for _, cfg := range []struct {
-		name string
-		opts view.Options
-	}{
-		{"left-deep+fk", view.Options{}},
-		{"bushy", view.Options{DisableLeftDeep: true}},
-		{"no-fk-simplify", view.Options{DisableFKSimplify: true}},
-	} {
-		el, err := medianOf(benchReps, func() (time.Duration, error) { return v1Insert(cfg.opts) })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  deltatree %-16s T-insert: %s\n", cfg.name, el.Round(10*time.Microsecond))
+	for _, r := range results {
+		fmt.Printf("  %-24s %-15s N=%-5d %10s  primary=%-5d secondary=%d\n",
+			r.Label, r.Batch, r.N, r.Elapsed.Round(10*time.Microsecond), r.PrimaryRows, r.SecondaryRows)
 	}
 	fmt.Println()
 	return nil
 }
 
-// medianOf runs f n times and returns the median duration.
-func medianOf(n int, f func() (time.Duration, error)) (time.Duration, error) {
-	if n < 1 {
-		n = 1
-	}
-	var ds []time.Duration
-	for i := 0; i < n; i++ {
-		d, err := f()
-		if err != nil {
-			return 0, err
-		}
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2], nil
-}
-
-func customerInsert(sf float64, seed int64, disableFKGraph bool) (time.Duration, error) {
-	s, err := bench.NewSetupOpts(sf, seed, view.Options{
-		DisableFKGraph:    disableFKGraph,
-		DisableFKSimplify: disableFKGraph,
-	})
+func scaling(_ float64, seed int64) error {
+	fmt.Println("== Scaling (extension): insert 120 lineitems while the database grows ==")
+	results, err := run("scaling", bench.Scaling(seed, benchOpts))
 	if err != nil {
-		return 0, err
+		return err
 	}
-	rows := s.DB.NewCustomers(bench.ScaleN(15000, sf))
-	if err := s.DB.Catalog.Insert("customer", rows); err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	if _, err := s.Target.OnInsertRows("customer", rows); err != nil {
-		return 0, err
-	}
-	return time.Since(t0), nil
-}
-
-func v1Insert(opts view.Options) (time.Duration, error) {
-	cat, err := fixture.RSTU(fixture.RSTUOptions{Rows: 20000, Seed: 3, WithFK: true})
-	if err != nil {
-		return 0, err
-	}
-	def, err := view.Define(cat, "v1", fixture.V1Expr(true), fixture.V1Output(cat))
-	if err != nil {
-		return 0, err
-	}
-	m, err := view.NewMaintainer(def, opts)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Materialize(); err != nil {
-		return 0, err
-	}
-	var rows []rel.Row
-	for i := 0; i < 200; i++ {
-		rows = append(rows, rel.Row{rel.Int(int64(100000 + i)), rel.Int(int64(i % 101)), rel.Int(int64(i % 97))})
-	}
-	if err := cat.Insert("T", rows); err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	if _, err := m.OnInsert("T", rows); err != nil {
-		return 0, err
-	}
-	return time.Since(t0), nil
+	printGrid("SF", results, func(r bench.Fig5Result) string { return fmt.Sprint(r.SF) })
+	fmt.Println()
+	return nil
 }

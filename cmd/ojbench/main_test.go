@@ -17,16 +17,10 @@ const testSF = 0.002
 func withBenchGlobals(t *testing.T) (*obs.Tracer, *obs.Registry) {
 	t.Helper()
 	prevReps, prevOpts := benchReps, benchOpts
-	prevTracer, prevMetrics := benchTracer, benchMetrics
-	t.Cleanup(func() {
-		benchReps, benchOpts = prevReps, prevOpts
-		benchTracer, benchMetrics = prevTracer, prevMetrics
-	})
+	t.Cleanup(func() { benchReps, benchOpts = prevReps, prevOpts })
 	benchReps = 1
-	benchTracer = obs.NewTracer()
-	benchMetrics = obs.NewRegistry()
-	benchOpts = view.Options{Tracer: benchTracer, Metrics: benchMetrics}
-	return benchTracer, benchMetrics
+	benchOpts = view.Options{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
+	return benchOpts.Tracer, benchOpts.Metrics
 }
 
 // TestFig5WithObservation drives the Figure 5(a) experiment at a tiny

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ojv/internal/obs"
-	"ojv/internal/rel"
 	"ojv/internal/view"
 )
 
@@ -21,17 +20,10 @@ import (
 func TestObservedMaintenanceHammer(t *testing.T) {
 	tracer := obs.NewTracer()
 	reg := obs.NewRegistry()
-	n := ScaleN(60000, testSF)
-	s, err := NewSetupWith(testSF, 1, MethodOJVBase, n, view.Options{
-		Tracer:  tracer,
-		Metrics: reg,
-	})
+	s, err := NewSetup(Point{Method: MethodOJVBase, Batch: LineitemInsert, N: ScaleN(60000, testSF), SF: testSF, Seed: 1,
+		Opts: view.Options{Tracer: tracer, Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	batch := s.TakeHeldOut()
-	if len(batch) == 0 {
-		t.Fatal("no held-out rows")
 	}
 	tracer.Reset()
 	before := reg.Snapshot()
@@ -54,36 +46,20 @@ func TestObservedMaintenanceHammer(t *testing.T) {
 		}
 	}()
 
-	tab := s.DB.Catalog.Table("lineitem")
-	keys := make([][]rel.Value, len(batch))
-	for i, r := range batch {
-		keys[i] = r.Project(tab.KeyCols())
-	}
 	var wantPrimary, wantSecondary, wantUndo, runs int64
 	const cycles = 4
-	for c := 0; c < cycles; c++ {
-		if err := s.DB.Catalog.Insert("lineitem", batch); err != nil {
-			t.Fatal(err)
+	for c := 0; c < 2*cycles; c++ {
+		run := s.Run
+		if c%2 == 1 {
+			run = s.Undo
 		}
-		st, err := s.Target.OnInsertRows("lineitem", batch)
+		r, err := run()
 		if err != nil {
-			t.Fatalf("cycle %d insert: %v", c, err)
+			t.Fatalf("run %d: %v", c, err)
 		}
-		wantPrimary += int64(st.PrimaryRows)
-		wantSecondary += int64(st.SecondaryRows)
-		wantUndo += int64(st.UndoRecords)
-		runs++
-		deleted, err := s.DB.Catalog.Delete("lineitem", keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err = s.Target.OnDeleteRows("lineitem", deleted)
-		if err != nil {
-			t.Fatalf("cycle %d delete: %v", c, err)
-		}
-		wantPrimary += int64(st.PrimaryRows)
-		wantSecondary += int64(st.SecondaryRows)
-		wantUndo += int64(st.UndoRecords)
+		wantPrimary += int64(r.PrimaryRows)
+		wantSecondary += int64(r.SecondaryRows)
+		wantUndo += int64(r.UndoRecords)
 		runs++
 	}
 	close(stop)

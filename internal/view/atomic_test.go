@@ -104,7 +104,7 @@ type faultScenario struct {
 }
 
 func faultScenarios() []faultScenario {
-	v1Insert := func(strategy Strategy) func(t *testing.T, opts Options) (*Maintainer, func() (*MaintStats, error)) {
+	insertIntoV1 := func(strategy Strategy) func(t *testing.T, opts Options) (*Maintainer, func() (*MaintStats, error)) {
 		return func(t *testing.T, opts Options) (*Maintainer, func() (*MaintStats, error)) {
 			opts.Strategy = strategy
 			cat, m := newV1Maintainer(t, false, opts)
@@ -131,7 +131,7 @@ func faultScenarios() []faultScenario {
 		{
 			name:      "v1-insert-T",
 			wantSites: []string{"primary-insert", "secondary-orphan-delete"},
-			build:     v1Insert(StrategyAuto),
+			build:     insertIntoV1(StrategyAuto),
 		},
 		{
 			name:      "v1-delete-T",
@@ -141,7 +141,7 @@ func faultScenarios() []faultScenario {
 		{
 			name:      "v1-frombase-insert-T",
 			wantSites: []string{"primary-insert", "frombase-orphan-delete"},
-			build:     v1Insert(StrategyFromBase),
+			build:     insertIntoV1(StrategyFromBase),
 		},
 		{
 			name:      "v1-frombase-delete-T",

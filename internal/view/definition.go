@@ -56,12 +56,6 @@ type Options struct {
 	DisableOrphanIndex bool
 	// Strategy selects the secondary-delta source.
 	Strategy Strategy
-	// BatchSize is the soft row cap per executor pipeline batch (joins may
-	// overshoot for one input batch rather than split their output). 0 (the
-	// zero value) means exec.DefaultBatchSize. Results are identical at
-	// every setting; the knob trades per-batch dispatch overhead against
-	// working-set size.
-	BatchSize int
 	// VerifyPlans statically verifies every freshly compiled maintenance
 	// plan against the paper's structural invariants (see planck.go) and
 	// fails the compilation on the first violation. It is always on under

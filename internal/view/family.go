@@ -431,6 +431,6 @@ func implies(p, q algebra.Pred) bool {
 func sameOptions(a, b Options) bool {
 	return a.DisableLeftDeep == b.DisableLeftDeep && a.DisableFKSimplify == b.DisableFKSimplify &&
 		a.DisableFKGraph == b.DisableFKGraph && a.DisableOrphanIndex == b.DisableOrphanIndex &&
-		a.Strategy == b.Strategy && a.BatchSize == b.BatchSize && a.VerifyPlans == b.VerifyPlans &&
+		a.Strategy == b.Strategy && a.VerifyPlans == b.VerifyPlans &&
 		a.Tracer == b.Tracer && a.Metrics == b.Metrics
 }

@@ -859,7 +859,6 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		DeltaTable:    table,
 		Delta:         delta,
 		DeltaIsInsert: isInsert,
-		BatchSize:     m.opts.BatchSize,
 		Metrics:       m.opts.Metrics,
 		Span:          evalSpan,
 	}
@@ -907,7 +906,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		evidence := ctx
 		if replacing != nil && len(plan.indirect) > 0 {
 			evidence = &exec.Context{Catalog: ctx.Catalog, DeltaTable: table, Delta: replacing,
-				DeltaIsInsert: true, BatchSize: ctx.BatchSize, Metrics: ctx.Metrics}
+				DeltaIsInsert: true, Metrics: ctx.Metrics}
 		}
 		return stats, m.applyAgg(cs, span, evidence, plan, primary, isInsert, stats)
 	}

@@ -389,3 +389,7 @@ func (m *Materialized) Definition() *Definition { return m.def }
 
 // Options returns the options the view was registered with.
 func (m *Materialized) Options() Options { return m.opts }
+
+// OrphanIndexed reports whether the view keeps the per-table chains that
+// orphan checks probe (Options.DisableOrphanIndex drops them).
+func (m *Materialized) OrphanIndexed() bool { return m.perTable != nil }

@@ -292,7 +292,6 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 			Delta:         ctx.Delta,
 			DeltaIsInsert: ctx.DeltaIsInsert,
 			Rels:          map[string]exec.Relation{candRel: cand},
-			BatchSize:     ctx.BatchSize,
 			Metrics:       ctx.Metrics,
 		}
 		dismissed, _, err := evalCounted(sub, prog)

@@ -55,9 +55,8 @@ type (
 	Pred = algebra.Pred
 	// ColRef names a column as (table, column).
 	ColRef = algebra.ColRef
-	// Options tunes the maintenance planner: ablation switches plus the
-	// executor's BatchSize (rows per pipeline batch, 0 = default; results
-	// are identical at every setting).
+	// Options tunes the maintenance planner: the ablation switches, the
+	// secondary-delta strategy and the observability hooks.
 	Options = view.Options
 	// MaintStats reports what one maintenance run did.
 	MaintStats = view.MaintStats
@@ -240,11 +239,12 @@ func Avg(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggAv
 // component with one step, a WriteBatch flush is whatever its queue
 // partitions into. Each component is atomic across its base tables and
 // every view they affect: a step applies its base delta, then stages each
-// view's maintenance in that view's undo-logged changeset (ΔV^D subtrees
-// common to several views evaluate once), and the component either
-// commits all of it and publishes its epochs, or rolls back every staged
-// changeset and base delta. So an error from Insert/Delete/Update means
-// "nothing happened" rather than a half-maintained database.
+// view family's maintenance in that family's undo-logged changeset (each
+// family evaluates its own ΔV^D program, once for all its views), and the
+// component either commits all of it and publishes its epochs, or rolls
+// back every staged changeset and base delta. So an error from
+// Insert/Delete/Update means "nothing happened" rather than a
+// half-maintained database.
 type Database struct {
 	mu sync.RWMutex
 	// cat is never reassigned: LoadCatalog restores into it, so lock-free
