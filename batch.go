@@ -2,6 +2,7 @@ package ojv
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -275,8 +276,8 @@ func (b *WriteBatch) Discard() {
 
 // Flush drains the pending statements and returns only when the flush has
 // completed. Each independent component of the flush commits or rolls back
-// atomically on its own, publishing its tables' and views' epochs at its
-// own commit boundary. On error every failed component is restored exactly
+// atomically on its own, its tables' and views' epochs taking its commit
+// at its own commit boundary. On error every failed component is restored exactly
 // and its statements remain pending behind Err; components that committed
 // stay committed and their statements leave the queue, so a retried Flush
 // re-plans and re-validates only what failed. A flush whose delta tables
@@ -323,12 +324,36 @@ func (b *WriteBatch) Close() error {
 	return err
 }
 
+// plan partitions the queue's delta tables into independent components and
+// plans each one, under the flush's plan span. Planning reads the queue's
+// shared entry maps, so it stays on the flushing goroutine; only the
+// independent apply/commit work fans out. It only reads the queue, so a
+// panic on the way leaves the queue as it was: the panic becomes a
+// *PanicError, and a later Flush plans the same statements again.
+func (b *WriteBatch) plan(root *Span) (comps []flushComponent, err error) {
+	span := root.Child("plan")
+	defer func() {
+		if p := recover(); p != nil {
+			comps, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
+		}
+		span.End()
+	}()
+	comps = b.db.partition(b.q.DeltaTables())
+	steps := 0
+	for i := range comps {
+		comps[i].steps = b.q.PlanFor(comps[i].tables)
+		steps += len(comps[i].steps)
+	}
+	span.SetInt("steps", int64(steps)).SetInt("components", int64(len(comps)))
+	return comps, nil
+}
+
 // flushLocked is the group commit. Caller holds b.mu; trigger names what
 // initiated the flush (explicit, rows, interval or close) for the trace. It
 // partitions the queue's delta tables, plans each component, hands the
 // components to the database's one write path (Database.commit) and
 // reconciles the queue with the outcome. Readers are isolated throughout:
-// a component's view and table epochs republish only when it commits.
+// a component's view and table epochs take its writes only when it commits.
 func (b *WriteBatch) flushLocked(trigger string) error {
 	if b.q.Statements() == 0 {
 		return nil
@@ -347,17 +372,12 @@ func (b *WriteBatch) flushLocked(trigger string) error {
 		SetInt("rows_coalesced", int64(coalesced))
 	defer root.End()
 
-	// Planning reads the queue's shared entry maps, so it stays on this
-	// goroutine; only the independent apply/commit work fans out.
-	planSpan := root.Child("plan")
-	comps := b.db.partition(b.q.DeltaTables())
-	steps := 0
-	for i := range comps {
-		comps[i].steps = b.q.PlanFor(comps[i].tables)
-		steps += len(comps[i].steps)
+	comps, err := b.plan(root)
+	if err != nil {
+		b.flushErr = fmt.Errorf("ojv: flush failed: %w", err)
+		b.opts.Metrics.Add("view.flush.errors", 1)
+		return b.flushErr
 	}
-	planSpan.SetInt("steps", int64(steps)).
-		SetInt("components", int64(len(comps))).End()
 	b.opts.Metrics.Observe("view.flush.components", int64(len(comps)))
 
 	var firstErr error

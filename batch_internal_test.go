@@ -157,3 +157,56 @@ func TestDispatchOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushPlanningPanicContained: a panic while a flush plans — here in
+// partition, which a nil family in the database's list makes dereference
+// nil — is the flush's error, a *PanicError behind Err, and changes
+// nothing: the queue keeps every statement, the view and the table read as
+// before, and a later Flush, once the cause is gone, commits them.
+func TestFlushPlanningPanicContained(t *testing.T) {
+	db := lifecycleDB(t)
+	wb := db.NewWriteBatch(BatchOptions{FlushInterval: time.Hour})
+	defer wb.Close()
+	if err := wb.Insert("c", []Row{{Int(1), Str("a")}, {Int(2), Str("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	families := db.families
+	db.mu.Lock()
+	db.families = append(families[:len(families):len(families)], nil)
+	db.mu.Unlock()
+	err := wb.Flush()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Flush = %v, want a *PanicError", err)
+	}
+	if !errors.As(wb.Err(), &pe) {
+		t.Fatalf("Err() = %v, want the flush's *PanicError", wb.Err())
+	}
+	if got := wb.PendingStatements(); got != 1 {
+		t.Fatalf("%d statements pending after the panic, want 1", got)
+	}
+	if got := wb.PendingRows(); got != 2 {
+		t.Fatalf("%d rows pending after the panic, want 2", got)
+	}
+	if got := db.View("v").Len(); got != 0 {
+		t.Fatalf("view has %d rows after the failed flush, want 0", got)
+	}
+	if got := db.TableSnapshot("c").Len(); got != 0 {
+		t.Fatalf("table c has %d rows after the failed flush, want 0", got)
+	}
+	db.mu.Lock()
+	db.families = families
+	db.mu.Unlock()
+	if err := wb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if wb.Err() != nil || wb.PendingStatements() != 0 {
+		t.Fatalf("after the retry: Err() = %v, %d statements pending", wb.Err(), wb.PendingStatements())
+	}
+	if got := db.View("v").Len(); got != 2 {
+		t.Fatalf("view has %d rows after the retry, want 2", got)
+	}
+	if err := db.View("v").Check(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -44,16 +44,18 @@ func compileGroupBy(n *node, e *algebra.GroupBy) error {
 		aggCols[i] = p
 	}
 	n.label = "groupby"
-	n.start = func(ctx *Context, parent *obs.Span) Source {
+	n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 		sp := opSpan(parent, "exec.groupby")
-		return &groupBySource{
+		s := reuse[groupBySource](old)
+		*s = groupBySource{
 			opBase:    opBase{schema: n.schema, span: sp},
 			ctx:       ctx,
-			in:        in.start(ctx, sp),
+			in:        in.start(ctx, sp, s.in),
 			aggs:      e.Aggs,
 			groupCols: groupCols,
 			aggCols:   aggCols,
 		}
+		return s
 	}
 	return nil
 }
@@ -174,7 +176,7 @@ func (s *groupBySource) fold() error {
 
 func (s *groupBySource) Close() error {
 	err := s.in.Close()
-	s.out = nil
+	s.ctx, s.out = nil, nil
 	s.finish()
 	return err
 }

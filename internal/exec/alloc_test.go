@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"ojv/internal/algebra"
@@ -90,5 +91,76 @@ func TestAllocBudget(t *testing.T) {
 					tc.name, avg, n, budget)
 			}
 		})
+	}
+}
+
+// TestInstanceRestartAllocs: an Instance restarts the operator tree of its
+// previous run in place, so a run of a one-row delta through two index
+// probes allocates only what it emits — each join's output row — and
+// nothing per operator, where a fresh Program.Start allocates every
+// operator and grows every scratch batch again.
+func TestInstanceRestartAllocs(t *testing.T) {
+	cat := rel.NewCatalog()
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := cat.CreateTable(name, []rel.Column{{Name: "k", Kind: rel.KindInt}, {Name: "j", Kind: rel.KindInt}}, "k"); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]rel.Row, 64)
+		for i := range rows {
+			rows[i] = rel.Row{rel.Int(int64(i)), rel.Int(int64(i))}
+		}
+		if err := cat.Insert(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Δa ⋈ b ⋈ c, each join probing the right table's unique key.
+	expr := &algebra.Join{
+		Kind: algebra.InnerJoin,
+		Left: &algebra.Join{Kind: algebra.InnerJoin, Left: &algebra.DeltaRef{Name: "a"}, Right: &algebra.TableRef{Name: "b"},
+			Pred: algebra.Eq("a", "j", "b", "k")},
+		Right: &algebra.TableRef{Name: "c"},
+		Pred:  algebra.Eq("b", "j", "c", "k"),
+	}
+	prog, err := Compile(cat, nil, expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prog.String(), "join.index") {
+		t.Fatalf("the joins do not probe:\n%s", prog)
+	}
+	ctx := &Context{Catalog: cat, DeltaTable: "a", Delta: []rel.Row{{rel.Int(7), rel.Int(7)}}, DeltaIsInsert: true}
+	run := func(start func(*Context) (Source, error), b *Batch) {
+		src, err := start(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			ok, err := src.Next(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			rows += b.Len()
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 1 {
+			t.Fatalf("the run emitted %d rows, want 1", rows)
+		}
+	}
+	inst, b := prog.Instance(), new(Batch)
+	run(inst.Start, b) // the scratch reaches its size here
+	restarted := testing.AllocsPerRun(50, func() { run(inst.Start, b) })
+	fresh := testing.AllocsPerRun(50, func() { run(prog.Start, new(Batch)) })
+	t.Logf("a run allocates %.0f objects restarted, %.0f started fresh", restarted, fresh)
+	if restarted > 2 {
+		t.Errorf("a restarted run allocates %.0f objects, want at most the two joins' output rows", restarted)
 	}
 }

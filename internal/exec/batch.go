@@ -24,6 +24,14 @@ type Batch struct {
 // Reset empties the batch, keeping its capacity for reuse.
 func (b *Batch) Reset() { b.Rows = b.Rows[:0] }
 
+// Clear empties the batch and drops every row reference its capacity still
+// holds, keeping the capacity: a batch kept between runs then retains no
+// rows of the last one.
+func (b *Batch) Clear() {
+	clear(b.Rows[:cap(b.Rows)])
+	b.Rows = b.Rows[:0]
+}
+
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return len(b.Rows) }
 

@@ -142,9 +142,10 @@ type indexProbe struct {
 	out []rel.Row
 }
 
-// start binds the plan to one run.
-func (p *probePlan) start(ctx *Context) indexProbe {
-	ip := indexProbe{probePlan: p}
+// start binds the plan to one run, keeping the scratch of prev, the probe
+// of an earlier run of the same join.
+func (p *probePlan) start(ctx *Context, prev *indexProbe) indexProbe {
+	ip := indexProbe{probePlan: p, keyBuf: prev.keyBuf[:0], out: prev.out[:0]}
 	delta := ctx.deltaOf(p.t.Name())
 	if !p.old || len(delta) == 0 {
 		return ip
@@ -162,6 +163,13 @@ func (p *probePlan) start(ctx *Context) indexProbe {
 		ip.deltaByProbe[k] = append(ip.deltaByProbe[k], d)
 	}
 	return ip
+}
+
+// release drops the run's delta-derived state and the rows left in the
+// candidate scratch, keeping the scratch.
+func (ip *indexProbe) release() {
+	ip.excludeKeys, ip.deltaByProbe = nil, nil
+	clear(ip.out[:cap(ip.out)])
 }
 
 // candidates returns the candidate right rows for one left row; the bool is

@@ -17,7 +17,9 @@ import (
 // immutable after Compile and may be started from any number of goroutines
 // at once. The paper derives ΔV^D once per view and updated table and
 // measures executing the cached plan (§4, §7); a Program is that cached
-// plan for this executor.
+// plan for this executor. A caller that runs a program over and over on one
+// goroutine at a time keeps an Instance beside it, which restarts one
+// operator tree instead of allocating a new one per run.
 //
 // A program holds *rel.Table and *rel.Index pointers and a per-join index
 // choice, so it is valid for the catalog design generation it was compiled
@@ -45,9 +47,11 @@ type node struct {
 	// rels names the RelRef leaves below the node; Start refuses a Context
 	// that does not bind them before any operator or span exists.
 	rels []string
-	// start allocates the node's operator (and, through its kids' start,
-	// its inputs) for one run and opens its span under parent.
-	start func(ctx *Context, parent *obs.Span) Source
+	// start readies the node's operator (and, through its kids' start, its
+	// inputs) for one run and opens its span under parent. old is nil or the
+	// operator an earlier, finished run of the node returned: start then
+	// resets that one in place, keeping its scratch, instead of allocating.
+	start func(ctx *Context, parent *obs.Span, old Source) Source
 	// label and kids render the physical plan (String); an index join keeps
 	// only its probe-side input, the right operand lives in the label.
 	label string
@@ -129,12 +133,69 @@ func (c *compiler) compile(e algebra.Expr) (*node, error) {
 // caller must Open the source, pull it with Next, and Close it on every
 // path once Start succeeded; a failed Start returns nothing to close.
 func (p *Program) Start(ctx *Context) (Source, error) {
+	if err := p.bound(ctx); err != nil {
+		return nil, err
+	}
+	return p.root.start(ctx, ctx.span(), nil), nil
+}
+
+// bound checks that ctx binds every relation the program reads.
+func (p *Program) bound(ctx *Context) error {
 	for _, name := range p.root.rels {
 		if _, ok := ctx.Rels[name]; !ok {
-			return nil, fmt.Errorf("exec: unbound relation %s", name)
+			return fmt.Errorf("exec: unbound relation %s", name)
 		}
 	}
-	return p.root.start(ctx, ctx.span()), nil
+	return nil
+}
+
+// Instance is a Program's operator tree kept from run to run. Start resets
+// the tree the previous run used, in place, so a run allocates no operator,
+// and the scratch batches and buffers its operators grew keep their
+// capacity; Close drops what the run read and keeps the scratch. Batch is
+// an output batch kept the same way. An Instance serves one run at a time —
+// its previous run closed before Start — and is not safe for concurrent
+// use; the Program stays immutable.
+type Instance struct {
+	p     *Program
+	src   Source
+	batch Batch
+}
+
+// Instance returns a fresh instance of the program.
+func (p *Program) Instance() *Instance { return &Instance{p: p} }
+
+// Program returns the program the instance runs.
+func (in *Instance) Program() *Program { return in.p }
+
+// Start readies the instance for one run, as Program.Start starts a program:
+// the caller opens the source, pulls it and closes it on every path once
+// Start succeeded.
+func (in *Instance) Start(ctx *Context) (Source, error) {
+	if err := in.p.bound(ctx); err != nil {
+		return nil, err
+	}
+	in.src = in.p.root.start(ctx, ctx.span(), in.src)
+	return in.src, nil
+}
+
+// Batch returns the instance's output batch, empty, for the caller's Next
+// calls. The caller clears it (Batch.Clear) once it has drained the run.
+func (in *Instance) Batch() *Batch {
+	in.batch.Reset()
+	return &in.batch
+}
+
+// reuse returns old as an *S when an earlier run of the node left one, and
+// a new S otherwise.
+func reuse[S any, P interface {
+	*S
+	Source
+}](old Source) P {
+	if s, ok := old.(P); ok {
+		return s
+	}
+	return new(S)
 }
 
 // Schema describes the rows a started program streams.

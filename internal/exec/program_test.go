@@ -17,13 +17,21 @@ import (
 // Compile, many Starts — with different deltas, both delta directions,
 // every BatchSize setting, base tables mutated in between,
 // abandoned runs, and concurrent runs — each equal to the materializing
-// oracle and to a pipeline compiled fresh for that run.
+// oracle and to a pipeline compiled fresh for that run; and that an
+// Instance, restarted in place for every one of those runs, is too.
 
 // drainProgram starts p under ctx and drains it, failing the test on any
 // error.
 func drainProgram(t testing.TB, p *Program, ctx *Context) Relation {
 	t.Helper()
-	src, err := p.Start(ctx)
+	return drain(t, ctx, p.Start)
+}
+
+// drain starts a run with start and drains it, failing the test on any
+// error.
+func drain(t testing.TB, ctx *Context, start func(*Context) (Source, error)) Relation {
+	t.Helper()
+	src, err := start(ctx)
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -147,6 +155,7 @@ func TestProgramReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
+			inst := prog.Instance()
 			// Six runs: each BatchSize setting once per delta direction.
 			for i := range 2 * len(streamSettings) {
 				batch := streamSettings[i%len(streamSettings)]
@@ -158,24 +167,30 @@ func TestProgramReuse(t *testing.T) {
 				}
 				if i == 2 {
 					// A run abandoned after one batch must leave nothing
-					// behind for the next one.
-					src, err := prog.Start(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := src.Open(); err != nil {
-						src.Close()
-						t.Fatal(err)
-					}
-					var b Batch
-					if _, err := src.Next(&b); err != nil {
-						t.Fatal(err)
-					}
-					if err := src.Close(); err != nil {
-						t.Fatal(err)
+					// behind for the next one, of the program or of the
+					// instance.
+					for _, start := range []func(*Context) (Source, error){prog.Start, inst.Start} {
+						src, err := start(ctx)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := src.Open(); err != nil {
+							src.Close()
+							t.Fatal(err)
+						}
+						var b Batch
+						if _, err := src.Next(&b); err != nil {
+							t.Fatal(err)
+						}
+						if err := src.Close(); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				got := drainProgram(t, prog, ctx)
+				if restarted := drain(t, ctx, inst.Start); !sameRelation(restarted, got) {
+					t.Fatalf("run %d: the restarted instance and a fresh start disagree", i)
+				}
 				fresh := evalOK(t, ctx, tc.expr)
 				if got.Schema.String() != want.Schema.String() || got.Schema.String() != fresh.Schema.String() {
 					t.Fatalf("run %d: schema %s, oracle %s, fresh pipeline %s", i, got.Schema, want.Schema, fresh.Schema)

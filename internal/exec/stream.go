@@ -141,9 +141,11 @@ func (c *compiler) compileOp(n *node) error {
 		}
 		n.label = "select " + e.Pred.String()
 		n.schema = in.schema
-		n.start = func(ctx *Context, parent *obs.Span) Source {
+		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.select")
-			return &selectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp), pred: pred}
+			s := reuse[selectSource](old)
+			*s = selectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp, s.in), pred: pred}
+			return s
 		}
 
 	case *algebra.Project:
@@ -158,9 +160,11 @@ func (c *compiler) compileOp(n *node) error {
 		}
 		n.label = "project"
 		n.schema = in.schema.Project(cols)
-		n.start = func(ctx *Context, parent *obs.Span) Source {
+		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.project")
-			return &projectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp), cols: cols}
+			s := reuse[projectSource](old)
+			*s = projectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp, s.in), cols: cols}
+			return s
 		}
 
 	case *algebra.Join:
@@ -174,33 +178,39 @@ func (c *compiler) compileOp(n *node) error {
 		schema, union := compileUnion(n.kids)
 		n.label = "minunion"
 		n.schema = schema
-		n.start = func(ctx *Context, parent *obs.Span) Source {
+		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.minunion")
-			return &blockingSource{
+			s := reuse[blockingSource](old)
+			*s = blockingSource{
 				opBase: opBase{schema: schema, span: sp},
-				ctx:    ctx, in: union(ctx, sp), transform: dropSubsumed,
+				ctx:    ctx, in: union(ctx, sp, s.in), transform: dropSubsumed,
 			}
+			return s
 		}
 
 	case *algebra.RemoveSubsumed:
 		in := n.kids[0]
 		n.label = "condense ↓"
 		n.schema = in.schema
-		n.start = func(ctx *Context, parent *obs.Span) Source {
+		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.condense")
-			return &blockingSource{
+			s := reuse[blockingSource](old)
+			*s = blockingSource{
 				opBase: opBase{schema: n.schema, span: sp},
-				ctx:    ctx, in: in.start(ctx, sp), transform: dropSubsumed,
+				ctx:    ctx, in: in.start(ctx, sp, s.in), transform: dropSubsumed,
 			}
+			return s
 		}
 
 	case *algebra.Dedup:
 		in := n.kids[0]
 		n.label = "dedup"
 		n.schema = in.schema
-		n.start = func(ctx *Context, parent *obs.Span) Source {
+		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.dedup")
-			return &dedupSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.start(ctx, sp)}
+			s := reuse[dedupSource](old)
+			*s = dedupSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.start(ctx, sp, s.in)}
+			return s
 		}
 
 	case *algebra.NullIf:
@@ -212,9 +222,11 @@ func (c *compiler) compileOp(n *node) error {
 	case *algebra.Pad:
 		in := n.kids[0]
 		n.label = "pad " + strings.Join(e.Tables_, ",")
-		n.start = func(ctx *Context, parent *obs.Span) Source {
+		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.pad")
-			return &padSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp)}
+			s := reuse[padSource](old)
+			*s = padSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp, s.in)}
+			return s
 		}
 
 	case *algebra.GroupBy:
@@ -232,9 +244,11 @@ func (c *compiler) compileOp(n *node) error {
 func compileScan(n *node, name string, schema rel.Schema, fetch func(*Context) []rel.Row, old *rel.Table, counted bool) {
 	n.label = "scan " + name
 	n.schema = schema
-	n.start = func(ctx *Context, parent *obs.Span) Source {
+	n.start = func(ctx *Context, parent *obs.Span, prev Source) Source {
 		sp := opSpan(parent, "exec.scan").SetStr("table", name)
-		return &scanSource{opBase: opBase{schema: schema, span: sp}, ctx: ctx, fetch: fetch, old: old, counted: counted}
+		s := reuse[scanSource](prev)
+		*s = scanSource{opBase: opBase{schema: schema, span: sp}, ctx: ctx, fetch: fetch, old: old, counted: counted}
+		return s
 	}
 }
 
@@ -303,7 +317,7 @@ func (s *scanSource) Next(b *Batch) (bool, error) {
 }
 
 func (s *scanSource) Close() error {
-	s.rows = nil
+	s.ctx, s.rows, s.exclude = nil, nil, nil
 	s.finish()
 	return nil
 }
@@ -387,12 +401,14 @@ func compileNullIf(n *node, e *algebra.NullIf) error {
 	}
 	n.label = "lambda null " + strings.Join(e.NullTables, ",") + " unless " + e.Unless.String()
 	n.schema = in.schema
-	n.start = func(ctx *Context, parent *obs.Span) Source {
+	n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 		sp := opSpan(parent, "exec.lambda")
-		return &nullIfSource{
+		s := reuse[nullIfSource](old)
+		*s = nullIfSource{
 			opBase: opBase{schema: n.schema, span: sp},
-			ctx:    ctx, in: in.start(ctx, sp), pred: pred, nullCols: nullCols,
+			ctx:    ctx, in: in.start(ctx, sp, s.in), pred: pred, nullCols: nullCols,
 		}
+		return s
 	}
 	return nil
 }
@@ -429,6 +445,7 @@ func (s *nullIfSource) Next(b *Batch) (bool, error) {
 
 func (s *nullIfSource) Close() error {
 	err := s.in.Close()
+	s.ctx = nil
 	s.finish()
 	return err
 }
@@ -472,7 +489,7 @@ func (s *dedupSource) Next(b *Batch) (bool, error) {
 
 func (s *dedupSource) Close() error {
 	err := s.in.Close()
-	s.seen = nil
+	s.ctx, s.seen = nil, nil
 	s.finish()
 	return err
 }
@@ -509,9 +526,10 @@ func (s *padSource) Close() error {
 
 // compileUnion compiles an outer union over already-compiled inputs and
 // returns the union schema plus the start function of a source streaming
-// the inputs in sequence, padded into the union schema. Inputs whose schema
+// the inputs in sequence, padded into the union schema (old, when non-nil,
+// is the union an earlier run returned, restarted in place). Inputs whose schema
 // already equals the union schema stream through without per-row copies.
-func compileUnion(ins []*node) (rel.Schema, func(*Context, *obs.Span) Source) {
+func compileUnion(ins []*node) (rel.Schema, func(*Context, *obs.Span, Source) Source) {
 	var schema rel.Schema
 	for i, in := range ins {
 		if i == 0 {
@@ -534,13 +552,18 @@ func compileUnion(ins []*node) (rel.Schema, func(*Context, *obs.Span) Source) {
 			mappings[i] = mapping
 		}
 	}
-	return schema, func(ctx *Context, parent *obs.Span) Source {
+	return schema, func(ctx *Context, parent *obs.Span, old Source) Source {
 		sp := opSpan(parent, "exec.union")
-		srcs := make([]Source, len(ins))
-		for i, in := range ins {
-			srcs[i] = in.start(ctx, sp)
+		s := reuse[unionSource](old)
+		srcs := s.ins
+		if srcs == nil {
+			srcs = make([]Source, len(ins))
 		}
-		return &unionSource{opBase: opBase{schema: schema, span: sp}, ins: srcs, mappings: mappings}
+		for i, in := range ins {
+			srcs[i] = in.start(ctx, sp, srcs[i])
+		}
+		*s = unionSource{opBase: opBase{schema: schema, span: sp}, ins: srcs, mappings: mappings}
+		return s
 	}
 }
 
@@ -637,7 +660,7 @@ func (s *blockingSource) Next(b *Batch) (bool, error) {
 
 func (s *blockingSource) Close() error {
 	err := s.in.Close()
-	s.out = nil
+	s.ctx, s.out = nil, nil
 	s.finish()
 	return err
 }
@@ -661,12 +684,14 @@ func compileCondense(n *node, e *algebra.Condense) error {
 	}
 	n.label = "condense ↓δ"
 	n.schema = in.schema
-	n.start = func(ctx *Context, parent *obs.Span) Source {
+	n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 		sp := opSpan(parent, "exec.condense")
-		return &blockingSource{
+		s := reuse[blockingSource](old)
+		*s = blockingSource{
 			opBase: opBase{schema: n.schema, span: sp},
-			ctx:    ctx, in: in.start(ctx, sp), transform: transform,
+			ctx:    ctx, in: in.start(ctx, sp, s.in), transform: transform,
 		}
+		return s
 	}
 	return nil
 }

@@ -43,17 +43,21 @@ func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 		if probe != nil {
 			n.label = fmt.Sprintf("join.index[%s] %s", kind, probe)
 			n.kids = n.kids[:1]
-			n.start = func(ctx *Context, parent *obs.Span) Source {
+			n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 				sp := opSpan(parent, "exec.join.index")
-				return &probeJoinSource{
+				s := reuse[probeJoinSource](old)
+				*s = probeJoinSource{
 					opBase:     opBase{schema: n.schema, span: sp},
 					ctx:        ctx,
 					kind:       kind,
-					left:       left.start(ctx, sp),
+					left:       left.start(ctx, sp, s.left),
 					rightWidth: rightWidth,
 					pred:       pred,
-					probe:      probe.start(ctx),
+					probe:      probe.start(ctx, &s.probe),
+					in:         Batch{Rows: s.in.Rows[:0]},
+					rowBuf:     s.rowBuf,
 				}
+				return s
 			}
 			return nil
 		}
@@ -72,20 +76,25 @@ func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 		rightCols[i] = rightSchema.MustIndexOf(p[1].Table, p[1].Column)
 	}
 	leftWidth := len(leftSchema)
-	n.start = func(ctx *Context, parent *obs.Span) Source {
+	n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 		sp := opSpan(parent, name)
-		return &hashJoinSource{
+		s := reuse[hashJoinSource](old)
+		*s = hashJoinSource{
 			opBase:     opBase{schema: n.schema, span: sp},
 			ctx:        ctx,
 			kind:       kind,
-			left:       left.start(ctx, sp),
-			right:      right.start(ctx, sp),
+			left:       left.start(ctx, sp, s.left),
+			right:      right.start(ctx, sp, s.right),
 			pred:       pred,
 			leftCols:   leftCols,
 			rightCols:  rightCols,
 			leftWidth:  leftWidth,
 			rightWidth: rightWidth,
+			in:         Batch{Rows: s.in.Rows[:0]},
+			keyBuf:     s.keyBuf[:0],
+			rowBuf:     s.rowBuf,
 		}
+		return s
 	}
 	return nil
 }
@@ -163,8 +172,14 @@ func (s *probeJoinSource) Next(b *Batch) (bool, error) {
 	return true, nil
 }
 
+// Close drops what the run read — its context, and the rows left in the
+// input batch and the probe's candidate scratch — and keeps the scratch
+// itself for an instance's next run.
 func (s *probeJoinSource) Close() error {
 	err := s.left.Close()
+	s.ctx = nil
+	s.in.Clear()
+	s.probe.release()
 	s.finish()
 	return err
 }
@@ -368,6 +383,8 @@ func (s *hashJoinSource) emitTail(b *Batch) {
 func (s *hashJoinSource) Close() error {
 	lerr := s.left.Close()
 	rerr := s.right.Close()
+	s.ctx, s.rightRows, s.table, s.matched = nil, nil, nil, nil
+	s.in.Clear()
 	s.finish()
 	if lerr != nil {
 		return lerr

@@ -7,27 +7,38 @@ import (
 	"sync/atomic"
 )
 
-// Epoch-based copy-on-write snapshots.
+// Epoch-based copy-on-write snapshots, sealed when read.
 //
-// A mutable container publishes an immutable epoch at every commit
-// boundary. Readers load the current epoch through one atomic pointer and
-// then read it without any lock: nothing in a published epoch is ever
-// mutated again, so a reader pinned to an epoch can never observe torn state
-// from an in-flight flush, no matter how long it holds on to the snapshot.
-// Publishing costs what changed since the previous epoch, whatever the
-// container's size, and everything unchanged is shared with the previous
-// epoch, so a pinned reader retains only what its epoch no longer shares
-// with the current one.
+// A mutable container derives its next epoch from the previous one at every
+// commit, and publishes (seals) it when a reader pins the container. Readers
+// load the current epoch through one atomic pointer and then read it without
+// any lock: nothing in a sealed epoch is ever mutated again, so a reader
+// pinned to an epoch can never observe torn state from an in-flight flush,
+// no matter how long it holds on to the snapshot. Everything unchanged is
+// shared with the previous epoch, so a pinned reader retains only what its
+// epoch no longer shares with the current one.
 //
 // Every container — a base table here; a stored view and an aggregation
 // view, whose groups are rows too, in internal/view — keeps its rows in a
-// slab (slab.go) and publishes a RowVec (rowvec.go) indexed by slab handle.
-// Each container logs the handles a commit touched; publishing sets or
-// clears exactly those vector slots from the committed slots, then releases
-// the slots of the rows the commit deleted. The invariant is epoch[h] == the
-// row committed in slot h, for every h: an undone mutation leaves every live
-// row at its handle, and a deleted row's slot is not reused before its delete
-// publishes. Nothing is written by key: a keyed snapshot read
+// slab (slab.go) and its epochs as RowVecs (rowvec.go) indexed by slab
+// handle. Each container logs the handles a commit touched. The commit walks
+// its log into the container's open VecTx, which stays open across commits:
+// it sets or clears exactly those vector slots from the committed slots,
+// then releases the slots of the rows the commit deleted. The invariant is
+// open[h] == the row committed in slot h, for every h: an undone mutation
+// leaves every live row at its handle, and a deleted row's slot is not
+// reused before its delete reaches the open transaction.
+//
+// A pin seals. The walk marks the container dirty; a pin that sees the mark
+// takes the container's seal mutex — held otherwise only by the walk, never
+// across a flush's maintenance — publishes the open transaction (O(1): it
+// drops the owner token) and stores the result as the current epoch. A
+// vector node is therefore copied once per pin that follows a write to it,
+// not once per commit: k commits with no pin between them copy each node
+// they touch once. A pin with nothing committed since the last seal is two
+// atomic loads, the mark and the epoch, and takes no lock. A sealed epoch
+// carries the sequence number of the last commit it contains, so equal
+// numbers mean equal rows. Nothing is written by key: a keyed snapshot read
 // (TableSnapshot.Get) indexes the epoch once, on its first keyed read.
 
 // TableSnapshot is the published epoch of one base table's rows, immutable
@@ -50,7 +61,8 @@ func (s *TableSnapshot) Name() string { return s.name }
 // Schema returns the table schema. Callers must not modify it.
 func (s *TableSnapshot) Schema() Schema { return s.schema }
 
-// Epoch returns the sequence number the snapshot was published at.
+// Epoch returns the sequence number of the last commit the snapshot
+// contains: two snapshots of one table with equal numbers hold equal rows.
 func (s *TableSnapshot) Epoch() uint64 { return s.seq }
 
 // Len returns the number of rows as of the epoch.
@@ -100,7 +112,7 @@ type rowUndo struct {
 	old  Row
 }
 
-// logRow records a mutation for the next publish or rollback; a no-op until
+// logRow records a mutation for the next commit or rollback; a no-op until
 // the owning catalog first publishes.
 func (t *Table) logRow(kind undoKind, h int32, old Row) {
 	if t.logged {
@@ -108,51 +120,79 @@ func (t *Table) logRow(kind undoKind, h int32, old Row) {
 	}
 }
 
-// Snapshot returns the table's current published epoch, or nil when the
-// owning catalog has never published (bare-catalog users pay nothing for
-// the epoch machinery).
+// Snapshot returns the table's current epoch, sealing the commits walked
+// since the last seal, or nil when the owning catalog has never published
+// (bare-catalog users pay nothing for the epoch machinery). The mark is read
+// before the epoch: a seal stores the epoch before it clears the mark, so
+// an unmarked table's epoch is current.
 func (t *Table) Snapshot() *TableSnapshot {
+	if t.dirty.Load() {
+		t.seal()
+	}
 	return t.epoch.Load()
 }
 
-// publishEpoch publishes the table's rows at seq. The first call switches
-// the log on and fills the vector from the whole slab, in handle order: with
-// no log yet, every occupied slot is live. Later calls set or clear the
-// slots the log names, in log order — a row inserted and deleted again
-// ends up clear — releasing the slot of each deleted row as they go. Callers
-// must hold whatever lock serializes table writers.
+// seal publishes the open transaction as the table's epoch, under the seal
+// mutex the commit's log walk also holds.
+func (t *Table) seal() {
+	t.sealMu.Lock()
+	defer t.sealMu.Unlock()
+	if t.open == nil {
+		return // another pin sealed first
+	}
+	t.epoch.Store(&TableSnapshot{name: t.name, schema: t.schema, keyCols: t.keyCols, seq: t.openSeq, rows: t.open.Publish()})
+	t.open = nil
+	t.dirty.Store(false)
+}
+
+// publishEpoch commits the table's log at seq. The first call switches the
+// log on and publishes a vector filled from the whole slab, in handle order:
+// with no log yet, every occupied slot is live. Later calls walk the log into
+// the open transaction — opened from the current epoch, which is read under
+// the seal mutex so that no seal slips in between — setting or clearing the
+// slots the log names, in log order (a row inserted and deleted again ends
+// up clear), releasing the slot of each deleted row as they go, and mark the
+// table dirty for the next pin to seal. Callers must hold whatever lock
+// serializes table writers.
 func (t *Table) publishEpoch(seq uint64) {
-	var tx *VecTx[Row]
-	switch prev := t.epoch.Load(); {
-	case prev == nil:
+	t.sealMu.Lock()
+	defer t.sealMu.Unlock()
+	prev := t.epoch.Load()
+	if prev == nil {
 		t.logged = true
-		tx = new(RowVec).Edit()
+		tx := new(RowVec).Edit()
 		for h := int32(0); h < t.slab.Used(); h++ {
 			if r := t.slab.At(h).Row; r != nil {
 				tx.Set(h, r)
 			}
 		}
-	case len(t.log) == 0:
-		return // nothing changed since the previous publish
-	default:
-		tx = prev.rows.Edit()
-		for _, r := range t.log {
-			if r.kind != undoDelete {
-				tx.Set(r.h, t.slab.At(r.h).Row)
-				continue
-			}
-			tx.Clear(r.h)
-			t.slab.Release(r.h) // no later record names a deleted row's handle
-		}
-		t.clearLog()
+		t.epoch.Store(&TableSnapshot{name: t.name, schema: t.schema, keyCols: t.keyCols, seq: seq, rows: tx.Publish()})
+		return
 	}
-	t.epoch.Store(&TableSnapshot{name: t.name, schema: t.schema, keyCols: t.keyCols, seq: seq, rows: tx.Publish()})
+	if len(t.log) == 0 {
+		return // nothing changed since the previous commit
+	}
+	if t.open == nil {
+		t.open = prev.rows.Edit()
+	}
+	for _, r := range t.log {
+		if r.kind != undoDelete {
+			t.open.Set(r.h, t.slab.At(r.h).Row)
+			continue
+		}
+		t.open.Clear(r.h)
+		t.slab.Release(r.h) // no later record names a deleted row's handle
+	}
+	t.clearLog()
+	t.openSeq = seq
+	t.dirty.Store(true)
 }
 
-// rollback returns the table to its last published epoch by undoing the log
-// in reverse, in place: an insert's slot is unlinked and freed, a deleted
+// rollback returns the table to its state at the last commit by undoing the
+// log in reverse, in place: an insert's slot is unlinked and freed, a deleted
 // row is relinked at its handle, an updated slot gets its old row back.
-// Every row live at the publish is live again at the handle it had.
+// Every row live at the commit is live again at the handle it had. The
+// undone mutations never reached the open transaction.
 func (t *Table) rollback() error {
 	if !t.logged {
 		return fmt.Errorf("rel: table %s: no undo log: the catalog has never published", t.name)
@@ -194,10 +234,11 @@ type catalogEpochs struct {
 	dir atomic.Pointer[map[string]*Table]
 }
 
-// PublishEpochs publishes a new epoch of every table.
-// The Database facade calls it under its write lock at every commit
-// boundary — after a successful statement, flush, or DDL change — and
-// never mid-flush, so published epochs only ever contain committed state.
+// PublishEpochs commits every table's log into its open epoch, for the next
+// pin to seal (see Table.Snapshot); the first call publishes a first epoch
+// of every table. The Database facade calls it under its write lock at every
+// commit boundary — after a successful statement, flush, or DDL change — and
+// never mid-flush, so epochs only ever contain committed state.
 // The first call switches the tables' logs on; catalogs that never publish
 // pay only a flag test per mutation.
 func (c *Catalog) PublishEpochs() {
@@ -208,9 +249,9 @@ func (c *Catalog) PublishEpochs() {
 	c.publishDir()
 }
 
-// PublishTableEpochs publishes a new epoch of exactly the named tables. It
-// is the per-component commit boundary of a concurrent WriteBatch flush:
-// each independent component publishes its own base tables when it commits,
+// PublishTableEpochs commits the logs of exactly the named tables into their
+// open epochs. It is the per-component commit boundary of a concurrent
+// WriteBatch flush: each independent component commits its own base tables,
 // without waiting for (or disturbing) the other components. The caller
 // holds the database's write lock and is the only writer of the named
 // tables, and the tables must already have epochs enabled (the facade
@@ -228,12 +269,12 @@ func (c *Catalog) PublishTableEpochs(names []string) {
 	}
 }
 
-// Rollback returns each named table to its last published epoch, undoing
-// every mutation since in place (see Table.rollback). It is the unwind of a
-// failed component of a flush: the caller holds the database's write lock
-// and is the only writer of the named tables, and each of them was
-// published when the component began.
-// Constraint checks are skipped — the published state satisfied every
+// Rollback returns each named table to its state at its last commit,
+// undoing every mutation since in place (see Table.rollback). It is the
+// unwind of a failed component of a flush: the caller holds the database's
+// write lock and is the only writer of the named tables, and each of them
+// was committed when the component began.
+// Constraint checks are skipped — the committed state satisfied every
 // constraint. It rolls back every table it can and reports the first
 // failure: an unknown table, or a catalog that never published and so kept
 // no log.
@@ -259,9 +300,10 @@ func (c *Catalog) publishDir() {
 	c.epochs.dir.Store(&dir)
 }
 
-// Snapshot returns the published epoch of the named table, or nil when the
-// table does not exist or the catalog has never published. It is safe to
-// call without holding any lock.
+// Snapshot returns the current epoch of the named table (Table.Snapshot),
+// or nil when the table does not exist or the catalog has never published.
+// It is safe to call without holding any lock, and waits at most for one
+// table's log walk, never for a flush.
 func (c *Catalog) Snapshot(name string) *TableSnapshot {
 	dirp := c.epochs.dir.Load()
 	if dirp == nil {

@@ -243,8 +243,10 @@ func TestEpochPublishHammer(t *testing.T) {
 }
 
 // publishBytesPerRound returns the bytes allocated by one 1-row insert plus
-// PublishTableEpochs on a table of n rows with a secondary index, averaged
-// over 32 rounds (each round's delete and publish are not counted).
+// PublishTableEpochs and a pin that seals it — the reader that pins after
+// every commit, the worst case — on a table of n rows with a secondary index,
+// averaged over 32 rounds (each round's delete, publish and pin are not
+// counted).
 func publishBytesPerRound(t *testing.T, n int) float64 {
 	c := NewCatalog()
 	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("g"), StrColumn("s")}, "id"); err != nil {
@@ -272,12 +274,14 @@ func publishBytesPerRound(t *testing.T, n int) float64 {
 			t.Fatal(err)
 		}
 		c.PublishTableEpochs(names)
+		c.Snapshot("t")
 		runtime.ReadMemStats(&after)
 		total += after.TotalAlloc - before.TotalAlloc
 		if _, err := c.Delete("t", [][]Value{{row[0][0]}}); err != nil {
 			t.Fatal(err)
 		}
 		c.PublishTableEpochs(names)
+		c.Snapshot("t")
 	}
 	if got := c.Snapshot("t").Len(); got != n {
 		t.Fatalf("snapshot has %d rows after the rounds, want %d", got, n)
@@ -303,9 +307,9 @@ func TestPublishAllocBudget(t *testing.T) {
 }
 
 // tableCommitBytes returns the bytes one commit of a delta of n fresh rows —
-// the insert and its PublishTableEpochs — allocates on a published table of
-// 32 000 rows with one secondary index, the median of five commits, each
-// undone (and published) before the next.
+// the insert, its PublishTableEpochs and a pin that seals it — allocates on a
+// published table of 32 000 rows with one secondary index, the median of five
+// commits, each undone (and published and pinned) before the next.
 func tableCommitBytes(t *testing.T, n int) uint64 {
 	t.Helper()
 	c := NewCatalog()
@@ -337,12 +341,14 @@ func tableCommitBytes(t *testing.T, n int) uint64 {
 			t.Fatal(err)
 		}
 		c.PublishTableEpochs(names)
+		c.Snapshot("t")
 		runtime.ReadMemStats(&after)
 		costs = append(costs, after.TotalAlloc-before.TotalAlloc)
 		if _, err := c.Delete("t", keys); err != nil {
 			t.Fatal(err)
 		}
 		c.PublishTableEpochs(names)
+		c.Snapshot("t")
 	}
 	if got := c.Snapshot("t").Len(); got != live {
 		t.Fatalf("snapshot has %d rows after the rounds, want %d", got, live)
@@ -368,4 +374,60 @@ func TestTablePublishAllocBudget(t *testing.T) {
 	if bulk > 292_000 {
 		t.Errorf("1000-row commit allocates %d B, budget 292000", bulk)
 	}
+}
+
+// TestUnpinnedCommitsCopyOnce: commits with no pin between them walk their
+// logs into one open transaction, so each vector node they touch is copied
+// once, however many of them touch it, and the pin that follows seals all of
+// them at the sequence number of the last. 64 commits of one random update
+// each over a table of 4 096 rows copy at most the distinct nodes on the
+// touched handles' paths, where publishing at every commit copied a path per
+// commit.
+func TestUnpinnedCommitsCopyOnce(t *testing.T) {
+	c := epochFixture(t)
+	const n, commits = 4096, 64
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i)), Str("a")}
+	}
+	if err := c.Insert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	c.PublishEpochs()
+	tab, before := c.Table("t"), c.Snapshot("t")
+	rng := rand.New(rand.NewSource(11))
+	// A node is named by its level and its handles' common prefix: level 1 is
+	// the leaves, level height+1 the root.
+	nodes := make(map[[2]int64]bool)
+	height := before.rows.height
+	for i := 0; i < commits; i++ {
+		k := int64(rng.Intn(n))
+		if _, err := c.Update("t", []Value{Int(k)}, Row{Int(k), Str(fmt.Sprint("v", i))}); err != nil {
+			t.Fatal(err)
+		}
+		h := tab.rows[EncodeValues(Int(k))]
+		for lvl := 1; lvl <= height+1; lvl++ {
+			nodes[[2]int64{int64(lvl), int64(h) >> (uint(lvl) * vecBits)}] = true
+		}
+		c.PublishTableEpochs([]string{"t"})
+	}
+	if c.Table("t").epoch.Load() != before {
+		t.Fatal("a commit published an epoch no reader pinned")
+	}
+	if got := tab.open.Copied(); got > len(nodes) {
+		t.Errorf("%d unpinned commits copied %d nodes, their paths have %d distinct ones", commits, got, len(nodes))
+	}
+	after := c.Snapshot("t")
+	if after.Epoch() != before.Epoch()+commits || tab.open != nil {
+		t.Fatalf("the pin sealed epoch %d (open transaction %v), want %d", after.Epoch(), tab.open, before.Epoch()+commits)
+	}
+	if snapKeys(before)[0] != "a" {
+		t.Fatal("the pinned epoch changed under the open transaction")
+	}
+	for _, r := range after.Rows() {
+		if live, ok := tab.Get(r[0]); !ok || !live.Equal(r) {
+			t.Fatalf("sealed row %v, live %v (%v)", r, live, ok)
+		}
+	}
+	checkEpochSlots(t, tab)
 }

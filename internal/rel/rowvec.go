@@ -18,9 +18,11 @@ package rel
 // next version opens a VecTx, whose owner token marks the nodes it creates:
 // those it edits in place, any other node it copies on first touch. Publish
 // drops the token, so a node is only ever written by the transaction that
-// created it, before anyone can read it. The slab hands out fresh and
-// recycled handles in runs, so the handles of one commit share leaves and a
-// publish copies each touched leaf once.
+// created it, before anyone can read it. A container keeps one transaction
+// open across commits and publishes it when a reader pins (epoch.go), so a
+// node is copied once per publish that follows a write to it. The slab hands
+// out fresh and recycled handles in runs, so the handles of one commit share
+// leaves and a transaction copies each touched leaf once.
 //
 // Leaves and interior nodes are two types, and Go has no untagged union, so
 // the interior type carries both kinds of child: kids at height > 1 and, at
@@ -171,6 +173,12 @@ type VecTx[T any] struct {
 	count  int
 	// copied counts the nodes the transaction copied or created.
 	copied int
+	// published is the version Publish returns, kept in the transaction so
+	// that publishing allocates nothing. replaced and had are what the slot
+	// the running Set or Clear writes held before it, for it to return.
+	published Vec[T]
+	replaced  T
+	had       bool
 }
 
 // Edit opens a transaction over v; v itself never changes.
@@ -183,19 +191,21 @@ func (v *Vec[T]) Edit() *VecTx[T] {
 }
 
 // Publish ends the transaction: with the owner token dropped no node under
-// the returned version is ever written again.
+// the returned version is ever written again. It allocates nothing, so a
+// reader that publishes on its way to a pin pays no allocation for it.
 func (t *VecTx[T]) Publish() *Vec[T] {
-	v := &Vec[T]{root: t.root, height: t.height, count: t.count}
+	t.published = Vec[T]{root: t.root, height: t.height, count: t.count}
 	t.owner = nil
-	return v
+	return &t.published
 }
 
 // Copied returns the number of nodes the transaction has copied or
 // created: what deriving its version costs beyond the version it edits.
 func (t *VecTx[T]) Copied() int { return t.copied }
 
-// Set stores x at handle h, putting the slot in use.
-func (t *VecTx[T]) Set(h int32, x T) {
+// Set stores x at handle h, putting the slot in use, and returns the value
+// the slot held and whether it was in use.
+func (t *VecTx[T]) Set(h int32, x T) (T, bool) {
 	for int64(h) >= vecSpan(t.height) {
 		if t.root != nil {
 			root := &vecNode[T]{owner: t.owner}
@@ -206,15 +216,26 @@ func (t *VecTx[T]) Set(h int32, x T) {
 		t.height++
 	}
 	t.root = t.setIn(t.root, t.height, h, x, true)
+	return t.take()
 }
 
-// Clear frees the slot at handle h.
-func (t *VecTx[T]) Clear(h int32) {
-	if int64(h) >= vecSpan(t.height) {
-		return // beyond the tree: already free
-	}
+// Clear frees the slot at handle h, and returns the value it held and
+// whether it was in use.
+func (t *VecTx[T]) Clear(h int32) (T, bool) {
 	var zero T
+	if int64(h) >= vecSpan(t.height) {
+		return zero, false // beyond the tree: already free
+	}
 	t.root = t.setIn(t.root, t.height, h, zero, false)
+	return t.take()
+}
+
+// take returns what the last setIn replaced, and forgets it.
+func (t *VecTx[T]) take() (T, bool) {
+	var zero T
+	old, had := t.replaced, t.had
+	t.replaced, t.had = zero, false
+	return old, had
 }
 
 // setIn stores x below n, a node of the given height, in use or freed, and
@@ -246,6 +267,7 @@ func (t *VecTx[T]) setIn(n *vecNode[T], height int, h int32, x T, use bool) *vec
 	}
 	n.leaves[i] = leaf
 	bit := uint64(1) << uint(h&vecMask)
+	t.replaced, t.had = leaf.slots[h&vecMask], leaf.used&bit != 0
 	switch {
 	case leaf.used&bit == 0 && use:
 		t.count++

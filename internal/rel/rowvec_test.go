@@ -113,19 +113,28 @@ func runVecModel(t testing.TB, data []byte) {
 		default:
 			h &= 0x3f
 		}
+		prev, prevIn := rowModel[h]
+		prevWord := wordModel[h]
+		var old Row
+		var oldWord uint64
+		var had, hadWord bool
 		switch {
 		case op>>4 < 9:
 			serial++
 			rowModel[h], wordModel[h] = Row{Int(serial)}, uint64(serial)*0x9e3779b97f4a7c15>>60
-			rows.Set(h, rowModel[h])
-			words.Set(h, wordModel[h])
+			old, had = rows.Set(h, rowModel[h])
+			oldWord, hadWord = words.Set(h, wordModel[h])
 		case op>>4 < 14:
 			delete(rowModel, h)
 			delete(wordModel, h)
-			rows.Clear(h)
-			words.Clear(h)
+			old, had = rows.Clear(h)
+			oldWord, hadWord = words.Clear(h)
 		default:
 			publish()
+			old, had, oldWord, hadWord = prev, prevIn, prevWord, prevIn
+		}
+		if had != prevIn || !sameRow(old, prev) || hadWord != prevIn || oldWord != prevWord {
+			t.Fatalf("handle %d: the write replaced %s (%v) and word %d (%v); model had %s (%v) and %d", h, old, had, oldWord, hadWord, prev, prevIn, prevWord)
 		}
 		got, ok := txGet(rows, h)
 		want, in := rowModel[h]

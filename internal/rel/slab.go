@@ -13,8 +13,9 @@ package rel
 // delete only takes the row out of sight — out of the key map and the
 // buckets — and leaves {key, row} in the slot; undoing the delete relinks it
 // in place, committing it releases the slot. So an undone mutation leaves
-// every live row at the handle it had, and the published epoch, a vector
-// indexed by handle (rowvec.go), equals the committed slab slot for slot.
+// every live row at the handle it had, and the epoch the commits walk into,
+// a vector indexed by handle (rowvec.go), equals the committed slab slot for
+// slot.
 // Nothing but the log that took a dead slot out of sight can reach it: every
 // reader goes through the key map or a bucket.
 

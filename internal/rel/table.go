@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -113,13 +114,21 @@ type Table struct {
 	slab    Slab
 	indexes []*Index
 	fks     []ForeignKey
-	// log lists the row mutations since the last epoch publish, and logged
-	// is false until the owning catalog first publishes: an unlogged table
-	// releases a deleted row's slot at once. epoch is the current published
-	// snapshot, readable without locks. See epoch.go.
-	log    []rowUndo
-	logged bool
-	epoch  atomic.Pointer[TableSnapshot]
+	// log lists the row mutations since the last commit, and logged is
+	// false until the owning catalog first publishes: an unlogged table
+	// releases a deleted row's slot at once. epoch is the current sealed
+	// snapshot, readable without locks. open is the transaction the commits
+	// since the last seal walked their logs into (nil: none), openSeq the
+	// last of those commits, and dirty is set while open is; sealMu guards
+	// open and openSeq, and is held by a commit's log walk and a pin's seal
+	// only. See epoch.go.
+	log     []rowUndo
+	logged  bool
+	epoch   atomic.Pointer[TableSnapshot]
+	sealMu  sync.Mutex
+	open    *VecTx[Row]
+	openSeq uint64
+	dirty   atomic.Bool
 }
 
 // Name returns the table name.

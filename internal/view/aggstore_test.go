@@ -234,7 +234,7 @@ func (s *aggOps) commit() {
 	if used := int(s.a.slab.Used()); len(s.a.rows)+len(s.a.slab.Free()) != used {
 		s.t.Fatalf("%d groups and %d free slots after a commit, %d handed out", len(s.a.rows), len(s.a.slab.Free()), used)
 	}
-	ep := s.m.members[0].ep.Load()
+	ep := s.m.members[0].current()
 	for h := int32(0); h < s.a.slab.Used(); h++ {
 		got, _ := ep.rows.Get(h)
 		if want := s.a.slab.At(h).Row; !sameRow(got, want) {

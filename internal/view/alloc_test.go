@@ -112,9 +112,10 @@ func TestViewApplyAllocBudget(t *testing.T) {
 }
 
 // TestViewPublishAllocBudget bounds what committing a changeset allocates per
-// row it touched, on a view of 32 000 rows with snapshots on: the next epoch
-// is the previous one with the touched handles' leaves, and the paths above
-// them, copied. One row costs its leaf and path — 1.2 kB, where the keyed
+// row it touched, on a view of 32 000 rows with snapshots on and a reader
+// that pins after every commit, the worst case: the next epoch is the
+// previous one with the touched handles' leaves, and the paths above them,
+// copied. One row costs its leaf and path — 1.2 kB, where the keyed
 // trie's path, entry arrays and 56-byte undo records cost 1.6 kB — and a
 // thousand fresh rows, whose handles the store hands out in a run, cost each
 // leaf once: 28 B a row, where the trie paid a path per key, 574 B a row.
@@ -124,8 +125,8 @@ func TestViewPublishAllocBudget(t *testing.T) {
 	m.CommitStaged(stageRows(t, m, rows[:resident], true), &MaintStats{})
 	m.EnableSnapshots()
 	// commitBytes stages the insertion and then the deletion of fresh, each in
-	// its own changeset, and returns the bytes the two commits allocated per
-	// row.
+	// its own changeset, and returns the bytes the two commits, each followed
+	// by the pin that seals it, allocated per row.
 	commitBytes := func(fresh []rel.Row) float64 {
 		var total uint64
 		for _, insert := range []bool{true, false} {
@@ -133,6 +134,7 @@ func TestViewPublishAllocBudget(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			m.CommitStaged(cs, &MaintStats{})
+			m.Snapshot()
 			runtime.ReadMemStats(&after)
 			total += after.TotalAlloc - before.TotalAlloc
 		}
@@ -186,26 +188,35 @@ func familyFixture(t testing.TB, first, n int) *Maintainer {
 
 // TestFamilyApplyAllocBudget bounds what a view family of 24 members — the
 // benchmark's shared-prefix views — allocates for a 1-row insert and its
-// commit, and the delete that undoes it, over 2 000 resident rows, of a
-// row every member takes: the family stores, keys, undo-logs and
-// publishes the row once, as one view does (2 400 B a cycle, the row
-// vector's copied leaf and path included); the same walk copies the word
-// vector's leaf and path (584 B a publish), and each of the 23 filtered
-// members publishes an epoch header and its own term counters (48 + 192 B a
-// publish) over the family's two vectors. That is 2 400 + 2×584 + 46×240 =
-// 14 608 B, the same on every run; the budget sits 3 % above. A leaf and
-// path copied per member, as when each member kept a vector of its own,
-// would add 0.9 kB a publish (62 832 B a cycle); one copy of the projected
-// row per member 5.5 kB, a store per member more.
+// commit, and the delete that undoes it, each followed by the seal a pin of
+// every member makes (the worst-case readers), over 2 000 resident rows, of
+// a row every member takes: the family stores, keys, undo-logs and seals
+// the row once, as one view does (2 400 B a cycle when a commit published,
+// the row vector's copied leaf and path included); the same walk copies the
+// word vector's leaf and path (584 B a publish), and each of the 23
+// filtered members publishes an epoch header and its own term counters
+// (48 + 192 B a publish) over the family's two vectors. That is 2 400 +
+// 2×584 + 46×240 = 14 608 B, the same on every run, when every commit
+// published; sealed at the pins it is 14 768 B. The budget sits 3 % above
+// the first. A leaf and path copied per member, as when each member kept a
+// vector of its own, would add 0.9 kB a publish (62 832 B a cycle); one copy
+// of the projected row per member 5.5 kB, a store per member more.
 func TestFamilyApplyAllocBudget(t *testing.T) {
 	const resident = 2000
 	_, rows := applyFixture(t, resident+50)
 	cycleBytes := func(m *Maintainer) float64 {
 		m.CommitStaged(stageRows(t, m, rows[:resident], true), &MaintStats{})
+		pinAll := func() {
+			for _, mem := range m.members {
+				mem.current() // the seal a pin makes, without the pin's handle
+			}
+		}
 		cycle := func(i int) {
 			row := rows[resident+i : resident+i+1]
 			m.CommitStaged(stageRows(t, m, row, true), &MaintStats{})
+			pinAll()
 			m.CommitStaged(stageRows(t, m, row, false), &MaintStats{})
+			pinAll()
 		}
 		cycle(0) // the log buffer reaches its size here
 		var costs []float64
@@ -300,9 +311,10 @@ func BenchmarkMemberSnapshotRows(b *testing.B) {
 
 // aggCommitBytes returns what one commit on V2's aggregate allocates —
 // Begin, ApplyInsert of 1 000 fresh orders of 100 customers spread evenly
-// over the key space, CommitStaged — over a catalog of the given number of
-// customers, about nine groups in ten of them, with snapshots on or off: the
-// median of five rounds, each undone by a maintained delete before the next.
+// over the key space, CommitStaged and a pin that seals it — over a catalog
+// of the given number of customers, about nine groups in ten of them, with
+// snapshots on or off: the median of five rounds, each undone by a
+// maintained delete, also pinned, before the next.
 func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
 	t.Helper()
 	cat, err := fixture.COL(fixture.COLOptions{Customers: customers, Orders: customers, Seed: 11})
@@ -342,6 +354,7 @@ func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
 			t.Fatal(err)
 		}
 		m.CommitStaged(cs, stats)
+		m.Snapshot()
 		runtime.ReadMemStats(&after)
 		costs = append(costs, after.TotalAlloc-before.TotalAlloc)
 		deleted, err := cat.Delete("O", keys)
@@ -351,6 +364,7 @@ func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
 		if _, err := m.OnDelete("O", deleted); err != nil {
 			t.Fatal(err)
 		}
+		m.Snapshot()
 	}
 	if err := Check(m); err != nil {
 		t.Fatal(err)

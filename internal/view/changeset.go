@@ -20,9 +20,9 @@ import (
 //
 // A record is the row's handle and nothing else. That is enough because a
 // staged delete only unlinks its row and leaves it in its slot (store.go):
-// rollback relinks the slot, commit releases it. A published epoch is indexed
-// by the same handles, and the committing changeset's log is the list of
-// slots the next epoch differs in (epoch.go).
+// rollback relinks the slot, commit releases it. An epoch is indexed by the
+// same handles, and the committing changeset's log is the list of slots the
+// next epoch differs in (epoch.go).
 //
 // The paper assumes "the base tables have already been updated" when
 // maintenance runs; without a changeset any mid-apply error (a duplicate
@@ -143,7 +143,7 @@ func (cs *Changeset) Torn() bool { return cs.torn }
 
 // Commit makes every staged mutation permanent: the slots of the rows the
 // run deleted are released, and the log is dropped. A maintainer that
-// publishes epochs commits through CommitStaged, which reads the log first.
+// keeps epochs commits through CommitStaged, which walks the log first.
 // Committing an already-finished changeset is a no-op.
 func (cs *Changeset) Commit() {
 	if cs.done {

@@ -217,7 +217,8 @@ func TestEpochRematerializePublishesFull(t *testing.T) {
 // vectors and nothing per member. A family of 24 copies what a family of
 // one copies, plus the word vector's nodes, which are as many, the word
 // vector having the row vector's shape; a family of 2 copies the same. And
-// every member a commit concerns publishes the family's vectors themselves.
+// every member a commit concerns seals the family's vectors themselves when
+// it is pinned, here after every commit.
 func TestFamilyPublishCopies(t *testing.T) {
 	_, rows := applyFixture(t, 2100)
 	copies := func(n int) []int {
@@ -227,9 +228,13 @@ func TestFamilyPublishCopies(t *testing.T) {
 		for _, batch := range [][]rel.Row{rows[2000:2001], rows[2001:2100]} {
 			for _, insert := range []bool{true, false} {
 				f.CommitStaged(stageRows(t, f, batch, insert), &MaintStats{})
-				out = append(out, f.publishCopies)
+				copied := f.openRows.Copied()
+				if f.openWords != nil {
+					copied += f.openWords.Copied()
+				}
+				out = append(out, copied)
 				for _, mem := range f.members {
-					ep := mem.ep.Load()
+					ep := mem.Snapshot().ep
 					if ep.rows != f.epochRows || mem.filtered && ep.words != f.epochWords || !mem.filtered && ep.words != nil {
 						t.Fatalf("family of %d: member %s publishes vectors of its own", n, mem.def.Name)
 					}
@@ -245,6 +250,53 @@ func TestFamilyPublishCopies(t *testing.T) {
 			if got[i] != 2*one[i] {
 				t.Errorf("family of %d: commit %d copies %d nodes, a family of one %d: want twice that", n, i, got[i], one[i])
 			}
+		}
+	}
+}
+
+// TestFamilyUnpinnedCommitsCopyOnce: commits with no pin between them walk
+// into one pair of open transactions, so a node they all touch is copied
+// once. 64 commits that insert and delete one row, alternately, all at the
+// handle the store's free list hands back, copy exactly what the first one
+// copies — its path in the row vector and in the word vector — where
+// publishing at every commit copied both paths every time; and the pin that
+// follows seals every member at the number of the last commit that
+// concerned it.
+func TestFamilyUnpinnedCommitsCopyOnce(t *testing.T) {
+	_, rows := applyFixture(t, 2001)
+	f := familyFixture(t, 50, 24)
+	f.CommitStaged(stageRows(t, f, rows[:2000], true), &MaintStats{})
+	before := make([]uint64, len(f.members))
+	for i, mem := range f.members {
+		before[i] = mem.Snapshot().Epoch()
+	}
+	row := rows[2000:] // every member takes it
+	copied := func() int {
+		if f.openRows == nil || f.openWords == nil {
+			t.Fatal("a commit sealed the family's epoch that no reader pinned")
+		}
+		return f.openRows.Copied() + f.openWords.Copied()
+	}
+	var first int
+	const commits = 64
+	for i := 0; i < commits; i++ {
+		f.CommitStaged(stageRows(t, f, row, i%2 == 0), &MaintStats{})
+		if i == 0 {
+			first = copied()
+		}
+	}
+	if got := copied(); got != first || first == 0 {
+		t.Errorf("%d unpinned commits copied %d nodes, the first alone %d", commits, got, first)
+	}
+	for i, mem := range f.members {
+		if ep := mem.ep.Load(); ep.seq != before[i] {
+			t.Fatalf("member %s: a commit published epoch %d that no reader pinned", mem.def.Name, ep.seq)
+		}
+		if got := mem.Snapshot().Epoch(); got != before[i]+commits {
+			t.Errorf("member %s: the pin sealed epoch %d, want %d", mem.def.Name, got, before[i]+commits)
+		}
+		if err := mem.checkEpoch(mem.rows()); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

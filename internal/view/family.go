@@ -27,10 +27,11 @@ import (
 // other member is filtered, and the store keeps one membership word per
 // slot beside the slab, a bit per filtered member, computed once when the
 // row is inserted (Materialized.insertRow). At commit the family's one log
-// is published once, into the family's row vector and a vector of the
+// is walked once, into the family's row vector and a vector of the
 // membership words beside it, and a filtered member's epoch is the two
-// vectors and its bit (epoch.go): its Snapshot reads the family's rows
-// whose word carries the bit, and nothing is copied per member.
+// vectors, as sealed by a pin, and its bit (epoch.go): its Snapshot reads
+// the family's rows whose word carries the bit, and nothing is copied per
+// member.
 
 // maxMembers is the most views one family serves: a membership word has a
 // bit per member. A further view of the same shape founds a new family.
@@ -54,11 +55,17 @@ type Member struct {
 	filtered bool
 	slot     int
 
-	// ep holds the current committed epoch once EnableSnapshots has run;
-	// epochSeq is the member's publish counter and pins the cached
-	// snapshot-pin counter. See epoch.go.
+	// ep holds the current sealed epoch once EnableSnapshots has run, and
+	// dirty is set while a commit that concerned the member is not sealed
+	// into it. epochSeq is the number of the last such commit, and count and
+	// patterns are a filtered member's committed row count and term
+	// counters; the family's sealMu guards the three and filtered. pins is
+	// the cached snapshot-pin counter. See epoch.go.
 	ep       atomic.Pointer[viewEpoch]
+	dirty    atomic.Bool
 	epochSeq uint64
+	count    int
+	patterns counters
 	pins     *obs.Counter
 }
 
@@ -98,7 +105,7 @@ func (mem *Member) rows() []rel.Row {
 }
 
 // Check verifies the member against both recompute oracles of its own
-// definition (see Check), and its published epoch, once it has one, against
+// definition (see Check), and its current epoch, once it has one, against
 // its stored rows.
 func (mem *Member) Check() error {
 	var rows []rel.Row
@@ -121,7 +128,7 @@ func (mem *Member) Check() error {
 // same rows, Len their number, and per term pattern as many of them as
 // TermCardinality reports.
 func (mem *Member) checkEpoch(want []rel.Row) error {
-	ep := mem.ep.Load()
+	ep := mem.current()
 	if ep == nil {
 		return nil
 	}
@@ -229,6 +236,10 @@ func (m *Maintainer) Join(def *Definition, opts Options) (*Member, error) {
 		}
 	}
 	mem := &Member{m: m, def: def, opts: opts, pred: p, accept: accept, slot: m.freeSlot()}
+	// Pins of the family wait from here until its epoch state is rebuilt:
+	// refilter may filter a member whose counters only resnap computes.
+	m.sealMu.Lock()
+	defer m.sealMu.Unlock()
 	m.members, m.disj = append(m.members, mem), disj
 	m.refilter()
 	for _, row := range fresh {
@@ -250,10 +261,12 @@ func (m *Maintainer) Join(def *Definition, opts Options) (*Member, error) {
 // When no member is filtered any more the family stops publishing words.
 // The facade releases the family with its last member.
 func (m *Maintainer) Drop(mem *Member) {
+	m.sealMu.Lock()
+	defer m.sealMu.Unlock()
 	m.members = slices.DeleteFunc(m.members, func(x *Member) bool { return x == mem })
 	if mem.filtered {
 		if m.refilter(); !m.filtering() {
-			m.epochWords = nil
+			m.epochWords, m.openWords = nil, nil
 		}
 	}
 }

@@ -50,15 +50,24 @@ type Maintainer struct {
 	// next Begin to fill (changeset.go).
 	logBuf []rowUndo
 
-	// epochRows and epochWords are the family's last published vectors: its
-	// stored rows by handle and, while a member is filtered, their
-	// membership words (nil otherwise). Both nil until snapshots are
-	// enabled. termDeltas is the commit walk's scratch, and publishCopies
-	// the nodes the last commit's walk copied into the two. See epoch.go.
-	epochRows     *rel.RowVec
-	epochWords    *rel.Vec[uint64]
-	termDeltas    []termDelta
-	publishCopies int
+	// sealMu is the one lock a pin and a commit share: a commit's log walk
+	// and a member's seal hold it, nothing else for long (epoch.go). It
+	// guards the fields below and every member's filtered flag, sequence
+	// number and committed counters. epochRows and epochWords are the
+	// family's last sealed vectors: its stored rows by handle and, while a
+	// member is filtered, their membership words (nil otherwise); both nil
+	// until snapshots are enabled. openRows and openWords are the
+	// transactions the commits since the last seal walked into, nil when
+	// none has. patterns is the committed term counters of the stored rows,
+	// which the unfiltered members' epochs share (none for an aggregation
+	// view). termDeltas is the walk's scratch.
+	sealMu     sync.Mutex
+	epochRows  *rel.RowVec
+	epochWords *rel.Vec[uint64]
+	openRows   *rel.VecTx[rel.Row]
+	openWords  *rel.VecTx[uint64]
+	patterns   counters
+	termDeltas []termDelta
 }
 
 type planKey struct {
@@ -78,7 +87,11 @@ type arrangement struct {
 // executor half (prog, outCols, fromBase) compiled against the catalog's
 // physical design, which Plan replaces — in a copy of the plan, callers may
 // still hold the old one — when the design generation has moved. A plan is
-// immutable once Plan has returned it.
+// immutable once Plan has returned it, but for the operator trees of its
+// program instances, which only the family's maintenance runs restart: a
+// family's runs are serial — a statement runs under the database's write
+// lock, and a flush gives each family to exactly one component — so one
+// instance per program serves them all.
 type tablePlan struct {
 	table string
 	nf    *algebra.NormalForm
@@ -89,9 +102,10 @@ type tablePlan struct {
 	primary  algebra.Expr
 	indirect []*indirectPlan
 
-	// prog is primary compiled (nil iff primary is); every maintenance run
-	// starts it instead of building a pipeline.
+	// prog is primary compiled (nil iff primary is), and run its instance:
+	// every maintenance run restarts run instead of building a pipeline.
 	prog *exec.Program
+	run  *exec.Instance
 	// outCols maps the view's output schema onto prog's: output column i is
 	// ΔV^D column outCols[i], or NULL when −1 (see outputMapping). keyCols[i]
 	// are the ΔV^D positions of view table i's key columns and present the
@@ -126,7 +140,7 @@ func (p *tablePlan) programs() []*exec.Program {
 			continue
 		}
 		for _, pp := range fb.parents {
-			out = append(out, pp.insert, pp.delete)
+			out = append(out, pp.insert.Program(), pp.delete.Program())
 		}
 	}
 	return out
@@ -218,7 +232,7 @@ func (m *Maintainer) Aggregated() *AggMaterialized { return m.agg }
 // Materialize (re)computes the stored contents from scratch. When
 // snapshots are enabled the family's vectors are rebuilt and every member
 // publishes a fresh full epoch (the store was replaced wholesale, so
-// incremental publication does not apply).
+// incremental publication does not apply), under the seal mutex.
 func (m *Maintainer) Materialize() error {
 	var err error
 	if m.agg != nil {
@@ -226,7 +240,12 @@ func (m *Maintainer) Materialize() error {
 	} else {
 		err = m.mv.Materialize()
 	}
-	if err == nil && m.epochRows != nil {
+	if err != nil {
+		return err
+	}
+	m.sealMu.Lock()
+	defer m.sealMu.Unlock()
+	if m.epochRows != nil {
 		m.resnap()
 		for _, mem := range m.members {
 			if mem.ep.Load() != nil {
@@ -234,7 +253,7 @@ func (m *Maintainer) Materialize() error {
 			}
 		}
 	}
-	return err
+	return nil
 }
 
 // Plan returns the compiled maintenance plan for a table (building and
@@ -353,7 +372,7 @@ func (m *Maintainer) compile(p *tablePlan) error {
 	if err != nil {
 		return err
 	}
-	p.prog = prog
+	p.prog, p.run = prog, prog.Instance()
 	p.witness = m.witnessCols(prog.Schema())
 	if mv := m.mv; mv != nil {
 		p.outCols = outputMapping(prog.Schema(), mv.schema)
@@ -661,7 +680,7 @@ func (m *Maintainer) CommitStaged(cs *Changeset, stats *MaintStats) {
 	stats.UndoRecords = cs.Len()
 	commit := m.opts.Tracer.StartSpan("changeset.commit").
 		SetStr("view", m.Name()).SetInt("undo_records", int64(stats.UndoRecords))
-	m.publish(cs)
+	m.walkLog(cs)
 	cs.Commit()
 	commit.End()
 	m.opts.Metrics.Add("view.undo.records", int64(stats.UndoRecords))
@@ -877,7 +896,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 	var primaryBatches int64
 	if plan.primary != nil {
 		if needPrimary {
-			primary, primaryBatches, err = evalCounted(ctx, plan.prog)
+			primary, primaryBatches, err = evalCounted(ctx, plan.run)
 			if err != nil {
 				evalSpan.End()
 				return nil, err
@@ -1013,7 +1032,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 // projected rows accumulate, the full-width delta relation never exists.
 // Returns the projected rows, the wide row count and the batch count.
 func streamProjected(ctx *exec.Context, plan *tablePlan) ([]rel.Row, int, int64, error) {
-	src, err := plan.prog.Start(ctx)
+	src, err := plan.run.Start(ctx)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -1024,9 +1043,10 @@ func streamProjected(ctx *exec.Context, plan *tablePlan) ([]rel.Row, int, int64,
 	var projected []rel.Row
 	total := 0
 	var batches int64
-	var b exec.Batch
+	b := plan.run.Batch()
+	defer b.Clear()
 	for {
-		ok, err := src.Next(&b)
+		ok, err := src.Next(b)
 		if err != nil {
 			src.Close()
 			return nil, 0, 0, err
@@ -1045,12 +1065,12 @@ func streamProjected(ctx *exec.Context, plan *tablePlan) ([]rel.Row, int, int64,
 	return projected, total, batches, nil
 }
 
-// evalCounted is exec.Eval over a compiled program, with a batch count: it
+// evalCounted is exec.Eval over a program instance, with a batch count: it
 // drains one run into a Relation while counting the batches served, so the
 // primary.eval span can report batch granularity alongside rows (ojexplain
 // -stats).
-func evalCounted(ctx *exec.Context, prog *exec.Program) (exec.Relation, int64, error) {
-	src, err := prog.Start(ctx)
+func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, error) {
+	src, err := run.Start(ctx)
 	if err != nil {
 		return exec.Relation{}, 0, err
 	}
@@ -1060,9 +1080,10 @@ func evalCounted(ctx *exec.Context, prog *exec.Program) (exec.Relation, int64, e
 	}
 	out := exec.Relation{Schema: src.Schema()}
 	var batches int64
-	var b exec.Batch
+	b := run.Batch()
+	defer b.Clear()
 	for {
-		ok, err := src.Next(&b)
+		ok, err := src.Next(b)
 		if err != nil {
 			src.Close()
 			return exec.Relation{}, 0, err

@@ -134,10 +134,10 @@ type fromBaseTerm struct {
 	orphanCols []int
 }
 
-// parentPrograms are the probe chains (see probeChain) of the candidates,
-// bound as candRel, against one parentBase's E'ip: exprInsert after an
-// insertion, exprDelete after a deletion.
-type parentPrograms struct{ insert, delete *exec.Program }
+// parentPrograms are the instances of the probe chains (see probeChain) of
+// the candidates, bound as candRel, against one parentBase's E'ip:
+// exprInsert after an insertion, exprDelete after a deletion.
+type parentPrograms struct{ insert, delete *exec.Instance }
 
 // candRel names the candidate relation inside the Section 5.3 probe chains.
 const candRel = "__cand"
@@ -189,8 +189,12 @@ func (m *Maintainer) compileFromBase(ip *indirectPlan, delta rel.Schema, witness
 		}
 	}
 	rels := map[string]rel.Schema{candRel: fb.candSchema}
-	chain := func(evidence algebra.Expr, qip algebra.Pred) (*exec.Program, error) {
-		return exec.Compile(m.def.cat, rels, probeChain(&algebra.RelRef{Name: candRel, TableNames: ip.term.Tables}, evidence, qip))
+	chain := func(evidence algebra.Expr, qip algebra.Pred) (*exec.Instance, error) {
+		prog, err := exec.Compile(m.def.cat, rels, probeChain(&algebra.RelRef{Name: candRel, TableNames: ip.term.Tables}, evidence, qip))
+		if err != nil {
+			return nil, err
+		}
+		return prog.Instance(), nil
 	}
 	fb.parents = make([]parentPrograms, len(ip.parents))
 	for k, pb := range ip.parents {
@@ -282,9 +286,9 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 	// their δ key, and a parent that eliminates every candidate
 	// short-circuits the remaining parents entirely.
 	for _, pp := range fb.parents {
-		prog := pp.delete
+		run := pp.delete
 		if ctx.DeltaIsInsert {
-			prog = pp.insert
+			run = pp.insert
 		}
 		sub := &exec.Context{
 			Catalog:       ctx.Catalog,
@@ -294,7 +298,7 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 			Rels:          map[string]exec.Relation{candRel: cand},
 			Metrics:       ctx.Metrics,
 		}
-		dismissed, _, err := evalCounted(sub, prog)
+		dismissed, _, err := evalCounted(sub, run)
 		if err != nil {
 			return exec.Relation{}, err
 		}

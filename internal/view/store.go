@@ -19,17 +19,17 @@ import "ojv/internal/rel"
 // A staged delete only unlinks the row — out of rows, its term's counter and
 // the chains — and leaves it in its slot; the changeset's rollback relinks
 // it in place, its commit releases the slot. So a rolled-back changeset
-// leaves every live row at the handle it had, the published epoch (a
-// rel.RowVec indexed by handle) equals the committed store slot for slot, and
-// an undo record is the handle alone.
+// leaves every live row at the handle it had, the epoch the commits walk
+// into (a rel.RowVec indexed by handle) equals the committed store slot for
+// slot, and an undo record is the handle alone.
 //
 // An aggregation view keeps its groups in a store too (agg.go), one state
 // row per group under the encoded group key, with no term counters and no
 // chains. A changeset stages into either kind through rowStore.
 
 // rowStore is the seam between a changeset and the store it stages into:
-// the four staged mutations, and the store they act on, whose slots an epoch
-// publishes and a commit releases.
+// the four staged mutations, and the store they act on, whose slots a
+// commit walks into the epoch and releases.
 type rowStore interface {
 	insertRow(k string, row rel.Row) (int32, error)
 	unlinkKey(k []byte) (int32, rel.Row, bool)

@@ -417,7 +417,7 @@ func (s *storeOps) check() {
 func (s *storeOps) checkEpoch() {
 	s.t.Helper()
 	mv := s.fx.mv
-	ep := s.fx.m.members[0].ep.Load()
+	ep := s.fx.m.members[0].current()
 	for h := int32(0); h < mv.slab.Used(); h++ {
 		got, _ := ep.rows.Get(h)
 		if want := mv.slab.At(h).Row; !sameRow(got, want) {

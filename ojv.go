@@ -225,9 +225,10 @@ func Avg(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggAv
 //
 // A Database is safe for concurrent use: updates (Insert, Delete, Update,
 // CreateView, DDL) serialize behind a write lock, while view reads pin the
-// view's current committed epoch — an immutable snapshot republished at
-// every commit — so readers never block on, or observe torn state from, an
-// in-flight maintenance run or WriteBatch flush. Epochs are per container:
+// view's current committed epoch — an immutable snapshot of the last
+// commit, sealed by the first read after it — so readers never block on,
+// or observe torn state from, an in-flight maintenance run or WriteBatch
+// flush. Epochs are per container:
 // one read sees exactly one committed state of one view (or base table);
 // two reads, or reads of two views, may straddle a commit. Reads that must
 // be consistent with the base tables as a whole (Query answered from base
@@ -241,7 +242,7 @@ func Avg(c ColRef, name string) Aggregate { return Aggregate{Func: algebra.AggAv
 // every view they affect: a step applies its base delta, then stages each
 // view family's maintenance in that family's undo-logged changeset (each
 // family evaluates its own ΔV^D program, once for all its views), and the
-// component either commits all of it and publishes its epochs, or rolls
+// component either commits all of it into its epochs, or rolls
 // back every staged changeset and base delta. So an error from
 // Insert/Delete/Update means "nothing happened" rather than a
 // half-maintained database.

@@ -153,11 +153,15 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 // seeds shaped the published tries). With base tables on the slab and a
 // vector epoch, and one delta bound per run, both read the same in every
 // process: 137 / 8.8 kB and 149 / 11.9 kB; with no duplicate-key set for a
-// one-row statement, 136 / 8.65 kB and 148 / 11.70 kB.
+// one-row statement, 136 / 8.65 kB and 148 / 11.70 kB. With epochs sealed
+// when a reader pins them, not at every commit (nothing pins here), and one
+// program instance per plan restarted for every run: 74 / 2 952 B and
+// 74 / 5 128 B, every process.
 // The budgets sit about 10 % above those readings, so
 // per-run schema derivation, predicate compilation or offset resolution
 // creeping back into the statement path trips them on either view, and so
-// does a per-table key string or set coming back into the view apply.
+// does a per-table key string or set coming back into the view apply, an
+// epoch path copied per commit or an operator tree allocated per run.
 func TestStatementAllocBudget(t *testing.T) {
 	t.Run("V2", func(t *testing.T) {
 		cat, err := fixture.COL(fixture.COLOptions{Customers: 50, Orders: 200, Lineitems: 600, Seed: 3, WithFK: true})
@@ -181,7 +185,7 @@ func TestStatementAllocBudget(t *testing.T) {
 		}
 		key := []ojv.Value{ojv.Int(1 << 20)}
 		objects, bytes := statementPairCost(t, db, "L", ojv.Row{key[0], order}, key)
-		checkBudget(t, objects, bytes, 150, 9700)
+		checkBudget(t, objects, bytes, 82, 3250)
 	})
 	t.Run("V3", func(t *testing.T) {
 		tdb, err := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 1})
@@ -209,7 +213,7 @@ func TestStatementAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		objects, bytes := statementPairCost(t, db, "lineitem", row, row[:2])
-		checkBudget(t, objects, bytes, 165, 13100)
+		checkBudget(t, objects, bytes, 82, 5650)
 	})
 }
 

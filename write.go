@@ -100,14 +100,18 @@ type stagedFamily struct {
 	stats *MaintStats
 }
 
-// PanicError is what a component's write returns when its base apply or
-// its maintenance panicked: the panic value and the stack it was raised on.
-// The component unwinds as it does for a failing step, so its tables and
+// PanicError is what a write returns when it panicked: the panic value and
+// the stack it was raised on. In a component's base apply or maintenance,
+// the component unwinds as it does for a failing step, so its tables and
 // views read as before, and the database stays usable. A panic inside a
 // view store's mutation, between its start and its undo record, tears that
 // family's changeset (view.Changeset.Torn): the family is re-materialized
 // from the restored base tables instead of rolled back. A panic while a
-// component commits or rolls back is not contained.
+// WriteBatch flush plans its components changes nothing: the flush fails
+// with it, behind Err, and the queue keeps every statement for a retry. A
+// panic while a component commits or rolls back is not contained; a commit
+// walks each container's log under the mutex readers seal epochs under, and
+// releases it on every path, so readers keep pinning the last sealed epoch.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -127,11 +131,12 @@ func (e *PanicError) Unwrap() error {
 // base table, then stages maintenance for that single-table delta into
 // every component family's changeset — base delta first, then the views,
 // the sequence of single-table updates the maintenance layer is proven
-// against. On success the changesets commit together (each view publishes
-// its epoch there) and the component's table epochs publish. On any failure
-// — an error or a panic — everything unwinds: staged changesets in reverse
-// family order, then each of the component's tables back to its last
-// published epoch, which is its state when the component began, then any
+// against. On success the changesets commit together (each family walks
+// its log into its open epoch there) and the component's tables walk
+// theirs; the next pin of each seals it. On any failure — an error or a
+// panic — everything unwinds: staged changesets in reverse family order,
+// then each of the component's tables back to its state at its last
+// commit, which is its state when the component began, then any
 // family a panic tore is rebuilt from those tables, so the component's
 // tables and views return to their pre-call state. Caller holds db.mu, and
 // the component is the only writer of its tables and families (see commit).
