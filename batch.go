@@ -9,35 +9,8 @@ import (
 	"ojv/internal/pipeline"
 )
 
-// ReadPolicy selects what a batch's owner sees through the Database's view
-// readers while statements are pending.
-type ReadPolicy int
-
-const (
-	// ReadCommitted (the default) leaves view reads untouched: they observe
-	// only flushed state. Point reads through WriteBatch.Get still merge the
-	// pending overlay — that is the batch's read-your-writes guarantee.
-	ReadCommitted ReadPolicy = iota
-	// ReadFlush makes WriteBatch.Rows flush pending statements first, so a
-	// view read through the batch always reflects every staged statement.
-	ReadFlush
-)
-
 // BatchOptions tunes a WriteBatch.
 type BatchOptions struct {
-	// FlushRows asks the maintenance goroutine to flush when the net pending
-	// rows reach the threshold (0 disables). The flush is asynchronous: the
-	// statement that crosses the threshold kicks the goroutine and returns
-	// immediately; a flush failure surfaces through Err and the next
-	// explicit Flush/Close, not from the enqueueing call.
-	FlushRows int
-	// FlushInterval adds a time bound to the maintenance goroutine: pending
-	// statements flush at least this often (0 disables). The goroutine
-	// skips kicks and ticks while a previous flush error is unresolved, so
-	// a poisoned batch never loses its pending statements.
-	FlushInterval time.Duration
-	// ReadPolicy selects the Rows read semantics (see ReadPolicy).
-	ReadPolicy ReadPolicy
 	// MaintWorkers sizes the pool that maintains a flush's independent
 	// components (conflict.go) concurrently: min(MaintWorkers, components)
 	// workers, inline on the flushing goroutine when that is at most one. It
@@ -64,7 +37,11 @@ type BatchOptions struct {
 //     batch's own pending writes) and fail individually without disturbing
 //     the queue. Inbound RESTRICT checks happen at flush.
 //   - Get merges the pending overlay (read-your-writes point reads); view
-//     reads follow the configured ReadPolicy.
+//     reads through the Database see only flushed state.
+//   - A flush runs only when the caller asks for one — Flush or Close, on
+//     whichever goroutine calls it. A caller that wants threshold or timed
+//     flushing calls Flush when PendingRows crosses its bound, or from its
+//     own ticker while Err is nil.
 //   - A flush drains the net per-table deltas through the same write path
 //     as single statements (write.go): the delta tables partition into
 //     independent components, and each component — its base deltas plus one
@@ -72,13 +49,10 @@ type BatchOptions struct {
 //     own ΔV^D program once for all its views — commits or rolls back
 //     atomically. A failed component restores its pre-flush state exactly
 //     and keeps its statements pending; the flush records itself in Err
-//     and suspends auto-flushing until Flush succeeds or Discard drops the
-//     batch (see Flush for what happens to the other components).
-//   - Auto flushes (FlushRows threshold and FlushInterval tick) run on one
-//     dedicated maintenance goroutine, never inline in a writer's
-//     statement. View readers are isolated from the flush by epochs: they
-//     keep reading the last committed snapshot and switch to the new one
-//     only when its component commits.
+//     until Flush succeeds or Discard drops the batch (see Flush for what
+//     happens to the other components). View readers are isolated from the
+//     flush by epochs: they keep reading the last committed snapshot and
+//     switch to the new one only when its component commits.
 //   - Deletes across tables flush children-first and inserts parents-first,
 //     so cross-table batches respect foreign keys; a batch that both grows
 //     and shrinks the same FK chain in conflicting ways may still fail at
@@ -96,77 +70,20 @@ type WriteBatch struct {
 	q        *pipeline.Queue
 	flushErr error
 	closed   bool
-	// stopped records that the maintenance goroutine was told to stop; it
-	// can be set while the batch is still open (a poisoned Close), and
-	// guards stop against a second close.
-	stopped bool
-
-	// kick wakes the maintenance goroutine for a threshold flush. Capacity
-	// 1: consecutive threshold crossings coalesce into one wakeup.
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
 }
 
 // NewWriteBatch opens a write batch over the database. Close it to flush
-// remaining statements and stop the maintenance goroutine (when
-// configured). Any auto-flush policy — FlushRows, FlushInterval or both —
-// starts one maintenance goroutine that performs the flushes off the
-// writers' statement path.
+// the remaining statements.
 func (db *Database) NewWriteBatch(opts ...BatchOptions) *WriteBatch {
 	var o BatchOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	b := &WriteBatch{db: db, opts: o, q: pipeline.New(db.cat)}
-	if o.FlushRows > 0 || o.FlushInterval > 0 {
-		b.kick = make(chan struct{}, 1)
-		b.stop = make(chan struct{})
-		b.done = make(chan struct{})
-		go b.maintainLoop(o.FlushInterval)
-	}
-	return b
-}
-
-// maintainLoop is the maintenance goroutine: it owns every auto flush, so
-// writers never run maintenance inline. It wakes on a threshold kick or on
-// the interval tick and exits on stop. Explicit Flush/Close calls run their
-// flush inline instead; b.mu serializes the two paths.
-func (b *WriteBatch) maintainLoop(every time.Duration) {
-	defer close(b.done)
-	var tickC <-chan time.Time
-	if every > 0 {
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		tickC = tick.C
-	}
-	for {
-		select {
-		case <-b.stop:
-			return
-		case <-b.kick:
-			b.flushAsync("rows")
-		case <-tickC:
-			b.flushAsync("interval")
-		}
-	}
-}
-
-// flushAsync is one maintenance-goroutine flush. A closed batch or a sticky
-// flush error suspends auto-flushing (the queue must survive for an
-// explicit retry or Discard), so those states skip the flush entirely.
-func (b *WriteBatch) flushAsync(trigger string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || b.flushErr != nil {
-		return
-	}
-	b.flushLocked(trigger)
+	return &WriteBatch{db: db, opts: o, q: pipeline.New(db.cat)}
 }
 
 // enqueue runs one statement against the queue under both locks (b.mu, then
-// db.mu for reads — always in that order) and applies the auto-flush policy
-// by kicking the maintenance goroutine; it never flushes inline.
+// db.mu for reads — always in that order); it never flushes.
 func (b *WriteBatch) enqueue(stmt func() error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -180,12 +97,6 @@ func (b *WriteBatch) enqueue(stmt func() error) error {
 		return err
 	}
 	b.opts.Metrics.Observe("view.flush.queue.depth", int64(b.q.Len()))
-	if b.opts.FlushRows > 0 && b.q.Len() >= b.opts.FlushRows && b.flushErr == nil {
-		select {
-		case b.kick <- struct{}{}:
-		default: // a wakeup is already pending; the flush will see our rows
-		}
-	}
 	return nil
 }
 
@@ -226,22 +137,6 @@ func (b *WriteBatch) Get(table string, key []Value) (Row, bool, error) {
 	return b.q.Get(table, key)
 }
 
-// Rows returns a registered view's rows. Under ReadFlush pending
-// statements flush first; under ReadCommitted the read sees only flushed
-// state (the batch's staged statements are invisible to view readers).
-func (b *WriteBatch) Rows(viewName string) ([]Row, error) {
-	if b.opts.ReadPolicy == ReadFlush {
-		if err := b.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	v := b.db.View(viewName)
-	if v == nil {
-		return nil, fmt.Errorf("ojv: unknown view %s", viewName)
-	}
-	return v.Rows(), nil
-}
-
 // PendingStatements returns the number of statements staged and not yet
 // flushed.
 func (b *WriteBatch) PendingStatements() int {
@@ -257,9 +152,9 @@ func (b *WriteBatch) PendingRows() int {
 	return b.q.Len()
 }
 
-// Err returns the sticky error of the last failed flush, if any. While
-// non-nil, auto-flushing (threshold and background) is suspended; an
-// explicit Flush retries and clears it on success, Discard drops the batch.
+// Err returns the sticky error of the last failed flush, if any. Flush
+// retries and clears it on success; Discard drops the pending statements
+// and clears it.
 func (b *WriteBatch) Err() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -282,45 +177,27 @@ func (b *WriteBatch) Discard() {
 // stay committed and their statements leave the queue, so a retried Flush
 // re-plans and re-validates only what failed. A flush whose delta tables
 // form one component (any flush over tables that one view joins, or that
-// foreign keys connect) is therefore all-or-nothing. A concurrent maintenance-
-// goroutine flush serializes before this one: Flush observes its outcome
-// (possibly an empty queue, or its sticky error) rather than racing it.
+// foreign keys connect) is therefore all-or-nothing. Concurrent Flush calls
+// serialize: each observes the outcome of the one before it (possibly an
+// empty queue, or its sticky error) rather than racing it.
 func (b *WriteBatch) Flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.flushLocked("explicit")
 }
 
-// Close flushes remaining statements, stops the maintenance goroutine and
-// marks the batch closed. Closing twice is a no-op. A failed final flush
-// leaves the batch open (poisoned) so the statements are not lost — but
-// the maintenance goroutine still stops, so an abandoned poisoned batch
-// does not leak it; a later successful Flush (or Discard) plus Close
-// completes the shutdown.
+// Close flushes remaining statements and marks the batch closed. Closing
+// twice is a no-op. A failed final flush returns its error and leaves the
+// batch open, so the statements are not lost: a later successful Flush (or
+// Discard) plus Close completes the shutdown.
 func (b *WriteBatch) Close() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return nil
 	}
 	err := b.flushLocked("close")
-	if err == nil {
-		b.closed = true
-	}
-	// Stop the maintenance goroutine exactly once, then wait for it after
-	// releasing b.mu: an in-flight async flush blocked on the lock gets to
-	// finish (and observe the closed/poisoned state) instead of deadlocking
-	// against our wait.
-	var wait chan struct{}
-	if b.stop != nil && !b.stopped {
-		b.stopped = true
-		close(b.stop)
-		wait = b.done
-	}
-	b.mu.Unlock()
-	if wait != nil {
-		<-wait
-	}
+	b.closed = err == nil
 	return err
 }
 
@@ -349,7 +226,7 @@ func (b *WriteBatch) plan(root *Span) (comps []flushComponent, err error) {
 }
 
 // flushLocked is the group commit. Caller holds b.mu; trigger names what
-// initiated the flush (explicit, rows, interval or close) for the trace. It
+// initiated the flush (explicit or close) for the trace. It
 // partitions the queue's delta tables, plans each component, hands the
 // components to the database's one write path (Database.commit) and
 // reconciles the queue with the outcome. Readers are isolated throughout:

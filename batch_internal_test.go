@@ -3,13 +3,12 @@ package ojv
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"ojv/internal/pipeline"
 	"ojv/internal/rel"
 )
 
-// lifecycleDB builds a minimal database with one view for flusher
+// lifecycleDB builds a minimal database with one view for the batch
 // lifecycle tests (the external fixtures live in package ojv_test and are
 // not visible here).
 func lifecycleDB(t *testing.T, opts ...Options) *Database {
@@ -28,106 +27,53 @@ func lifecycleDB(t *testing.T, opts ...Options) *Database {
 	return db
 }
 
-// waitDone asserts the maintenance goroutine has exited.
-func waitDone(t *testing.T, b *WriteBatch, when string) {
-	t.Helper()
-	select {
-	case <-b.done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("maintenance goroutine still running %s", when)
-	}
-}
-
-// TestBatchCloseStopsPoisonedFlusher is the goroutine-leak regression
-// test: Close on a poisoned batch must return the flush error AND stop the
-// maintenance goroutine, so an abandoned poisoned batch leaks nothing. The
-// batch stays open for retry; a successful Flush plus Close finishes the
-// shutdown.
-func TestBatchCloseStopsPoisonedFlusher(t *testing.T) {
-	var failing bool
-	db := lifecycleDB(t, Options{FailPoint: func(string) error {
-		if failing {
-			return errors.New("injected")
-		}
-		return nil
-	}})
-	wb := db.NewWriteBatch(BatchOptions{FlushInterval: time.Hour})
-	if err := wb.Insert("c", []Row{{Int(1), Str("a")}}); err != nil {
-		t.Fatal(err)
-	}
-	failing = true
-	if err := wb.Close(); err == nil {
-		t.Fatal("Close of a poisoned batch reported success")
-	}
-	waitDone(t, wb, "after poisoned Close")
-	wb.mu.Lock()
-	closed := wb.closed
-	wb.mu.Unlock()
-	if closed {
-		t.Fatal("poisoned Close marked the batch closed; pending statements would be lost")
-	}
-	failing = false
-	if err := wb.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.View("v").Len(); got != 1 {
-		t.Fatalf("view rows after recovered close = %d, want 1", got)
-	}
-}
-
-// TestBatchCloseStopsFlusher checks the plain shutdown path: after a clean
-// Close the maintenance goroutine is gone and a stale threshold kick
-// cannot resurrect a flush.
-func TestBatchCloseStopsFlusher(t *testing.T) {
-	db := lifecycleDB(t)
-	wb := db.NewWriteBatch(BatchOptions{FlushRows: 1000, FlushInterval: time.Millisecond})
-	if err := wb.Insert("c", []Row{{Int(1), Str("a")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, wb, "after Close")
-	// A kick after shutdown must be inert: nothing drains it, and a direct
-	// async flush attempt sees the closed batch and refuses.
-	select {
-	case wb.kick <- struct{}{}:
-	default:
-	}
-	wb.flushAsync("rows")
-	if err := wb.Close(); err != nil {
-		t.Fatal("second Close errored")
-	}
-}
-
-// TestBatchDiscardAfterPoisonedCloseAllowsClose exercises the documented
-// recovery path that drops the statements instead of retrying them.
-func TestBatchDiscardAfterPoisonedCloseAllowsClose(t *testing.T) {
-	var failing bool
-	db := lifecycleDB(t, Options{FailPoint: func(string) error {
-		if failing {
-			return errors.New("injected")
-		}
-		return nil
-	}})
-	wb := db.NewWriteBatch(BatchOptions{FlushInterval: time.Hour})
-	if err := wb.Insert("c", []Row{{Int(1), Str("a")}}); err != nil {
-		t.Fatal(err)
-	}
-	failing = true
-	if err := wb.Close(); err == nil {
-		t.Fatal("Close of a poisoned batch reported success")
-	}
-	wb.Discard()
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, wb, "after Discard+Close")
-	if got := db.View("v").Len(); got != 0 {
-		t.Fatalf("discarded statement reached the view (rows=%d)", got)
+// TestBatchPoisonedClose pins Close's contract when its final flush fails:
+// Close returns the error and leaves the batch open, so the statements stay
+// pending behind Err; Flush+Close then commits them, Discard+Close drops
+// them.
+func TestBatchPoisonedClose(t *testing.T) {
+	for _, recovery := range []string{"flush", "discard"} {
+		t.Run(recovery, func(t *testing.T) {
+			var failing bool
+			db := lifecycleDB(t, Options{FailPoint: func(string) error {
+				if failing {
+					return errors.New("injected")
+				}
+				return nil
+			}})
+			wb := db.NewWriteBatch()
+			if err := wb.Insert("c", []Row{{Int(1), Str("a")}}); err != nil {
+				t.Fatal(err)
+			}
+			failing = true
+			if err := wb.Close(); err == nil {
+				t.Fatal("Close of a poisoned batch reported success")
+			}
+			wb.mu.Lock()
+			closed := wb.closed
+			wb.mu.Unlock()
+			if closed || wb.Err() == nil || wb.PendingStatements() != 1 {
+				t.Fatalf("after a poisoned Close: closed=%v Err()=%v pending=%d, want open, poisoned, 1 pending",
+					closed, wb.Err(), wb.PendingStatements())
+			}
+			failing = false
+			want := 1
+			if recovery == "discard" {
+				wb.Discard()
+				want = 0
+			} else if err := wb.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := wb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := wb.Insert("c", []Row{{Int(2), Str("b")}}); err == nil {
+				t.Fatal("a statement staged into the closed batch")
+			}
+			if got := db.View("v").Len(); got != want {
+				t.Fatalf("view rows after %s+Close = %d, want %d", recovery, got, want)
+			}
+		})
 	}
 }
 
@@ -165,7 +111,7 @@ func TestDispatchOrder(t *testing.T) {
 // before, and a later Flush, once the cause is gone, commits them.
 func TestFlushPlanningPanicContained(t *testing.T) {
 	db := lifecycleDB(t)
-	wb := db.NewWriteBatch(BatchOptions{FlushInterval: time.Hour})
+	wb := db.NewWriteBatch()
 	defer wb.Close()
 	if err := wb.Insert("c", []Row{{Int(1), Str("a")}, {Int(2), Str("b")}}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package ojv_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -65,7 +66,7 @@ func TestBatchEquivalence(t *testing.T) {
 			t.Fatalf("batch stmt %d: %v", i, err)
 		}
 	}
-	// Pending statements are invisible under ReadCommitted.
+	// Pending statements are invisible to view readers.
 	if got, want := vBat.Len(), len(shopViewRowsBefore(t)); wb.PendingStatements() != len(stmts) || got != want {
 		t.Fatalf("pending=%d viewLen=%d want %d (pre-flush reads must see committed state)",
 			wb.PendingStatements(), got, want)
@@ -128,91 +129,110 @@ func TestBatchDeleteReturnsRows(t *testing.T) {
 }
 
 // TestBatchReadYourWrites pins the read semantics: Get merges the overlay,
-// Rows honours the ReadPolicy.
+// a view read sees only flushed state, and after Flush it sees every staged
+// statement.
 func TestBatchReadYourWrites(t *testing.T) {
 	db := newShopDB(t)
-	shopView(t, db)
-	wb := db.NewWriteBatch(ojv.BatchOptions{ReadPolicy: ojv.ReadFlush})
+	v := shopView(t, db)
+	wb := db.NewWriteBatch()
 	if err := wb.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}); err != nil {
 		t.Fatal(err)
 	}
 	if row, ok, err := wb.Get("customer", []ojv.Value{ojv.Int(9)}); err != nil || !ok || !row.Equal(ojv.Row{ojv.Int(9), ojv.Str("eve")}) {
 		t.Fatalf("Get staged row = %v %v %v", row, ok, err)
 	}
-	rows, err := wb.Rows("shop")
-	if err != nil {
+	hasEve := func() bool {
+		for _, r := range v.Rows() {
+			if r[0].Equal(ojv.Int(9)) {
+				return true
+			}
+		}
+		return false
+	}
+	if hasEve() {
+		t.Fatal("a staged statement reached the view before a flush")
+	}
+	if err := wb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// ReadFlush flushed: eve's null-extended tuple is in the view.
-	found := false
-	for _, r := range rows {
-		if r[0].Equal(ojv.Int(9)) {
-			found = true
-		}
-	}
-	if !found || wb.PendingStatements() != 0 {
-		t.Fatalf("ReadFlush did not flush (pending=%d, found=%v)", wb.PendingStatements(), found)
+	// eve's null-extended tuple is in the view.
+	if !hasEve() || wb.PendingStatements() != 0 {
+		t.Fatalf("after Flush: pending=%d, eve in the view=%v", wb.PendingStatements(), hasEve())
 	}
 	if err := wb.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBatchThresholdFlush exercises the FlushRows auto-flush policy. The
-// threshold flush runs on the maintenance goroutine, so the test waits for
-// it to drain below the threshold rather than asserting an exact flush
-// schedule; Close then accounts for every staged row.
+// TestBatchThresholdFlush drives threshold flushing the way a caller does
+// it: Flush whenever PendingRows reaches the bound. Every flush drains the
+// queue, and the flush metrics account for every staged row.
 func TestBatchThresholdFlush(t *testing.T) {
 	db := newShopDB(t)
 	v := shopView(t, db)
 	m := ojv.NewMetrics()
-	wb := db.NewWriteBatch(ojv.BatchOptions{FlushRows: 10, Metrics: m})
+	wb := db.NewWriteBatch(ojv.BatchOptions{Metrics: m})
 	for i := int64(0); i < 25; i++ {
 		if err := wb.Insert("customer", []ojv.Row{{ojv.Int(100 + i), ojv.Str("c")}}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for wb.PendingRows() >= 10 {
-		if time.Now().After(deadline) {
-			t.Fatalf("threshold flush never ran (pending=%d)", wb.PendingRows())
+		if wb.PendingRows() >= 10 {
+			if err := wb.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if wb.PendingRows() != 0 {
+				t.Fatalf("pending after a threshold flush = %d, want 0", wb.PendingRows())
+			}
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := wb.Close(); err != nil {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
-	if snap["view.flush.count"] < 1 {
-		t.Errorf("flush count = %d, want at least 1 threshold flush", snap["view.flush.count"])
+	if snap["view.flush.count"] != 3 {
+		t.Errorf("flush count = %d, want 2 threshold flushes and the Close", snap["view.flush.count"])
 	}
 	if got := snap["view.flush.rows.flushed"] + snap["view.flush.rows.coalesced"]; got != 25 {
 		t.Errorf("accounted rows = %d, want 25", got)
-	}
-	if wb.PendingRows() != 0 {
-		t.Errorf("pending after close = %d, want 0", wb.PendingRows())
 	}
 	if err := v.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBatchBackgroundFlusher verifies the time-bound flush policy drains
-// the queue without explicit Flush calls.
+// TestBatchBackgroundFlusher runs the timed flusher README "Group commit"
+// shows a caller building from its own ticker: a goroutine that flushes on
+// every tick while Err is nil drains the queue without the writer calling
+// Flush.
 func TestBatchBackgroundFlusher(t *testing.T) {
 	db := newShopDB(t)
 	v := shopView(t, db)
-	wb := db.NewWriteBatch(ojv.BatchOptions{FlushInterval: 5 * time.Millisecond})
+	wb := db.NewWriteBatch()
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	go func() {
+		defer close(stopped)
+		for ctx.Err() == nil {
+			<-tick.C
+			if wb.Err() == nil {
+				wb.Flush()
+			}
+		}
+	}()
 	if err := wb.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for wb.PendingStatements() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("background flusher never drained the queue")
+			t.Fatal("the ticker's flushes never drained the queue")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	cancel()
+	<-stopped
 	if err := wb.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,26 +261,17 @@ func TestBatchPoisonedFlush(t *testing.T) {
 	}
 	before := viewFingerprint(v)
 
-	wb := db.NewWriteBatch(ojv.BatchOptions{FlushRows: 1})
-	waitErr := func() error {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if err := wb.Err(); err != nil {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	}
+	wb := db.NewWriteBatch()
 	failing = true
-	// The threshold flush is asynchronous: the enqueue succeeds and the
-	// maintenance goroutine's failure surfaces through Err.
 	if err := wb.Insert("customer", []ojv.Row{{ojv.Int(9), ojv.Str("eve")}}); err != nil {
 		t.Fatalf("enqueue = %v, want staged without error", err)
 	}
-	err = waitErr()
+	err = wb.Flush()
 	if err == nil || !strings.Contains(err.Error(), "injected fault") {
-		t.Fatalf("async threshold flush err = %v", err)
+		t.Fatalf("flush err = %v", err)
+	}
+	if wb.Err() != err {
+		t.Fatalf("Err() = %v, want the flush's error %v", wb.Err(), err)
 	}
 	if wb.PendingStatements() != 1 {
 		t.Fatalf("pending = %d after failed flush, want 1 (queue preserved)", wb.PendingStatements())
@@ -268,7 +279,7 @@ func TestBatchPoisonedFlush(t *testing.T) {
 	if got := viewFingerprint(v); got != before {
 		t.Fatal("failed flush changed the view")
 	}
-	// Auto-flush is suspended while poisoned: further statements stage quietly.
+	// A poisoned batch still stages statements.
 	if err := wb.Insert("customer", []ojv.Row{{ojv.Int(10), ojv.Str("fin")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +302,8 @@ func TestBatchPoisonedFlush(t *testing.T) {
 	if err := wb.Insert("customer", []ojv.Row{{ojv.Int(11), ojv.Str("gus")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitErr(); err == nil {
-		t.Fatal("expected injected fault from the async flush")
+	if err := wb.Flush(); err == nil {
+		t.Fatal("expected the injected fault from the flush")
 	}
 	wb.Discard()
 	if wb.Err() != nil || wb.PendingStatements() != 0 {
@@ -309,13 +320,13 @@ func TestBatchPoisonedFlush(t *testing.T) {
 }
 
 // TestSaveDuringFlush is the Database.Save race regression test: Save runs
-// concurrently with threshold flushes and must always serialize a loadable,
-// committed snapshot (never a mid-flush state). Run under -race in CI's
-// race-serving job.
+// concurrently with a writer's statements and another goroutine's flushes,
+// and must always serialize a loadable, committed snapshot (never a
+// mid-flush state). Run under -race in CI's race-pipeline job.
 func TestSaveDuringFlush(t *testing.T) {
 	db := newShopDB(t)
 	v := shopView(t, db)
-	wb := db.NewWriteBatch(ojv.BatchOptions{FlushRows: 4})
+	wb := db.NewWriteBatch()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -323,6 +334,21 @@ func TestSaveDuringFlush(t *testing.T) {
 			if err := wb.Insert("customer", []ojv.Row{{ojv.Int(500 + i), ojv.Str("s")}}); err != nil {
 				t.Error(err)
 				return
+			}
+		}
+	}()
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			if err := wb.Flush(); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
 			}
 		}
 	}()
@@ -339,7 +365,7 @@ func TestSaveDuringFlush(t *testing.T) {
 		}
 		saves++
 		select {
-		case <-done:
+		case <-flushed:
 			if err := wb.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -428,15 +454,34 @@ func TestBatchMetricsIdentity(t *testing.T) {
 }
 
 // TestBatchConcurrentWriters hammers one batch from 8 goroutines over
-// disjoint key ranges with both auto-flush policies active, then verifies
-// exact final contents. Run under -race in CI's race-pipeline job.
+// disjoint key ranges, each flushing whenever 64 rows are pending, while a
+// ninth flushes on a 1 ms ticker, then verifies exact final contents. Run
+// under -race in CI's race-pipeline job.
 func TestBatchConcurrentWriters(t *testing.T) {
 	db := newShopDB(t)
 	v := shopView(t, db)
-	wb := db.NewWriteBatch(ojv.BatchOptions{FlushRows: 64, FlushInterval: time.Millisecond})
+	wb := db.NewWriteBatch()
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
-	errs := make(chan error, writers)
+	errs := make(chan error, writers+1)
+	done := make(chan struct{})
+	ticker := make(chan struct{})
+	go func() {
+		defer close(ticker)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				if err := wb.Flush(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -460,10 +505,18 @@ func TestBatchConcurrentWriters(t *testing.T) {
 						return
 					}
 				}
+				if wb.PendingRows() >= 64 {
+					if err := wb.Flush(); err != nil {
+						errs <- err
+						return
+					}
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	close(done)
+	<-ticker
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)

@@ -32,13 +32,11 @@ func TestCheckViewFacade(t *testing.T) {
 // facade is actionable.
 func TestCheckViewDiagnosticsCiteSections(t *testing.T) {
 	db := newShopDB(t)
-	v := shopView(t, db, ojv.Options{Strategy: ojv.StrategyFromView})
-	// An aggregation view would reject StrategyFromView; the SPOJ shop view
-	// accepts it, so this must pass.
+	v := shopView(t, db, ojv.Options{Strategy: ojv.StrategyFromBase})
 	if err := ojv.CheckView(v); err != nil {
 		if !strings.Contains(err.Error(), "§") {
 			t.Fatalf("diagnostic %q does not cite a paper section", err)
 		}
-		t.Fatalf("CheckView rejected a from-view shop view: %v", err)
+		t.Fatalf("CheckView rejected a from-base shop view: %v", err)
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // LockSafe flags mutex and WaitGroup misuse patterns that matter for the
-// write path's goroutines — the component workers of a flush and a
-// WriteBatch's maintenance goroutine:
+// write path's goroutines — the component workers of a flush and the
+// writers that stage into and flush one WriteBatch:
 //
 //   - a sync.Mutex/RWMutex Lock or RLock with no matching Unlock/RUnlock in
 //     the same function scope (directly, deferred, or inside a deferred

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ojv"
 	"ojv/internal/fixture"
 )
 
@@ -34,11 +33,11 @@ const (
 	OrphanAll                 // every row whose j is fixture.HotValue
 	Churn                     // insert, update and delete one fresh key
 	Reparent                  // insert a fresh parent and move a child of the T-th child table to it; with N&4, delete the parent again
-	OpenBatch                 // MaintWorkers N&15; ReadFlush with N&16
+	OpenBatch                 // MaintWorkers N&15; with N&16 BatchRows flushes before it reads
 	Flush                     //
 	Close                     //
 	Discard                   //
-	CreateView                // shape from Seed; N: strategy (bits 0-1), aggregate (bit 3), or with bit 2 a sibling of the Seed-th live non-aggregate view
+	CreateView                // shape from Seed; N: strategy slot (bits 0-1, mod 3: 2 is StrategyFromBase, else StrategyAuto), aggregate (bit 3), or with bit 2 a sibling of the Seed-th live non-aggregate view
 	DropView                  // the N-th live view
 	CreateIndex               // column set N%4 of the table: j, v, f, (j, v); (j, v) for f on a table without one
 	AddForeignKey             // declare the table's f → parent key, if not declared yet
@@ -47,7 +46,7 @@ const (
 	Fault                     // fail the Seed-th failpoint site of the next commit, as a panic with N&1; Seed 0 only counts sites
 	Round                     // 1+N%4 goroutines stage into the open batch, one FK group each
 	Query                     // shape from Seed, or with N&1 the (N>>1)-th live non-aggregate view's; a subset of its columns
-	BatchRows                 // the N-th live view through WriteBatch.Rows
+	BatchRows                 // the N-th live view's rows while a batch is open
 	numKinds
 )
 
@@ -92,9 +91,10 @@ type Gen struct {
 	Tables  int // tables; 0 means 3 to 5
 	Views   int // most views alive at once; 0 means 4
 	Readers int // snapshot reader goroutines
-	// Strategies and Workers are what CreateView and OpenBatch draw from;
-	// nil means every value (Auto, FromView, FromBase; 0 and 2).
-	Strategies []ojv.Strategy
+	// Strategies (CreateView's strategy slots) and Workers are what
+	// CreateView and OpenBatch draw from; nil means every value (0, 1 and
+	// 2; 0 and 2).
+	Strategies []uint8
 	Workers    []int
 	// Weights overrides the default weight of an op kind.
 	Weights map[Kind]int
@@ -130,7 +130,7 @@ func (g Gen) Script() Script {
 	for _, v := range w {
 		total += v
 	}
-	strategies := orAll(g.Strategies, ojv.StrategyAuto, ojv.StrategyFromView, ojv.StrategyFromBase)
+	strategies := orAll(g.Strategies, 0, 1, 2)
 	workers := orAll(g.Workers, 0, 2)
 	maxViews := cmp.Or(g.Views, 4)
 	views, batch, saved := 0, false, false
@@ -168,7 +168,7 @@ func (g Gen) Script() Script {
 				op.Seed = shapes[rng.Intn(len(shapes))] // a duplicate shape shares its subplans
 			}
 			shapes = append(shapes, op.Seed)
-			op.N = uint8(strategies[rng.Intn(len(strategies))])
+			op.N = strategies[rng.Intn(len(strategies))]
 			switch rng.Intn(4) {
 			case 0:
 				op.N |= 8 // an aggregate

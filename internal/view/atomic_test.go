@@ -289,8 +289,9 @@ func TestFaultInjectionRollback(t *testing.T) {
 
 // TestOnModifyMergesAllStats pins the merged statistics of a decomposed
 // modify against the same update run as a separate delete and insert on a
-// twin fixture: row counts (including the per-term secondary breakdown) must
-// sum across the passes and the term counts must survive the merge.
+// twin fixture: the report reads as an insert on T, row counts (including
+// the per-term secondary breakdown) must sum across the passes and the term
+// counts must survive the merge.
 func TestOnModifyMergesAllStats(t *testing.T) {
 	build := func() (*rel.Catalog, *Maintainer, []rel.Row, []rel.Row) {
 		cat, m := newV1Maintainer(t, false, Options{})
@@ -345,6 +346,10 @@ func TestOnModifyMergesAllStats(t *testing.T) {
 
 	if del.SecondaryRows == 0 {
 		t.Fatal("update produces no delete-pass secondary rows; the merge has nothing to preserve")
+	}
+	// A modify reads as its insert pass, with the delete pass folded in.
+	if !merged.Insert || merged.Table != "T" || !merged.Committed {
+		t.Errorf("merged Insert=%v Table=%q Committed=%v, want true, T, true", merged.Insert, merged.Table, merged.Committed)
 	}
 	if got, want := merged.PrimaryRows, del.PrimaryRows+ins.PrimaryRows; got != want {
 		t.Errorf("merged PrimaryRows = %d, want %d", got, want)

@@ -27,14 +27,15 @@ import (
 // Strategy selects how the secondary delta is computed.
 type Strategy int8
 
-// Strategies. StrategyAuto uses the view when it exposes the required
-// columns (it always does under Define's validation) and falls back to base
-// tables otherwise; the paper notes the optimizer should choose in a
-// cost-based manner, and for point orphan lookups the view is almost always
-// cheaper.
+// Strategies. StrategyAuto computes the secondary delta from the view and
+// the primary delta (§5.2) for an SPOJ view, whose stored rows expose every
+// table's key columns under Define's validation, and from base tables
+// (§5.3) for an aggregation view, which stores only group rows. The paper
+// notes the optimizer should choose in a cost-based manner; for point
+// orphan lookups the view is almost always cheaper. StrategyFromBase forces
+// §5.3 for every view.
 const (
 	StrategyAuto Strategy = iota
-	StrategyFromView
 	StrategyFromBase
 )
 
@@ -56,11 +57,6 @@ type Options struct {
 	DisableOrphanIndex bool
 	// Strategy selects the secondary-delta source.
 	Strategy Strategy
-	// VerifyPlans statically verifies every freshly compiled maintenance
-	// plan against the paper's structural invariants (see planck.go) and
-	// fails the compilation on the first violation. It is always on under
-	// go test; set it explicitly for debug builds.
-	VerifyPlans bool
 	// FailPoint, when non-nil, is consulted immediately before every staged
 	// view mutation with that mutation site's label (the site list is
 	// documented on Changeset). A non-nil result aborts the maintenance run

@@ -444,6 +444,6 @@ func implies(p, q algebra.Pred) bool {
 func sameOptions(a, b Options) bool {
 	return a.DisableLeftDeep == b.DisableLeftDeep && a.DisableFKSimplify == b.DisableFKSimplify &&
 		a.DisableFKGraph == b.DisableFKGraph && a.DisableOrphanIndex == b.DisableOrphanIndex &&
-		a.Strategy == b.Strategy && a.VerifyPlans == b.VerifyPlans &&
+		a.Strategy == b.Strategy &&
 		a.Tracer == b.Tracer && a.Metrics == b.Metrics
 }

@@ -31,7 +31,6 @@ func FuzzVerifyPlans(f *testing.F) {
 			DisableLeftDeep:   seed&1 != 0,
 			DisableFKSimplify: seed&2 != 0,
 			DisableFKGraph:    seed&4 != 0,
-			VerifyPlans:       true,
 		}
 		m, err := view.NewMaintainer(def, opts)
 		if err != nil {

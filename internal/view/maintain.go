@@ -434,10 +434,8 @@ func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
 	sort.SliceStable(p.indirect, func(i, j int) bool {
 		return len(p.indirect[i].term.Tables) > len(p.indirect[j].term.Tables)
 	})
-	if m.shouldVerify() {
-		if err := m.VerifyPlan(p, fkOK); err != nil {
-			return nil, err
-		}
+	if err := m.VerifyPlan(p, fkOK); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -745,7 +743,9 @@ func (m *Maintainer) ApplyModify(cs *Changeset, table string, deleted, inserted 
 		if err != nil {
 			return nil, err
 		}
-		return mergeStats(s1, s2), nil
+		// The insert pass's report carries the modify: Insert set, the
+		// delete pass's rows folded in.
+		return AccumulateStats(s2, s1), nil
 	})
 }
 
@@ -788,7 +788,7 @@ func (m *Maintainer) startMaintSpan(op, table string) *obs.Span {
 // MaintStats fresh from Apply* that nothing else holds — and later runs
 // fold into it. Row counts and per-term orphan accounting sum across the
 // runs; Table collapses to "" when runs span tables; the term counts keep
-// their maximum, mirroring mergeStats.
+// their maximum, so neither run's plan shape is dropped.
 func AccumulateStats(acc, s *MaintStats) *MaintStats {
 	if acc == nil {
 		return s
@@ -808,30 +808,6 @@ func AccumulateStats(acc, s *MaintStats) *MaintStats {
 		acc.SecondaryByTerm[k] += n
 	}
 	return acc
-}
-
-// mergeStats combines the delete-pass and insert-pass statistics of a
-// decomposed modify into one report: row counts sum (including per-term
-// secondary counts) and the term counts take the larger pass, so neither
-// pass's plan shape is dropped.
-func mergeStats(s1, s2 *MaintStats) *MaintStats {
-	out := *s2
-	out.PrimaryRows += s1.PrimaryRows
-	out.SecondaryRows += s1.SecondaryRows
-	if s1.DirectTerms > out.DirectTerms {
-		out.DirectTerms = s1.DirectTerms
-	}
-	if s1.IndirectTerms > out.IndirectTerms {
-		out.IndirectTerms = s1.IndirectTerms
-	}
-	out.SecondaryByTerm = make(map[string]int, len(s1.SecondaryByTerm)+len(s2.SecondaryByTerm))
-	for k, n := range s1.SecondaryByTerm {
-		out.SecondaryByTerm[k] += n
-	}
-	for k, n := range s2.SecondaryByTerm {
-		out.SecondaryByTerm[k] += n
-	}
-	return &out
 }
 
 // apply stages one maintenance pass for delta, the rows inserted into or

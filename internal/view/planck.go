@@ -3,7 +3,6 @@ package view
 import (
 	"fmt"
 	"sort"
-	"testing"
 
 	"ojv/internal/algebra"
 )
@@ -15,17 +14,12 @@ import (
 // algebra.VerifyMaintGraph (§2.2, §2.3, §3.1, §6.2), the ΔV^D operator
 // tree's shape under the §4 transform and the §4.1 left-deep conversion
 // (λ/δ placement under rules 1, 4 and 5), the §6.1 simplification outcome,
-// the §5.3 per-parent base expressions behind each indirect cleanup, and
-// the §5.2 prerequisites of the from-view strategy.
+// and the §5.3 per-parent base expressions behind each indirect cleanup.
 //
-// The checker runs automatically after every plan compilation when
-// Options.VerifyPlans is set, and always under go test, so every existing
-// random maintenance test doubles as a fuzzer of the planner.
-
-// shouldVerify reports whether freshly compiled plans are verified.
-func (m *Maintainer) shouldVerify() bool {
-	return m.opts.VerifyPlans || testing.Testing()
-}
+// The checker runs after every plan build, so a bad plan fails the call that
+// builds it and every random maintenance test doubles as a fuzzer of the
+// planner. A plan is built once per table and contract (DDL recompiles its
+// programs, not the plan), so the check costs nothing per statement.
 
 // VerifyAllPlans compiles (or fetches from cache) and verifies the
 // maintenance plan of every referenced table under both update contracts:
@@ -79,10 +73,7 @@ func (m *Maintainer) VerifyPlan(p *tablePlan, fkOK bool) error {
 	if err := m.verifyPrimary(p, fkOK); err != nil {
 		return err
 	}
-	if err := m.verifyIndirect(p); err != nil {
-		return err
-	}
-	return m.verifyStrategy(p)
+	return m.verifyIndirect(p)
 }
 
 // viol formats a section-numbered plan invariant violation.
@@ -377,29 +368,4 @@ func (m *Maintainer) verifyParentBase(term algebra.Term, pb parentBase, updated 
 		return err
 	}
 	return check(pb.exprDelete, false)
-}
-
-// verifyStrategy checks the §5.2 prerequisites when the from-view strategy
-// is forced: the stored rows must be SPOJ rows (not aggregate groups) and
-// must expose every referenced table's key columns for the orphan
-// containment checks.
-func (m *Maintainer) verifyStrategy(p *tablePlan) error {
-	if m.opts.Strategy != StrategyFromView {
-		return nil
-	}
-	if m.agg != nil {
-		return m.viol("5.2", "StrategyFromView needs the stored SPOJ rows, but an aggregation view stores only group rows; use StrategyFromBase")
-	}
-	if len(p.indirect) == 0 {
-		return nil
-	}
-	if m.mv == nil {
-		return m.viol("5.2", "StrategyFromView requires a materialized view")
-	}
-	for i, t := range m.def.tables {
-		if len(m.mv.keyCols[i]) == 0 {
-			return m.viol("5.2", "StrategyFromView requires the view to expose the key columns of %s for orphan checks", t)
-		}
-	}
-	return nil
 }

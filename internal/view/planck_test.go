@@ -10,14 +10,10 @@ import (
 )
 
 // TestVerifyAllPlansExampleViews runs the plan checker over every built-in
-// example view under every ablation the Options struct offers (plus the
-// forced from-view strategy): all compiled plans must satisfy the paper's
-// invariants at every setting.
+// example view under every ablation and strategy the Options struct offers:
+// all compiled plans must satisfy the paper's invariants at every setting.
 func TestVerifyAllPlansExampleViews(t *testing.T) {
-	matrix := optionMatrix()
-	matrix["from-view"] = Options{Strategy: StrategyFromView}
-	for name, opts := range matrix {
-		opts.VerifyPlans = true
+	for name, opts := range optionMatrix() {
 		for _, withFK := range []bool{false, true} {
 			_, m := newV1Maintainer(t, withFK, opts)
 			if err := m.VerifyAllPlans(); err != nil {
@@ -76,10 +72,10 @@ func TestVerifyAllPlansTPCH(t *testing.T) {
 	}
 }
 
-// TestAggFromViewStrategyRejected: an aggregation view stores group rows,
-// not SPOJ rows, so forcing the §5.2 from-view strategy must fail plan
-// verification.
-func TestAggFromViewStrategyRejected(t *testing.T) {
+// TestAggAutoCleansUpFromBase: an aggregation view stores group rows, not
+// SPOJ rows, so under StrategyAuto its plans compile the §5.3 from-base
+// cleanup for every indirect term, as StrategyFromBase does.
+func TestAggAutoCleansUpFromBase(t *testing.T) {
 	cat, err := fixture.COL(fixture.COLOptions{Seed: 11, WithFK: false})
 	if err != nil {
 		t.Fatal(err)
@@ -88,12 +84,17 @@ func TestAggFromViewStrategyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(def, Options{Strategy: StrategyFromView, VerifyPlans: true})
+	m, err := NewMaintainer(def, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Plan("O", true)
-	wantViol(t, err, "§5.2")
+	p, err := m.Plan("O", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.indirect) == 0 || len(p.fromBase) != len(p.indirect) {
+		t.Fatalf("%d indirect terms, %d from-base cleanups; want as many, and some", len(p.indirect), len(p.fromBase))
+	}
 }
 
 // clonePlan shallow-copies a cached plan so mutations never leak back into

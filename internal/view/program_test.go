@@ -134,7 +134,7 @@ func TestArrangeAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []Strategy{StrategyFromView, StrategyFromBase} {
+	for _, strategy := range []Strategy{StrategyAuto, StrategyFromBase} {
 		metrics := obs.NewRegistry()
 		m := unarrangedAB(t, cat, "ab", "B", Options{Metrics: metrics, Strategy: strategy})
 		if err := m.Arrange(); err != nil {

@@ -67,7 +67,7 @@ func runTracedV1(t *testing.T, strategy Strategy) *obs.Tracer {
 }
 
 func TestGoldenTraceFromView(t *testing.T) {
-	tracer := runTracedV1(t, StrategyFromView)
+	tracer := runTracedV1(t, StrategyAuto)
 	assertWellFormed(t, tracer)
 	goldenCompare(t, "trace_v1_fromview.golden", obs.RenderTree(tracer.Roots(), false))
 }
@@ -86,7 +86,7 @@ var observedTime = regexp.MustCompile(`time=\S+`)
 // TestGoldenAnnotatedScript pins the annotated maintenance script for the
 // V1 insert-into-T run, with observed durations normalized to time=?.
 func TestGoldenAnnotatedScript(t *testing.T) {
-	tracer := runTracedV1(t, StrategyFromView)
+	tracer := runTracedV1(t, StrategyAuto)
 	var insertRoot *obs.Span
 	for _, r := range tracer.Roots() {
 		if r.Name() != "view.maintain" {
@@ -101,7 +101,7 @@ func TestGoldenAnnotatedScript(t *testing.T) {
 	}
 	// The script renders from a maintainer with the same definition; rebuild
 	// one on a fresh catalog (the plan is structural, not data-dependent).
-	_, m := newV1Maintainer(t, false, Options{Strategy: StrategyFromView})
+	_, m := newV1Maintainer(t, false, Options{Strategy: StrategyAuto})
 	script, err := m.AnnotatedMaintenanceScript("T", true, insertRoot)
 	if err != nil {
 		t.Fatal(err)

@@ -76,10 +76,11 @@ type (
 	Metrics = obs.Registry
 )
 
-// Secondary-delta strategies (Sections 5.2 and 5.3).
+// Secondary-delta strategies: StrategyAuto computes the secondary delta
+// from the view (Section 5.2) for an SPOJ view and from base tables
+// (Section 5.3) for an aggregation view; StrategyFromBase forces 5.3.
 const (
 	StrategyAuto     = view.StrategyAuto
-	StrategyFromView = view.StrategyFromView
 	StrategyFromBase = view.StrategyFromBase
 )
 

@@ -182,7 +182,7 @@ func TestPinsNeverWaitBehindMaintenance(t *testing.T) {
 	}
 	committed := next
 
-	wb := db.NewWriteBatch(ojv.BatchOptions{FlushInterval: time.Hour})
+	wb := db.NewWriteBatch()
 	defer wb.Close()
 	if err := wb.Insert("A", rowsOf(12)); err != nil {
 		t.Fatal(err)

@@ -204,9 +204,9 @@ func (db *Database) commitComponent(c flushComponent, root *Span) error {
 // every family's changeset. A panic on the way — in base apply, an
 // operator, the store or a FailPoint — becomes the step's error, a
 // *PanicError, so the component unwinds as it does for a failing step.
-// Component workers and the WriteBatch maintenance goroutine both reach
-// this code, so neither can take the process down with a component half
-// staged.
+// Component workers and the goroutine that calls a statement or a Flush
+// both reach this code, so none can take the process down with a component
+// half staged.
 func (db *Database) applyStep(st *pipeline.Step, staged []stagedFamily, span *Span) (err error) {
 	stepSpan := span.Child("flush.step").
 		SetStr("table", st.Table).
