@@ -84,7 +84,7 @@ func TestDispatchOrder(t *testing.T) {
 	step := func(n int) pipeline.Step {
 		s := pipeline.Step{Table: "t", Op: pipeline.OpInsert}
 		for i := 0; i < n; i++ {
-			s.Rows = append(s.Rows, row)
+			s.Added = append(s.Added, row)
 		}
 		return s
 	}

@@ -128,7 +128,7 @@ func TestInstanceRestartAllocs(t *testing.T) {
 	if !strings.Contains(prog.String(), "join.index") {
 		t.Fatalf("the joins do not probe:\n%s", prog)
 	}
-	ctx := &Context{Catalog: cat, DeltaTable: "a", Delta: []rel.Row{{rel.Int(7), rel.Int(7)}}, DeltaIsInsert: true}
+	ctx := &Context{Catalog: cat, DeltaTable: "a", Delta: []rel.Row{{rel.Int(7), rel.Int(7)}}}
 	run := func(start func(*Context) (Source, error), b *Batch) {
 		src, err := start(ctx)
 		if err != nil {

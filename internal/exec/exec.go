@@ -39,15 +39,17 @@ type Relation struct {
 type Context struct {
 	// Catalog resolves TableRef leaves and provides schemas and indexes.
 	Catalog *rel.Catalog
-	// DeltaTable and Delta bind the DeltaRef leaves of one table to its
-	// delta rows (in the table's schema): the paper's single-table delta.
-	// A DeltaRef of any other table reads no rows.
-	DeltaTable string
-	Delta      []rel.Row
-	// DeltaIsInsert tells OldTableRef how to reconstruct the pre-update
-	// state of the delta's table: current−Δ after an insertion, current+Δ
-	// after a deletion.
-	DeltaIsInsert bool
+	// DeltaTable names the one table a step changed, and Removed and Added
+	// are its signed delta (in the table's schema): the rows the step took
+	// out of it and the rows it put in. An insert has only Added, a delete
+	// only Removed, a modify both. OldTableRef reads the table's pre-step
+	// state, current − Added (by key) + Removed.
+	DeltaTable     string
+	Removed, Added []rel.Row
+	// Delta binds the DeltaRef leaves of DeltaTable: the half of the signed
+	// delta a program propagates. A DeltaRef of any other table reads no
+	// rows.
+	Delta []rel.Row
 	// Rels binds RelRef leaves to materialized relations.
 	Rels map[string]Relation
 	// BatchSize is the soft row cap per pipeline batch (joins may overshoot

@@ -201,7 +201,7 @@ func TestDeltaAndOldTableRef(t *testing.T) {
 	// Simulate an insertion of L(9,90) that has already been applied.
 	must(t, cat.Insert("L", []rel.Row{{rel.Int(9), rel.Int(90)}}))
 	delta := []rel.Row{{rel.Int(9), rel.Int(90)}}
-	ctx := &Context{Catalog: cat, DeltaTable: "L", Delta: delta, DeltaIsInsert: true}
+	ctx := &Context{Catalog: cat, DeltaTable: "L", Delta: delta, Added: delta}
 
 	d := evalOK(t, ctx, &algebra.DeltaRef{Name: "L"})
 	if len(d.Rows) != 1 {
@@ -220,7 +220,7 @@ func TestDeltaAndOldTableRef(t *testing.T) {
 	// Deletion case: delete L(1,...) then reconstruct the old state.
 	deleted, err := cat.Delete("L", [][]rel.Value{{rel.Int(1)}})
 	must(t, err)
-	ctx2 := &Context{Catalog: cat, DeltaTable: "L", Delta: deleted, DeltaIsInsert: false}
+	ctx2 := &Context{Catalog: cat, DeltaTable: "L", Delta: deleted, Removed: deleted}
 	old2 := evalOK(t, ctx2, &algebra.OldTableRef{Name: "L"})
 	if len(old2.Rows) != 4 {
 		t.Fatalf("old L after delete = %d rows, want 4", len(old2.Rows))

@@ -131,9 +131,9 @@ func (p *probePlan) String() string {
 // probing allocates no key string and no one-element slice.
 type indexProbe struct {
 	*probePlan
-	// Old-state adjustment: when probing the pre-update state of a table
-	// with a bound delta, exclude freshly inserted rows (insert case) or
-	// re-admit deleted rows via a transient delta index (delete case).
+	// Old-state adjustment: when probing the pre-step state of the delta's
+	// table, exclude the added rows' keys and re-admit the removed rows via
+	// a transient delta index.
 	excludeKeys  map[string]bool
 	deltaByProbe map[string][]rel.Row
 	keyBuf       []byte
@@ -146,23 +146,31 @@ type indexProbe struct {
 // of an earlier run of the same join.
 func (p *probePlan) start(ctx *Context, prev *indexProbe) indexProbe {
 	ip := indexProbe{probePlan: p, keyBuf: prev.keyBuf[:0], out: prev.out[:0]}
-	delta := ctx.deltaOf(p.t.Name())
-	if !p.old || len(delta) == 0 {
+	if !p.old || p.t.Name() != ctx.DeltaTable {
 		return ip
 	}
-	if ctx.DeltaIsInsert {
-		ip.excludeKeys = make(map[string]bool, len(delta))
-		for _, d := range delta {
-			ip.excludeKeys[p.t.KeyOf(d)] = true
+	ip.excludeKeys = keySet(p.t, ctx.Added)
+	if len(ctx.Removed) > 0 {
+		ip.deltaByProbe = make(map[string][]rel.Row, len(ctx.Removed))
+		for _, d := range ctx.Removed {
+			k := rel.EncodeRowCols(d, p.rightCols)
+			ip.deltaByProbe[k] = append(ip.deltaByProbe[k], d)
 		}
-		return ip
-	}
-	ip.deltaByProbe = make(map[string][]rel.Row, len(delta))
-	for _, d := range delta {
-		k := rel.EncodeRowCols(d, p.rightCols)
-		ip.deltaByProbe[k] = append(ip.deltaByProbe[k], d)
 	}
 	return ip
+}
+
+// keySet returns the encoded keys of rows in table t, nil when there are
+// none: the added rows an old-state read leaves out.
+func keySet(t *rel.Table, rows []rel.Row) map[string]bool {
+	if len(rows) == 0 {
+		return nil
+	}
+	keys := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		keys[t.KeyOf(r)] = true
+	}
+	return keys
 }
 
 // release drops the run's delta-derived state and the rows left in the

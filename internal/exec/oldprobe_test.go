@@ -56,7 +56,7 @@ func TestOldTableProbeInsertCase(t *testing.T) {
 		delta = append(delta, rel.Row{rel.Int(int64(100 + i)), rel.Int(rng.Int63n(8)), rel.Int(rng.Int63n(50))})
 	}
 	must(t, cat.Insert("R", delta))
-	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: delta, DeltaIsInsert: true}
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: delta, Added: delta}
 	pred := algebra.Eq("L", "a", "R", "j")
 	compareOldProbe(t, ctx,
 		&algebra.OldTableRef{Name: "R"},
@@ -79,7 +79,7 @@ func TestOldTableProbeDeleteCase(t *testing.T) {
 	}
 	deleted, err := cat.Delete("R", keys)
 	must(t, err)
-	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: deleted, DeltaIsInsert: false}
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: deleted, Removed: deleted}
 	pred := algebra.Eq("L", "a", "R", "j")
 	compareOldProbe(t, ctx,
 		&algebra.OldTableRef{Name: "R"},
@@ -108,7 +108,7 @@ func TestOldTableProbeRecoversDeletedRows(t *testing.T) {
 	}
 	deleted, err := cat.Delete("R", [][]rel.Value{{rel.Int(7)}})
 	must(t, err)
-	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: deleted, DeltaIsInsert: false}
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: deleted, Removed: deleted}
 	old := evalOK(t, ctx, &algebra.OldTableRef{Name: "R"})
 	found := false
 	for _, r := range old.Rows {
@@ -125,5 +125,45 @@ func TestOldTableProbeRecoversDeletedRows(t *testing.T) {
 		if r.Equal(victim) {
 			t.Error("current state must not contain the deleted row")
 		}
+	}
+}
+
+// TestOldTableSignedDelta binds both halves of a signed delta, as a modify
+// binds them, and checks that OldTableRef reads the table's pre-step state,
+// current − added (by key) + removed, through the scan path and the index
+// probe path alike: the step rewrites some rows in place (same key, new
+// values), deletes others and inserts fresh ones.
+func TestOldTableSignedDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	cat := oldProbeDB(t, rng)
+	before := sortedRows(cat.Table("R").Rows())
+	var removed, added []rel.Row
+	for i := 0; i < 4; i++ {
+		key := []rel.Value{rel.Int(int64(2 * i))}
+		nw := rel.Row{key[0], rel.Int(rng.Int63n(8)), rel.Int(rng.Int63n(50))}
+		old, err := cat.Update("R", key, nw)
+		must(t, err)
+		removed, added = append(removed, old), append(added, nw)
+	}
+	deleted, err := cat.Delete("R", [][]rel.Value{{rel.Int(21)}, {rel.Int(23)}})
+	must(t, err)
+	removed = append(removed, deleted...)
+	fresh := []rel.Row{{rel.Int(100), rel.Int(3), rel.Int(1)}, {rel.Int(101), rel.Int(5), rel.Int(2)}}
+	must(t, cat.Insert("R", fresh))
+	added = append(added, fresh...)
+
+	ctx := &Context{Catalog: cat, DeltaTable: "R", Delta: added, Removed: removed, Added: added}
+	scanned := evalOK(t, ctx, &algebra.OldTableRef{Name: "R"})
+	if got := sortedRows(scanned.Rows); !sameRelation(Relation{Rows: got}, Relation{Rows: before}) {
+		t.Fatalf("old-state scan read %d rows, want the %d rows R held before the step:\n got %v\nwant %v", len(got), len(before), got, before)
+	}
+
+	// The index probe path, against a hash join over the pre-step rows
+	// bound as a relation: every join kind and both probe routes (the
+	// secondary index on j, the unique key rk) must agree with it.
+	ctx.Rels = map[string]Relation{"__before": {Schema: cat.Table("R").Schema(), Rows: before}}
+	bound := &algebra.RelRef{Name: "__before", TableNames: []string{"R"}}
+	for _, pred := range []algebra.Pred{algebra.Eq("L", "a", "R", "j"), algebra.Eq("L", "a", "R", "rk")} {
+		compareOldProbe(t, ctx, &algebra.OldTableRef{Name: "R"}, bound, pred)
 	}
 }

@@ -132,14 +132,19 @@ func (r *reuseRun) context(i, batch int, table string) *Context {
 			r.nextKey++
 		}
 	}
-	return &Context{
-		Catalog:       r.fx.cat,
-		DeltaTable:    table,
-		Delta:         delta,
-		DeltaIsInsert: insert,
-		Rels:          map[string]Relation{"__r": {Schema: r.fx.relA.Schema, Rows: r.fx.relA.Rows[i%3:]}},
-		BatchSize:     batch,
+	ctx := &Context{
+		Catalog:    r.fx.cat,
+		DeltaTable: table,
+		Delta:      delta,
+		Rels:       map[string]Relation{"__r": {Schema: r.fx.relA.Schema, Rows: r.fx.relA.Rows[i%3:]}},
+		BatchSize:  batch,
 	}
+	if insert {
+		ctx.Added = delta
+	} else {
+		ctx.Removed = delta
+	}
+	return ctx
 }
 
 func TestProgramReuse(t *testing.T) {
@@ -197,7 +202,7 @@ func TestProgramReuse(t *testing.T) {
 				}
 				if !sameRelation(got, want) {
 					t.Fatalf("run %d (batch=%d insert=%v): %d rows differ from oracle's %d rows\n%s",
-						i, batch, ctx.DeltaIsInsert, len(got.Rows), len(want.Rows), tc.expr)
+						i, batch, len(ctx.Added) > 0, len(got.Rows), len(want.Rows), tc.expr)
 				}
 				if !sameRelation(got, fresh) {
 					t.Fatalf("run %d: reused program and fresh pipeline disagree", i)

@@ -265,13 +265,15 @@ type scanSource struct {
 	opBase
 	ctx   *Context
 	fetch func(*Context) []rel.Row
-	// old, when non-nil, makes this the pre-update state of that table: the
-	// current contents minus the inserted delta, or plus the deleted delta.
-	// This is how the paper's T± ⋉la_eq(T) ΔT (insertions) and T± + ΔT
-	// (deletions) are realized, without materializing the reconstructed
-	// state — the insert case drops the fresh keys (exclude) during emission.
+	// old, when non-nil, makes this the pre-step state of that table: the
+	// current contents minus the added rows, plus the removed ones. This is
+	// how the paper's T± ⋉la_eq(T) ΔT (insertions) and T± + ΔT (deletions)
+	// are realized, without materializing the reconstructed state: the
+	// current rows come first, less the added keys (exclude) during
+	// emission, and the removed rows follow from position live on.
 	old     *rel.Table
 	exclude map[string]bool
+	live    int
 	counted bool // publish emitted rows to exec.rows.scanned
 
 	rows []rel.Row
@@ -280,18 +282,12 @@ type scanSource struct {
 
 func (s *scanSource) Open() error {
 	s.rows = s.fetch(s.ctx)
-	if s.old == nil {
+	if s.old == nil || s.old.Name() != s.ctx.DeltaTable {
 		return nil
 	}
-	delta := s.ctx.deltaOf(s.old.Name())
-	if !s.ctx.DeltaIsInsert {
-		s.rows = append(s.rows, delta...)
-	} else if len(delta) > 0 {
-		s.exclude = make(map[string]bool, len(delta))
-		for _, d := range delta {
-			s.exclude[s.old.KeyOf(d)] = true
-		}
-	}
+	s.exclude = keySet(s.old, s.ctx.Added)
+	s.live = len(s.rows)
+	s.rows = append(s.rows, s.ctx.Removed...)
 	return nil
 }
 
@@ -301,7 +297,7 @@ func (s *scanSource) Next(b *Batch) (bool, error) {
 	for s.pos < len(s.rows) && b.Len() < limit {
 		r := s.rows[s.pos]
 		s.pos++
-		if s.exclude != nil && s.exclude[s.old.KeyOf(r)] {
+		if s.pos <= s.live && s.exclude != nil && s.exclude[s.old.KeyOf(r)] {
 			continue
 		}
 		b.Append(r)

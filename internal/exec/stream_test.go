@@ -43,24 +43,20 @@ func evalReference(ctx *Context, e algebra.Expr) (Relation, error) {
 		if t == nil {
 			return Relation{}, fmt.Errorf("ref: unknown table %s", n.Name)
 		}
-		delta := ctx.deltaOf(n.Name)
-		if len(delta) == 0 {
+		if n.Name != ctx.DeltaTable {
 			return Relation{Schema: t.Schema(), Rows: t.Rows()}, nil
 		}
-		if ctx.DeltaIsInsert {
-			inserted := make(map[string]bool, len(delta))
-			for _, d := range delta {
-				inserted[t.KeyOf(d)] = true
-			}
-			var rows []rel.Row
-			for _, r := range t.Rows() {
-				if !inserted[t.KeyOf(r)] {
-					rows = append(rows, r)
-				}
-			}
-			return Relation{Schema: t.Schema(), Rows: rows}, nil
+		added := make(map[string]bool, len(ctx.Added))
+		for _, d := range ctx.Added {
+			added[t.KeyOf(d)] = true
 		}
-		return Relation{Schema: t.Schema(), Rows: append(t.Rows(), delta...)}, nil
+		var rows []rel.Row
+		for _, r := range t.Rows() {
+			if !added[t.KeyOf(r)] {
+				rows = append(rows, r)
+			}
+		}
+		return Relation{Schema: t.Schema(), Rows: append(rows, ctx.Removed...)}, nil
 
 	case *algebra.RelRef:
 		r, ok := ctx.Rels[n.Name]
@@ -390,7 +386,7 @@ func refGroupBy(ctx *Context, n *algebra.GroupBy) (Relation, error) {
 type streamCase struct {
 	name        string
 	expr        algebra.Expr
-	deltaDelete bool // evaluate with DeltaIsInsert=false
+	deltaDelete bool // bind the delta as removed rows, not added ones
 }
 
 // twiceSelectedB is σ[Bv>5](σ[Bv<70](B)).
@@ -516,14 +512,19 @@ func newStreamFixture(t testing.TB, rng *rand.Rand, rows int) *streamFixture {
 }
 
 func (fx *streamFixture) context(tc streamCase, batch int) *Context {
-	return &Context{
-		Catalog:       fx.cat,
-		DeltaTable:    "A",
-		Delta:         fx.delta,
-		DeltaIsInsert: !tc.deltaDelete,
-		Rels:          map[string]Relation{"__r": fx.relA},
-		BatchSize:     batch,
+	ctx := &Context{
+		Catalog:    fx.cat,
+		DeltaTable: "A",
+		Delta:      fx.delta,
+		Rels:       map[string]Relation{"__r": fx.relA},
+		BatchSize:  batch,
 	}
+	if tc.deltaDelete {
+		ctx.Removed = fx.delta
+	} else {
+		ctx.Added = fx.delta
+	}
+	return ctx
 }
 
 // sortedRows orders rows by their encoded values, turning a map-ordered

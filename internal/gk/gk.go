@@ -140,11 +140,11 @@ func (v *View) apply(table string, delta []rel.Row, isInsert bool) error {
 	if err != nil {
 		return err
 	}
-	ctx := &exec.Context{
-		Catalog:       v.cat,
-		DeltaTable:    table,
-		Delta:         delta,
-		DeltaIsInsert: isInsert,
+	ctx := &exec.Context{Catalog: v.cat, DeltaTable: table, Delta: delta}
+	if isInsert {
+		ctx.Added = delta
+	} else {
+		ctx.Removed = delta
 	}
 	if del != nil {
 		res, err := exec.Eval(ctx, del)

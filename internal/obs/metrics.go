@@ -32,40 +32,12 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomically set/read last-value metric (e.g. a queue depth).
-// The nil gauge is a valid no-op, like Counter.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// histBuckets is the number of power-of-two histogram buckets: bucket i
-// counts observations v with 2^(i-1) <= v < 2^i (bucket 0 counts v <= 0
-// and v == 1 separately rolled together as "tiny").
-const histBuckets = 48
-
-// Histogram is a lock-free power-of-two histogram with sum/count/max
-// tracking, cheap enough to observe per maintenance run.
+// Histogram is a lock-free count/sum/max accumulator, cheap enough to
+// observe per maintenance run.
 type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
+	count atomic.Int64
+	sum   atomic.Int64
+	max   atomic.Int64
 }
 
 // Observe records one value.
@@ -81,11 +53,6 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
-	b := 0
-	for x := v; x > 1 && b < histBuckets-1; x >>= 1 {
-		b++
-	}
-	h.buckets[b].Add(1)
 }
 
 // Count returns the number of observations.
@@ -119,7 +86,6 @@ func (h *Histogram) Max() int64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -127,7 +93,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -166,31 +131,6 @@ func (r *Registry) Observe(name string, v int64) {
 	r.Histogram(name).Observe(v)
 }
 
-// Gauge returns the gauge with the given name, creating it on first use.
-// Returns nil (a valid no-op gauge) when the registry is nil.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Set is a convenience for one-shot gauge updates outside hot loops: it
-// resolves the named gauge and stores v. Nil-safe.
-func (r *Registry) Set(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.Gauge(name).Set(v)
-}
-
 // Histogram returns the histogram with the given name, creating it on
 // first use. Returns nil (a valid no-op histogram) when the registry is
 // nil.
@@ -217,12 +157,9 @@ func (r *Registry) Snapshot() map[string]int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counters)+len(r.gauges)+3*len(r.hists))
+	out := make(map[string]int64, len(r.counters)+3*len(r.hists))
 	for name, c := range r.counters {
 		out[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		out[name+".count"] = h.Count()

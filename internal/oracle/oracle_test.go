@@ -26,7 +26,7 @@ var (
 	concurrentMix = map[Kind]int{OpenBatch: 8, Flush: 4, Round: 8, Close: 1, Discard: 0, Save: 0, Load: 0}
 	// The fault sweeps stage into one open batch and flush it once, at the
 	// end (no BatchRows, whose read may flush). They draw no delete of a
-	// whole row (an update's delete pass still visits the delete sites), so
+	// whole row (an update's removed half still visits the delete sites), so
 	// RESTRICT cannot fail the flush wholesale.
 	faultMix = map[Kind]int{OpenBatch: 20, Flush: 0, Close: 0, Discard: 0, DropView: 0, Save: 0, Load: 0,
 		Fault: 0, Delete: 0, Truncate: 0, OrphanAll: 0, AddForeignKey: 0, BatchRows: 0}

@@ -34,7 +34,6 @@ var flushFaultSites = []string{
 	"frombase-orphan-insert",
 	"agg-primary-fold",
 	"agg-secondary-fold",
-	"modify-between-passes",
 }
 
 // knownFaultSite reports whether site is declared in flushFaultSites.

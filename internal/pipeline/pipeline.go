@@ -6,8 +6,8 @@
 // The coalescing algebra, per key:
 //
 //	insert ∘ delete  → (nothing)        the two statements annihilate
-//	delete ∘ insert  → modify(old,new)  a keyed replace; ApplyModify's
-//	                                    two-pass path maintains it
+//	delete ∘ insert  → modify(old,new)  a keyed replace, maintained as
+//	                                    one two-sided signed delta
 //	insert ∘ update  → insert(new)      the staged row is replaced
 //	modify ∘ update  → modify(old,new') updates compose
 //	modify ∘ delete  → delete(old)      the base row is what disappears
@@ -61,31 +61,25 @@ func (o Op) String() string {
 }
 
 // Step is one single-table statement of a flush plan. Applying the steps in
-// order — base delta first, then one maintenance pass per registered view —
-// is a sequence of exactly the single-table updates the maintenance layer
-// is proven against, so batching never changes the final view state.
+// order — base delta first, then one maintenance run per registered view
+// over the step's signed delta — is a sequence of exactly the single-table
+// updates the maintenance layer is proven against, so batching never
+// changes the final view state.
 type Step struct {
 	Table string
 	Op    Op
-	// Rows are the inserted rows (OpInsert only).
-	Rows []rel.Row
 	// Keys are the affected unique keys (OpDelete and OpModify), in the
 	// referenced table's key column order.
 	Keys [][]rel.Value
-	// OldRows are the committed rows the step removes or replaces
-	// (OpDelete and OpModify).
-	OldRows []rel.Row
-	// NewRows pair with OldRows for OpModify.
-	NewRows []rel.Row
+	// Removed and Added are the step's signed delta: the committed rows it
+	// takes out of the table (OpDelete, and OpModify's old images) and the
+	// rows it puts in (OpInsert, and OpModify's new images, paired with
+	// Keys).
+	Removed, Added []rel.Row
 }
 
 // Len returns the number of rows the step touches.
-func (s Step) Len() int {
-	if s.Op == OpInsert {
-		return len(s.Rows)
-	}
-	return len(s.OldRows)
-}
+func (s Step) Len() int { return max(len(s.Removed), len(s.Added)) }
 
 type entryKind uint8
 
@@ -512,16 +506,12 @@ func (q *Queue) appendStep(steps []Step, table string, kind entryKind) []Step {
 		if !ok || e.kind != kind {
 			continue
 		}
-		switch kind {
-		case entryInsert:
-			st.Rows = append(st.Rows, e.new)
-		case entryDelete:
+		if kind != entryInsert {
 			st.Keys = append(st.Keys, []rel.Value(e.old.Project(keyCols)))
-			st.OldRows = append(st.OldRows, e.old)
-		case entryModify:
-			st.Keys = append(st.Keys, []rel.Value(e.old.Project(keyCols)))
-			st.OldRows = append(st.OldRows, e.old)
-			st.NewRows = append(st.NewRows, e.new)
+			st.Removed = append(st.Removed, e.old)
+		}
+		if kind != entryDelete {
+			st.Added = append(st.Added, e.new)
 		}
 	}
 	if st.Len() == 0 {

@@ -87,11 +87,11 @@ func TestDeleteThenInsertBecomesModify(t *testing.T) {
 		t.Fatalf("expected one modify step, got %v", steps)
 	}
 	old, _ := cat.Table("part").Get(rel.Int(3))
-	if !steps[0].OldRows[0].Equal(old) {
-		t.Errorf("modify old row = %v, want committed %v", steps[0].OldRows[0], old)
+	if !steps[0].Removed[0].Equal(old) {
+		t.Errorf("modify old row = %v, want committed %v", steps[0].Removed[0], old)
 	}
-	if !steps[0].NewRows[0].Equal(rel.Row{rel.Int(3), rel.Str("reborn")}) {
-		t.Errorf("modify new row = %v", steps[0].NewRows[0])
+	if !steps[0].Added[0].Equal(rel.Row{rel.Int(3), rel.Str("reborn")}) {
+		t.Errorf("modify new row = %v", steps[0].Added[0])
 	}
 	checkAccounting(t, q)
 }
@@ -124,10 +124,10 @@ func TestUpdateComposition(t *testing.T) {
 			ins = &steps[i]
 		}
 	}
-	if mod == nil || !mod.NewRows[0].Equal(rel.Row{rel.Int(1), rel.Str("c")}) {
+	if mod == nil || !mod.Added[0].Equal(rel.Row{rel.Int(1), rel.Str("c")}) {
 		t.Errorf("composed update = %+v", mod)
 	}
-	if ins == nil || !ins.Rows[0].Equal(rel.Row{rel.Int(7), rel.Str("y")}) {
+	if ins == nil || !ins.Added[0].Equal(rel.Row{rel.Int(7), rel.Str("y")}) {
 		t.Errorf("updated insert = %+v", ins)
 	}
 	if q.CoalescedRows() != 3 {
@@ -153,8 +153,8 @@ func TestModifyThenDelete(t *testing.T) {
 	if len(steps) != 1 || steps[0].Op != OpDelete {
 		t.Fatalf("expected one delete step, got %v", steps)
 	}
-	if !steps[0].OldRows[0].Equal(rel.Row{rel.Int(3), rel.Str("p")}) {
-		t.Errorf("delete old row = %v, want committed row", steps[0].OldRows[0])
+	if !steps[0].Removed[0].Equal(rel.Row{rel.Int(3), rel.Str("p")}) {
+		t.Errorf("delete old row = %v, want committed row", steps[0].Removed[0])
 	}
 	checkAccounting(t, q)
 }

@@ -324,16 +324,11 @@ func (a *AggMaterialized) rendered(rows []rel.Row) []rel.Row {
 // aggregate values with standard NULL semantics.
 func (a *AggMaterialized) Rows() []rel.Row { return a.rendered(a.linked()) }
 
-// applyAgg maintains an aggregation view: the aggregated primary delta is
-// folded in with the update's sign, then the secondary delta (computed from
-// base tables — an aggregated view cannot serve term extraction, Section
-// 5.3) is folded with the opposite sign. evidence is the context the
-// Section 5.3 anti-joins read the base tables through.
-func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Context, plan *tablePlan, primary exec.Relation, isInsert bool, stats *MaintStats) error {
-	sign := int64(1)
-	if !isInsert {
-		sign = -1
-	}
+// applyAgg maintains an aggregation view for one half of a signed delta:
+// the aggregated primary delta is folded in with the half's sign, then the
+// secondary delta (computed from base tables — an aggregated view cannot
+// serve term extraction, Section 5.3) is folded with the opposite sign.
+func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, ctx *exec.Context, plan *tablePlan, primary exec.Relation, sign int64, stats *MaintStats) error {
 	applySpan := span.Child("primary.apply").SetInt("rows", int64(len(primary.Rows)))
 	if len(primary.Rows) > 0 {
 		if err := cs.foldGroups("agg-primary-fold", primary.Rows, primary.Schema, sign); err != nil {
@@ -346,8 +341,9 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Cont
 		return nil
 	}
 	sec := span.Child("secondary").SetStr("source", "base")
-	defer sec.End()
-	cands, err := secondaryCandidatesAll(evidence, sec, plan, primary)
+	before := stats.SecondaryRows
+	defer func() { sec.SetInt("rows", int64(stats.SecondaryRows-before)).End() }()
+	cands, err := secondaryCandidatesAll(ctx, sec, plan, primary, sign)
 	if err != nil {
 		return err
 	}
@@ -363,9 +359,7 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, evidence *exec.Cont
 		if err != nil {
 			return err
 		}
-		stats.SecondaryByTerm[ip.term.SourceKey()] = len(cand.Rows)
-		stats.SecondaryRows += len(cand.Rows)
+		stats.addSecondary(ip.term.SourceKey(), len(cand.Rows))
 	}
-	sec.SetInt("rows", int64(stats.SecondaryRows))
 	return nil
 }

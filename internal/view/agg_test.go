@@ -75,7 +75,7 @@ func TestAggViewMaintenance(t *testing.T) {
 				}
 			}
 			// Updates in place: a row keeps its key, so the rows it joins
-			// keep their partner across the delete and the insert pass.
+			// keep their partner across the removed and the added half.
 			for _, table := range []string{"C", "O"} {
 				rows := cat.Table(table).Rows()
 				rel.SortRows(rows)

@@ -310,7 +310,7 @@ func BenchmarkMemberSnapshotRows(b *testing.B) {
 }
 
 // aggCommitBytes returns what one commit on V2's aggregate allocates —
-// Begin, ApplyInsert of 1 000 fresh orders of 100 customers spread evenly
+// Begin, ApplyDelta of 1 000 fresh orders of 100 customers spread evenly
 // over the key space, CommitStaged and a pin that seals it — over a catalog
 // of the given number of customers, about nine groups in ten of them, with
 // snapshots on or off: the median of five rounds, each undone by a
@@ -349,7 +349,7 @@ func aggCommitBytes(t *testing.T, customers int, snapshots bool) uint64 {
 		}
 		runtime.ReadMemStats(&before)
 		cs := m.Begin()
-		stats, err := m.ApplyInsert(cs, "O", delta)
+		stats, err := m.ApplyDelta(cs, "O", nil, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,12 +150,12 @@ func faultScenarios() []faultScenario {
 		},
 		{
 			name:      "v1-modify-T",
-			wantSites: []string{"primary-delete", "modify-between-passes", "primary-insert"},
+			wantSites: []string{"primary-delete", "primary-insert"},
 			build: func(t *testing.T, opts Options) (*Maintainer, func() (*MaintStats, error)) {
 				cat, m := newV1Maintainer(t, false, opts)
-				// Rewire several T rows' join columns: the delete pass tears
-				// out their join rows (creating orphans), and the insert
-				// pass re-joins them to different R partners (c stays inside
+				// Rewire several T rows' join columns: the removed half tears
+				// out their join rows (creating orphans), and the added
+				// half re-joins them to different R partners (c stays inside
 				// the generator domain so the new rows are not dropped by
 				// V1's row-preserving left side). Rows() has map order, so
 				// sort to keep every fail-index iteration on the same update.
@@ -287,15 +287,15 @@ func TestFaultInjectionRollback(t *testing.T) {
 	}
 }
 
-// TestOnModifyMergesAllStats pins the merged statistics of a decomposed
-// modify against the same update run as a separate delete and insert on a
+// TestOnModifyMergesAllStats pins the statistics of a modify's one signed
+// run against the same update run as a separate delete and insert on a
 // twin fixture: the report reads as an insert on T, row counts (including
-// the per-term secondary breakdown) must sum across the passes and the term
-// counts must survive the merge.
+// the per-term secondary breakdown) must sum across the two halves and the
+// term counts must survive.
 func TestOnModifyMergesAllStats(t *testing.T) {
 	build := func() (*rel.Catalog, *Maintainer, []rel.Row, []rel.Row) {
 		cat, m := newV1Maintainer(t, false, Options{})
-		// Rewire every T row so the delete pass is guaranteed to orphan the
+		// Rewire every T row so the removed half is guaranteed to orphan the
 		// R-S and U sides (no T row survives to absorb them).
 		tRows := cat.Table("T").Rows()
 		rel.SortRows(tRows)
@@ -347,7 +347,7 @@ func TestOnModifyMergesAllStats(t *testing.T) {
 	if del.SecondaryRows == 0 {
 		t.Fatal("update produces no delete-pass secondary rows; the merge has nothing to preserve")
 	}
-	// A modify reads as its insert pass, with the delete pass folded in.
+	// A modify reads as an insert, with the removed half's rows summed in.
 	if !merged.Insert || merged.Table != "T" || !merged.Committed {
 		t.Errorf("merged Insert=%v Table=%q Committed=%v, want true, T, true", merged.Insert, merged.Table, merged.Committed)
 	}

@@ -29,8 +29,8 @@ import (
 // view key, a missing deletion row, a Section 5.2/5.3 cleanup failure)
 // would leave the view half-maintained and permanently inconsistent with
 // those tables. The changeset is what makes OnInsert/OnDelete/OnModify —
-// and, through the staged Apply* API, the multi-view ojv.Database update
-// path — all-or-nothing.
+// and, through the staged ApplyDelta, the multi-view ojv.Database update
+// path — all-or-nothing: a modify's two halves stage into one changeset.
 //
 // A changeset is single-use and not safe for concurrent use; a maintenance
 // run applies its view mutations on one goroutine, so one changeset per run
@@ -49,7 +49,6 @@ import (
 //	                          a group the primary delta replaces
 //	agg-secondary-fold        aggregation view, the delete or the insert of
 //	                          a group the secondary delta replaces
-//	modify-between-passes     OnModify, between the delete and insert passes
 type Changeset struct {
 	m    *Maintainer
 	rows []rowUndo

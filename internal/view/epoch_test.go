@@ -164,7 +164,7 @@ func TestAggEpochPinnedAcrossCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := m.Begin()
-	if _, err := m.ApplyInsert(cs, "O", oRows); err != nil {
+	if _, err := m.ApplyDelta(cs, "O", nil, oRows); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Len() == 0 {

@@ -30,7 +30,7 @@ func checkLeftDeepEquivalence(cat *rel.Catalog, expr algebra.Expr, table string,
 	for i := 0; i < 1+rng.Intn(5); i++ {
 		delta = append(delta, rtRow(rng, int64(5000+i)))
 	}
-	ctx := &exec.Context{Catalog: cat, DeltaTable: table, Delta: delta, DeltaIsInsert: true}
+	ctx := &exec.Context{Catalog: cat, DeltaTable: table, Delta: delta, Added: delta}
 	a, err := exec.Eval(ctx, bushy)
 	if err != nil {
 		return fmt.Errorf("bushy eval: %w", err)
@@ -110,7 +110,7 @@ func TestLeftDeepEquivalenceV1(t *testing.T) {
 			}
 			delta = append(delta, row)
 		}
-		ctx := &exec.Context{Catalog: cat, DeltaTable: table, Delta: delta, DeltaIsInsert: true}
+		ctx := &exec.Context{Catalog: cat, DeltaTable: table, Delta: delta, Added: delta}
 		a, err := exec.Eval(ctx, bushy)
 		if err != nil {
 			t.Fatal(err)

@@ -13,11 +13,11 @@ import (
 )
 
 // Maintainer keeps a materialized view synchronized with its base tables.
-// Call OnInsert/OnDelete after the base-table update has been applied to
-// the catalog, exactly as the paper assumes ("the base tables have already
-// been updated"). A Maintainer is a view family (family.go): it stores and
-// maintains the rows of every Member once; NewMaintainer makes a family of
-// one.
+// Call OnInsert/OnDelete/OnModify, or stage ApplyDelta, after the base-table
+// update has been applied to the catalog, exactly as the paper assumes
+// ("the base tables have already been updated"). A Maintainer is a view
+// family (family.go): it stores and maintains the rows of every Member
+// once; NewMaintainer makes a family of one.
 type Maintainer struct {
 	mv  *Materialized
 	agg *AggMaterialized // non-nil for aggregation views
@@ -153,10 +153,6 @@ func (p *tablePlan) Graph() *algebra.MaintGraph { return p.graph }
 // empty or when no term is directly affected).
 func (p *tablePlan) PrimaryExpr() algebra.Expr { return p.primary }
 
-// IndirectTermCount returns how many indirectly affected terms the plan
-// cleans up.
-func (p *tablePlan) IndirectTermCount() int { return len(p.indirect) }
-
 // indirectPlan drives the secondary delta for one indirectly affected term.
 type indirectPlan struct {
 	term algebra.Term
@@ -181,7 +177,9 @@ type parentBase struct {
 	qip        algebra.Pred
 }
 
-// MaintStats reports what one maintenance run did.
+// MaintStats reports what one maintenance run did. Insert is set when the
+// run's signed delta added rows (an insert or a modify); the row counts sum
+// both halves of the delta.
 type MaintStats struct {
 	Table         string
 	Insert        bool
@@ -190,8 +188,7 @@ type MaintStats struct {
 	PrimaryRows   int
 	SecondaryRows int
 	// SecondaryByTerm maps a term's source key to the orphan rows added or
-	// removed for it. For a modify it sums the delete- and insert-pass
-	// contributions per term.
+	// removed for it, both halves of the delta summed.
 	SecondaryByTerm map[string]int
 	// UndoRecords counts the undo-log records the run staged before
 	// committing (one per view mutation).
@@ -608,27 +605,20 @@ func buildJoinTree(leaves []algebra.Expr, conjuncts []algebra.Pred) algebra.Expr
 // OnInsert maintains the view after rows were inserted into table. The run
 // is atomic: on error the view rolls back to its pre-call state.
 func (m *Maintainer) OnInsert(table string, delta []rel.Row) (*MaintStats, error) {
-	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyInsert(cs, table, delta)
-	})
+	return m.onDelta(table, nil, delta)
 }
 
 // OnDelete maintains the view after rows were deleted from table. The run
 // is atomic: on error the view rolls back to its pre-call state.
 func (m *Maintainer) OnDelete(table string, delta []rel.Row) (*MaintStats, error) {
-	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyDelete(cs, table, delta)
-	})
+	return m.onDelta(table, delta, nil)
 }
 
-// OnModify maintains the view for an update decomposed into delete+insert.
-// The foreign-key optimizations are disabled, per the first exclusion of
-// Section 6. Both passes stage into one changeset, so a failure between or
-// within them rolls the whole modify back.
+// OnModify maintains the view after an update replaced the deleted rows of
+// table by the inserted ones. The run is atomic: on error the view rolls
+// back to its pre-call state.
 func (m *Maintainer) OnModify(table string, deleted, inserted []rel.Row) (*MaintStats, error) {
-	return m.atomically(func(cs *Changeset) (*MaintStats, error) {
-		return m.ApplyModify(cs, table, deleted, inserted)
-	})
+	return m.onDelta(table, deleted, inserted)
 }
 
 // Footprint returns every base table a maintenance run of this view may
@@ -653,11 +643,11 @@ func (m *Maintainer) Footprint() []string {
 	return out
 }
 
-// atomically runs one staged maintenance pass in a fresh changeset,
-// committing on success and rolling back on error.
-func (m *Maintainer) atomically(f func(*Changeset) (*MaintStats, error)) (*MaintStats, error) {
+// onDelta runs ApplyDelta in a fresh changeset, committing on success and
+// rolling back on error.
+func (m *Maintainer) onDelta(table string, removed, added []rel.Row) (*MaintStats, error) {
 	cs := m.Begin()
-	stats, err := f(cs)
+	stats, err := m.ApplyDelta(cs, table, removed, added)
 	if err != nil {
 		if rbErr := m.RollbackStaged(cs); rbErr != nil {
 			return nil, fmt.Errorf("%v; additionally: %w", err, rbErr)
@@ -672,7 +662,7 @@ func (m *Maintainer) atomically(f func(*Changeset) (*MaintStats, error)) (*Maint
 // count and commit flag. Commit gets its own root span (attrs: view,
 // undo_records) so trace consumers can separate maintenance work from
 // transaction bookkeeping; the undo-record and commit counters publish to
-// the registry here. Used by atomically and by the Database, which commits
+// the registry here. Used by onDelta and by the Database, which commits
 // several views' staged changesets together.
 func (m *Maintainer) CommitStaged(cs *Changeset, stats *MaintStats) {
 	stats.UndoRecords = cs.Len()
@@ -707,55 +697,20 @@ func (m *Maintainer) Rebuild(cs *Changeset) error {
 	return m.Materialize()
 }
 
-// ApplyInsert stages the maintenance for an insert batch into cs without
-// committing; the caller owns Commit/Rollback. The Database uses this to
-// make one base-table update atomic across every affected view.
-func (m *Maintainer) ApplyInsert(cs *Changeset, table string, delta []rel.Row) (*MaintStats, error) {
-	return m.maintain("insert", table, func(root *obs.Span) (*MaintStats, error) {
-		return m.apply(cs, root, table, delta, nil, true, true)
-	})
-}
-
-// ApplyDelete stages the maintenance for a delete batch into cs without
-// committing (see ApplyInsert).
-func (m *Maintainer) ApplyDelete(cs *Changeset, table string, delta []rel.Row) (*MaintStats, error) {
-	return m.maintain("delete", table, func(root *obs.Span) (*MaintStats, error) {
-		return m.apply(cs, root, table, delta, nil, false, true)
-	})
-}
-
-// ApplyModify stages both passes of a decomposed modify into cs without
-// committing, merging the two passes' statistics.
-func (m *Maintainer) ApplyModify(cs *Changeset, table string, deleted, inserted []rel.Row) (*MaintStats, error) {
-	return m.maintain("modify", table, func(root *obs.Span) (*MaintStats, error) {
-		del := root.Child("pass.delete")
-		s1, err := m.apply(cs, del, table, deleted, inserted, false, false)
-		del.End()
-		if err != nil {
-			return nil, err
-		}
-		if err := cs.fail("modify-between-passes"); err != nil {
-			return nil, err
-		}
-		ins := root.Child("pass.insert")
-		s2, err := m.apply(cs, ins, table, inserted, nil, true, false)
-		ins.End()
-		if err != nil {
-			return nil, err
-		}
-		// The insert pass's report carries the modify: Insert set, the
-		// delete pass's rows folded in.
-		return AccumulateStats(s2, s1), nil
-	})
-}
-
-// maintain runs one staged maintenance under its view.maintain root span,
-// which ends on every exit. A panic skips the End of every span it unwinds
-// through, so on a panic the root ends its whole tree (obs.Span.EndAll):
-// the write that contains the panic (ojv.PanicError) keeps a well-formed
-// trace.
-func (m *Maintainer) maintain(op, table string, run func(root *obs.Span) (*MaintStats, error)) (*MaintStats, error) {
-	root := m.startMaintSpan(op, table)
+// ApplyDelta stages the maintenance of one step's signed delta on table
+// into cs without committing; the caller owns Commit/Rollback. removed are
+// the rows the step took out of the table and added the rows it put in, both
+// already applied to the catalog: an insert has only added rows, a delete
+// only removed ones, and a modify both, its old and new images paired by
+// key. The Database uses this to make one base-table update atomic across
+// every affected view.
+//
+// The run sits under one view.maintain root span, which ends on every exit.
+// A panic skips the End of every span it unwinds through, so on a panic the
+// root ends its whole tree (obs.Span.EndAll): the write that contains the
+// panic (ojv.PanicError) keeps a well-formed trace.
+func (m *Maintainer) ApplyDelta(cs *Changeset, table string, removed, added []rel.Row) (*MaintStats, error) {
+	root := m.startMaintSpan(table, removed, added)
 	returned := false
 	defer func() {
 		if !returned {
@@ -763,17 +718,24 @@ func (m *Maintainer) maintain(op, table string, run func(root *obs.Span) (*Maint
 		}
 		root.End()
 	}()
-	stats, err := run(root)
+	stats, err := m.apply(cs, root, table, removed, added)
 	returned = true
 	return stats, err
 }
 
 // startMaintSpan opens the root span of one maintenance run. Returns nil
 // (a no-op span) when tracing is disabled.
-func (m *Maintainer) startMaintSpan(op, table string) *obs.Span {
+func (m *Maintainer) startMaintSpan(table string, removed, added []rel.Row) *obs.Span {
 	root := m.opts.Tracer.StartSpan("view.maintain")
 	if root == nil {
 		return nil
+	}
+	op := "modify"
+	switch {
+	case len(removed) == 0:
+		op = "insert"
+	case len(added) == 0:
+		op = "delete"
 	}
 	strategy := "from-view"
 	if m.opts.Strategy == StrategyFromBase {
@@ -785,7 +747,7 @@ func (m *Maintainer) startMaintSpan(op, table string) *obs.Span {
 
 // AccumulateStats folds one maintenance run's stats into a batch
 // accumulator. A nil accumulator adopts s itself — the caller hands over a
-// MaintStats fresh from Apply* that nothing else holds — and later runs
+// MaintStats fresh from ApplyDelta that nothing else holds — and later runs
 // fold into it. Row counts and per-term orphan accounting sum across the
 // runs; Table collapses to "" when runs span tables; the term counts keep
 // their maximum, so neither run's plan shape is dropped.
@@ -810,18 +772,27 @@ func AccumulateStats(acc, s *MaintStats) *MaintStats {
 	return acc
 }
 
-// apply stages one maintenance pass for delta, the rows inserted into or
-// deleted from table. replacing is set on a modify's delete pass: the new
-// images, which the table already holds.
-func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, replacing []rel.Row, isInsert, fkOK bool) (*MaintStats, error) {
-	stats := &MaintStats{Table: table, Insert: isInsert, SecondaryByTerm: make(map[string]int)}
+// addSecondary counts n orphan rows the run added or removed for a term.
+func (s *MaintStats) addSecondary(term string, n int) {
+	s.SecondaryByTerm[term] += n
+	s.SecondaryRows += n
+}
+
+// apply stages one maintenance run over a signed delta: the removed half in
+// full (ΔV^D, the primary delete, then §5.2 nomination or the §5.3 delete
+// case), then the added half, as the paper maintains an update: a delete
+// followed by an insert. A two-sided delta is such an update, for which the
+// §6 foreign-key optimizations are unsound (its first exclusion), so the run
+// plans without them.
+func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed, added []rel.Row) (*MaintStats, error) {
+	stats := &MaintStats{Table: table, Insert: len(added) > 0, SecondaryByTerm: make(map[string]int)}
 	// Publish the run's row accounting to the registry on every exit path
 	// (including aborted runs: the invariant tests snapshot per attempt).
 	defer func() {
 		m.opts.Metrics.Add("view.rows.primary", int64(stats.PrimaryRows))
 		m.opts.Metrics.Add("view.rows.secondary", int64(stats.SecondaryRows))
 	}()
-	if len(delta) == 0 {
+	if len(removed) == 0 && len(added) == 0 {
 		return stats, nil
 	}
 	// The plan span also covers the cheap preparatory checks, so the phase
@@ -838,24 +809,47 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		planSpan.End()
 		return stats, nil
 	}
-	plan, err := m.Plan(table, fkOK)
+	plan, err := m.Plan(table, len(removed) == 0 || len(added) == 0)
 	planSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	stats.DirectTerms = len(plan.graph.DirectTerms())
 	stats.IndirectTerms = len(plan.indirect)
+	if err := m.applyHalf(cs, span, plan, removed, added, -1, stats); err != nil {
+		return nil, err
+	}
+	if err := m.applyHalf(cs, span, plan, removed, added, +1, stats); err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
 
+// applyHalf stages one half of a signed delta: the removed rows when sign is
+// −1, the added rows when it is +1. Both halves read the table through one
+// context: its DeltaRef is the half's rows, and its OldTableRef the table's
+// pre-step state. So the §5.3 evidence of the removed half is the table as it
+// stands (are its candidates orphans after the step?) and that of the added
+// half the pre-step state (were its candidates orphans before it?).
+func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, removed, added []rel.Row, sign int64, stats *MaintStats) error {
+	delta := added
+	if sign < 0 {
+		delta = removed
+	}
+	if len(delta) == 0 {
+		return nil
+	}
 	// The eval span covers execution-context construction too; the executor
 	// attaches its per-operator pipeline spans beneath it.
 	evalSpan := span.Child("primary.eval")
 	ctx := &exec.Context{
-		Catalog:       m.def.cat,
-		DeltaTable:    table,
-		Delta:         delta,
-		DeltaIsInsert: isInsert,
-		Metrics:       m.opts.Metrics,
-		Span:          evalSpan,
+		Catalog:    m.def.cat,
+		DeltaTable: plan.table,
+		Removed:    removed,
+		Added:      added,
+		Delta:      delta,
+		Metrics:    m.opts.Metrics,
+		Span:       evalSpan,
 	}
 	// The full-width primary delta is needed by aggregation, by from-base
 	// candidate computation and by every deletion, which reads view keys,
@@ -865,57 +859,45 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 	// by batch and projects each batch straight to the output schema — the
 	// wide intermediate never materializes.
 	useView := m.opts.Strategy != StrategyFromBase
-	needPrimary := m.agg != nil || !isInsert || (len(plan.indirect) > 0 && !useView)
+	needPrimary := m.agg != nil || sign < 0 || (len(plan.indirect) > 0 && !useView)
 	var primary exec.Relation
 	var projected []rel.Row
 	primaryRows := 0
 	var primaryBatches int64
 	if plan.primary != nil {
+		var err error
 		if needPrimary {
 			primary, primaryBatches, err = evalCounted(ctx, plan.run)
-			if err != nil {
-				evalSpan.End()
-				return nil, err
-			}
 			primaryRows = len(primary.Rows)
 		} else {
-			projected, primaryRows, primaryBatches, err = streamProjected(ctx, plan)
-			if err != nil {
-				evalSpan.End()
-				return nil, err
-			}
+			primaryBatches, err = drain(ctx, plan.run, func(rows []rel.Row) {
+				primaryRows += len(rows)
+				projected = projectRows(projected, rows, plan.outCols)
+			})
+		}
+		if err != nil {
+			evalSpan.End()
+			return err
 		}
 	}
 	evalSpan.SetInt("rows", int64(primaryRows)).SetInt("batches", primaryBatches)
 	evalSpan.End()
-	stats.PrimaryRows = primaryRows
+	stats.PrimaryRows += primaryRows
 
 	if m.agg != nil {
-		// The Section 5.3 anti-joins read the updated table as this pass
-		// leaves it. A modify's delete pass runs with the new images already
-		// applied, and an aggregate folds every candidate it finds, so its
-		// anti-joins read the table without them, as the insert pass does:
-		// between the two passes the modified keys have no row. A stored view
-		// needs no such care: the insert pass's orphan delete skips an orphan
-		// that is absent.
-		evidence := ctx
-		if replacing != nil && len(plan.indirect) > 0 {
-			evidence = &exec.Context{Catalog: ctx.Catalog, DeltaTable: table, Delta: replacing,
-				DeltaIsInsert: true, Metrics: ctx.Metrics}
-		}
-		return stats, m.applyAgg(cs, span, evidence, plan, primary, isInsert, stats)
+		return m.applyAgg(cs, span, ctx, plan, primary, sign, stats)
 	}
 
 	// Step 1: apply the primary delta to the view.
 	applySpan := span.Child("primary.apply")
-	if isInsert {
+	if sign > 0 {
 		if needPrimary {
 			projected = projectRows(make([]rel.Row, 0, len(primary.Rows)), primary.Rows, plan.outCols)
 		}
 		for _, row := range projected {
 			if err := cs.insertRow("primary-insert", m.mv.viewKey(row), row); err != nil {
 				applySpan.End()
-				return nil, err
+				return err
 			}
 		}
 	} else {
@@ -925,11 +907,11 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 			_, ok, err := cs.deleteKey("primary-delete", key)
 			if err != nil {
 				applySpan.End()
-				return nil, err
+				return err
 			}
 			if !ok {
 				applySpan.End()
-				return nil, fmt.Errorf("view %s: primary delta row not found for deletion: %s", m.def.Name, projectRow(row, plan.outCols))
+				return fmt.Errorf("view %s: primary delta row not found for deletion: %s", m.def.Name, projectRow(row, plan.outCols))
 			}
 		}
 	}
@@ -938,11 +920,12 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 
 	// Step 2: compute and apply the secondary delta.
 	if len(plan.indirect) == 0 {
-		return stats, nil
+		return nil
 	}
 	sec := span.Child("secondary")
-	defer sec.End()
-	if useView && isInsert {
+	before := stats.SecondaryRows
+	defer func() { sec.SetInt("rows", int64(stats.SecondaryRows-before)).End() }()
+	if useView && sign > 0 {
 		// Insertion case via the view: the cleanups for all indirect terms
 		// are combined into a single pass over the primary delta — the
 		// direction the paper's future-work section sketches (combining the
@@ -951,14 +934,12 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 		sec.SetStr("source", "view-combined")
 		counts, err := m.secondaryInsertCombined(cs, plan.indirect, projected)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for key, n := range counts {
-			stats.SecondaryByTerm[key] = n
-			stats.SecondaryRows += n
+		for term, n := range counts {
+			stats.addSecondary(term, n)
 		}
-		sec.SetInt("rows", int64(stats.SecondaryRows))
-		return stats, nil
+		return nil
 	}
 	if useView {
 		// Deletion case via the view: terms are processed strictly in plan
@@ -971,90 +952,46 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, delta, r
 			ts.SetInt("rows", int64(n))
 			ts.End()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			stats.SecondaryByTerm[ip.term.SourceKey()] = n
-			stats.SecondaryRows += n
+			stats.addSecondary(ip.term.SourceKey(), n)
 		}
-		sec.SetInt("rows", int64(stats.SecondaryRows))
-		return stats, nil
+		return nil
 	}
 	// From-base cleanup: each term's candidate computation reads only the
 	// catalog and the primary delta — by Theorem 1 the net contributions of
 	// different terms are independent — so every term's candidates are
 	// computed before the first view mutation, which then run in plan order.
 	sec.SetStr("source", "base")
-	cands, err := secondaryCandidatesAll(ctx, sec, plan, primary)
+	cands, err := secondaryCandidatesAll(ctx, sec, plan, primary, sign)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, ip := range plan.indirect {
 		ts := sec.Child("term.apply").SetStr("term", ip.term.SourceKey())
-		n, err := m.applySecondaryFromBase(cs, ip, plan.fromBase[i], cands[i], isInsert)
+		n, err := m.applySecondaryFromBase(cs, ip, plan.fromBase[i], cands[i], sign)
 		ts.SetInt("rows", int64(n))
 		ts.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		stats.SecondaryByTerm[ip.term.SourceKey()] = n
-		stats.SecondaryRows += n
+		stats.addSecondary(ip.term.SourceKey(), n)
 	}
-	sec.SetInt("rows", int64(stats.SecondaryRows))
-	return stats, nil
+	return nil
 }
 
-// streamProjected runs the plan's ΔV^D program as a batch pipeline,
-// projecting every batch straight to the view's output schema: only the
-// projected rows accumulate, the full-width delta relation never exists.
-// Returns the projected rows, the wide row count and the batch count.
-func streamProjected(ctx *exec.Context, plan *tablePlan) ([]rel.Row, int, int64, error) {
-	src, err := plan.run.Start(ctx)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if err := src.Open(); err != nil {
-		src.Close()
-		return nil, 0, 0, err
-	}
-	var projected []rel.Row
-	total := 0
-	var batches int64
-	b := plan.run.Batch()
-	defer b.Clear()
-	for {
-		ok, err := src.Next(b)
-		if err != nil {
-			src.Close()
-			return nil, 0, 0, err
-		}
-		if !ok {
-			break
-		}
-		total += b.Len()
-		batches++
-		//ojvlint:ignore rowalias projectRows copies every row it keeps before this frame is refilled by the next Next
-		projected = projectRows(projected, b.Rows, plan.outCols)
-	}
-	if err := src.Close(); err != nil {
-		return nil, 0, 0, err
-	}
-	return projected, total, batches, nil
-}
-
-// evalCounted is exec.Eval over a program instance, with a batch count: it
-// drains one run into a Relation while counting the batches served, so the
-// primary.eval span can report batch granularity alongside rows (ojexplain
-// -stats).
-func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, error) {
+// drain runs one start of a program instance to its end, handing every
+// batch's rows to each, and returns the batch count. The rows' container is
+// scratch the next batch refills: each copies out whatever it keeps.
+func drain(ctx *exec.Context, run *exec.Instance, each func([]rel.Row)) (int64, error) {
 	src, err := run.Start(ctx)
 	if err != nil {
-		return exec.Relation{}, 0, err
+		return 0, err
 	}
 	if err := src.Open(); err != nil {
 		src.Close()
-		return exec.Relation{}, 0, err
+		return 0, err
 	}
-	out := exec.Relation{Schema: src.Schema()}
 	var batches int64
 	b := run.Batch()
 	defer b.Clear()
@@ -1062,17 +999,29 @@ func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, e
 		ok, err := src.Next(b)
 		if err != nil {
 			src.Close()
-			return exec.Relation{}, 0, err
+			return 0, err
 		}
 		if !ok {
 			break
 		}
 		batches++
-		// Rows are shared immutable references; the batch container is
-		// scratch, so copy the references out before the next Next.
-		out.Rows = append(out.Rows, b.Rows...)
+		each(b.Rows)
 	}
-	if err := src.Close(); err != nil {
+	return batches, src.Close()
+}
+
+// evalCounted is exec.Eval over a program instance, with a batch count: it
+// drains one run into a Relation while counting the batches served, so the
+// primary.eval span can report batch granularity alongside rows (ojexplain
+// -stats).
+func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, error) {
+	out := exec.Relation{Schema: run.Program().Schema()}
+	batches, err := drain(ctx, run, func(rows []rel.Row) {
+		// Rows are shared immutable references; copy them out of the scratch
+		// container.
+		out.Rows = append(out.Rows, rows...)
+	})
+	if err != nil {
 		return exec.Relation{}, 0, err
 	}
 	return out, batches, nil
@@ -1081,12 +1030,12 @@ func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, e
 // secondaryCandidatesAll computes every indirect term's surviving ΔDi
 // candidates from base tables, in term order. The result is indexed like
 // plan.indirect.
-func secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plan *tablePlan, primary exec.Relation) ([]exec.Relation, error) {
+func secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plan *tablePlan, primary exec.Relation, sign int64) ([]exec.Relation, error) {
 	cands := make([]exec.Relation, len(plan.indirect))
 	for i, ip := range plan.indirect {
 		ts := sec.Child("term.candidates").SetStr("term", ip.term.SourceKey())
 		var err error
-		cands[i], err = secondaryCandidatesFromBase(ctx, plan, ip, plan.fromBase[i], primary)
+		cands[i], err = secondaryCandidatesFromBase(ctx, plan, ip, plan.fromBase[i], primary, sign)
 		ts.SetInt("rows", int64(len(cands[i].Rows)))
 		ts.End()
 		if err != nil {

@@ -250,11 +250,14 @@ func probeChain(cand, evidence algebra.Expr, qip algebra.Pred) algebra.Expr {
 }
 
 // secondaryCandidatesFromBase computes the surviving ΔDi candidates for one
-// indirect term from base tables and the primary delta (Section 5.3),
-// reading the updated table as ctx binds it: after an insertion (the old
-// state) when its delta is an insert, after a deletion otherwise. The
-// returned relation carries all columns of the term's source tables.
-func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation) (exec.Relation, error) {
+// indirect term from base tables and the primary delta of one half of a
+// signed delta (Section 5.3). The removed half (sign −1) asks which
+// candidates are orphans after the step, so its evidence reads the updated
+// table as it stands; the added half (sign +1) asks which were orphans
+// before it, so its evidence reads the table's pre-step state, which ctx's
+// signed delta rebuilds. The returned relation carries all columns of the
+// term's source tables.
+func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirectPlan, fb *fromBaseTerm, primary exec.Relation, sign int64) (exec.Relation, error) {
 	if fb == nil {
 		return exec.Relation{}, nil
 	}
@@ -287,18 +290,14 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 	// short-circuits the remaining parents entirely.
 	for _, pp := range fb.parents {
 		run := pp.delete
-		if ctx.DeltaIsInsert {
+		if sign > 0 {
 			run = pp.insert
 		}
-		sub := &exec.Context{
-			Catalog:       ctx.Catalog,
-			DeltaTable:    ctx.DeltaTable,
-			Delta:         ctx.Delta,
-			DeltaIsInsert: ctx.DeltaIsInsert,
-			Rels:          map[string]exec.Relation{candRel: cand},
-			Metrics:       ctx.Metrics,
-		}
-		dismissed, _, err := evalCounted(sub, run)
+		// The chain binds the run's signed delta and the candidates; its
+		// operators open no spans.
+		sub := *ctx
+		sub.Rels, sub.Span = map[string]exec.Relation{candRel: cand}, nil
+		dismissed, _, err := evalCounted(&sub, run)
 		if err != nil {
 			return exec.Relation{}, err
 		}
@@ -329,10 +328,10 @@ func survivors(cand exec.Relation, dismissed []rel.Row, keyCols []int) exec.Rela
 }
 
 // applySecondaryFromBase applies one term's precomputed ΔDi candidates to
-// the stored view: prior orphans are deleted after an insertion, new orphans
-// are inserted after a deletion. Unlike candidate computation, application
+// the stored view: the added half (sign +1) deletes prior orphans, the
+// removed half inserts new ones. Unlike candidate computation, application
 // mutates the view and must run serially, in plan order.
-func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, fb *fromBaseTerm, cand exec.Relation, isInsert bool) (int, error) {
+func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, fb *fromBaseTerm, cand exec.Relation, sign int64) (int, error) {
 	if len(cand.Rows) == 0 {
 		return 0, nil
 	}
@@ -341,7 +340,7 @@ func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, fb 
 	var buf []byte
 	for _, c := range cand.Rows {
 		buf = mv.appendKey(buf[:0], c, fb.keyCols, ip.tiMask)
-		if isInsert {
+		if sign > 0 {
 			_, ok, err := cs.deleteKey("frombase-orphan-delete", buf)
 			if err != nil {
 				return n, err
@@ -351,7 +350,7 @@ func (m *Maintainer) applySecondaryFromBase(cs *Changeset, ip *indirectPlan, fb 
 			}
 			continue
 		}
-		// Deletion: insert the new orphan built from the candidate.
+		// The removed half: insert the new orphan built from the candidate.
 		if err := cs.insertRow("frombase-orphan-insert", string(buf), projectRow(c, fb.orphanCols)); err != nil {
 			return n, err
 		}

@@ -598,7 +598,7 @@ func OpenSnapshot(r io.Reader) (*Database, error) {
 // view it affects. The call is atomic: on error neither the base table nor
 // any view has changed.
 func (db *Database) Insert(table string, rows []Row) error {
-	_, err := db.execute(pipeline.Step{Table: table, Op: pipeline.OpInsert, Rows: rows})
+	_, err := db.execute(pipeline.Step{Table: table, Op: pipeline.OpInsert, Added: rows})
 	return err
 }
 
@@ -611,17 +611,18 @@ func (db *Database) Delete(table string, keys [][]Value) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.OldRows, nil
+	return st.Removed, nil
 }
 
-// Update replaces a row in place (the key must not change). For view
-// maintenance the update is decomposed into a delete plus an insert with
-// the foreign-key optimizations disabled, per the paper's first exclusion
-// in Section 6. The call is atomic: on error neither the base table nor
-// any view has changed.
+// Update replaces a row in place (the key must not change). Each view is
+// maintained in one run over the signed delta the update makes, the old
+// row removed and the new one added, which the paper maintains as a delete
+// followed by an insert with the foreign-key optimizations disabled (its
+// first exclusion in Section 6). The call is atomic: on error neither the
+// base table nor any view has changed.
 func (db *Database) Update(table string, key []Value, newRow Row) error {
 	_, err := db.execute(pipeline.Step{Table: table, Op: pipeline.OpModify,
-		Keys: [][]Value{key}, OldRows: make([]Row, 1), NewRows: []Row{newRow}})
+		Keys: [][]Value{key}, Removed: make([]Row, 1), Added: []Row{newRow}})
 	return err
 }
 

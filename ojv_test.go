@@ -222,3 +222,56 @@ func TestPredicateHelpers(t *testing.T) {
 		t.Errorf("pred string = %s", p)
 	}
 }
+
+// TestValueUpdateOfParent updates a parent row's value, key unchanged, under
+// P ⟗ C: the update's signed delta removes and re-adds every join row of the
+// parent, and each §5.3 candidate (a child of the parent) is evidenced after
+// the update by the new image and before it by the old one. So an
+// aggregation view grouped by the updated column folds no candidate either
+// way, and a from-base SPOJ view finds no orphan to add or remove; both still
+// equal recomputation.
+func TestValueUpdateOfParent(t *testing.T) {
+	db := ojv.NewDatabase()
+	db.MustCreateTable("P", ojv.Cols(ojv.IntCol("pk"), ojv.IntCol("pv")), "pk")
+	db.MustCreateTable("C", ojv.Cols(ojv.IntCol("ck"), ojv.IntCol("cpk"), ojv.IntCol("cv")), "ck")
+	if err := db.Insert("P", []ojv.Row{{ojv.Int(1), ojv.Int(10)}, {ojv.Int(2), ojv.Int(20)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("C", []ojv.Row{
+		{ojv.Int(1), ojv.Int(1), ojv.Int(5)},
+		{ojv.Int(2), ojv.Int(1), ojv.Int(6)},
+		{ojv.Int(3), ojv.Int(2), ojv.Int(7)},
+		{ojv.Int(4), ojv.Int(9), ojv.Int(8)}, // an orphan child
+	}); err != nil {
+		t.Fatal(err)
+	}
+	join := ojv.Table("P").FullJoin(ojv.Table("C"), ojv.Eq("P", "pk", "C", "cpk"))
+	agg, err := db.CreateAggregateView("by_pv", join, ojv.AggSpec{
+		GroupCols: []ojv.ColRef{ojv.Col("P", "pv")},
+		Aggs:      []ojv.Aggregate{ojv.Count("n"), ojv.Sum(ojv.Col("C", "cv"), "s")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoj, err := db.CreateView("pc", join, ojv.Columns("P.pk", "P.pv", "C.ck", "C.cv"),
+		ojv.Options{Strategy: ojv.StrategyFromBase})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update("P", []ojv.Value{ojv.Int(1)}, ojv.Row{ojv.Int(1), ojv.Int(11)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*ojv.View{agg, spoj} {
+		if err := v.Check(); err != nil {
+			t.Fatalf("%s: %v", v.Name(), err)
+		}
+		if got := v.LastStats.SecondaryRows; got != 0 {
+			t.Errorf("%s: SecondaryRows = %d, want 0: every candidate is evidenced on both sides of the update", v.Name(), got)
+		}
+	}
+	// The aggregate's whole change is its primary folds: group 10 loses its
+	// two rows and goes, group 11 arrives.
+	if got := agg.LastStats.UndoRecords; got != 2 {
+		t.Errorf("by_pv: UndoRecords = %d, want 2", got)
+	}
+}

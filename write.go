@@ -20,8 +20,8 @@ import (
 
 // execute runs one synchronous statement as a one-step plan over the one
 // component its table belongs to, through the catalog's validating
-// appliers. It returns the step as applied: a delete's OldRows carry the
-// rows the catalog removed.
+// appliers. It returns the step as applied: a delete's Removed rows are
+// the rows the catalog removed.
 func (db *Database) execute(st pipeline.Step) (pipeline.Step, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -247,13 +247,13 @@ func rebuild(s stagedFamily) (err error) {
 func (db *Database) applyBase(st *pipeline.Step) (err error) {
 	switch st.Op {
 	case pipeline.OpInsert:
-		return db.cat.Insert(st.Table, st.Rows)
+		return db.cat.Insert(st.Table, st.Added)
 	case pipeline.OpDelete:
-		st.OldRows, err = db.cat.Delete(st.Table, st.Keys)
+		st.Removed, err = db.cat.Delete(st.Table, st.Keys)
 		return err
 	}
 	for i := range st.Keys {
-		if st.OldRows[i], err = db.cat.Update(st.Table, st.Keys[i], st.NewRows[i]); err != nil {
+		if st.Removed[i], err = db.cat.Update(st.Table, st.Keys[i], st.Added[i]); err != nil {
 			return err
 		}
 	}
@@ -261,21 +261,13 @@ func (db *Database) applyBase(st *pipeline.Step) (err error) {
 }
 
 // stageStep stages one applied step's maintenance into each family's
-// changeset: every family starts its own compiled ΔV^D program against the
-// step's delta.
-func stageStep(st *pipeline.Step, staged []stagedFamily) (err error) {
+// changeset: every family runs its compiled ΔV^D program over the step's
+// signed delta.
+func stageStep(st *pipeline.Step, staged []stagedFamily) error {
 	for j := range staged {
 		s := &staged[j]
 		m := s.f.m
-		var stats *MaintStats
-		switch st.Op {
-		case pipeline.OpInsert:
-			stats, err = m.ApplyInsert(s.cs, st.Table, st.Rows)
-		case pipeline.OpDelete:
-			stats, err = m.ApplyDelete(s.cs, st.Table, st.OldRows)
-		case pipeline.OpModify:
-			stats, err = m.ApplyModify(s.cs, st.Table, st.OldRows, st.NewRows)
-		}
+		stats, err := m.ApplyDelta(s.cs, st.Table, st.Removed, st.Added)
 		if err != nil {
 			return fmt.Errorf("maintaining view %s: %w", m.Name(), err)
 		}

@@ -162,12 +162,14 @@ func TestWritePathFaultMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "modify-between-passes",
-			ride: []stmt{insertStmt("c", Row{Int(8), Str("ride")})},
+			// The update's first primary-insert is its added half's, which
+			// runs once the removed half has staged in full; no statement
+			// rides along, since a flush applies inserts before modifies.
+			name: "modify fails in its added half",
 			stmt: func(w writer) error {
 				return w.Update("c", []Value{Int(1)}, Row{Int(1), Str("ada2")})
 			},
-			failSite: "modify-between-passes",
+			failSite: "primary-insert",
 			wantErr:  errInjected,
 			retry:    true,
 		},
