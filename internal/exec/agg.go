@@ -60,9 +60,11 @@ func compileGroupBy(n *node, e *algebra.GroupBy) error {
 	return nil
 }
 
-// group is one aggregation group: its key values and aggregate states.
+// group is one aggregation group: its output row, carved when the group is
+// first seen with the key values in place and the aggregates filled in at
+// finalization, and its aggregate states.
 type group struct {
-	key  rel.Row
+	row  rel.Row
 	aggs []aggState
 }
 
@@ -119,7 +121,10 @@ func (s *groupBySource) fold() error {
 			k := rel.EncodeRowCols(r, s.groupCols)
 			g := groups[k]
 			if g == nil {
-				g = &group{key: r.Project(s.groupCols), aggs: make([]aggState, len(s.aggs))}
+				g = &group{row: s.ctx.newRow(len(s.schema)), aggs: make([]aggState, len(s.aggs))}
+				for i, c := range s.groupCols {
+					g.row[i] = r[c]
+				}
 				groups[k] = g
 				order = append(order, k)
 			}
@@ -146,30 +151,27 @@ func (s *groupBySource) fold() error {
 	s.out = make([]rel.Row, 0, len(groups))
 	for _, k := range order {
 		g := groups[k]
-		row := make(rel.Row, 0, len(s.schema))
-		row = append(row, g.key...)
+		at := g.row[len(s.groupCols):]
 		for i, a := range s.aggs {
 			st := g.aggs[i]
 			switch a.Func {
 			case algebra.AggCount:
 				if s.aggCols[i] < 0 {
-					row = append(row, rel.Int(st.count))
+					at[i] = rel.Int(st.count)
 				} else {
-					row = append(row, rel.Int(st.nonNull))
+					at[i] = rel.Int(st.nonNull)
 				}
 			case algebra.AggSum:
-				row = append(row, st.sum)
+				at[i] = st.sum
 			case algebra.AggAvg:
-				if st.nonNull == 0 {
-					row = append(row, rel.Null)
-				} else {
-					row = append(row, rel.Float(st.sum.AsFloat()/float64(st.nonNull)))
+				if st.nonNull != 0 {
+					at[i] = rel.Float(st.sum.AsFloat() / float64(st.nonNull))
 				}
 			default:
 				return fmt.Errorf("exec: unsupported aggregate %v", a.Func)
 			}
 		}
-		s.out = append(s.out, row)
+		s.out = append(s.out, g.row)
 	}
 	return nil
 }

@@ -14,9 +14,12 @@ const DefaultBatchSize = 1024
 // Batch is one unit of batch-at-a-time data flow: a slice of row
 // references. The slice (the container) is scratch owned by whoever calls
 // Next and is overwritten by the following Next call; the rows themselves
-// are shared, never mutated in place, and may be retained. Operators that
-// keep rows across batches (dedup, group-by, hash build) therefore retain
-// only the row references, never the batch.
+// are shared, never mutated in place, and may be retained for as long as
+// the run's arena (Context.Arena) is not reset — a row an operator builds is
+// carved from it. Operators that keep rows across batches (dedup, group-by,
+// hash build) therefore retain only the row references, never the batch.
+// Whoever binds an arena resets it only once it is done with every row of
+// the run; a context that binds none runs on a fresh arena, never reset.
 type Batch struct {
 	Rows []rel.Row
 }

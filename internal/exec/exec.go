@@ -67,6 +67,41 @@ type Context struct {
 	// attach under; the pipeline mirrors the plan tree beneath it, each
 	// operator span ending at Close with its total row and batch counts.
 	Span *obs.Span
+	// Arena is where the run carves every row it builds: join outputs, null
+	// extensions, λ's copies, projected, padded and grouped rows. Whoever
+	// binds one owns the rows' lifetime: they stay valid until the arena's
+	// Reset, which must come after the last read of the run's output. A
+	// context without one gets a fresh arena per start (Program.Start), so
+	// its rows live as long as anything refers to them.
+	Arena *rel.Arena
+}
+
+// withArena returns c, or, when it binds no arena, a copy of it binding a
+// fresh one.
+func (c *Context) withArena() *Context {
+	if c.Arena != nil {
+		return c
+	}
+	cp := *c
+	cp.Arena = new(rel.Arena)
+	return &cp
+}
+
+// newRow carves a row of width NULLs from the run's arena, publishing the
+// arena's growth (once per chunk, never per row) as exec.arena.grow_bytes.
+func (c *Context) newRow(width int) rel.Row {
+	r, grew := c.Arena.Row(width)
+	if grew > 0 {
+		c.Metrics.Add("exec.arena.grow_bytes", int64(grew))
+	}
+	return r
+}
+
+// cloneRow copies r into a row carved from the run's arena.
+func (c *Context) cloneRow(r rel.Row) rel.Row {
+	out := c.newRow(len(r))
+	copy(out, r)
+	return out
 }
 
 // TableSchema implements algebra.SchemaResolver. RelRef bindings shadow

@@ -129,13 +129,15 @@ func (c *compiler) compile(e algebra.Expr) (*node, error) {
 
 // Start instantiates the program for one run: it allocates the operator
 // tree, opens the operator spans under ctx.Span (parent before child) and
-// binds the run's deltas, relations, metrics and executor knobs. The
-// caller must Open the source, pull it with Next, and Close it on every
-// path once Start succeeded; a failed Start returns nothing to close.
+// binds the run's deltas, relations, metrics, arena and executor knobs (a
+// context that binds no arena runs on a fresh one). The caller must Open the
+// source, pull it with Next, and Close it on every path once Start
+// succeeded; a failed Start returns nothing to close.
 func (p *Program) Start(ctx *Context) (Source, error) {
 	if err := p.bound(ctx); err != nil {
 		return nil, err
 	}
+	ctx = ctx.withArena()
 	return p.root.start(ctx, ctx.span(), nil), nil
 }
 
@@ -175,6 +177,7 @@ func (in *Instance) Start(ctx *Context) (Source, error) {
 	if err := in.p.bound(ctx); err != nil {
 		return nil, err
 	}
+	ctx = ctx.withArena()
 	in.src = in.p.root.start(ctx, ctx.span(), in.src)
 	return in.src, nil
 }

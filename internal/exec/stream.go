@@ -163,7 +163,7 @@ func (c *compiler) compileOp(n *node) error {
 		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.project")
 			s := reuse[projectSource](old)
-			*s = projectSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp, s.in), cols: cols}
+			*s = projectSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.start(ctx, sp, s.in), cols: cols}
 			return s
 		}
 
@@ -225,7 +225,7 @@ func (c *compiler) compileOp(n *node) error {
 		n.start = func(ctx *Context, parent *obs.Span, old Source) Source {
 			sp := opSpan(parent, "exec.pad")
 			s := reuse[padSource](old)
-			*s = padSource{opBase: opBase{schema: n.schema, span: sp}, in: in.start(ctx, sp, s.in)}
+			*s = padSource{opBase: opBase{schema: n.schema, span: sp}, ctx: ctx, in: in.start(ctx, sp, s.in)}
 			return s
 		}
 
@@ -355,9 +355,10 @@ func (s *selectSource) Close() error {
 }
 
 // projectSource rewrites each row of the caller's batch to the projected
-// column set (one fresh row per input row, as projection narrows the row).
+// column set (one carved row per input row, as projection narrows the row).
 type projectSource struct {
 	opBase
+	ctx  *Context
 	in   Source
 	cols []int
 }
@@ -370,7 +371,11 @@ func (s *projectSource) Next(b *Batch) (bool, error) {
 		return false, err
 	}
 	for i, r := range b.Rows {
-		b.Rows[i] = r.Project(s.cols)
+		pr := s.ctx.newRow(len(s.cols))
+		for j, c := range s.cols {
+			pr[j] = r[c]
+		}
+		b.Rows[i] = pr
 	}
 	s.observe(b)
 	return true, nil
@@ -378,12 +383,13 @@ func (s *projectSource) Next(b *Batch) (bool, error) {
 
 func (s *projectSource) Close() error {
 	err := s.in.Close()
+	s.ctx = nil
 	s.finish()
 	return err
 }
 
 // compileNullIf compiles the λ operator: rows failing the Unless predicate
-// get the null-table columns cleared on a fresh copy; passing rows stream
+// get the null-table columns cleared on a carved copy; passing rows stream
 // through untouched.
 func compileNullIf(n *node, e *algebra.NullIf) error {
 	in := n.kids[0]
@@ -428,7 +434,7 @@ func (s *nullIfSource) Next(b *Batch) (bool, error) {
 		if s.pred(r) == algebra.True {
 			continue
 		}
-		nr := r.Clone()
+		nr := s.ctx.cloneRow(r)
 		for _, c := range s.nullCols {
 			nr[c] = rel.Null
 		}
@@ -494,7 +500,8 @@ func (s *dedupSource) Close() error {
 // the zero Value, i.e. NULL.
 type padSource struct {
 	opBase
-	in Source
+	ctx *Context
+	in  Source
 }
 
 func (s *padSource) Open() error { return s.in.Open() }
@@ -506,7 +513,7 @@ func (s *padSource) Next(b *Batch) (bool, error) {
 	}
 	width := len(s.schema)
 	for i, r := range b.Rows {
-		pr := make(rel.Row, width)
+		pr := s.ctx.newRow(width)
 		copy(pr, r)
 		b.Rows[i] = pr
 	}
@@ -516,6 +523,7 @@ func (s *padSource) Next(b *Batch) (bool, error) {
 
 func (s *padSource) Close() error {
 	err := s.in.Close()
+	s.ctx = nil
 	s.finish()
 	return err
 }
@@ -558,13 +566,14 @@ func compileUnion(ins []*node) (rel.Schema, func(*Context, *obs.Span, Source) So
 		for i, in := range ins {
 			srcs[i] = in.start(ctx, sp, srcs[i])
 		}
-		*s = unionSource{opBase: opBase{schema: schema, span: sp}, ins: srcs, mappings: mappings}
+		*s = unionSource{opBase: opBase{schema: schema, span: sp}, ctx: ctx, ins: srcs, mappings: mappings}
 		return s
 	}
 }
 
 type unionSource struct {
 	opBase
+	ctx      *Context
 	ins      []Source
 	mappings [][]int // nil entry: input schema == union schema, no padding
 	cur      int
@@ -592,7 +601,7 @@ func (s *unionSource) Next(b *Batch) (bool, error) {
 		if mapping := s.mappings[s.cur]; mapping != nil {
 			width := len(s.schema)
 			for i, r := range b.Rows {
-				padded := make(rel.Row, width)
+				padded := s.ctx.newRow(width)
 				for j, v := range r {
 					padded[mapping[j]] = v
 				}
@@ -612,6 +621,7 @@ func (s *unionSource) Close() error {
 			first = err
 		}
 	}
+	s.ctx = nil
 	s.finish()
 	return first
 }

@@ -246,7 +246,7 @@ func refJoin(kind algebra.JoinKind, left, right Relation, pred algebra.Pred) (Re
 		switch kind {
 		case algebra.LeftOuterJoin, algebra.FullOuterJoin:
 			if !matched {
-				out.Rows = append(out.Rows, nullExtendRight(l, len(right.Schema)))
+				out.Rows = append(out.Rows, append(l.Clone(), make(rel.Row, len(right.Schema))...))
 			}
 		case algebra.SemiJoin:
 			if matched {
@@ -261,7 +261,7 @@ func refJoin(kind algebra.JoinKind, left, right Relation, pred algebra.Pred) (Re
 	if kind == algebra.RightOuterJoin || kind == algebra.FullOuterJoin {
 		for ri, r := range right.Rows {
 			if !matchedRight[ri] {
-				out.Rows = append(out.Rows, nullExtendLeft(r, len(left.Schema)))
+				out.Rows = append(out.Rows, append(make(rel.Row, len(left.Schema)), r...))
 			}
 		}
 	}
@@ -331,7 +331,7 @@ func refGroupBy(ctx *Context, n *algebra.GroupBy) (Relation, error) {
 		k := rel.EncodeRowCols(r, groupCols)
 		g := groups[k]
 		if g == nil {
-			g = &group{key: r.Project(groupCols), aggs: make([]aggState, len(n.Aggs))}
+			g = &group{row: r.Project(groupCols), aggs: make([]aggState, len(n.Aggs))}
 			groups[k] = g
 			order = append(order, k)
 		}
@@ -356,7 +356,7 @@ func refGroupBy(ctx *Context, n *algebra.GroupBy) (Relation, error) {
 	out := Relation{Schema: outSchema}
 	for _, k := range order {
 		g := groups[k]
-		row := append(rel.Row{}, g.key...)
+		row := append(rel.Row{}, g.row...)
 		for i, a := range n.Aggs {
 			st := g.aggs[i]
 			switch a.Func {

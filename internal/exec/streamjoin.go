@@ -55,7 +55,6 @@ func (c *compiler) compileJoin(n *node, e *algebra.Join) error {
 					pred:       pred,
 					probe:      probe.start(ctx, &s.probe),
 					in:         Batch{Rows: s.in.Rows[:0]},
-					rowBuf:     s.rowBuf,
 				}
 				return s
 			}
@@ -110,7 +109,11 @@ type probeJoinSource struct {
 	pred       func(rel.Row) algebra.Tri
 	probe      indexProbe
 
-	in     Batch
+	in Batch
+	// rowBuf is the concatenation the next candidate is tested in, carved
+	// from the run's arena and emitted in place when it passes. It never
+	// outlives the run: start leaves it nil, as the arena it points into
+	// may have been reset since.
 	rowBuf rel.Row
 }
 
@@ -136,7 +139,7 @@ func (s *probeJoinSource) Next(b *Batch) (bool, error) {
 					// passes the predicate is emitted as it stands, and only
 					// the next candidate after it needs a fresh buffer.
 					if s.rowBuf == nil {
-						s.rowBuf = make(rel.Row, len(l)+s.rightWidth)
+						s.rowBuf = s.ctx.newRow(len(l) + s.rightWidth)
 					}
 					copy(s.rowBuf, l)
 					copy(s.rowBuf[len(l):], r)
@@ -155,7 +158,7 @@ func (s *probeJoinSource) Next(b *Batch) (bool, error) {
 			switch s.kind {
 			case algebra.LeftOuterJoin:
 				if !matched {
-					b.Append(nullExtendRight(l, s.rightWidth))
+					b.Append(s.ctx.nullExtendRight(l, s.rightWidth))
 				}
 			case algebra.SemiJoin:
 				if matched {
@@ -184,14 +187,16 @@ func (s *probeJoinSource) Close() error {
 	return err
 }
 
-func nullExtendRight(l rel.Row, nRight int) rel.Row {
-	out := make(rel.Row, len(l)+nRight)
+// nullExtendRight carves l followed by nRight NULLs.
+func (c *Context) nullExtendRight(l rel.Row, nRight int) rel.Row {
+	out := c.newRow(len(l) + nRight)
 	copy(out, l)
-	return out // trailing values are the zero Value, i.e. NULL
+	return out
 }
 
-func nullExtendLeft(r rel.Row, nLeft int) rel.Row {
-	out := make(rel.Row, nLeft+len(r))
+// nullExtendLeft carves nLeft NULLs followed by r.
+func (c *Context) nullExtendLeft(r rel.Row, nLeft int) rel.Row {
+	out := c.newRow(nLeft + len(r))
 	copy(out[nLeft:], r)
 	return out
 }
@@ -272,7 +277,7 @@ type hashJoinSource struct {
 	table     *joinTable
 	in        Batch
 	keyBuf    []byte  // probe-key hash scratch
-	rowBuf    rel.Row // concatenation scratch, cloned on emit
+	rowBuf    rel.Row // concatenation scratch, copied into the arena on emit
 	leftDone  bool
 	matched   []bool // right rows some left row matched (right/full outer)
 	tailPos   int
@@ -347,13 +352,13 @@ func (s *hashJoinSource) probeBatch(b *Batch) {
 			}
 			switch s.kind {
 			case algebra.InnerJoin, algebra.LeftOuterJoin, algebra.RightOuterJoin, algebra.FullOuterJoin:
-				b.Append(s.rowBuf.Clone())
+				b.Append(s.ctx.cloneRow(s.rowBuf))
 			}
 		}
 		switch s.kind {
 		case algebra.LeftOuterJoin, algebra.FullOuterJoin:
 			if !matched {
-				b.Append(nullExtendRight(l, s.rightWidth))
+				b.Append(s.ctx.nullExtendRight(l, s.rightWidth))
 			}
 		case algebra.SemiJoin:
 			if matched {
@@ -375,7 +380,7 @@ func (s *hashJoinSource) emitTail(b *Batch) {
 		i := s.tailPos
 		s.tailPos++
 		if !s.matched[i] {
-			b.Append(nullExtendLeft(s.rightRows[i], s.leftWidth))
+			b.Append(s.ctx.nullExtendLeft(s.rightRows[i], s.leftWidth))
 		}
 	}
 }

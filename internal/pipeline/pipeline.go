@@ -124,6 +124,9 @@ type Queue struct {
 	// encScratch carries encoded keys from a statement's validation pass to
 	// its staging pass, so each row's key encodes once.
 	encScratch []string
+	// stepSeen is appendStep's set of the keys a step has visited, cleared
+	// per step.
+	stepSeen map[string]bool
 }
 
 // New returns an empty queue staging against the given catalog.
@@ -495,7 +498,11 @@ func (q *Queue) appendStep(steps []Step, table string, kind entryKind) []Step {
 	default:
 		st.Op = OpInsert
 	}
-	seen := make(map[string]bool, len(td.order))
+	if q.stepSeen == nil {
+		q.stepSeen = make(map[string]bool, len(td.order))
+	}
+	seen := q.stepSeen
+	defer clear(seen)
 	keyCols := td.t.KeyCols()
 	for _, k := range td.order {
 		if seen[k] {

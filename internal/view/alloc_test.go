@@ -8,6 +8,7 @@ import (
 
 	"ojv/internal/algebra"
 	"ojv/internal/fixture"
+	"ojv/internal/obs"
 	"ojv/internal/rel"
 )
 
@@ -398,5 +399,75 @@ func TestAggPublishAllocBudget(t *testing.T) {
 	}
 	if large > 2*small {
 		t.Errorf("snapshots add %d B over 20 000 groups against %d B over 2 000: more than 2×", large, small)
+	}
+}
+
+// TestArenaGrowthSettles: a family carves its maintenance rows from one
+// arena that it resets after every half and keeps, so exec.arena.grow_bytes
+// counts the arena's growth once: the first insert-and-delete cycle grows
+// it, and the same cycle again adds 0. The aggregate and the from-base
+// family also run §5.3's probe chains over it.
+func TestArenaGrowthSettles(t *testing.T) {
+	cycle := func(t *testing.T, cat *rel.Catalog, m *Maintainer, table string, rows []rel.Row) {
+		t.Helper()
+		if err := cat.Insert(table, rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.OnInsert(table, rows); err != nil {
+			t.Fatal(err)
+		}
+		keyCols := cat.Table(table).KeyCols()
+		keys := make([][]rel.Value, len(rows))
+		for i, r := range rows {
+			keys[i] = r.Project(keyCols)
+		}
+		deleted, err := cat.Delete(table, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.OnDelete(table, deleted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, opts Options) (*rel.Catalog, *Maintainer, string, []rel.Row)
+	}{
+		{"v1-from-view", func(t *testing.T, opts Options) (*rel.Catalog, *Maintainer, string, []rel.Row) {
+			cat, m := newV1Maintainer(t, false, opts)
+			return cat, m, "T", insertRowsFor(cat, "T", 8, 5, false)
+		}},
+		{"v1-from-base", func(t *testing.T, opts Options) (*rel.Catalog, *Maintainer, string, []rel.Row) {
+			opts.Strategy = StrategyFromBase
+			cat, m := newV1Maintainer(t, false, opts)
+			return cat, m, "T", insertRowsFor(cat, "T", 8, 5, false)
+		}},
+		{"aggregate", func(t *testing.T, opts Options) (*rel.Catalog, *Maintainer, string, []rel.Row) {
+			cat, m := newAggMaintainerOpts(t, false, opts)
+			var rows []rel.Row
+			for i := 0; i < 8; i++ {
+				rows = append(rows, rel.Row{rel.Int(int64(5000 + i)), rel.Int(int64(i % 30)), rel.Int(int64(1 + i%9))})
+			}
+			return cat, m, "O", rows
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cat, m, table, rows := tc.build(t, Options{Metrics: reg})
+			grew := func() int64 {
+				before := reg.Snapshot()["exec.arena.grow_bytes"]
+				cycle(t, cat, m, table, rows)
+				return reg.Snapshot()["exec.arena.grow_bytes"] - before
+			}
+			if first := grew(); first <= 0 {
+				t.Fatalf("the first cycle grew the arena by %d B, want some", first)
+			}
+			if again := grew(); again != 0 {
+				t.Fatalf("the same cycle again grew the arena by %d B, want 0", again)
+			}
+			if err := Check(m); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

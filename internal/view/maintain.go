@@ -49,6 +49,14 @@ type Maintainer struct {
 	// logBuf is the row log of the last finished changeset, emptied, for the
 	// next Begin to fill (changeset.go).
 	logBuf []rowUndo
+	// arena holds the rows a maintenance half's programs build (ΔV^D, the
+	// §5.3 probe chains); applyHalf resets it when the half ends. One arena
+	// serves the family because its runs are serial (see tablePlan), and
+	// nothing keeps such a row past its half: what the store keeps is
+	// projected copies. orphanSeen is secondaryFromView's candidate set,
+	// cleared per term.
+	arena      rel.Arena
+	orphanSeen map[string]bool
 
 	// sealMu is the one lock a pin and a commit share: a commit's log walk
 	// and a member's seal hold it, nothing else for long (epoch.go). It
@@ -830,7 +838,9 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed,
 // context: its DeltaRef is the half's rows, and its OldTableRef the table's
 // pre-step state. So the §5.3 evidence of the removed half is the table as it
 // stands (are its candidates orphans after the step?) and that of the added
-// half the pre-step state (were its candidates orphans before it?).
+// half the pre-step state (were its candidates orphans before it?). The
+// half's programs carve their rows from the family's arena, which is reset
+// when the half ends, on every path.
 func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, removed, added []rel.Row, sign int64, stats *MaintStats) error {
 	delta := added
 	if sign < 0 {
@@ -839,6 +849,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 	if len(delta) == 0 {
 		return nil
 	}
+	defer m.arena.Reset()
 	// The eval span covers execution-context construction too; the executor
 	// attaches its per-operator pipeline spans beneath it.
 	evalSpan := span.Child("primary.eval")
@@ -850,6 +861,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		Delta:      delta,
 		Metrics:    m.opts.Metrics,
 		Span:       evalSpan,
+		Arena:      &m.arena,
 	}
 	// The full-width primary delta is needed by aggregation, by from-base
 	// candidate computation and by every deletion, which reads view keys,
@@ -982,7 +994,8 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 
 // drain runs one start of a program instance to its end, handing every
 // batch's rows to each, and returns the batch count. The rows' container is
-// scratch the next batch refills: each copies out whatever it keeps.
+// scratch the next batch refills, and the rows live in ctx's arena: each
+// copies out whatever it keeps past the arena's reset.
 func drain(ctx *exec.Context, run *exec.Instance, each func([]rel.Row)) (int64, error) {
 	src, err := run.Start(ctx)
 	if err != nil {
@@ -1017,8 +1030,9 @@ func drain(ctx *exec.Context, run *exec.Instance, each func([]rel.Row)) (int64, 
 func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, error) {
 	out := exec.Relation{Schema: run.Program().Schema()}
 	batches, err := drain(ctx, run, func(rows []rel.Row) {
-		// Rows are shared immutable references; copy them out of the scratch
-		// container.
+		// Rows are shared immutable references, valid until the context's
+		// arena resets (the family's, at the end of the half); copy them out
+		// of the scratch container.
 		out.Rows = append(out.Rows, rows...)
 	})
 	if err != nil {

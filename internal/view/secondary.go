@@ -19,7 +19,11 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, plan *tablePlan, ip *indir
 	// A candidate is identified by the view key its orphan row would have;
 	// the term tables' keys it must not be contained under are parts of
 	// that key.
-	seen := make(map[string]bool)
+	if m.orphanSeen == nil {
+		m.orphanSeen = make(map[string]bool)
+	}
+	seen := m.orphanSeen
+	defer clear(seen)
 	var buf []byte
 	for _, row := range deleted {
 		pat := patternAt(row, plan.witness)
