@@ -27,14 +27,15 @@ import (
 //     name set is statically enumerable;
 //   - a site name always identifies one mutation kind (insertRow vs
 //     deleteKey vs foldGroups);
-//   - every site-less staged mutation — one of the store's primitives
-//     (stagedMutations), or a write into a slot of the rel.Slab a view's
-//     rows or an aggregation view's groups live in (through the *rel.Slot
-//     the slab hands out), reached through a parameter or receiver — is
-//     preceded in its function by a FailPoint consult (rollback is the
-//     vetted exception, annotated in source). A primitive may be built from
-//     primitives of its own type, and a slot is written only by the
-//     primitives: the guard is owed by whoever calls in from outside;
+//   - every site-less staged mutation — one of the primitives of the
+//     rel.Store a view's rows or an aggregation view's groups live in, or
+//     the view's link hook (stagedMutations), or a write into one of the
+//     store's slots (through the *rel.Slot it hands out), reached through a
+//     parameter or receiver — is preceded in its function by a FailPoint
+//     consult (a registration-time fill is the vetted exception, annotated
+//     in source). A primitive may be built from primitives of its own type,
+//     and a slot is written only by the primitives: the guard is owed by
+//     whoever calls in from outside;
 //   - the consulted-site set equals the union of wantSites in the view
 //     package's test files and equals oracle's flushFaultSites list.
 var FailSite = &Analyzer{
@@ -44,18 +45,20 @@ var FailSite = &Analyzer{
 }
 
 // stagedMutations names the site-less primitives that change what a stored
-// view or an aggregation view holds: an insert, a delete by key, and the two
-// halves a delete is made of since a deleted row stays in its slot until its
-// changeset ends — unlink takes it out of sight, relink (the rollback) puts
-// it back. The slots themselves live in a rel.Slab: writing one is the
-// primitives' job (slotWrite). Releasing an unlinked slot at commit
-// (rel.Slab.Release) changes nothing a reader can see and is not a staged
-// mutation.
+// view or an aggregation view holds: the rel.Store's insert, unlogged fill,
+// remove (which takes a row out of sight and leaves it in its slot until its
+// changeset ends) and in-place update, and the view's link hook, which files
+// a row in the view's own structures or takes it out. The slots themselves
+// live in the store's slab: writing one is the primitives' job (slotWrite).
+// The store's rollback and commit walk run inside package rel, where this
+// check does not look: the rollback never consults the fault hook, and
+// releasing an unlinked slot at commit changes nothing a reader can see.
 var stagedMutations = map[string]bool{
-	"insertRow": true,
-	"unlinkKey": true,
-	"unlink":    true,
-	"relink":    true,
+	"Insert":   true,
+	"Fill":     true,
+	"Remove":   true,
+	"Update":   true,
+	"linkSlot": true,
 }
 
 // siteUse records where a site name is consulted and through which kind of

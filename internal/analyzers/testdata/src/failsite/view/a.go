@@ -5,44 +5,30 @@ package view
 
 import "ojv/internal/rel"
 
-// Materialized mirrors the stored view: its rows live in a rel.Slab. Its
-// insertRow/unlinkKey and the unlink/relink halves a staged delete is made
-// of are the site-less primitives only the changeset wrappers may reach
-// unguarded, and only they write a slot. One primitive calling another of
-// its own type is not a staged mutation of its own.
+// Materialized mirrors the stored view: its rows live in a rel.Store, whose
+// Insert, Fill, Remove and Update are site-less primitives only the
+// changeset wrappers may reach unguarded, as is the view's link hook; only
+// they write a slot. One primitive calling another of its own type is not a
+// staged mutation of its own.
 type Materialized struct {
-	rows map[string]int32
-	slab rel.Slab
+	rows  rel.Store
+	count int
 }
 
-// at returns a slot, as the real store does.
-func (m *Materialized) at(h int32) *rel.Slot { return m.slab.At(h) }
-
-func (m *Materialized) insertRow(k string, row rel.Row) int32 {
-	h := m.slab.Alloc()
-	*m.at(h) = rel.Slot{Key: k, Row: row}
-	m.relink(h)
-	return h
+// linkSlot is the view's link hook: it files a row in the view's own
+// structures, or takes it out.
+func (m *Materialized) linkSlot(h int32, link bool) {
+	if link {
+		m.count++
+	} else {
+		m.count--
+	}
 }
-
-func (m *Materialized) unlinkKey(k string) int32 {
-	h := m.rows[k]
-	m.unlink(h)
-	return h
-}
-
-func (m *Materialized) relink(h int32) { m.rows[m.at(h).Key] = h }
-
-func (m *Materialized) unlink(h int32) { delete(m.rows, m.at(h).Key) }
-
-// release frees an unlinked slot: nothing a reader can see changes, so it is
-// not a staged mutation and needs no consult.
-func (m *Materialized) release(h int32) { m.slab.Release(h) }
 
 // AggMaterialized mirrors the aggregation store: its groups are state rows
-// in a rel.Slab too.
+// in a rel.Store too.
 type AggMaterialized struct {
-	slab rel.Slab
+	rows rel.Store
 }
 
 type Maintainer struct {
@@ -52,8 +38,8 @@ type Maintainer struct {
 }
 
 type Changeset struct {
-	m   *Maintainer
-	log []int32
+	m    *Maintainer
+	from int
 }
 
 // fail consults the fault-injection hook at a mutation site.
@@ -70,7 +56,7 @@ func (cs *Changeset) insertRow(site, k string, v int) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	cs.log = append(cs.log, cs.m.mv.insertRow(k, rel.Row{rel.Int(int64(v))}))
+	cs.m.mv.rows.Insert(k, rel.Row{rel.Int(int64(v))})
 	return nil
 }
 
@@ -78,16 +64,16 @@ func (cs *Changeset) deleteKey(site, k string) error {
 	if err := cs.fail(site); err != nil {
 		return err
 	}
-	cs.log = append(cs.log, cs.m.mv.unlinkKey(k))
+	if h, ok := cs.m.mv.rows.Lookup(k); ok {
+		cs.m.mv.rows.Remove(h)
+	}
 	return nil
 }
 
-// commit releases the slots the run unlinked: finalization, not a staged
-// mutation.
+// commit walks the log and releases the slots the run unlinked:
+// finalization, not a staged mutation.
 func (cs *Changeset) commit() {
-	for _, h := range cs.log {
-		cs.m.mv.release(h)
-	}
+	cs.m.mv.rows.Commit(cs.from, 0, nil, nil)
 }
 
 // applyPrimary stages through the wrappers with literal sites that both
@@ -107,28 +93,29 @@ func applyDynamic(cs *Changeset, site, k string) error {
 
 // repairOrphan mutates the stored view directly with no consult at all.
 func repairOrphan(m *Maintainer, k string) {
-	m.mv.unlinkKey(k) // want `staged view mutation unlinkKey is not preceded by a FailPoint consult in repairOrphan`
+	h, _ := m.mv.rows.Lookup(k)
+	m.mv.rows.Remove(h) // want `staged view mutation Remove is not preceded by a FailPoint consult in repairOrphan`
 }
 
-// hideRow and showRow reach past the wrappers to the halves of a delete, by
-// handle: as unguarded as a delete by key.
+// hideRow and showRow reach past the wrappers: to the view's link hook, and
+// to the store's unlogged fill, as unguarded as a staged delete or insert.
 func hideRow(m *Maintainer, h int32) {
-	m.mv.unlink(h) // want `staged view mutation unlink is not preceded by a FailPoint consult in hideRow`
+	m.mv.linkSlot(h, false) // want `staged view mutation linkSlot is not preceded by a FailPoint consult in hideRow`
 }
 
-func showRow(cs *Changeset, h int32) {
-	cs.m.mv.relink(h) // want `staged view mutation relink is not preceded by a FailPoint consult in showRow`
+func showRow(cs *Changeset, k string) {
+	cs.m.mv.rows.Fill(k, rel.Row{rel.Int(1)}) // want `staged view mutation Fill is not preceded by a FailPoint consult in showRow`
 }
 
 // rewriteRow and rewriteAliased reach past every primitive into the slab:
 // a row replaced in its slot is a staged mutation, through the store's
-// accessor, the slab's own, or a local holding the slot.
+// accessor or a local holding the slot.
 func rewriteRow(m *Maintainer, h int32, row rel.Row) {
-	m.mv.at(h).Row = row // want `staged write into a view slab slot is not preceded by a FailPoint consult in rewriteRow`
+	m.mv.rows.At(h).Row = row // want `staged write into a view slab slot is not preceded by a FailPoint consult in rewriteRow`
 }
 
 func rewriteAliased(cs *Changeset, h int32, row rel.Row) {
-	sl := cs.m.mv.slab.At(h)
+	sl := cs.m.mv.rows.At(h)
 	sl.Row = row // want `staged write into a view slab slot is not preceded by a FailPoint consult in rewriteAliased`
 }
 
@@ -137,23 +124,23 @@ func rewriteGuarded(cs *Changeset, h int32, row rel.Row) error {
 	if err := cs.fail("s-insert"); err != nil {
 		return err
 	}
-	*cs.m.mv.at(h) = rel.Slot{Key: "k", Row: row}
+	*cs.m.mv.rows.At(h) = rel.Slot{Key: "k", Row: row}
 	return nil
 }
 
-// hideGuarded consults the bare hook before unlinking by handle: guarded.
+// hideGuarded consults the bare hook before removing by handle: guarded.
 func hideGuarded(cs *Changeset, h int32) error {
 	if err := cs.fail("s-delete"); err != nil {
 		return err
 	}
-	cs.m.mv.unlink(h)
+	cs.m.mv.rows.Remove(h)
 	return nil
 }
 
-// restateGroup edits a group's state row in its slot, unguarded: a group is
-// a slab slot like a view row, and writing it is as much a staged mutation.
+// restateGroup edits a group's state row in place, unguarded: a group is a
+// store slot like a view row, and updating it is as much a staged mutation.
 func restateGroup(m *Maintainer, h int32, st rel.Row) {
-	m.agg.slab.At(h).Row = st // want `staged write into a view slab slot is not preceded by a FailPoint consult in restateGroup`
+	m.agg.rows.Update(h, st) // want `staged view mutation Update is not preceded by a FailPoint consult in restateGroup`
 }
 
 // applyMixed reuses one site name for two mutation kinds, so a matrix entry
@@ -171,28 +158,21 @@ func applyUntested(cs *Changeset, k string) error {
 	return cs.insertRow("s-missing", k, 2) // want `failpoint site "s-missing" is consulted in the flush path but missing from the view test fault matrix \(wantSites\)` `failpoint site "s-missing" is consulted in the flush path but missing from the oracle fault matrix \(flushFaultSites\)`
 }
 
-// undoReplay is the vetted exception: rollback must never consult the hook,
-// and says so in source, at the relink of a deleted row and at the unlink of
-// an inserted one.
-func undoReplay(cs *Changeset) {
-	for i := len(cs.log) - 1; i >= 0; i-- {
-		h := cs.log[i]
-		if i%2 == 0 {
-			//ojvlint:ignore failsite rollback replay must succeed unconditionally, so it never consults the fault hook
-			cs.m.mv.relink(h)
-			continue
-		}
-		//ojvlint:ignore failsite rollback replay must succeed unconditionally, so it never consults the fault hook
-		cs.m.mv.unlink(h)
-		cs.m.mv.release(h)
+// fillFamily is the vetted exception: a registration-time fill outside any
+// changeset, which says so in source.
+func fillFamily(m *Maintainer, keys []string) {
+	for _, k := range keys {
+		//ojvlint:ignore failsite a registration-time fill outside any changeset, which no rollback or epoch sees
+		m.mv.rows.Fill(k, rel.Row{rel.Int(0)})
 	}
 }
 
 // localCopy stages into a locally built view, not committed state handed
 // in: out of scope for the guard, its slots included.
 func localCopy(k string, v int) *Materialized {
-	scratch := &Materialized{rows: map[string]int32{}}
-	h := scratch.insertRow(k, rel.Row{rel.Int(int64(v))})
-	scratch.at(h).Row = nil
+	scratch := &Materialized{}
+	scratch.rows.Init(scratch.linkSlot, true)
+	h := scratch.rows.Insert(k, rel.Row{rel.Int(int64(v))})
+	scratch.rows.At(h).Row = nil
 	return scratch
 }

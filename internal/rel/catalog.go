@@ -80,7 +80,8 @@ func (c *Catalog) CreateTable(name string, cols []Column, key ...string) (*Table
 		schema[p].NotNull = true
 		keyCols[i] = p
 	}
-	t := &Table{name: name, schema: schema, keyCols: keyCols, rows: make(map[string]int32)}
+	t := &Table{name: name, schema: schema, keyCols: keyCols}
+	t.rows.Init(t.indexSlot, false)
 	c.tables[name] = t
 	c.names = append(c.names, name)
 	c.design.Add(1)
@@ -161,7 +162,7 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 	for i, kc := range rt.keyCols {
 		fk.keySrc[i] = offsets[slices.Index(refOffsets, kc)]
 	}
-	for _, h := range t.rows {
+	for _, h := range t.rows.Handles() {
 		if row := t.Row(h); !c.fkSatisfied(fk, row) {
 			return fmt.Errorf("rel: foreign key %s->%s violated by existing row %s", table, refTable, row)
 		}
@@ -322,7 +323,9 @@ func (c *Catalog) Insert(table string, rows []Row) error {
 		}
 	}
 	for i, row := range rows {
-		t.insert(row, keys[i])
+		// The row is cloned, so callers remain free to reuse or mutate
+		// their row slices once the insert returns.
+		t.rows.Insert(keys[i], row.Clone())
 	}
 	return nil
 }
@@ -373,11 +376,12 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 	}
 	out := make([]Row, 0, len(keys))
 	for _, k := range encoded {
-		row, ok := t.deleteByKey(k)
+		h, ok := t.rows.Lookup(k)
 		if !ok {
 			return nil, fmt.Errorf("rel: table %s: concurrent delete of key", table)
 		}
-		out = append(out, row)
+		out = append(out, t.rows.At(h).Row)
+		t.rows.Remove(h)
 	}
 	return out, nil
 }

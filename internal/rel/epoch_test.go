@@ -375,59 +375,3 @@ func TestTablePublishAllocBudget(t *testing.T) {
 		t.Errorf("1000-row commit allocates %d B, budget 292000", bulk)
 	}
 }
-
-// TestUnpinnedCommitsCopyOnce: commits with no pin between them walk their
-// logs into one open transaction, so each vector node they touch is copied
-// once, however many of them touch it, and the pin that follows seals all of
-// them at the sequence number of the last. 64 commits of one random update
-// each over a table of 4 096 rows copy at most the distinct nodes on the
-// touched handles' paths, where publishing at every commit copied a path per
-// commit.
-func TestUnpinnedCommitsCopyOnce(t *testing.T) {
-	c := epochFixture(t)
-	const n, commits = 4096, 64
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{Int(int64(i)), Str("a")}
-	}
-	if err := c.Insert("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	c.PublishEpochs()
-	tab, before := c.Table("t"), c.Snapshot("t")
-	rng := rand.New(rand.NewSource(11))
-	// A node is named by its level and its handles' common prefix: level 1 is
-	// the leaves, level height+1 the root.
-	nodes := make(map[[2]int64]bool)
-	height := before.rows.height
-	for i := 0; i < commits; i++ {
-		k := int64(rng.Intn(n))
-		if _, err := c.Update("t", []Value{Int(k)}, Row{Int(k), Str(fmt.Sprint("v", i))}); err != nil {
-			t.Fatal(err)
-		}
-		h := tab.rows[EncodeValues(Int(k))]
-		for lvl := 1; lvl <= height+1; lvl++ {
-			nodes[[2]int64{int64(lvl), int64(h) >> (uint(lvl) * vecBits)}] = true
-		}
-		c.PublishTableEpochs([]string{"t"})
-	}
-	if c.Table("t").epoch.Load() != before {
-		t.Fatal("a commit published an epoch no reader pinned")
-	}
-	if got := tab.open.Copied(); got > len(nodes) {
-		t.Errorf("%d unpinned commits copied %d nodes, their paths have %d distinct ones", commits, got, len(nodes))
-	}
-	after := c.Snapshot("t")
-	if after.Epoch() != before.Epoch()+commits || tab.open != nil {
-		t.Fatalf("the pin sealed epoch %d (open transaction %v), want %d", after.Epoch(), tab.open, before.Epoch()+commits)
-	}
-	if snapKeys(before)[0] != "a" {
-		t.Fatal("the pinned epoch changed under the open transaction")
-	}
-	for _, r := range after.Rows() {
-		if live, ok := tab.Get(r[0]); !ok || !live.Equal(r) {
-			t.Fatalf("sealed row %v, live %v (%v)", r, live, ok)
-		}
-	}
-	checkEpochSlots(t, tab)
-}

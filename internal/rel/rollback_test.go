@@ -36,8 +36,8 @@ func rollbackFixture(t *testing.T) (*Catalog, *Table, *Index) {
 
 // handles maps every live key of tab to its handle.
 func handles(tab *Table) map[string]int32 {
-	out := make(map[string]int32, len(tab.rows))
-	for k, h := range tab.rows {
+	out := make(map[string]int32, tab.rows.Len())
+	for k, h := range tab.rows.keys {
 		out[k] = h
 	}
 	return out
@@ -47,11 +47,11 @@ func handles(tab *Table) map[string]int32 {
 // handle want names.
 func sameHandles(t *testing.T, tab *Table, want map[string]int32) {
 	t.Helper()
-	if len(tab.rows) != len(want) {
-		t.Fatalf("table has %d rows, want %d", len(tab.rows), len(want))
+	if tab.rows.Len() != len(want) {
+		t.Fatalf("table has %d rows, want %d", tab.rows.Len(), len(want))
 	}
 	for k, h := range want {
-		if got, ok := tab.rows[k]; !ok || got != h {
+		if got, ok := tab.rows.keys[k]; !ok || got != h {
 			t.Fatalf("key %x at handle %d (%v), want %d", k, got, ok, h)
 		}
 	}
@@ -108,7 +108,7 @@ func TestRollbackDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range deleted {
-		if h := tab.rows[tab.KeyOf(row)]; h == before[tab.KeyOf(row)] {
+		if h := tab.rows.keys[tab.KeyOf(row)]; h == before[tab.KeyOf(row)] {
 			t.Fatalf("row %s re-inserted at handle %d before its delete published", row, h)
 		}
 	}

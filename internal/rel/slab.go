@@ -4,15 +4,17 @@ package rel
 //
 // A stored row is a {key, row} pair in a slab of fixed-size chunks, so
 // growing the container never copies a row, addressed by an int32 handle;
-// a LIFO free list recycles the handles of deleted rows. The container
-// keeps its own map from key to handle and whatever else refers to a row
-// refers to the handle: a table's index buckets (table.go), a view's
+// a LIFO free list recycles the handles of deleted rows. The slab is the
+// bottom of the one versioned container base tables and view families
+// share (Store, store.go), which keeps the map from key to handle, the log
+// and the epochs over it. Whatever else refers to a row refers to the
+// handle, and is the owner's: a table's index buckets (table.go), a view's
 // per-table chains (view/store.go).
 //
 // A handle names one row for as long as the row is committed. A staged
 // delete only takes the row out of sight — out of the key map and the
 // buckets — and leaves {key, row} in the slot; undoing the delete relinks it
-// in place, committing it releases the slot. So an undone mutation leaves
+// in place, and the Store's commit walk releases the slot. So an undone mutation leaves
 // every live row at the handle it had, and the epoch the commits walk into,
 // a vector indexed by handle (rowvec.go), equals the committed slab slot for
 // slot.

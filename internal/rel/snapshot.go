@@ -93,8 +93,7 @@ func (c *Catalog) Save(w io.Writer) error {
 			}
 			wt.Indexes = append(wt.Indexes, wireIndex{Name: ix.name, Columns: cols})
 		}
-		for _, h := range t.rows {
-			row := t.Row(h)
+		for _, row := range t.Rows() {
 			wr := make([]wireValue, len(row))
 			for i, v := range row {
 				wr[i] = toWire(v)

@@ -3,7 +3,6 @@ package rel
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -104,31 +103,20 @@ func (ix *Index) replace(old, row Row, h int32) {
 }
 
 // Table is an in-memory base table with a unique non-null key (the paper's
-// standing assumption) and any number of secondary hash indexes. A row lives
-// in a slot of the table's slab; rows maps its encoded key to its handle.
+// standing assumption) and any number of secondary hash indexes. Its rows
+// live in a Store (store.go) under their encoded keys: the slab, the log,
+// rollback, the commit walk and the seal are the store's; the indexes, the
+// in-place update and the constraints are the table's.
 type Table struct {
 	name    string
 	schema  Schema
 	keyCols []int
-	rows    map[string]int32
-	slab    Slab
+	rows    Store
 	indexes []*Index
 	fks     []ForeignKey
-	// log lists the row mutations since the last commit, and logged is
-	// false until the owning catalog first publishes: an unlogged table
-	// releases a deleted row's slot at once. epoch is the current sealed
-	// snapshot, readable without locks. open is the transaction the commits
-	// since the last seal walked their logs into (nil: none), openSeq the
-	// last of those commits, and dirty is set while open is; sealMu guards
-	// open and openSeq, and is held by a commit's log walk and a pin's seal
-	// only. See epoch.go.
-	log     []rowUndo
-	logged  bool
-	epoch   atomic.Pointer[TableSnapshot]
-	sealMu  sync.Mutex
-	open    *VecTx[Row]
-	openSeq uint64
-	dirty   atomic.Bool
+	// epoch is the current sealed snapshot, readable without locks; nil
+	// until the owning catalog first publishes. See epoch.go.
+	epoch atomic.Pointer[TableSnapshot]
 }
 
 // Name returns the table name.
@@ -144,20 +132,14 @@ func (t *Table) KeyCols() []int { return t.keyCols }
 func (t *Table) ForeignKeys() []ForeignKey { return t.fks }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.rows.Len() }
 
 // Rows returns all rows in unspecified order. The result is a fresh slice;
 // the rows themselves are shared and must not be modified.
-func (t *Table) Rows() []Row {
-	out := make([]Row, 0, len(t.rows))
-	for _, h := range t.rows {
-		out = append(out, t.slab.At(h).Row)
-	}
-	return out
-}
+func (t *Table) Rows() []Row { return t.rows.Append(make([]Row, 0, t.rows.Len())) }
 
 // Row returns the row at handle h, as an Index bucket names it.
-func (t *Table) Row(h int32) Row { return t.slab.At(h).Row }
+func (t *Table) Row(h int32) Row { return t.rows.At(h).Row }
 
 // Get returns the row with the given key values, if present.
 func (t *Table) Get(keyVals ...Value) (Row, bool) {
@@ -166,44 +148,34 @@ func (t *Table) Get(keyVals ...Value) (Row, bool) {
 
 // GetEncoded returns the row with the given pre-encoded key, if present.
 func (t *Table) GetEncoded(encodedKey string) (Row, bool) {
-	h, ok := t.rows[encodedKey]
+	h, ok := t.rows.Lookup(encodedKey)
 	if !ok {
 		return nil, false
 	}
-	return t.slab.At(h).Row, true
+	return t.rows.At(h).Row, true
 }
 
 // GetEncodedBytes is GetEncoded for a key held in a reusable byte buffer;
 // the in-place string conversion avoids allocating a key per probe.
 func (t *Table) GetEncodedBytes(encodedKey []byte) (Row, bool) {
-	h, ok := t.rows[string(encodedKey)]
+	h, ok := t.rows.LookupBytes(encodedKey)
 	if !ok {
 		return nil, false
 	}
-	return t.slab.At(h).Row, true
+	return t.rows.At(h).Row, true
 }
 
 // ContainsKey reports whether a row with the encoded key exists.
 func (t *Table) ContainsKey(encodedKey string) bool {
-	_, ok := t.rows[encodedKey]
+	_, ok := t.rows.Lookup(encodedKey)
 	return ok
 }
 
 // ContainsKeyBytes is ContainsKey for a key held in a reusable byte
 // buffer; the in-place string conversion avoids allocating a key per probe.
 func (t *Table) ContainsKeyBytes(encodedKey []byte) bool {
-	_, ok := t.rows[string(encodedKey)]
+	_, ok := t.rows.LookupBytes(encodedKey)
 	return ok
-}
-
-// insert stores a row whose constraints and encoded key k the catalog has
-// already established. The row is cloned, so callers remain free to reuse
-// or mutate their row slices once the insert returns.
-func (t *Table) insert(row Row, k string) {
-	h := t.slab.Alloc()
-	*t.slab.At(h) = Slot{Key: k, Row: row.Clone()}
-	t.link(h)
-	t.logRow(undoInsert, h, nil)
 }
 
 // KeyOf returns the encoded unique key of a row of this table.
@@ -256,8 +228,8 @@ func (t *Table) columnOffsets(cols []string) ([]int, error) {
 // generation, which compiled programs are checked against.
 func (t *Table) buildIndex(name string, offsets []int, pinned bool) *Index {
 	ix := &Index{name: name, cols: offsets, m: make(map[string][]int32), pinned: pinned}
-	for _, h := range t.rows {
-		ix.add(t.slab.At(h).Row, h)
+	for _, h := range t.rows.Handles() {
+		ix.add(t.rows.At(h).Row, h)
 	}
 	t.indexes = append(t.indexes, ix)
 	return ix
@@ -295,54 +267,29 @@ func (t *Table) validateRow(row Row) error {
 	return nil
 }
 
-func (t *Table) deleteByKey(k string) (Row, bool) {
-	h, ok := t.rows[k]
-	if !ok {
-		return nil, false
-	}
-	row := t.slab.At(h).Row
-	t.unlink(h)
-	if t.logged {
-		t.logRow(undoDelete, h, nil)
-	} else {
-		t.slab.Release(h)
-	}
-	return row, true
-}
-
 // replaceByKey stores a private copy of row under k, which must hold a row
 // with the same key, and returns the row it replaced. The row keeps its
 // handle: an index whose columns row leaves unchanged is not touched.
 func (t *Table) replaceByKey(k string, row Row) Row {
-	h := t.rows[k]
-	s := t.slab.At(h)
-	old := s.Row
+	h, _ := t.rows.Lookup(k)
+	old := t.rows.At(h).Row
 	row = row.Clone()
 	for _, ix := range t.indexes {
 		ix.replace(old, row, h)
 	}
-	s.Row = row
-	t.logRow(undoUpdate, h, old)
-	return old
+	return t.rows.Update(h, row)
 }
 
-// link makes the row in slot h visible: under its key and in every index.
-// The slot must hold a row whose key is not in rows.
-func (t *Table) link(h int32) {
-	s := t.slab.At(h)
-	t.rows[s.Key] = h
+// indexSlot is the table's link hook (Store.Init): it files the row in slot
+// h in every index, or takes it out of them.
+func (t *Table) indexSlot(h int32, link bool) {
+	row := t.rows.At(h).Row
 	for _, ix := range t.indexes {
-		ix.add(s.Row, h)
-	}
-}
-
-// unlink is the inverse of link: the row leaves rows and the indexes and
-// stays in its slot.
-func (t *Table) unlink(h int32) {
-	s := t.slab.At(h)
-	delete(t.rows, s.Key)
-	for _, ix := range t.indexes {
-		ix.remove(s.Row, h)
+		if link {
+			ix.add(row, h)
+		} else {
+			ix.remove(row, h)
+		}
 	}
 }
 

@@ -425,7 +425,7 @@ func checkBuckets(t testing.TB, tab *Table, ix *Index, what string) {
 		}
 		for _, h := range bucket {
 			r := tab.Row(h)
-			if r == nil || tab.rows[tab.KeyOf(r)] != h {
+			if r == nil || tab.rows.keys[tab.KeyOf(r)] != h {
 				t.Fatalf("%s: index %s bucket holds handle %d (%v), which is not a live row", what, ix.name, h, r)
 			}
 			if EncodeRowCols(r, ix.cols) != key {
@@ -434,7 +434,7 @@ func checkBuckets(t testing.TB, tab *Table, ix *Index, what string) {
 		}
 		n += len(bucket)
 	}
-	if n != len(tab.rows) {
-		t.Fatalf("%s: index %s holds %d rows, table %d", what, ix.name, n, len(tab.rows))
+	if n != tab.rows.Len() {
+		t.Fatalf("%s: index %s holds %d rows, table %d", what, ix.name, n, tab.rows.Len())
 	}
 }

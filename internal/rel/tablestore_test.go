@@ -76,7 +76,7 @@ func (s *tableStore) do(op, p, q byte) {
 		if err == nil {
 			for _, r := range rows {
 				s.live[r[0].AsInt()], _ = s.tab.Get(r[0]) // the stored copy
-				if h := s.tab.rows[s.tab.KeyOf(r)]; s.freed[h] {
+				if h := s.tab.rows.keys[s.tab.KeyOf(r)]; s.freed[h] {
 					s.t.Fatalf("insert of %s reuses handle %d before its delete published", r, h)
 				}
 			}
@@ -85,10 +85,10 @@ func (s *tableStore) do(op, p, q byte) {
 		keys := [][]Value{{Int(id)}}
 		wantErr = s.live[id] == nil
 		var got []Row
-		h := s.tab.rows[EncodeValues(Int(id))]
+		h := s.tab.rows.keys[EncodeValues(Int(id))]
 		got, err = s.c.Delete("t", keys)
 		if err == nil {
-			if len(got) != 1 || !sameRow(got[0], s.tab.slab.At(h).Row) {
+			if len(got) != 1 || !sameRow(got[0], s.tab.rows.slab.At(h).Row) {
 				s.t.Fatalf("delete of %d returned %v, not the row still in its slot", id, got)
 			}
 			delete(s.live, id)
@@ -100,10 +100,10 @@ func (s *tableStore) do(op, p, q byte) {
 		if old := s.live[id]; old != nil && q&0x80 != 0 {
 			nw[1], nw[2] = old[1], old[2]
 		}
-		h := s.tab.rows[EncodeValues(Int(id))]
+		h := s.tab.rows.keys[EncodeValues(Int(id))]
 		if _, err = s.c.Update("t", []Value{Int(id)}, nw); err == nil {
 			s.live[id], _ = s.tab.Get(Int(id))
-			if got := s.tab.rows[EncodeValues(Int(id))]; got != h {
+			if got := s.tab.rows.keys[EncodeValues(Int(id))]; got != h {
 				s.t.Fatalf("update of %d moved it from handle %d to %d", id, h, got)
 			}
 		}
@@ -117,7 +117,7 @@ func (s *tableStore) do(op, p, q byte) {
 		s.freed = map[int32]bool{}
 		s.check("rollback")
 		for id, h := range s.published {
-			if got := s.tab.rows[EncodeValues(Int(id))]; got != h {
+			if got := s.tab.rows.keys[EncodeValues(Int(id))]; got != h {
 				s.t.Fatalf("rollback moved row %d from handle %d to %d", id, h, got)
 			}
 		}
@@ -169,11 +169,11 @@ func (s *tableStore) publish(tableOnly bool) {
 	s.committed = maps.Clone(s.live)
 	s.published = make(map[int64]int32, len(s.live))
 	for id := range s.live {
-		s.published[id] = s.tab.rows[EncodeValues(Int(id))]
+		s.published[id] = s.tab.rows.keys[EncodeValues(Int(id))]
 	}
 	s.freed = map[int32]bool{}
-	if len(s.tab.log) != 0 {
-		s.t.Fatalf("publish left %d log records", len(s.tab.log))
+	if len(s.tab.rows.log) != 0 {
+		s.t.Fatalf("publish left %d log records", len(s.tab.rows.log))
 	}
 	checkEpochSlots(s.t, s.tab)
 	if s.pins = append(s.pins, tablePin{s.c.Snapshot("t"), s.committed}); len(s.pins) > 64 {
@@ -225,26 +225,26 @@ func (s *tableStore) check(what string) {
 	// Every handle below used is live, free, or a deleted row's slot
 	// waiting for the publish — exactly once.
 	free := map[int32]bool{}
-	for _, h := range tab.slab.free {
-		if free[h] || s.freed[h] || h >= tab.slab.used {
+	for _, h := range tab.rows.slab.free {
+		if free[h] || s.freed[h] || h >= tab.rows.slab.used {
 			s.t.Fatalf("%s: free list holds handle %d twice, out of range or before its publish", what, h)
 		}
 		free[h] = true
-		if sl := tab.slab.At(h); sl.Key != "" || sl.Row != nil {
+		if sl := tab.rows.slab.At(h); sl.Key != "" || sl.Row != nil {
 			s.t.Fatalf("%s: free slot %d holds %s", what, h, sl.Row)
 		}
 	}
 	for h := range s.freed {
-		sl := tab.slab.At(h)
-		if at, ok := tab.rows[sl.Key]; sl.Row == nil || ok && at == h {
+		sl := tab.rows.slab.At(h)
+		if at, ok := tab.rows.keys[sl.Key]; sl.Row == nil || ok && at == h {
 			s.t.Fatalf("%s: deleted slot %d is cleared or still linked before the publish", what, h)
 		}
 	}
-	if n := len(tab.rows) + len(free) + len(s.freed); n != int(tab.slab.used) {
-		s.t.Fatalf("%s: %d live + %d free + %d deleted handles, %d handed out", what, len(tab.rows), len(free), len(s.freed), tab.slab.used)
+	if n := tab.rows.Len() + len(free) + len(s.freed); n != int(tab.rows.slab.used) {
+		s.t.Fatalf("%s: %d live + %d free + %d deleted handles, %d handed out", what, tab.rows.Len(), len(free), len(s.freed), tab.rows.slab.used)
 	}
-	if want := (int(tab.slab.used) + SlabChunk - 1) / SlabChunk; len(tab.slab.chunks) != want {
-		s.t.Fatalf("%s: %d slab chunks for %d handles, want %d", what, len(tab.slab.chunks), tab.slab.used, want)
+	if want := (int(tab.rows.slab.used) + SlabChunk - 1) / SlabChunk; len(tab.rows.slab.chunks) != want {
+		s.t.Fatalf("%s: %d slab chunks for %d handles, want %d", what, len(tab.rows.slab.chunks), tab.rows.slab.used, want)
 	}
 	for _, ix := range tab.indexes {
 		checkBuckets(s.t, tab, ix, what)
@@ -260,9 +260,9 @@ func (s *tableStore) check(what string) {
 func checkEpochSlots(t testing.TB, tab *Table) {
 	t.Helper()
 	ep := tab.Snapshot()
-	for h := int32(0); h < tab.slab.Used(); h++ {
+	for h := int32(0); h < tab.rows.slab.Used(); h++ {
 		got, _ := ep.rows.Get(h)
-		if want := tab.slab.At(h).Row; !sameRow(got, want) {
+		if want := tab.rows.slab.At(h).Row; !sameRow(got, want) {
 			t.Fatalf("epoch %d holds %s at handle %d, the slab %s", ep.Epoch(), got, h, want)
 		}
 	}

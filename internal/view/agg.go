@@ -18,7 +18,7 @@ import (
 // groups whose row count reaches zero are removed, and an aggregate whose
 // inputs all disappear goes to NULL.
 //
-// A group is one state row in a store slot (store.go), under its encoded
+// A group is one state row in a slot of a rel.Store, under its encoded
 // group key:
 //
 //	[group cols…, rowCount, nnTable…, sum₀, nonNull₀, sum₁, nonNull₁, …]
@@ -37,14 +37,15 @@ type AggMaterialized struct {
 	// are at sumAt+2i and sumAt+2i+1.
 	countAt, sumAt int
 
-	store
+	rows rel.Store
 }
 
 func newAggMaterialized(def *Definition, opts Options) (*AggMaterialized, error) {
 	if def.Agg == nil {
 		return nil, fmt.Errorf("view %s: not an aggregation view", def.Name)
 	}
-	a := &AggMaterialized{def: def, opts: opts, store: store{rows: make(map[string]int32)}}
+	a := &AggMaterialized{def: def, opts: opts}
+	a.rows.Init(nil, true)
 	// Output schema: group columns then aggregate columns.
 	for _, c := range def.Agg.GroupCols {
 		p := def.fullSchema.MustIndexOf(c.Table, c.Column)
@@ -80,16 +81,16 @@ func newAggMaterialized(def *Definition, opts Options) (*AggMaterialized, error)
 func (a *AggMaterialized) Schema() rel.Schema { return a.schema }
 
 // Len returns the number of groups.
-func (a *AggMaterialized) Len() int { return len(a.rows) }
+func (a *AggMaterialized) Len() int { return a.rows.Len() }
 
 // NotNullCount returns a group's not-null count for one table, along with
 // whether the group exists; exposed for tests and tools.
 func (a *AggMaterialized) NotNullCount(groupKey rel.Row, table string) (int64, bool) {
-	h, ok := a.rows[rel.EncodeValues(groupKey...)]
+	h, ok := a.rows.Lookup(rel.EncodeValues(groupKey...))
 	if !ok {
 		return 0, false
 	}
-	st := a.slab.At(h).Row
+	st := a.rows.At(h).Row
 	for i, t := range a.nullableTables {
 		if t == table {
 			return st[a.countAt+1+i].AsInt(), true
@@ -99,56 +100,27 @@ func (a *AggMaterialized) NotNullCount(groupKey rel.Row, table string) (int64, b
 }
 
 // Materialize recomputes the groups from scratch. The rebuild fills a
-// private store that is swapped in whole, so a mid-build failure leaves the
-// view intact.
+// fresh view whose rows are swapped in whole, so a mid-build failure leaves
+// the view intact.
 func (a *AggMaterialized) Materialize() error {
 	ctx := &exec.Context{Catalog: a.def.cat}
 	res, err := exec.Eval(ctx, a.def.Expr)
 	if err != nil {
 		return err
 	}
-	staged := *a
-	staged.store = store{rows: make(map[string]int32)}
-	edits, err := staged.fold(res.Rows, res.Schema, +1)
+	fresh, err := newAggMaterialized(a.def, a.opts)
+	if err != nil {
+		return err
+	}
+	edits, err := fresh.fold(res.Rows, res.Schema, +1)
 	if err != nil {
 		return err
 	}
 	for _, e := range edits {
-		if _, err := staged.insertRow(e.key, e.row); err != nil {
-			return err
-		}
+		fresh.rows.Fill(e.key, e.row) // fold keys its edits by group
 	}
-	a.store = staged.store
+	a.rows.Adopt(&fresh.rows)
 	return nil
-}
-
-// insertRow adds one state row under its group key k and returns its handle.
-func (a *AggMaterialized) insertRow(k string, st rel.Row) (int32, error) {
-	if _, dup := a.rows[k]; dup {
-		return noRow, fmt.Errorf("view %s: duplicate group %s", a.def.Name, st[:a.countAt])
-	}
-	h := a.alloc()
-	*a.slab.At(h) = rel.Slot{Key: k, Row: st}
-	a.relink(h)
-	return h, nil
-}
-
-// relink makes the group in slot h visible under its key.
-func (a *AggMaterialized) relink(h int32) { a.rows[a.slab.At(h).Key] = h }
-
-// unlink takes the group in slot h out of sight and leaves it in its slot,
-// as Materialized.unlink does a view row.
-func (a *AggMaterialized) unlink(h int32) { delete(a.rows, a.slab.At(h).Key) }
-
-// unlinkKey unlinks the group with the given key, returning its handle and
-// state row.
-func (a *AggMaterialized) unlinkKey(k []byte) (int32, rel.Row, bool) {
-	h, ok := a.rows[string(k)]
-	if !ok {
-		return noRow, nil, false
-	}
-	a.unlink(h)
-	return h, a.slab.At(h).Row, true
 }
 
 // groupEdit is what a fold does to one group: the group's key, whether a
@@ -200,8 +172,8 @@ func (a *AggMaterialized) fold(rows []rel.Row, schema rel.Schema, sign int64) ([
 		ei, ok := at[string(buf)]
 		if !ok {
 			e := groupEdit{key: string(buf)}
-			if h, ok := a.rows[e.key]; ok {
-				e.stored, e.row = true, slices.Clone(a.slab.At(h).Row)
+			if h, ok := a.rows.Lookup(e.key); ok {
+				e.stored, e.row = true, slices.Clone(a.rows.At(h).Row)
 			}
 			ei = len(edits)
 			at[e.key] = ei
@@ -322,7 +294,9 @@ func (a *AggMaterialized) rendered(rows []rel.Row) []rel.Row {
 
 // Rows materializes the SQL-visible contents: group columns followed by the
 // aggregate values with standard NULL semantics.
-func (a *AggMaterialized) Rows() []rel.Row { return a.rendered(a.linked()) }
+func (a *AggMaterialized) Rows() []rel.Row {
+	return a.rendered(a.rows.Append(make([]rel.Row, 0, a.rows.Len())))
+}
 
 // applyAgg maintains an aggregation view for one half of a signed delta:
 // the aggregated primary delta is folded in with the half's sign, then the

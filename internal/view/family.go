@@ -26,7 +26,7 @@ import (
 // predicate is the family's whole selection accepts every stored row; any
 // other member is filtered, and the store keeps one membership word per
 // slot beside the slab, a bit per filtered member, computed once when the
-// row is inserted (Materialized.insertRow). At commit the family's one log
+// row is linked (Materialized.linkSlot). At commit the family's one log
 // is walked once, into the family's row vector and a vector of the
 // membership words beside it, and a filtered member's epoch is the two
 // vectors, as sealed by a pin, and its bit (epoch.go): its Snapshot reads
@@ -59,7 +59,7 @@ type Member struct {
 	// dirty is set while a commit that concerned the member is not sealed
 	// into it. epochSeq is the number of the last such commit, and count and
 	// patterns are a filtered member's committed row count and term
-	// counters; the family's sealMu guards the three and filtered. pins is
+	// counters; the store's seal mutex guards the three and filtered. pins is
 	// the cached snapshot-pin counter. See epoch.go.
 	ep       atomic.Pointer[viewEpoch]
 	dirty    atomic.Bool
@@ -94,11 +94,11 @@ func (m *Maintainer) filtering() bool { return m.mv != nil && m.mv.filters != ni
 
 // rows returns the member's linked rows, in unspecified order.
 func (mem *Member) rows() []rel.Row {
-	s := mem.m.st.stored()
-	out := make([]rel.Row, 0, len(s.rows))
-	for _, h := range s.rows {
+	s := mem.m.st
+	out := make([]rel.Row, 0, s.Len())
+	for _, h := range s.Handles() {
 		if mem.has(h) {
-			out = append(out, s.slab.At(h).Row)
+			out = append(out, s.At(h).Row)
 		}
 	}
 	return out
@@ -238,20 +238,18 @@ func (m *Maintainer) Join(def *Definition, opts Options) (*Member, error) {
 	mem := &Member{m: m, def: def, opts: opts, pred: p, accept: accept, slot: m.freeSlot()}
 	// Pins of the family wait from here until its epoch state is rebuilt:
 	// refilter may filter a member whose counters only resnap computes.
-	m.sealMu.Lock()
-	defer m.sealMu.Unlock()
-	m.members, m.disj = append(m.members, mem), disj
-	m.refilter()
-	for _, row := range fresh {
-		//ojvlint:ignore failsite widening inserts, outside any changeset and under the registration lock, rows no member holds: no epoch or rollback sees them
-		if _, err := m.mv.insertRow(m.mv.viewKey(row), row); err != nil {
-			return nil, err // unreachable: missingRows checked every key
+	m.st.Locked(func() {
+		m.members, m.disj = append(m.members, mem), disj
+		m.refilter()
+		for _, row := range fresh {
+			//ojvlint:ignore failsite widening inserts, outside any changeset and under the registration lock, rows no member holds: no epoch or rollback sees them
+			m.st.Fill(m.mv.viewKey(row), row) // missingRows checked every key
 		}
-	}
-	m.mv.rebits()
-	if m.epochRows != nil {
-		m.resnap()
-	}
+		m.mv.rebits()
+		if m.st.Sealed() != nil {
+			m.resnap()
+		}
+	})
 	return mem, nil
 }
 
@@ -261,14 +259,14 @@ func (m *Maintainer) Join(def *Definition, opts Options) (*Member, error) {
 // When no member is filtered any more the family stops publishing words.
 // The facade releases the family with its last member.
 func (m *Maintainer) Drop(mem *Member) {
-	m.sealMu.Lock()
-	defer m.sealMu.Unlock()
-	m.members = slices.DeleteFunc(m.members, func(x *Member) bool { return x == mem })
-	if mem.filtered {
-		if m.refilter(); !m.filtering() {
-			m.epochWords, m.openWords = nil, nil
+	m.st.Locked(func() {
+		m.members = slices.DeleteFunc(m.members, func(x *Member) bool { return x == mem })
+		if mem.filtered {
+			if m.refilter(); !m.filtering() {
+				m.epochWords, m.openWords = nil, nil
+			}
 		}
-	}
+	})
 }
 
 // freeSlot returns the lowest membership bit no member holds.
@@ -318,10 +316,10 @@ func (m *Maintainer) missingRows(def *Definition) ([]rel.Row, error) {
 	for _, row := range rows {
 		k := m.mv.viewKey(row)
 		if seen[k] {
-			return nil, fmt.Errorf("view %s: duplicate view key for row %s", def.Name, row)
+			return nil, duplicateKey(def.Name, row)
 		}
 		seen[k] = true
-		if _, stored := m.mv.rows[k]; !stored {
+		if _, stored := m.st.Lookup(k); !stored {
 			out = append(out, row)
 		}
 	}

@@ -21,9 +21,9 @@ import (
 type Maintainer struct {
 	mv  *Materialized
 	agg *AggMaterialized // non-nil for aggregation views
-	// st is whichever of the two the maintainer has: the store its
-	// changesets stage into and its epochs publish.
-	st   rowStore
+	// st is the rows of whichever of the two the maintainer has: the store
+	// its changesets stage into and its epochs are sealed from.
+	st   *rel.Store
 	def  *Definition
 	opts Options
 	// planMu guards plans: the cache is populated lazily from paths the
@@ -46,9 +46,6 @@ type Maintainer struct {
 	shape   string
 	disj    []algebra.Pred
 
-	// logBuf is the row log of the last finished changeset, emptied, for the
-	// next Begin to fill (changeset.go).
-	logBuf []rowUndo
 	// arena holds the rows a maintenance half's programs build (ΔV^D, the
 	// §5.3 probe chains); applyHalf resets it when the half ends. One arena
 	// serves the family because its runs are serial (see tablePlan), and
@@ -58,24 +55,21 @@ type Maintainer struct {
 	arena      rel.Arena
 	orphanSeen map[string]bool
 
-	// sealMu is the one lock a pin and a commit share: a commit's log walk
-	// and a member's seal hold it, nothing else for long (epoch.go). It
-	// guards the fields below and every member's filtered flag, sequence
-	// number and committed counters. epochRows and epochWords are the
-	// family's last sealed vectors: its stored rows by handle and, while a
-	// member is filtered, their membership words (nil otherwise); both nil
-	// until snapshots are enabled. openRows and openWords are the
-	// transactions the commits since the last seal walked into, nil when
-	// none has. patterns is the committed term counters of the stored rows,
-	// which the unfiltered members' epochs share (none for an aggregation
-	// view). termDeltas is the walk's scratch.
-	sealMu     sync.Mutex
-	epochRows  *rel.RowVec
+	// The store's seal mutex (rel.Store.Locked) is the one lock a pin and a
+	// commit share: a commit's walk and a member's seal hold it, nothing
+	// else for long (epoch.go). It guards the fields below and every
+	// member's filtered flag, sequence number and committed counters. The
+	// store keeps the family's rows vector; epochWords is the membership
+	// words of its last seal while a member is filtered (nil otherwise), and
+	// openWords the transaction the commits since walked them into (nil
+	// when none has). patterns is the committed term counters of the stored
+	// rows, which the unfiltered members' epochs share (none for an
+	// aggregation view). termDeltas and touched are the walk's scratch.
 	epochWords *rel.Vec[uint64]
-	openRows   *rel.VecTx[rel.Row]
 	openWords  *rel.VecTx[uint64]
 	patterns   counters
 	termDeltas []termDelta
+	touched    uint64
 }
 
 type planKey struct {
@@ -216,13 +210,13 @@ func NewMaintainer(def *Definition, opts Options) (*Maintainer, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.agg, m.st = am, am
+		m.agg, m.st = am, &am.rows
 	} else {
 		mv, err := newMaterialized(def, opts)
 		if err != nil {
 			return nil, err
 		}
-		m.mv, m.st = mv, mv
+		m.mv, m.st = mv, &mv.rows
 	}
 	m.initFamily(def, opts)
 	return m, nil
@@ -248,16 +242,17 @@ func (m *Maintainer) Materialize() error {
 	if err != nil {
 		return err
 	}
-	m.sealMu.Lock()
-	defer m.sealMu.Unlock()
-	if m.epochRows != nil {
+	m.st.Locked(func() {
+		if m.st.Sealed() == nil {
+			return
+		}
 		m.resnap()
 		for _, mem := range m.members {
 			if mem.ep.Load() != nil {
 				mem.publishFull()
 			}
 		}
-	}
+	})
 	return nil
 }
 
@@ -667,17 +662,23 @@ func (m *Maintainer) onDelta(table string, removed, added []rel.Row) (*MaintStat
 }
 
 // CommitStaged commits a staged changeset, completing stats with the undo
-// count and commit flag. Commit gets its own root span (attrs: view,
-// undo_records) so trace consumers can separate maintenance work from
-// transaction bookkeeping; the undo-record and commit counters publish to
-// the registry here. Used by onDelta and by the Database, which commits
-// several views' staged changesets together.
+// count and commit flag: the store's one commit walk (rel.Store.Commit)
+// walks the log into the family's open epoch (epoch.go) and releases the
+// slots of the rows the run deleted. Committing a finished changeset is a
+// no-op. Commit gets its own root span (attrs: view, undo_records) so trace
+// consumers can separate maintenance work from transaction bookkeeping; the
+// undo-record and commit counters publish to the registry here. Used by
+// onDelta and by the Database, which commits several views' staged
+// changesets together.
 func (m *Maintainer) CommitStaged(cs *Changeset, stats *MaintStats) {
+	if cs.done {
+		return
+	}
 	stats.UndoRecords = cs.Len()
 	commit := m.opts.Tracer.StartSpan("changeset.commit").
 		SetStr("view", m.Name()).SetInt("undo_records", int64(stats.UndoRecords))
-	m.walkLog(cs)
-	cs.Commit()
+	m.st.Commit(cs.from, 0, m.walkRecord, m.markMembers) // members number their own epochs
+	cs.done = true
 	commit.End()
 	m.opts.Metrics.Add("view.undo.records", int64(stats.UndoRecords))
 	m.opts.Metrics.Add("view.commits", 1)
@@ -700,7 +701,7 @@ func (m *Maintainer) RollbackStaged(cs *Changeset) error {
 // state at Begin; every member publishes the rebuilt rows as a full epoch.
 // The registry counts it as view.rebuilds.
 func (m *Maintainer) Rebuild(cs *Changeset) error {
-	cs.finish()
+	cs.done = true
 	m.opts.Metrics.Add("view.rebuilds", 1)
 	return m.Materialize()
 }

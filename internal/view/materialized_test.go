@@ -78,8 +78,8 @@ func TestPerTableIndexConsistency(t *testing.T) {
 	for table, idx := range mv.perTable {
 		for tk := range idx {
 			for _, h := range chainHandles(t, mv, table, tk) {
-				sr := mv.slab.At(h)
-				if got, ok := mv.rows[sr.Key]; !ok || got != h {
+				sr := mv.rows.At(h)
+				if got, ok := mv.rows.Lookup(sr.Key); !ok || got != h {
 					t.Fatalf("index %s/%x points to missing row", mv.tableOrder[table], tk)
 				}
 				if rel.EncodeRowCols(sr.Row, mv.keyCols[table]) != tk {
@@ -88,8 +88,8 @@ func TestPerTableIndexConsistency(t *testing.T) {
 			}
 		}
 	}
-	for _, h := range mv.rows {
-		row := mv.slab.At(h).Row
+	for _, h := range mv.rows.Handles() {
+		row := mv.rows.At(h).Row
 		for table := range mv.tableOrder {
 			if row[mv.witnessCol[table]].IsNull() {
 				continue
@@ -160,13 +160,14 @@ func TestContainsTupleAgainstScan(t *testing.T) {
 }
 
 func TestInsertRowRejectsDuplicates(t *testing.T) {
-	mv := storageFixture(t, Options{})
+	_, m := newV1Maintainer(t, false, Options{})
+	mv := m.Materialized()
 	row := mv.Rows()[0]
-	if _, err := mv.insertRow(mv.viewKey(row), row); err == nil {
-		t.Error("duplicate view key must be rejected")
+	if err := m.Begin().insertRow("", mv.viewKey(row), row); err == nil || mv.rows.Pending() != 0 {
+		t.Error("duplicate view key must be rejected, and logged nothing")
 	}
-	if _, _, ok := mv.unlinkKey([]byte("no-such-key")); ok {
-		t.Error("unlinkKey of a missing key must report false")
+	if _, ok := mv.rows.LookupBytes([]byte("no-such-key")); ok {
+		t.Error("lookup of a missing key must report false")
 	}
 }
 

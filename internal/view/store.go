@@ -2,13 +2,16 @@ package view
 
 import "ojv/internal/rel"
 
-// The view store: where a stored view row lives, and what it costs.
+// The view store: what a stored view keeps beside its rows, and what it
+// costs.
 //
-// A stored row is one slot of a rel.Slab — {view key, row} behind an int32
-// handle, with a LIFO free list, and a deleted row's slot released only when
-// its delete commits (rel/slab.go); rows maps a view key to its handle.
-// Everything else that refers to a row refers to the handle: the per-table
-// index threads an intrusive doubly-linked chain per distinct table key
+// A stored row is one slot of a rel.Store — {view key, row} behind an int32
+// handle, under the key map, the undo log, the rollback, the commit walk and
+// the seal the Store shares with base tables (rel/store.go). What a view
+// adds is its own and is kept here, in step with the Store through the
+// view's link hook (Materialized.linkSlot): the term counters, the
+// membership words of a family's filtered members, and the per-table index,
+// which threads an intrusive doubly-linked chain per distinct table key
 // through a second, pointer-free slab of links (one link per row per table),
 // so adding a row to a bucket or taking it out is a constant number of link
 // writes at any bucket size and allocates nothing per bucket. A bucket's map
@@ -16,27 +19,15 @@ import "ojv/internal/rel"
 // concatenation of the tables' encoded keys), so no table key is ever
 // encoded or stored on its own.
 //
-// A staged delete only unlinks the row — out of rows, its term's counter and
-// the chains — and leaves it in its slot; the changeset's rollback relinks
-// it in place, its commit releases the slot. So a rolled-back changeset
-// leaves every live row at the handle it had, the epoch the commits walk
-// into (a rel.RowVec indexed by handle) equals the committed store slot for
-// slot, and an undo record is the handle alone.
+// A staged delete only unlinks the row — out of the key map, its term's
+// counter and the chains — and leaves it in its slot; the changeset's
+// rollback relinks it in place, the commit walk releases the slot. So a
+// rolled-back changeset leaves every live row at the handle it had, and the
+// family's epoch (a rel.RowVec indexed by handle) equals the committed
+// store slot for slot.
 //
-// An aggregation view keeps its groups in a store too (agg.go), one state
-// row per group under the encoded group key, with no term counters and no
-// chains. A changeset stages into either kind through rowStore.
-
-// rowStore is the seam between a changeset and the store it stages into:
-// the four staged mutations, and the store they act on, whose slots a
-// commit walks into the epoch and releases.
-type rowStore interface {
-	insertRow(k string, row rel.Row) (int32, error)
-	unlinkKey(k []byte) (int32, rel.Row, bool)
-	unlink(h int32)
-	relink(h int32)
-	stored() *store
-}
+// An aggregation view keeps its groups in a rel.Store too (agg.go), one
+// state row per group under the encoded group key, with none of this.
 
 const (
 	// maxTables is the widest view a uint32 term pattern can describe.
@@ -57,16 +48,10 @@ type chainLink struct{ next, prev int32 }
 // table equals the bucket's key.
 type chain struct{ head, count int32 }
 
-// store is the mutable half of a Materialized or an AggMaterialized.
+// store is what a Materialized keeps beside its rows.
 type store struct {
-	rows map[string]int32
-	// patternCount counts the rows of each term pattern; nil in an
-	// aggregation view, whose rows belong to no term.
+	// patternCount counts the linked rows of each term pattern.
 	patternCount map[uint32]int
-
-	// slab holds the rows: len(rows) + len(slab.Free()) == slab.Used(), less
-	// the slots an open changeset has unlinked and not yet released.
-	slab rel.Slab
 
 	// perTable[i] maps table i's encoded key to the chain of view rows
 	// containing that tuple; links holds the chains' links, row h's link
@@ -84,10 +69,7 @@ type store struct {
 }
 
 func newStore(nTables int, indexed bool) store {
-	s := store{
-		rows:         make(map[string]int32),
-		patternCount: make(map[uint32]int),
-	}
+	s := store{patternCount: make(map[uint32]int)}
 	if indexed {
 		s.perTable = make([]map[string]chain, nTables)
 		for i := range s.perTable {
@@ -97,31 +79,8 @@ func newStore(nTables int, indexed bool) store {
 	return s
 }
 
-// stored returns the store itself, for a changeset or an epoch that reaches
-// it through rowStore.
-func (s *store) stored() *store { return s }
-
-// linked returns the rows of the linked slots, in unspecified order.
-func (s *store) linked() []rel.Row {
-	out := make([]rel.Row, 0, len(s.rows))
-	for _, h := range s.rows {
-		out = append(out, s.slab.At(h).Row)
-	}
-	return out
-}
-
 func (s *store) link(h int32, table int) *chainLink {
 	return &s.links[h>>rel.SlabChunkBits][int(h&(rel.SlabChunk-1))*len(s.perTable)+table]
-}
-
-// alloc hands out a free handle, growing the links by one chunk whenever the
-// slab grows one.
-func (s *store) alloc() int32 {
-	h := s.slab.Alloc()
-	if s.perTable != nil && int(h>>rel.SlabChunkBits) == len(s.links) {
-		s.links = append(s.links, make([]chainLink, rel.SlabChunk*len(s.perTable)))
-	}
-	return h
 }
 
 // chainAdd puts row h at the head of table's chain for key tk.
