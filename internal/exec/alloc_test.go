@@ -34,11 +34,29 @@ func TestAllocBudget(t *testing.T) {
 	ref := func(name, table string) algebra.Expr {
 		return &algebra.RelRef{Name: name, TableNames: []string{table}}
 	}
+	// r(k, v), indexed on v with 8 rows per key, of which the step added
+	// the last 8: the delta table an old-state probe reads.
+	cat := rel.NewCatalog()
+	if _, err := cat.CreateTable("r", []rel.Column{{Name: "k", Kind: rel.KindInt}, {Name: "v", Kind: rel.KindInt}}, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.CreateIndex("r", "r_v", "v"); err != nil {
+		t.Fatal(err)
+	}
+	var rRows []rel.Row
+	for i := 0; i < 512; i++ {
+		rRows = append(rRows, rel.Row{rel.Int(int64(i)), rel.Int(int64(i % 64))})
+	}
+	if err := cat.Insert("r", rRows); err != nil {
+		t.Fatal(err)
+	}
+	oldCtx := &Context{Catalog: cat, Rels: rels, DeltaTable: "r", Added: rRows[504:]}
 
 	cases := []struct {
 		name         string
 		expr         algebra.Expr
 		allocsPerRow float64
+		ctx          *Context // nil: relations only
 	}{
 		// Scan + select reuse the caller's batch and compact in place: the
 		// only allocations are the batch backing array and the drained
@@ -76,10 +94,27 @@ func TestAllocBudget(t *testing.T) {
 			},
 			allocsPerRow: 0.02,
 		},
+		// Semi join probing the index of the delta table's pre-step state:
+		// a candidate is left out by its handle, from a set built once per
+		// run, with no key encoded per candidate.
+		{
+			name: "semijoin-old-state-probe",
+			expr: &algebra.Join{
+				Kind:  algebra.SemiJoin,
+				Left:  ref("big", "t"),
+				Right: &algebra.OldTableRef{Name: "r"},
+				Pred:  algebra.Eq("t", "v", "r", "v"),
+			},
+			allocsPerRow: 0.02,
+			ctx:          oldCtx,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := &Context{Catalog: rel.NewCatalog(), Rels: rels}
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = &Context{Catalog: rel.NewCatalog(), Rels: rels}
+			}
 			avg := testing.AllocsPerRun(5, func() {
 				if _, err := Eval(ctx, tc.expr); err != nil {
 					t.Fatal(err)

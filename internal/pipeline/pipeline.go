@@ -193,7 +193,8 @@ func (q *Queue) visibleBytes(table string, key []byte) bool {
 			return e.kind != entryDelete
 		}
 	}
-	return q.cat.Table(table).ContainsKeyBytes(key)
+	_, ok := q.cat.Table(table).HandleBytes(key)
+	return ok
 }
 
 // checkOutboundFKs validates a staged row's outbound foreign keys against

@@ -34,13 +34,6 @@ type inboundFK struct {
 	keyPos    []int
 }
 
-// referenced reports whether any row of the referencing table points at
-// the key kv (in the referenced table's key column order).
-func (in *inboundFK) referenced(kv []Value) bool {
-	var buf [64]byte
-	return len(in.ix.LookupBytes(AppendRowCols(buf[:0], kv, in.keyPos))) > 0
-}
-
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
@@ -260,7 +253,8 @@ func (c *Catalog) Release(table string, ix *Index) {
 // exists.
 func (c *Catalog) fkSatisfied(fk ForeignKey, row Row) bool {
 	var buf [64]byte
-	return c.tables[fk.RefTable].ContainsKeyBytes(AppendRowCols(buf[:0], row, fk.keySrc))
+	_, ok := c.tables[fk.RefTable].HandleBytes(AppendRowCols(buf[:0], row, fk.keySrc))
+	return ok
 }
 
 // ForeignKeys returns the outbound foreign keys of the named table. It
@@ -387,12 +381,13 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 }
 
 // checkRestrict fails when a row of another table still references the
-// row of table with key kv.
+// row of table with key kv (in the table's key column order): when the
+// referencing table's index files a row under it.
 func (c *Catalog) checkRestrict(table string, kv []Value) error {
-	in := c.inbound[table]
-	for i := range in {
-		if in[i].referenced(kv) {
-			return fmt.Errorf("rel: cannot delete %s key %v: referenced by %s", table, kv, in[i].fromTable)
+	var buf [64]byte
+	for _, in := range c.inbound[table] {
+		if in.ix.chains.Get(AppendRowCols(buf[:0], kv, in.keyPos)).Count > 0 {
+			return fmt.Errorf("rel: cannot delete %s key %v: referenced by %s", table, kv, in.fromTable)
 		}
 	}
 	return nil

@@ -460,12 +460,12 @@ func TestContainsTupleIndexAgreement(t *testing.T) {
 	}
 	keys := make([]string, len(idx.tableOrder))
 	keys[0], keys[1] = missing, secondKey
-	walked := idx.linkOps
+	walked := idx.walked
 	if idx.containsTuple(0b11, probeKey(idx, keys)) {
 		t.Error("containsTuple = true with an empty probe set on the first table")
 	}
-	if idx.linkOps != walked {
-		t.Errorf("an empty first chain still cost %d link steps", idx.linkOps-walked)
+	if idx.walked != walked {
+		t.Errorf("an empty first chain still cost %d link steps", idx.walked-walked)
 	}
 }
 

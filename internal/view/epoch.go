@@ -239,8 +239,17 @@ type termDelta struct {
 // transactions hold, whatever the store says. Every mutation of the store
 // outside Materialize and a member's joining is logged by a changeset and
 // every changeset commits through the walk, so the log is the complete list
-// of slots the vectors may differ in.
+// of slots the vectors may differ in. The term patterns, all that can panic
+// here, are read before any word or counter moves, so a panic leaves the
+// record as the re-walk expects it.
 func (m *Maintainer) walkRecord(h int32, row, old rel.Row, had bool) {
+	var p, oldP uint32
+	if m.mv != nil && had {
+		oldP = m.mv.pattern(old)
+	}
+	if m.mv != nil && row != nil {
+		p = m.mv.pattern(row)
+	}
 	var w, oldW uint64
 	if m.epochWords != nil {
 		if m.openWords == nil {
@@ -254,19 +263,18 @@ func (m *Maintainer) walkRecord(h int32, row, old rel.Row, had bool) {
 		}
 	}
 	if had {
-		m.count(old, oldW, -1)
+		m.count(oldP, oldW, -1)
 	}
 	if row != nil {
-		m.count(row, w, 1)
+		m.count(p, w, 1)
 	}
 }
 
-// count moves the term counters by one row and its membership word.
-func (m *Maintainer) count(row rel.Row, w uint64, sign int) {
+// count moves the term counters by one row of pattern p and its word w.
+func (m *Maintainer) count(p uint32, w uint64, sign int) {
 	if m.mv == nil {
 		return
 	}
-	p := m.mv.pattern(row)
 	m.patterns.add(p, sign)
 	if w != 0 {
 		m.touched |= w

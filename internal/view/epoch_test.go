@@ -391,3 +391,46 @@ func TestFamilyCommitPanicRewalks(t *testing.T) {
 		}
 	}
 }
+
+// TestFamilyPatternPanicRewalks: a walk that panics while it reads a
+// record's term pattern — here on the deleted row of a filtered member —
+// must not have moved the record's membership word or any counter yet, so
+// the re-walk the next commit makes counts the record once, under the word
+// it had: every member's Len and TermCardinality then equal a scan of its
+// rows.
+func TestFamilyPatternPanicRewalks(t *testing.T) {
+	_, rows := applyFixture(t, 2001)
+	f := familyFixture(t, 50, 3)
+	f.CommitStaged(stageRows(t, f, rows[:2000], true), &MaintStats{})
+	held := -1
+	for i, r := range rows[:2000] {
+		if f.mv.membership(r) != 0 {
+			held = i
+			break
+		}
+	}
+	if held < 0 {
+		t.Fatal("no filtered member holds a row")
+	}
+	for _, mem := range f.members {
+		mem.current()
+	}
+	cs := stageRows(t, f, rows[held:held+1], false)
+	witness := f.mv.witnessCol
+	f.mv.witnessCol = []int{len(rows[held]) + 1} // pattern reads out of range
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the walk did not panic")
+			}
+		}()
+		f.CommitStaged(cs, &MaintStats{})
+	}()
+	f.mv.witnessCol = witness
+	f.CommitStaged(stageRows(t, f, rows[2000:], true), &MaintStats{})
+	for _, mem := range f.members {
+		if err := mem.checkEpoch(mem.rows()); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -11,13 +11,10 @@ import "ojv/internal/rel"
 // adds is its own and is kept here, in step with the Store through the
 // view's link hook (Materialized.linkSlot): the term counters, the
 // membership words of a family's filtered members, and the per-table index,
-// which threads an intrusive doubly-linked chain per distinct table key
-// through a second, pointer-free slab of links (one link per row per table),
-// so adding a row to a bucket or taking it out is a constant number of link
-// writes at any bucket size and allocates nothing per bucket. A bucket's map
-// key is a substring of one of its rows' view keys (the view key is the
-// concatenation of the tables' encoded keys), so no table key is ever
-// encoded or stored on its own.
+// one rel.Chains per table (rel/chains.go, as under a table index). A
+// bucket's key is a substring of one of its rows' view keys (the view key
+// is the concatenation of the tables' encoded keys), so no table key is
+// ever encoded or stored on its own.
 //
 // A staged delete only unlinks the row — out of the key map, its term's
 // counter and the chains — and leaves it in its slot; the changeset's
@@ -33,88 +30,26 @@ const (
 	// maxTables is the widest view a uint32 term pattern can describe.
 	maxTables = 32
 
-	// noRow ends a chain.
-	noRow int32 = -1
-
 	// nullTag is the encoding of NULL: a null-extended table's part of a
 	// view key is one nullTag per key column.
 	nullTag = byte(rel.KindNull)
 )
-
-// chainLink is a row's place in one table's chain.
-type chainLink struct{ next, prev int32 }
-
-// chain is one bucket of the per-table index: the rows whose part for the
-// table equals the bucket's key.
-type chain struct{ head, count int32 }
 
 // store is what a Materialized keeps beside its rows.
 type store struct {
 	// patternCount counts the linked rows of each term pattern.
 	patternCount map[uint32]int
 
-	// perTable[i] maps table i's encoded key to the chain of view rows
-	// containing that tuple; links holds the chains' links, row h's link
-	// for table i at links[h>>rel.SlabChunkBits][(h&(rel.SlabChunk-1))*len(perTable)+i].
-	// Both nil when Options.DisableOrphanIndex.
-	perTable []map[string]chain
-	links    [][]chainLink
+	// perTable[i] files the view rows containing a tuple of table i under
+	// the tuple's encoded key; nil when Options.DisableOrphanIndex.
+	perTable []rel.Chains[string]
 	// bits[h] is the membership word of the row in slot h: bit i is set when
 	// the family's filtered member in slot i holds the row (family.go). nil
 	// while no member is filtered.
 	bits []uint64
-	// linkOps counts the links written or followed, so a test can assert
-	// that index maintenance stays linear in the rows on a hot key.
-	linkOps int
-}
-
-func newStore(nTables int, indexed bool) store {
-	s := store{patternCount: make(map[uint32]int)}
-	if indexed {
-		s.perTable = make([]map[string]chain, nTables)
-		for i := range s.perTable {
-			s.perTable[i] = make(map[string]chain)
-		}
-	}
-	return s
-}
-
-func (s *store) link(h int32, table int) *chainLink {
-	return &s.links[h>>rel.SlabChunkBits][int(h&(rel.SlabChunk-1))*len(s.perTable)+table]
-}
-
-// chainAdd puts row h at the head of table's chain for key tk.
-func (s *store) chainAdd(table int, tk string, h int32) {
-	c, ok := s.perTable[table][tk]
-	if !ok {
-		c.head = noRow
-	}
-	*s.link(h, table) = chainLink{next: c.head, prev: noRow}
-	if c.head != noRow {
-		s.link(c.head, table).prev = h
-	}
-	s.linkOps += 2
-	s.perTable[table][tk] = chain{head: h, count: c.count + 1}
-}
-
-// chainRemove takes row h out of table's chain for key tk.
-func (s *store) chainRemove(table int, tk string, h int32) {
-	c := s.perTable[table][tk]
-	l := *s.link(h, table)
-	if l.prev != noRow {
-		s.link(l.prev, table).next = l.next
-	} else {
-		c.head = l.next
-	}
-	if l.next != noRow {
-		s.link(l.next, table).prev = l.prev
-	}
-	s.linkOps += 2
-	if c.count--; c.count == 0 {
-		delete(s.perTable[table], tk)
-		return
-	}
-	s.perTable[table][tk] = c
+	// walked counts the links containsTuple followed, so a test can assert
+	// that a probe walks the shortest chain.
+	walked int
 }
 
 // keyParts holds the start of each table's part of a view key, and the
