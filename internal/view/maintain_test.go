@@ -252,7 +252,7 @@ func TestMaintenanceStats(t *testing.T) {
 	if stats.PrimaryRows == 0 {
 		t.Error("primary delta should be non-empty for a T insert")
 	}
-	if stats.Table != "T" || !stats.Insert {
+	if stats.Table != "T" {
 		t.Errorf("stats header: %+v", stats)
 	}
 }

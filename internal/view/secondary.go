@@ -11,9 +11,8 @@ import (
 // (δ πTi.* σPi ΔV^D) ⋉la_eq(Ti) (V−ΔV^D) — projections of deleted parent
 // tuples that are no longer contained in any view row become new orphans and
 // are inserted. It returns the number of orphan rows added. deleted holds the
-// full-width ΔV^D rows; the plan's witness, keyCols and outCols say where a
-// row's term pattern, view key and output columns sit in them.
-func (m *Maintainer) secondaryFromView(cs *Changeset, plan *tablePlan, ip *indirectPlan, deleted []rel.Row) (int, error) {
+// ΔV^D rows in the view's schema, read as secondaryInsertCombined reads them.
+func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, deleted []rel.Row) (int, error) {
 	mv := m.mv
 	n := 0
 	// A candidate is identified by the view key its orphan row would have;
@@ -26,7 +25,7 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, plan *tablePlan, ip *indir
 	defer clear(seen)
 	var buf []byte
 	for _, row := range deleted {
-		pat := patternAt(row, plan.witness)
+		pat := mv.pattern(row)
 		if !anyMaskSubset(ip.parentMasks, pat) {
 			continue
 		}
@@ -38,7 +37,7 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, plan *tablePlan, ip *indir
 		if pat&ip.indirectExtrasMask != 0 {
 			continue
 		}
-		buf = mv.appendKey(buf[:0], row, plan.keyCols, ip.tiMask)
+		buf = mv.appendKey(buf[:0], row, mv.keyCols, ip.tiMask)
 		if seen[string(buf)] {
 			continue
 		}
@@ -47,10 +46,10 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, plan *tablePlan, ip *indir
 		if mv.containsTuple(ip.tiMask, key) {
 			continue
 		}
-		orphan := make(rel.Row, len(mv.schema))
+		orphan := make(rel.Row, len(row))
 		for i, t := range mv.colTable {
 			if ip.tiMask&(1<<uint(t)) != 0 {
-				orphan[i] = row[plan.outCols[i]]
+				orphan[i] = row[i]
 			}
 		}
 		if err := cs.insertRow("secondary-orphan-insert", key, orphan); err != nil {
@@ -301,11 +300,11 @@ func secondaryCandidatesFromBase(ctx *exec.Context, plan *tablePlan, ip *indirec
 		// operators open no spans.
 		sub := *ctx
 		sub.Rels, sub.Span = map[string]exec.Relation{candRel: cand}, nil
-		dismissed, _, err := evalCounted(&sub, run)
+		dismissed, _, err := evalCounted(&sub, run, nil)
 		if err != nil {
 			return exec.Relation{}, err
 		}
-		if cand = survivors(cand, dismissed.Rows, fb.tiKeyCols); len(cand.Rows) == 0 {
+		if cand = survivors(cand, dismissed, fb.tiKeyCols); len(cand.Rows) == 0 {
 			break
 		}
 	}

@@ -158,13 +158,22 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 // program instance per plan restarted for every run: 74 / 2 952 B and
 // 74 / 5 128 B, every process. With the executor's rows carved from the
 // family's arena instead of allocated one by one: 70 / 2 376 B and
-// 68 / 2 728 B.
-// The byte budgets sit about 10 % above those readings, so
+// 68 / 2 728 B; with both halves of a run reading ΔV^D projected into that
+// arena, through one reference slice the family reuses, 60 / 2 152 B and
+// 58 / 2 504 B. The byte budgets sit about 10 % above the arena's first
+// readings, so
 // per-run schema derivation, predicate compilation or offset resolution
 // creeping back into the statement path trips them on either view, and so
 // does a per-table key string or set coming back into the view apply, an
 // epoch path copied per commit, an operator tree allocated per run or a
 // join output row allocated on the heap (V3 emits two per pair).
+//
+// removed-half deletes one order whose ΔV^D has 64 rows and makes one new
+// orphan, and budgets the bytes per ΔV^D row: 19 B, the statement's fixed
+// cost spread over the rows (47 B before the two halves shared one row
+// form, when each removed half drained ΔV^D into a fresh slice). A removed
+// half projected onto the heap, one view row of 8 values per ΔV^D row, reads
+// 211 B and trips it.
 func TestStatementAllocBudget(t *testing.T) {
 	t.Run("V2", func(t *testing.T) {
 		cat, err := fixture.COL(fixture.COLOptions{Customers: 50, Orders: 200, Lineitems: 600, Seed: 3, WithFK: true})
@@ -217,6 +226,84 @@ func TestStatementAllocBudget(t *testing.T) {
 		}
 		objects, bytes := statementPairCost(t, db, "lineitem", row, row[:2])
 		checkBudget(t, objects, bytes, 82, 3000)
+	})
+	t.Run("removed-half", func(t *testing.T) {
+		// (C ⟕ O) ⟕ L: deleting the one order of a customer removes the
+		// order's 64 view rows and makes the customer an orphan.
+		cat := rel.NewCatalog()
+		intCol := func(n string) rel.Column { return rel.Column{Name: n, Kind: rel.KindInt} }
+		for _, tab := range []struct {
+			name string
+			cols []rel.Column
+		}{
+			{"C", []rel.Column{intCol("ck"), intCol("a")}},
+			{"O", []rel.Column{intCol("ok"), intCol("ock"), intCol("a")}},
+			{"L", []rel.Column{intCol("lk"), intCol("lok"), intCol("a")}},
+		} {
+			if _, err := cat.CreateTable(tab.name, tab.cols, tab.cols[0].Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const lines = 64
+		order := ojv.Row{ojv.Int(0), ojv.Int(0), ojv.Int(0)}
+		tables := map[string][]rel.Row{"C": {{rel.Int(0), rel.Int(0)}}, "O": {order}}
+		for i := 0; i < lines; i++ {
+			tables["L"] = append(tables["L"], rel.Row{rel.Int(int64(i)), rel.Int(0), rel.Int(int64(i))})
+		}
+		for _, name := range []string{"C", "O", "L"} {
+			if err := cat.Insert(name, tables[name]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expr := &algebra.Join{
+			Kind: algebra.LeftOuterJoin,
+			Left: &algebra.Join{
+				Kind: algebra.LeftOuterJoin, Left: &algebra.TableRef{Name: "C"}, Right: &algebra.TableRef{Name: "O"},
+				Pred: algebra.Eq("C", "ck", "O", "ock"),
+			},
+			Right: &algebra.TableRef{Name: "L"},
+			Pred:  algebra.Eq("O", "ok", "L", "lok"),
+		}
+		db := ojv.WrapCatalog(cat)
+		v, err := db.CreateView("v", ojv.ExprRel(expr), fixture.AllColumns(cat, "C", "O", "L"), ojv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := v.Maintainer().Materialized()
+		del := func() {
+			if _, err := db.Delete("O", [][]ojv.Value{order[:1]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ins := func() {
+			if err := db.Insert("O", []ojv.Row{order}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		del()
+		if got := stored.Len(); got != 1 {
+			t.Fatalf("the delete leaves %d view rows, want the customer's orphan alone", got)
+		}
+		ins()
+		const rounds = 50
+		var before, after runtime.MemStats
+		var total uint64
+		for i := 0; i < rounds; i++ {
+			runtime.ReadMemStats(&before)
+			del()
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+			ins()
+		}
+		const budget = 22
+		perRow := float64(total) / rounds / lines
+		t.Logf("delete of a %d-row ΔV^D with one new orphan: %.0f B per ΔV^D row", lines, perRow)
+		if perRow > budget {
+			t.Errorf("delete allocates %.0f B per ΔV^D row, budget %d", perRow, budget)
+		}
+		if err := v.Check(); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
