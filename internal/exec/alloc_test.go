@@ -108,6 +108,15 @@ func TestAllocBudget(t *testing.T) {
 			allocsPerRow: 0.02,
 			ctx:          oldCtx,
 		},
+		// A scan of the same pre-step state tests each row against the
+		// added rows' keys through one reused key buffer, with no key
+		// encoded per scanned row.
+		{
+			name:         "select-old-state-scan",
+			expr:         &algebra.Select{Input: &algebra.OldTableRef{Name: "r"}, Pred: algebra.CmpConst("r", "v", algebra.OpLt, rel.Int(50))},
+			allocsPerRow: 0.02,
+			ctx:          oldCtx,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -270,9 +270,11 @@ type scanSource struct {
 	// how the paper's T± ⋉la_eq(T) ΔT (insertions) and T± + ΔT (deletions)
 	// are realized, without materializing the reconstructed state: the
 	// current rows come first, less the added keys (exclude) during
-	// emission, and the removed rows follow from position live on.
+	// emission, and the removed rows follow from position live on. key is
+	// the scratch a scanned row's key is encoded into to test it.
 	old     *rel.Table
 	exclude map[string]bool
+	key     []byte
 	live    int
 	counted bool // publish emitted rows to exec.rows.scanned
 
@@ -297,8 +299,10 @@ func (s *scanSource) Next(b *Batch) (bool, error) {
 	for s.pos < len(s.rows) && b.Len() < limit {
 		r := s.rows[s.pos]
 		s.pos++
-		if s.pos <= s.live && s.exclude != nil && s.exclude[s.old.KeyOf(r)] {
-			continue
+		if s.pos <= s.live && s.exclude != nil {
+			if s.key = rel.AppendRowCols(s.key[:0], r, s.old.KeyCols()); s.exclude[string(s.key)] {
+				continue
+			}
 		}
 		b.Append(r)
 	}

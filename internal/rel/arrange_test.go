@@ -39,7 +39,7 @@ func TestArrangeSharesAndReleases(t *testing.T) {
 	if c.DesignGeneration() == gen {
 		t.Fatal("building an arrangement did not move the design generation")
 	}
-	if got := int(ix.chains.Get([]byte(EncodeValues(Int(10)))).Count); got != 2 {
+	if got := int(ix.Get([]byte(EncodeValues(Int(10)))).Count); got != 2 {
 		t.Fatalf("arrangement built over existing rows finds %d rows for v=10, want 2", got)
 	}
 	gen = c.DesignGeneration()
@@ -56,7 +56,7 @@ func TestArrangeSharesAndReleases(t *testing.T) {
 	if _, err := c.Delete("p", [][]Value{{Int(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(ix.chains.Get([]byte(EncodeValues(Int(10)))).Count); got != 2 {
+	if got := int(ix.Get([]byte(EncodeValues(Int(10)))).Count); got != 2 {
 		t.Fatalf("after an insert and a delete the arrangement finds %d rows for v=10, want 2", got)
 	}
 	c.Release("p", ix)

@@ -155,10 +155,15 @@ func (c *Catalog) AddForeignKey(table string, cols []string, refTable string, re
 	for i, kc := range rt.keyCols {
 		fk.keySrc[i] = offsets[slices.Index(refOffsets, kc)]
 	}
-	for _, h := range t.rows.Handles() {
+	var violated Row
+	t.rows.Handles(func(h int32) bool {
 		if row := t.Row(h); !c.fkSatisfied(fk, row) {
-			return fmt.Errorf("rel: foreign key %s->%s violated by existing row %s", table, refTable, row)
+			violated = row
 		}
+		return violated == nil
+	})
+	if violated != nil {
+		return fmt.Errorf("rel: foreign key %s->%s violated by existing row %s", table, refTable, violated)
 	}
 	ix := t.IndexOnSet(offsets)
 	if ix == nil {
@@ -342,7 +347,7 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 	if t == nil {
 		return nil, fmt.Errorf("rel: unknown table %s", table)
 	}
-	encoded := make([]string, len(keys))
+	handles := make([]int32, len(keys))
 	var seen map[string]bool
 	if len(keys) > 1 {
 		seen = make(map[string]bool, len(keys))
@@ -351,16 +356,18 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 		if len(kv) != len(t.keyCols) {
 			return nil, fmt.Errorf("rel: table %s: key has %d values, expected %d", table, len(kv), len(t.keyCols))
 		}
-		encoded[i] = EncodeValues(kv...)
-		if seen[encoded[i]] {
+		k := EncodeValues(kv...)
+		if seen[k] {
 			return nil, fmt.Errorf("rel: table %s: duplicate key %v in delete", table, kv)
 		}
 		if seen != nil {
-			seen[encoded[i]] = true
+			seen[k] = true
 		}
-		if !t.ContainsKey(encoded[i]) {
+		h, ok := t.rows.Lookup(k)
+		if !ok {
 			return nil, fmt.Errorf("rel: table %s: no row with key %v", table, kv)
 		}
+		handles[i] = h
 	}
 	// RESTRICT check: no inbound references to any deleted row.
 	for _, kv := range keys {
@@ -369,11 +376,7 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 		}
 	}
 	out := make([]Row, 0, len(keys))
-	for _, k := range encoded {
-		h, ok := t.rows.Lookup(k)
-		if !ok {
-			return nil, fmt.Errorf("rel: table %s: concurrent delete of key", table)
-		}
+	for _, h := range handles {
 		out = append(out, t.rows.At(h).Row)
 		t.rows.Remove(h)
 	}
@@ -386,7 +389,7 @@ func (c *Catalog) Delete(table string, keys [][]Value) ([]Row, error) {
 func (c *Catalog) checkRestrict(table string, kv []Value) error {
 	var buf [64]byte
 	for _, in := range c.inbound[table] {
-		if in.ix.chains.Get(AppendRowCols(buf[:0], kv, in.keyPos)).Count > 0 {
+		if in.ix.Get(AppendRowCols(buf[:0], kv, in.keyPos)).Count > 0 {
 			return fmt.Errorf("rel: cannot delete %s key %v: referenced by %s", table, kv, in.fromTable)
 		}
 	}
@@ -410,14 +413,14 @@ func (c *Catalog) Update(table string, key []Value, newRow Row) (Row, error) {
 	if t.KeyOf(newRow) != enc {
 		return nil, fmt.Errorf("rel: table %s: update must not change the key", table)
 	}
-	if !t.ContainsKey(enc) {
+	h, ok := t.rows.Lookup(enc)
+	if !ok {
 		return nil, fmt.Errorf("rel: table %s: no row with key %v", table, key)
 	}
 	if err := c.checkOutboundFKs(t, newRow); err != nil {
 		return nil, err
 	}
-	old := t.replaceByKey(enc, newRow)
-	return old, nil
+	return t.replace(h, newRow), nil
 }
 
 // SortRows sorts rows by their full encoded value, for deterministic output

@@ -36,6 +36,30 @@ func AppendRowCols(buf []byte, row Row, cols []int) []byte {
 	return buf
 }
 
+// encodesTo reports whether key is the encoding of row's values at cols, as
+// AppendRowCols writes it, without writing one.
+func encodesTo(key []byte, row Row, cols []int) bool {
+	var scratch [9]byte
+	for _, c := range cols {
+		v := row[c]
+		if v.kind == KindString {
+			s := v.str()
+			n := 5 + len(s)
+			if len(key) < n || key[0] != byte(KindString) || binary.BigEndian.Uint32(key[1:5]) != uint32(len(s)) || string(key[5:n]) != s {
+				return false
+			}
+			key = key[n:]
+			continue
+		}
+		e := appendValue(scratch[:0], v)
+		if len(key) < len(e) || string(key[:len(e)]) != string(e) {
+			return false
+		}
+		key = key[len(e):]
+	}
+	return len(key) == 0
+}
+
 // fnv64Offset and fnv64Prime are the FNV-1a 64-bit parameters.
 const (
 	fnv64Offset uint64 = 14695981039346656037

@@ -80,6 +80,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		[]byte{2, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 2, 0x80, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0, 2, 0x40, 0, 0, 0, 0, 0, 0, 0},
 		[]byte{1, 0x80, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})
+	// A value and its extension by a second: encodings one a prefix of the
+	// other, which encodesTo must tell apart.
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 7}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0, 0, 0, 0, 7})
 	f.Fuzz(func(t *testing.T, specA, specB []byte) {
 		va := valuesFromSpec(t, specA)
 		vb := valuesFromSpec(t, specB)
@@ -102,8 +105,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if re := EncodeValues(dec...); re != encA {
 			t.Fatalf("re-encoding %v is not canonical: %q vs %q", dec, re, encA)
 		}
+		encB := EncodeValues(vb...)
 
-		if encB := EncodeValues(vb...); encA == encB {
+		if encA == encB {
 			if len(va) != len(vb) {
 				t.Fatalf("injectivity: %v and %v encode equally but differ in length", va, vb)
 			}
@@ -127,6 +131,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(buf, []byte(encA)) {
 			t.Fatalf("HashRowCols scratch %q differs from the encoding %q", buf, encA)
+		}
+		// encodesTo, which a table index matches its buckets with, agrees
+		// with comparing encodings.
+		if !encodesTo([]byte(encA), row, cols) || encodesTo([]byte(encB), row, cols) != (encA == encB) {
+			t.Fatalf("encodesTo of %v disagrees with its encoding %q or with %q", va, encA, encB)
 		}
 	})
 }

@@ -37,10 +37,20 @@ func rollbackFixture(t *testing.T) (*Catalog, *Table, *Index) {
 // handles maps every live key of tab to its handle.
 func handles(tab *Table) map[string]int32 {
 	out := make(map[string]int32, tab.rows.Len())
-	for k, h := range tab.rows.keys {
-		out[k] = h
-	}
+	tab.rows.Handles(func(h int32) bool {
+		out[tab.rows.At(h).Key] = h
+		return true
+	})
 	return out
+}
+
+// handleOf returns the handle tab links under the encoded key k, NoHandle
+// when none: how the tests read a table's key index.
+func handleOf(tab *Table, k string) int32 {
+	if h, ok := tab.rows.Lookup(k); ok {
+		return h
+	}
+	return NoHandle
 }
 
 // sameHandles fails unless tab holds exactly the keys of want, each at the
@@ -51,8 +61,8 @@ func sameHandles(t *testing.T, tab *Table, want map[string]int32) {
 		t.Fatalf("table has %d rows, want %d", tab.rows.Len(), len(want))
 	}
 	for k, h := range want {
-		if got, ok := tab.rows.keys[k]; !ok || got != h {
-			t.Fatalf("key %x at handle %d (%v), want %d", k, got, ok, h)
+		if got := handleOf(tab, k); got != h {
+			t.Fatalf("key %x at handle %d, want %d", k, got, h)
 		}
 	}
 }
@@ -78,10 +88,10 @@ func TestRollbackInsert(t *testing.T) {
 	sameHandles(t, tab, before)
 	// The secondary index must forget the batch too: v=10 had two seed rows
 	// plus one batch row, v=40 only the batch row.
-	if n := int(ix.chains.Get([]byte(EncodeValues(Int(10)))).Count); n != 2 {
+	if n := int(ix.Get([]byte(EncodeValues(Int(10)))).Count); n != 2 {
 		t.Errorf("index lookup v=10 returned %d rows, want 2", n)
 	}
-	if n := int(ix.chains.Get([]byte(EncodeValues(Int(40)))).Count); n != 0 {
+	if n := int(ix.Get([]byte(EncodeValues(Int(40)))).Count); n != 0 {
 		t.Errorf("index lookup v=40 returned %d rows, want 0", n)
 	}
 
@@ -108,7 +118,7 @@ func TestRollbackDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range deleted {
-		if h := tab.rows.keys[tab.KeyOf(row)]; h == before[tab.KeyOf(row)] {
+		if h := handleOf(tab, tab.KeyOf(row)); h == before[tab.KeyOf(row)] {
 			t.Fatalf("row %s re-inserted at handle %d before its delete published", row, h)
 		}
 	}
@@ -125,7 +135,7 @@ func TestRollbackDelete(t *testing.T) {
 		}
 	}
 	sameHandles(t, tab, before)
-	if n := int(ix.chains.Get([]byte(EncodeValues(Int(10)))).Count); n != 2 {
+	if n := int(ix.Get([]byte(EncodeValues(Int(10)))).Count); n != 2 {
 		t.Errorf("index lookup v=10 returned %d rows, want 2", n)
 	}
 
@@ -163,11 +173,11 @@ func TestRollbackUpdate(t *testing.T) {
 	}
 	sameHandles(t, tab, before)
 	for _, v := range []int64{98, 99} {
-		if n := int(ix.chains.Get([]byte(EncodeValues(Int(v)))).Count); n != 0 {
+		if n := int(ix.Get([]byte(EncodeValues(Int(v)))).Count); n != 0 {
 			t.Errorf("index still holds the rolled-back value %d: %d rows", v, n)
 		}
 	}
-	if n := int(ix.chains.Get([]byte(EncodeValues(Int(20)))).Count); n != 1 {
+	if n := int(ix.Get([]byte(EncodeValues(Int(20)))).Count); n != 1 {
 		t.Errorf("index lookup v=20 returned %d rows, want 1", n)
 	}
 

@@ -6,20 +6,20 @@ package rel
 // growing the container never copies a row, addressed by an int32 handle;
 // a LIFO free list recycles the handles of deleted rows. The slab is the
 // bottom of the one versioned container base tables and view families
-// share (Store, store.go), which keeps the map from key to handle, the log
+// share (Store, store.go), which keeps the index from key to handle, the log
 // and the epochs over it. Whatever else refers to a row refers to the
 // handle, and is the owner's: a table's indexes and a view's per-table
 // chains, both Chains (chains.go).
 //
 // A handle names one row for as long as the row is committed. A staged
-// delete only takes the row out of sight — out of the key map and the
+// delete only takes the row out of sight — out of the key index and the
 // buckets — and leaves {key, row} in the slot; undoing the delete relinks it
 // in place, and the Store's commit walk releases the slot. So an undone mutation leaves
 // every live row at the handle it had, and the epoch the commits walk into,
 // a vector indexed by handle (rowvec.go), equals the committed slab slot for
 // slot.
 // Nothing but the log that took a dead slot out of sight can reach it: every
-// reader goes through the key map or a bucket.
+// reader goes through the key index or a bucket.
 
 const (
 	// SlabChunkBits fixes the slab chunk at 512 rows (20 kB of slots).

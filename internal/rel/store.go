@@ -9,11 +9,11 @@ import (
 // The versioned row container: what a base table and a view family share.
 //
 // A Store owns everything a container of rows needs to be written under an
-// undo log and read through sealed epochs: the key→handle map and the slab
-// the rows live in (slab.go), the log of the mutations since the last
-// commit, the rollback over it, the commit walk into the open transaction
-// of the next epoch (epoch.go, rowvec.go), and the seal mutex, dirty mark
-// and sequence number a pin works with. What else refers to a row refers to
+// undo log and read through sealed epochs: the key→handle index
+// (keyindex.go) and the slab the rows live in (slab.go), the log of the
+// mutations since the last commit, the rollback over it, the commit walk
+// into the open transaction of the next epoch (epoch.go, rowvec.go), and
+// the seal mutex, dirty mark and sequence number a pin works with. What else refers to a row refers to
 // its handle, and is the owner's: a table's indexes (table.go), a view's
 // per-table chains and term counters, a family's membership words
 // (internal/view). The owner keeps them in step through its link hook,
@@ -50,10 +50,11 @@ var ErrMutatedOutside = errors.New("rel: a logged row is not where its log left 
 // Store is a handle-addressed, key-unique, undo-logged row container with
 // sealed epochs. Init it before use.
 type Store struct {
-	keys map[string]int32
+	// keys files every linked row's handle under the hash of its slot's key.
+	keys keyIndex
 	slab Slab
 	// hook is the owner's link hook: link reports whether the row in slot h
-	// comes into sight (true) or leaves it (false); the key map has just
+	// comes into sight (true) or leaves it (false); the key index has just
 	// been, or is about to be, updated. nil: the owner indexes nothing.
 	hook func(h int32, link bool)
 	// log lists the mutations since the last commit, and olds the rows the
@@ -85,29 +86,33 @@ type Store struct {
 // Init makes the store empty, with the owner's link hook, logging from the
 // start or not until Version.
 func (s *Store) Init(hook func(h int32, link bool), logged bool) {
-	s.keys, s.hook, s.logged = make(map[string]int32), hook, logged
+	s.keys, s.hook, s.logged = keyIndex{}, hook, logged
 }
 
 // Len returns the number of linked rows.
-func (s *Store) Len() int { return len(s.keys) }
+func (s *Store) Len() int { return s.keys.Len() }
 
 // Lookup returns the handle of the row linked under key k.
-func (s *Store) Lookup(k string) (int32, bool) {
-	h, ok := s.keys[k]
-	return h, ok
+func (s *Store) Lookup(k string) (int32, bool) { return lookup(s, k) }
+
+// LookupBytes is Lookup for a key held in a reusable byte buffer.
+func (s *Store) LookupBytes(k []byte) (int32, bool) { return lookup(s, k) }
+
+// lookup probes k's hash and compares k with the key of each handle filed
+// under it.
+func lookup[K string | []byte](s *Store, k K) (int32, bool) {
+	p := s.keys.probe(keyHash(k))
+	for h, ok := s.keys.next(&p); ok; h, ok = s.keys.next(&p) {
+		if s.slab.At(h).Key == string(k) {
+			return h, true
+		}
+	}
+	return 0, false
 }
 
-// LookupBytes is Lookup for a key held in a reusable byte buffer; the
-// string conversion happens inside the map index expression, which the
-// compiler performs without allocating.
-func (s *Store) LookupBytes(k []byte) (int32, bool) {
-	h, ok := s.keys[string(k)]
-	return h, ok
-}
-
-// Handles returns the key map: every linked row's key and handle. Callers
-// must not modify it.
-func (s *Store) Handles() map[string]int32 { return s.keys }
+// Handles calls yield with the handle of every linked row, in unspecified
+// order, until it returns false. The store must not change meanwhile.
+func (s *Store) Handles(yield func(h int32) bool) { s.keys.each(yield) }
 
 // At returns the slot of handle h. Only the Store writes a slot.
 func (s *Store) At(h int32) *Slot { return s.slab.At(h) }
@@ -117,9 +122,10 @@ func (s *Store) Used() int32 { return s.slab.Used() }
 
 // Append appends every linked row to dst, in unspecified order.
 func (s *Store) Append(dst []Row) []Row {
-	for _, h := range s.keys {
+	s.keys.each(func(h int32) bool {
 		dst = append(dst, s.slab.At(h).Row)
-	}
+		return true
+	})
 	return dst
 }
 
@@ -173,25 +179,39 @@ func (s *Store) Update(h int32, row Row) Row {
 
 // link makes the row in slot h visible under its key and to the owner.
 func (s *Store) link(h int32) {
-	s.keys[s.slab.At(h).Key] = h
+	s.keys.add(keyHash(s.slab.At(h).Key), h)
 	if s.hook != nil {
 		s.hook(h, true)
 	}
 }
 
-// linked reports whether the row in slot h is in sight under its key.
-func (s *Store) linked(h int32) bool {
-	at, ok := s.keys[s.slab.At(h).Key]
-	return ok && at == h
+// find probes for handle h itself under its key's hash: a linked row is
+// found by its handle, comparing no key.
+func (s *Store) find(h int32) (keyProbe, bool) {
+	p := s.keys.probe(keyHash(s.slab.At(h).Key))
+	for at, ok := s.keys.next(&p); ok; at, ok = s.keys.next(&p) {
+		if at == h {
+			return p, true
+		}
+	}
+	return p, false
 }
 
-// unlink is the inverse of link: the row leaves the key map and the owner's
-// structures and stays in its slot.
+// linked reports whether the row in slot h is in sight under its key.
+func (s *Store) linked(h int32) bool {
+	_, ok := s.find(h)
+	return ok
+}
+
+// unlink is the inverse of link: the row leaves the key index and the
+// owner's structures and stays in its slot.
 func (s *Store) unlink(h int32) {
 	if s.hook != nil {
 		s.hook(h, false)
 	}
-	delete(s.keys, s.slab.At(h).Key)
+	if p, ok := s.find(h); ok {
+		s.keys.del(&p)
+	}
 }
 
 // Rollback returns the store to its state at the last commit by undoing the
@@ -220,7 +240,7 @@ func (s *Store) Rollback(from int) error {
 			return ErrMutatedOutside
 		}
 		sl := s.slab.At(r.h)
-		at, linked := s.keys[sl.Key]
+		at, linked := s.Lookup(sl.Key)
 		switch {
 		case r.kind == undoDelete && !linked:
 			s.link(r.h)
@@ -363,7 +383,7 @@ func (s *Store) Version(each func(h int32, row Row)) *RowVec {
 	tx := new(RowVec).Edit()
 	// Linked rows sit in distinct occupied slots: when there are as many of
 	// them as occupied slots, no slot needs its key looked up.
-	dead := int(s.slab.Used())-len(s.slab.Free()) > len(s.keys)
+	dead := int(s.slab.Used())-len(s.slab.Free()) > s.keys.Len()
 	for h := int32(0); h < s.slab.Used(); h++ {
 		if sl := s.slab.At(h); sl.Row != nil && (!dead || s.linked(h)) {
 			tx.Set(h, sl.Row)

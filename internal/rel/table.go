@@ -26,7 +26,8 @@ func (fk ForeignKey) KeySource() []int { return fk.keySrc }
 
 // Index is a secondary hash index over a column set of one table: the slab
 // handles (slab.go) of the rows, filed under their encoded index key in
-// Chains (chains.go); Table.Row resolves them.
+// Chains (chains.go); Table.Row resolves them. A probe matches a bucket by
+// reading its head row's indexed columns against the key.
 //
 // Ownership decides its lifetime. A pinned index was declared — by
 // CreateIndex, or by AddForeignKey as the constraint's RESTRICT-validation
@@ -39,6 +40,7 @@ func (fk ForeignKey) KeySource() []int { return fk.keySrc }
 type Index struct {
 	name   string
 	cols   []int
+	rows   *Store
 	chains Chains[[]byte]
 	// key is the scratch file encodes a row's index key into.
 	key []byte
@@ -57,7 +59,13 @@ func (ix *Index) Pinned() bool { return ix.pinned }
 
 // Get returns the bucket of the rows whose indexed columns encode to key,
 // held in a reusable byte buffer: its first handle, and how many it holds.
-func (ix *Index) Get(key []byte) Chain { return ix.chains.Get(key) }
+func (ix *Index) Get(key []byte) Chain {
+	return ix.chains.Get(key, func(head int32) bool { return ix.filed(head, key) })
+}
+
+// filed reports whether the row at handle h is filed under key: whether its
+// indexed columns encode to key.
+func (ix *Index) filed(h int32, key []byte) bool { return encodesTo(key, ix.rows.At(h).Row, ix.cols) }
 
 // Next returns the handle after h in h's bucket, NoHandle after the last.
 func (ix *Index) Next(h int32) int32 { return ix.chains.Next(h) }
@@ -68,10 +76,12 @@ func (ix *Index) Cols() []int { return ix.cols }
 // file files row, stored at handle h, under its key (add) or takes it out
 // of its bucket (!add).
 func (ix *Index) file(row Row, h int32, add bool) {
-	if ix.key = AppendRowCols(ix.key[:0], row, ix.cols); add {
-		ix.chains.Add(ix.key, h)
+	ix.key = AppendRowCols(ix.key[:0], row, ix.cols)
+	match := func(head int32) bool { return ix.filed(head, ix.key) }
+	if add {
+		ix.chains.Add(ix.key, h, match)
 	} else {
-		ix.chains.Delete(ix.key, h)
+		ix.chains.Delete(ix.key, h, match)
 	}
 }
 
@@ -190,10 +200,11 @@ func (t *Table) columnOffsets(cols []string) ([]int, error) {
 // (CreateIndex, AddForeignKey, Arrange, Release) that moves the design
 // generation, which compiled programs are checked against.
 func (t *Table) buildIndex(name string, offsets []int, pinned bool) *Index {
-	ix := &Index{name: name, cols: offsets, pinned: pinned}
-	for _, h := range t.rows.Handles() {
+	ix := &Index{name: name, cols: offsets, rows: &t.rows, pinned: pinned}
+	t.rows.Handles(func(h int32) bool {
 		ix.file(t.rows.At(h).Row, h, true)
-	}
+		return true
+	})
 	t.indexes = append(t.indexes, ix)
 	return ix
 }
@@ -230,11 +241,10 @@ func (t *Table) validateRow(row Row) error {
 	return nil
 }
 
-// replaceByKey stores a private copy of row under k, which must hold a row
-// with the same key, and returns the row it replaced. The row keeps its
-// handle: an index whose columns row leaves unchanged is not touched.
-func (t *Table) replaceByKey(k string, row Row) Row {
-	h, _ := t.rows.Lookup(k)
+// replace stores a private copy of row in slot h, whose row has the same
+// key, and returns the row it replaced. The row keeps its handle: an index
+// whose columns row leaves unchanged is not touched.
+func (t *Table) replace(h int32, row Row) Row {
 	old := t.rows.At(h).Row
 	row = row.Clone()
 	for _, ix := range t.indexes {

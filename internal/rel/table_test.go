@@ -168,23 +168,23 @@ func TestSecondaryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(ix.chains.Get([]byte(EncodeValues(Str("eng")))).Count); got != 2 {
+	if got := int(ix.Get([]byte(EncodeValues(Str("eng")))).Count); got != 2 {
 		t.Errorf("eng bucket = %d rows, want 2", got)
 	}
 	// Index maintained under insert and delete.
 	if err := c.Insert("dept", []Row{{Int(4), Str("eng")}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(ix.chains.Get([]byte(EncodeValues(Str("eng")))).Count); got != 3 {
+	if got := int(ix.Get([]byte(EncodeValues(Str("eng")))).Count); got != 3 {
 		t.Errorf("after insert: eng bucket = %d rows, want 3", got)
 	}
 	if _, err := c.Delete("dept", [][]Value{{Int(2)}, {Int(4)}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(ix.chains.Get([]byte(EncodeValues(Str("eng")))).Count); got != 1 {
+	if got := int(ix.Get([]byte(EncodeValues(Str("eng")))).Count); got != 1 {
 		t.Errorf("after delete: eng bucket = %d rows, want 1", got)
 	}
-	if got := int(ix.chains.Get([]byte(EncodeValues(Str("ops")))).Count); got != 1 {
+	if got := int(ix.Get([]byte(EncodeValues(Str("ops")))).Count); got != 1 {
 		t.Errorf("ops bucket = %d rows, want 1", got)
 	}
 	if d.IndexOnSet([]int{1}) != ix {
@@ -421,7 +421,16 @@ func TestIndexFollowsRows(t *testing.T) {
 // Each mutation writes two links, so the link writes stay linear in the
 // mutations where a bucket-as-slice searched the bucket for every delete.
 func TestTableIndexHotKey(t *testing.T) {
-	const n, batch = 20_000, 1_000
+	t.Run("hashed", func(t *testing.T) { tableIndexHotKey(t, 20_000, 1_000) })
+	// With every key hashing alike the table's key index probes a run as
+	// long as the table: fewer rows keep the test quick.
+	t.Run("colliding", func(t *testing.T) {
+		colliding(t)
+		tableIndexHotKey(t, 2_000, 100)
+	})
+}
+
+func tableIndexHotKey(t *testing.T, n, batch int) {
 	c := NewCatalog()
 	if _, err := c.CreateTable("t", []Column{IntColumn("id"), IntColumn("g")}, "id"); err != nil {
 		t.Fatal(err)
@@ -446,7 +455,7 @@ func TestTableIndexHotKey(t *testing.T) {
 		}
 		c.PublishEpochs()
 		checkBuckets(t, tab, ix, "insert")
-		if got := ix.chains.Get(hot).Count; got != n {
+		if got := int(ix.Get(hot).Count); got != n {
 			t.Fatalf("hot bucket holds %d rows, want %d", got, n)
 		}
 	}
@@ -466,7 +475,7 @@ func TestTableIndexHotKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBuckets(t, tab, ix, "rollback")
-	if got := ix.chains.Get(hot).Count; got != n/2 {
+	if got := int(ix.Get(hot).Count); got != n/2 {
 		t.Fatalf("after the rollback the hot bucket holds %d rows, want %d", got, n/2)
 	}
 	deleteRange(n/2, n)
@@ -511,15 +520,7 @@ func TestIndexMaintenanceAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		row, key := Row{Int(1000), Int(1), Str(word)}, [][]Value{{Int(1000)}}
-		return testing.AllocsPerRun(200, func() {
-			if err := c.Insert("t", []Row{row}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Delete("t", key); err != nil {
-				t.Fatal(err)
-			}
-		})
+		return insertDeleteAllocs(t, c, "t", Row{Int(1000), Int(1), Str(word)})
 	}
 	plain, indexed := cycle(false), cycle(true)
 	t.Logf("insert and delete of one row: %.0f allocations without indexes, %.0f with two", plain, indexed)
@@ -528,9 +529,9 @@ func TestIndexMaintenanceAllocs(t *testing.T) {
 	}
 
 	// A row whose index key no other row has creates a bucket and empties
-	// it again. Creating one stores a copy of the key whatever its length;
-	// emptying one must copy nothing, even for a key longer than the 32
-	// bytes a conversion may borrow from the stack.
+	// it again, which must cost what filing it under an existing bucket
+	// costs: no key is stored, so none is copied, even one longer than the
+	// 32 bytes a conversion may borrow from the stack.
 	fresh := func(s string) float64 {
 		c := NewCatalog()
 		if _, err := c.CreateTable("t", []Column{IntColumn("id"), StrColumn("s")}, "id"); err != nil {
@@ -539,24 +540,61 @@ func TestIndexMaintenanceAllocs(t *testing.T) {
 		if _, err := c.CreateIndex("t", "ix_s", "s"); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Insert("t", []Row{{Int(0), Str("other")}}); err != nil {
+		if err := c.Insert("t", []Row{{Int(0), Str(word)}}); err != nil {
 			t.Fatal(err)
 		}
-		row, key := Row{Int(1), Str(s)}, [][]Value{{Int(1)}}
-		return testing.AllocsPerRun(200, func() {
-			if err := c.Insert("t", []Row{row}); err != nil {
+		return insertDeleteAllocs(t, c, "t", Row{Int(1), Str(s)})
+	}
+	existing, short, long := fresh(word), fresh("k"), fresh(word+"-fresh")
+	t.Logf("insert and delete of one row: %.0f allocations under an existing bucket, %.0f under a fresh short key, %.0f under a fresh long one", existing, short, long)
+	if short != existing || long != existing {
+		t.Errorf("creating and emptying a bucket adds %.0f allocations on a short key and %.0f on a %d-byte one to a 1-row insert and delete, want 0",
+			short-existing, long-existing, len(EncodeValues(Str(word+"-fresh"))))
+	}
+
+	// Deleting a row of a table that a foreign key references probes the
+	// referencing table's index for the row's key (RESTRICT), which must
+	// allocate nothing: the probe key stays on the stack.
+	restrict := func(fk bool) float64 {
+		c := NewCatalog()
+		if _, err := c.CreateTable("p", []Column{IntColumn("id")}, "id"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateTable("c", []Column{IntColumn("id"), {Name: "pid", Kind: KindInt, NotNull: true}}, "id"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert("p", []Row{{Int(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		if fk {
+			if err := c.AddForeignKey("c", []string{"pid"}, "p", []string{"id"}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Delete("t", key); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+		if err := c.Insert("c", []Row{{Int(1), Int(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		return insertDeleteAllocs(t, c, "p", Row{Int(2)})
 	}
-	short, long := fresh("k"), fresh(word)
-	t.Logf("insert and delete of one row under a fresh key: %.0f allocations on a short key, %.0f on a long one", short, long)
-	if long != short {
-		t.Errorf("a %d-byte index key adds %.0f allocations to a 1-row insert and delete that creates and empties its bucket, want 0", len(EncodeValues(Str(word))), long-short)
+	free, checked := restrict(false), restrict(true)
+	t.Logf("insert and delete of one referenced-table row: %.0f allocations without a foreign key, %.0f with one", free, checked)
+	if checked != free {
+		t.Errorf("the RESTRICT probe adds %.0f allocations to a 1-row insert and delete, want 0", checked-free)
 	}
+}
+
+// insertDeleteAllocs returns the allocations of inserting row into table
+// and deleting it again, by its first column as the key.
+func insertDeleteAllocs(t *testing.T, c *Catalog, table string, row Row) float64 {
+	key := [][]Value{{row[0]}}
+	return testing.AllocsPerRun(200, func() {
+		if err := c.Insert(table, []Row{row}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Delete(table, key); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // checkBuckets fails unless ix's chains pass Chains.Check and every bucket
@@ -565,13 +603,10 @@ func TestIndexMaintenanceAllocs(t *testing.T) {
 func checkBuckets(t testing.TB, tab *Table, ix *Index, what string) {
 	t.Helper()
 	n := 0
-	chunks, err := ix.chains.Check(func(key string, h int32) {
-		r := tab.Row(h)
-		if r == nil || tab.rows.keys[tab.KeyOf(r)] != h {
+	keyOf := func(h int32) string { return EncodeRowCols(tab.Row(h), ix.cols) }
+	chunks, err := ix.chains.Check(keyOf, func(key string, h int32) {
+		if r := tab.Row(h); r == nil || handleOf(tab, tab.KeyOf(r)) != h {
 			t.Fatalf("%s: index %s bucket holds handle %d (%v), which is not a live row", what, ix.name, h, r)
-		}
-		if EncodeRowCols(r, ix.cols) != key {
-			t.Fatalf("%s: index %s files %v under the wrong key", what, ix.name, r)
 		}
 		n++
 	})

@@ -76,7 +76,7 @@ func (s *tableStore) do(op, p, q byte) {
 		if err == nil {
 			for _, r := range rows {
 				s.live[r[0].AsInt()], _ = s.tab.Get(r[0]) // the stored copy
-				if h := s.tab.rows.keys[s.tab.KeyOf(r)]; s.freed[h] {
+				if h := handleOf(s.tab, s.tab.KeyOf(r)); s.freed[h] {
 					s.t.Fatalf("insert of %s reuses handle %d before its delete published", r, h)
 				}
 			}
@@ -85,7 +85,7 @@ func (s *tableStore) do(op, p, q byte) {
 		keys := [][]Value{{Int(id)}}
 		wantErr = s.live[id] == nil
 		var got []Row
-		h := s.tab.rows.keys[EncodeValues(Int(id))]
+		h := handleOf(s.tab, EncodeValues(Int(id)))
 		got, err = s.c.Delete("t", keys)
 		if err == nil {
 			if len(got) != 1 || !sameRow(got[0], s.tab.rows.slab.At(h).Row) {
@@ -100,10 +100,10 @@ func (s *tableStore) do(op, p, q byte) {
 		if old := s.live[id]; old != nil && q&0x80 != 0 {
 			nw[1], nw[2] = old[1], old[2]
 		}
-		h := s.tab.rows.keys[EncodeValues(Int(id))]
+		h := handleOf(s.tab, EncodeValues(Int(id)))
 		if _, err = s.c.Update("t", []Value{Int(id)}, nw); err == nil {
 			s.live[id], _ = s.tab.Get(Int(id))
-			if got := s.tab.rows.keys[EncodeValues(Int(id))]; got != h {
+			if got := handleOf(s.tab, EncodeValues(Int(id))); got != h {
 				s.t.Fatalf("update of %d moved it from handle %d to %d", id, h, got)
 			}
 		}
@@ -117,7 +117,7 @@ func (s *tableStore) do(op, p, q byte) {
 		s.freed = map[int32]bool{}
 		s.check("rollback")
 		for id, h := range s.published {
-			if got := s.tab.rows.keys[EncodeValues(Int(id))]; got != h {
+			if got := handleOf(s.tab, EncodeValues(Int(id))); got != h {
 				s.t.Fatalf("rollback moved row %d from handle %d to %d", id, h, got)
 			}
 		}
@@ -169,7 +169,7 @@ func (s *tableStore) publish(tableOnly bool) {
 	s.committed = maps.Clone(s.live)
 	s.published = make(map[int64]int32, len(s.live))
 	for id := range s.live {
-		s.published[id] = s.tab.rows.keys[EncodeValues(Int(id))]
+		s.published[id] = handleOf(s.tab, EncodeValues(Int(id)))
 	}
 	s.freed = map[int32]bool{}
 	if len(s.tab.rows.log) != 0 {
@@ -236,7 +236,7 @@ func (s *tableStore) check(what string) {
 	}
 	for h := range s.freed {
 		sl := tab.rows.slab.At(h)
-		if at, ok := tab.rows.keys[sl.Key]; sl.Row == nil || ok && at == h {
+		if sl.Row == nil || handleOf(tab, sl.Key) == h {
 			s.t.Fatalf("%s: deleted slot %d is cleared or still linked before the publish", what, h)
 		}
 	}
@@ -279,15 +279,25 @@ func runTableStore(t testing.TB, data []byte) {
 	s.publish(false)
 }
 
+// TestTableStoreModel runs the model with real key hashes and with every
+// key hashing alike, where every probe of the key index and the index
+// buckets compares keys.
 func TestTableStoreModel(t *testing.T) {
 	n := 6_000
 	if testing.Short() {
 		n /= 10
 	}
-	for seed := int64(0); seed < 4; seed++ {
-		data := make([]byte, 3*n)
-		rand.New(rand.NewSource(seed)).Read(data)
-		runTableStore(t, data)
+	for _, name := range []string{"hashed", "colliding"} {
+		t.Run(name, func(t *testing.T) {
+			if name == "colliding" {
+				colliding(t)
+			}
+			for seed := int64(0); seed < 4; seed++ {
+				data := make([]byte, 3*n)
+				rand.New(rand.NewSource(seed)).Read(data)
+				runTableStore(t, data)
+			}
+		})
 	}
 }
 

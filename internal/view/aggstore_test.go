@@ -183,10 +183,7 @@ func (s *aggOps) begin() {
 	}
 	s.cs, s.folds = s.m.Begin(), 0
 	s.saved = slices.Clone(s.live)
-	s.handles = make(map[string]int32, s.a.rows.Len())
-	for k, h := range s.a.rows.Handles() {
-		s.handles[k] = h
-	}
+	s.handles = storeHandles(&s.a.rows)
 }
 
 // stage folds batch into the open changeset at site. A failed fold poisons

@@ -151,7 +151,7 @@ func TestCheckerReportsDivergence(t *testing.T) {
 	// Corrupt the view and ensure the checker notices, with a readable
 	// message.
 	mv := m.Materialized()
-	for k := range mv.rows.Handles() {
+	for k := range storeHandles(&mv.rows) {
 		deleteNow(mv, k)
 		break
 	}

@@ -96,11 +96,12 @@ func (m *Maintainer) filtering() bool { return m.mv != nil && m.mv.filters != ni
 func (mem *Member) rows() []rel.Row {
 	s := mem.m.st
 	out := make([]rel.Row, 0, s.Len())
-	for _, h := range s.Handles() {
+	s.Handles(func(h int32) bool {
 		if mem.has(h) {
 			out = append(out, s.At(h).Row)
 		}
-	}
+		return true
+	})
 	return out
 }
 

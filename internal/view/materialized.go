@@ -182,9 +182,10 @@ func (m *Materialized) rebits() {
 		return
 	}
 	m.bits = make([]uint64, m.rows.Used())
-	for _, h := range m.rows.Handles() {
+	m.rows.Handles(func(h int32) bool {
 		m.bits[h] = m.membership(m.rows.At(h).Row)
-	}
+		return true
+	})
 }
 
 // linkSlot is the view's link hook (rel.Store.Init): the row in slot h
@@ -224,13 +225,36 @@ func (m *Materialized) index(k string, h int32, add bool) uint32 {
 		if m.perTable == nil {
 			continue
 		}
-		if tk := k[parts[i]:parts[i+1]]; add {
-			m.perTable[i].Add(tk, h)
+		tk := k[parts[i]:parts[i+1]]
+		match := func(head int32) bool { return m.part(head, i) == tk }
+		if add {
+			m.perTable[i].Add(tk, h, match)
 		} else {
-			m.perTable[i].Delete(tk, h)
+			m.perTable[i].Delete(tk, h, match)
 		}
 	}
 	return pat
+}
+
+// chain returns table i's chain of the table key tk.
+func (m *Materialized) chain(i int, tk string) rel.Chain {
+	return m.perTable[i].Get(tk, func(head int32) bool { return m.part(head, i) == tk })
+}
+
+// part returns table i's part of the view key of the row in slot h: what
+// table i's chains file the row under.
+func (m *Materialized) part(h int32, i int) string {
+	k, off := m.rows.At(h).Key, int32(0)
+	for _, kc := range m.keyCols[:i] {
+		for range kc {
+			off = skipEncoded(k, off)
+		}
+	}
+	end := off
+	for range m.keyCols[i] {
+		end = skipEncoded(k, end)
+	}
+	return k[off:end]
 }
 
 // containsTuple reports whether any view row carries exactly the base-table
@@ -242,12 +266,12 @@ func (m *Materialized) containsTuple(mask uint32, key string) bool {
 	var parts keyParts
 	m.splitKey(key, &parts)
 	if m.perTable == nil {
-		for k := range m.rows.Handles() {
-			if m.keyMatches(k, mask, key, &parts) {
-				return true
-			}
-		}
-		return false
+		found := false
+		m.rows.Handles(func(h int32) bool {
+			found = m.keyMatches(m.rows.At(h).Key, mask, key, &parts)
+			return !found
+		})
+		return found
 	}
 	// An empty chain for any table proves no view row contains the tuple,
 	// whatever the other chains hold; otherwise walk the shortest chain.
@@ -256,7 +280,7 @@ func (m *Materialized) containsTuple(mask uint32, key string) bool {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		c := m.perTable[i].Get(key[parts[i]:parts[i+1]])
+		c := m.chain(i, key[parts[i]:parts[i+1]])
 		if c.Count == 0 {
 			return false
 		}

@@ -77,7 +77,7 @@ func TestPerTableIndexConsistency(t *testing.T) {
 	// a live row that actually contains its tuple, and every row is indexed
 	// under each of its non-null tables.
 	for table := range mv.perTable {
-		if _, err := mv.perTable[table].Check(nil); err != nil {
+		if _, err := checkChains(mv, table, nil); err != nil {
 			t.Fatalf("index %s: %v", mv.tableOrder[table], err)
 		}
 		tks := tableKeys(mv, table)
@@ -96,7 +96,7 @@ func TestPerTableIndexConsistency(t *testing.T) {
 			}
 		}
 	}
-	for _, h := range mv.rows.Handles() {
+	for _, h := range storeHandles(&mv.rows) {
 		row := mv.rows.At(h).Row
 		for table := range mv.tableOrder {
 			if row[mv.witnessCol[table]].IsNull() {
@@ -117,7 +117,7 @@ func TestPerTableIndexConsistency(t *testing.T) {
 // tableKeys returns the encoded keys of table's tuples in the view's rows.
 func tableKeys(mv *Materialized, table int) map[string]bool {
 	tks := make(map[string]bool)
-	for _, h := range mv.rows.Handles() {
+	for _, h := range storeHandles(&mv.rows) {
 		if row := mv.rows.At(h).Row; !row[mv.witnessCol[table]].IsNull() {
 			tks[rel.EncodeRowCols(row, mv.keyCols[table])] = true
 		}

@@ -187,7 +187,7 @@ func sameRow(a, b rel.Row) bool {
 func chainHandles(t testing.TB, mv *Materialized, table int, tk string) []int32 {
 	t.Helper()
 	c := &mv.perTable[table]
-	ch := c.Get(tk)
+	ch := mv.chain(table, tk)
 	var hs []int32
 	for h := ch.Head; h != rel.NoHandle; h = c.Next(h) {
 		if len(hs) > mv.rows.Len() {
@@ -199,6 +199,24 @@ func chainHandles(t testing.TB, mv *Materialized, table int, tk string) []int32 
 		t.Fatalf("table %d key %x: count %d, chain has %d rows", table, tk, ch.Count, len(hs))
 	}
 	return hs
+}
+
+// storeHandles maps the key of every row linked in st to its handle.
+func storeHandles(st *rel.Store) map[string]int32 {
+	out := make(map[string]int32, st.Len())
+	st.Handles(func(h int32) bool {
+		out[st.At(h).Key] = h
+		return true
+	})
+	return out
+}
+
+// checkChains runs rel.Chains.Check over table's chains, rebuilding the key
+// a handle is filed under from its row's key columns.
+func checkChains(mv *Materialized, table int, each func(tk string, h int32)) (int, error) {
+	return mv.perTable[table].Check(func(h int32) string {
+		return rel.EncodeRowCols(mv.rows.At(h).Row, mv.keyCols[table])
+	}, each)
 }
 
 // freeSlots counts the slots of st that hold no row: the released ones.
@@ -292,7 +310,7 @@ func checkStore(t testing.TB, mv *Materialized, model map[string]rel.Row, dead m
 	// whichever rows are null on the table.
 	want := (int(mv.rows.Used()) + rel.SlabChunk - 1) / rel.SlabChunk
 	for i := range mv.perTable {
-		chunks, err := mv.perTable[i].Check(nil)
+		chunks, err := checkChains(mv, i, nil)
 		if err != nil {
 			t.Fatalf("table %d: %v", i, err)
 		}
@@ -399,10 +417,7 @@ func (s *storeOps) begin() {
 		s.cs = s.fx.m.Begin()
 		s.unlinked = make(map[int32]bool)
 		s.saved = cloneModel(s.model)
-		s.handles = make(map[string]int32, s.fx.mv.rows.Len())
-		for k, h := range s.fx.mv.rows.Handles() {
-			s.handles[k] = h
-		}
+		s.handles = storeHandles(&s.fx.mv.rows)
 	}
 }
 
@@ -585,7 +600,9 @@ func (s *storeOps) run(data []byte) {
 }
 
 // TestViewStoreModel is the ≥ 200 k-op random run, with the per-table index
-// and on the scan fallback.
+// and on the scan fallback, and a shorter one with every key hashing alike
+// (rel.CollideKeyHashes), where every probe of the key index and the chains
+// compares keys.
 func TestViewStoreModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -594,8 +611,12 @@ func TestViewStoreModel(t *testing.T) {
 	}{
 		{"indexed", Options{}, 200_000},
 		{"scan", Options{DisableOrphanIndex: true}, 40_000},
+		{"colliding", Options{}, 40_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "colliding" {
+				t.Cleanup(rel.CollideKeyHashes())
+			}
 			n := tc.ops
 			if testing.Short() {
 				n /= 10
@@ -709,7 +730,7 @@ func TestViewStoreHotKey(t *testing.T) {
 	insertAll()
 	checkStore(t, mv, model, nil)
 	hot := rel.EncodeValues(rel.Int(5))
-	if c := mv.perTable[0].Get(hot); int(c.Count) != n {
+	if c := mv.chain(0, hot); int(c.Count) != n {
 		t.Fatalf("hot chain holds %d rows, want %d", c.Count, n)
 	}
 	for _, r := range rows {
@@ -851,7 +872,7 @@ func TestFailedMaterializeLeavesNothingToPublish(t *testing.T) {
 // numbers, which it need not.
 func indexShape(mv *Materialized, table int) string {
 	counts := make(map[string]int)
-	if _, err := mv.perTable[table].Check(func(tk string, _ int32) { counts[tk]++ }); err != nil {
+	if _, err := checkChains(mv, table, func(tk string, _ int32) { counts[tk]++ }); err != nil {
 		return err.Error()
 	}
 	var keys []string
