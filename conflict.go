@@ -35,12 +35,39 @@ import (
 // delta tables it writes (sorted), the view families it maintains (in
 // registration order; a family's views share one footprint, one store and
 // one changeset, DESIGN.md §19) and the plan over those tables — one step
-// for a synchronous statement, Queue.PlanFor(tables) for a flush.
+// for a synchronous statement, Queue.PlanFor(tables) for a flush. staged is
+// commitComponent's scratch, one entry per family, empty between commits.
 type flushComponent struct {
 	tables   []string
 	families []*family
 	steps    []pipeline.Step
+	staged   []stagedFamily
 }
+
+// tableComponent returns the component a statement on table commits
+// through: partition({table}), computed by the first statement after the
+// registry last changed and kept, with its step and staging scratch, until
+// it changes again (forgetComponents). A one-table component depends on
+// db.families and their footprints alone — rule 2 unites delta tables only —
+// so registration, DropView, AddForeignKey, CreateTable and LoadCatalog drop
+// the cache; nothing keyed on the catalog's design generation would do,
+// since a view that reuses existing arrangements, or joins a family, leaves
+// it where it was. Caller holds db.mu.
+func (db *Database) tableComponent(table string) *flushComponent {
+	c := db.components[table]
+	if c == nil {
+		c = &db.partition([]string{table})[0]
+		if db.components == nil {
+			db.components = make(map[string]*flushComponent)
+		}
+		db.components[table] = c
+	}
+	return c
+}
+
+// forgetComponents drops every cached one-table component. Caller holds
+// db.mu for writing.
+func (db *Database) forgetComponents() { clear(db.components) }
 
 // partition splits the sorted, duplicate-free delta tables into independent
 // components and assigns each affected view to its component; the caller

@@ -156,3 +156,120 @@ func checkPartition(comps []flushComponent, delta []string, viewTables map[*View
 	}
 	return nil
 }
+
+// TestStatementSeesRegistryChange: a statement commits through its table's
+// cached component (tableComponent), so every change to the view registry
+// or to a footprint must reach the next statement on a table whose
+// component is already cached. Between two statements on one table it
+// (a) registers a view whose arrangements all exist already, which leaves
+// the catalog's design generation where it was, (b) registers a view that
+// joins an existing family, (c) drops one member of that family and (d)
+// declares a foreign key that widens a view's footprint to the table. After
+// each, the statement must maintain the views the change brought in, and
+// only the live ones, and every registered view must equal recomputation.
+func TestStatementSeesRegistryChange(t *testing.T) {
+	db := NewDatabase()
+	for _, tb := range []struct {
+		name string
+		cols []Column
+	}{
+		{"C", Cols(IntCol("ck"), IntCol("a"))},
+		{"O", Cols(IntCol("ok"), NotNull(IntCol("ock")), IntCol("a"))},
+		{"P", Cols(IntCol("pk"))},
+		{"X", Cols(IntCol("xk"), NotNull(IntCol("xp")))},
+	} {
+		db.MustCreateTable(tb.name, tb.cols, tb.cols[0].Name)
+	}
+	if err := db.Insert("C", []Row{{Int(1), Int(3)}, {Int(2), Int(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	create := func(name string, r Rel, cols ...string) *View {
+		t.Helper()
+		v, err := db.CreateView(name, r, Columns(cols...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	custOrders := func(min int64) Rel {
+		return Table("C").Where(Cmp("C", "a", OpGt, Int(min))).
+			LeftJoin(Table("O"), Eq("C", "ck", "O", "ock"))
+	}
+	coCols := []string{"C.ck", "C.a", "O.ok", "O.ock", "O.a"}
+	v1 := create("v1", custOrders(0), coCols...)
+	vx := create("vx", Table("X"), "X.xk", "X.xp")
+
+	next := int64(0)
+	// statement inserts one fresh row into table and checks every
+	// registered view against recomputation.
+	statement := func(when, table string) {
+		t.Helper()
+		next++
+		var row Row
+		switch table {
+		case "O":
+			row = Row{Int(next), Int(1 + next%2), Int(next)}
+		case "P":
+			row = Row{Int(next)}
+		}
+		if err := db.Insert(table, []Row{row}); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for _, name := range db.order {
+			if err := db.views[name].Check(); err != nil {
+				t.Fatalf("%s: view %s: %v", when, name, err)
+			}
+		}
+	}
+	// maintained requires that the last statement handed v a new LastStats.
+	maintained := func(when string, v *View, before *MaintStats) {
+		t.Helper()
+		if v.LastStats == nil || v.LastStats == before {
+			t.Fatalf("%s: the statement did not maintain view %s", when, v.Name())
+		}
+	}
+
+	statement("first statement", "O")
+
+	// (a) v2 probes what v1 probes: O(ock), arranged for v1, and C's key.
+	gen := db.cat.DesignGeneration()
+	v2 := create("v2", Table("O").Join(Table("C"), Eq("C", "ck", "O", "ock")), coCols...)
+	if v2.Maintainer() == v1.Maintainer() {
+		t.Fatal("v2 joined v1's family; it must found its own")
+	}
+	if got := db.cat.DesignGeneration(); got != gen {
+		t.Fatalf("registering v2 moved the design generation %d → %d: it should reuse v1's arrangements", gen, got)
+	}
+	statement("after a view over existing arrangements", "O")
+	maintained("after a view over existing arrangements", v2, nil)
+
+	// (b) v3 differs from v1 in its selection on C alone.
+	v3 := create("v3", custOrders(5), coCols...)
+	if v3.Maintainer() != v1.Maintainer() {
+		t.Fatal("v3 did not join v1's family")
+	}
+	statement("after a view joined a family", "O")
+	maintained("after a view joined a family", v3, nil)
+
+	// (c) the family loses its founder.
+	dropped, kept := v1.LastStats, v3.LastStats
+	if !db.DropView("v1") {
+		t.Fatal("DropView(v1) found no view")
+	}
+	statement("after a family member was dropped", "O")
+	maintained("after a family member was dropped", v3, kept)
+	if v1.LastStats != dropped {
+		t.Fatal("after a family member was dropped: the statement still maintained it")
+	}
+
+	// (d) vx reads X alone until X references P.
+	statement("before the foreign key", "P")
+	if vx.LastStats != nil {
+		t.Fatal("a statement on P maintained vx before X referenced P")
+	}
+	if err := db.AddForeignKey("X", []string{"xp"}, "P", []string{"pk"}); err != nil {
+		t.Fatal(err)
+	}
+	statement("after a foreign key widened a footprint", "P")
+	maintained("after a foreign key widened a footprint", vx, nil)
+}

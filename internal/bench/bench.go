@@ -404,7 +404,7 @@ func Table1(sf float64, seed int64, opts view.Options) ([]Table1Row, error) {
 	}
 	for i, tables := range table1Terms {
 		if len(tables) == 1 {
-			rows[i].Affected = r.SecondaryByTerm[tables[0]]
+			rows[i].Affected = r.SecondaryByTerm(tables[0])
 		} else {
 			rows[i].Affected = mv.TermCardinality(tables) - rows[i].Cardinality
 		}

@@ -326,14 +326,14 @@ func (m *Maintainer) applyAgg(cs *Changeset, span *obs.Span, ctx *exec.Context, 
 		if len(cand.Rows) == 0 {
 			continue
 		}
-		ts := sec.Child("term.apply").SetStr("term", ip.term.SourceKey()).
+		ts := sec.Child("term.apply").SetStr("term", ip.key).
 			SetInt("rows", int64(len(cand.Rows)))
 		err := cs.foldGroups("agg-secondary-fold", cand.Rows, cand.Schema, -sign)
 		ts.End()
 		if err != nil {
 			return err
 		}
-		stats.addSecondary(ip.term.SourceKey(), len(cand.Rows))
+		stats.addSecondary(ip.key, len(cand.Rows))
 	}
 	return nil
 }

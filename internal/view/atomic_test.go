@@ -364,21 +364,25 @@ func TestOnModifyMergesAllStats(t *testing.T) {
 		t.Errorf("merged IndirectTerms = %d, want %d", got, want)
 	}
 	wantByTerm := make(map[string]int)
-	for k, n := range del.SecondaryByTerm {
-		wantByTerm[k] += n
-	}
-	for k, n := range ins.SecondaryByTerm {
-		wantByTerm[k] += n
+	for _, s := range []*MaintStats{del, ins} {
+		for _, tr := range s.Terms {
+			wantByTerm[tr.Term] += tr.Rows
+		}
 	}
 	for k, want := range wantByTerm {
-		if merged.SecondaryByTerm[k] != want {
-			t.Errorf("merged SecondaryByTerm[%s] = %d, want %d", k, merged.SecondaryByTerm[k], want)
+		if got := merged.SecondaryByTerm(k); got != want {
+			t.Errorf("merged SecondaryByTerm(%s) = %d, want %d", k, got, want)
 		}
 	}
-	for k := range merged.SecondaryByTerm {
-		if _, ok := wantByTerm[k]; !ok && merged.SecondaryByTerm[k] != 0 {
-			t.Errorf("merged SecondaryByTerm has unexpected term %s", k)
+	sum := 0
+	for _, tr := range merged.Terms {
+		if _, ok := wantByTerm[tr.Term]; !ok || tr.Rows == 0 {
+			t.Errorf("merged Terms has unexpected entry %s: %d", tr.Term, tr.Rows)
 		}
+		sum += tr.Rows
+	}
+	if len(merged.Terms) != len(wantByTerm) || sum != merged.SecondaryRows {
+		t.Errorf("merged Terms %v do not split SecondaryRows %d over the %d terms the halves counted", merged.Terms, merged.SecondaryRows, len(wantByTerm))
 	}
 }
 

@@ -50,11 +50,14 @@ type Maintainer struct {
 	// the §5.3 probe chains) and ΔV^D projected to the view's schema.
 	// applyHalf resets it when the half ends. One arena serves the family
 	// because its runs are serial (see tablePlan), and nothing keeps such a
-	// row past its half: what the store keeps is heap copies. delta and
-	// projected hold a half's ΔV^D rows, full-width and projected, and every
-	// half reuses them. orphanSeen is secondaryFromView's candidate set,
-	// cleared per term.
+	// row past its half: what the store keeps is heap copies. ctx is the
+	// half's execution context, delta and projected hold its ΔV^D rows,
+	// full-width and projected, and every half reuses all three; endHalf
+	// clears them, so the family holds none of a statement's rows between
+	// runs. orphanSeen is secondaryFromView's candidate set, cleared per
+	// term.
 	arena            rel.Arena
+	ctx              exec.Context
 	delta, projected []rel.Row
 	orphanSeen       map[string]bool
 
@@ -101,6 +104,8 @@ type tablePlan struct {
 	table string
 	nf    *algebra.NormalForm
 	graph *algebra.MaintGraph
+	// direct counts graph's directly affected terms (MaintStats.DirectTerms).
+	direct int
 	// primary is the ΔV^D expression (left-deep, FK-simplified according to
 	// options); nil when the delta is provably empty or no term is directly
 	// affected.
@@ -159,6 +164,8 @@ func (p *tablePlan) PrimaryExpr() algebra.Expr { return p.primary }
 // indirectPlan drives the secondary delta for one indirectly affected term.
 type indirectPlan struct {
 	term algebra.Term
+	// key is term.SourceKey(), the name its MaintStats count goes under.
+	key string
 	// tiMask is the term's table bitmask; parentMasks are the directly
 	// affected parents' masks (the disjuncts of the paper's Pi predicate);
 	// indirectExtrasMask covers the extra tables of indirectly affected
@@ -187,10 +194,12 @@ type MaintStats struct {
 	DirectTerms   int
 	IndirectTerms int
 	PrimaryRows   int
+	// SecondaryRows counts the orphan rows the run added or removed; Terms
+	// splits it by indirectly affected term, in the order the run first
+	// counted one, and lists only terms with a nonzero count, so a run that
+	// touches no orphan allocates nothing for it.
 	SecondaryRows int
-	// SecondaryByTerm maps a term's source key to the orphan rows added or
-	// removed for it, both halves of the delta summed.
-	SecondaryByTerm map[string]int
+	Terms         []TermRows
 	// UndoRecords counts the undo-log records the run staged before
 	// committing (one per view mutation).
 	UndoRecords int
@@ -199,6 +208,24 @@ type MaintStats struct {
 	// on every MaintStats the maintainer returns; it exists so callers that
 	// aggregate stats (ojbench) can count commits against rollbacks.
 	Committed bool
+}
+
+// TermRows is one term's share of a run's SecondaryRows: Term is the term's
+// source key (algebra.Term.SourceKey, its tables sorted and comma-joined).
+type TermRows struct {
+	Term string
+	Rows int
+}
+
+// SecondaryByTerm returns the orphan rows the run added or removed for the
+// term with the given source key, both halves of the delta summed.
+func (s *MaintStats) SecondaryByTerm(term string) int {
+	for _, t := range s.Terms {
+		if t.Term == term {
+			return t.Rows
+		}
+	}
+	return 0
 }
 
 // NewMaintainer registers a maintainer over a freshly materialized view.
@@ -399,8 +426,8 @@ func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &tablePlan{table: table, nf: nf, graph: graph}
-	if len(graph.DirectTerms()) > 0 {
+	p := &tablePlan{table: table, nf: nf, graph: graph, direct: len(graph.DirectTerms())}
+	if p.direct > 0 {
 		expr, err := BuildPrimaryDelta(m.def.cat, m.def.Expr, table,
 			!m.opts.DisableLeftDeep, fkOK && !m.opts.DisableFKSimplify)
 		if err != nil {
@@ -430,7 +457,7 @@ func (m *Maintainer) buildPlan(table string, fkOK bool) (*tablePlan, error) {
 
 func (m *Maintainer) buildIndirectPlan(nf *algebra.NormalForm, graph *algebra.MaintGraph, termIdx int) (*indirectPlan, error) {
 	term := nf.Terms[termIdx]
-	ip := &indirectPlan{term: term, tiMask: m.def.maskOf(term.Tables)}
+	ip := &indirectPlan{term: term, key: term.SourceKey(), tiMask: m.def.maskOf(term.Tables)}
 	for _, pk := range graph.IndirectParents[termIdx] {
 		ip.indirectExtrasMask |= m.def.maskOf(nf.Terms[pk].Tables) &^ ip.tiMask
 	}
@@ -756,23 +783,31 @@ func AccumulateStats(acc, s *MaintStats) *MaintStats {
 		acc.Table = ""
 	}
 	acc.PrimaryRows += s.PrimaryRows
-	acc.SecondaryRows += s.SecondaryRows
 	if s.DirectTerms > acc.DirectTerms {
 		acc.DirectTerms = s.DirectTerms
 	}
 	if s.IndirectTerms > acc.IndirectTerms {
 		acc.IndirectTerms = s.IndirectTerms
 	}
-	for k, n := range s.SecondaryByTerm {
-		acc.SecondaryByTerm[k] += n
+	for _, t := range s.Terms {
+		acc.addSecondary(t.Term, t.Rows)
 	}
 	return acc
 }
 
 // addSecondary counts n orphan rows the run added or removed for a term.
 func (s *MaintStats) addSecondary(term string, n int) {
-	s.SecondaryByTerm[term] += n
+	if n == 0 {
+		return
+	}
 	s.SecondaryRows += n
+	for i := range s.Terms {
+		if s.Terms[i].Term == term {
+			s.Terms[i].Rows += n
+			return
+		}
+	}
+	s.Terms = append(s.Terms, TermRows{Term: term, Rows: n})
 }
 
 // apply stages one maintenance run over a signed delta: the removed half in
@@ -782,7 +817,7 @@ func (s *MaintStats) addSecondary(term string, n int) {
 // §6 foreign-key optimizations are unsound (its first exclusion), so the run
 // plans without them.
 func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed, added []rel.Row) (*MaintStats, error) {
-	stats := &MaintStats{Table: table, SecondaryByTerm: make(map[string]int)}
+	stats := &MaintStats{Table: table}
 	// Publish the run's row accounting to the registry on every exit path
 	// (including aborted runs: the invariant tests snapshot per attempt).
 	defer func() {
@@ -811,7 +846,7 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed,
 	if err != nil {
 		return nil, err
 	}
-	stats.DirectTerms = len(plan.graph.DirectTerms())
+	stats.DirectTerms = plan.direct
 	stats.IndirectTerms = len(plan.indirect)
 	if err := m.applyHalf(cs, span, plan, removed, added, -1, stats); err != nil {
 		return nil, err
@@ -828,8 +863,9 @@ func (m *Maintainer) apply(cs *Changeset, span *obs.Span, table string, removed,
 // pre-step state. So the §5.3 evidence of the removed half is the table as it
 // stands (are its candidates orphans after the step?) and that of the added
 // half the pre-step state (were its candidates orphans before it?). The
-// half's programs, and its projection of ΔV^D, carve their rows from the
-// family's arena, which is reset when the half ends, on every path.
+// context is the family's, and the half's programs, and its projection of
+// ΔV^D, carve their rows from the family's arena; both are reset when the
+// half ends, on every path.
 func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, removed, added []rel.Row, sign int64, stats *MaintStats) error {
 	delta := added
 	if sign < 0 {
@@ -842,7 +878,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 	// The eval span covers execution-context construction too; the executor
 	// attaches its per-operator pipeline spans beneath it.
 	evalSpan := span.Child("primary.eval")
-	ctx := &exec.Context{
+	m.ctx = exec.Context{
 		Catalog:    m.def.cat,
 		DeltaTable: plan.table,
 		Removed:    removed,
@@ -852,6 +888,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		Span:       evalSpan,
 		Arena:      &m.arena,
 	}
+	ctx := &m.ctx
 	// Every half drains ΔV^D once, full-width: aggregation folds it and §5.3
 	// reads its candidates off it. A stored view also projects it to its own
 	// schema, which is all the primary apply and §5.2 read, in either half.
@@ -915,14 +952,7 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		// ΔV^I computations for different terms by reusing partial results;
 		// here the shared work is the per-row term classification).
 		sec.SetStr("source", "view-combined")
-		counts, err := m.secondaryInsertCombined(cs, plan.indirect, m.projected)
-		if err != nil {
-			return err
-		}
-		for term, n := range counts {
-			stats.addSecondary(term, n)
-		}
-		return nil
+		return m.secondaryInsertCombined(cs, plan.indirect, m.projected, stats)
 	}
 	if useView {
 		// Deletion case via the view: terms are processed strictly in plan
@@ -930,14 +960,14 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		// later term's containment check — see buildPlan.
 		sec.SetStr("source", "view")
 		for _, ip := range plan.indirect {
-			ts := sec.Child("term").SetStr("term", ip.term.SourceKey())
+			ts := sec.Child("term").SetStr("term", ip.key)
 			n, err := m.secondaryFromView(cs, ip, m.projected)
 			ts.SetInt("rows", int64(n))
 			ts.End()
 			if err != nil {
 				return err
 			}
-			stats.addSecondary(ip.term.SourceKey(), n)
+			stats.addSecondary(ip.key, n)
 		}
 		return nil
 	}
@@ -951,14 +981,14 @@ func (m *Maintainer) applyHalf(cs *Changeset, span *obs.Span, plan *tablePlan, r
 		return err
 	}
 	for i, ip := range plan.indirect {
-		ts := sec.Child("term.apply").SetStr("term", ip.term.SourceKey())
+		ts := sec.Child("term.apply").SetStr("term", ip.key)
 		n, err := m.applySecondaryFromBase(cs, ip, plan.fromBase[i], cands[i], sign)
 		ts.SetInt("rows", int64(n))
 		ts.End()
 		if err != nil {
 			return err
 		}
-		stats.addSecondary(ip.term.SourceKey(), n)
+		stats.addSecondary(ip.key, n)
 	}
 	return nil
 }
@@ -983,8 +1013,10 @@ func (m *Maintainer) project(mapping []int) {
 
 // endHalf ends a maintenance half: the arena's rows are spent, and the
 // half's references to them are dropped — the full-width ones also reach
-// base rows a ΔV^D passes through, which must not outlive the run.
+// base rows a ΔV^D passes through, and the context the step's delta, which
+// must not outlive the run.
 func (m *Maintainer) endHalf() {
+	m.ctx = exec.Context{}
 	clear(m.delta)
 	m.delta, m.projected = m.delta[:0], m.projected[:0]
 	m.arena.Reset()
@@ -1029,7 +1061,7 @@ func evalCounted(ctx *exec.Context, run *exec.Instance, dst []rel.Row) ([]rel.Ro
 func secondaryCandidatesAll(ctx *exec.Context, sec *obs.Span, plan *tablePlan, primary exec.Relation, sign int64) ([]exec.Relation, error) {
 	cands := make([]exec.Relation, len(plan.indirect))
 	for i, ip := range plan.indirect {
-		ts := sec.Child("term.candidates").SetStr("term", ip.term.SourceKey())
+		ts := sec.Child("term.candidates").SetStr("term", ip.key)
 		var err error
 		cands[i], err = secondaryCandidatesFromBase(ctx, plan, ip, plan.fromBase[i], primary, sign)
 		ts.SetInt("rows", int64(len(cands[i].Rows)))

@@ -69,10 +69,9 @@ func (m *Maintainer) secondaryFromView(cs *Changeset, ip *indirectPlan, deleted 
 // fully determined by the delta row's Ti key values. Each delta row's
 // non-null pattern is computed once and tested against every term's parent
 // masks; orphan deletions are keyed and idempotent, so term order is
-// irrelevant.
-func (m *Maintainer) secondaryInsertCombined(cs *Changeset, plans []*indirectPlan, projected []rel.Row) (map[string]int, error) {
+// irrelevant. Each deleted orphan is counted into stats under its term.
+func (m *Maintainer) secondaryInsertCombined(cs *Changeset, plans []*indirectPlan, projected []rel.Row, stats *MaintStats) error {
 	mv := m.mv
-	counts := make(map[string]int, len(plans))
 	var key []byte
 	for _, pr := range projected {
 		pat := mv.pattern(pr)
@@ -83,14 +82,14 @@ func (m *Maintainer) secondaryInsertCombined(cs *Changeset, plans []*indirectPla
 			key = mv.appendKey(key[:0], pr, mv.keyCols, ip.tiMask)
 			_, ok, err := cs.deleteKey("secondary-orphan-delete", key)
 			if err != nil {
-				return counts, err
+				return err
 			}
 			if ok {
-				counts[ip.term.SourceKey()]++
+				stats.addSecondary(ip.key, 1)
 			}
 		}
 	}
-	return counts, nil
+	return nil
 }
 
 // patternAt computes the non-null table bitmask of a ΔV^D row: table i of

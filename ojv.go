@@ -263,6 +263,9 @@ type Database struct {
 	// write path maintains each once for all of its views (DESIGN.md §19).
 	// Guarded by mu alone: only registration, DropView and writes use it.
 	families []*family
+	// components caches each table's one-table component for statements
+	// (tableComponent). Guarded by mu.
+	components map[string]*flushComponent
 }
 
 // family is one view.Maintainer, which serves a view.Member per registered
@@ -272,9 +275,12 @@ type Database struct {
 type family struct {
 	m *view.Maintainer
 	// footprint caches m.Footprint() for the write path's conflict analysis,
-	// which runs per statement; AddForeignKey — the one DDL that changes a
-	// footprint — refreshes it.
+	// which partitions every flush and every table's statement component;
+	// AddForeignKey — the one DDL that changes a footprint — refreshes it.
 	footprint []string
+	// views are the registered views the family serves, which a commit
+	// hands the family's LastStats.
+	views []*View
 }
 
 // NewDatabase returns an empty database.
@@ -310,6 +316,7 @@ func (db *Database) TableSnapshot(name string) *TableSnapshot {
 func (db *Database) CreateTable(name string, cols []Column, key ...string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.forgetComponents()
 	_, err := db.cat.CreateTable(name, cols, key...)
 	if err == nil {
 		db.cat.PublishEpochs()
@@ -329,6 +336,7 @@ func (db *Database) MustCreateTable(name string, cols []Column, key ...string) {
 func (db *Database) AddForeignKey(table string, cols []string, refTable string, refCols []string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.forgetComponents()
 	err := db.cat.AddForeignKey(table, cols, refTable, refCols)
 	if err == nil {
 		db.cat.PublishEpochs()
@@ -394,6 +402,7 @@ func (db *Database) CreateAggregateView(name string, r Rel, spec AggSpec, opts .
 func (db *Database) register(name string, def *view.Definition, opts []Options) (*View, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.forgetComponents()
 	if _, dup := db.views[name]; dup {
 		return nil, fmt.Errorf("ojv: view %s already exists", name)
 	}
@@ -409,6 +418,7 @@ func (db *Database) register(name string, def *view.Definition, opts []Options) 
 		}
 		if mem != nil {
 			v.mem, v.fam = mem, f
+			f.views = append(f.views, v)
 			break
 		}
 	}
@@ -424,7 +434,7 @@ func (db *Database) register(name string, def *view.Definition, opts []Options) 
 			m.Release()
 			return nil, err
 		}
-		v.mem, v.fam = m.Members()[0], &family{m: m, footprint: m.Footprint()}
+		v.mem, v.fam = m.Members()[0], &family{m: m, footprint: m.Footprint(), views: []*View{v}}
 		db.families = append(db.families, v.fam)
 	}
 	v.mem.EnableSnapshots()
@@ -454,8 +464,10 @@ func (db *Database) DropView(name string) bool {
 	if !ok {
 		return false
 	}
+	db.forgetComponents()
 	f := v.fam
 	f.m.Drop(v.mem)
+	f.views = slices.DeleteFunc(f.views, func(w *View) bool { return w == v })
 	if len(f.m.Members()) == 0 {
 		f.m.Release()
 		db.families = slices.DeleteFunc(db.families, func(g *family) bool { return g == f })
@@ -468,18 +480,6 @@ func (db *Database) DropView(name string) bool {
 		}
 	}
 	return true
-}
-
-// familyViews returns the registered views a family serves, in the order
-// they joined it. A member is named after its view. Caller holds db.mu,
-// which every writer of the registry holds too.
-func (db *Database) familyViews(f *family) []*View {
-	mems := f.m.Members()
-	out := make([]*View, len(mems))
-	for i, mem := range mems {
-		out[i] = db.views[mem.Definition().Name]
-	}
-	return out
 }
 
 // View returns a registered view by name, or nil. It never blocks on an
@@ -577,6 +577,7 @@ func (db *Database) LoadCatalog(r io.Reader) error {
 	if registered > 0 {
 		return fmt.Errorf("ojv: LoadCatalog with %d registered view(s); load before creating views", registered)
 	}
+	db.forgetComponents()
 	if err := db.cat.Restore(r); err != nil {
 		return err
 	}

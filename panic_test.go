@@ -18,7 +18,9 @@ import (
 // *ojv.PanicError carrying the panic value and its stack, every table and
 // view reads exactly as before (fingerprints and View.Check), the batch's
 // Err is set and its statements stay pending, and once the FailPoint stops
-// panicking the retried flush and the next statement succeed.
+// panicking the retried flush and the next statement on the panicking
+// statement's table succeed. The statement's cached component keeps no
+// step and no staged changeset past either statement.
 func TestPanicContainedAtCommitComponent(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -98,10 +100,18 @@ func TestPanicContainedAtCommitComponent(t *testing.T) {
 				t.Fatalf("the panicking flush changed the database:\n%s\nwant\n%s", got, before)
 			}
 			checkViews("after the panicking flush")
+			scratchEmpty := func(when string) {
+				t.Helper()
+				if cached, empty := db.StatementScratch("x"); !cached || !empty {
+					t.Fatalf("%s: x's statement component cached %v, its scratch empty %v; want both", when, cached, empty)
+				}
+			}
 			wantPanic("statement", db.Insert("x", []ojv.Row{{ojv.Int(2), ojv.Int(7)}}))
 			if got := state(); got != before {
 				t.Fatalf("the panicking statement changed the database:\n%s\nwant\n%s", got, before)
 			}
+			checkViews("after the panicking statement")
+			scratchEmpty("after the panicking statement")
 
 			armed.Store(false)
 			if err := wb.Flush(); err != nil {
@@ -110,6 +120,7 @@ func TestPanicContainedAtCommitComponent(t *testing.T) {
 			if err := db.Insert("x", []ojv.Row{{ojv.Int(2), ojv.Int(7)}}); err != nil {
 				t.Fatalf("next statement: %v", err)
 			}
+			scratchEmpty("after the next statement")
 			if xy.Len() != 2 {
 				t.Fatalf("view xy holds %d rows after the recovered writes, want 2", xy.Len())
 			}

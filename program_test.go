@@ -114,12 +114,10 @@ func TestDDLReachesPhysicalPlan(t *testing.T) {
 	}
 }
 
-// statementPairCost returns the objects and bytes one 1-row insert plus the
-// delete that undoes it allocate, averaged over 50 pairs after a warm-up
-// pair (plans build and compile there).
-func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row, key []ojv.Value) (objects, bytes float64) {
-	t.Helper()
-	pair := func() {
+// insertDeletePair returns a 1-row insert followed by the delete that
+// undoes it.
+func insertDeletePair(t *testing.T, db *ojv.Database, table string, row ojv.Row, key []ojv.Value) func() {
+	return func() {
 		if err := db.Insert(table, []ojv.Row{row}); err != nil {
 			t.Fatal(err)
 		}
@@ -127,6 +125,12 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 			t.Fatal(err)
 		}
 	}
+}
+
+// statementPairCost returns the objects and bytes a pair of statements
+// allocates, averaged over 50 pairs after a warm-up pair (plans build and
+// compile there).
+func statementPairCost(pair func()) (objects, bytes float64) {
 	pair()
 	const rounds = 50
 	objects = testing.AllocsPerRun(rounds, pair)
@@ -142,8 +146,8 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 // TestStatementAllocBudget is the allocation guard for a synchronous
 // statement, run in CI beside exec's TestAllocBudget: a 1-row child insert
 // and the delete that undoes it, on the V2 view of Example 11 and on the
-// 3-join TPC-H view V3, must stay within a recorded budget of objects and
-// bytes. The commit before programs were cached measures 269–273 objects /
+// 3-join TPC-H view V3, and a 1-row V3 modify and its revert (update),
+// must stay within a recorded budget of objects and bytes. The commit before programs were cached measures 269–273 objects /
 // 16.0–17.2 kB per pair on V2 and 350–358 / 34.7–36.2 kB on V3; the one
 // that cached them 173–181 / 10.2–11.7 kB and 186–197 / 15.7–17.9 kB; the
 // one with 24-byte values and the handle store behind the view 160–173 /
@@ -160,8 +164,13 @@ func statementPairCost(t *testing.T, db *ojv.Database, table string, row ojv.Row
 // family's arena instead of allocated one by one: 70 / 2 376 B and
 // 68 / 2 728 B; with both halves of a run reading ΔV^D projected into that
 // arena, through one reference slice the family reuses, 60 / 2 152 B and
-// 58 / 2 504 B. The byte budgets sit about 10 % above the arena's first
-// readings, so
+// 58 / 2 504 B. With a statement reading its table's cached component, its
+// step and staging scratch kept with it, the family's execution context
+// reused, and per-term orphan counts in a slice that stays nil when a run
+// touches no orphan (no per-run map): 26 / 848 B and 28 / 1 280 B; update
+// read 54 / 2 720 B per pair before and 20 / 960 B after. The budgets sit
+// about 10 % above these readings, so a per-statement partition, a
+// bookkeeping slice or map, a heap execution context or
 // per-run schema derivation, predicate compilation or offset resolution
 // creeping back into the statement path trips them on either view, and so
 // does a per-table key string or set coming back into the view apply, an
@@ -196,15 +205,16 @@ func TestStatementAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := []ojv.Value{ojv.Int(1 << 20)}
-		objects, bytes := statementPairCost(t, db, "L", ojv.Row{key[0], order}, key)
-		checkBudget(t, objects, bytes, 82, 2600)
+		objects, bytes := statementPairCost(insertDeletePair(t, db, "L", ojv.Row{key[0], order}, key))
+		checkBudget(t, objects, bytes, 29, 935)
 	})
-	t.Run("V3", func(t *testing.T) {
+	// v3 returns a database with V3 registered and a fresh line item of an
+	// order inside V3's date range, or outside it when inside is false.
+	v3 := func(t *testing.T, inside bool) (*ojv.Database, *ojv.View, ojv.Row) {
 		tdb, err := tpch.Generate(tpch.Config{ScaleFactor: 0.002, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A line item of an order inside V3's date range.
 		ot := tdb.Catalog.Table("orders")
 		inRange, err := algebra.MakeAnd(
 			algebra.CmpConst("orders", "o_orderdate", algebra.OpGe, tpch.V3DateLo),
@@ -216,16 +226,44 @@ func TestStatementAllocBudget(t *testing.T) {
 		var row ojv.Row
 		for row == nil {
 			cand := tdb.NewLineitems(1)[0]
-			if o, ok := ot.Get(cand[0]); ok && inRange(o) == algebra.True {
+			if o, ok := ot.Get(cand[0]); ok && (inRange(o) == algebra.True) == inside {
 				row = cand
 			}
 		}
 		db := ojv.WrapCatalog(tdb.Catalog)
-		if _, err := db.CreateView("v3", ojv.ExprRel(tpch.V3Expr()), tpch.V3Output(), ojv.Options{}); err != nil {
+		v, err := db.CreateView("v3", ojv.ExprRel(tpch.V3Expr()), tpch.V3Output(), ojv.Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		objects, bytes := statementPairCost(t, db, "lineitem", row, row[:2])
-		checkBudget(t, objects, bytes, 82, 3000)
+		return db, v, row
+	}
+	t.Run("V3", func(t *testing.T) {
+		db, _, row := v3(t, true)
+		objects, bytes := statementPairCost(insertDeletePair(t, db, "lineitem", row, row[:2]))
+		checkBudget(t, objects, bytes, 31, 1410)
+	})
+	t.Run("update", func(t *testing.T) {
+		// The line item's quantity changes and changes back: two modify
+		// runs, each one signed run over a removed and an added row. Its
+		// order is outside V3's date range, so ΔV^D is empty and the pair
+		// costs what a statement costs around its maintenance.
+		db, v, row := v3(t, false)
+		if err := db.Insert("lineitem", []ojv.Row{row}); err != nil {
+			t.Fatal(err)
+		}
+		changed := row.Clone()
+		changed[3] = ojv.Int(row[3].AsInt() + 1)
+		objects, bytes := statementPairCost(func() {
+			for _, r := range []ojv.Row{changed, row} {
+				if err := db.Update("lineitem", row[:2], r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		checkBudget(t, objects, bytes, 22, 1060)
+		if err := v.Check(); err != nil {
+			t.Fatal(err)
+		}
 	})
 	t.Run("removed-half", func(t *testing.T) {
 		// (C ⟕ O) ⟕ L: deleting the one order of a customer removes the
@@ -309,7 +347,7 @@ func TestStatementAllocBudget(t *testing.T) {
 
 func checkBudget(t *testing.T, objects, bytes, maxObjects, maxBytes float64) {
 	t.Helper()
-	t.Logf("insert + delete pair: %.0f objects, %.0f B", objects, bytes)
+	t.Logf("statement pair: %.0f objects, %.0f B", objects, bytes)
 	if objects > maxObjects {
 		t.Errorf("pair allocates %.0f objects, budget %.0f", objects, maxObjects)
 	}

@@ -13,25 +13,29 @@ import (
 
 // The write path (DESIGN.md §14, "The write path"). Every base-table
 // mutation — a synchronous statement, a WriteBatch flush at any worker
-// count — reaches the tables and the views through commit: the caller
-// partitions its delta tables into independent components (conflict.go),
-// gives each component its plan, and commit applies each one atomically.
-// A statement is the degenerate input: one component, one step.
+// count — reaches the tables and the views through commitComponent: the
+// caller partitions its delta tables into independent components
+// (conflict.go), gives each component its plan, and commitComponent applies
+// each one atomically. A statement is the degenerate input: one component,
+// its table's cached one, and one step.
 
 // execute runs one synchronous statement as a one-step plan over the one
 // component its table belongs to, through the catalog's validating
 // appliers. It returns the step as applied: a delete's Removed rows are
-// the rows the catalog removed.
+// the rows the catalog removed. The component is the table's cached one
+// (tableComponent); its step slot is emptied on every exit, so the cache
+// holds none of the statement's rows.
 func (db *Database) execute(st pipeline.Step) (pipeline.Step, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.cat.Table(st.Table) == nil {
 		return st, fmt.Errorf("ojv: unknown table %s", st.Table)
 	}
-	comps := db.partition([]string{st.Table})
-	comps[0].steps = []pipeline.Step{st}
-	err := db.commit(comps, 1, nil)[0]
-	return comps[0].steps[0], err
+	c := db.tableComponent(st.Table)
+	c.steps = append(c.steps[:0], st)
+	defer clear(c.steps)
+	err := db.commitComponent(c, nil)
+	return c.steps[0], err
 }
 
 // commit applies independent components on up to workers goroutines —
@@ -48,8 +52,8 @@ func (db *Database) commit(comps []flushComponent, workers int, root *Span) []er
 		workers = len(comps)
 	}
 	if workers <= 1 {
-		for i, c := range comps {
-			errs[i] = db.commitComponent(c, root)
+		for i := range comps {
+			errs[i] = db.commitComponent(&comps[i], root)
 		}
 		return errs
 	}
@@ -60,7 +64,7 @@ func (db *Database) commit(comps []flushComponent, workers int, root *Span) []er
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = db.commitComponent(comps[i], root)
+				errs[i] = db.commitComponent(&comps[i], root)
 			}
 		}()
 	}
@@ -142,9 +146,11 @@ func (e *PanicError) Unwrap() error {
 // then each of the component's tables back to its state at its last
 // commit, which is its state when the component began, then any
 // family a panic tore is rebuilt from those tables, so the component's
-// tables and views return to their pre-call state. Caller holds db.mu, and
-// the component is the only writer of its tables and families (see commit).
-func (db *Database) commitComponent(c flushComponent, root *Span) error {
+// tables and views return to their pre-call state. The changesets are staged
+// in c.staged, which is emptied on every exit, a panic's included. Caller
+// holds db.mu, and the component is the only writer of its tables and
+// families (see commit).
+func (db *Database) commitComponent(c *flushComponent, root *Span) error {
 	if len(c.steps) == 0 {
 		return nil
 	}
@@ -158,10 +164,12 @@ func (db *Database) commitComponent(c flushComponent, root *Span) error {
 		SetInt("steps", int64(len(c.steps)))
 	defer span.End()
 
-	staged := make([]stagedFamily, len(c.families))
-	for j, f := range c.families {
-		staged[j] = stagedFamily{f: f, cs: f.m.Begin()}
+	staged := c.staged[:0]
+	for _, f := range c.families {
+		staged = append(staged, stagedFamily{f: f, cs: f.m.Begin()})
 	}
+	c.staged = staged
+	defer clear(staged)
 	var cause error
 	for i := range c.steps {
 		if cause = db.applyStep(&c.steps[i], staged, span); cause != nil {
@@ -172,7 +180,7 @@ func (db *Database) commitComponent(c flushComponent, root *Span) error {
 		commit := span.Child("commit")
 		for _, s := range staged {
 			s.f.m.CommitStaged(s.cs, s.stats)
-			for _, v := range db.familyViews(s.f) {
+			for _, v := range s.f.views {
 				v.LastStats = s.stats
 			}
 		}
