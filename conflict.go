@@ -47,12 +47,12 @@ type flushComponent struct {
 // tableComponent returns the component a statement on table commits
 // through: partition({table}), computed by the first statement after the
 // registry last changed and kept, with its step and staging scratch, until
-// it changes again (forgetComponents). A one-table component depends on
-// db.families and their footprints alone — rule 2 unites delta tables only —
-// so registration, DropView, AddForeignKey, CreateTable and LoadCatalog drop
-// the cache; nothing keyed on the catalog's design generation would do,
-// since a view that reuses existing arrangements, or joins a family, leaves
-// it where it was. Caller holds db.mu.
+// it changes again. A one-table component depends on db.families and their
+// footprints alone — rule 2 unites delta tables only — so registration,
+// DropView, AddForeignKey, CreateTable and LoadCatalog clear the cache;
+// nothing keyed on the catalog's design generation would do, since a view
+// that reuses existing arrangements, or joins a family, leaves it where it
+// was. Caller holds db.mu.
 func (db *Database) tableComponent(table string) *flushComponent {
 	c := db.components[table]
 	if c == nil {
@@ -64,10 +64,6 @@ func (db *Database) tableComponent(table string) *flushComponent {
 	}
 	return c
 }
-
-// forgetComponents drops every cached one-table component. Caller holds
-// db.mu for writing.
-func (db *Database) forgetComponents() { clear(db.components) }
 
 // partition splits the sorted, duplicate-free delta tables into independent
 // components and assigns each affected view to its component; the caller

@@ -316,7 +316,7 @@ func (db *Database) TableSnapshot(name string) *TableSnapshot {
 func (db *Database) CreateTable(name string, cols []Column, key ...string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.forgetComponents()
+	clear(db.components)
 	_, err := db.cat.CreateTable(name, cols, key...)
 	if err == nil {
 		db.cat.PublishEpochs()
@@ -336,7 +336,7 @@ func (db *Database) MustCreateTable(name string, cols []Column, key ...string) {
 func (db *Database) AddForeignKey(table string, cols []string, refTable string, refCols []string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.forgetComponents()
+	clear(db.components)
 	err := db.cat.AddForeignKey(table, cols, refTable, refCols)
 	if err == nil {
 		db.cat.PublishEpochs()
@@ -402,7 +402,7 @@ func (db *Database) CreateAggregateView(name string, r Rel, spec AggSpec, opts .
 func (db *Database) register(name string, def *view.Definition, opts []Options) (*View, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.forgetComponents()
+	clear(db.components)
 	if _, dup := db.views[name]; dup {
 		return nil, fmt.Errorf("ojv: view %s already exists", name)
 	}
@@ -464,7 +464,7 @@ func (db *Database) DropView(name string) bool {
 	if !ok {
 		return false
 	}
-	db.forgetComponents()
+	clear(db.components)
 	f := v.fam
 	f.m.Drop(v.mem)
 	f.views = slices.DeleteFunc(f.views, func(w *View) bool { return w == v })
@@ -577,7 +577,7 @@ func (db *Database) LoadCatalog(r io.Reader) error {
 	if registered > 0 {
 		return fmt.Errorf("ojv: LoadCatalog with %d registered view(s); load before creating views", registered)
 	}
-	db.forgetComponents()
+	clear(db.components)
 	if err := db.cat.Restore(r); err != nil {
 		return err
 	}
