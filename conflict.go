@@ -57,9 +57,6 @@ func (db *Database) tableComponent(table string) *flushComponent {
 	c := db.components[table]
 	if c == nil {
 		c = &db.partition([]string{table})[0]
-		if db.components == nil {
-			db.components = make(map[string]*flushComponent)
-		}
 		db.components[table] = c
 	}
 	return c

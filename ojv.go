@@ -285,7 +285,7 @@ type family struct {
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	db := &Database{cat: rel.NewCatalog(), views: make(map[string]*View)}
+	db := &Database{cat: rel.NewCatalog(), views: make(map[string]*View), components: make(map[string]*flushComponent)}
 	db.cat.PublishEpochs()
 	return db
 }
@@ -294,7 +294,7 @@ func NewDatabase() *Database {
 // The caller must not touch the catalog directly afterwards: it is not
 // synchronized with the database's locks.
 func WrapCatalog(cat *rel.Catalog) *Database {
-	db := &Database{cat: cat, views: make(map[string]*View)}
+	db := &Database{cat: cat, views: make(map[string]*View), components: make(map[string]*flushComponent)}
 	db.cat.PublishEpochs()
 	return db
 }

@@ -147,8 +147,9 @@ func statementPairCost(pair func()) (objects, bytes float64) {
 // statement, run in CI beside exec's TestAllocBudget: a 1-row child insert
 // and the delete that undoes it, on the V2 view of Example 11 and on the
 // 3-join TPC-H view V3, and a 1-row V3 modify and its revert (update),
-// must stay within a recorded budget of objects and bytes. The commit before programs were cached measures 269–273 objects /
-// 16.0–17.2 kB per pair on V2 and 350–358 / 34.7–36.2 kB on V3; the one
+// must stay within a recorded budget of objects and bytes. The commit
+// before programs were cached measures 269–273 objects / 16.0–17.2 kB per
+// pair on V2 and 350–358 / 34.7–36.2 kB on V3; the one
 // that cached them 173–181 / 10.2–11.7 kB and 186–197 / 15.7–17.9 kB; the
 // one with 24-byte values and the handle store behind the view 160–173 /
 // 9.8–11.4 kB and 170–178 / 12.8–14.4 kB over 25 processes, and its
